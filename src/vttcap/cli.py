@@ -19,7 +19,7 @@ from .errors import CapacityError, ContractError, DataError, DimensionError, \
     FormatError, TrainingError, VttError
 from .features import load_manifest, synth_dataset
 from .metrics import score_corpus
-from .model import ModelConfig, TransformerModel, greedy_decode, load_checkpoint
+from .model import ModelConfig, TransformerModel, greedy_decode, load_checkpoint_for
 from .scst import RewardConfig, finetune_scst
 from .tokenizer import build_vocab, decode, load_vocab, normalize_words, save_vocab
 from .training import ScheduleConfig, TrainRunConfig, evaluate, train_xe
@@ -40,8 +40,7 @@ PROFILES = {
                   "attention_kind": "memory_scaled_dot",
                   "use_memory_with_x_linear": True, "dropout": 0.0},
         "schedule": {"kind": "sgdr", "d_model": 512, "warmup": 10000,
-                     "t0": 4000, "t_mult": 2, "eta_max": None, "eta_min": None,
-                     "eta": 5e-6},
+                     "t0": 4000, "t_mult": 2, "eta_max": None, "eta_min": None},
         "reward": {"lambda_cider": 1.0, "lambda_bleu4": 1.0, "n_samples": 5,
                    "eta": 5e-6, "temperature": 1.0},
         "run": {"epochs": 50, "batch_size": 128, "seed": 7, "eval_every": 0,
@@ -55,8 +54,7 @@ PROFILES = {
                   "attention_kind": "memory_scaled_dot",
                   "use_memory_with_x_linear": True, "dropout": 0.0},
         "schedule": {"kind": "sgdr", "d_model": 32, "warmup": 200,
-                     "t0": 400, "t_mult": 2, "eta_max": None, "eta_min": None,
-                     "eta": 5e-6},
+                     "t0": 400, "t_mult": 2, "eta_max": None, "eta_min": None},
         "reward": {"lambda_cider": 1.0, "lambda_bleu4": 1.0, "n_samples": 5,
                    "eta": 1e-4, "temperature": 1.0},
         "run": {"epochs": 30, "batch_size": 16, "seed": 7, "eval_every": 0,
@@ -197,11 +195,8 @@ def cmd_finetune_scst(args) -> int:
 
 
 def cmd_caption(args) -> int:
-    model = load_checkpoint(args.checkpoint)
     vocab = load_vocab(args.vocab)
-    if model.cfg.vocab_size != len(vocab):
-        raise FormatError(f"checkpoint vocab size {model.cfg.vocab_size} "
-                          f"!= vocabulary size {len(vocab)}")
+    model = load_checkpoint_for(args.checkpoint, vocab)
     manifest = load_manifest(args.manifest)
     with open(args.out, "w", encoding="utf-8") as fh:
         for sample in manifest.load_samples():
@@ -214,11 +209,8 @@ def cmd_caption(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    model = load_checkpoint(args.checkpoint)
     vocab = load_vocab(args.vocab)
-    if model.cfg.vocab_size != len(vocab):
-        raise FormatError(f"checkpoint vocab size {model.cfg.vocab_size} "
-                          f"!= vocabulary size {len(vocab)}")
+    model = load_checkpoint_for(args.checkpoint, vocab)
     manifest = load_manifest(args.manifest)
     report = evaluate(model, manifest.load_samples(), vocab)
     payload = json.dumps(report.as_dict())

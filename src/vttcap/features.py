@@ -110,9 +110,6 @@ class DatasetManifest:
             samples.append(VideoSample(e.id, frames, audio, list(e.captions)))
         return samples
 
-    def reference_sets(self) -> list:
-        return [list(e.captions) for e in self.entries]
-
 
 def write_feature_file(path, m: FeatureMatrix) -> None:
     payload = np.ascontiguousarray(m.values, dtype="<f4").tobytes()

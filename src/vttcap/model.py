@@ -15,7 +15,10 @@ graphs rebuilt per forward pass.
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -261,9 +264,6 @@ class TransformerModel:
 
         self._linear("out_proj", cfg.d_model, cfg.vocab_size, rng, zeros)
 
-    def parameters(self) -> dict:
-        return self.params
-
     def n_parameters(self) -> int:
         return sum(p.size for p in self.params.values())
 
@@ -399,21 +399,26 @@ def embed_multimodal(frames: FeatureMatrix, audio: FeatureMatrix | None,
 # decoding
 
 
+def _decode(model: TransformerModel, enc: Tensor, bos_id: int, eos_id: int,
+            l_max: int | None, pick) -> list:
+    """Extend BOS by ``pick(last-position logits)`` until EOS or l_max+2 tokens."""
+    l_max = model.cfg.l_max if l_max is None else l_max
+    ids = [bos_id]
+    while len(ids) < l_max + 2:
+        nxt = pick(model.decode_logits(enc, ids).data[-1])
+        ids.append(nxt)
+        if nxt == eos_id:
+            break
+    return ids
+
+
 def greedy_decode(model: TransformerModel, frames: FeatureMatrix,
                   audio: FeatureMatrix | None, bos_id: int, eos_id: int,
                   l_max: int | None = None) -> list:
     """Argmax decoding from BOS; ties break toward the lowest token id."""
-    l_max = model.cfg.l_max if l_max is None else l_max
     with T.no_grad():
         enc = model.encode(frames, audio)
-        ids = [bos_id]
-        while len(ids) < l_max + 2:
-            logits = model.decode_logits(enc, ids)
-            nxt = int(np.argmax(logits.data[-1]))
-            ids.append(nxt)
-            if nxt == eos_id:
-                break
-    return ids
+        return _decode(model, enc, bos_id, eos_id, l_max, lambda row: int(np.argmax(row)))
 
 
 def sample_decode(model: TransformerModel, frames: FeatureMatrix,
@@ -429,23 +434,19 @@ def sample_decode(model: TransformerModel, frames: FeatureMatrix,
         raise ContractError("need n >= 1 samples")
     if temperature <= 0.0:
         raise ContractError("temperature must be > 0")
-    l_max = model.cfg.l_max if l_max is None else l_max
     out = []
     with T.no_grad():
         enc = model.encode(frames, audio)
         for _ in range(n):
-            ids = [bos_id]
             logps = []
-            while len(ids) < l_max + 2:
-                logits = model.decode_logits(enc, ids)
-                row = logits.data[-1].astype(np.float64) / temperature
-                logp = T.log_softmax_lastdim(row)
+
+            def pick(row):
+                logp = T.log_softmax_lastdim(row.astype(np.float64) / temperature)
                 idx = rng.draw_categorical(np.exp(logp))
-                ids.append(idx)
                 logps.append(float(logp[idx]))
-                if idx == eos_id:
-                    break
-            out.append((ids, logps))
+                return idx
+
+            out.append((_decode(model, enc, bos_id, eos_id, l_max, pick), logps))
     return out
 
 
@@ -456,10 +457,24 @@ CKPT_MAGIC = b"VTTC"
 CKPT_VERSION = 1
 
 
+@contextmanager
+def atomic_path(path):
+    """Yield ``path`` + ".tmp" to write; it replaces ``path`` only if the block succeeds.
+
+    A crash or error midway leaves any previous file at ``path`` intact.
+    """
+    tmp = Path(str(path) + ".tmp")
+    try:
+        yield tmp
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_checkpoint(model: TransformerModel, path) -> None:
     """Write parameters in canonical order plus the config as JSON alongside."""
-    path = Path(path)
-    with open(path, "wb") as fh:
+    with atomic_path(path) as tmp, open(tmp, "wb") as fh:
         fh.write(CKPT_MAGIC)
         fh.write(struct.pack("<II", CKPT_VERSION, len(model.params)))
         for name, p in model.params.items():
@@ -471,7 +486,7 @@ def save_checkpoint(model: TransformerModel, path) -> None:
             for ext in shape:
                 fh.write(struct.pack("<I", ext))
             fh.write(np.ascontiguousarray(p.data, dtype="<f4").tobytes())
-    with open(str(path) + ".json", "w", encoding="utf-8") as fh:
+    with atomic_path(str(path) + ".json") as tmp, open(tmp, "w", encoding="utf-8") as fh:
         json.dump(model.cfg.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -489,31 +504,43 @@ def load_checkpoint(path) -> TransformerModel:
         blob = fh.read()
     if blob[:4] != CKPT_MAGIC:
         raise FormatError(f"{path}: bad magic {blob[:4]!r}")
-    version, count = struct.unpack("<II", blob[4:12])
-    if version != CKPT_VERSION:
-        raise FormatError(f"{path}: unsupported checkpoint version {version}")
-    off = 12
     loaded = set()
-    for _ in range(count):
-        (nlen,) = struct.unpack("<I", blob[off:off + 4])
-        off += 4
-        name = blob[off:off + nlen].decode("utf-8")
-        off += nlen
-        (rank,) = struct.unpack("<I", blob[off:off + 4])
-        off += 4
-        shape = struct.unpack(f"<{rank}I", blob[off:off + 4 * rank])
-        off += 4 * rank
-        size = int(np.prod(shape)) if shape else 1
-        values = np.frombuffer(blob, dtype="<f4", offset=off, count=size)
-        off += 4 * size
-        if name not in model.params:
-            raise FormatError(f"{path}: unknown parameter {name!r} for this config")
-        if model.params[name].data.shape != tuple(shape):
-            raise FormatError(f"{path}: parameter {name!r} has shape {shape}, "
-                              f"expected {model.params[name].data.shape}")
-        model.params[name].data = values.reshape(shape).astype(np.float32).copy()
-        loaded.add(name)
+    try:  # a short read in any section raises struct.error or ValueError
+        version, count = struct.unpack_from("<II", blob, 4)
+        if version != CKPT_VERSION:
+            raise FormatError(f"{path}: unsupported checkpoint version {version}")
+        off = 12
+        for _ in range(count):
+            (nlen,) = struct.unpack_from("<I", blob, off)
+            name = blob[off + 4:off + 4 + nlen].decode("utf-8")
+            off += 4 + nlen
+            (rank,) = struct.unpack_from("<I", blob, off)
+            shape = struct.unpack_from(f"<{rank}I", blob, off + 4)
+            off += 4 + 4 * rank
+            if name not in model.params:
+                raise FormatError(f"{path}: unknown parameter {name!r} for this config")
+            if model.params[name].data.shape != shape:
+                raise FormatError(f"{path}: parameter {name!r} has shape {shape}, "
+                                  f"expected {model.params[name].data.shape}")
+            size = math.prod(shape)
+            values = np.frombuffer(blob, dtype="<f4", offset=off, count=size)
+            off += 4 * size
+            model.params[name].data = values.reshape(shape).astype(np.float32)
+            loaded.add(name)
+    except (struct.error, ValueError) as exc:
+        raise FormatError(f"{path}: truncated or corrupt checkpoint ({exc})") from exc
+    if off != len(blob):
+        raise FormatError(f"{path}: {len(blob) - off} trailing bytes")
     missing = set(model.params) - loaded
     if missing:
         raise FormatError(f"{path}: missing parameters {sorted(missing)[:5]}")
+    return model
+
+
+def load_checkpoint_for(path, vocab) -> TransformerModel:
+    """``load_checkpoint``, checking that the model's vocabulary is ``vocab``'s size."""
+    model = load_checkpoint(path)
+    if model.cfg.vocab_size != len(vocab):
+        raise FormatError(f"checkpoint vocab size {model.cfg.vocab_size} "
+                          f"!= vocabulary size {len(vocab)}")
     return model

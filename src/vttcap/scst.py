@@ -8,29 +8,27 @@ reward, and minimizes
 
 so samples beating the baseline are reinforced and the rest suppressed.
 Rewards are constants in the surrogate; gradient flows only through the
-token log-probabilities of the sampled captions.  Finetuning runs Adam at
-a constant learning rate with the reward IDF frozen from the training
-references before the first step.
+token log-probabilities of the sampled captions.  ``finetune_scst`` runs
+this step inside the training loop XE uses (``training._fit``), with Adam
+at the constant learning rate ``RewardConfig.eta`` and the reward IDF
+frozen from the training references before the first step.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
-import shutil
 import statistics
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from . import tensor as T
 from .errors import ContractError
 from .features import DatasetManifest
 from .metrics import IdfTable, bleu4, cider_sentence, compute_idf
-from .model import TransformerModel, greedy_decode, load_checkpoint, sample_decode, \
-    save_checkpoint
+from .model import TransformerModel, greedy_decode, load_checkpoint_for, sample_decode
 from .tensor import RngState
 from .tokenizer import Vocabulary, decode, normalize_words
-from .training import OptimizerState, TrainResult, TrainRunConfig, _append_history, \
-    adam_update, clip_gradients, evaluate
+from .training import TrainResult, TrainRunConfig, _fit, evaluate, greedy_captions
 
 
 @dataclass
@@ -146,27 +144,13 @@ def scst_batch_step(model: TransformerModel, batch, vocab: Vocabulary,
     model.zero_grad()
     loss = scst_surrogate_loss(model, items)
     loss.backward()
-    value = loss.item()
-    if value != value:
-        raise ContractError("non-finite SCST loss")
-    return value, trace
-
-
-def _val_candidates(model: TransformerModel, samples, vocab: Vocabulary):
-    candidates = []
-    refs_corpus = []
-    for s in samples:
-        ids = greedy_decode(model, s.frames, s.audio, vocab.bos_id, vocab.eos_id,
-                            l_max=model.cfg.l_max)
-        candidates.append(normalize_words(decode(ids, vocab)))
-        refs_corpus.append([normalize_words(c) for c in s.captions])
-    return candidates, refs_corpus
+    return loss.item(), trace
 
 
 def validation_mixed_reward(model: TransformerModel, samples, vocab: Vocabulary,
                             rc: RewardConfig) -> float:
     """Mean mixed reward of greedy captions over a validation set."""
-    candidates, refs_corpus = _val_candidates(model, samples, vocab)
+    candidates, refs_corpus = greedy_captions(model, samples, vocab)
     rewards = [mixed_reward(c, refs, rc) for c, refs in zip(candidates, refs_corpus)]
     return statistics.fmean(rewards)
 
@@ -177,67 +161,27 @@ def finetune_scst(checkpoint, train: DatasetManifest, val: DatasetManifest,
     """SCST finetuning from an XE checkpoint at constant learning rate ``rc.eta``.
 
     The reward IDF is frozen from the training references before the first
-    step.  Validation mirrors the XE loop (greedy decode + metrics, plus the
-    mean validation mixed reward); the best-CIDEr-D checkpoint is kept.
+    step.  Validation rows add the mean validation mixed reward and the
+    mean advantage of the steps since the previous row; ``trace_path``
+    receives one JSON line of per-video rewards and advantages per step.
     """
-    model = load_checkpoint(checkpoint)
-    if model.cfg.vocab_size != len(vocab):
-        raise ContractError(f"checkpoint vocab size {model.cfg.vocab_size} "
-                            f"!= vocabulary size {len(vocab)}")
+    model = load_checkpoint_for(checkpoint, vocab)
     if len(train) == 0 or len(val) == 0:
         raise ContractError("train and val manifests must be non-empty")
-
-    out_dir = Path(run.out_dir)
-    ckpt_dir = out_dir / "checkpoints"
-    ckpt_dir.mkdir(parents=True, exist_ok=True)
-    history_path = out_dir / "history.jsonl"
-    history_path.write_text("")
-    trace_fh = open(trace_path, "w", encoding="utf-8") if trace_path else None
-
     train_samples = train.load_samples()
     val_samples = val.load_samples()
     if rc.idf is None:
         rc.idf = compute_idf([[normalize_words(c) for c in s.captions]
                               for s in train_samples])
-
     rng = RngState(run.seed).derive("scst")
     sample_rng = rng.derive("rollouts")
-    state = OptimizerState()
-    history = []
-    best = (-1.0, 0, None)
-    step = 0
     advantage_window = []
 
-    def validate(epoch: int, train_loss):
-        nonlocal best
-        report = evaluate(model, val_samples, vocab)
-        vmr = validation_mixed_reward(model, val_samples, vocab, rc)
-        row = {"epoch": epoch, "step": step, "lr": rc.eta, "train_loss": train_loss,
-               "bleu4": report.bleu4, "cider": report.cider,
-               "cider_d": report.cider_d, "mixed_reward": vmr,
-               "mean_advantage": (statistics.fmean(advantage_window)
-                                  if advantage_window else None)}
-        history.append(row)
-        _append_history(history_path, row)
-        path = ckpt_dir / f"epoch_{epoch:04d}_step_{step:06d}.vttc"
-        save_checkpoint(model, path)
-        if report.cider_d > best[0]:
-            best = (report.cider_d, epoch, path)
-
-    validate(0, None)  # the XE starting point
-
-    stall = 0
-    stop = False
-    for epoch in range(1, run.epochs + 1):
-        order = rng.permutation(len(train_samples))
-        losses = []
-        for lo in range(0, len(order), run.batch_size):
-            batch = [train_samples[i] for i in order[lo:lo + run.batch_size]]
+    with open(trace_path, "w", encoding="utf-8") if trace_path \
+            else contextlib.nullcontext() as trace_fh:
+        def step_fn(indices, step: int) -> float:
+            batch = [train_samples[i] for i in indices]
             loss, trace = scst_batch_step(model, batch, vocab, rc, sample_rng)
-            clip_gradients(model.params)
-            step += 1
-            adam_update(model.params, state, rc.eta)
-            losses.append(loss)
             advantage_window.append(trace.mean_advantage)
             if trace_fh is not None:
                 trace_fh.write(json.dumps({
@@ -247,28 +191,15 @@ def finetune_scst(checkpoint, train: DatasetManifest, val: DatasetManifest,
                                 "sample_rewards": v.sample_rewards,
                                 "advantages": v.advantages}
                                for v in trace.videos]}) + "\n")
-            if run.eval_every and step % run.eval_every == 0:
-                before = best[0]
-                validate(epoch, statistics.fmean(losses))
-                advantage_window.clear()
-                stall = 0 if best[0] > before else stall + 1
-                if run.patience and stall >= run.patience:
-                    stop = True
-                    break
-        if stop:
-            break
-        if not run.eval_every:
-            before = best[0]
-            validate(epoch, statistics.fmean(losses) if losses else None)
-            advantage_window.clear()
-            stall = 0 if best[0] > before else stall + 1
-            if run.patience and stall >= run.patience:
-                break
+            return loss
 
-    if trace_fh is not None:
-        trace_fh.close()
-    best_path = ckpt_dir / "best.vttc"
-    shutil.copyfile(best[2], best_path)
-    shutil.copyfile(str(best[2]) + ".json", str(best_path) + ".json")
-    return TrainResult(best_path=best_path, best_epoch=best[1],
-                       best_cider_d=best[0], history=history)
+        def validate_fn() -> dict:
+            row = {**evaluate(model, val_samples, vocab).as_dict(),
+                   "mixed_reward": validation_mixed_reward(model, val_samples, vocab, rc),
+                   "mean_advantage": (statistics.fmean(advantage_window)
+                                      if advantage_window else None)}
+            advantage_window.clear()
+            return row
+
+        return _fit(model, len(train_samples), step_fn, lambda step: rc.eta,
+                    validate_fn, run, rng)

@@ -37,10 +37,6 @@ def no_grad():
         _grad_enabled = prev
 
 
-def grad_enabled() -> bool:
-    return _grad_enabled
-
-
 class Tensor:
     """A dense array plus optional gradient buffer and graph record.
 

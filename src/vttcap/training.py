@@ -1,12 +1,14 @@
-"""Cross-entropy training: Adam, learning-rate schedules, validation loop.
+"""Training: Adam, learning-rate schedules, and the one loop XE and SCST share.
 
 The optimizer is standard bias-corrected Adam with beta1=0.9, beta2=0.98,
 eps=1e-9.  Two schedules are provided: the analytic transformer rule
 d_model^-0.5 * min(step^-0.5, step * w^-1.5), and linear warmup into
 cosine annealing with warm restarts (restart boundaries return to eta_max).
-Validation runs greedy decoding plus metrics every epoch (or every
-``eval_every`` steps); the checkpoint with the best validation CIDEr-D is
-kept and an early-stopping patience counter can cut the run short.
+``train_xe`` and ``scst.finetune_scst`` run one loop, ``_fit``, and differ
+only in their step, learning-rate and validation functions.  It validates
+every epoch (or every ``eval_every`` steps), keeps one checkpoint per
+validation plus the best-CIDEr-D one as ``best.vttc``, and stops after
+``patience`` validations without improvement.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 import shutil
+import statistics
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -23,7 +26,7 @@ from . import tensor as T
 from .errors import ContractError, TrainingError
 from .features import DatasetManifest
 from .metrics import MetricReport, score_corpus
-from .model import TransformerModel, greedy_decode, save_checkpoint
+from .model import TransformerModel, atomic_path, greedy_decode, save_checkpoint
 from .tensor import RngState
 from .tokenizer import Vocabulary, decode, encode, normalize_words, truncate
 
@@ -77,17 +80,16 @@ def clip_gradients(params: dict, max_norm: float = GRAD_CLIP_NORM) -> float:
 
 @dataclass
 class ScheduleConfig:
-    kind: str = "default"  # default | sgdr | constant
+    kind: str = "default"  # default | sgdr
     d_model: int = 512
     warmup: int = 10000
     t0: int = 4000
     t_mult: int = 2
     eta_max: float | None = None  # None: peak of the default rule at step w
     eta_min: float | None = None  # None: eta_max / 100
-    eta: float = 5e-6  # constant schedule
 
     def __post_init__(self):
-        if self.kind not in ("default", "sgdr", "constant"):
+        if self.kind not in ("default", "sgdr"):
             raise ContractError(f"unknown schedule kind {self.kind!r}")
         if self.warmup < 1 or self.t0 < 1:
             raise ContractError("warmup and t0 must be >= 1")
@@ -107,8 +109,6 @@ def lr_at(step: int, s: ScheduleConfig) -> float:
     """Learning rate for 1-based optimizer step ``step``."""
     if step < 1:
         raise ContractError("step must be >= 1")
-    if s.kind == "constant":
-        return s.eta
     if s.kind == "default":
         return s.d_model ** -0.5 * min(step ** -0.5, step * s.warmup ** -1.5)
     eta_max = s.resolved_eta_max()
@@ -192,9 +192,8 @@ def validation_loss(model: TransformerModel, samples, pairs, vocab: Vocabulary) 
     return total / denom if denom else 0.0
 
 
-def evaluate(model: TransformerModel, samples, vocab: Vocabulary,
-             idf=None) -> MetricReport:
-    """Greedy-decode every sample and score BLEU-4 / CIDEr / CIDEr-D."""
+def greedy_captions(model: TransformerModel, samples, vocab: Vocabulary) -> tuple:
+    """Greedy-decode every sample: (word-token candidates, word-token references)."""
     candidates = []
     refs_corpus = []
     for s in samples:
@@ -202,104 +201,109 @@ def evaluate(model: TransformerModel, samples, vocab: Vocabulary,
                             l_max=model.cfg.l_max)
         candidates.append(normalize_words(decode(ids, vocab)))
         refs_corpus.append([normalize_words(c) for c in s.captions])
+    return candidates, refs_corpus
+
+
+def evaluate(model: TransformerModel, samples, vocab: Vocabulary,
+             idf=None) -> MetricReport:
+    """Greedy-decode every sample and score BLEU-4 / CIDEr / CIDEr-D."""
+    candidates, refs_corpus = greedy_captions(model, samples, vocab)
     return score_corpus(candidates, refs_corpus, idf=idf)
 
 
-def early_stop_select(history) -> int:
-    """Epoch with the maximum CIDEr; ties resolve to the earliest epoch."""
-    history = list(history)
-    if not history:
-        raise ContractError("empty validation history")
-    best_epoch, best = history[0]
-    for epoch, score in history[1:]:
-        if score > best:
-            best_epoch, best = epoch, score
-    return best_epoch
+def _fit(model: TransformerModel, n_items: int, step_fn, lr_fn, validate_fn,
+         run: TrainRunConfig, rng: RngState) -> TrainResult:
+    """The training loop of XE and SCST, writing under ``run.out_dir``.
 
-
-def _append_history(path: Path, row: dict) -> None:
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write(json.dumps(row) + "\n")
-
-
-def train_xe(model: TransformerModel, vocab: Vocabulary, train: DatasetManifest,
-             val: DatasetManifest, sched: ScheduleConfig,
-             run: TrainRunConfig) -> TrainResult:
-    """Teacher-forced training loop with per-epoch validation.
-
-    Saves one checkpoint per validation event plus ``best.vttc`` (highest
-    validation CIDEr-D) and writes JSON-lines history under ``run.out_dir``.
+    ``step_fn(indices, step)`` runs forward and backward on the items at
+    ``indices`` for 1-based step ``step`` and returns the loss; ``lr_fn(step)``
+    is the step's learning rate; ``validate_fn()`` returns a history row's
+    metrics, ``cider_d`` among them.
     """
-    if len(train) == 0 or len(val) == 0:
-        raise ContractError("train and val manifests must be non-empty")
     out_dir = Path(run.out_dir)
     ckpt_dir = out_dir / "checkpoints"
     ckpt_dir.mkdir(parents=True, exist_ok=True)
     history_path = out_dir / "history.jsonl"
     history_path.write_text("")
-
-    train_samples = train.load_samples()
-    val_samples = val.load_samples()
-    train_pairs = caption_pairs(train_samples, vocab, model.cfg.l_max)
-    val_pairs = caption_pairs(val_samples, vocab, model.cfg.l_max)
-
-    rng = RngState(run.seed).derive("train_xe")
     state = OptimizerState()
     history = []
     best = (-1.0, 0, None)  # (cider_d, epoch, path)
     step = 0
 
-    def validate(epoch: int, train_loss, lr: float):
+    def validate(epoch: int, losses) -> bool:
+        """Record one validation; True when its CIDEr-D is a new best."""
         nonlocal best
-        report = evaluate(model, val_samples, vocab)
-        vloss = validation_loss(model, val_samples, val_pairs, vocab)
-        row = {"epoch": epoch, "step": step, "lr": lr, "train_loss": train_loss,
-               "bleu4": report.bleu4, "cider": report.cider,
-               "cider_d": report.cider_d, "val_loss": vloss}
+        row = {"epoch": epoch, "step": step, "lr": lr_fn(step),
+               "train_loss": statistics.fmean(losses) if losses else None,
+               **validate_fn()}
         history.append(row)
-        _append_history(history_path, row)
+        with open(history_path, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps(row) + "\n")
         path = ckpt_dir / f"epoch_{epoch:04d}_step_{step:06d}.vttc"
         save_checkpoint(model, path)
-        if report.cider_d > best[0]:
-            best = (report.cider_d, epoch, path)
-        return report
+        improved = row["cider_d"] > best[0]
+        if improved:
+            best = (row["cider_d"], epoch, path)
+        return improved
 
-    validate(0, None, 0.0)  # untrained reference point
-
+    validate(0, None)  # the starting point
     stall = 0
     stop = False
     for epoch in range(1, run.epochs + 1):
-        order = rng.permutation(len(train_pairs))
+        order = rng.permutation(n_items)
         losses = []
-        for lo in range(0, len(order), run.batch_size):
-            batch = [train_pairs[i] for i in order[lo:lo + run.batch_size]]
-            model.zero_grad()
-            loss = batch_xe_loss(model, train_samples, batch, vocab,
-                                 train=True, rng=rng)
-            loss.backward()
-            clip_gradients(model.params)
+        for lo in range(0, n_items, run.batch_size):
             step += 1
-            lr = lr_at(step, sched)
-            adam_update(model.params, state, lr)
-            losses.append(loss.item())
-            if run.eval_every and step % run.eval_every == 0:
-                before = best[0]
-                validate(epoch, sum(losses) / len(losses), lr)
-                stall = 0 if best[0] > before else stall + 1
-                if run.patience and stall >= run.patience:
-                    stop = True
+            loss = step_fn(order[lo:lo + run.batch_size], step)
+            if not math.isfinite(loss):
+                raise TrainingError(f"non-finite training loss {loss} at step {step}")
+            clip_gradients(model.params)
+            adam_update(model.params, state, lr_fn(step))
+            losses.append(loss)
+            due = (step % run.eval_every == 0 if run.eval_every
+                   else lo + run.batch_size >= n_items)  # else at the end of the epoch
+            if due:
+                stall = 0 if validate(epoch, losses) else stall + 1
+                stop = bool(run.patience) and stall >= run.patience
+                if stop:
                     break
         if stop:
             break
-        if not run.eval_every:
-            before = best[0]
-            validate(epoch, sum(losses) / len(losses), lr_at(step, sched))
-            stall = 0 if best[0] > before else stall + 1
-            if run.patience and stall >= run.patience:
-                break
 
     best_path = ckpt_dir / "best.vttc"
-    shutil.copyfile(best[2], best_path)
-    shutil.copyfile(str(best[2]) + ".json", str(best_path) + ".json")
+    for suffix in ("", ".json"):
+        with atomic_path(str(best_path) + suffix) as tmp:
+            shutil.copyfile(str(best[2]) + suffix, tmp)
     return TrainResult(best_path=best_path, best_epoch=best[1],
                        best_cider_d=best[0], history=history)
+
+
+def train_xe(model: TransformerModel, vocab: Vocabulary, train: DatasetManifest,
+             val: DatasetManifest, sched: ScheduleConfig,
+             run: TrainRunConfig) -> TrainResult:
+    """Teacher-forced cross-entropy training under ``sched``.
+
+    Validation rows add the teacher-forced ``val_loss``; the row at step 0
+    records lr 0.
+    """
+    if len(train) == 0 or len(val) == 0:
+        raise ContractError("train and val manifests must be non-empty")
+    train_samples = train.load_samples()
+    val_samples = val.load_samples()
+    train_pairs = caption_pairs(train_samples, vocab, model.cfg.l_max)
+    val_pairs = caption_pairs(val_samples, vocab, model.cfg.l_max)
+    rng = RngState(run.seed).derive("train_xe")
+
+    def step_fn(indices, step: int) -> float:
+        model.zero_grad()
+        loss = batch_xe_loss(model, train_samples, [train_pairs[i] for i in indices],
+                             vocab, train=True, rng=rng)
+        loss.backward()
+        return loss.item()
+
+    def validate_fn() -> dict:
+        return {**evaluate(model, val_samples, vocab).as_dict(),
+                "val_loss": validation_loss(model, val_samples, val_pairs, vocab)}
+
+    return _fit(model, len(train_pairs), step_fn,
+                lambda step: lr_at(step, sched) if step else 0.0, validate_fn, run, rng)

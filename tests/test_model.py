@@ -11,6 +11,7 @@ from vttcap.errors import ContractError, FormatError
 from vttcap.features import FeatureMatrix, dummy_audio
 from vttcap.model import (ModelConfig, TransformerModel, XLinearWeights, causal_mask,
                           embed_multimodal, greedy_decode, load_checkpoint,
+                          load_checkpoint_for,
                           memory_attention, pe_block, sample_decode, save_checkpoint,
                           sinusoidal_pe, x_linear_attention)
 from vttcap.tensor import RngState
@@ -368,6 +369,57 @@ class TestCheckpoint:
         (tmp_path / "m.vttc.json").unlink()
         with pytest.raises(FormatError, match="config"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("section", ["header", "name length", "name", "rank", "shape",
+                                         "payload", "last value", "half"])
+    def test_truncation_is_a_format_error(self, tmp_path, section):
+        model = TransformerModel(tiny_config(), seed=6)
+        path = tmp_path / "m.vttc"
+        save_checkpoint(model, path)
+        blob = path.read_bytes()
+        name = next(iter(model.params)).encode()  # first record starts at byte 12
+        rank_at = 16 + len(name)
+        cut = {"header": 6, "name length": 14, "name": 16 + len(name) // 2,
+               "rank": rank_at + 2, "shape": rank_at + 6, "payload": rank_at + 20,
+               "last value": len(blob) - 3, "half": len(blob) // 2}[section]
+        path.write_bytes(blob[:cut])
+        with pytest.raises(FormatError):
+            load_checkpoint(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        model = TransformerModel(tiny_config(), seed=6)
+        path = tmp_path / "m.vttc"
+        save_checkpoint(model, path)
+        path.write_bytes(path.read_bytes() + b"\0\0\0\0")
+        with pytest.raises(FormatError, match="trailing"):
+            load_checkpoint(path)
+
+    def test_failed_write_keeps_previous_file(self, tmp_path):
+        old = TransformerModel(tiny_config(), seed=6)
+        path = tmp_path / "m.vttc"
+        save_checkpoint(old, path)
+        before = path.read_bytes()
+
+        class Exploding:
+            @property
+            def data(self):
+                raise RuntimeError("disk gone")
+
+        new = TransformerModel(tiny_config(), seed=7)
+        new.params["zz_last"] = Exploding()  # fails after the other records are written
+        with pytest.raises(RuntimeError):
+            save_checkpoint(new, path)
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["m.vttc", "m.vttc.json"]
+        assert np.array_equal(load_checkpoint(path).params["out_proj.w"].data,
+                              old.params["out_proj.w"].data)
+
+    def test_vocab_size_must_match(self, tmp_path):
+        path = tmp_path / "m.vttc"
+        save_checkpoint(TransformerModel(tiny_config(), seed=6), path)
+        assert load_checkpoint_for(path, range(12)).cfg.vocab_size == 12
+        with pytest.raises(FormatError, match="vocab"):
+            load_checkpoint_for(path, range(13))
 
     def test_config_json_is_valid(self, tmp_path):
         model = TransformerModel(tiny_config(), seed=6)

@@ -1,0 +1,244 @@
+"""Training loops on a tiny synthetic corpus: schedules, Adam, clipping, XE, SCST."""
+
+import json
+import math
+
+import numpy as np
+import pytest
+
+from conftest import tiny_config
+from vttcap import tensor as T
+from vttcap.errors import ContractError, TrainingError
+from vttcap.features import synth_dataset
+from vttcap.model import TransformerModel, load_checkpoint, save_checkpoint
+from vttcap.scst import RewardConfig, finetune_scst, scst_batch_step
+from vttcap.tensor import RngState
+from vttcap.tokenizer import build_vocab, decode, normalize_words
+from vttcap.training import (OptimizerState, ScheduleConfig, TrainRunConfig, adam_update,
+                             clip_gradients, lr_at, train_xe)
+
+
+@pytest.fixture(scope="module")
+def corpus(tmp_path_factory):
+    """10 videos (9 train, 1 val) over 2 concepts plus a vocab built on them."""
+    root = tmp_path_factory.mktemp("corpus")
+    train, val = synth_dataset(seed=1, n_videos=10, n_concepts=2, d_vision=5, d_audio=3,
+                               out_dir=root)
+    vocab = build_vocab([c for e in train.entries for c in e.captions], 40)
+    return train, val, vocab
+
+
+def tiny_model(vocab, seed=0):
+    return TransformerModel(tiny_config(vocab_size=len(vocab)), seed=seed)
+
+
+def read_history(out_dir):
+    lines = (out_dir / "history.jsonl").read_text().splitlines()
+    return [json.loads(line) for line in lines]
+
+
+def ckpt_path(out_dir, row):
+    return out_dir / "checkpoints" / f"epoch_{row['epoch']:04d}_step_{row['step']:06d}.vttc"
+
+
+SGDR = ScheduleConfig(kind="sgdr", d_model=8, warmup=5, t0=10, t_mult=2,
+                      eta_max=0.01, eta_min=1e-4)
+
+
+# ---------------------------------------------------------------------------
+# schedules
+
+
+class TestLrAt:
+    def test_linear_warmup(self):
+        for step in range(1, SGDR.warmup + 1):
+            assert lr_at(step, SGDR) == pytest.approx(SGDR.eta_max * step / SGDR.warmup)
+
+    def test_cosine_reaches_eta_min_before_restart(self):
+        last = lr_at(SGDR.warmup + SGDR.t0 - 1, SGDR)
+        assert SGDR.eta_min < last < SGDR.eta_min + 0.03 * (SGDR.eta_max - SGDR.eta_min)
+        lrs = [lr_at(s, SGDR) for s in range(SGDR.warmup, SGDR.warmup + SGDR.t0)]
+        assert all(a >= b for a, b in zip(lrs, lrs[1:]))
+
+    def test_restarts_return_to_eta_max_with_growing_cycles(self):
+        lrs = [lr_at(s, SGDR) for s in range(1, 200)]
+        restarts = [s for s in range(SGDR.warmup + 1, 200)
+                    if lr_at(s, SGDR) > lr_at(s - 1, SGDR)]
+        assert restarts == [15, 35, 75, 155]
+        assert [b - a for a, b in zip(restarts, restarts[1:])] == [20, 40, 80]
+        for s in restarts:
+            assert lrs[s - 1] == pytest.approx(SGDR.eta_max)
+
+    def test_default_rule_peaks_at_warmup(self):
+        s = ScheduleConfig(kind="default", d_model=16, warmup=50)
+        lrs = [lr_at(step, s) for step in range(1, 200)]
+        assert int(np.argmax(lrs)) + 1 == s.warmup
+        assert max(lrs) == pytest.approx(16 ** -0.5 * 50 ** -0.5)
+
+    def test_resolved_defaults(self):
+        s = ScheduleConfig(kind="sgdr", d_model=16, warmup=50)
+        assert s.resolved_eta_max() == pytest.approx(16 ** -0.5 * 50 ** -0.5)
+        assert s.resolved_eta_min() == pytest.approx(s.resolved_eta_max() / 100)
+
+    def test_only_default_and_sgdr_kinds(self):
+        with pytest.raises(ContractError):
+            ScheduleConfig(kind="constant")
+
+    def test_step_must_be_positive(self):
+        with pytest.raises(ContractError):
+            lr_at(0, SGDR)
+
+
+# ---------------------------------------------------------------------------
+# optimizer pieces
+
+
+class TestAdamAndClipping:
+    def test_one_adam_step_matches_hand_formula(self, np_rng):
+        w0 = np_rng.normal(size=(3, 4))
+        g = np_rng.normal(size=(3, 4))
+        p = T.parameter(w0.copy())
+        p.grad = g.copy()
+        state = OptimizerState()
+        adam_update({"w": p}, state, lr=0.1)
+        b1, b2, eps = state.beta1, state.beta2, state.eps
+        m = (1 - b1) * g
+        v = (1 - b2) * g * g
+        expected = w0 - 0.1 * (m / (1 - b1)) / (np.sqrt(v / (1 - b2)) + eps)
+        assert np.allclose(p.data, expected, rtol=1e-12, atol=0)
+        assert state.t == 1
+        assert np.allclose(state.m["w"], m) and np.allclose(state.v["w"], v)
+
+    def test_adam_rejects_non_finite_gradient(self):
+        p = T.parameter(np.zeros(2))
+        p.grad = np.array([1.0, np.nan])
+        with pytest.raises(TrainingError):
+            adam_update({"w": p}, OptimizerState(), lr=0.1)
+
+    def test_clip_returns_pre_clip_norm_and_rescales(self):
+        a, b = T.parameter(np.zeros(2)), T.parameter(np.zeros(1))
+        a.grad, b.grad = np.array([3.0, 4.0]), np.array([12.0])
+        norm = clip_gradients({"a": a, "b": b}, max_norm=2.6)
+        assert norm == pytest.approx(13.0)
+        assert T.global_norm([a.grad, b.grad]) == pytest.approx(2.6)
+        assert np.allclose(a.grad / b.grad, [3.0 / 12.0, 4.0 / 12.0])
+
+    def test_clip_leaves_small_gradients(self):
+        a = T.parameter(np.zeros(2))
+        a.grad = np.array([0.3, 0.4])
+        assert clip_gradients({"a": a}, max_norm=5.0) == pytest.approx(0.5)
+        assert np.array_equal(a.grad, [0.3, 0.4])
+
+
+# ---------------------------------------------------------------------------
+# XE loop
+
+
+class TestTrainXe:
+    def test_history_rows_and_best_checkpoint(self, corpus, tmp_path):
+        train, val, vocab = corpus
+        run = TrainRunConfig(epochs=3, batch_size=8, seed=2, out_dir=str(tmp_path))
+        result = train_xe(tiny_model(vocab), vocab, train, val, SGDR, run)
+        rows = read_history(tmp_path)
+        assert rows == result.history
+        assert [r["epoch"] for r in rows] == [0, 1, 2, 3]
+        steps_per_epoch = math.ceil(27 / 8)
+        assert [r["step"] for r in rows] == [0, 4, 8, 12] == \
+            [e * steps_per_epoch for e in range(4)]
+        assert rows[0]["train_loss"] is None and rows[0]["lr"] == 0.0
+        assert rows[-1]["lr"] == lr_at(12, SGDR)
+        assert all(math.isfinite(r["val_loss"]) for r in rows)
+        best = max(rows, key=lambda r: r["cider_d"])  # the first of equal maxima
+        assert result.best_cider_d == best["cider_d"]
+        assert result.best_epoch == best["epoch"]
+        src = ckpt_path(tmp_path, best)
+        assert result.best_path.read_bytes() == src.read_bytes()
+        assert result.best_path.with_name("best.vttc.json").read_text() == \
+            src.with_name(src.name + ".json").read_text()
+
+    def test_eval_every_cadence(self, corpus, tmp_path):
+        train, val, vocab = corpus
+        run = TrainRunConfig(epochs=2, batch_size=8, seed=2, eval_every=3,
+                             out_dir=str(tmp_path))
+        train_xe(tiny_model(vocab), vocab, train, val, SGDR, run)
+        rows = read_history(tmp_path)
+        assert [(r["epoch"], r["step"]) for r in rows] == [(0, 0), (1, 3), (2, 6)]
+        assert len(list((tmp_path / "checkpoints").glob("epoch_*.vttc"))) == 3
+
+    def test_patience_stops_a_stalled_run(self, corpus, tmp_path):
+        train, val, vocab = corpus
+        frozen = ScheduleConfig(kind="sgdr", d_model=8, warmup=5, t0=10,
+                                eta_max=0.0, eta_min=0.0)
+        run = TrainRunConfig(epochs=6, batch_size=8, seed=2, patience=2,
+                             out_dir=str(tmp_path))
+        result = train_xe(tiny_model(vocab), vocab, train, val, frozen, run)
+        rows = read_history(tmp_path)
+        assert len(rows) == 3  # epoch 0 plus two validations without improvement
+        assert len({r["cider_d"] for r in rows}) == 1
+        assert result.best_epoch == 0
+        assert result.best_path.read_bytes() == ckpt_path(tmp_path, rows[0]).read_bytes()
+
+    def test_non_finite_loss_is_a_training_error(self, corpus, tmp_path):
+        train, val, vocab = corpus
+        model = tiny_model(vocab)
+        model.params["out_proj.b"].data[:] = np.nan
+        run = TrainRunConfig(epochs=1, batch_size=8, out_dir=str(tmp_path))
+        with pytest.raises(TrainingError):
+            train_xe(model, vocab, train, val, SGDR, run)
+
+
+# ---------------------------------------------------------------------------
+# SCST
+
+
+class TestScst:
+    def setup_batch(self, corpus):
+        train, _, vocab = corpus
+        return tiny_model(vocab, seed=3), train.load_samples()[:3], vocab
+
+    def test_constant_reward_gives_zero_advantage_and_zero_gradient(self, corpus):
+        model, batch, vocab = self.setup_batch(corpus)
+        rc = RewardConfig(n_samples=3)
+        loss, trace = scst_batch_step(model, batch, vocab, rc, RngState(4),
+                                      reward_fn=lambda cand, refs: 0.7)
+        assert loss == 0.0
+        assert all(a == 0.0 for v in trace.videos for a in v.advantages)
+        grads = [p.grad for p in model.params.values() if p.grad is not None]
+        assert grads and all(not np.any(g) for g in grads)
+
+    def test_advantage_is_sample_minus_greedy_reward(self, corpus):
+        model, batch, vocab = self.setup_batch(corpus)
+        rc = RewardConfig(n_samples=3)
+
+        def reward(cand, refs):
+            return float(len(cand))
+
+        _, trace = scst_batch_step(model, batch, vocab, rc, RngState(4), reward_fn=reward)
+        assert [v.video_id for v in trace.videos] == [s.id for s in batch]
+        for v in trace.videos:
+            assert v.baseline_reward == len(normalize_words(decode(v.baseline_ids, vocab)))
+            assert len(v.sample_ids) == len(v.sample_rewards) == 3
+            for ids, r, a in zip(v.sample_ids, v.sample_rewards, v.advantages):
+                assert r == len(normalize_words(decode(ids, vocab)))
+                assert a == r - v.baseline_reward
+        assert any(a != 0.0 for v in trace.videos for a in v.advantages)
+
+    def test_one_trace_line_per_step(self, corpus, tmp_path):
+        train, val, vocab = corpus
+        init = tmp_path / "init.vttc"
+        save_checkpoint(tiny_model(vocab), init)
+        trace = tmp_path / "trace.jsonl"
+        run = TrainRunConfig(epochs=2, batch_size=4, seed=5, out_dir=str(tmp_path / "run"))
+        result = finetune_scst(init, train, val, vocab, RewardConfig(n_samples=2, eta=1e-3),
+                               run, trace_path=trace)
+        lines = [json.loads(line) for line in trace.read_text().splitlines()]
+        steps = 2 * math.ceil(len(train) / 4)
+        assert [ln["step"] for ln in lines] == list(range(1, steps + 1))
+        assert all(len(ln["videos"]) in (1, 4) for ln in lines)
+        rows = read_history(tmp_path / "run")
+        assert [r["step"] for r in rows] == [0, steps // 2, steps]
+        assert all(r["lr"] == 1e-3 for r in rows)
+        assert rows[0]["mean_advantage"] is None
+        assert all(math.isfinite(r["mean_advantage"]) for r in rows[1:])
+        assert load_checkpoint(result.best_path).n_parameters() == \
+            tiny_model(vocab).n_parameters()
