@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ContractError, DataError, FormatError
+from .fileio import atomic_path
 from .tensor import RngState
 
 MAGIC = b"VTTF"
@@ -112,11 +113,9 @@ class DatasetManifest:
 
 
 def write_feature_file(path, m: FeatureMatrix) -> None:
-    payload = np.ascontiguousarray(m.values, dtype="<f4").tobytes()
-    header = MAGIC + struct.pack("<III", VERSION, m.t, m.d)
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(payload)
+    with atomic_path(path) as tmp, open(tmp, "wb") as fh:
+        fh.write(MAGIC + struct.pack("<III", VERSION, m.t, m.d))
+        fh.write(np.ascontiguousarray(m.values, dtype="<f4").tobytes())
 
 
 def read_feature_file(path) -> FeatureMatrix:
@@ -145,11 +144,29 @@ def dummy_audio(t: int, d_audio: int) -> FeatureMatrix:
 
 
 def save_manifest(manifest: DatasetManifest, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_path(path) as tmp, open(tmp, "w", encoding="utf-8") as fh:
         for e in manifest.entries:
             fh.write(json.dumps({"id": e.id, "frame_file": e.frame_file,
                                  "audio_file": e.audio_file,
                                  "captions": e.captions}) + "\n")
+
+
+def _manifest_entry(obj, where: str) -> ManifestEntry:
+    """Check the fields and types of one parsed manifest line."""
+    if not isinstance(obj, dict):
+        raise FormatError(f"{where}: entry must be a JSON object, got {type(obj).__name__}")
+    missing = {"id", "frame_file", "audio_file", "captions"} - obj.keys()
+    if missing:
+        raise FormatError(f"{where}: missing fields {sorted(missing)}")
+    if not isinstance(obj["id"], str) or not isinstance(obj["frame_file"], str):
+        raise FormatError(f"{where}: id and frame_file must be strings")
+    if obj["audio_file"] is not None and not isinstance(obj["audio_file"], str):
+        raise FormatError(f"{where}: audio_file must be a string or null")
+    captions = obj["captions"]
+    if not isinstance(captions, list) or not captions \
+            or not all(isinstance(c, str) for c in captions):
+        raise FormatError(f"{where}: captions must be a non-empty list of strings")
+    return ManifestEntry(obj["id"], obj["frame_file"], obj["audio_file"], list(captions))
 
 
 def load_manifest(path, split: str | None = None) -> DatasetManifest:
@@ -166,14 +183,11 @@ def load_manifest(path, split: str | None = None) -> DatasetManifest:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise FormatError(f"{path}:{lineno}: invalid JSON ({exc})") from exc
-            missing = {"id", "frame_file", "audio_file", "captions"} - obj.keys()
-            if missing:
-                raise FormatError(f"{path}:{lineno}: missing fields {sorted(missing)}")
-            if obj["id"] in seen:
-                raise FormatError(f"{path}:{lineno}: duplicate id {obj['id']!r}")
-            seen.add(obj["id"])
-            entries.append(ManifestEntry(obj["id"], obj["frame_file"],
-                                         obj["audio_file"], list(obj["captions"])))
+            entry = _manifest_entry(obj, f"{path}:{lineno}")
+            if entry.id in seen:
+                raise FormatError(f"{path}:{lineno}: duplicate id {entry.id!r}")
+            seen.add(entry.id)
+            entries.append(entry)
     root = path.parent
     for e in entries:
         for rel in (e.frame_file, e.audio_file):

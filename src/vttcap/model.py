@@ -8,17 +8,20 @@ is augmented with learned memory slots concatenated to keys and values
 (or replaced by an X-linear bilinear attention block); the decoder is a
 standard causal transformer over subword tokens.
 
-Everything runs on the in-package autodiff tensors; one video at a time,
-graphs rebuilt per forward pass.
+Everything runs on the in-package autodiff tensors, one video at a time.
+Training and teacher-forced scoring rebuild the graph on every forward
+pass.  Decoding is incremental: ``decode_logits`` with a ``DecodeCache``
+takes only the new tokens, attends over the self-attention K/V rows cached
+from earlier steps, and reuses cross-attention K/V projected once from the
+encoder output, so a caption of L tokens costs L one-row decoder passes.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import os
 import struct
-from contextlib import contextmanager
+import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -27,6 +30,7 @@ import numpy as np
 from . import tensor as T
 from .errors import ContractError, DimensionError, FormatError
 from .features import FeatureMatrix, dummy_audio
+from .fileio import atomic_path
 from .tensor import RngState, Tensor
 
 NEG_INF = -1e9
@@ -203,9 +207,10 @@ class TransformerModel:
 
     def _linear(self, name: str, d_in: int, d_out: int, rng: RngState, zeros: bool):
         bound = 1.0 / np.sqrt(d_in)
-        w = np.zeros((d_in, d_out)) if zeros else rng.uniform((d_in, d_out), -bound, bound)
+        w = np.zeros((d_in, d_out), self.dtype) if zeros else \
+            rng.uniform((d_in, d_out), -bound, bound)
         self._param(f"{name}.w", w)
-        self._param(f"{name}.b", np.zeros(d_out))
+        self._param(f"{name}.b", np.zeros(d_out, self.dtype))
 
     def _build(self, rng: RngState, zeros: bool):
         cfg = self.cfg
@@ -213,7 +218,7 @@ class TransformerModel:
 
         self._linear("vision_embed", cfg.d_vision, cfg.d_model, rng, zeros)
         self._linear("audio_embed", cfg.d_audio, cfg.d_model, rng, zeros)
-        emb = np.zeros((cfg.vocab_size, cfg.d_model)) if zeros else \
+        emb = np.zeros((cfg.vocab_size, cfg.d_model), self.dtype) if zeros else \
             rng.normal((cfg.vocab_size, cfg.d_model), std=0.02)
         self._param("token_embed", emb)
 
@@ -221,7 +226,7 @@ class TransformerModel:
             for h in range(cfg.n_heads):
                 for proj in ("wq", "wk", "wv"):
                     bound = 1.0 / np.sqrt(cfg.d_model)
-                    w = np.zeros((cfg.d_model, dh)) if zeros else \
+                    w = np.zeros((cfg.d_model, dh), self.dtype) if zeros else \
                         rng.uniform((cfg.d_model, dh), -bound, bound)
                     self._param(f"{prefix}.h{h}.{proj}", w)
             self._linear(f"{prefix}.out", cfg.d_model, cfg.d_model, rng, zeros)
@@ -236,7 +241,7 @@ class TransformerModel:
             if cfg.d_memory > 0:
                 std = 1.0 / np.sqrt(cfg.d_model)
                 for nm in ("mem_k", "mem_v"):
-                    m = np.zeros((cfg.d_memory, cfg.d_model)) if zeros else \
+                    m = np.zeros((cfg.d_memory, cfg.d_model), self.dtype) if zeros else \
                         rng.normal((cfg.d_memory, cfg.d_model), std=std)
                     self._param(f"{p}.{nm}", m)
             if cfg.attention_kind == "x_linear":
@@ -245,7 +250,8 @@ class TransformerModel:
                     for nm, shape in (("wq", (dh, dh)), ("wk", (dh, dh)),
                                       ("wb", (dh, dh)), ("ws", (dh, 1)),
                                       ("wc", (dh, dh))):
-                        w = np.zeros(shape) if zeros else rng.uniform(shape, -bound, bound)
+                        w = np.zeros(shape, self.dtype) if zeros else \
+                            rng.uniform(shape, -bound, bound)
                         self._param(f"{p}.xl.h{h}.{nm}", w)
             norm_params(f"{p}.ln1")
             self._linear(f"{p}.ff1", cfg.d_model, cfg.d_ff, rng, zeros)
@@ -279,8 +285,15 @@ class TransformerModel:
                               wb=g[f"{prefix}.xl.h{h}.wb"], ws=g[f"{prefix}.xl.h{h}.ws"],
                               wc=g[f"{prefix}.xl.h{h}.wc"])
 
-    def _multi_head(self, prefix: str, x_q: Tensor, x_kv: Tensor,
+    def _project_kv(self, prefix: str, x_kv: Tensor) -> list:
+        """Per-head (K, V) projections of ``x_kv`` for attention block ``prefix``."""
+        g = self.params
+        return [(T.matmul(x_kv, g[f"{prefix}.h{h}.wk"]), T.matmul(x_kv, g[f"{prefix}.h{h}.wv"]))
+                for h in range(self.cfg.n_heads)]
+
+    def _multi_head(self, prefix: str, x_q: Tensor, kv: list,
                     mask: np.ndarray | None, memory_prefix: str | None = None) -> Tensor:
+        """Attention of the rows of ``x_q`` over per-head key/value pairs ``kv``."""
         cfg = self.cfg
         dh = cfg.d_head
         g = self.params
@@ -288,10 +301,8 @@ class TransformerModel:
         use_mem = (memory_prefix is not None and cfg.d_memory > 0
                    and (cfg.attention_kind != "x_linear" or cfg.use_memory_with_x_linear))
         heads = []
-        for h in range(cfg.n_heads):
+        for h, (k, v) in enumerate(kv):
             q = T.matmul(x_q, g[f"{prefix}.h{h}.wq"])
-            k = T.matmul(x_kv, g[f"{prefix}.h{h}.wk"])
-            v = T.matmul(x_kv, g[f"{prefix}.h{h}.wv"])
             m_k = m_v = None
             if use_mem:
                 m_k = T.slice_cols(g[f"{memory_prefix}.mem_k"], h * dh, (h + 1) * dh)
@@ -330,34 +341,63 @@ class TransformerModel:
         x = self._maybe_dropout(x, train, rng)
         for i in range(self.cfg.n_enc):
             p = f"enc.{i}"
-            att = self._multi_head(f"{p}.attn", x, x, mask=None, memory_prefix=p)
+            att = self._multi_head(f"{p}.attn", x, self._project_kv(f"{p}.attn", x),
+                                   mask=None, memory_prefix=p)
             x = self._norm(f"{p}.ln1", T.add(x, self._maybe_dropout(att, train, rng)))
             ff = self._ffn(p, x)
             x = self._norm(f"{p}.ln2", T.add(x, self._maybe_dropout(ff, train, rng)))
         return x
 
-    def decode_logits(self, enc_out: Tensor, token_ids,
-                      train: bool = False, rng: RngState | None = None) -> Tensor:
-        """Logits for every position of ``token_ids`` under a causal mask."""
+    def decode_cache(self, enc_out: Tensor) -> DecodeCache:
+        """An empty ``DecodeCache`` over ``enc_out``, its cross-attention K/V projected."""
+        n_dec = self.cfg.n_dec
+        return DecodeCache(enc_out, [self._project_kv(f"dec.{i}.cross", enc_out)
+                                     for i in range(n_dec)], [None] * n_dec)
+
+    def decode_logits(self, enc_out: Tensor, token_ids, train: bool = False,
+                      rng: RngState | None = None,
+                      cache: DecodeCache | None = None) -> Tensor:
+        """Logits for every position of ``token_ids`` under a causal mask.
+
+        Without ``cache``, ``token_ids`` are a whole sequence from position 0.
+        With it, they continue the sequence the cache holds: they take the
+        positions from ``cache.length`` on, attend over the cached
+        self-attention K/V rows as well as their own, use the cache's
+        cross-attention K/V, and are appended to the cache.
+        """
         ids = np.asarray(token_ids, dtype=np.int64)
         if ids.size == 0:
             raise ContractError("decoder needs at least one input token")
         if ids.max() >= self.cfg.vocab_size or ids.min() < 0:
             raise ContractError(f"token id out of range for vocab {self.cfg.vocab_size}")
+        if cache is not None and cache.enc_out is not enc_out:
+            raise ContractError("decode cache was made for another encoder output")
         g = self.params
+        start = 0 if cache is None else cache.length
         L = ids.shape[0]
         x = T.add(T.gather_rows(g["token_embed"], ids),
-                  T.constant(pe_block(0, L, self.cfg.d_model).astype(self.dtype)))
+                  T.constant(pe_block(start, L, self.cfg.d_model).astype(self.dtype)))
         x = self._maybe_dropout(x, train, rng)
-        mask = causal_mask(L, dtype=self.dtype)
+        # one new row may attend to every position up to its own: nothing to mask
+        mask = causal_mask(start + L, dtype=self.dtype)[start:] if L > 1 else None
         for i in range(self.cfg.n_dec):
             p = f"dec.{i}"
-            att = self._multi_head(f"{p}.self", x, x, mask=mask)
+            kv = self._project_kv(f"{p}.self", x)
+            if cache is not None:
+                if cache.self_kv[i] is not None:
+                    kv = [(T.concat([k0, k]), T.concat([v0, v]))
+                          for (k0, v0), (k, v) in zip(cache.self_kv[i], kv)]
+                cache.self_kv[i] = kv
+            att = self._multi_head(f"{p}.self", x, kv, mask=mask)
             x = self._norm(f"{p}.ln1", T.add(x, self._maybe_dropout(att, train, rng)))
-            cross = self._multi_head(f"{p}.cross", x, enc_out, mask=None)
+            cross_kv = (self._project_kv(f"{p}.cross", enc_out) if cache is None
+                        else cache.cross[i])
+            cross = self._multi_head(f"{p}.cross", x, cross_kv, mask=None)
             x = self._norm(f"{p}.ln2", T.add(x, self._maybe_dropout(cross, train, rng)))
             ff = self._ffn(p, x)
             x = self._norm(f"{p}.ln3", T.add(x, self._maybe_dropout(ff, train, rng)))
+        if cache is not None:
+            cache.length += L
         return T.add(T.matmul(x, g["out_proj.w"]), g["out_proj.b"])
 
     def forward_teacher_forced(self, frames: FeatureMatrix, audio: FeatureMatrix | None,
@@ -368,6 +408,26 @@ class TransformerModel:
                 f"caption length {len(token_ids)} exceeds l_max+2={self.cfg.l_max + 2}")
         enc = self.encode(frames, audio, train=train, rng=rng)
         return self.decode_logits(enc, token_ids, train=train, rng=rng)
+
+
+@dataclass
+class DecodeCache:
+    """Decoder state of one sequence decoded incrementally over ``enc_out``.
+
+    ``cross[i]`` holds decoder layer i's per-head cross-attention (K, V),
+    projected from ``enc_out`` once; ``self_kv[i]`` holds its per-head
+    self-attention (K, V) rows of the ``length`` positions decoded so far
+    (None before the first token).
+    """
+
+    enc_out: Tensor
+    cross: list
+    self_kv: list
+    length: int = 0
+
+    def fresh(self) -> DecodeCache:
+        """An empty cache for another sequence over the same encoding, sharing cross K/V."""
+        return DecodeCache(self.enc_out, self.cross, [None] * len(self.self_kv))
 
 
 def embed_multimodal(frames: FeatureMatrix, audio: FeatureMatrix | None,
@@ -399,13 +459,18 @@ def embed_multimodal(frames: FeatureMatrix, audio: FeatureMatrix | None,
 # decoding
 
 
-def _decode(model: TransformerModel, enc: Tensor, bos_id: int, eos_id: int,
+def _decode(model: TransformerModel, cache: DecodeCache, bos_id: int, eos_id: int,
             l_max: int | None, pick) -> list:
-    """Extend BOS by ``pick(last-position logits)`` until EOS or l_max+2 tokens."""
+    """Extend BOS by ``pick(logits of the newest position)`` until EOS or l_max+2 tokens.
+
+    ``cache`` starts empty.  Each step runs only the newest token through the
+    decoder, attending over the K/V rows the cache holds for the earlier ones,
+    so a caption of L tokens costs L one-row passes, not L growing-prefix ones.
+    """
     l_max = model.cfg.l_max if l_max is None else l_max
     ids = [bos_id]
     while len(ids) < l_max + 2:
-        nxt = pick(model.decode_logits(enc, ids).data[-1])
+        nxt = pick(model.decode_logits(cache.enc_out, ids[-1:], cache=cache).data[-1])
         ids.append(nxt)
         if nxt == eos_id:
             break
@@ -417,8 +482,8 @@ def greedy_decode(model: TransformerModel, frames: FeatureMatrix,
                   l_max: int | None = None) -> list:
     """Argmax decoding from BOS; ties break toward the lowest token id."""
     with T.no_grad():
-        enc = model.encode(frames, audio)
-        return _decode(model, enc, bos_id, eos_id, l_max, lambda row: int(np.argmax(row)))
+        cache = model.decode_cache(model.encode(frames, audio))
+        return _decode(model, cache, bos_id, eos_id, l_max, lambda row: int(np.argmax(row)))
 
 
 def sample_decode(model: TransformerModel, frames: FeatureMatrix,
@@ -429,6 +494,13 @@ def sample_decode(model: TransformerModel, frames: FeatureMatrix,
 
     Log-probs are taken from the tempered sampling distribution, so at
     temperature 1 they are the policy log-probabilities of the drawn tokens.
+    The rollouts share one encoding and its cross-attention K/V; each has its
+    own self-attention cache.
+
+    RNG draw order: the rollouts are drawn one after another, and rollout j
+    takes one uniform from ``rng`` per token it emits (its EOS included), in
+    token order, before rollout j+1 starts.  The same ``rng`` state therefore
+    gives the same rollouts, and rollout j does not depend on ``n``.
     """
     if n < 1:
         raise ContractError("need n >= 1 samples")
@@ -436,7 +508,7 @@ def sample_decode(model: TransformerModel, frames: FeatureMatrix,
         raise ContractError("temperature must be > 0")
     out = []
     with T.no_grad():
-        enc = model.encode(frames, audio)
+        shared = model.decode_cache(model.encode(frames, audio))
         for _ in range(n):
             logps = []
 
@@ -446,7 +518,7 @@ def sample_decode(model: TransformerModel, frames: FeatureMatrix,
                 logps.append(float(logp[idx]))
                 return idx
 
-            out.append((_decode(model, enc, bos_id, eos_id, l_max, pick), logps))
+            out.append((_decode(model, shared.fresh(), bos_id, eos_id, l_max, pick), logps))
     return out
 
 
@@ -455,21 +527,6 @@ def sample_decode(model: TransformerModel, frames: FeatureMatrix,
 
 CKPT_MAGIC = b"VTTC"
 CKPT_VERSION = 1
-
-
-@contextmanager
-def atomic_path(path):
-    """Yield ``path`` + ".tmp" to write; it replaces ``path`` only if the block succeeds.
-
-    A crash or error midway leaves any previous file at ``path`` intact.
-    """
-    tmp = Path(str(path) + ".tmp")
-    try:
-        yield tmp
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
 
 
 def save_checkpoint(model: TransformerModel, path) -> None:
@@ -492,6 +549,7 @@ def save_checkpoint(model: TransformerModel, path) -> None:
 
 
 def load_checkpoint(path) -> TransformerModel:
+    """Read a VTTC file, each parameter straight from the file into its buffer."""
     path = Path(path)
     cfg_path = str(path) + ".json"
     try:
@@ -500,37 +558,46 @@ def load_checkpoint(path) -> TransformerModel:
     except FileNotFoundError as exc:
         raise FormatError(f"missing checkpoint config {cfg_path}") from exc
     model = TransformerModel(cfg, init="zeros")
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != CKPT_MAGIC:
-        raise FormatError(f"{path}: bad magic {blob[:4]!r}")
     loaded = set()
-    try:  # a short read in any section raises struct.error or ValueError
-        version, count = struct.unpack_from("<II", blob, 4)
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+
+        def read(n: int) -> bytes:
+            if fh.tell() + n > size:
+                raise FormatError(f"{path}: truncated checkpoint, {n} bytes needed "
+                                  f"at offset {fh.tell()} of {size}")
+            return fh.read(n)
+
+        def unpack(fmt: str) -> tuple:
+            return struct.unpack(fmt, read(struct.calcsize(fmt)))
+
+        magic = fh.read(4)
+        if magic != CKPT_MAGIC:
+            raise FormatError(f"{path}: bad magic {magic!r}")
+        version, count = unpack("<II")
         if version != CKPT_VERSION:
             raise FormatError(f"{path}: unsupported checkpoint version {version}")
-        off = 12
         for _ in range(count):
-            (nlen,) = struct.unpack_from("<I", blob, off)
-            name = blob[off + 4:off + 4 + nlen].decode("utf-8")
-            off += 4 + nlen
-            (rank,) = struct.unpack_from("<I", blob, off)
-            shape = struct.unpack_from(f"<{rank}I", blob, off + 4)
-            off += 4 + 4 * rank
+            (nlen,) = unpack("<I")
+            try:
+                name = read(nlen).decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise FormatError(f"{path}: corrupt parameter name ({exc})") from exc
+            (rank,) = unpack("<I")
+            shape = unpack(f"<{rank}I")
             if name not in model.params:
                 raise FormatError(f"{path}: unknown parameter {name!r} for this config")
-            if model.params[name].data.shape != shape:
+            data = model.params[name].data
+            if data.shape != shape:
                 raise FormatError(f"{path}: parameter {name!r} has shape {shape}, "
-                                  f"expected {model.params[name].data.shape}")
-            size = math.prod(shape)
-            values = np.frombuffer(blob, dtype="<f4", offset=off, count=size)
-            off += 4 * size
-            model.params[name].data = values.reshape(shape).astype(np.float32)
+                                  f"expected {data.shape}")
+            if fh.readinto(memoryview(data).cast("B")) != data.nbytes:
+                raise FormatError(f"{path}: truncated checkpoint in parameter {name!r}")
+            if sys.byteorder != "little":  # the file stores <f4
+                data.byteswap(inplace=True)
             loaded.add(name)
-    except (struct.error, ValueError) as exc:
-        raise FormatError(f"{path}: truncated or corrupt checkpoint ({exc})") from exc
-    if off != len(blob):
-        raise FormatError(f"{path}: {len(blob) - off} trailing bytes")
+        if fh.tell() != size:
+            raise FormatError(f"{path}: {size - fh.tell()} trailing bytes")
     missing = set(model.params) - loaded
     if missing:
         raise FormatError(f"{path}: missing parameters {sorted(missing)[:5]}")

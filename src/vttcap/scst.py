@@ -90,15 +90,21 @@ def scst_surrogate_loss(model: TransformerModel, items) -> T.Tensor:
 
     ``items`` holds (sample, token ids, advantage) triples; the loss is the
     mean over items of advantage * (-sum_t log p(token_t)), so zero advantage
-    contributes exactly zero value and gradient.
+    contributes exactly zero value and gradient.  Each sample is encoded once
+    and its rollouts' decoder passes share that encoding; backward sums their
+    gradients through it.
     """
     if not items:
         raise ContractError("surrogate loss needs at least one rollout")
+    encodings = {}  # id(sample) -> encoder output
     total = None
     for sample, ids, advantage in items:
         if len(ids) < 2:
             raise ContractError("rollout must contain BOS plus one token")
-        logits = model.forward_teacher_forced(sample.frames, sample.audio, ids[:-1])
+        enc = encodings.get(id(sample))
+        if enc is None:
+            enc = encodings[id(sample)] = model.encode(sample.frames, sample.audio)
+        logits = model.decode_logits(enc, ids[:-1])
         neg_logp = T.cross_entropy(logits, ids[1:])
         term = T.scale(neg_logp, float(advantage))
         total = term if total is None else T.add(total, term)

@@ -13,6 +13,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .errors import CapacityError, ContractError, FormatError
+from .fileio import atomic_path
 
 PAD_TOKEN = "[PAD]"
 UNK_TOKEN = "[UNK]"
@@ -79,7 +80,7 @@ def load_vocab(path) -> Vocabulary:
 
 
 def save_vocab(vocab: Vocabulary, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_path(path) as tmp, open(tmp, "w", encoding="utf-8") as fh:
         for tok in vocab.tokens:
             fh.write(tok + "\n")
 

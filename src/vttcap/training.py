@@ -26,7 +26,8 @@ from . import tensor as T
 from .errors import ContractError, TrainingError
 from .features import DatasetManifest
 from .metrics import MetricReport, score_corpus
-from .model import TransformerModel, atomic_path, greedy_decode, save_checkpoint
+from .fileio import atomic_path
+from .model import TransformerModel, greedy_decode, save_checkpoint
 from .tensor import RngState
 from .tokenizer import Vocabulary, decode, encode, normalize_words, truncate
 
@@ -224,9 +225,15 @@ def _fit(model: TransformerModel, n_items: int, step_fn, lr_fn, validate_fn,
     ckpt_dir = out_dir / "checkpoints"
     ckpt_dir.mkdir(parents=True, exist_ok=True)
     history_path = out_dir / "history.jsonl"
-    history_path.write_text("")
     state = OptimizerState()
     history = []
+
+    def write_history():
+        """Rewrite the whole file, so a crash midway leaves the previous one intact."""
+        with atomic_path(history_path) as tmp:
+            tmp.write_text("".join(json.dumps(r) + "\n" for r in history), encoding="utf-8")
+
+    write_history()
     best = (-1.0, 0, None)  # (cider_d, epoch, path)
     step = 0
 
@@ -237,8 +244,7 @@ def _fit(model: TransformerModel, n_items: int, step_fn, lr_fn, validate_fn,
                "train_loss": statistics.fmean(losses) if losses else None,
                **validate_fn()}
         history.append(row)
-        with open(history_path, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps(row) + "\n")
+        write_history()
         path = ckpt_dir / f"epoch_{epoch:04d}_step_{step:06d}.vttc"
         save_checkpoint(model, path)
         improved = row["cider_d"] > best[0]

@@ -1,4 +1,4 @@
-"""CLI exit codes for numeric failures, corrupt checkpoints and removed config keys."""
+"""CLI exit codes for numeric failures, corrupt inputs and removed config keys."""
 
 import json
 
@@ -59,3 +59,19 @@ def test_removed_schedule_eta_is_an_unknown_key(workdir, tmp_path):
     args = run_args(workdir, tmp_path / "run")
     args[1] = str(config)
     assert dispatch(["train", *args]) == 1
+
+
+@pytest.mark.parametrize("line", [
+    "[1, 2]",
+    '"str"',
+    '{"id": [1], "frame_file": "f.vttf", "audio_file": null, "captions": ["a cat"]}',
+    '{"id": "v1", "frame_file": 5, "audio_file": null, "captions": ["a cat"]}',
+])
+def test_malformed_manifest_exits_2(tmp_path, capsys, line):
+    manifest = tmp_path / "m.jsonl"
+    manifest.write_text(line + "\n")
+    code = dispatch(["build-vocab", "--manifest", str(manifest), "--size", "40",
+                     "--out", str(tmp_path / "vocab.txt")])
+    assert code == 2
+    assert "m.jsonl:1" in capsys.readouterr().err
+    assert not (tmp_path / "vocab.txt").exists()

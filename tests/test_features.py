@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from vttcap.errors import ContractError, DataError, FormatError
-from vttcap.features import (FeatureMatrix, VideoSample, captions_for, dummy_audio,
-                             load_manifest, read_feature_file, synth_dataset,
-                             write_feature_file)
+from vttcap.features import (DatasetManifest, FeatureMatrix, ManifestEntry, VideoSample,
+                             captions_for, dummy_audio, load_manifest, read_feature_file,
+                             save_manifest, synth_dataset, write_feature_file)
 
 
 class TestFeatureMatrix:
@@ -68,6 +68,23 @@ class TestFeatureFile:
                          struct.pack("<f", float("nan")))
         with pytest.raises(DataError):
             read_feature_file(path)
+
+    def test_failed_write_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "m.vttf"
+        write_feature_file(path, FeatureMatrix(np.ones((2, 3), dtype=np.float32)))
+        before = path.read_bytes()
+
+        class Exploding:  # the header is written, then the payload fails
+            t, d = 2, 3
+
+            @property
+            def values(self):
+                raise RuntimeError("disk gone")
+
+        with pytest.raises(RuntimeError):
+            write_feature_file(path, Exploding())
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["m.vttf"]
 
     def test_paper_scale_header(self, tmp_path):
         m = FeatureMatrix(np.zeros((300, 2048), dtype=np.float32))
@@ -163,6 +180,37 @@ class TestManifest:
         samples = loaded.load_samples()
         assert len(samples) == len(train)
         assert all(s.frames.t >= 1 for s in samples)
+
+    @pytest.mark.parametrize("line,match", [
+        ("[1, 2]", "JSON object"),
+        ('"str"', "JSON object"),
+        ('{"id": [1], "frame_file": "f.vttf", "audio_file": null, "captions": ["a"]}',
+         "strings"),
+        ('{"id": "v", "frame_file": 5, "audio_file": null, "captions": ["a"]}', "strings"),
+        ('{"id": "v", "frame_file": "f.vttf", "audio_file": 7, "captions": ["a"]}',
+         "audio_file"),
+        ('{"id": "v", "frame_file": "f.vttf", "audio_file": null, "captions": []}',
+         "captions"),
+        ('{"id": "v", "frame_file": "f.vttf", "audio_file": null, "captions": "a"}',
+         "captions"),
+        ('{"id": "v", "frame_file": "f.vttf", "audio_file": null, "captions": ["a", 3]}',
+         "captions"),
+    ])
+    def test_malformed_entries_rejected(self, tmp_path, line, match):
+        (tmp_path / "m.jsonl").write_text(line + "\n")
+        with pytest.raises(FormatError, match=match):
+            load_manifest(tmp_path / "m.jsonl")
+
+    def test_failed_save_keeps_previous_manifest(self, tmp_path):
+        path = tmp_path / "m.jsonl"
+        good = ManifestEntry("v1", "f.vttf", None, ["a cat"])
+        save_manifest(DatasetManifest([good], "m", tmp_path), path)
+        before = path.read_bytes()
+        bad = ManifestEntry("v2", "g.vttf", None, [object()])  # not JSON-serialisable
+        with pytest.raises(TypeError):
+            save_manifest(DatasetManifest([good, bad], "m", tmp_path), path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["m.jsonl"]
 
     def test_missing_fields_rejected(self, tmp_path):
         (tmp_path / "m.jsonl").write_text(json.dumps({"id": "v1"}) + "\n")

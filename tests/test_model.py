@@ -332,6 +332,127 @@ class TestSampleDecode:
             assert logps[t] == pytest.approx(expected[t, tok], abs=1e-5)
 
 
+def reference_decode(model, frames, audio, bos_id, eos_id, l_max, pick):
+    """The decode loop without a cache: the whole prefix through the decoder per step."""
+    with T.no_grad():
+        enc = model.encode(frames, audio)
+        ids = [bos_id]
+        while len(ids) < l_max + 2:
+            ids.append(pick(model.decode_logits(enc, ids).data[-1]))
+            if ids[-1] == eos_id:
+                break
+    return ids
+
+
+def reference_sample(model, frames, audio, n, rng, l_max, temperature=1.0):
+    out = []
+    for _ in range(n):
+        logps = []
+
+        def pick(row):
+            logp = T.log_softmax_lastdim(row.astype(np.float64) / temperature)
+            idx = rng.draw_categorical(np.exp(logp))
+            logps.append(float(logp[idx]))
+            return idx
+
+        out.append((reference_decode(model, frames, audio, 2, 3, l_max, pick), logps))
+    return out
+
+
+def video(rng, with_audio):
+    frames = rand_frames(rng, t=3)
+    audio = FeatureMatrix(rng.normal(size=(2, 3)).astype(np.float32)) if with_audio else None
+    return frames, audio
+
+
+class TestDecodeCache:
+    @pytest.mark.parametrize("kind", ["memory_scaled_dot", "x_linear"])
+    @pytest.mark.parametrize("with_audio", [False, True])
+    @pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-9), (np.float32, 1e-5)])
+    def test_cached_steps_match_full_prefix(self, kind, with_audio, dtype, tol, np_rng):
+        model = TransformerModel(tiny_config(kind), seed=4, dtype=dtype)
+        frames, audio = video(np_rng, with_audio)
+        ids = [2, 5, 7, 4, 9, 1, 6, 11, 8, 5]  # l_max + 2 tokens
+        with T.no_grad():
+            enc = model.encode(frames, audio)
+            cache = model.decode_cache(enc)
+            # one token per call, with two multi-token calls among them
+            chunks = [ids[:3], ids[3:4], ids[4:7]] + [[i] for i in ids[7:]]
+            pos = 0
+            for chunk in chunks:
+                step = model.decode_logits(enc, chunk, cache=cache).data
+                pos += len(chunk)
+                full = model.decode_logits(enc, ids[:pos]).data[pos - len(chunk):]
+                assert step.shape == full.shape
+                assert np.max(np.abs(step - full)) <= tol * np.max(np.abs(full))
+            assert cache.length == len(ids)
+
+    @pytest.mark.parametrize("kind", ["memory_scaled_dot", "x_linear"])
+    @pytest.mark.parametrize("with_audio", [False, True])
+    def test_greedy_matches_uncached_loop(self, kind, with_audio, np_rng):
+        for seed in range(4):
+            model = TransformerModel(tiny_config(kind), seed=seed)
+            frames, audio = video(np_rng, with_audio)
+            expected = reference_decode(model, frames, audio, 2, 3, 8,
+                                        lambda row: int(np.argmax(row)))
+            assert greedy_decode(model, frames, audio, 2, 3) == expected
+
+    @pytest.mark.parametrize("kind", ["memory_scaled_dot", "x_linear"])
+    @pytest.mark.parametrize("with_audio", [False, True])
+    def test_sample_matches_uncached_loop(self, kind, with_audio, np_rng):
+        model = TransformerModel(tiny_config(kind), seed=5)
+        frames, audio = video(np_rng, with_audio)
+        got = sample_decode(model, frames, audio, 2, 3, n=6, rng=RngState(21))
+        expected = reference_sample(model, frames, audio, 6, RngState(21), 8)
+        assert [ids for ids, _ in got] == [ids for ids, _ in expected]
+        assert len({tuple(ids) for ids, _ in got}) > 1  # rollouts differ
+        for (_, a), (_, b) in zip(got, expected):
+            assert np.allclose(a, b, rtol=0, atol=1e-5)
+
+    def test_eos_at_first_step(self, np_rng):
+        model = TransformerModel(tiny_config(), seed=5)
+        model.params["out_proj.b"].data[3] = 50.0
+        frames, audio = video(np_rng, True)
+        assert greedy_decode(model, frames, audio, 2, 3) == [2, 3]
+        rolls = sample_decode(model, frames, audio, 2, 3, n=3, rng=RngState(1))
+        assert [ids for ids, _ in rolls] == [[2, 3]] * 3
+        assert all(len(logps) == 1 for _, logps in rolls)
+
+    def test_l_max_cap(self, np_rng):
+        model = TransformerModel(tiny_config(), seed=5)
+        model.params["out_proj.b"].data[3] = -50.0  # never EOS
+        frames, audio = video(np_rng, False)
+        ids = greedy_decode(model, frames, audio, 2, 3, l_max=4)
+        assert len(ids) == 6
+        assert ids == reference_decode(model, frames, audio, 2, 3, 4,
+                                       lambda row: int(np.argmax(row)))
+        got = sample_decode(model, frames, audio, 2, 3, n=2, rng=RngState(8), l_max=4)
+        expected = reference_sample(model, frames, audio, 2, RngState(8), 4)
+        assert [ids for ids, _ in got] == [ids for ids, _ in expected]
+        assert all(len(ids) == 6 for ids, _ in got)
+
+    def test_fresh_caches_share_cross_kv_but_not_self_kv(self, np_rng):
+        model = TransformerModel(tiny_config(), seed=5, dtype=np.float64)
+        frames, audio = video(np_rng, True)
+        with T.no_grad():
+            enc = model.encode(frames, audio)
+            shared = model.decode_cache(enc)
+            a, b = shared.fresh(), shared.fresh()
+            assert a.cross is b.cross is shared.cross
+            model.decode_logits(enc, [2, 5, 6], cache=a)
+            assert a.length == 3 and b.length == 0 and b.self_kv == [None]
+            first = model.decode_logits(enc, [2], cache=b).data
+            assert np.allclose(first, model.decode_logits(enc, [2]).data, rtol=1e-12)
+
+    def test_cache_of_another_encoding_rejected(self, np_rng):
+        model = TransformerModel(tiny_config(), seed=5)
+        with T.no_grad():
+            cache = model.decode_cache(model.encode(rand_frames(np_rng), None))
+            other = model.encode(rand_frames(np_rng), None)
+            with pytest.raises(ContractError, match="encoder output"):
+                model.decode_logits(other, [2], cache=cache)
+
+
 class TestCheckpoint:
     def test_roundtrip(self, tmp_path, np_rng):
         model = TransformerModel(tiny_config("x_linear"), seed=6)
@@ -413,6 +534,34 @@ class TestCheckpoint:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["m.vttc", "m.vttc.json"]
         assert np.array_equal(load_checkpoint(path).params["out_proj.w"].data,
                               old.params["out_proj.w"].data)
+
+    def test_loads_float32_arrays(self, tmp_path):
+        model = TransformerModel(tiny_config(), seed=6)
+        save_checkpoint(model, tmp_path / "m.vttc")
+        again = load_checkpoint(tmp_path / "m.vttc")
+        assert all(p.data.dtype == np.float32 and p.data.flags.c_contiguous
+                   for p in again.params.values())
+
+    def test_unsupported_version(self, tmp_path):
+        path = tmp_path / "m.vttc"
+        save_checkpoint(TransformerModel(tiny_config(), seed=6), path)
+        blob = bytearray(path.read_bytes())
+        blob[4:8] = (2).to_bytes(4, "little")
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match="version"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("saved,claimed,match", [
+        (tiny_config("x_linear"), tiny_config(), "unknown parameter"),
+        (tiny_config(), tiny_config("x_linear"), "missing parameters"),
+        (tiny_config(), tiny_config(d_memory=4), "shape"),
+    ])
+    def test_parameters_must_fit_the_config(self, tmp_path, saved, claimed, match):
+        path = tmp_path / "m.vttc"
+        save_checkpoint(TransformerModel(saved, seed=6), path)
+        (tmp_path / "m.vttc.json").write_text(json.dumps(claimed.to_dict()))
+        with pytest.raises(FormatError, match=match):
+            load_checkpoint(path)
 
     def test_vocab_size_must_match(self, tmp_path):
         path = tmp_path / "m.vttc"

@@ -62,6 +62,17 @@ class TestLoadVocab:
         again = load_vocab(path)
         assert again.tokens == v.tokens
 
+    def test_failed_save_keeps_previous_file(self, tmp_path):
+        path = tmp_path / "v.txt"
+        save_vocab(build_vocab(["the cat"], 20), path)
+        before = path.read_bytes()
+        broken = build_vocab(["the dog"], 20)
+        broken.tokens.append(None)  # fails after the real tokens are written
+        with pytest.raises(TypeError):
+            save_vocab(broken, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["v.txt"]
+
     def test_unreadable_file(self, tmp_path):
         with pytest.raises(OSError):
             load_vocab(tmp_path / "missing.txt")

@@ -11,11 +11,11 @@ from vttcap import tensor as T
 from vttcap.errors import ContractError, TrainingError
 from vttcap.features import synth_dataset
 from vttcap.model import TransformerModel, load_checkpoint, save_checkpoint
-from vttcap.scst import RewardConfig, finetune_scst, scst_batch_step
+from vttcap.scst import RewardConfig, finetune_scst, scst_batch_step, scst_surrogate_loss
 from vttcap.tensor import RngState
 from vttcap.tokenizer import build_vocab, decode, normalize_words
-from vttcap.training import (OptimizerState, ScheduleConfig, TrainRunConfig, adam_update,
-                             clip_gradients, lr_at, train_xe)
+from vttcap.training import (OptimizerState, ScheduleConfig, TrainRunConfig, _fit,
+                             adam_update, clip_gradients, lr_at, train_xe)
 
 
 @pytest.fixture(scope="module")
@@ -206,6 +206,35 @@ class TestScst:
         grads = [p.grad for p in model.params.values() if p.grad is not None]
         assert grads and all(not np.any(g) for g in grads)
 
+    def test_surrogate_encoding_once_equals_encoding_per_rollout(self, corpus):
+        train, _, vocab = corpus
+        model = TransformerModel(tiny_config(vocab_size=len(vocab)), seed=3, dtype=np.float64)
+        samples = train.load_samples()[:2]
+        rollouts = [[2, 5, 7, 3], [2, 6, 3], [2, 9, 8, 10, 3]]
+        items = [(s, ids, adv) for s in samples
+                 for ids, adv in zip(rollouts, (0.5, -1.25, 2.0))]
+
+        def per_rollout_encode():  # one encoder pass per rollout
+            total = None
+            for sample, ids, advantage in items:
+                logits = model.forward_teacher_forced(sample.frames, sample.audio, ids[:-1])
+                term = T.scale(T.cross_entropy(logits, ids[1:]), advantage)
+                total = term if total is None else T.add(total, term)
+            return T.scale(total, 1.0 / len(items))
+
+        grads = []
+        for loss_fn in (lambda: scst_surrogate_loss(model, items), per_rollout_encode):
+            model.zero_grad()
+            loss = loss_fn()
+            loss.backward()
+            grads.append((loss.item(), {n: p.grad.copy() for n, p in model.params.items()
+                                        if p.grad is not None}))
+        (loss, got), (ref_loss, ref) = grads
+        assert loss == pytest.approx(ref_loss, rel=1e-10, abs=1e-10)
+        assert got.keys() == ref.keys() and any(n.startswith("enc.") for n in got)
+        for name in ref:
+            assert np.allclose(got[name], ref[name], rtol=1e-10, atol=1e-10), name
+
     def test_advantage_is_sample_minus_greedy_reward(self, corpus):
         model, batch, vocab = self.setup_batch(corpus)
         rc = RewardConfig(n_samples=3)
@@ -242,3 +271,19 @@ class TestScst:
         assert all(math.isfinite(r["mean_advantage"]) for r in rows[1:])
         assert load_checkpoint(result.best_path).n_parameters() == \
             tiny_model(vocab).n_parameters()
+
+
+# ---------------------------------------------------------------------------
+# run artefacts
+
+
+def test_failed_validation_keeps_the_previous_history(corpus, tmp_path):
+    _, _, vocab = corpus
+    rows = iter([{"cider_d": 0.1}, {"cider_d": object()}])  # the second is not JSON
+    run = TrainRunConfig(epochs=1, batch_size=4, seed=1, out_dir=str(tmp_path / "run"))
+    with pytest.raises(TypeError):
+        _fit(tiny_model(vocab), 4, lambda indices, step: 0.5, lambda step: 1e-3,
+             lambda: next(rows), run, RngState(1))
+    history = read_history(tmp_path / "run")
+    assert [r["cider_d"] for r in history] == [0.1]
+    assert not (tmp_path / "run" / "history.jsonl.tmp").exists()
