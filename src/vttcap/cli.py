@@ -18,6 +18,7 @@ from pathlib import Path
 from .errors import CapacityError, ContractError, DataError, DimensionError, \
     FormatError, TrainingError, VttError
 from .features import load_manifest, synth_dataset
+from .fileio import atomic_path
 from .metrics import score_corpus
 from .model import ModelConfig, TransformerModel, greedy_decode, load_checkpoint_for
 from .scst import RewardConfig, finetune_scst
@@ -198,7 +199,7 @@ def cmd_caption(args) -> int:
     vocab = load_vocab(args.vocab)
     model = load_checkpoint_for(args.checkpoint, vocab)
     manifest = load_manifest(args.manifest)
-    with open(args.out, "w", encoding="utf-8") as fh:
+    with atomic_path(args.out) as tmp, open(tmp, "w", encoding="utf-8") as fh:
         for sample in manifest.load_samples():
             ids = greedy_decode(model, sample.frames, sample.audio,
                                 vocab.bos_id, vocab.eos_id, model.cfg.l_max)
@@ -213,11 +214,7 @@ def cmd_evaluate(args) -> int:
     model = load_checkpoint_for(args.checkpoint, vocab)
     manifest = load_manifest(args.manifest)
     report = evaluate(model, manifest.load_samples(), vocab)
-    payload = json.dumps(report.as_dict())
-    if args.out:
-        Path(args.out).write_text(payload + "\n", encoding="utf-8")
-    print(payload)
-    return 0
+    return _report(report, args.out)
 
 
 def cmd_score(args) -> int:
@@ -228,8 +225,10 @@ def cmd_score(args) -> int:
             if not line:
                 continue
             obj = json.loads(line)
-            if "id" not in obj or "caption" not in obj:
-                raise FormatError(f"{args.hyp}:{lineno}: needs id and caption fields")
+            if not (isinstance(obj, dict) and isinstance(obj.get("id"), str)
+                    and isinstance(obj.get("caption"), str)):
+                raise FormatError(f"{args.hyp}:{lineno}: needs an object with string "
+                                  "id and caption fields")
             if obj["id"] in hyps:
                 raise FormatError(f"{args.hyp}:{lineno}: duplicate id {obj['id']!r}")
             hyps[obj["id"]] = obj["caption"]
@@ -241,10 +240,15 @@ def cmd_score(args) -> int:
             raise FormatError(f"no hypothesis for video {e.id!r}")
         candidates.append(normalize_words(hyps[e.id]))
         refs_corpus.append([normalize_words(c) for c in e.captions])
-    report = score_corpus(candidates, refs_corpus)
+    return _report(score_corpus(candidates, refs_corpus), args.out)
+
+
+def _report(report, out) -> int:
+    """Print the metric report, and write it to ``out`` too when given."""
     payload = json.dumps(report.as_dict())
-    if args.out:
-        Path(args.out).write_text(payload + "\n", encoding="utf-8")
+    if out:
+        with atomic_path(out) as tmp:
+            tmp.write_text(payload + "\n", encoding="utf-8")
     print(payload)
     return 0
 

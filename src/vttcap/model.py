@@ -8,6 +8,10 @@ is augmented with learned memory slots concatenated to keys and values
 (or replaced by an X-linear bilinear attention block); the decoder is a
 standard causal transformer over subword tokens.
 
+Heads are a tensor axis: one (d_model, d_model) projection each for Q, K
+and V is reshaped to (n_heads, rows, d_head), and every attention op runs
+over all heads at once; memory slots and X-linear weights lead with it too.
+
 Everything runs on the in-package autodiff tensors, one video at a time.
 Training and teacher-forced scoring rebuild the graph on every forward
 pass.  Decoding is incremental: ``decode_logits`` with a ``DecodeCache``
@@ -112,23 +116,23 @@ def memory_attention(q: Tensor, k: Tensor, v: Tensor,
                      mask: np.ndarray | None = None) -> Tensor:
     """Scaled dot-product attention with memory slots appended to key/value.
 
-    softmax(q [k; M_k]^T / sqrt(d_head)) [v; M_v].  The mask covers real key
-    positions only; memory columns are never masked.
+    softmax(q [k; M_k]^T / sqrt(d_head)) [v; M_v], batched over leading (head)
+    axes.  The mask covers real key positions only; memory columns never are.
     """
-    if q.shape[1] != k.shape[1] or k.shape[0] != v.shape[0]:
+    if q.shape[-1] != k.shape[-1] or k.shape[-2] != v.shape[-2]:
         raise DimensionError(f"attention shapes q={q.shape} k={k.shape} v={v.shape}")
     if (m_k is None) != (m_v is None):
         raise DimensionError("memory key/value must both be present or absent")
     keys, values = k, v
-    if m_k is not None and m_k.shape[0] > 0:
-        if m_k.shape[1] != k.shape[1] or m_v.shape != m_k.shape:
+    if m_k is not None and m_k.shape[-2] > 0:
+        if m_k.shape[-1] != k.shape[-1] or m_v.shape != m_k.shape:
             raise DimensionError(
-                f"memory shapes {m_k.shape}/{m_v.shape} do not match d_head {k.shape[1]}")
-        keys = T.concat([k, m_k], axis=0)
-        values = T.concat([v, m_v], axis=0)
-    scores = T.scale(T.matmul(q, T.transpose(keys)), 1.0 / np.sqrt(q.shape[1]))
+                f"memory shapes {m_k.shape}/{m_v.shape} do not match d_head {k.shape[-1]}")
+        keys = T.concat([k, m_k], axis=k.ndim - 2)
+        values = T.concat([v, m_v], axis=v.ndim - 2)
+    scores = T.scale(T.matmul(q, T.transpose(keys)), 1.0 / np.sqrt(q.shape[-1]))
     if mask is not None:
-        full = np.zeros(scores.shape, dtype=scores.dtype)
+        full = np.zeros(scores.shape[-2:], dtype=scores.dtype)
         full[:, : mask.shape[-1]] = mask
         scores = T.add(scores, T.constant(full))
     return T.matmul(T.softmax_lastdim(scores), values)
@@ -136,7 +140,7 @@ def memory_attention(q: Tensor, k: Tensor, v: Tensor,
 
 @dataclass
 class XLinearWeights:
-    """Bilinear attention parameters for one head."""
+    """Bilinear attention parameters, each with the leading (head) axes of q."""
 
     wq: Tensor  # query bilinear embedding
     wk: Tensor  # key bilinear embedding
@@ -149,38 +153,35 @@ def x_linear_attention(q: Tensor, k: Tensor, v: Tensor, w: XLinearWeights,
                        mask: np.ndarray | None = None) -> Tensor:
     """Bilinear query-key attention with spatial and channel gating.
 
-    Per query row: bilinear features B_i = relu(k_i Wk) * relu(q Wq); spatial
-    weights are a softmax over positions of ws-scored embedded features;
-    the channel gate is a sigmoid of the mean-pooled embedded features; the
-    output is gate * (spatial-weighted sum of value rows).
+    Per query row i: bilinear features B_ij = relu(k_j Wk) * relu(q_i Wq);
+    spatial weights are a softmax over keys j of ws-scored embedded features
+    relu(B_ij Wb); the channel gate is a sigmoid of their mean over j times Wc;
+    the output is gate * (spatial-weighted sum of value rows).  All rows run
+    at once, batched over leading (head) axes; ``mask`` has one entry per key.
     """
-    if q.shape[1] != k.shape[1] or k.shape[0] != v.shape[0]:
+    if q.shape[-1] != k.shape[-1] or k.shape[-2] != v.shape[-2]:
         raise DimensionError(f"attention shapes q={q.shape} k={k.shape} v={v.shape}")
-    n_keys = k.shape[0]
+    n_keys = k.shape[-2]
     dtype = q.dtype
-    k_emb = T.relu(T.matmul(k, w.wk))
-    ones_col = T.constant(np.ones((n_keys, 1), dtype=dtype))
-    if mask is not None:
-        keep = (np.asarray(mask).reshape(-1) > NEG_INF / 2).astype(np.float64)
-        pool_w = (keep / keep.sum()).reshape(1, n_keys).astype(dtype)
-        mask_row = np.asarray(mask, dtype=dtype).reshape(1, n_keys)
-    else:
-        pool_w = np.full((1, n_keys), 1.0 / n_keys, dtype=dtype)
-        mask_row = None
-    pooler = T.constant(pool_w)
 
-    rows = []
-    for t in range(q.shape[0]):
-        q_emb = T.relu(T.matmul(T.slice_rows(q, t, t + 1), w.wq))
-        bilinear = T.mul(k_emb, T.matmul(ones_col, q_emb))
-        embedded = T.relu(T.matmul(bilinear, w.wb))
-        scores = T.transpose(T.matmul(embedded, w.ws))
-        if mask_row is not None:
-            scores = T.add(scores, T.constant(mask_row))
-        spatial = T.softmax_lastdim(scores)
-        gate = T.sigmoid(T.matmul(T.matmul(pooler, embedded), w.wc))
-        rows.append(T.mul(gate, T.matmul(spatial, v)))
-    return T.concat(rows, axis=0)
+    def expand(x: Tensor, axis: int) -> Tensor:  # np.expand_dims for a negative axis
+        at = x.ndim + 1 + axis
+        return T.reshape(x, x.shape[:at] + (1,) + x.shape[at:])
+
+    k_emb = expand(T.relu(T.matmul(k, w.wk)), -3)  # (..., 1, keys, d)
+    q_emb = expand(T.relu(T.matmul(q, w.wq)), -2)  # (..., queries, 1, d)
+    embedded = T.relu(T.matmul(T.mul(k_emb, q_emb), expand(w.wb, -3)))
+    scores = T.matmul(embedded, expand(w.ws, -3))  # (..., queries, keys, 1)
+    scores = T.reshape(scores, scores.shape[:-1])
+    keep = np.ones(n_keys) if mask is None else np.reshape(mask, n_keys) > NEG_INF / 2
+    pool_w = (keep / keep.sum()).astype(dtype).reshape(1, n_keys)  # mean over kept keys
+    if mask is not None:
+        scores = T.add(scores, T.constant(np.asarray(mask, dtype=dtype).reshape(n_keys)))
+    spatial = T.softmax_lastdim(scores)
+    pooled = T.matmul(T.constant(pool_w), embedded)  # (..., queries, 1, d)
+    gate = T.sigmoid(T.matmul(pooled, expand(w.wc, -3)))
+    return T.mul(T.reshape(gate, gate.shape[:-2] + gate.shape[-1:]),
+                 T.matmul(spatial, v))
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +202,8 @@ class TransformerModel:
     # -- construction
 
     def _param(self, name: str, array: np.ndarray):
-        p = T.parameter(np.asarray(array, dtype=self.dtype), name=name)
+        # C order: load_checkpoint reads each parameter straight into its buffer
+        p = T.parameter(np.ascontiguousarray(array, dtype=self.dtype), name=name)
         self.params[name] = p
         return p
 
@@ -223,13 +225,14 @@ class TransformerModel:
         self._param("token_embed", emb)
 
         def attn_params(prefix: str):
-            for h in range(cfg.n_heads):
-                for proj in ("wq", "wk", "wv"):
-                    bound = 1.0 / np.sqrt(cfg.d_model)
-                    w = np.zeros((cfg.d_model, dh), self.dtype) if zeros else \
-                        rng.uniform((cfg.d_model, dh), -bound, bound)
-                    self._param(f"{prefix}.h{h}.{proj}", w)
-            self._linear(f"{prefix}.out", cfg.d_model, cfg.d_model, rng, zeros)
+            d = cfg.d_model
+            bound = 1.0 / np.sqrt(d)
+            # drawn head by head; head h of each projection is its column block h
+            w = np.zeros((cfg.n_heads, 3, d, dh), self.dtype) if zeros else \
+                rng.uniform((cfg.n_heads, 3, d, dh), -bound, bound)
+            for j, proj in enumerate(("wq", "wk", "wv")):
+                self._param(f"{prefix}.{proj}", w[:, j].transpose(1, 0, 2).reshape(d, d))
+            self._linear(f"{prefix}.out", d, d, rng, zeros)
 
         def norm_params(prefix: str):
             self._param(f"{prefix}.gamma", np.ones(cfg.d_model))
@@ -243,16 +246,16 @@ class TransformerModel:
                 for nm in ("mem_k", "mem_v"):
                     m = np.zeros((cfg.d_memory, cfg.d_model), self.dtype) if zeros else \
                         rng.normal((cfg.d_memory, cfg.d_model), std=std)
-                    self._param(f"{p}.{nm}", m)
+                    self._param(f"{p}.{nm}", m.reshape(-1, cfg.n_heads, dh).swapaxes(0, 1))
             if cfg.attention_kind == "x_linear":
-                for h in range(cfg.n_heads):
-                    bound = 1.0 / np.sqrt(dh)
-                    for nm, shape in (("wq", (dh, dh)), ("wk", (dh, dh)),
-                                      ("wb", (dh, dh)), ("ws", (dh, 1)),
-                                      ("wc", (dh, dh))):
-                        w = np.zeros(shape, self.dtype) if zeros else \
-                            rng.uniform(shape, -bound, bound)
-                        self._param(f"{p}.xl.h{h}.{nm}", w)
+                # drawn head by head: wq, wk, wb (dh, dh), ws (dh, 1), wc (dh, dh)
+                cols = (dh, dh, dh, 1, dh)
+                n, bound = dh * sum(cols), 1.0 / np.sqrt(dh)
+                flat = np.zeros((cfg.n_heads, n), self.dtype) if zeros else \
+                    rng.uniform((cfg.n_heads, n), -bound, bound)
+                parts = np.split(flat, np.cumsum([dh * c for c in cols])[:-1], axis=1)
+                for nm, c, part in zip(("wq", "wk", "wb", "ws", "wc"), cols, parts):
+                    self._param(f"{p}.xl.{nm}", part.reshape(cfg.n_heads, dh, c))
             norm_params(f"{p}.ln1")
             self._linear(f"{p}.ff1", cfg.d_model, cfg.d_ff, rng, zeros)
             self._linear(f"{p}.ff2", cfg.d_ff, cfg.d_model, rng, zeros)
@@ -279,43 +282,39 @@ class TransformerModel:
 
     # -- forward pieces
 
-    def _xl_weights(self, prefix: str, h: int) -> XLinearWeights:
-        g = self.params
-        return XLinearWeights(wq=g[f"{prefix}.xl.h{h}.wq"], wk=g[f"{prefix}.xl.h{h}.wk"],
-                              wb=g[f"{prefix}.xl.h{h}.wb"], ws=g[f"{prefix}.xl.h{h}.ws"],
-                              wc=g[f"{prefix}.xl.h{h}.wc"])
-
-    def _project_kv(self, prefix: str, x_kv: Tensor) -> list:
-        """Per-head (K, V) projections of ``x_kv`` for attention block ``prefix``."""
-        g = self.params
-        return [(T.matmul(x_kv, g[f"{prefix}.h{h}.wk"]), T.matmul(x_kv, g[f"{prefix}.h{h}.wv"]))
-                for h in range(self.cfg.n_heads)]
-
-    def _multi_head(self, prefix: str, x_q: Tensor, kv: list,
-                    mask: np.ndarray | None, memory_prefix: str | None = None) -> Tensor:
-        """Attention of the rows of ``x_q`` over per-head key/value pairs ``kv``."""
+    def _split_heads(self, x: Tensor) -> Tensor:
+        """(rows, d_model) -> (n_heads, rows, d_head)."""
         cfg = self.cfg
-        dh = cfg.d_head
+        return T.transpose(T.reshape(x, (x.shape[0], cfg.n_heads, cfg.d_head)), (1, 0, 2))
+
+    def _project_kv(self, prefix: str, x_kv: Tensor) -> tuple:
+        """(K, V) of ``x_kv`` for block ``prefix``, each (n_heads, rows, d_head)."""
+        g = self.params
+        return (self._split_heads(T.matmul(x_kv, g[f"{prefix}.wk"])),
+                self._split_heads(T.matmul(x_kv, g[f"{prefix}.wv"])))
+
+    def _multi_head(self, prefix: str, x_q: Tensor, kv: tuple,
+                    mask: np.ndarray | None, memory_prefix: str | None = None) -> Tensor:
+        """Attention of the rows of ``x_q`` over the head-split key/value pair ``kv``."""
+        cfg = self.cfg
         g = self.params
         x_linear = memory_prefix is not None and cfg.attention_kind == "x_linear"
         use_mem = (memory_prefix is not None and cfg.d_memory > 0
-                   and (cfg.attention_kind != "x_linear" or cfg.use_memory_with_x_linear))
-        heads = []
-        for h, (k, v) in enumerate(kv):
-            q = T.matmul(x_q, g[f"{prefix}.h{h}.wq"])
-            m_k = m_v = None
+                   and (not x_linear or cfg.use_memory_with_x_linear))
+        k, v = kv
+        q = self._split_heads(T.matmul(x_q, g[f"{prefix}.wq"]))
+        m_k = m_v = None
+        if use_mem:
+            m_k, m_v = g[f"{memory_prefix}.mem_k"], g[f"{memory_prefix}.mem_v"]
+        if x_linear:
             if use_mem:
-                m_k = T.slice_cols(g[f"{memory_prefix}.mem_k"], h * dh, (h + 1) * dh)
-                m_v = T.slice_cols(g[f"{memory_prefix}.mem_v"], h * dh, (h + 1) * dh)
-            if x_linear:
-                if m_k is not None:
-                    k = T.concat([k, m_k], axis=0)
-                    v = T.concat([v, m_v], axis=0)
-                heads.append(x_linear_attention(q, k, v, self._xl_weights(memory_prefix, h),
-                                                mask))
-            else:
-                heads.append(memory_attention(q, k, v, m_k, m_v, mask))
-        joined = T.concat(heads, axis=1)
+                k, v = T.concat([k, m_k], axis=1), T.concat([v, m_v], axis=1)
+            w = XLinearWeights(*(g[f"{memory_prefix}.xl.{nm}"]
+                                 for nm in ("wq", "wk", "wb", "ws", "wc")))
+            heads = x_linear_attention(q, k, v, w, mask)
+        else:
+            heads = memory_attention(q, k, v, m_k, m_v, mask)
+        joined = T.reshape(T.transpose(heads, (1, 0, 2)), (x_q.shape[0], cfg.d_model))
         return T.add(T.matmul(joined, g[f"{prefix}.out.w"]), g[f"{prefix}.out.b"])
 
     def _ffn(self, prefix: str, x: Tensor) -> Tensor:
@@ -385,8 +384,8 @@ class TransformerModel:
             kv = self._project_kv(f"{p}.self", x)
             if cache is not None:
                 if cache.self_kv[i] is not None:
-                    kv = [(T.concat([k0, k]), T.concat([v0, v]))
-                          for (k0, v0), (k, v) in zip(cache.self_kv[i], kv)]
+                    kv = tuple(T.concat([old, new], axis=1)
+                               for old, new in zip(cache.self_kv[i], kv))
                 cache.self_kv[i] = kv
             att = self._multi_head(f"{p}.self", x, kv, mask=mask)
             x = self._norm(f"{p}.ln1", T.add(x, self._maybe_dropout(att, train, rng)))
@@ -414,10 +413,10 @@ class TransformerModel:
 class DecodeCache:
     """Decoder state of one sequence decoded incrementally over ``enc_out``.
 
-    ``cross[i]`` holds decoder layer i's per-head cross-attention (K, V),
-    projected from ``enc_out`` once; ``self_kv[i]`` holds its per-head
-    self-attention (K, V) rows of the ``length`` positions decoded so far
-    (None before the first token).
+    ``cross[i]`` holds decoder layer i's cross-attention (K, V), projected
+    from ``enc_out`` once; ``self_kv[i]`` holds its self-attention (K, V)
+    rows of the ``length`` positions decoded so far (None before the first
+    token).  Each K and V is (n_heads, rows, d_head).
     """
 
     enc_out: Tensor

@@ -5,15 +5,18 @@ operation records its inputs and a closure that pushes the output gradient
 back to them.  float32 is the working precision; the same graph can be
 built in float64 when tight finite-difference tolerances are needed.
 
-Shape rules are deliberately narrow: operations work on scalars, vectors
-and matrices, and the only implicit broadcast is adding a bias vector over
-the rows of a matrix.  Everything else is explicit concat / slice /
-transpose.
+Shapes follow NumPy: ``matmul`` multiplies the last two axes and
+broadcasts the leading ones like ``np.matmul``, ``add`` and ``mul``
+broadcast like ``+`` and ``*``, and every backward sums its gradient back
+over the axes its input was broadcast along.  ``reshape`` and
+``transpose`` move a head axis in and out of a (rows, d_model) matrix, so
+attention runs over all heads in one op instead of one op per head.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 from contextlib import contextmanager
 
 import numpy as np
@@ -40,7 +43,7 @@ def no_grad():
 class Tensor:
     """A dense array plus optional gradient buffer and graph record.
 
-    ``data`` is a NumPy array (0-d scalar, vector or matrix, row-major).
+    ``data`` is a NumPy array of any rank (row-major).
     ``grad`` is allocated lazily during backward and has the same shape.
     Tensors produced by operations keep references to their inputs and a
     closure that accumulates gradients into them; leaf tensors have none.
@@ -154,56 +157,70 @@ def _result(data, inputs, backward_fn) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product.  Backward: dA = dC @ B^T, dB = A^T @ dC."""
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
+    """``np.matmul`` on 2+-D operands.  Backward: dA = dC @ B^T, dB = A^T @ dC,
+    each summed over the leading axes its operand was broadcast along."""
+    if (a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2]
+            or not _broadcastable(a.shape[:-2], b.shape[:-2])):
         raise DimensionError(f"matmul shapes incompatible: {a.shape} @ {b.shape}")
     data = a.data @ b.data
 
     def make(out):
         def back(g):
             if a.requires_grad:
-                a._accumulate(g @ b.data.T)
+                a._accumulate(_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape))
             if b.requires_grad:
-                b._accumulate(a.data.T @ g)
+                b._accumulate(_unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape))
         return back
 
     return _result(data, (a, b), make)
 
 
+def _broadcastable(sa: tuple, sb: tuple) -> bool:
+    try:
+        np.broadcast_shapes(sa, sb)
+    except ValueError:
+        return False
+    return True
+
+
+def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
+    """Sum ``g`` over the axes along which an operand of ``shape`` was broadcast."""
+    if g.shape == shape:
+        return g
+    g = g.sum(axis=tuple(range(g.ndim - len(shape))))
+    stretched = tuple(i for i, n in enumerate(shape) if n == 1 and g.shape[i] != 1)
+    return g.sum(axis=stretched, keepdims=True) if stretched else g
+
+
 def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum; ``b`` may also be a bias vector added over rows of ``a``."""
-    bias = a.ndim == 2 and b.ndim in (1, 2) and b.data.shape in (
-        (a.shape[1],), (1, a.shape[1]))
-    if not bias and a.shape != b.shape:
+    """Elementwise sum under NumPy broadcasting (a bias row, a mask over heads)."""
+    if not _broadcastable(a.shape, b.shape):
         raise DimensionError(f"add shapes incompatible: {a.shape} + {b.shape}")
     data = a.data + b.data
 
     def make(out):
         def back(g):
             if a.requires_grad:
-                a._accumulate(g)
+                a._accumulate(_unbroadcast(g, a.shape))
             if b.requires_grad:
-                if bias and b.shape != a.shape:
-                    b._accumulate(g.sum(axis=0).reshape(b.shape))
-                else:
-                    b._accumulate(g)
+                b._accumulate(_unbroadcast(g, b.shape))
         return back
 
     return _result(data, (a, b), make)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise product of same-shape tensors."""
-    if a.shape != b.shape:
+    """Elementwise product under NumPy broadcasting."""
+    if not _broadcastable(a.shape, b.shape):
         raise DimensionError(f"mul shapes incompatible: {a.shape} * {b.shape}")
     data = a.data * b.data
 
     def make(out):
         def back(g):
             if a.requires_grad:
-                a._accumulate(g * b.data)
+                a._accumulate(_unbroadcast(g * b.data, a.shape))
             if b.requires_grad:
-                b._accumulate(g * a.data)
+                b._accumulate(_unbroadcast(g * a.data, b.shape))
         return back
 
     return _result(data, (a, b), make)
@@ -245,9 +262,11 @@ def sigmoid(x: Tensor) -> Tensor:
     data = data.astype(x.dtype)
 
     def make(out):
+        y = out.data  # not ``out``: a closure holding its own node is a reference cycle
+
         def back(g):
             if x.requires_grad:
-                x._accumulate(g * out.data * (1.0 - out.data))
+                x._accumulate(g * y * (1.0 - y))
         return back
 
     return _result(data, (x,), make)
@@ -263,9 +282,10 @@ def softmax_lastdim(x: Tensor) -> Tensor:
     data = _softmax(x.data)
 
     def make(out):
+        y = out.data  # not ``out``: see sigmoid
+
         def back(g):
             if x.requires_grad:
-                y = out.data
                 dot = np.sum(g * y, axis=-1, keepdims=True)
                 x._accumulate(y * (g - dot))
         return back
@@ -389,15 +409,35 @@ def gather_rows(table: Tensor, ids) -> Tensor:
     return _result(data, (table,), make)
 
 
-def transpose(x: Tensor) -> Tensor:
-    if x.ndim != 2:
-        raise DimensionError(f"transpose needs a matrix, got {x.shape}")
-    data = x.data.T.copy()
+def transpose(x: Tensor, axes=None) -> Tensor:
+    """Permute axes like ``np.transpose``; by default swap the last two."""
+    if axes is None:
+        axes = (*range(x.ndim - 2), x.ndim - 1, x.ndim - 2)
+    if sorted(axes) != list(range(x.ndim)):
+        raise DimensionError(f"transpose axes {axes} invalid for shape {x.shape}")
+    data = np.ascontiguousarray(np.transpose(x.data, axes))
+    inverse = np.argsort(axes)
 
     def make(out):
         def back(g):
             if x.requires_grad:
-                x._accumulate(g.T)
+                x._accumulate(np.transpose(g, inverse))
+        return back
+
+    return _result(data, (x,), make)
+
+
+def reshape(x: Tensor, shape) -> Tensor:
+    """The same values in another shape (row-major order, like ``np.reshape``)."""
+    shape = tuple(shape)
+    if math.prod(shape) != x.size:
+        raise DimensionError(f"cannot reshape {x.shape} to {shape}")
+    data = x.data.reshape(shape)
+
+    def make(out):
+        def back(g):
+            if x.requires_grad:
+                x._accumulate(g.reshape(x.shape))
         return back
 
     return _result(data, (x,), make)

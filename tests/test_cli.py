@@ -1,4 +1,5 @@
-"""CLI exit codes for numeric failures, corrupt inputs and removed config keys."""
+"""CLI exit codes for numeric failures, corrupt inputs and removed config keys;
+``caption``, ``score`` and atomic CLI outputs."""
 
 import json
 
@@ -75,3 +76,80 @@ def test_malformed_manifest_exits_2(tmp_path, capsys, line):
     assert code == 2
     assert "m.jsonl:1" in capsys.readouterr().err
     assert not (tmp_path / "vocab.txt").exists()
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """A tiny model trained until its greedy captions score above zero, with its
+    30-video corpus and vocab: (directory, common caption/evaluate arguments)."""
+    d = tmp_path_factory.mktemp("trained")
+    assert dispatch(["synth-data", "--seed", "1", "--videos", "30", "--concepts", "2",
+                     "--d-vision", "5", "--d-audio", "3", "--out", str(d / "data")]) == 0
+    assert dispatch(["build-vocab", "--manifest", str(d / "data" / "train.jsonl"),
+                     "--size", "40", "--out", str(d / "vocab.txt")]) == 0
+    (d / "config.json").write_text(json.dumps({
+        "profile": "desk", "model": TINY_MODEL,
+        "schedule": {"eta_max": 0.02, "warmup": 5}}))
+    assert dispatch(["train", "--config", str(d / "config.json"), "--epochs", "10",
+                     "--train", str(d / "data" / "train.jsonl"),
+                     "--val", str(d / "data" / "val.jsonl"),
+                     "--vocab", str(d / "vocab.txt"), "--out", str(d / "run")]) == 0
+    return d, ["--checkpoint", str(d / "run" / "checkpoints" / "best.vttc"),
+               "--manifest", str(d / "data" / "val.jsonl"), "--vocab", str(d / "vocab.txt")]
+
+
+def test_caption_then_score_reproduces_evaluate(trained, tmp_path):
+    d, common = trained
+    assert dispatch(["evaluate", *common, "--out", str(tmp_path / "eval.json")]) == 0
+    assert dispatch(["caption", *common, "--out", str(tmp_path / "caps.jsonl")]) == 0
+    assert len((tmp_path / "caps.jsonl").read_text().splitlines()) == 3
+    assert dispatch(["score", "--hyp", str(tmp_path / "caps.jsonl"),
+                     "--refs", str(d / "data" / "val.jsonl"),
+                     "--out", str(tmp_path / "score.json")]) == 0
+    evaluated = json.loads((tmp_path / "eval.json").read_text())
+    assert json.loads((tmp_path / "score.json").read_text()) == evaluated
+    assert set(evaluated) == {"bleu4", "cider", "cider_d"}
+    assert all(value > 0 for value in evaluated.values())
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["caps.jsonl", "eval.json",
+                                                          "score.json"]
+
+
+def test_failed_caption_rerun_keeps_previous_file(trained, tmp_path, monkeypatch):
+    from vttcap import cli
+    from vttcap.errors import DataError
+
+    _, common = trained
+    out = tmp_path / "caps.jsonl"
+    assert dispatch(["caption", *common, "--out", str(out)]) == 0
+    before = out.read_bytes()
+    calls = []
+    decode = cli.greedy_decode
+
+    def failing_third(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 3:
+            raise DataError("frames unreadable")
+        return decode(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "greedy_decode", failing_third)
+    assert dispatch(["caption", *common, "--out", str(out)]) == 2
+    assert len(calls) == 3
+    assert out.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["caps.jsonl"]
+
+
+@pytest.mark.parametrize("line", [
+    '{"id": [1], "caption": "a dog"}',
+    '{"id": "vid_0009", "caption": 5}',
+    '{"id": "vid_0009", "caption": null}',
+    "5",
+    '"idcaption"',
+])
+def test_malformed_hypothesis_exits_2(workdir, tmp_path, capsys, line):
+    hyp = tmp_path / "hyp.jsonl"
+    hyp.write_text(line + "\n")
+    code = dispatch(["score", "--hyp", str(hyp), "--refs", str(workdir / "data" / "val.jsonl"),
+                     "--out", str(tmp_path / "score.json")])
+    assert code == 2
+    assert "hyp.jsonl:1" in capsys.readouterr().err
+    assert not (tmp_path / "score.json").exists()

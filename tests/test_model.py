@@ -1,5 +1,6 @@
 """Model contracts: PE offsets, attention kinds, decoding, checkpoints."""
 
+import gc
 import json
 
 import numpy as np
@@ -452,6 +453,258 @@ class TestDecodeCache:
             with pytest.raises(ContractError, match="encoder output"):
                 model.decode_logits(other, [2], cache=cache)
 
+
+# ---------------------------------------------------------------------------
+# per-head reference: every head with its own (d_model, d_head) projections,
+# one NumPy pass per head and, for X-linear, per query row
+
+
+def replay_per_head_init(cfg, seed):
+    """Initial float64 parameters in the per-head layout, drawn from the init
+    stream in the order a model with one parameter per head draws them."""
+    rng = RngState(seed).derive("init")
+    d, dh = cfg.d_model, cfg.d_head
+    P = {}
+
+    def uniform(name, shape, fan_in):
+        P[name] = rng.uniform(shape, -1.0 / np.sqrt(fan_in), 1.0 / np.sqrt(fan_in))
+
+    def linear(name, d_in, d_out):
+        uniform(f"{name}.w", (d_in, d_out), d_in)
+        P[f"{name}.b"] = np.zeros(d_out)
+
+    def attention(prefix):
+        for h in range(cfg.n_heads):
+            for proj in ("wq", "wk", "wv"):
+                uniform(f"{prefix}.h{h}.{proj}", (d, dh), d)
+        linear(f"{prefix}.out", d, d)
+
+    def norm(prefix):
+        P[f"{prefix}.gamma"], P[f"{prefix}.beta"] = np.ones(d), np.zeros(d)
+
+    linear("vision_embed", cfg.d_vision, d)
+    linear("audio_embed", cfg.d_audio, d)
+    P["token_embed"] = rng.normal((cfg.vocab_size, d), std=0.02)
+    for i in range(cfg.n_enc):
+        p = f"enc.{i}"
+        attention(f"{p}.attn")
+        if cfg.d_memory > 0:
+            for nm in ("mem_k", "mem_v"):
+                P[f"{p}.{nm}"] = rng.normal((cfg.d_memory, d), std=1.0 / np.sqrt(d))
+        if cfg.attention_kind == "x_linear":
+            for h in range(cfg.n_heads):
+                for nm in ("wq", "wk", "wb", "ws", "wc"):
+                    uniform(f"{p}.xl.h{h}.{nm}", (dh, 1) if nm == "ws" else (dh, dh), dh)
+        norm(f"{p}.ln1")
+        linear(f"{p}.ff1", d, cfg.d_ff)
+        linear(f"{p}.ff2", cfg.d_ff, d)
+        norm(f"{p}.ln2")
+    for i in range(cfg.n_dec):
+        p = f"dec.{i}"
+        attention(f"{p}.self")
+        norm(f"{p}.ln1")
+        attention(f"{p}.cross")
+        norm(f"{p}.ln2")
+        linear(f"{p}.ff1", d, cfg.d_ff)
+        linear(f"{p}.ff2", cfg.d_ff, d)
+        norm(f"{p}.ln3")
+    linear("out_proj", d, cfg.vocab_size)
+    return P
+
+
+def per_head_params(model):
+    """The model's parameters in the per-head layout: head h of a fused
+    projection is its column block h, of a stacked or memory tensor its slice h."""
+    dh = model.cfg.d_head
+    P = {}
+    for name, p in model.params.items():
+        block, _, leaf = name.rpartition(".")
+        a = p.data.astype(np.float64)
+        if block.endswith(".xl"):
+            P.update({f"{block}.h{h}.{leaf}": a[h] for h in range(a.shape[0])})
+        elif leaf in ("wq", "wk", "wv"):
+            P.update({f"{block}.h{h}.{leaf}": a[:, h * dh:(h + 1) * dh]
+                      for h in range(model.cfg.n_heads)})
+        elif leaf in ("mem_k", "mem_v"):
+            P[name] = np.concatenate(list(a), axis=1)
+        else:
+            P[name] = a
+    return P
+
+
+def ref_attention(P, cfg, prefix, x_q, x_kv, mask=None, memory_prefix=None):
+    dh = cfg.d_head
+    x_linear = memory_prefix is not None and cfg.attention_kind == "x_linear"
+    use_mem = (memory_prefix is not None and cfg.d_memory > 0
+               and (not x_linear or cfg.use_memory_with_x_linear))
+    heads = []
+    for h in range(cfg.n_heads):
+        q, k, v = (x @ P[f"{prefix}.h{h}.{w}"]
+                   for x, w in ((x_q, "wq"), (x_kv, "wk"), (x_kv, "wv")))
+        if use_mem:
+            k = np.concatenate([k, P[f"{memory_prefix}.mem_k"][:, h * dh:(h + 1) * dh]])
+            v = np.concatenate([v, P[f"{memory_prefix}.mem_v"][:, h * dh:(h + 1) * dh]])
+        if x_linear:
+            w = [P[f"{memory_prefix}.xl.h{h}.{nm}"] for nm in ("wq", "wk", "wb", "ws", "wc")]
+            heads.append(oracle_x_linear(q, k, v, *w)[0])
+            continue
+        scores = q @ k.T / np.sqrt(dh)
+        if mask is not None:
+            scores[:, :mask.shape[1]] += mask
+        heads.append(np_softmax(scores) @ v)
+    return np.concatenate(heads, axis=1) @ P[f"{prefix}.out.w"] + P[f"{prefix}.out.b"]
+
+
+def ref_logits(P, cfg, frames, audio, ids):
+    """Teacher-forced logits of the per-head model, in float64."""
+    def norm(prefix, x):
+        z = (x - x.mean(-1, keepdims=True)) / np.sqrt(x.var(-1, keepdims=True) + 1e-5)
+        return z * P[f"{prefix}.gamma"] + P[f"{prefix}.beta"]
+
+    def ffn(prefix, x):
+        hidden = np.maximum(x @ P[f"{prefix}.ff1.w"] + P[f"{prefix}.ff1.b"], 0.0)
+        return hidden @ P[f"{prefix}.ff2.w"] + P[f"{prefix}.ff2.b"]
+
+    d = cfg.d_model
+    aud = np.zeros((1, cfg.d_audio)) if audio is None else audio.values
+    x = np.concatenate([
+        frames.values @ P["vision_embed.w"] + P["vision_embed.b"] + pe_block(0, frames.t, d),
+        aud @ P["audio_embed.w"] + P["audio_embed.b"] + pe_block(cfg.p_audio, len(aud), d)])
+    for i in range(cfg.n_enc):
+        p = f"enc.{i}"
+        x = norm(f"{p}.ln1", x + ref_attention(P, cfg, f"{p}.attn", x, x, memory_prefix=p))
+        x = norm(f"{p}.ln2", x + ffn(p, x))
+    y = P["token_embed"][ids] + pe_block(0, len(ids), d)
+    for i in range(cfg.n_dec):
+        p = f"dec.{i}"
+        y = norm(f"{p}.ln1", y + ref_attention(P, cfg, f"{p}.self", y, y,
+                                                mask=causal_mask(len(ids), np.float64)))
+        y = norm(f"{p}.ln2", y + ref_attention(P, cfg, f"{p}.cross", y, x))
+        y = norm(f"{p}.ln3", y + ffn(p, y))
+    return y @ P["out_proj.w"] + P["out_proj.b"]
+
+
+def ref_decode(P, cfg, frames, audio, l_max, pick):
+    ids = [2]
+    while len(ids) < l_max + 2:
+        ids.append(pick(ref_logits(P, cfg, frames, audio, ids)[-1]))
+        if ids[-1] == 3:
+            break
+    return ids
+
+
+HEAD_CONFIGS = [(kind, heads) for kind in ("memory_scaled_dot", "x_linear") for heads in (2, 4)]
+
+
+def head_model(kind, n_heads, seed, dtype=np.float64):
+    return TransformerModel(tiny_config(kind, n_heads=n_heads, d_model=16), seed=seed,
+                            dtype=dtype)
+
+
+class TestPerHeadReference:
+    """The head-fused model against the per-head reference above."""
+
+    @pytest.mark.parametrize("kind,n_heads", HEAD_CONFIGS)
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_same_seed_same_initial_parameters(self, kind, n_heads, dtype):
+        model = head_model(kind, n_heads, seed=11, dtype=dtype)
+        got = per_head_params(model)
+        expected = replay_per_head_init(model.cfg, 11)
+        assert got.keys() == expected.keys()
+        for name, a in expected.items():
+            assert np.array_equal(got[name], a.astype(dtype)), name
+        assert all(p.data.flags.c_contiguous for p in model.params.values())
+
+    @pytest.mark.parametrize("kind,n_heads", HEAD_CONFIGS)
+    @pytest.mark.parametrize("with_audio", [False, True])
+    @pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-9), (np.float32, 1e-5)])
+    def test_logits_and_cached_steps_match(self, kind, n_heads, with_audio, dtype, tol,
+                                           np_rng):
+        model = head_model(kind, n_heads, seed=4, dtype=dtype)
+        frames, audio = video(np_rng, with_audio)
+        ids = [2, 5, 7, 4, 9, 1, 6, 11, 8, 5]
+        expected = ref_logits(per_head_params(model), model.cfg, frames, audio, ids)
+        scale = np.max(np.abs(expected))
+        with T.no_grad():
+            got = model.forward_teacher_forced(frames, audio, ids).data
+            assert np.max(np.abs(got - expected)) <= tol * scale
+            enc = model.encode(frames, audio)
+            cache = model.decode_cache(enc)
+            for t, tok in enumerate(ids):
+                step = model.decode_logits(enc, [tok], cache=cache).data[0]
+                assert np.max(np.abs(step - expected[t])) <= tol * scale, t
+
+    @pytest.mark.parametrize("kind,n_heads", HEAD_CONFIGS)
+    @pytest.mark.parametrize("with_audio", [False, True])
+    def test_greedy_and_sampled_ids_match(self, kind, n_heads, with_audio, np_rng):
+        model = head_model(kind, n_heads, seed=5)
+        frames, audio = video(np_rng, with_audio)
+        P, cfg = per_head_params(model), model.cfg
+        assert greedy_decode(model, frames, audio, 2, 3) == \
+            ref_decode(P, cfg, frames, audio, cfg.l_max, lambda row: int(np.argmax(row)))
+        rng = RngState(21)
+
+        def pick(row):
+            return rng.draw_categorical(np.exp(T.log_softmax_lastdim(row)))
+
+        expected = [ref_decode(P, cfg, frames, audio, cfg.l_max, pick) for _ in range(4)]
+        got = sample_decode(model, frames, audio, 2, 3, n=4, rng=RngState(21))
+        assert [ids for ids, _ in got] == expected
+
+
+
+class TestHeadBatchedAttention:
+    """Attention over a leading head axis equals one 2-D call per head."""
+
+    def test_memory_attention_over_heads(self, np_rng):
+        q, k, v = (np_rng.normal(size=(3, n, 4)) for n in (2, 5, 5))
+        m_k, m_v = np_rng.normal(size=(2, 3, 2, 4))
+        mask = np.where(np_rng.random((2, 5)) < 0.3, -1e9, 0.0)
+        mask[:, 0] = 0.0
+        batched = memory_attention(*map(T.constant, (q, k, v, m_k, m_v)), mask).data
+        for h in range(3):
+            one = memory_attention(*map(T.constant, (q[h], k[h], v[h], m_k[h], m_v[h])), mask)
+            assert np.allclose(batched[h], one.data, rtol=1e-12, atol=1e-12)
+
+    def test_x_linear_over_heads_matches_oracle(self, np_rng):
+        q, k, v = (np_rng.normal(size=(3, n, 4)) for n in (2, 5, 5))
+        w = {n: np_rng.normal(size=(3, 4, 1 if n == "ws" else 4))
+             for n in ("wq", "wk", "wb", "ws", "wc")}
+        out = x_linear_attention(T.constant(q), T.constant(k), T.constant(v),
+                                 XLinearWeights(**{n: T.constant(a) for n, a in w.items()}))
+        for h in range(3):
+            expected, _ = oracle_x_linear(q[h], k[h], v[h], *(w[n][h] for n in
+                                                               ("wq", "wk", "wb", "ws", "wc")))
+            assert np.allclose(out.data[h], expected, rtol=1e-12, atol=1e-12)
+
+    def test_x_linear_key_mask_drops_the_masked_keys(self, np_rng):
+        tensors = XLinearWeights(*(T.constant(np_rng.normal(size=(2, 4, 1 if n == "ws" else 4)))
+                                   for n in ("wq", "wk", "wb", "ws", "wc")))
+        q, k, v = (np_rng.normal(size=(2, n, 4)) for n in (3, 5, 5))
+        keep = np.array([True, False, True, True, False])
+        out = x_linear_attention(T.constant(q), T.constant(k), T.constant(v), tensors,
+                                 np.where(keep, 0.0, -1e9))
+        short = x_linear_attention(T.constant(q), T.constant(k[:, keep]),
+                                   T.constant(v[:, keep]), tensors)
+        assert np.allclose(out.data, short.data, rtol=1e-12, atol=1e-12)
+
+
+class TestGraphLifetime:
+    @pytest.mark.parametrize("kind", ["memory_scaled_dot", "x_linear"])
+    def test_dropped_graph_needs_no_cycle_collection(self, kind, np_rng):
+        model = TransformerModel(tiny_config(kind), seed=3)
+        frames, audio = video(np_rng, True)
+        gc.collect()
+        gc.disable()
+        try:
+            logits = model.forward_teacher_forced(frames, audio, [2, 5, 7, 4])
+            loss = T.cross_entropy(logits, [5, 7, 4, 3])
+            loss.backward()
+            del logits, loss
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        assert model.params["out_proj.w"].grad is not None
 
 class TestCheckpoint:
     def test_roundtrip(self, tmp_path, np_rng):

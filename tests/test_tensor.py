@@ -204,6 +204,100 @@ class TestPrimitiveGradients:
         assert_grads_match(loss, [table, proj], rng, n_components=12)
 
 
+
+class TestBroadcastGradients:
+    """NumPy shape rules: every gradient is summed back over its broadcast axes."""
+
+    @pytest.mark.parametrize("trial", range(5))
+    def test_batched_matmul_broadcasts_a_matrix(self, trial):
+        rng = np.random.default_rng(600 + trial)
+        w = p64(rng.normal(size=(2, 4)))     # broadcast on the left of a 3-D operand
+        x = p64(rng.normal(size=(3, 4, 5)))
+        b = p64(rng.normal(size=(5, 6)))     # and on the right
+        r = T.constant(rng.normal(size=(3, 2, 6)))
+
+        def loss():
+            return T.sum_all(T.mul(T.matmul(T.matmul(w, x), b), r))
+
+        assert_grads_match(loss, [w, x, b], rng, n_components=15)
+
+    @pytest.mark.parametrize("trial", range(5))
+    def test_four_d_mul_with_size_one_axes_on_both_sides(self, trial):
+        rng = np.random.default_rng(700 + trial)
+        a = p64(rng.normal(size=(2, 1, 3, 4)))
+        b = p64(rng.normal(size=(2, 5, 1, 4)))
+        r = T.constant(rng.normal(size=(2, 5, 3, 4)))
+
+        def loss():
+            return T.sum_all(T.mul(T.mul(a, b), r))
+
+        assert_grads_match(loss, [a, b], rng, n_components=15)
+
+    @pytest.mark.parametrize("trial", range(5))
+    def test_mask_add_over_heads(self, trial):
+        rng = np.random.default_rng(800 + trial)
+        scores = p64(rng.normal(size=(3, 4, 4)))
+        mask = p64(rng.normal(size=(4, 4)))
+        r = T.constant(rng.normal(size=(3, 4, 4)))
+
+        def loss():
+            return T.sum_all(T.mul(T.softmax_lastdim(T.add(scores, mask)), r))
+
+        assert_grads_match(loss, [scores, mask], rng, n_components=15)
+
+    @pytest.mark.parametrize("trial", range(5))
+    def test_transpose_with_explicit_axes(self, trial):
+        rng = np.random.default_rng(900 + trial)
+        x = p64(rng.normal(size=(2, 3, 4)))
+        r = T.constant(rng.normal(size=(4, 2, 3)))
+
+        def loss():
+            return T.sum_all(T.mul(T.transpose(x, (2, 0, 1)), r))
+
+        assert T.transpose(x, (2, 0, 1)).shape == (4, 2, 3)
+        assert T.transpose(x).shape == (2, 4, 3)
+        assert_grads_match(loss, [x], rng, n_components=12)
+
+    @pytest.mark.parametrize("trial", range(5))
+    def test_reshape(self, trial):
+        rng = np.random.default_rng(1000 + trial)
+        x = p64(rng.normal(size=(2, 6)))
+        w = p64(rng.normal(size=(2, 5)))
+        r = T.constant(rng.normal(size=(3, 2, 5)))
+
+        def loss():
+            return T.sum_all(T.mul(T.matmul(T.reshape(x, (3, 2, 2)), w), r))
+
+        assert_grads_match(loss, [x, w], rng, n_components=12)
+
+    def test_values_follow_numpy(self, np_rng):
+        a = np_rng.normal(size=(3, 1, 2, 4))
+        b = np_rng.normal(size=(5, 4, 2))
+        assert np.allclose(T.matmul(T.constant(a), T.constant(b)).data, a @ b)
+        c = np_rng.normal(size=(5, 1, 1))
+        assert np.allclose(T.add(T.constant(b), T.constant(c)).data, b + c)
+        assert np.allclose(T.mul(T.constant(c), T.constant(b)).data, c * b)
+        assert np.array_equal(T.reshape(T.constant(b), (4, 10)).data, b.reshape(4, 10))
+
+    @pytest.mark.parametrize("op,a,b", [
+        (T.matmul, (2, 3, 4), (5, 4, 2)),
+        (T.matmul, (3,), (3, 2)),
+        (T.add, (2, 3), (3, 2)),
+        (T.mul, (4, 1, 3), (2, 2)),
+    ])
+    def test_incompatible_shapes_rejected(self, op, a, b):
+        with pytest.raises(DimensionError, match="incompatible"):
+            op(T.constant(np.zeros(a)), T.constant(np.zeros(b)))
+
+    def test_bad_reshape_and_axes_rejected(self):
+        x = T.constant(np.zeros((2, 3)))
+        with pytest.raises(DimensionError):
+            T.reshape(x, (4, 2))
+        with pytest.raises(DimensionError):
+            T.transpose(x, (0, 0))
+        with pytest.raises(DimensionError):
+            T.transpose(T.constant(np.zeros(3)))
+
 class TestCrossEntropy:
     def test_uniform_logits_value(self):
         logits = T.constant(np.zeros((3, 10)))
