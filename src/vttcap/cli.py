@@ -2,8 +2,9 @@
 
 One subcommand per pipeline stage; a JSON config file (based on the built-in
 ``paper`` or ``desk`` profile) is the source of truth and individual flags
-override single keys.  Exit codes: 0 success, 1 usage error, 2 data/format
-error, 3 numeric failure.
+override single keys; a config value must have its profile default's type.
+Exit codes: 0 success, 1 usage error, 2 data/format error (a file that is
+not UTF-8 text among them), 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -65,13 +66,27 @@ PROFILES = {
 }
 
 
+def _fits(default, value) -> bool:
+    """Whether ``value`` may replace a profile's ``default``: a value of the
+    same type, or an int for a float.  A bool is never a number here, and a
+    null default takes any value."""
+    if default is None:
+        return True
+    if isinstance(default, float):
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+    return type(value) is type(default)
+
+
 def _merge(base: dict, override: dict, path: str = "") -> dict:
     out = copy.deepcopy(base)
     for key, value in override.items():
         where = f"{path}.{key}" if path else key
         if key not in base:
             raise UsageError(f"unknown config key {where!r}")
-        if isinstance(base[key], dict) and isinstance(value, dict):
+        if not _fits(base[key], value):
+            raise UsageError(f"config key {where!r} must be of type {type(base[key]).__name__}, "
+                             f"got {value!r}")
+        if isinstance(base[key], dict):
             out[key] = _merge(base[key], value, where)
         else:
             out[key] = value
@@ -328,7 +343,7 @@ def dispatch(argv) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except (FormatError, DataError, CapacityError, ContractError, DimensionError,
-            json.JSONDecodeError, OSError) as exc:
+            json.JSONDecodeError, UnicodeDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (TrainingError, FloatingPointError) as exc:

@@ -8,16 +8,27 @@ is augmented with learned memory slots concatenated to keys and values
 (or replaced by an X-linear bilinear attention block); the decoder is a
 standard causal transformer over subword tokens.
 
-Heads are a tensor axis: one (d_model, d_model) projection each for Q, K
-and V is reshaped to (n_heads, rows, d_head), and every attention op runs
-over all heads at once; memory slots and X-linear weights lead with it too.
+Every forward pass is batch-first.  A batch of videos is one (B, S, d_model)
+encoder input: each video's vision rows padded to the batch's longest, then
+its audio rows padded likewise.  An additive key mask (``NEG_INF`` on the
+padding rows) is honoured by encoder self-attention, memory slots and
+X-linear pooling included, and by decoder cross-attention.  Captions are
+one (B, L) array padded with PAD after their last token; the one causal
+mask keeps every real position from seeing the padding, and the loss gives
+padded targets weight 0.  ``forward_teacher_forced`` encodes each distinct
+video of a batch once and repeats its encoding for each of its captions.
 
-Everything runs on the in-package autodiff tensors, one video at a time.
-Training and teacher-forced scoring rebuild the graph on every forward
-pass.  Decoding is incremental: ``decode_logits`` with a ``DecodeCache``
-takes only the new tokens, attends over the self-attention K/V rows cached
-from earlier steps, and reuses cross-attention K/V projected once from the
-encoder output, so a caption of L tokens costs L one-row decoder passes.
+Heads are a tensor axis: one (d_model, d_model) projection each for Q, K
+and V is reshaped to (B, n_heads, rows, d_head), and every attention op
+runs over all videos and heads at once; memory slots and X-linear weights
+lead with the head axis and broadcast over the batch.
+
+Everything runs on the in-package autodiff tensors, one graph per batch.
+Decoding runs a batch of one video, with no mask, and is incremental:
+``decode_logits`` with a ``DecodeCache`` takes only the new tokens, attends
+over the self-attention K/V rows cached from earlier steps, and reuses
+cross-attention K/V projected once from the encoder output, so a caption
+of L tokens costs L one-row decoder passes.
 """
 
 from __future__ import annotations
@@ -60,6 +71,8 @@ class ModelConfig:
     dropout: float = 0.0
 
     def __post_init__(self):
+        if self.n_heads < 1 or self.d_model < 1:
+            raise ContractError("n_heads and d_model must be >= 1")
         if self.d_model % self.n_heads != 0:
             raise ContractError(
                 f"d_model={self.d_model} not divisible by n_heads={self.n_heads}")
@@ -111,13 +124,25 @@ def causal_mask(n: int, dtype=np.float32) -> np.ndarray:
 # attention blocks
 
 
+def _key_mask(mask: np.ndarray, n_keys: int, dtype) -> np.ndarray:
+    """``mask`` widened with zeros to ``n_keys`` columns: keys past it (memory
+    slots) are never masked."""
+    mask = np.asarray(mask, dtype=dtype)
+    short = n_keys - mask.shape[-1]
+    if short:
+        mask = np.concatenate([mask, np.zeros(mask.shape[:-1] + (short,), dtype)], axis=-1)
+    return mask
+
+
 def memory_attention(q: Tensor, k: Tensor, v: Tensor,
                      m_k: Tensor | None, m_v: Tensor | None,
                      mask: np.ndarray | None = None) -> Tensor:
     """Scaled dot-product attention with memory slots appended to key/value.
 
-    softmax(q [k; M_k]^T / sqrt(d_head)) [v; M_v], batched over leading (head)
-    axes.  The mask covers real key positions only; memory columns never are.
+    softmax(q [k; M_k]^T / sqrt(d_head)) [v; M_v], batched over leading
+    (batch, head) axes; the memory slots broadcast over the batch.  The
+    additive mask broadcasts over the scores and covers real key positions
+    only; memory columns never are.
     """
     if q.shape[-1] != k.shape[-1] or k.shape[-2] != v.shape[-2]:
         raise DimensionError(f"attention shapes q={q.shape} k={k.shape} v={v.shape}")
@@ -132,9 +157,7 @@ def memory_attention(q: Tensor, k: Tensor, v: Tensor,
         values = T.concat([v, m_v], axis=v.ndim - 2)
     scores = T.scale(T.matmul(q, T.transpose(keys)), 1.0 / np.sqrt(q.shape[-1]))
     if mask is not None:
-        full = np.zeros(scores.shape[-2:], dtype=scores.dtype)
-        full[:, : mask.shape[-1]] = mask
-        scores = T.add(scores, T.constant(full))
+        scores = T.add(scores, T.constant(_key_mask(mask, keys.shape[-2], scores.dtype)))
     return T.matmul(T.softmax_lastdim(scores), values)
 
 
@@ -157,7 +180,10 @@ def x_linear_attention(q: Tensor, k: Tensor, v: Tensor, w: XLinearWeights,
     spatial weights are a softmax over keys j of ws-scored embedded features
     relu(B_ij Wb); the channel gate is a sigmoid of their mean over j times Wc;
     the output is gate * (spatial-weighted sum of value rows).  All rows run
-    at once, batched over leading (head) axes; ``mask`` has one entry per key.
+    at once, batched over leading (batch, head) axes.  ``mask`` is a key
+    mask, the same for every query row: (keys,), or (batch, 1, 1, keys)
+    under a batch and head axis.  Keys past its last column (memory slots)
+    are never masked; the mean runs over the kept keys.
     """
     if q.shape[-1] != k.shape[-1] or k.shape[-2] != v.shape[-2]:
         raise DimensionError(f"attention shapes q={q.shape} k={k.shape} v={v.shape}")
@@ -173,10 +199,13 @@ def x_linear_attention(q: Tensor, k: Tensor, v: Tensor, w: XLinearWeights,
     embedded = T.relu(T.matmul(T.mul(k_emb, q_emb), expand(w.wb, -3)))
     scores = T.matmul(embedded, expand(w.ws, -3))  # (..., queries, keys, 1)
     scores = T.reshape(scores, scores.shape[:-1])
-    keep = np.ones(n_keys) if mask is None else np.reshape(mask, n_keys) > NEG_INF / 2
-    pool_w = (keep / keep.sum()).astype(dtype).reshape(1, n_keys)  # mean over kept keys
-    if mask is not None:
-        scores = T.add(scores, T.constant(np.asarray(mask, dtype=dtype).reshape(n_keys)))
+    if mask is None:
+        pool_w = np.full((1, n_keys), 1.0 / n_keys, dtype)
+    else:
+        mask = _key_mask(mask, n_keys, dtype)
+        keep = mask > NEG_INF / 2
+        pool_w = (keep / keep.sum(axis=-1, keepdims=True)).astype(dtype)[..., None, :]
+        scores = T.add(scores, T.constant(mask))
     spatial = T.softmax_lastdim(scores)
     pooled = T.matmul(T.constant(pool_w), embedded)  # (..., queries, 1, d)
     gate = T.sigmoid(T.matmul(pooled, expand(w.wc, -3)))
@@ -283,12 +312,13 @@ class TransformerModel:
     # -- forward pieces
 
     def _split_heads(self, x: Tensor) -> Tensor:
-        """(rows, d_model) -> (n_heads, rows, d_head)."""
+        """(B, rows, d_model) -> (B, n_heads, rows, d_head)."""
         cfg = self.cfg
-        return T.transpose(T.reshape(x, (x.shape[0], cfg.n_heads, cfg.d_head)), (1, 0, 2))
+        batch, rows = x.shape[:2]
+        return T.transpose(T.reshape(x, (batch, rows, cfg.n_heads, cfg.d_head)), (0, 2, 1, 3))
 
     def _project_kv(self, prefix: str, x_kv: Tensor) -> tuple:
-        """(K, V) of ``x_kv`` for block ``prefix``, each (n_heads, rows, d_head)."""
+        """(K, V) of ``x_kv`` for block ``prefix``, each (B, n_heads, rows, d_head)."""
         g = self.params
         return (self._split_heads(T.matmul(x_kv, g[f"{prefix}.wk"])),
                 self._split_heads(T.matmul(x_kv, g[f"{prefix}.wv"])))
@@ -308,13 +338,13 @@ class TransformerModel:
             m_k, m_v = g[f"{memory_prefix}.mem_k"], g[f"{memory_prefix}.mem_v"]
         if x_linear:
             if use_mem:
-                k, v = T.concat([k, m_k], axis=1), T.concat([v, m_v], axis=1)
+                k, v = T.concat([k, m_k], axis=2), T.concat([v, m_v], axis=2)
             w = XLinearWeights(*(g[f"{memory_prefix}.xl.{nm}"]
                                  for nm in ("wq", "wk", "wb", "ws", "wc")))
             heads = x_linear_attention(q, k, v, w, mask)
         else:
             heads = memory_attention(q, k, v, m_k, m_v, mask)
-        joined = T.reshape(T.transpose(heads, (1, 0, 2)), (x_q.shape[0], cfg.d_model))
+        joined = T.reshape(T.transpose(heads, (0, 2, 1, 3)), x_q.shape[:2] + (cfg.d_model,))
         return T.add(T.matmul(joined, g[f"{prefix}.out.w"]), g[f"{prefix}.out.b"])
 
     def _ffn(self, prefix: str, x: Tensor) -> Tensor:
@@ -334,46 +364,58 @@ class TransformerModel:
         mask = (rng.uniform(x.shape) < keep).astype(x.dtype) / keep
         return T.mul(x, T.constant(mask))
 
-    def encode(self, frames: FeatureMatrix, audio: FeatureMatrix | None,
-               train: bool = False, rng: RngState | None = None) -> Tensor:
-        x = embed_multimodal(frames, audio, self)
+    def encode(self, videos, train: bool = False, rng: RngState | None = None) -> Encoding:
+        """Encoder output of a batch of (frames, audio) videos, padded to its longest.
+
+        Dropout, when on, draws one mask over the padded batch, so its shapes
+        follow the padding, and a video's captions share the one draw of its
+        encoding (``forward_teacher_forced`` encodes each distinct video
+        once).  Both built-in profiles use dropout 0, so neither changes a
+        value there.
+        """
+        x, mask = embed_multimodal(videos, self)
         x = self._maybe_dropout(x, train, rng)
         for i in range(self.cfg.n_enc):
             p = f"enc.{i}"
             att = self._multi_head(f"{p}.attn", x, self._project_kv(f"{p}.attn", x),
-                                   mask=None, memory_prefix=p)
+                                   mask=mask, memory_prefix=p)
             x = self._norm(f"{p}.ln1", T.add(x, self._maybe_dropout(att, train, rng)))
             ff = self._ffn(p, x)
             x = self._norm(f"{p}.ln2", T.add(x, self._maybe_dropout(ff, train, rng)))
-        return x
+        return Encoding(x, mask)
 
-    def decode_cache(self, enc_out: Tensor) -> DecodeCache:
-        """An empty ``DecodeCache`` over ``enc_out``, its cross-attention K/V projected."""
+    def decode_cache(self, enc: Encoding) -> DecodeCache:
+        """An empty ``DecodeCache`` over ``enc``, its cross-attention K/V projected."""
         n_dec = self.cfg.n_dec
-        return DecodeCache(enc_out, [self._project_kv(f"dec.{i}.cross", enc_out)
-                                     for i in range(n_dec)], [None] * n_dec)
+        return DecodeCache(enc, [self._project_kv(f"dec.{i}.cross", enc.out)
+                                 for i in range(n_dec)], [None] * n_dec)
 
-    def decode_logits(self, enc_out: Tensor, token_ids, train: bool = False,
+    def decode_logits(self, enc: Encoding, token_ids, train: bool = False,
                       rng: RngState | None = None,
                       cache: DecodeCache | None = None) -> Tensor:
-        """Logits for every position of ``token_ids`` under a causal mask.
+        """Logits (B, L, vocab) for every position of the (B, L) ``token_ids``
+        under a causal mask; row b continues over video b of ``enc``.
 
-        Without ``cache``, ``token_ids`` are a whole sequence from position 0.
-        With it, they continue the sequence the cache holds: they take the
-        positions from ``cache.length`` on, attend over the cached
+        Without ``cache``, each row is a whole sequence from position 0, and
+        PAD after a row's last token leaves its real positions unchanged.
+        With it, the rows continue the sequences the cache holds: they take
+        the positions from ``cache.length`` on, attend over the cached
         self-attention K/V rows as well as their own, use the cache's
         cross-attention K/V, and are appended to the cache.
         """
         ids = np.asarray(token_ids, dtype=np.int64)
         if ids.size == 0:
             raise ContractError("decoder needs at least one input token")
+        if ids.ndim != 2 or ids.shape[0] != enc.out.shape[0]:
+            raise ContractError(f"token ids {ids.shape} are not one row per video "
+                                f"of a batch of {enc.out.shape[0]}")
         if ids.max() >= self.cfg.vocab_size or ids.min() < 0:
             raise ContractError(f"token id out of range for vocab {self.cfg.vocab_size}")
-        if cache is not None and cache.enc_out is not enc_out:
+        if cache is not None and cache.enc is not enc:
             raise ContractError("decode cache was made for another encoder output")
         g = self.params
         start = 0 if cache is None else cache.length
-        L = ids.shape[0]
+        L = ids.shape[1]
         x = T.add(T.gather_rows(g["token_embed"], ids),
                   T.constant(pe_block(start, L, self.cfg.d_model).astype(self.dtype)))
         x = self._maybe_dropout(x, train, rng)
@@ -384,14 +426,14 @@ class TransformerModel:
             kv = self._project_kv(f"{p}.self", x)
             if cache is not None:
                 if cache.self_kv[i] is not None:
-                    kv = tuple(T.concat([old, new], axis=1)
+                    kv = tuple(T.concat([old, new], axis=2)
                                for old, new in zip(cache.self_kv[i], kv))
                 cache.self_kv[i] = kv
             att = self._multi_head(f"{p}.self", x, kv, mask=mask)
             x = self._norm(f"{p}.ln1", T.add(x, self._maybe_dropout(att, train, rng)))
-            cross_kv = (self._project_kv(f"{p}.cross", enc_out) if cache is None
+            cross_kv = (self._project_kv(f"{p}.cross", enc.out) if cache is None
                         else cache.cross[i])
-            cross = self._multi_head(f"{p}.cross", x, cross_kv, mask=None)
+            cross = self._multi_head(f"{p}.cross", x, cross_kv, mask=enc.mask)
             x = self._norm(f"{p}.ln2", T.add(x, self._maybe_dropout(cross, train, rng)))
             ff = self._ffn(p, x)
             x = self._norm(f"{p}.ln3", T.add(x, self._maybe_dropout(ff, train, rng)))
@@ -399,59 +441,95 @@ class TransformerModel:
             cache.length += L
         return T.add(T.matmul(x, g["out_proj.w"]), g["out_proj.b"])
 
-    def forward_teacher_forced(self, frames: FeatureMatrix, audio: FeatureMatrix | None,
-                               token_ids, train: bool = False,
+    def forward_teacher_forced(self, videos, token_ids, train: bool = False,
                                rng: RngState | None = None) -> Tensor:
-        if len(token_ids) > self.cfg.l_max + 2:
+        """Teacher-forced logits (B, L, vocab) of a padded caption batch.
+
+        Row b of ``token_ids`` is a caption of ``videos[b]``, a (frames,
+        audio) pair.  Each distinct video, by the identity of its frames and
+        audio, is encoded once, and its encoding is repeated for each of its
+        captions.
+        """
+        ids = np.asarray(token_ids, dtype=np.int64)
+        if ids.shape[-1] > self.cfg.l_max + 2:
             raise ContractError(
-                f"caption length {len(token_ids)} exceeds l_max+2={self.cfg.l_max + 2}")
-        enc = self.encode(frames, audio, train=train, rng=rng)
-        return self.decode_logits(enc, token_ids, train=train, rng=rng)
+                f"caption length {ids.shape[-1]} exceeds l_max+2={self.cfg.l_max + 2}")
+        slot = {}  # (id(frames), id(audio)) -> (index, video) of each distinct video
+        index = [slot.setdefault((id(f), id(a)), (len(slot), (f, a)))[0] for f, a in videos]
+        enc = self.encode([video for _, video in slot.values()], train=train, rng=rng)
+        if len(slot) < len(videos):  # repeat each encoding for its captions
+            enc = Encoding(T.gather_rows(enc.out, index),
+                           None if enc.mask is None else enc.mask[index])
+        return self.decode_logits(enc, ids, train=train, rng=rng)
+
+
+@dataclass
+class Encoding:
+    """Encoder output of a batch of videos, padded to its longest.
+
+    ``out`` is (B, S, d_model).  ``mask`` is the additive (B, 1, 1, S) key
+    mask, ``NEG_INF`` on each video's padding rows, or None when no row of
+    the batch is padding.
+    """
+
+    out: Tensor
+    mask: np.ndarray | None
 
 
 @dataclass
 class DecodeCache:
-    """Decoder state of one sequence decoded incrementally over ``enc_out``.
+    """Decoder state of a batch decoded incrementally over ``enc``.
 
     ``cross[i]`` holds decoder layer i's cross-attention (K, V), projected
-    from ``enc_out`` once; ``self_kv[i]`` holds its self-attention (K, V)
-    rows of the ``length`` positions decoded so far (None before the first
-    token).  Each K and V is (n_heads, rows, d_head).
+    from ``enc`` once; ``self_kv[i]`` holds its self-attention (K, V) rows
+    of the ``length`` positions decoded so far (None before the first
+    token).  Each K and V is (B, n_heads, rows, d_head).
     """
 
-    enc_out: Tensor
+    enc: Encoding
     cross: list
     self_kv: list
     length: int = 0
 
     def fresh(self) -> DecodeCache:
         """An empty cache for another sequence over the same encoding, sharing cross K/V."""
-        return DecodeCache(self.enc_out, self.cross, [None] * len(self.self_kv))
+        return DecodeCache(self.enc, self.cross, [None] * len(self.self_kv))
 
 
-def embed_multimodal(frames: FeatureMatrix, audio: FeatureMatrix | None,
-                     model: TransformerModel) -> Tensor:
-    """Joint encoder input: vision rows at positions 0..T_v-1, audio rows at
-    positions p_audio.., missing audio replaced by one all-zero row."""
+def embed_multimodal(videos, model: TransformerModel) -> tuple:
+    """Joint encoder input of a batch of (frames, audio) videos: vision rows
+    at positions 0..T_v-1, audio rows at positions p_audio.., missing audio
+    replaced by one all-zero row.  Returns the (B, S, d_model) input, vision
+    rows padded to the batch's longest and then audio rows likewise, and its
+    additive key mask (see ``Encoding``)."""
     cfg = model.cfg
-    if frames.t > cfg.p_audio:
-        raise ContractError(
-            f"frames.T={frames.t} exceeds the audio offset p_audio={cfg.p_audio}")
-    if frames.d != cfg.d_vision:
-        raise DimensionError(f"frame dim {frames.d} != d_vision {cfg.d_vision}")
-    if audio is None:
-        audio = dummy_audio(1, cfg.d_audio)
-    if audio.d != cfg.d_audio:
-        raise DimensionError(f"audio dim {audio.d} != d_audio {cfg.d_audio}")
+    vision, sound = [], []
+    for frames, audio in videos:
+        if frames.t > cfg.p_audio:
+            raise ContractError(
+                f"frames.T={frames.t} exceeds the audio offset p_audio={cfg.p_audio}")
+        if frames.d != cfg.d_vision:
+            raise DimensionError(f"frame dim {frames.d} != d_vision {cfg.d_vision}")
+        if audio is None:
+            audio = dummy_audio(1, cfg.d_audio)
+        if audio.d != cfg.d_audio:
+            raise DimensionError(f"audio dim {audio.d} != d_audio {cfg.d_audio}")
+        vision.append(frames.values)
+        sound.append(audio.values)
     g = model.params
     dt = model.dtype
-    vis = T.add(T.matmul(T.constant(frames.values, dtype=dt), g["vision_embed.w"]),
-                g["vision_embed.b"])
-    vis = T.add(vis, T.constant(pe_block(0, frames.t, cfg.d_model).astype(dt)))
-    aud = T.add(T.matmul(T.constant(audio.values, dtype=dt), g["audio_embed.w"]),
-                g["audio_embed.b"])
-    aud = T.add(aud, T.constant(pe_block(cfg.p_audio, audio.t, cfg.d_model).astype(dt)))
-    return T.concat([vis, aud], axis=0)
+    parts, real = [], []
+    for rows, name, first in ((vision, "vision_embed", 0), (sound, "audio_embed", cfg.p_audio)):
+        t = max(len(r) for r in rows)
+        padded = np.zeros((len(rows), t, rows[0].shape[1]), dtype=dt)
+        for b, r in enumerate(rows):
+            padded[b, :len(r)] = r
+        x = T.add(T.matmul(T.constant(padded), g[f"{name}.w"]), g[f"{name}.b"])
+        parts.append(T.add(x, T.constant(pe_block(first, t, cfg.d_model).astype(dt))))
+        real.append(np.arange(t) < np.array([len(r) for r in rows])[:, None])
+    real = np.concatenate(real, axis=1)
+    mask = None if real.all() else np.where(real, 0.0, NEG_INF).astype(dt)[:, None, None, :]
+    return T.concat(parts, axis=1), mask
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +547,7 @@ def _decode(model: TransformerModel, cache: DecodeCache, bos_id: int, eos_id: in
     l_max = model.cfg.l_max if l_max is None else l_max
     ids = [bos_id]
     while len(ids) < l_max + 2:
-        nxt = pick(model.decode_logits(cache.enc_out, ids[-1:], cache=cache).data[-1])
+        nxt = pick(model.decode_logits(cache.enc, [ids[-1:]], cache=cache).data[0, -1])
         ids.append(nxt)
         if nxt == eos_id:
             break
@@ -481,7 +559,7 @@ def greedy_decode(model: TransformerModel, frames: FeatureMatrix,
                   l_max: int | None = None) -> list:
     """Argmax decoding from BOS; ties break toward the lowest token id."""
     with T.no_grad():
-        cache = model.decode_cache(model.encode(frames, audio))
+        cache = model.decode_cache(model.encode([(frames, audio)]))
         return _decode(model, cache, bos_id, eos_id, l_max, lambda row: int(np.argmax(row)))
 
 
@@ -507,7 +585,7 @@ def sample_decode(model: TransformerModel, frames: FeatureMatrix,
         raise ContractError("temperature must be > 0")
     out = []
     with T.no_grad():
-        shared = model.decode_cache(model.encode(frames, audio))
+        shared = model.decode_cache(model.encode([(frames, audio)]))
         for _ in range(n):
             logps = []
 

@@ -8,7 +8,10 @@ reward, and minimizes
 
 so samples beating the baseline are reinforced and the rest suppressed.
 Rewards are constants in the surrogate; gradient flows only through the
-token log-probabilities of the sampled captions.  ``finetune_scst`` runs
+token log-probabilities of the sampled captions.  The rollouts of a step
+are one padded teacher-forced batch (``forward_teacher_forced``, each video
+encoded once): a rollout's real tokens weigh advantage / (B*N) in the loss,
+its padding 0.  ``finetune_scst`` runs
 this step inside the training loop XE uses (``training._fit``), with Adam
 at the constant learning rate ``RewardConfig.eta`` and the reward IDF
 frozen from the training references before the first step.
@@ -21,6 +24,8 @@ import json
 import statistics
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from . import tensor as T
 from .errors import ContractError
 from .features import DatasetManifest
@@ -28,7 +33,8 @@ from .metrics import IdfTable, bleu4, cider_sentence, compute_idf
 from .model import TransformerModel, greedy_decode, load_checkpoint_for, sample_decode
 from .tensor import RngState
 from .tokenizer import Vocabulary, decode, normalize_words
-from .training import TrainResult, TrainRunConfig, _fit, evaluate, greedy_captions
+from .training import (TrainResult, TrainRunConfig, _fit, evaluate, greedy_captions,
+                       teacher_forcing)
 
 
 @dataclass
@@ -90,25 +96,16 @@ def scst_surrogate_loss(model: TransformerModel, items) -> T.Tensor:
 
     ``items`` holds (sample, token ids, advantage) triples; the loss is the
     mean over items of advantage * (-sum_t log p(token_t)), so zero advantage
-    contributes exactly zero value and gradient.  Each sample is encoded once
-    and its rollouts' decoder passes share that encoding; backward sums their
-    gradients through it.
+    contributes exactly zero value and gradient.  All rollouts run as one
+    batch padded with PAD (id 0 in every vocabulary); each sample is encoded
+    once, and backward sums its rollouts' gradients through that encoding.
     """
     if not items:
         raise ContractError("surrogate loss needs at least one rollout")
-    encodings = {}  # id(sample) -> encoder output
-    total = None
-    for sample, ids, advantage in items:
-        if len(ids) < 2:
-            raise ContractError("rollout must contain BOS plus one token")
-        enc = encodings.get(id(sample))
-        if enc is None:
-            enc = encodings[id(sample)] = model.encode(sample.frames, sample.audio)
-        logits = model.decode_logits(enc, ids[:-1])
-        neg_logp = T.cross_entropy(logits, ids[1:])
-        term = T.scale(neg_logp, float(advantage))
-        total = term if total is None else T.add(total, term)
-    return T.scale(total, 1.0 / len(items))
+    inputs, targets, real = teacher_forcing([ids for _, ids, _ in items], 0)
+    weight = np.array([advantage for _, _, advantage in items], dtype=np.float64) / len(items)
+    logits = model.forward_teacher_forced([(s.frames, s.audio) for s, _, _ in items], inputs)
+    return T.cross_entropy(logits, targets, real * weight[:, None])
 
 
 def scst_batch_step(model: TransformerModel, batch, vocab: Vocabulary,

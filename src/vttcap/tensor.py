@@ -6,11 +6,12 @@ back to them.  float32 is the working precision; the same graph can be
 built in float64 when tight finite-difference tolerances are needed.
 
 Shapes follow NumPy: ``matmul`` multiplies the last two axes and
-broadcasts the leading ones like ``np.matmul``, ``add`` and ``mul``
-broadcast like ``+`` and ``*``, and every backward sums its gradient back
-over the axes its input was broadcast along.  ``reshape`` and
-``transpose`` move a head axis in and out of a (rows, d_model) matrix, so
-attention runs over all heads in one op instead of one op per head.
+broadcasts the leading ones like ``np.matmul``, ``add``, ``mul`` and
+``concat`` broadcast like ``+``, ``*`` and ``np.concatenate`` of broadcast
+arrays, and every backward sums its gradient back over the axes its input
+was broadcast along.  ``reshape`` and ``transpose`` move a head axis in and
+out of a (batch, rows, d_model) array, so attention runs over every video
+and head of a batch in one op instead of one op per caption and head.
 """
 
 from __future__ import annotations
@@ -89,8 +90,14 @@ class Tensor:
     def zero_grad(self):
         self.grad = None
 
-    def _accumulate(self, g):
+    def _accumulate(self, g, owned: bool = False):
+        """Add ``g`` to ``grad``.  ``owned``: ``g`` is a fresh array of this
+        tensor's shape and dtype that nothing else holds, so it can become
+        the buffer itself."""
         if self.grad is None:
+            if owned:
+                self.grad = g
+                return
             self.grad = np.zeros_like(self.data)
         self.grad += g
 
@@ -158,14 +165,31 @@ def _result(data, inputs, backward_fn) -> Tensor:
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """``np.matmul`` on 2+-D operands.  Backward: dA = dC @ B^T, dB = A^T @ dC,
-    each summed over the leading axes its operand was broadcast along."""
+    each summed over the leading axes its operand was broadcast along.
+
+    A batch of rows times a 2-D weight runs as one (rows, d_in) product,
+    forward and backward: NumPy's stacked matmul repacks the weight for every
+    matrix of the stack, and the weight's gradient would be a
+    (batch, d_in, d_out) stack summed afterwards.
+    """
     if (a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2]
             or not _broadcastable(a.shape[:-2], b.shape[:-2])):
         raise DimensionError(f"matmul shapes incompatible: {a.shape} @ {b.shape}")
-    data = a.data @ b.data
+    flat = b.ndim == 2 and a.ndim > 2 and a.size > a.shape[-1]
+    if flat:
+        data = (a.data.reshape(-1, a.shape[-1]) @ b.data).reshape(a.shape[:-1] + b.shape[1:])
+    else:
+        data = a.data @ b.data
 
     def make(out):
         def back(g):
+            if flat:
+                g2 = g.reshape(-1, g.shape[-1])
+                if a.requires_grad:
+                    a._accumulate((g2 @ b.data.T).reshape(a.shape))
+                if b.requires_grad:
+                    b._accumulate(a.data.reshape(-1, a.shape[-1]).T @ g2)
+                return
             if a.requires_grad:
                 a._accumulate(_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape))
             if b.requires_grad:
@@ -176,11 +200,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def _broadcastable(sa: tuple, sb: tuple) -> bool:
-    try:
-        np.broadcast_shapes(sa, sb)
-    except ValueError:
-        return False
-    return True
+    """NumPy's rule, without ``np.broadcast_shapes``'s cost on every op."""
+    return all(x == y or x == 1 or y == 1 for x, y in zip(reversed(sa), reversed(sb)))
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -279,7 +300,8 @@ def softmax_lastdim(x: Tensor) -> Tensor:
     """
     if x.shape[-1] < 1:
         raise DimensionError("softmax over an empty axis")
-    data = _softmax(x.data)
+    e = np.exp(x.data - x.data.max(axis=-1, keepdims=True))
+    data = e / e.sum(axis=-1, keepdims=True)
 
     def make(out):
         y = out.data  # not ``out``: see sigmoid
@@ -291,12 +313,6 @@ def softmax_lastdim(x: Tensor) -> Tensor:
         return back
 
     return _result(data, (x,), make)
-
-
-def _softmax(a: np.ndarray) -> np.ndarray:
-    shifted = a - a.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
@@ -331,27 +347,50 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
 
 
 def concat(tensors, axis: int = 0) -> Tensor:
-    """Concatenate along ``axis`` (0 or 1).  Backward splits the gradient."""
+    """Concatenate along ``axis``; the other axes broadcast like NumPy (one
+    memory-slot table joins the keys of every video of a batch).  Backward
+    splits the gradient and sums each part over its broadcast axes."""
     tensors = list(tensors)
     if not tensors:
         raise DimensionError("concat of an empty list")
-    if axis not in (0, 1):
-        raise DimensionError(f"concat axis must be 0 or 1, got {axis}")
-    data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.data.shape[axis] for t in tensors]
+    ndim = max(t.ndim for t in tensors)
+    if not -ndim <= axis < ndim:
+        raise DimensionError(f"concat axis {axis} invalid for {ndim}-D tensors")
+    axis = axis % ndim - ndim  # from the end, where shapes of different rank align
+    try:
+        data = np.concatenate([t.data for t in tensors], axis=axis)
+    except ValueError:  # ranks or the other axes differ: broadcast them
+        data = np.concatenate(_broadcast_except(tensors, axis), axis=axis)
+    sizes = [t.shape[axis] for t in tensors]
 
     def make(out):
         def back(g):
             offset = 0
             for t, s in zip(tensors, sizes):
                 if t.requires_grad:
-                    sl = (slice(offset, offset + s),) if axis == 0 else (
-                        slice(None), slice(offset, offset + s))
-                    t._accumulate(g[sl])
+                    sl = (Ellipsis, slice(offset, offset + s)) + (slice(None),) * (-axis - 1)
+                    t._accumulate(_unbroadcast(g[sl], t.shape))
                 offset += s
         return back
 
     return _result(data, tuple(tensors), make)
+
+
+def _broadcast_except(tensors, axis: int) -> list:
+    """The tensors' arrays broadcast to one shape on every axis but ``axis`` (< 0)."""
+    shapes = [t.shape for t in tensors]
+    if min(len(s) for s in shapes) < -axis:
+        raise DimensionError(f"concat axis {axis} missing from some of {shapes}")
+    rest = [s[:len(s) + axis] + (1,) + s[len(s) + axis + 1:] for s in shapes]
+    try:
+        common = list(np.broadcast_shapes(*rest))
+    except ValueError as exc:
+        raise DimensionError(f"concat shapes incompatible: {shapes}") from exc
+    out = []
+    for t in tensors:
+        common[axis] = t.shape[axis]
+        out.append(np.broadcast_to(t.data, tuple(common)))
+    return out
 
 
 def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:
@@ -389,10 +428,12 @@ def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
 
 
 def gather_rows(table: Tensor, ids) -> Tensor:
-    """Embedding lookup: rows ``ids`` of a (V, d) table, gradient scatter-added."""
+    """Entries ``ids`` of the leading axis of ``table``, shape ids.shape +
+    table.shape[1:]: token embeddings, or a batch's encodings repeated per
+    caption.  Backward scatter-adds straight into the table's gradient."""
     ids = np.asarray(ids, dtype=np.int64)
-    if table.ndim != 2:
-        raise DimensionError(f"gather_rows needs a matrix table, got {table.shape}")
+    if table.ndim < 1:
+        raise DimensionError(f"gather_rows needs a table with a leading axis, got {table.shape}")
     if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
         raise ContractError(
             f"row id out of range for table with {table.shape[0]} rows")
@@ -401,9 +442,9 @@ def gather_rows(table: Tensor, ids) -> Tensor:
     def make(out):
         def back(g):
             if table.requires_grad:
-                full = np.zeros_like(table.data)
-                np.add.at(full, ids, g)
-                table._accumulate(full)
+                if table.grad is None:
+                    table.grad = np.zeros_like(table.data)
+                np.add.at(table.grad, ids, g)
         return back
 
     return _result(data, (table,), make)
@@ -458,32 +499,42 @@ def sum_all(x: Tensor) -> Tensor:
 def cross_entropy(logits: Tensor, targets, weights=None) -> Tensor:
     """Weighted token-level cross entropy from raw logits.
 
-    Computes ``sum_t weights[t] * (-log softmax(logits[t])[targets[t]])`` as a
-    scalar.  Rows with weight 0 contribute nothing to value or gradient, which
-    is how PAD positions are masked out of the loss.
+    ``logits`` is (..., vocab) and ``targets`` (and ``weights``) have its
+    leading shape.  Computes ``sum weights * (-log softmax(logits)[targets])``
+    over every position as a scalar.  Positions with weight 0 contribute
+    nothing to value or gradient, which is how padding is masked out of the
+    loss.  Each pass allocates one (positions, vocab) array.
     """
     ids = np.asarray(targets, dtype=np.int64)
-    if logits.ndim != 2 or ids.shape != (logits.shape[0],):
+    if logits.ndim < 2 or ids.shape != logits.shape[:-1]:
         raise DimensionError(
             f"cross_entropy: logits {logits.shape} vs targets {ids.shape}")
-    if ids.size and (ids.min() < 0 or ids.max() >= logits.shape[1]):
+    if ids.size and (ids.min() < 0 or ids.max() >= logits.shape[-1]):
         raise ContractError(
-            f"target id out of range for vocab of {logits.shape[1]}")
-    w = (np.ones(ids.shape[0], dtype=logits.dtype) if weights is None
+            f"target id out of range for vocab of {logits.shape[-1]}")
+    w = (np.ones(ids.shape, dtype=logits.dtype) if weights is None
          else np.asarray(weights, dtype=logits.dtype))
     if w.shape != ids.shape:
         raise DimensionError(f"cross_entropy: weights {w.shape} vs targets {ids.shape}")
-    shifted = logits.data - logits.data.max(axis=-1, keepdims=True)
-    logz = np.log(np.exp(shifted).sum(axis=-1)) + logits.data.max(axis=-1)
-    picked = logits.data[np.arange(ids.shape[0]), ids]
-    data = np.asarray(np.sum(w * (logz - picked)), dtype=logits.dtype)
+    flat = logits.data.reshape(-1, logits.shape[-1])
+    rows, cols, w = np.arange(flat.shape[0]), ids.reshape(-1), w.reshape(-1)
+    top = flat.max(axis=-1, keepdims=True)
+
+    def exp_shifted() -> np.ndarray:
+        e = flat - top
+        return np.exp(e, out=e)
+
+    logz = np.log(exp_shifted().sum(axis=-1)) + top[:, 0]
+    data = np.asarray(np.sum(w * (logz - flat[rows, cols])), dtype=logits.dtype)
 
     def make(out):
         def back(g):
             if logits.requires_grad:
-                p = _softmax(logits.data)
-                p[np.arange(ids.shape[0]), ids] -= 1.0
-                logits._accumulate(p * (w * float(g))[:, None])
+                p = exp_shifted()  # softmax, then the gradient, in this one array
+                p /= p.sum(axis=-1, keepdims=True)
+                p[rows, cols] -= 1.0
+                p *= (w * float(g))[:, None]
+                logits._accumulate(p.reshape(logits.shape), owned=True)
         return back
 
     return _result(data, (logits,), make)

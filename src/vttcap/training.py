@@ -9,6 +9,12 @@ only in their step, learning-rate and validation functions.  It validates
 every epoch (or every ``eval_every`` steps), keeps one checkpoint per
 validation plus the best-CIDEr-D one as ``best.vttc``, and stops after
 ``patience`` validations without improvement.
+
+An XE step is one graph: its (video, caption) pairs go through
+``forward_teacher_forced`` as one padded batch (``teacher_forcing``), each
+distinct video encoded once, and the loss weights every real target token 1
+and every padded one 0.  ``validation_loss`` runs the validation pairs the
+same way, ``batch_size`` pairs at a time.
 """
 
 from __future__ import annotations
@@ -47,11 +53,19 @@ class OptimizerState:
 
 
 def adam_update(params: dict, state: OptimizerState, lr: float) -> None:
-    """One bias-corrected Adam step over ``params`` using their .grad buffers."""
+    """One bias-corrected Adam step over ``params`` using their .grad buffers.
+
+    In place: every intermediate lands in one of two scratch buffers sized
+    for the largest parameter and viewed in each parameter's shape, in the
+    order of ``m += (1-b1)(g-m); v += (1-b2)(g*g-v);
+    p -= (lr/c1) m / (sqrt(v/c2) + eps)``, so the result is bit for bit that
+    expression's.
+    """
     state.t += 1
     b1, b2 = state.beta1, state.beta2
     c1 = 1.0 - b1 ** state.t
     c2 = 1.0 - b2 ** state.t
+    scratch = {}  # dtype -> two flat buffers
     for name, p in params.items():
         g = p.grad
         if g is None:
@@ -63,9 +77,24 @@ def adam_update(params: dict, state: OptimizerState, lr: float) -> None:
             state.v[name] = np.zeros_like(p.data)
         m = state.m[name]
         v = state.v[name]
-        m += (1.0 - b1) * (g - m)
-        v += (1.0 - b2) * (g * g - v)
-        p.data -= (lr / c1) * m / (np.sqrt(v / c2) + state.eps)
+        dt = p.data.dtype
+        if dt not in scratch:
+            n = max(q.size for q in params.values() if q.data.dtype == dt)
+            scratch[dt] = (np.empty(n, dt), np.empty(n, dt))
+        s, t = (buf[:g.size].reshape(g.shape) for buf in scratch[dt])
+        np.subtract(g, m, out=s)
+        s *= 1.0 - b1
+        m += s
+        np.multiply(g, g, out=s)
+        s -= v
+        s *= 1.0 - b2
+        v += s
+        np.divide(v, c2, out=s)
+        np.sqrt(s, out=s)
+        s += state.eps
+        np.multiply(m, lr / c1, out=t)
+        t /= s
+        p.data -= t
 
 
 def clip_gradients(params: dict, max_norm: float = GRAD_CLIP_NORM) -> float:
@@ -136,6 +165,8 @@ class TrainRunConfig:
     def __post_init__(self):
         if self.batch_size < 1:
             raise ContractError("batch_size must be >= 1")
+        if self.epochs < 0:
+            raise ContractError("epochs must be >= 0")
 
 
 @dataclass
@@ -155,39 +186,52 @@ def caption_pairs(samples, vocab: Vocabulary, l_max: int) -> list:
     return pairs
 
 
-def sequence_loss(model: TransformerModel, sample, ids, vocab: Vocabulary,
-                  train: bool = False, rng: RngState | None = None):
-    """Summed cross entropy over non-PAD target positions, plus their count."""
-    inputs = ids[:-1]
-    targets = np.asarray(ids[1:], dtype=np.int64)
-    weights = (targets != vocab.pad_id).astype(np.float64)
-    logits = model.forward_teacher_forced(sample.frames, sample.audio, inputs,
-                                          train=train, rng=rng)
-    return T.cross_entropy(logits, targets, weights), float(weights.sum())
+def teacher_forcing(captions, pad_id: int) -> tuple:
+    """(inputs, targets, real) of a padded caption batch, each (B, L).
+
+    Row b holds ``captions[b][:-1]`` as inputs and ``captions[b][1:]`` as
+    targets, padded with ``pad_id`` to the longest; ``real`` is 1.0 on each
+    caption's own targets and 0.0 on the padding.
+    """
+    width = max(len(c) for c in captions)
+    if min(len(c) for c in captions) < 2:
+        raise ContractError("a caption needs BOS plus one token")
+    ids = np.full((len(captions), width), pad_id, dtype=np.int64)
+    for row, c in zip(ids, captions):
+        row[:len(c)] = c
+    lengths = np.array([len(c) - 1 for c in captions])
+    real = (np.arange(width - 1) < lengths[:, None]).astype(np.float64)
+    return ids[:, :-1], ids[:, 1:], real
+
+
+def _xe_sum(model: TransformerModel, samples, pairs, vocab: Vocabulary,
+            train: bool = False, rng: RngState | None = None) -> tuple:
+    """Summed cross entropy over the real target tokens of ``pairs``, run as
+    one padded batch, plus their count."""
+    inputs, targets, real = teacher_forcing([ids for _, ids in pairs], vocab.pad_id)
+    videos = [(samples[i].frames, samples[i].audio) for i, _ in pairs]
+    logits = model.forward_teacher_forced(videos, inputs, train=train, rng=rng)
+    return T.cross_entropy(logits, targets, real), float(real.sum())
 
 
 def batch_xe_loss(model: TransformerModel, samples, batch_pairs, vocab: Vocabulary,
                   train: bool = False, rng: RngState | None = None):
-    """Mean cross entropy per non-PAD token over a batch of caption pairs."""
-    total = None
-    denom = 0.0
-    for sample_idx, ids in batch_pairs:
-        ce, n_tok = sequence_loss(model, samples[sample_idx], ids, vocab,
-                                  train=train, rng=rng)
-        total = ce if total is None else T.add(total, ce)
-        denom += n_tok
-    if total is None or denom == 0.0:
+    """Mean cross entropy per real target token over a batch of caption pairs."""
+    if not batch_pairs:
         raise ContractError("batch contains no scorable tokens")
+    total, denom = _xe_sum(model, samples, batch_pairs, vocab, train=train, rng=rng)
     return T.scale(total, 1.0 / denom)
 
 
-def validation_loss(model: TransformerModel, samples, pairs, vocab: Vocabulary) -> float:
-    """Teacher-forced mean CE per non-PAD token over all (video, caption) pairs."""
+def validation_loss(model: TransformerModel, samples, pairs, vocab: Vocabulary,
+                    batch_size: int) -> float:
+    """Teacher-forced mean CE per real target token over all (video, caption)
+    pairs, ``batch_size`` pairs per forward pass."""
     total = 0.0
     denom = 0.0
     with T.no_grad():
-        for sample_idx, ids in pairs:
-            ce, n_tok = sequence_loss(model, samples[sample_idx], ids, vocab)
+        for lo in range(0, len(pairs), batch_size):
+            ce, n_tok = _xe_sum(model, samples, pairs[lo:lo + batch_size], vocab)
             total += ce.item()
             denom += n_tok
     return total / denom if denom else 0.0
@@ -309,7 +353,8 @@ def train_xe(model: TransformerModel, vocab: Vocabulary, train: DatasetManifest,
 
     def validate_fn() -> dict:
         return {**evaluate(model, val_samples, vocab).as_dict(),
-                "val_loss": validation_loss(model, val_samples, val_pairs, vocab)}
+                "val_loss": validation_loss(model, val_samples, val_pairs, vocab,
+                                            run.batch_size)}
 
     return _fit(model, len(train_pairs), step_fn,
                 lambda step: lr_at(step, sched) if step else 0.0, validate_fn, run, rng)

@@ -60,6 +60,12 @@ def assert_grads_match(loss_fn, params, rng, n_components: int = 20,
     return worst
 
 
+def only(batch):
+    """Row 0 of a batch of one, as a tensor, for checks on one video's
+    (positions, ...) values."""
+    return T.gather_rows(batch, 0)
+
+
 def tiny_config(attention_kind: str = "memory_scaled_dot", **overrides) -> ModelConfig:
     """The spec's gradient-suite configuration."""
     base = dict(n_enc=1, n_dec=1, n_heads=2, d_model=8, d_ff=16, d_memory=2,

@@ -1,5 +1,5 @@
-"""CLI exit codes for numeric failures, corrupt inputs and removed config keys;
-``caption``, ``score`` and atomic CLI outputs."""
+"""CLI exit codes for numeric failures, corrupt inputs, malformed config and
+removed config keys; ``caption``, ``score`` and atomic CLI outputs."""
 
 import json
 
@@ -153,3 +153,61 @@ def test_malformed_hypothesis_exits_2(workdir, tmp_path, capsys, line):
     assert code == 2
     assert "hyp.jsonl:1" in capsys.readouterr().err
     assert not (tmp_path / "score.json").exists()
+
+
+@pytest.mark.parametrize("override", [
+    {"run": {"batch_size": "16"}},
+    {"model": {"d_model": "32"}},
+])
+def test_config_value_of_the_wrong_type_exits_1(workdir, tmp_path, capsys, override):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**override, "model": {**TINY_MODEL,
+                                                        **override.get("model", {})}}))
+    args = run_args(workdir, tmp_path / "run")
+    args[1] = str(config)
+    assert dispatch(["train", *args]) == 1
+    assert "must be of type int" in capsys.readouterr().err
+
+
+def test_config_type_rules():
+    from vttcap.cli import _fits
+
+    assert _fits(1e-4, 1) and _fits(1e-4, 0.5) and not _fits(1e-4, True)
+    assert _fits(16, 16) and not _fits(16, True) and not _fits(16, 16.0)
+    assert _fits(None, 30522) and _fits(None, "path") and _fits(None, 0.01)
+    assert _fits({"a": 1}, {}) and not _fits({"a": 1}, [1]) and not _fits(True, 1)
+
+
+def test_zero_heads_exits_2(workdir, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"model": {**TINY_MODEL, "n_heads": 0}}))
+    args = run_args(workdir, tmp_path / "run")
+    args[1] = str(config)
+    assert dispatch(["train", *args]) == 2
+    assert "n_heads" in capsys.readouterr().err
+
+
+def test_negative_epochs_exit_2(workdir, tmp_path, capsys):
+    args = run_args(workdir, tmp_path / "run")
+    args[-1] = "-1"
+    assert dispatch(["train", *args]) == 2
+    assert "epochs" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+NOT_UTF8 = b"\xff\xfe{\"id\": \"v\"}\n"
+
+
+@pytest.mark.parametrize("subcommand", ["score", "build-vocab", "evaluate"])
+def test_non_utf8_input_exits_2(workdir, tmp_path, capsys, subcommand):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(NOT_UTF8)
+    argv = {
+        "score": ["score", "--hyp", str(bad), "--refs", str(workdir / "data" / "val.jsonl")],
+        "build-vocab": ["build-vocab", "--manifest", str(bad),
+                        "--out", str(tmp_path / "vocab.txt")],
+        "evaluate": ["evaluate", "--checkpoint", str(workdir / "init.vttc"),
+                     "--manifest", str(workdir / "data" / "val.jsonl"), "--vocab", str(bad)],
+    }[subcommand]
+    assert dispatch(argv) == 2
+    assert "utf-8" in capsys.readouterr().err

@@ -6,16 +6,19 @@ import json
 import numpy as np
 import pytest
 
-from conftest import assert_grads_match, tiny_config
+from conftest import assert_grads_match, only, tiny_config
 from vttcap import tensor as T
 from vttcap.errors import ContractError, FormatError
-from vttcap.features import FeatureMatrix, dummy_audio
+from vttcap.features import FeatureMatrix, VideoSample, dummy_audio
 from vttcap.model import (ModelConfig, TransformerModel, XLinearWeights, causal_mask,
                           embed_multimodal, greedy_decode, load_checkpoint,
                           load_checkpoint_for,
                           memory_attention, pe_block, sample_decode, save_checkpoint,
                           sinusoidal_pe, x_linear_attention)
+from vttcap.scst import scst_surrogate_loss
 from vttcap.tensor import RngState
+from vttcap.tokenizer import Vocabulary
+from vttcap.training import batch_xe_loss, validation_loss
 
 
 def rand_frames(rng, t=4, d=5):
@@ -80,14 +83,14 @@ class TestEmbedMultimodal:
     def test_pe_indices_with_audio(self):
         frames = FeatureMatrix(np.zeros((2, 5), dtype=np.float32))
         audio = FeatureMatrix(np.zeros((3, 3), dtype=np.float32))
-        out = embed_multimodal(frames, audio, self.zero)
+        out = only(embed_multimodal([(frames, audio)], self.zero)[0])
         assert out.shape == (5, 8)
         expected = np.concatenate([pe_block(0, 2, 8), pe_block(300, 3, 8)])
         assert np.array_equal(out.data, expected.astype(np.float32))
 
     def test_absent_audio_single_offset_row(self):
         frames = FeatureMatrix(np.zeros((2, 5), dtype=np.float32))
-        out = embed_multimodal(frames, None, self.zero)
+        out = only(embed_multimodal([(frames, None)], self.zero)[0])
         assert out.shape == (3, 8)
         assert np.array_equal(out.data[-1],
                               sinusoidal_pe(300, 8).astype(np.float32))
@@ -95,14 +98,14 @@ class TestEmbedMultimodal:
     def test_dummy_equals_absent(self, np_rng):
         model = TransformerModel(self.cfg, seed=4)
         frames = rand_frames(np_rng)
-        a = model.forward_teacher_forced(frames, None, [2, 5, 7])
-        b = model.forward_teacher_forced(frames, dummy_audio(1, 3), [2, 5, 7])
+        a = only(model.forward_teacher_forced([(frames, None)], [[2, 5, 7]]))
+        b = only(model.forward_teacher_forced([(frames, dummy_audio(1, 3))], [[2, 5, 7]]))
         assert np.array_equal(a.data, b.data)
 
     def test_frames_beyond_offset_rejected(self, np_rng):
         frames = FeatureMatrix(np_rng.normal(size=(301, 5)).astype(np.float32))
         with pytest.raises(ContractError, match="p_audio"):
-            embed_multimodal(frames, None, self.zero)
+            embed_multimodal([(frames, None)], self.zero)
 
 
 class TestMemoryAttention:
@@ -201,33 +204,33 @@ class TestForwardTeacherForced:
     def test_causal_mask(self, kind, np_rng):
         model = TransformerModel(tiny_config(kind), seed=2)
         frames = rand_frames(np_rng)
-        base = model.forward_teacher_forced(frames, None, [2, 5, 7, 9])
-        poked = model.forward_teacher_forced(frames, None, [2, 5, 8, 9])
+        base = only(model.forward_teacher_forced([(frames, None)], [[2, 5, 7, 9]]))
+        poked = only(model.forward_teacher_forced([(frames, None)], [[2, 5, 8, 9]]))
         assert np.array_equal(base.data[:2], poked.data[:2])
         assert not np.array_equal(base.data[2:], poked.data[2:])
 
     def test_logit_shape(self, np_rng):
         model = TransformerModel(tiny_config(), seed=2)
-        out = model.forward_teacher_forced(rand_frames(np_rng), None, [2, 5, 7])
+        out = only(model.forward_teacher_forced([(rand_frames(np_rng), None)], [[2, 5, 7]]))
         assert out.shape == (3, 12)
 
     def test_zero_init_cross_entropy_is_log_vocab(self, np_rng):
         model = TransformerModel(tiny_config(), init="zeros")
-        logits = model.forward_teacher_forced(rand_frames(np_rng), None, [2, 5, 7])
+        logits = only(model.forward_teacher_forced([(rand_frames(np_rng), None)], [[2, 5, 7]]))
         ce = T.cross_entropy(logits, [5, 7, 3])
         assert ce.item() == pytest.approx(3 * np.log(12), rel=1e-6)
 
     def test_token_out_of_range(self, np_rng):
         model = TransformerModel(tiny_config(), seed=2)
         with pytest.raises(ContractError):
-            model.forward_teacher_forced(rand_frames(np_rng), None, [2, 12])
+            model.forward_teacher_forced([(rand_frames(np_rng), None)], [[2, 12]])
 
     def test_encoder_is_order_sensitive(self, np_rng):
         model = TransformerModel(tiny_config(), seed=2)
         frames = rand_frames(np_rng, t=4)
         permuted = FeatureMatrix(frames.values[::-1].copy())
-        a = model.encode(frames, None)
-        b = model.encode(permuted, None)
+        a = model.encode([(frames, None)]).out
+        b = model.encode([(permuted, None)]).out
         assert not np.allclose(a.data, b.data)
 
 
@@ -240,7 +243,7 @@ class TestGradientChecks:
         ids = [2, 5, 7, 4, 3]
 
         def loss():
-            logits = model.forward_teacher_forced(frames, audio, ids[:-1])
+            logits = only(model.forward_teacher_forced([(frames, audio)], [ids[:-1]]))
             return T.cross_entropy(logits, ids[1:])
 
         worst = assert_grads_match(loss, list(model.params.values()),
@@ -257,9 +260,9 @@ class TestGreedyDecode:
         probe[:8, :8] = np.eye(8)
         model.params["out_proj.w"].data = probe
         with T.no_grad():
-            enc = model.encode(FeatureMatrix(np.zeros((2, 5), dtype=np.float32)), None)
-            x0 = model.decode_logits(enc, [2]).data[0, :8].astype(np.float64)
-            x1 = model.decode_logits(enc, [2, 7]).data[1, :8].astype(np.float64)
+            enc = model.encode([(FeatureMatrix(np.zeros((2, 5), dtype=np.float32)), None)])
+            x0 = model.decode_logits(enc, [[2]]).data[0][0, :8].astype(np.float64)
+            x1 = model.decode_logits(enc, [[2, 7]]).data[0][1, :8].astype(np.float64)
         w = np.zeros((8, 12))
         w[:, 7] = x0 / np.linalg.norm(x0)
         w[:, 3] = x1 / np.linalg.norm(x1)  # EOS column
@@ -327,7 +330,7 @@ class TestSampleDecode:
         (ids, logps), = sample_decode(model, frames, None, 2, 3, n=1,
                                       rng=RngState(7))
         with T.no_grad():
-            logits = model.forward_teacher_forced(frames, None, ids[:-1])
+            logits = only(model.forward_teacher_forced([(frames, None)], [ids[:-1]]))
         expected = T.log_softmax_lastdim(logits.data.astype(np.float64))
         for t, tok in enumerate(ids[1:]):
             assert logps[t] == pytest.approx(expected[t, tok], abs=1e-5)
@@ -336,10 +339,10 @@ class TestSampleDecode:
 def reference_decode(model, frames, audio, bos_id, eos_id, l_max, pick):
     """The decode loop without a cache: the whole prefix through the decoder per step."""
     with T.no_grad():
-        enc = model.encode(frames, audio)
+        enc = model.encode([(frames, audio)])
         ids = [bos_id]
         while len(ids) < l_max + 2:
-            ids.append(pick(model.decode_logits(enc, ids).data[-1]))
+            ids.append(pick(model.decode_logits(enc, [ids]).data[0, -1]))
             if ids[-1] == eos_id:
                 break
     return ids
@@ -375,15 +378,15 @@ class TestDecodeCache:
         frames, audio = video(np_rng, with_audio)
         ids = [2, 5, 7, 4, 9, 1, 6, 11, 8, 5]  # l_max + 2 tokens
         with T.no_grad():
-            enc = model.encode(frames, audio)
+            enc = model.encode([(frames, audio)])
             cache = model.decode_cache(enc)
             # one token per call, with two multi-token calls among them
             chunks = [ids[:3], ids[3:4], ids[4:7]] + [[i] for i in ids[7:]]
             pos = 0
             for chunk in chunks:
-                step = model.decode_logits(enc, chunk, cache=cache).data
+                step = model.decode_logits(enc, [chunk], cache=cache).data[0]
                 pos += len(chunk)
-                full = model.decode_logits(enc, ids[:pos]).data[pos - len(chunk):]
+                full = model.decode_logits(enc, [ids[:pos]]).data[0][pos - len(chunk):]
                 assert step.shape == full.shape
                 assert np.max(np.abs(step - full)) <= tol * np.max(np.abs(full))
             assert cache.length == len(ids)
@@ -436,22 +439,22 @@ class TestDecodeCache:
         model = TransformerModel(tiny_config(), seed=5, dtype=np.float64)
         frames, audio = video(np_rng, True)
         with T.no_grad():
-            enc = model.encode(frames, audio)
+            enc = model.encode([(frames, audio)])
             shared = model.decode_cache(enc)
             a, b = shared.fresh(), shared.fresh()
             assert a.cross is b.cross is shared.cross
-            model.decode_logits(enc, [2, 5, 6], cache=a)
+            model.decode_logits(enc, [[2, 5, 6]], cache=a)
             assert a.length == 3 and b.length == 0 and b.self_kv == [None]
-            first = model.decode_logits(enc, [2], cache=b).data
-            assert np.allclose(first, model.decode_logits(enc, [2]).data, rtol=1e-12)
+            first = model.decode_logits(enc, [[2]], cache=b).data
+            assert np.allclose(first, model.decode_logits(enc, [[2]]).data, rtol=1e-12)
 
     def test_cache_of_another_encoding_rejected(self, np_rng):
         model = TransformerModel(tiny_config(), seed=5)
         with T.no_grad():
-            cache = model.decode_cache(model.encode(rand_frames(np_rng), None))
-            other = model.encode(rand_frames(np_rng), None)
+            cache = model.decode_cache(model.encode([(rand_frames(np_rng), None)]))
+            other = model.encode([(rand_frames(np_rng), None)])
             with pytest.raises(ContractError, match="encoder output"):
-                model.decode_logits(other, [2], cache=cache)
+                model.decode_logits(other, [[2]], cache=cache)
 
 
 # ---------------------------------------------------------------------------
@@ -626,12 +629,12 @@ class TestPerHeadReference:
         expected = ref_logits(per_head_params(model), model.cfg, frames, audio, ids)
         scale = np.max(np.abs(expected))
         with T.no_grad():
-            got = model.forward_teacher_forced(frames, audio, ids).data
+            got = model.forward_teacher_forced([(frames, audio)], [ids]).data[0]
             assert np.max(np.abs(got - expected)) <= tol * scale
-            enc = model.encode(frames, audio)
+            enc = model.encode([(frames, audio)])
             cache = model.decode_cache(enc)
             for t, tok in enumerate(ids):
-                step = model.decode_logits(enc, [tok], cache=cache).data[0]
+                step = model.decode_logits(enc, [[tok]], cache=cache).data[0, 0]
                 assert np.max(np.abs(step - expected[t])) <= tol * scale, t
 
     @pytest.mark.parametrize("kind,n_heads", HEAD_CONFIGS)
@@ -651,6 +654,173 @@ class TestPerHeadReference:
         got = sample_decode(model, frames, audio, 2, 3, n=4, rng=RngState(21))
         assert [ids for ids, _ in got] == expected
 
+
+
+# ---------------------------------------------------------------------------
+# per-pair reference: one (video, caption) pair per forward pass, no padding
+# and no mask, which the padded teacher-forced batch must equal
+
+
+def sequence_loss(model, sample, ids, vocab):
+    """Summed cross entropy over non-PAD target positions, plus their count."""
+    targets = np.asarray(ids[1:], dtype=np.int64)
+    weights = (targets != vocab.pad_id).astype(np.float64)
+    logits = only(model.forward_teacher_forced([(sample.frames, sample.audio)], [ids[:-1]]))
+    return T.cross_entropy(logits, targets, weights), float(weights.sum())
+
+
+def per_pair_xe_loss(model, samples, pairs, vocab):
+    total, denom = None, 0.0
+    for sample_idx, ids in pairs:
+        ce, n_tok = sequence_loss(model, samples[sample_idx], ids, vocab)
+        total = ce if total is None else T.add(total, ce)
+        denom += n_tok
+    return T.scale(total, 1.0 / denom)
+
+
+def per_rollout_surrogate(model, items, vocab):
+    total = None
+    for sample, ids, advantage in items:
+        ce, _ = sequence_loss(model, sample, ids, vocab)
+        term = T.scale(ce, advantage)
+        total = term if total is None else T.add(total, term)
+    return T.scale(total, 1.0 / len(items))
+
+
+BATCH_VOCAB = Vocabulary.from_tokens(["[PAD]", "[UNK]", "[BOS]", "[EOS]",
+                                      *(f"w{i}" for i in range(8))])
+# BOS ... EOS captions of 2, 3, 5 and 1 content tokens
+CAPTIONS = [[2, 5, 7, 3], [2, 9, 4, 6, 3], [2, 4, 6, 8, 10, 11, 3], [2, 8, 3]]
+
+
+def batch_samples(rng, with_audio):
+    """Three videos of 2, 4 and 3 frames; with audio, of 3, 1 and 2 audio rows."""
+    out = []
+    for i, (t, t_audio) in enumerate(((2, 3), (4, 1), (3, 2))):
+        audio = (FeatureMatrix(rng.normal(size=(t_audio, 3)).astype(np.float32))
+                 if with_audio else None)
+        out.append(VideoSample(f"v{i}", rand_frames(rng, t=t), audio, ["a"]))
+    return out
+
+
+# video 0 twice, and video 2 with two captions of other lengths
+BATCH_PAIRS = [(0, CAPTIONS[0]), (1, CAPTIONS[1]), (0, CAPTIONS[2]), (2, CAPTIONS[3]),
+               (2, CAPTIONS[1])]
+
+BATCH_CASES = [(kind, with_audio) for kind in ("memory_scaled_dot", "x_linear")
+               for with_audio in (False, True)]
+
+
+def loss_and_grads(model, loss_fn):
+    model.zero_grad()
+    loss = loss_fn()
+    loss.backward()
+    return loss.item(), {n: p.grad.copy() for n, p in model.params.items()
+                         if p.grad is not None}
+
+
+def assert_close(got, expected, tol, what):
+    scale = max(np.max(np.abs(expected)), 1e-30)
+    assert np.max(np.abs(np.asarray(got) - expected)) <= tol * scale, what
+
+
+class TestBatchedTeacherForcing:
+    """The padded batch against the per-pair reference above."""
+
+    @pytest.mark.parametrize("kind,with_audio", BATCH_CASES)
+    @pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-9), (np.float32, 1e-5)])
+    def test_xe_loss_and_gradients_match_per_pair(self, kind, with_audio, dtype, tol,
+                                                  np_rng):
+        model = TransformerModel(tiny_config(kind), seed=7, dtype=dtype)
+        samples = batch_samples(np_rng, with_audio)
+        loss, grads = loss_and_grads(
+            model, lambda: batch_xe_loss(model, samples, BATCH_PAIRS, BATCH_VOCAB))
+        ref_loss, ref = loss_and_grads(
+            model, lambda: per_pair_xe_loss(model, samples, BATCH_PAIRS, BATCH_VOCAB))
+        assert loss == pytest.approx(ref_loss, rel=tol)
+        assert grads.keys() == ref.keys() == model.params.keys()
+        for name in ref:
+            assert_close(grads[name], ref[name], tol, name)
+
+    @pytest.mark.parametrize("kind,with_audio", BATCH_CASES)
+    @pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-9), (np.float32, 1e-5)])
+    def test_validation_loss_matches_per_pair(self, kind, with_audio, dtype, tol, np_rng):
+        model = TransformerModel(tiny_config(kind), seed=7, dtype=dtype)
+        samples = batch_samples(np_rng, with_audio)
+        with T.no_grad():
+            expected = per_pair_xe_loss(model, samples, BATCH_PAIRS, BATCH_VOCAB).item()
+        for batch_size in (1, 2, len(BATCH_PAIRS)):
+            got = validation_loss(model, samples, BATCH_PAIRS, BATCH_VOCAB, batch_size)
+            assert got == pytest.approx(expected, rel=tol), batch_size
+
+    @pytest.mark.parametrize("kind,with_audio", BATCH_CASES)
+    @pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-9), (np.float32, 1e-5)])
+    def test_surrogate_matches_per_rollout(self, kind, with_audio, dtype, tol, np_rng):
+        model = TransformerModel(tiny_config(kind), seed=7, dtype=dtype)
+        samples = batch_samples(np_rng, with_audio)
+        items = [(samples[i], ids, adv)
+                 for (i, ids), adv in zip(BATCH_PAIRS, (0.5, -1.25, 2.0, 0.0, 0.75))]
+        loss, grads = loss_and_grads(model, lambda: scst_surrogate_loss(model, items))
+        ref_loss, ref = loss_and_grads(
+            model, lambda: per_rollout_surrogate(model, items, BATCH_VOCAB))
+        assert loss == pytest.approx(ref_loss, rel=tol)
+        assert grads.keys() == ref.keys()
+        for name in ref:
+            assert_close(grads[name], ref[name], tol, name)
+
+    @pytest.mark.parametrize("kind,with_audio", BATCH_CASES)
+    def test_longer_rows_leave_the_others_unchanged(self, kind, with_audio, np_rng):
+        model = TransformerModel(tiny_config(kind), seed=7, dtype=np.float64)
+        samples = batch_samples(np_rng, with_audio)
+        longer = VideoSample("long", rand_frames(np_rng, t=7),
+                             FeatureMatrix(np_rng.normal(size=(5, 3)))
+                             if with_audio else None, ["a"])
+
+        def row_losses(pairs):
+            videos = [(s.frames, s.audio) for s, _ in pairs]
+            width = max(len(c) for _, c in pairs)
+            ids = np.array([c + [0] * (width - len(c)) for _, c in pairs])
+            with T.no_grad():
+                logp = T.log_softmax_lastdim(
+                    model.forward_teacher_forced(videos, ids[:, :-1]).data)
+            return [-sum(logp[b, t, c[t + 1]] for t in range(len(c) - 1))
+                    for b, (_, c) in enumerate(pairs)]
+
+        base = [(samples[0], CAPTIONS[0]), (samples[1], CAPTIONS[3])]
+        alone = row_losses(base)
+        for extra in ((longer, CAPTIONS[0]), (samples[2], CAPTIONS[2] + [5, 3]),
+                      (longer, CAPTIONS[2])):
+            grown = row_losses(base + [extra])
+            assert np.allclose(grown[:2], alone, rtol=1e-12, atol=0), extra[0].id
+
+    @pytest.mark.parametrize("kind,with_audio", BATCH_CASES)
+    def test_padded_positions_get_zero_gradient(self, kind, with_audio, np_rng):
+        model = TransformerModel(tiny_config(kind), seed=7, dtype=np.float64)
+        samples = batch_samples(np_rng, with_audio)
+        enc = model.encode([(s.frames, s.audio) for s in samples])
+        padding = enc.mask[:, 0, 0, :] < 0
+        assert padding.any() and not padding.all(axis=1).any()
+        captions = CAPTIONS[:3]
+        width = max(len(c) for c in captions)
+        ids = np.array([c + [BATCH_VOCAB.pad_id] * (width - len(c)) for c in captions])
+        real = (np.arange(width - 1) < np.array([len(c) - 1 for c in captions])[:, None])
+        logits = model.decode_logits(enc, ids[:, :-1])
+        T.cross_entropy(logits, ids[:, 1:], real.astype(np.float64)).backward()
+        assert np.all(enc.out.grad[padding] == 0.0)
+        assert np.any(enc.out.grad[~padding] != 0.0)
+        assert np.all(logits.grad[~real] == 0.0)
+        # PAD is only ever an input at padded positions
+        assert np.all(model.params["token_embed"].grad[BATCH_VOCAB.pad_id] == 0.0)
+
+    def test_repeated_video_is_encoded_once(self, np_rng, monkeypatch):
+        model = TransformerModel(tiny_config(), seed=7)
+        samples = batch_samples(np_rng, True)
+        batches = []
+        encode = model.encode
+        monkeypatch.setattr(model, "encode",
+                            lambda videos, **kw: batches.append(len(videos)) or encode(videos, **kw))
+        batch_xe_loss(model, samples, BATCH_PAIRS, BATCH_VOCAB)
+        assert batches == [3]
 
 
 class TestHeadBatchedAttention:
@@ -697,7 +867,7 @@ class TestGraphLifetime:
         gc.collect()
         gc.disable()
         try:
-            logits = model.forward_teacher_forced(frames, audio, [2, 5, 7, 4])
+            logits = only(model.forward_teacher_forced([(frames, audio)], [[2, 5, 7, 4]]))
             loss = T.cross_entropy(logits, [5, 7, 4, 3])
             loss.backward()
             del logits, loss
@@ -716,8 +886,8 @@ class TestCheckpoint:
         for name, p in model.params.items():
             assert np.array_equal(p.data, again.params[name].data), name
         frames = rand_frames(np_rng)
-        a = model.forward_teacher_forced(frames, None, [2, 5, 3])
-        b = again.forward_teacher_forced(frames, None, [2, 5, 3])
+        a = only(model.forward_teacher_forced([(frames, None)], [[2, 5, 3]]))
+        b = only(again.forward_teacher_forced([(frames, None)], [[2, 5, 3]]))
         assert np.array_equal(a.data, b.data)
 
     def test_deterministic_bytes(self, tmp_path):

@@ -298,6 +298,83 @@ class TestBroadcastGradients:
         with pytest.raises(DimensionError):
             T.transpose(T.constant(np.zeros(3)))
 
+class TestBatchAxisGradients:
+    """The ops a padded batch needs: concat on any axis with broadcasting,
+    gather on the leading axis of any table, a batch times a 2-D weight, and
+    cross entropy over (batch, positions, vocab)."""
+
+    @pytest.mark.parametrize("trial", range(5))
+    def test_concat_on_axis_two_broadcasts_a_shared_table(self, trial):
+        rng = np.random.default_rng(1100 + trial)
+        k = p64(rng.normal(size=(2, 3, 4, 5)))   # (batch, heads, keys, d)
+        mem = p64(rng.normal(size=(3, 2, 5)))    # (heads, slots, d), shared by the batch
+        r = T.constant(rng.normal(size=(2, 3, 6, 5)))
+
+        def loss():
+            return T.sum_all(T.mul(T.concat([k, mem], axis=2), r))
+
+        assert T.concat([k, mem], axis=2).shape == (2, 3, 6, 5)
+        assert np.array_equal(T.concat([k, mem], axis=-2).data,
+                              np.concatenate([k.data, np.broadcast_to(mem.data, (2, 3, 2, 5))],
+                                             axis=2))
+        assert_grads_match(loss, [k, mem], rng, n_components=15)
+
+    @pytest.mark.parametrize("trial", range(5))
+    def test_gather_rows_of_a_four_d_table_with_two_d_ids(self, trial):
+        rng = np.random.default_rng(1200 + trial)
+        table = p64(rng.normal(size=(4, 2, 3, 2)))
+        ids = np.array([[0, 3, 3], [1, 0, 2]])  # repeats scatter-add
+        r = T.constant(rng.normal(size=(2, 3, 2, 3, 2)))
+
+        def loss():
+            return T.sum_all(T.mul(T.gather_rows(table, ids), r))
+
+        assert T.gather_rows(table, ids).shape == (2, 3, 2, 3, 2)
+        assert np.array_equal(T.gather_rows(table, ids).data, table.data[ids])
+        assert_grads_match(loss, [table], rng, n_components=15)
+
+    @pytest.mark.parametrize("trial", range(5))
+    def test_three_d_matmul_by_a_two_d_weight(self, trial):
+        rng = np.random.default_rng(1300 + trial)
+        x = p64(rng.normal(size=(3, 4, 5)))
+        w = p64(rng.normal(size=(5, 6)))
+        r = T.constant(rng.normal(size=(3, 4, 6)))
+
+        def loss():
+            return T.sum_all(T.mul(T.matmul(x, w), r))
+
+        assert np.allclose(T.matmul(x, w).data, x.data @ w.data, rtol=1e-12, atol=1e-12)
+        assert_grads_match(loss, [x, w], rng, n_components=15)
+
+    @pytest.mark.parametrize("trial", range(5))
+    def test_cross_entropy_over_a_batch(self, trial):
+        rng = np.random.default_rng(1400 + trial)
+        logits = p64(rng.normal(size=(2, 3, 5)))
+        targets = rng.integers(0, 5, size=(2, 3))
+        weights = np.array([[1.0, 1.0, 0.0], [0.5, 0.0, 0.0]])
+
+        def loss():
+            return T.cross_entropy(logits, targets, weights)
+
+        rows = T.cross_entropy(T.constant(logits.data.reshape(6, 5)), targets.reshape(6),
+                               weights.reshape(6))
+        assert loss().item() == pytest.approx(rows.item(), rel=1e-12)
+        assert_grads_match(loss, [logits], rng, n_components=15)
+        assert np.all(logits.grad[weights == 0] == 0.0)
+
+    def test_batch_shapes_rejected(self):
+        with pytest.raises(DimensionError):
+            T.concat([T.constant(np.zeros((2, 3, 4))), T.constant(np.zeros((3, 2, 4)))], axis=2)
+        with pytest.raises(DimensionError):
+            T.concat([T.constant(np.zeros((2, 3))), T.constant(np.zeros(3))], axis=0)
+        with pytest.raises(DimensionError):
+            T.concat([T.constant(np.zeros((2, 3)))], axis=2)
+        with pytest.raises(DimensionError):
+            T.gather_rows(T.constant(np.float64(1.0)), [0])
+        with pytest.raises(DimensionError):
+            T.cross_entropy(T.constant(np.zeros((2, 3, 4))), [0, 1])
+
+
 class TestCrossEntropy:
     def test_uniform_logits_value(self):
         logits = T.constant(np.zeros((3, 10)))

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import tiny_config
+from conftest import only, tiny_config
 from vttcap import tensor as T
 from vttcap.errors import ContractError, TrainingError
 from vttcap.features import synth_dataset
@@ -108,6 +108,28 @@ class TestAdamAndClipping:
         assert np.allclose(p.data, expected, rtol=1e-12, atol=0)
         assert state.t == 1
         assert np.allclose(state.m["w"], m) and np.allclose(state.v["w"], v)
+
+    def test_in_place_adam_is_bit_identical_to_the_expression(self, np_rng):
+        shapes = [(7, 5), (5,), (3, 2, 4), (5, 7)]
+        params = {f"p{i}": T.parameter(np_rng.normal(size=s).astype(np.float32))
+                  for i, s in enumerate(shapes)}
+        ref = {n: p.data.copy() for n, p in params.items()}
+        m = {n: np.zeros_like(a) for n, a in ref.items()}
+        v = {n: np.zeros_like(a) for n, a in ref.items()}
+        state = OptimizerState()
+        for step in range(1, 6):
+            lr = 0.01 * step
+            for n, p in params.items():
+                p.grad = np_rng.normal(size=p.shape).astype(np.float32)
+            adam_update(params, state, lr)
+            c1, c2 = 1.0 - state.beta1 ** step, 1.0 - state.beta2 ** step
+            for n, p in params.items():
+                g = p.grad
+                m[n] += (1.0 - state.beta1) * (g - m[n])
+                v[n] += (1.0 - state.beta2) * (g * g - v[n])
+                ref[n] -= (lr / c1) * m[n] / (np.sqrt(v[n] / c2) + state.eps)
+                assert np.array_equal(p.data, ref[n]), (n, step)
+                assert np.array_equal(state.m[n], m[n]) and np.array_equal(state.v[n], v[n])
 
     def test_adam_rejects_non_finite_gradient(self):
         p = T.parameter(np.zeros(2))
@@ -217,7 +239,8 @@ class TestScst:
         def per_rollout_encode():  # one encoder pass per rollout
             total = None
             for sample, ids, advantage in items:
-                logits = model.forward_teacher_forced(sample.frames, sample.audio, ids[:-1])
+                logits = only(model.forward_teacher_forced([(sample.frames, sample.audio)],
+                                                           [ids[:-1]]))
                 term = T.scale(T.cross_entropy(logits, ids[1:]), advantage)
                 total = term if total is None else T.add(total, term)
             return T.scale(total, 1.0 / len(items))
