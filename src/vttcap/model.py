@@ -24,16 +24,20 @@ runs over all videos and heads at once; memory slots and X-linear weights
 lead with the head axis and broadcast over the batch.
 
 Everything runs on the in-package autodiff tensors, one graph per batch.
-Decoding runs a batch of one video, with no mask, and is incremental:
-``decode_logits`` with a ``DecodeCache`` takes only the new tokens, attends
-over the self-attention K/V rows cached from earlier steps, and reuses
-cross-attention K/V projected once from the encoder output, so a caption
-of L tokens costs L one-row decoder passes.
+Decoding is incremental and runs rows in lockstep over the encoding of one
+video: ``decode_logits`` with a ``DecodeCache`` takes only each row's newest
+token, attends over the self-attention K/V rows cached from its earlier
+steps, and reuses cross-attention K/V projected once from the encoder
+output and broadcast over the rows.  A step of r rows is one (r, 1)
+decoder pass, and a row that ends leaves the batch, so greedy decoding
+(one row) and the n rollouts of ``sample_decode`` (n rows) run through the
+one core ``_decode``.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 import sys
@@ -184,6 +188,11 @@ def x_linear_attention(q: Tensor, k: Tensor, v: Tensor, w: XLinearWeights,
     mask, the same for every query row: (keys,), or (batch, 1, 1, keys)
     under a batch and head axis.  Keys past its last column (memory slots)
     are never masked; the mean runs over the kept keys.
+
+    Deviation from Pan et al. 2020 (X-Linear Attention Networks): there the
+    values are embedded bilinearly too, relu(v Wv) * relu(q Wq'), before
+    the spatial weighting.  Here the value rows are used as projected: they
+    are gated channel-wise but not bilinearly embedded with the query.
     """
     if q.shape[-1] != k.shape[-1] or k.shape[-2] != v.shape[-2]:
         raise DimensionError(f"attention shapes q={q.shape} k={k.shape} v={v.shape}")
@@ -394,7 +403,8 @@ class TransformerModel:
                       rng: RngState | None = None,
                       cache: DecodeCache | None = None) -> Tensor:
         """Logits (B, L, vocab) for every position of the (B, L) ``token_ids``
-        under a causal mask; row b continues over video b of ``enc``.
+        under a causal mask; row b continues over video b of ``enc``, or
+        every row over its one video when ``enc`` holds one.
 
         Without ``cache``, each row is a whole sequence from position 0, and
         PAD after a row's last token leaves its real positions unchanged.
@@ -406,7 +416,7 @@ class TransformerModel:
         ids = np.asarray(token_ids, dtype=np.int64)
         if ids.size == 0:
             raise ContractError("decoder needs at least one input token")
-        if ids.ndim != 2 or ids.shape[0] != enc.out.shape[0]:
+        if ids.ndim != 2 or enc.out.shape[0] not in (1, ids.shape[0]):
             raise ContractError(f"token ids {ids.shape} are not one row per video "
                                 f"of a batch of {enc.out.shape[0]}")
         if ids.max() >= self.cfg.vocab_size or ids.min() < 0:
@@ -426,6 +436,9 @@ class TransformerModel:
             kv = self._project_kv(f"{p}.self", x)
             if cache is not None:
                 if cache.self_kv[i] is not None:
+                    if cache.self_kv[i][0].shape[0] != ids.shape[0]:
+                        raise ContractError(f"{ids.shape[0]} token rows for a decode cache "
+                                            f"of {cache.self_kv[i][0].shape[0]}")
                     kv = tuple(T.concat([old, new], axis=2)
                                for old, new in zip(cache.self_kv[i], kv))
                 cache.self_kv[i] = kv
@@ -483,7 +496,8 @@ class DecodeCache:
     ``cross[i]`` holds decoder layer i's cross-attention (K, V), projected
     from ``enc`` once; ``self_kv[i]`` holds its self-attention (K, V) rows
     of the ``length`` positions decoded so far (None before the first
-    token).  Each K and V is (B, n_heads, rows, d_head).
+    token).  Each K and V is (batch, n_heads, rows, d_head); the cross K/V
+    of a one-video ``enc`` broadcast over every row of the batch.
     """
 
     enc: Encoding
@@ -491,9 +505,11 @@ class DecodeCache:
     self_kv: list
     length: int = 0
 
-    def fresh(self) -> DecodeCache:
-        """An empty cache for another sequence over the same encoding, sharing cross K/V."""
-        return DecodeCache(self.enc, self.cross, [None] * len(self.self_kv))
+    def keep(self, rows) -> None:
+        """Drop every batch row but ``rows`` (indices, in order) from the
+        self-attention K/V; the rows kept go on as the new batch."""
+        self.self_kv = [None if kv is None else tuple(T.gather_rows(t, rows) for t in kv)
+                        for kv in self.self_kv]
 
 
 def embed_multimodal(videos, model: TransformerModel) -> tuple:
@@ -536,22 +552,35 @@ def embed_multimodal(videos, model: TransformerModel) -> tuple:
 # decoding
 
 
-def _decode(model: TransformerModel, cache: DecodeCache, bos_id: int, eos_id: int,
-            l_max: int | None, pick) -> list:
-    """Extend BOS by ``pick(logits of the newest position)`` until EOS or l_max+2 tokens.
+def _decode(model: TransformerModel, cache: DecodeCache, rows: int, bos_id: int,
+            eos_id: int, l_max: int | None, pick) -> list:
+    """``rows`` sequences from BOS, advanced in lockstep over ``cache``'s one video.
 
-    ``cache`` starts empty.  Each step runs only the newest token through the
-    decoder, attending over the K/V rows the cache holds for the earlier ones,
-    so a caption of L tokens costs L one-row passes, not L growing-prefix ones.
+    ``cache`` starts empty.  Each step runs the newest token of every
+    running row through the decoder as one (running, 1) batch, attending
+    over the K/V rows the cache holds for the earlier tokens, and
+    ``pick(logits, running, step)`` maps the newest logits (one row per
+    running sequence; ``running`` holds their indices) to the next token
+    ids.  A sequence ends at its EOS or at l_max+2 tokens; an ended one
+    leaves the batch and its K/V rows leave the cache.
     """
     l_max = model.cfg.l_max if l_max is None else l_max
-    ids = [bos_id]
-    while len(ids) < l_max + 2:
-        nxt = pick(model.decode_logits(cache.enc, [ids[-1:]], cache=cache).data[0, -1])
-        ids.append(nxt)
-        if nxt == eos_id:
+    seqs = [[bos_id] for _ in range(rows)]
+    running = np.arange(rows)
+    last = np.full((rows, 1), bos_id, dtype=np.int64)
+    for step in range(l_max + 1):
+        nxt = pick(model.decode_logits(cache.enc, last, cache=cache).data[:, -1],
+                   running, step)
+        for r, tok in zip(running.tolist(), nxt.tolist()):
+            seqs[r].append(tok)
+        going = nxt != eos_id
+        if not going.any():
             break
-    return ids
+        if not going.all():
+            running = running[going]
+            cache.keep(np.flatnonzero(going))
+        last = nxt[going][:, None]
+    return seqs
 
 
 def greedy_decode(model: TransformerModel, frames: FeatureMatrix,
@@ -560,7 +589,9 @@ def greedy_decode(model: TransformerModel, frames: FeatureMatrix,
     """Argmax decoding from BOS; ties break toward the lowest token id."""
     with T.no_grad():
         cache = model.decode_cache(model.encode([(frames, audio)]))
-        return _decode(model, cache, bos_id, eos_id, l_max, lambda row: int(np.argmax(row)))
+        (ids,) = _decode(model, cache, 1, bos_id, eos_id, l_max,
+                         lambda logits, running, step: logits.argmax(axis=-1))
+    return ids
 
 
 def sample_decode(model: TransformerModel, frames: FeatureMatrix,
@@ -571,32 +602,35 @@ def sample_decode(model: TransformerModel, frames: FeatureMatrix,
 
     Log-probs are taken from the tempered sampling distribution, so at
     temperature 1 they are the policy log-probabilities of the drawn tokens.
-    The rollouts share one encoding and its cross-attention K/V; each has its
-    own self-attention cache.
+    The rollouts run in lockstep as the n rows of one batch over one
+    encoding, its cross-attention K/V projected once.
 
-    RNG draw order: the rollouts are drawn one after another, and rollout j
-    takes one uniform from ``rng`` per token it emits (its EOS included), in
-    token order, before rollout j+1 starts.  The same ``rng`` state therefore
-    gives the same rollouts, and rollout j does not depend on ``n``.
+    RNG draw order: one ``rng.uniform((n, l_max + 1))`` before the first
+    step.  Rollout j takes its t-th token from row j, column t, by the
+    inverse-CDF rule of ``tensor.draw_rows``.  The same ``rng`` state
+    therefore gives the same rollouts; rollout j does not depend on ``n``,
+    since the array fills row by row; and ``rng`` advances by
+    n * (l_max + 1) draws however long the rollouts are.
     """
     if n < 1:
         raise ContractError("need n >= 1 samples")
-    if temperature <= 0.0:
-        raise ContractError("temperature must be > 0")
-    out = []
+    if not (math.isfinite(temperature) and temperature > 0.0):
+        raise ContractError("temperature must be finite and > 0")
+    l_max = model.cfg.l_max if l_max is None else l_max
+    u = rng.uniform((n, l_max + 1))
+    logps = [[] for _ in range(n)]
+
+    def pick(logits, running, step):
+        logp = T.log_softmax_lastdim(logits.astype(np.float64) / temperature)
+        idx = T.draw_rows(np.exp(logp), u[running, step])
+        for r, lp in zip(running.tolist(), logp[np.arange(len(idx)), idx].tolist()):
+            logps[r].append(lp)
+        return idx
+
     with T.no_grad():
-        shared = model.decode_cache(model.encode([(frames, audio)]))
-        for _ in range(n):
-            logps = []
-
-            def pick(row):
-                logp = T.log_softmax_lastdim(row.astype(np.float64) / temperature)
-                idx = rng.draw_categorical(np.exp(logp))
-                logps.append(float(logp[idx]))
-                return idx
-
-            out.append((_decode(model, shared.fresh(), bos_id, eos_id, l_max, pick), logps))
-    return out
+        cache = model.decode_cache(model.encode([(frames, audio)]))
+        seqs = _decode(model, cache, n, bos_id, eos_id, l_max, pick)
+    return list(zip(seqs, logps))
 
 
 # ---------------------------------------------------------------------------

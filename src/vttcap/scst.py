@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import math
 import statistics
 from dataclasses import dataclass, field
 
@@ -47,11 +48,13 @@ class RewardConfig:
     idf: IdfTable | None = None
 
     def __post_init__(self):
-        if self.lambda_cider < 0 or self.lambda_bleu4 < 0 \
-                or self.lambda_cider + self.lambda_bleu4 <= 0:
-            raise ContractError("reward weights must be >= 0 and not both zero")
+        lambdas = (self.lambda_cider, self.lambda_bleu4)
+        if not all(math.isfinite(w) and w >= 0 for w in lambdas) or sum(lambdas) <= 0:
+            raise ContractError("reward weights must be finite, >= 0 and not both zero")
         if self.n_samples < 1:
             raise ContractError("n_samples must be >= 1")
+        if not (math.isfinite(self.temperature) and self.temperature > 0):
+            raise ContractError("temperature must be finite and > 0")
 
 
 def mixed_reward(candidate, refs, rc: RewardConfig) -> float:
@@ -166,7 +169,10 @@ def finetune_scst(checkpoint, train: DatasetManifest, val: DatasetManifest,
     The reward IDF is frozen from the training references before the first
     step.  Validation rows add the mean validation mixed reward and the
     mean advantage of the steps since the previous row; ``trace_path``
-    receives one JSON line of per-video rewards and advantages per step.
+    receives one JSON line per step with, per video, the rewards, the
+    advantages, the baseline and rollout lengths (emitted tokens, BOS
+    excluded) and ``truncated``, the number of rollouts cut at l_max+2
+    tokens without an EOS.
     """
     model = load_checkpoint_for(checkpoint, vocab)
     if len(train) == 0 or len(val) == 0:
@@ -192,7 +198,11 @@ def finetune_scst(checkpoint, train: DatasetManifest, val: DatasetManifest,
                     "videos": [{"id": v.video_id,
                                 "baseline_reward": v.baseline_reward,
                                 "sample_rewards": v.sample_rewards,
-                                "advantages": v.advantages}
+                                "advantages": v.advantages,
+                                "baseline_length": len(v.baseline_ids) - 1,
+                                "sample_lengths": [len(ids) - 1 for ids in v.sample_ids],
+                                "truncated": sum(ids[-1] != vocab.eos_id
+                                                 for ids in v.sample_ids)}
                                for v in trace.videos]}) + "\n")
             return loss
 

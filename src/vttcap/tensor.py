@@ -457,9 +457,10 @@ def transpose(x: Tensor, axes=None) -> Tensor:
     if sorted(axes) != list(range(x.ndim)):
         raise DimensionError(f"transpose axes {axes} invalid for shape {x.shape}")
     data = np.ascontiguousarray(np.transpose(x.data, axes))
-    inverse = np.argsort(axes)
 
     def make(out):
+        inverse = np.argsort(axes)
+
         def back(g):
             if x.requires_grad:
                 x._accumulate(np.transpose(g, inverse))
@@ -546,6 +547,15 @@ def log_softmax_lastdim(values: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
+def draw_rows(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """One multinomial draw per row of ``probs`` (rows, k), by inverse CDF on
+    that row's uniform in ``u`` (rows,): the count of CDF entries <= u * total,
+    clipped to k - 1."""
+    cdf = np.cumsum(probs, axis=-1, dtype=np.float64)
+    below = cdf <= (u * cdf[:, -1])[:, None]
+    return np.minimum(below.sum(axis=-1), cdf.shape[-1] - 1)
+
+
 # ---------------------------------------------------------------------------
 # deterministic randomness
 
@@ -577,12 +587,6 @@ class RngState:
 
     def permutation(self, n: int) -> np.ndarray:
         return self._gen.permutation(n)
-
-    def draw_categorical(self, probs: np.ndarray) -> int:
-        """One multinomial draw: inverse-CDF on a single uniform."""
-        cdf = np.cumsum(np.asarray(probs, dtype=np.float64))
-        u = self._gen.random() * cdf[-1]
-        return int(np.searchsorted(cdf, u, side="right").clip(0, len(cdf) - 1))
 
 
 def global_norm(grads) -> float:

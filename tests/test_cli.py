@@ -43,6 +43,18 @@ def test_non_finite_scst_loss_exits_3(workdir, tmp_path, monkeypatch, value):
     assert code == 3
 
 
+@pytest.mark.parametrize("temperature", [0.0, float("nan")])
+def test_scst_temperature_must_be_finite_and_positive(workdir, tmp_path, capsys, temperature):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"model": TINY_MODEL,
+                                  "reward": {"n_samples": 2, "temperature": temperature}}))
+    args = run_args(workdir, tmp_path / "run")
+    args[1] = str(config)
+    assert dispatch(["finetune-scst", *args, "--init", str(workdir / "init.vttc")]) == 2
+    assert "temperature" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_evaluate_on_truncated_checkpoint_exits_2(workdir, tmp_path, capsys):
     ckpt = tmp_path / "cut.vttc"
     ckpt.write_bytes((workdir / "init.vttc").read_bytes()[:-3])

@@ -348,14 +348,23 @@ def reference_decode(model, frames, audio, bos_id, eos_id, l_max, pick):
     return ids
 
 
+def inverse_cdf(probs, u):
+    """One multinomial draw from ``probs`` by inverse CDF on the uniform ``u``."""
+    cdf = np.cumsum(probs)
+    return int(np.searchsorted(cdf, u * cdf[-1], side="right").clip(0, len(cdf) - 1))
+
+
 def reference_sample(model, frames, audio, n, rng, l_max, temperature=1.0):
+    """Each rollout decoded alone, uncached: rollout j takes its t-th token
+    from row j, column t, of one ``rng.uniform((n, l_max + 1))``."""
+    u = rng.uniform((n, l_max + 1))
     out = []
-    for _ in range(n):
+    for j in range(n):
         logps = []
 
         def pick(row):
             logp = T.log_softmax_lastdim(row.astype(np.float64) / temperature)
-            idx = rng.draw_categorical(np.exp(logp))
+            idx = inverse_cdf(np.exp(logp), u[j, len(logps)])
             logps.append(float(logp[idx]))
             return idx
 
@@ -435,18 +444,49 @@ class TestDecodeCache:
         assert [ids for ids, _ in got] == [ids for ids, _ in expected]
         assert all(len(ids) == 6 for ids, _ in got)
 
-    def test_fresh_caches_share_cross_kv_but_not_self_kv(self, np_rng):
-        model = TransformerModel(tiny_config(), seed=5, dtype=np.float64)
+    @pytest.mark.parametrize("kind", ["memory_scaled_dot", "x_linear"])
+    def test_dropped_rows_leave_the_others_unchanged(self, kind, np_rng):
+        model = TransformerModel(tiny_config(kind), seed=5, dtype=np.float64)
         frames, audio = video(np_rng, True)
+        seqs = [[2, 5, 8], [2, 6, 3], [2, 7, 9]]  # row 1 ends after two steps
         with T.no_grad():
             enc = model.encode([(frames, audio)])
-            shared = model.decode_cache(enc)
-            a, b = shared.fresh(), shared.fresh()
-            assert a.cross is b.cross is shared.cross
-            model.decode_logits(enc, [[2, 5, 6]], cache=a)
-            assert a.length == 3 and b.length == 0 and b.self_kv == [None]
-            first = model.decode_logits(enc, [[2]], cache=b).data
+            cache = model.decode_cache(enc)
+            first = model.decode_logits(enc, [[2], [2], [2]], cache=cache).data
+            model.decode_logits(enc, [[5], [6], [7]], cache=cache)
+            cache.keep([0, 2])
+            assert cache.self_kv[0][0].shape[0] == 2
+            last = model.decode_logits(enc, [[8], [9]], cache=cache).data
+            alone = [model.decode_logits(enc, [ids]).data[0] for ids in seqs[::2]]
             assert np.allclose(first, model.decode_logits(enc, [[2]]).data, rtol=1e-12)
+            for got, full in zip(last, alone):
+                assert np.allclose(got[-1], full[-1], rtol=1e-10, atol=1e-12)
+            with pytest.raises(ContractError, match="token rows"):
+                model.decode_logits(enc, [[4], [4], [4]], cache=cache)
+
+    @pytest.mark.parametrize("kind", ["memory_scaled_dot", "x_linear"])
+    @pytest.mark.parametrize("with_audio", [False, True])
+    def test_rollouts_ending_at_different_steps_match_their_single_row_decodes(
+            self, kind, with_audio, np_rng):
+        model = TransformerModel(tiny_config(kind), seed=5)
+        model.params["out_proj.b"].data[3] = 1.5  # EOS likely, but not at once
+        frames, audio = video(np_rng, with_audio)
+        got = sample_decode(model, frames, audio, 2, 3, n=8, rng=RngState(2))
+        expected = reference_sample(model, frames, audio, 8, RngState(2), 8)
+        assert len({len(ids) for ids, _ in got}) > 2
+        assert [ids for ids, _ in got] == [ids for ids, _ in expected]
+        for (_, a), (_, b) in zip(got, expected):
+            assert np.allclose(a, b, rtol=0, atol=1e-5)
+
+    def test_rollouts_do_not_depend_on_n(self, np_rng):
+        model = TransformerModel(tiny_config(), seed=5)
+        frames, audio = video(np_rng, True)
+        rng = RngState(9)
+        few = sample_decode(model, frames, audio, 2, 3, n=3, rng=rng)
+        stream = RngState(9).uniform(3 * (8 + 1) + 1)  # n * (l_max + 1) draws, then the next
+        assert rng.random() == stream[-1]
+        many = sample_decode(model, frames, audio, 2, 3, n=6, rng=RngState(9))
+        assert many[:3] == few
 
     def test_cache_of_another_encoding_rejected(self, np_rng):
         model = TransformerModel(tiny_config(), seed=5)
@@ -645,12 +685,18 @@ class TestPerHeadReference:
         P, cfg = per_head_params(model), model.cfg
         assert greedy_decode(model, frames, audio, 2, 3) == \
             ref_decode(P, cfg, frames, audio, cfg.l_max, lambda row: int(np.argmax(row)))
-        rng = RngState(21)
+        u = RngState(21).uniform((4, cfg.l_max + 1))
 
-        def pick(row):
-            return rng.draw_categorical(np.exp(T.log_softmax_lastdim(row)))
+        def sampled(j):
+            ids = []
 
-        expected = [ref_decode(P, cfg, frames, audio, cfg.l_max, pick) for _ in range(4)]
+            def pick(row):
+                ids.append(inverse_cdf(np.exp(T.log_softmax_lastdim(row)), u[j, len(ids)]))
+                return ids[-1]
+
+            return ref_decode(P, cfg, frames, audio, cfg.l_max, pick)
+
+        expected = [sampled(j) for j in range(4)]
         got = sample_decode(model, frames, audio, 2, 3, n=4, rng=RngState(21))
         assert [ids for ids, _ in got] == expected
 

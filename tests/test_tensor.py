@@ -422,10 +422,21 @@ class TestRngState:
     def test_categorical_draws_match_probs(self):
         rng = RngState(3)
         probs = np.array([0.2, 0.5, 0.3])
-        draws = np.array([rng.draw_categorical(probs) for _ in range(20000)])
+        draws = T.draw_rows(np.tile(probs, (20000, 1)), rng.uniform(20000))
         freq = np.bincount(draws, minlength=3) / len(draws)
         sigma = np.sqrt(probs * (1 - probs) / len(draws))
         assert np.all(np.abs(freq - probs) < 3 * sigma + 1e-12)
+
+    def test_row_draws_are_the_inverse_cdf_of_each_row(self, np_rng):
+        probs = np_rng.dirichlet(np.ones(6), size=200)
+        probs[:, [0, 3]] = 0.0  # never drawn, even at u = 0
+        u = np_rng.uniform(size=200)
+        u[:2] = 0.0, np.nextafter(1.0, 0.0)
+        expected = [np.searchsorted(np.cumsum(p), x * np.cumsum(p)[-1], side="right")
+                    for p, x in zip(probs, u)]
+        draws = T.draw_rows(probs, u)
+        assert draws.tolist() == np.minimum(expected, 5).tolist()
+        assert not np.isin(draws, [0, 3]).any()
 
     def test_ops_deterministic(self, np_rng):
         a = np_rng.normal(size=(6, 6)).astype(np.float32)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import only, tiny_config
+from vttcap import scst
 from vttcap import tensor as T
 from vttcap.errors import ContractError, TrainingError
 from vttcap.features import synth_dataset
@@ -294,6 +295,46 @@ class TestScst:
         assert all(math.isfinite(r["mean_advantage"]) for r in rows[1:])
         assert load_checkpoint(result.best_path).n_parameters() == \
             tiny_model(vocab).n_parameters()
+
+
+    def test_trace_records_rollout_lengths(self, corpus, tmp_path, monkeypatch):
+        train, val, vocab = corpus
+        init = tmp_path / "init.vttc"
+        save_checkpoint(tiny_model(vocab), init)
+        decoded = {"greedy_decode": [], "sample_decode": []}
+
+        def recorder(fn, calls):
+            def recording(*args, **kwargs):
+                calls.append(fn(*args, **kwargs))
+                return calls[-1]
+            return recording
+
+        for name, calls in decoded.items():
+            monkeypatch.setattr(scst, name, recorder(getattr(scst, name), calls))
+        trace = tmp_path / "trace.jsonl"
+        run = TrainRunConfig(epochs=1, batch_size=4, seed=5, out_dir=str(tmp_path / "run"))
+        finetune_scst(init, train, val, vocab, RewardConfig(n_samples=3, eta=1e-3), run,
+                      trace_path=trace)
+        videos = [v for line in trace.read_text().splitlines()
+                  for v in json.loads(line)["videos"]]
+        assert len(videos) == len(decoded["greedy_decode"]) == len(train)
+        l_max = tiny_model(vocab).cfg.l_max
+        for v, base, rolls in zip(videos, decoded["greedy_decode"], decoded["sample_decode"]):
+            assert v["baseline_length"] == len(base) - 1
+            assert v["sample_lengths"] == [len(ids) - 1 for ids, _ in rolls]
+            cut = [ids for ids, _ in rolls if vocab.eos_id not in ids]
+            assert v["truncated"] == len(cut)
+            assert all(len(ids) == l_max + 2 for ids in cut)
+        assert 0 < sum(v["truncated"] for v in videos) < 3 * len(videos)
+
+    @pytest.mark.parametrize("bad", [
+        {"temperature": 0.0}, {"temperature": -1.0}, {"temperature": float("nan")},
+        {"temperature": float("inf")}, {"lambda_cider": float("nan")},
+        {"lambda_bleu4": float("inf")}, {"lambda_cider": 0.0, "lambda_bleu4": 0.0},
+    ])
+    def test_reward_config_rejects_non_finite_or_non_positive_values(self, bad):
+        with pytest.raises(ContractError):
+            RewardConfig(**bad)
 
 
 # ---------------------------------------------------------------------------
