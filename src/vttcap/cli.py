@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import copy
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -39,9 +38,8 @@ PROFILES = {
         "model": {"n_enc": 8, "n_dec": 8, "n_heads": 8, "d_model": 512,
                   "d_ff": 2048, "d_memory": 64, "vocab_size": None,
                   "d_vision": 1024, "d_audio": 128, "p_audio": 300, "l_max": 24,
-                  "attention_kind": "memory_scaled_dot",
-                  "use_memory_with_x_linear": True, "dropout": 0.0},
-        "schedule": {"kind": "sgdr", "d_model": 512, "warmup": 10000,
+                  "attention_kind": "memory_scaled_dot"},
+        "schedule": {"kind": "sgdr", "warmup": 10000,
                      "t0": 4000, "t_mult": 2, "eta_max": None, "eta_min": None},
         "reward": {"lambda_cider": 1.0, "lambda_bleu4": 1.0, "n_samples": 5,
                    "eta": 5e-6, "temperature": 1.0},
@@ -53,9 +51,8 @@ PROFILES = {
         "model": {"n_enc": 2, "n_dec": 2, "n_heads": 4, "d_model": 32,
                   "d_ff": 64, "d_memory": 8, "vocab_size": None,
                   "d_vision": 32, "d_audio": 8, "p_audio": 300, "l_max": 24,
-                  "attention_kind": "memory_scaled_dot",
-                  "use_memory_with_x_linear": True, "dropout": 0.0},
-        "schedule": {"kind": "sgdr", "d_model": 32, "warmup": 200,
+                  "attention_kind": "memory_scaled_dot"},
+        "schedule": {"kind": "sgdr", "warmup": 200,
                      "t0": 400, "t_mult": 2, "eta_max": None, "eta_min": None},
         "reward": {"lambda_cider": 1.0, "lambda_bleu4": 1.0, "n_samples": 5,
                    "eta": 1e-4, "temperature": 1.0},
@@ -123,12 +120,6 @@ def _apply_flag_overrides(cfg: dict, args) -> dict:
         cfg["run"]["seed"] = args.seed
     if getattr(args, "epochs", None) is not None:
         cfg["run"]["epochs"] = args.epochs
-    env_seed = os.environ.get("VTT_SEED")
-    if env_seed is not None:
-        try:
-            cfg["run"]["seed"] = int(env_seed)
-        except ValueError as exc:
-            raise UsageError(f"VTT_SEED must be an integer, got {env_seed!r}") from exc
     return cfg
 
 
@@ -150,9 +141,8 @@ def _build_model_pieces(cfg: dict):
     elif model_cfg["vocab_size"] != len(vocab):
         raise FormatError(f"config vocab_size {model_cfg['vocab_size']} does not "
                           f"match vocabulary of {len(vocab)} tokens")
-    schedule = dict(cfg["schedule"])
-    schedule["d_model"] = model_cfg["d_model"]
-    return vocab, ModelConfig.from_dict(model_cfg), ScheduleConfig(**schedule), \
+    return vocab, ModelConfig.from_dict(model_cfg), \
+        ScheduleConfig(**cfg["schedule"], d_model=model_cfg["d_model"]), \
         TrainRunConfig(**cfg["run"])
 
 
@@ -217,7 +207,7 @@ def cmd_caption(args) -> int:
     with atomic_path(args.out) as tmp, open(tmp, "w", encoding="utf-8") as fh:
         for sample in manifest.load_samples():
             ids = greedy_decode(model, sample.frames, sample.audio,
-                                vocab.bos_id, vocab.eos_id, model.cfg.l_max)
+                                vocab.bos_id, vocab.eos_id)
             fh.write(json.dumps({"id": sample.id,
                                  "caption": decode(ids, vocab)}) + "\n")
     print(json.dumps({"captions": len(manifest), "out": str(args.out)}))

@@ -41,7 +41,7 @@ import math
 import os
 import struct
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -71,8 +71,6 @@ class ModelConfig:
     p_audio: int = 300
     l_max: int = 24
     attention_kind: str = "memory_scaled_dot"
-    use_memory_with_x_linear: bool = True
-    dropout: float = 0.0
 
     def __post_init__(self):
         if self.n_heads < 1 or self.d_model < 1:
@@ -94,9 +92,16 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        unknown = set(d) - {f for f in cls.__dataclass_fields__}
+        """A config from a JSON object whose values have their defaults' types."""
+        if not isinstance(d, dict):
+            raise FormatError(f"model config must be a JSON object, not {type(d).__name__}")
+        defaults = {f.name: f.default for f in fields(cls)}
+        unknown = set(d) - set(defaults)
         if unknown:
             raise FormatError(f"unknown model config keys: {sorted(unknown)}")
+        wrong = sorted(k for k, v in d.items() if type(v) is not type(defaults[k]))
+        if wrong:
+            raise FormatError(f"model config values of the wrong type: {wrong}")
         return cls(**d)
 
 
@@ -338,8 +343,7 @@ class TransformerModel:
         cfg = self.cfg
         g = self.params
         x_linear = memory_prefix is not None and cfg.attention_kind == "x_linear"
-        use_mem = (memory_prefix is not None and cfg.d_memory > 0
-                   and (not x_linear or cfg.use_memory_with_x_linear))
+        use_mem = memory_prefix is not None and cfg.d_memory > 0
         k, v = kv
         q = self._split_heads(T.matmul(x_q, g[f"{prefix}.wq"]))
         m_k = m_v = None
@@ -365,32 +369,15 @@ class TransformerModel:
         g = self.params
         return T.layer_norm(x, g[f"{prefix}.gamma"], g[f"{prefix}.beta"])
 
-    def _maybe_dropout(self, x: Tensor, train: bool, rng: RngState | None) -> Tensor:
-        rate = self.cfg.dropout
-        if not train or rate <= 0.0 or rng is None:
-            return x
-        keep = 1.0 - rate
-        mask = (rng.uniform(x.shape) < keep).astype(x.dtype) / keep
-        return T.mul(x, T.constant(mask))
-
-    def encode(self, videos, train: bool = False, rng: RngState | None = None) -> Encoding:
-        """Encoder output of a batch of (frames, audio) videos, padded to its longest.
-
-        Dropout, when on, draws one mask over the padded batch, so its shapes
-        follow the padding, and a video's captions share the one draw of its
-        encoding (``forward_teacher_forced`` encodes each distinct video
-        once).  Both built-in profiles use dropout 0, so neither changes a
-        value there.
-        """
+    def encode(self, videos) -> Encoding:
+        """Encoder output of a batch of (frames, audio) videos, padded to its longest."""
         x, mask = embed_multimodal(videos, self)
-        x = self._maybe_dropout(x, train, rng)
         for i in range(self.cfg.n_enc):
             p = f"enc.{i}"
             att = self._multi_head(f"{p}.attn", x, self._project_kv(f"{p}.attn", x),
                                    mask=mask, memory_prefix=p)
-            x = self._norm(f"{p}.ln1", T.add(x, self._maybe_dropout(att, train, rng)))
-            ff = self._ffn(p, x)
-            x = self._norm(f"{p}.ln2", T.add(x, self._maybe_dropout(ff, train, rng)))
+            x = self._norm(f"{p}.ln1", T.add(x, att))
+            x = self._norm(f"{p}.ln2", T.add(x, self._ffn(p, x)))
         return Encoding(x, mask)
 
     def decode_cache(self, enc: Encoding) -> DecodeCache:
@@ -399,19 +386,19 @@ class TransformerModel:
         return DecodeCache(enc, [self._project_kv(f"dec.{i}.cross", enc.out)
                                  for i in range(n_dec)], [None] * n_dec)
 
-    def decode_logits(self, enc: Encoding, token_ids, train: bool = False,
-                      rng: RngState | None = None,
+    def decode_logits(self, enc: Encoding, token_ids,
                       cache: DecodeCache | None = None) -> Tensor:
         """Logits (B, L, vocab) for every position of the (B, L) ``token_ids``
         under a causal mask; row b continues over video b of ``enc``, or
         every row over its one video when ``enc`` holds one.
 
-        Without ``cache``, each row is a whole sequence from position 0, and
-        PAD after a row's last token leaves its real positions unchanged.
-        With it, the rows continue the sequences the cache holds: they take
-        the positions from ``cache.length`` on, attend over the cached
+        The rows continue the sequences ``cache`` holds: they take the
+        positions from ``cache.length`` on, attend over the cached
         self-attention K/V rows as well as their own, use the cache's
-        cross-attention K/V, and are appended to the cache.
+        cross-attention K/V, and are appended to the cache.  Without
+        ``cache`` they start a fresh one, so each row is a whole sequence
+        from position 0, and PAD after a row's last token leaves its real
+        positions unchanged.
         """
         ids = np.asarray(token_ids, dtype=np.int64)
         if ids.size == 0:
@@ -421,41 +408,36 @@ class TransformerModel:
                                 f"of a batch of {enc.out.shape[0]}")
         if ids.max() >= self.cfg.vocab_size or ids.min() < 0:
             raise ContractError(f"token id out of range for vocab {self.cfg.vocab_size}")
-        if cache is not None and cache.enc is not enc:
+        if cache is None:
+            cache = self.decode_cache(enc)
+        elif cache.enc is not enc:
             raise ContractError("decode cache was made for another encoder output")
         g = self.params
-        start = 0 if cache is None else cache.length
+        start = cache.length
         L = ids.shape[1]
         x = T.add(T.gather_rows(g["token_embed"], ids),
                   T.constant(pe_block(start, L, self.cfg.d_model).astype(self.dtype)))
-        x = self._maybe_dropout(x, train, rng)
         # one new row may attend to every position up to its own: nothing to mask
         mask = causal_mask(start + L, dtype=self.dtype)[start:] if L > 1 else None
         for i in range(self.cfg.n_dec):
             p = f"dec.{i}"
             kv = self._project_kv(f"{p}.self", x)
-            if cache is not None:
-                if cache.self_kv[i] is not None:
-                    if cache.self_kv[i][0].shape[0] != ids.shape[0]:
-                        raise ContractError(f"{ids.shape[0]} token rows for a decode cache "
-                                            f"of {cache.self_kv[i][0].shape[0]}")
-                    kv = tuple(T.concat([old, new], axis=2)
-                               for old, new in zip(cache.self_kv[i], kv))
-                cache.self_kv[i] = kv
+            if cache.self_kv[i] is not None:
+                if cache.self_kv[i][0].shape[0] != ids.shape[0]:
+                    raise ContractError(f"{ids.shape[0]} token rows for a decode cache "
+                                        f"of {cache.self_kv[i][0].shape[0]}")
+                kv = tuple(T.concat([old, new], axis=2)
+                           for old, new in zip(cache.self_kv[i], kv))
+            cache.self_kv[i] = kv
             att = self._multi_head(f"{p}.self", x, kv, mask=mask)
-            x = self._norm(f"{p}.ln1", T.add(x, self._maybe_dropout(att, train, rng)))
-            cross_kv = (self._project_kv(f"{p}.cross", enc.out) if cache is None
-                        else cache.cross[i])
-            cross = self._multi_head(f"{p}.cross", x, cross_kv, mask=enc.mask)
-            x = self._norm(f"{p}.ln2", T.add(x, self._maybe_dropout(cross, train, rng)))
-            ff = self._ffn(p, x)
-            x = self._norm(f"{p}.ln3", T.add(x, self._maybe_dropout(ff, train, rng)))
-        if cache is not None:
-            cache.length += L
+            x = self._norm(f"{p}.ln1", T.add(x, att))
+            cross = self._multi_head(f"{p}.cross", x, cache.cross[i], mask=enc.mask)
+            x = self._norm(f"{p}.ln2", T.add(x, cross))
+            x = self._norm(f"{p}.ln3", T.add(x, self._ffn(p, x)))
+        cache.length += L
         return T.add(T.matmul(x, g["out_proj.w"]), g["out_proj.b"])
 
-    def forward_teacher_forced(self, videos, token_ids, train: bool = False,
-                               rng: RngState | None = None) -> Tensor:
+    def forward_teacher_forced(self, videos, token_ids) -> Tensor:
         """Teacher-forced logits (B, L, vocab) of a padded caption batch.
 
         Row b of ``token_ids`` is a caption of ``videos[b]``, a (frames,
@@ -469,11 +451,11 @@ class TransformerModel:
                 f"caption length {ids.shape[-1]} exceeds l_max+2={self.cfg.l_max + 2}")
         slot = {}  # (id(frames), id(audio)) -> (index, video) of each distinct video
         index = [slot.setdefault((id(f), id(a)), (len(slot), (f, a)))[0] for f, a in videos]
-        enc = self.encode([video for _, video in slot.values()], train=train, rng=rng)
+        enc = self.encode([video for _, video in slot.values()])
         if len(slot) < len(videos):  # repeat each encoding for its captions
             enc = Encoding(T.gather_rows(enc.out, index),
                            None if enc.mask is None else enc.mask[index])
-        return self.decode_logits(enc, ids, train=train, rng=rng)
+        return self.decode_logits(enc, ids)
 
 
 @dataclass
@@ -668,6 +650,8 @@ def load_checkpoint(path) -> TransformerModel:
             cfg = ModelConfig.from_dict(json.load(fh))
     except FileNotFoundError as exc:
         raise FormatError(f"missing checkpoint config {cfg_path}") from exc
+    except FormatError as exc:
+        raise FormatError(f"{cfg_path}: {exc}") from exc
     model = TransformerModel(cfg, init="zeros")
     loaded = set()
     with open(path, "rb") as fh:

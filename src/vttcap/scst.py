@@ -129,11 +129,11 @@ def scst_batch_step(model: TransformerModel, batch, vocab: Vocabulary,
     for sample in batch:
         refs = [normalize_words(c) for c in sample.captions]
         base_ids = greedy_decode(model, sample.frames, sample.audio,
-                                 vocab.bos_id, vocab.eos_id, model.cfg.l_max)
+                                 vocab.bos_id, vocab.eos_id)
         r_base = reward_fn(normalize_words(decode(base_ids, vocab)), refs)
         rollouts = sample_decode(model, sample.frames, sample.audio,
                                  vocab.bos_id, vocab.eos_id, rc.n_samples, rng,
-                                 temperature=rc.temperature, l_max=model.cfg.l_max)
+                                 temperature=rc.temperature)
         rewards = []
         advantages = []
         for ids, _ in rollouts:

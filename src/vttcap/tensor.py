@@ -141,8 +141,8 @@ def _toposort(root: Tensor) -> list[Tensor]:
     return order
 
 
-def constant(data, dtype=None) -> Tensor:
-    return Tensor(data, requires_grad=False, dtype=dtype)
+def constant(data) -> Tensor:
+    return Tensor(data, requires_grad=False)
 
 
 def parameter(data, name: str | None = None) -> Tensor:

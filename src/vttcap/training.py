@@ -111,7 +111,7 @@ def clip_gradients(params: dict, max_norm: float = GRAD_CLIP_NORM) -> float:
 @dataclass
 class ScheduleConfig:
     kind: str = "default"  # default | sgdr
-    d_model: int = 512
+    d_model: int = 512  # set to the model's d_model, never by a config file
     warmup: int = 10000
     t0: int = 4000
     t_mult: int = 2
@@ -204,22 +204,20 @@ def teacher_forcing(captions, pad_id: int) -> tuple:
     return ids[:, :-1], ids[:, 1:], real
 
 
-def _xe_sum(model: TransformerModel, samples, pairs, vocab: Vocabulary,
-            train: bool = False, rng: RngState | None = None) -> tuple:
+def _xe_sum(model: TransformerModel, samples, pairs, vocab: Vocabulary) -> tuple:
     """Summed cross entropy over the real target tokens of ``pairs``, run as
     one padded batch, plus their count."""
     inputs, targets, real = teacher_forcing([ids for _, ids in pairs], vocab.pad_id)
     videos = [(samples[i].frames, samples[i].audio) for i, _ in pairs]
-    logits = model.forward_teacher_forced(videos, inputs, train=train, rng=rng)
+    logits = model.forward_teacher_forced(videos, inputs)
     return T.cross_entropy(logits, targets, real), float(real.sum())
 
 
-def batch_xe_loss(model: TransformerModel, samples, batch_pairs, vocab: Vocabulary,
-                  train: bool = False, rng: RngState | None = None):
+def batch_xe_loss(model: TransformerModel, samples, batch_pairs, vocab: Vocabulary):
     """Mean cross entropy per real target token over a batch of caption pairs."""
     if not batch_pairs:
         raise ContractError("batch contains no scorable tokens")
-    total, denom = _xe_sum(model, samples, batch_pairs, vocab, train=train, rng=rng)
+    total, denom = _xe_sum(model, samples, batch_pairs, vocab)
     return T.scale(total, 1.0 / denom)
 
 
@@ -242,18 +240,15 @@ def greedy_captions(model: TransformerModel, samples, vocab: Vocabulary) -> tupl
     candidates = []
     refs_corpus = []
     for s in samples:
-        ids = greedy_decode(model, s.frames, s.audio, vocab.bos_id, vocab.eos_id,
-                            l_max=model.cfg.l_max)
+        ids = greedy_decode(model, s.frames, s.audio, vocab.bos_id, vocab.eos_id)
         candidates.append(normalize_words(decode(ids, vocab)))
         refs_corpus.append([normalize_words(c) for c in s.captions])
     return candidates, refs_corpus
 
 
-def evaluate(model: TransformerModel, samples, vocab: Vocabulary,
-             idf=None) -> MetricReport:
+def evaluate(model: TransformerModel, samples, vocab: Vocabulary) -> MetricReport:
     """Greedy-decode every sample and score BLEU-4 / CIDEr / CIDEr-D."""
-    candidates, refs_corpus = greedy_captions(model, samples, vocab)
-    return score_corpus(candidates, refs_corpus, idf=idf)
+    return score_corpus(*greedy_captions(model, samples, vocab))
 
 
 def _fit(model: TransformerModel, n_items: int, step_fn, lr_fn, validate_fn,
@@ -263,7 +258,9 @@ def _fit(model: TransformerModel, n_items: int, step_fn, lr_fn, validate_fn,
     ``step_fn(indices, step)`` runs forward and backward on the items at
     ``indices`` for 1-based step ``step`` and returns the loss; ``lr_fn(step)``
     is the step's learning rate; ``validate_fn()`` returns a history row's
-    metrics, ``cider_d`` among them.
+    metrics, ``cider_d`` among them.  Each row also records ``grad_norm``, the
+    mean pre-clip gradient norm of the steps since the previous row (None on
+    the step-0 row), and ``clipped``, how many of those steps were clipped.
     """
     out_dir = Path(run.out_dir)
     ckpt_dir = out_dir / "checkpoints"
@@ -280,13 +277,17 @@ def _fit(model: TransformerModel, n_items: int, step_fn, lr_fn, validate_fn,
     write_history()
     best = (-1.0, 0, None)  # (cider_d, epoch, path)
     step = 0
+    norms = []  # pre-clip gradient norms since the previous row
 
     def validate(epoch: int, losses) -> bool:
         """Record one validation; True when its CIDEr-D is a new best."""
         nonlocal best
         row = {"epoch": epoch, "step": step, "lr": lr_fn(step),
                "train_loss": statistics.fmean(losses) if losses else None,
+               "grad_norm": statistics.fmean(norms) if norms else None,
+               "clipped": sum(n > GRAD_CLIP_NORM for n in norms),
                **validate_fn()}
+        norms.clear()
         history.append(row)
         write_history()
         path = ckpt_dir / f"epoch_{epoch:04d}_step_{step:06d}.vttc"
@@ -307,7 +308,7 @@ def _fit(model: TransformerModel, n_items: int, step_fn, lr_fn, validate_fn,
             loss = step_fn(order[lo:lo + run.batch_size], step)
             if not math.isfinite(loss):
                 raise TrainingError(f"non-finite training loss {loss} at step {step}")
-            clip_gradients(model.params)
+            norms.append(clip_gradients(model.params))
             adam_update(model.params, state, lr_fn(step))
             losses.append(loss)
             due = (step % run.eval_every == 0 if run.eval_every
@@ -346,8 +347,7 @@ def train_xe(model: TransformerModel, vocab: Vocabulary, train: DatasetManifest,
 
     def step_fn(indices, step: int) -> float:
         model.zero_grad()
-        loss = batch_xe_loss(model, train_samples, [train_pairs[i] for i in indices],
-                             vocab, train=True, rng=rng)
+        loss = batch_xe_loss(model, train_samples, [train_pairs[i] for i in indices], vocab)
         loss.backward()
         return loss.item()
 

@@ -1,14 +1,18 @@
-"""CLI exit codes for numeric failures, corrupt inputs, malformed config and
-removed config keys; ``caption``, ``score`` and atomic CLI outputs."""
+"""CLI exit codes for usage errors, numeric failures, corrupt inputs,
+malformed config and removed config keys; the built-in profiles' keys;
+``caption``, ``score`` and atomic CLI outputs."""
 
 import json
+from dataclasses import fields
 
 import pytest
 
 from conftest import tiny_config
-from vttcap.cli import dispatch
-from vttcap.model import TransformerModel, save_checkpoint
+from vttcap.cli import PROFILES, dispatch
+from vttcap.model import ModelConfig, TransformerModel, save_checkpoint
+from vttcap.scst import RewardConfig
 from vttcap.tokenizer import load_vocab
+from vttcap.training import ScheduleConfig, TrainRunConfig
 
 TINY_MODEL = {k: v for k, v in tiny_config().to_dict().items() if k != "vocab_size"}
 
@@ -66,12 +70,82 @@ def test_evaluate_on_truncated_checkpoint_exits_2(workdir, tmp_path, capsys):
     assert "truncated" in capsys.readouterr().err
 
 
-def test_removed_schedule_eta_is_an_unknown_key(workdir, tmp_path):
+@pytest.mark.parametrize("section, key, value", [
+    ("schedule", "eta", 5e-6),
+    ("schedule", "d_model", 99999),
+    ("model", "dropout", 0.0),
+    ("model", "use_memory_with_x_linear", True),
+])
+def test_removed_config_key_is_unknown(workdir, tmp_path, capsys, section, key, value):
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"model": TINY_MODEL, "schedule": {"eta": 5e-6}}))
+    overrides = {"model": dict(TINY_MODEL)}
+    overrides.setdefault(section, {})[key] = value
+    config.write_text(json.dumps(overrides))
     args = run_args(workdir, tmp_path / "run")
     args[1] = str(config)
     assert dispatch(["train", *args]) == 1
+    assert f"unknown config key '{section}.{key}'" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+# derived from other values, never set by a profile
+DERIVED_FIELDS = {"schedule": {"d_model"}, "reward": {"idf"}}
+
+
+@pytest.mark.parametrize("profile", sorted(PROFILES))
+def test_profile_sections_are_exactly_their_config_fields(profile):
+    sections = PROFILES[profile]
+    built = {"model": ModelConfig, "schedule": ScheduleConfig, "reward": RewardConfig,
+             "run": TrainRunConfig}
+    assert set(sections) == {*built, "data"}
+    for name, cls in built.items():
+        names = {f.name for f in fields(cls)} - DERIVED_FIELDS.get(name, set())
+        assert set(sections[name]) == names, name
+    assert sections["model"]["vocab_size"] is None  # taken from the vocab file
+    ModelConfig.from_dict({**sections["model"], "vocab_size": 12})
+
+
+@pytest.mark.parametrize("sidecar", [
+    "5",
+    "null",
+    '{"n_heads": "2"}',
+    '{"l_max": "x"}',
+    '{"n_heads": true}',
+])
+def test_corrupt_checkpoint_config_exits_2(workdir, tmp_path, capsys, sidecar):
+    ckpt = tmp_path / "m.vttc"
+    ckpt.write_bytes((workdir / "init.vttc").read_bytes())
+    value = json.loads(sidecar)
+    if isinstance(value, dict):
+        value = {**json.loads((workdir / "init.vttc.json").read_text()), **value}
+    (tmp_path / "m.vttc.json").write_text(json.dumps(value))
+    code = dispatch(["evaluate", "--checkpoint", str(ckpt),
+                     "--manifest", str(workdir / "data" / "val.jsonl"),
+                     "--vocab", str(workdir / "vocab.txt")])
+    assert code == 2
+    assert "m.vttc.json" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, code", [
+    ([], 1),
+    (["bogus"], 1),
+    (["train", "--val", "{d}/data/val.jsonl", "--vocab", "{d}/vocab.txt",
+      "--out", "{t}/run"], 1),
+    (["train", "--profile", "huge"], 1),
+    (["synth-data", "--videos", "5", "--out", "{t}/data"], 2),
+    (["synth-data", "--concepts", "1", "--out", "{t}/data"], 2),
+    (["build-vocab", "--manifest", "{d}/data/train.jsonl", "--size", "3",
+      "--out", "{t}/vocab.txt"], 2),
+    (["train", "--train", "{d}/data/train.jsonl", "--val", "{t}/missing.jsonl",
+      "--vocab", "{d}/vocab.txt", "--out", "{t}/run"], 2),
+    (["caption", "--checkpoint", "{t}/missing.vttc", "--manifest", "{d}/data/val.jsonl",
+      "--vocab", "{d}/vocab.txt", "--out", "{t}/caps.jsonl"], 2),
+    (["evaluate", "--checkpoint", "{d}/init.vttc", "--manifest", "{t}/missing.jsonl",
+      "--vocab", "{d}/vocab.txt"], 2),
+])
+def test_exit_codes(workdir, tmp_path, argv, code):
+    assert dispatch([a.format(d=workdir, t=tmp_path) for a in argv]) == code
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("line", [

@@ -578,8 +578,7 @@ def per_head_params(model):
 def ref_attention(P, cfg, prefix, x_q, x_kv, mask=None, memory_prefix=None):
     dh = cfg.d_head
     x_linear = memory_prefix is not None and cfg.attention_kind == "x_linear"
-    use_mem = (memory_prefix is not None and cfg.d_memory > 0
-               and (not x_linear or cfg.use_memory_with_x_linear))
+    use_mem = memory_prefix is not None and cfg.d_memory > 0
     heads = []
     for h in range(cfg.n_heads):
         q, k, v = (x @ P[f"{prefix}.h{h}.{w}"]

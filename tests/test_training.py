@@ -15,8 +15,9 @@ from vttcap.model import TransformerModel, load_checkpoint, save_checkpoint
 from vttcap.scst import RewardConfig, finetune_scst, scst_batch_step, scst_surrogate_loss
 from vttcap.tensor import RngState
 from vttcap.tokenizer import build_vocab, decode, normalize_words
-from vttcap.training import (OptimizerState, ScheduleConfig, TrainRunConfig, _fit,
-                             adam_update, clip_gradients, lr_at, train_xe)
+from vttcap.training import (GRAD_CLIP_NORM, OptimizerState, ScheduleConfig,
+                             TrainRunConfig, _fit, adam_update, clip_gradients, lr_at,
+                             train_xe)
 
 
 @pytest.fixture(scope="module")
@@ -351,3 +352,23 @@ def test_failed_validation_keeps_the_previous_history(corpus, tmp_path):
     history = read_history(tmp_path / "run")
     assert [r["cider_d"] for r in history] == [0.1]
     assert not (tmp_path / "run" / "history.jsonl.tmp").exists()
+
+
+def test_history_rows_record_pre_clip_gradient_norms(corpus, tmp_path):
+    _, _, vocab = corpus
+    model = tiny_model(vocab)
+    norms = {1: 3.0, 2: GRAD_CLIP_NORM, 3: 4.0, 4: 10.0}  # step -> pre-clip norm
+
+    def step_fn(indices, step):
+        model.zero_grad()
+        grad = np.zeros_like(model.params["out_proj.b"].data)
+        grad[0] = norms[step]
+        model.params["out_proj.b"].grad = grad
+        return 0.5
+
+    run = TrainRunConfig(epochs=1, batch_size=1, eval_every=2, out_dir=str(tmp_path / "run"))
+    _fit(model, 4, step_fn, lambda step: 1e-3, lambda: {"cider_d": 0.0}, run, RngState(1))
+    rows = read_history(tmp_path / "run")
+    assert [(r["step"], r["grad_norm"], r["clipped"]) for r in rows] == \
+        [(0, None, 0), (2, pytest.approx(4.0), 0), (4, pytest.approx(7.0), 1)]
+    assert np.linalg.norm(model.params["out_proj.b"].grad) == pytest.approx(GRAD_CLIP_NORM)
