@@ -1,18 +1,23 @@
 """Command-line pipeline: data generation, vocab, training, captioning, scoring.
 
-One subcommand per pipeline stage; a JSON config file (based on the built-in
-``paper`` or ``desk`` profile) is the source of truth and individual flags
-override single keys; a config value must have its profile default's type.
-Exit codes: 0 success, 1 usage error, 2 data/format error (a file that is
-not UTF-8 text among them), 3 numeric failure.
+One subcommand per pipeline stage.  ``train`` and ``finetune-scst`` read a
+JSON config file with one section per config dataclass (``model``,
+``schedule``, ``reward``, ``run``); the dataclass fields are its keys, their
+annotations its types and their defaults the ``paper`` profile.  The file
+may name a base profile (``desk`` if it names none; ``--profile`` overrides
+it) and overrides single keys of it; the ``--out``, ``--seed`` and
+``--epochs`` flags override the file.  Data paths come only from flags, and
+the model's vocabulary size from the vocabulary file.  Exit codes: 0
+success, 1 usage error, 2 data/format error (a file that is not UTF-8 text
+among them), 3 numeric failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import copy
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .errors import CapacityError, ContractError, DataError, DimensionError, \
@@ -20,7 +25,8 @@ from .errors import CapacityError, ContractError, DataError, DimensionError, \
 from .features import load_manifest, synth_dataset
 from .fileio import atomic_path
 from .metrics import score_corpus
-from .model import ModelConfig, TransformerModel, greedy_decode, load_checkpoint_for
+from .model import ModelConfig, TransformerModel, greedy_decode, has_field_type, \
+    load_checkpoint_for
 from .scst import RewardConfig, finetune_scst
 from .tokenizer import build_vocab, decode, load_vocab, normalize_words, save_vocab
 from .training import ScheduleConfig, TrainRunConfig, evaluate, train_xe
@@ -30,120 +36,72 @@ class UsageError(VttError):
     pass
 
 
-# Built-in profiles.  «paper» records the published-scale configuration (it
-# constructs, but training it is not a laptop job); «desk» is the fast profile
-# used by the test suite.  vocab_size null means "derive from the vocab file".
+SECTIONS = {"model": ModelConfig, "schedule": ScheduleConfig, "reward": RewardConfig,
+            "run": TrainRunConfig}
+
+# Built-in profiles as overrides of the dataclass defaults.  «paper» is the
+# published-scale configuration (it constructs, but training it is not a
+# laptop job); «desk» is the fast profile used by the test suite.
 PROFILES = {
-    "paper": {
-        "model": {"n_enc": 8, "n_dec": 8, "n_heads": 8, "d_model": 512,
-                  "d_ff": 2048, "d_memory": 64, "vocab_size": None,
-                  "d_vision": 1024, "d_audio": 128, "p_audio": 300, "l_max": 24,
-                  "attention_kind": "memory_scaled_dot"},
-        "schedule": {"kind": "sgdr", "warmup": 10000,
-                     "t0": 4000, "t_mult": 2, "eta_max": None, "eta_min": None},
-        "reward": {"lambda_cider": 1.0, "lambda_bleu4": 1.0, "n_samples": 5,
-                   "eta": 5e-6, "temperature": 1.0},
-        "run": {"epochs": 50, "batch_size": 128, "seed": 7, "eval_every": 0,
-                "patience": 10, "out_dir": "run"},
-        "data": {"train_manifest": None, "val_manifest": None, "vocab": None},
-    },
+    "paper": {},
     "desk": {
-        "model": {"n_enc": 2, "n_dec": 2, "n_heads": 4, "d_model": 32,
-                  "d_ff": 64, "d_memory": 8, "vocab_size": None,
-                  "d_vision": 32, "d_audio": 8, "p_audio": 300, "l_max": 24,
-                  "attention_kind": "memory_scaled_dot"},
-        "schedule": {"kind": "sgdr", "warmup": 200,
-                     "t0": 400, "t_mult": 2, "eta_max": None, "eta_min": None},
-        "reward": {"lambda_cider": 1.0, "lambda_bleu4": 1.0, "n_samples": 5,
-                   "eta": 1e-4, "temperature": 1.0},
-        "run": {"epochs": 30, "batch_size": 16, "seed": 7, "eval_every": 0,
-                "patience": 0, "out_dir": "run"},
-        "data": {"train_manifest": None, "val_manifest": None, "vocab": None},
+        "model": {"n_enc": 2, "n_dec": 2, "n_heads": 4, "d_model": 32, "d_ff": 64,
+                  "d_memory": 8, "d_vision": 32, "d_audio": 8},
+        "schedule": {"warmup": 200, "t0": 400},
+        "reward": {"eta": 1e-4},
+        "run": {"epochs": 30, "batch_size": 16, "patience": 0},
     },
 }
 
 
-def _fits(default, value) -> bool:
-    """Whether ``value`` may replace a profile's ``default``: a value of the
-    same type, or an int for a float.  A bool is never a number here, and a
-    null default takes any value."""
-    if default is None:
-        return True
-    if isinstance(default, float):
-        return isinstance(value, (int, float)) and not isinstance(value, bool)
-    return type(value) is type(default)
-
-
-def _merge(base: dict, override: dict, path: str = "") -> dict:
-    out = copy.deepcopy(base)
-    for key, value in override.items():
-        where = f"{path}.{key}" if path else key
-        if key not in base:
-            raise UsageError(f"unknown config key {where!r}")
-        if not _fits(base[key], value):
-            raise UsageError(f"config key {where!r} must be of type {type(base[key]).__name__}, "
-                             f"got {value!r}")
-        if isinstance(base[key], dict):
-            out[key] = _merge(base[key], value, where)
-        else:
-            out[key] = value
-    return out
+def _overlay(cfg: dict, layer: dict) -> None:
+    """Set the keys of ``layer`` in ``cfg``, each a known key of its section
+    holding a value of its field's type."""
+    for section, values in layer.items():
+        if section not in cfg:
+            raise UsageError(f"unknown config key {section!r}")
+        if not isinstance(values, dict):
+            raise UsageError(f"config key {section!r} must be an object, got {values!r}")
+        cls = SECTIONS[section]
+        for key, value in values.items():
+            where = f"{section}.{key}"
+            if key not in cfg[section]:
+                raise UsageError(f"unknown config key {where!r}")
+            if not has_field_type(cls, key, value):
+                hint = next(f.type for f in fields(cls) if f.name == key)
+                raise UsageError(f"config key {where!r} must be of type {hint}, "
+                                 f"got {value!r}")
+            cfg[section][key] = value
 
 
 def resolve_config(config_path: str | None, profile: str | None) -> dict:
-    """Profile defaults overlaid with the config file (which may name its
-    own base profile via a top-level "profile" key)."""
+    """The dataclass defaults overlaid with a profile, then with the config
+    file, which may name its own base profile by a top-level "profile" key;
+    ``profile`` overrides that.  One dict per section."""
     file_cfg = {}
     if config_path:
         with open(config_path, encoding="utf-8") as fh:
             file_cfg = json.load(fh)
         if not isinstance(file_cfg, dict):
             raise FormatError(f"{config_path}: config must be a JSON object")
-    name = profile or file_cfg.pop("profile", None) or "desk"
-    if profile and "profile" in file_cfg:
-        file_cfg.pop("profile")
+    name = file_cfg.pop("profile", "desk")
+    if not isinstance(name, str):
+        raise UsageError(f"config key 'profile' must be of type str, got {name!r}")
+    name = profile or name
     if name not in PROFILES:
         raise UsageError(f"unknown profile {name!r} (have {sorted(PROFILES)})")
-    return _merge(PROFILES[name], file_cfg)
-
-
-def _apply_flag_overrides(cfg: dict, args) -> dict:
-    data = cfg["data"]
-    for flag, key in (("train", "train_manifest"), ("val", "val_manifest"),
-                      ("vocab", "vocab")):
-        value = getattr(args, flag, None)
-        if value is not None:
-            data[key] = value
-    if getattr(args, "out", None) is not None:
-        cfg["run"]["out_dir"] = args.out
-    if getattr(args, "seed", None) is not None:
-        cfg["run"]["seed"] = args.seed
-    if getattr(args, "epochs", None) is not None:
-        cfg["run"]["epochs"] = args.epochs
+    cfg = {section: {f.name: f.default for f in fields(cls)}
+           for section, cls in SECTIONS.items()}
+    del cfg["model"]["vocab_size"]  # set by the vocabulary file
+    _overlay(cfg, PROFILES[name])
+    _overlay(cfg, file_cfg)
     return cfg
 
 
-def _require_paths(cfg: dict, *keys) -> None:
-    for key in keys:
-        value = cfg["data"].get(key)
-        if not value:
-            raise UsageError(f"missing required data path {key!r} "
-                             "(set it in the config file or by flag)")
-        if not Path(value).exists():
-            raise FormatError(f"{key} path does not exist: {value}")
-
-
-def _build_model_pieces(cfg: dict):
-    vocab = load_vocab(cfg["data"]["vocab"])
-    model_cfg = dict(cfg["model"])
-    if model_cfg.get("vocab_size") is None:
-        model_cfg["vocab_size"] = len(vocab)
-    elif model_cfg["vocab_size"] != len(vocab):
-        raise FormatError(f"config vocab_size {model_cfg['vocab_size']} does not "
-                          f"match vocabulary of {len(vocab)} tokens")
-    return vocab, ModelConfig.from_dict(model_cfg), \
-        ScheduleConfig(**cfg["schedule"], d_model=model_cfg["d_model"]), \
-        TrainRunConfig(**cfg["run"])
+def _run_config(cfg: dict, args) -> TrainRunConfig:
+    """The ``run`` section with the --out, --seed and --epochs flags laid over it."""
+    flags = {"out_dir": args.out, "seed": args.seed, "epochs": args.epochs}
+    return TrainRunConfig(**{**cfg["run"], **{k: v for k, v in flags.items() if v is not None}})
 
 
 # ---------------------------------------------------------------------------
@@ -169,11 +127,13 @@ def cmd_build_vocab(args) -> int:
 
 
 def cmd_train(args) -> int:
-    cfg = _apply_flag_overrides(resolve_config(args.config, args.profile), args)
-    _require_paths(cfg, "train_manifest", "val_manifest", "vocab")
-    vocab, model_cfg, sched, run = _build_model_pieces(cfg)
-    train = load_manifest(cfg["data"]["train_manifest"], "train")
-    val = load_manifest(cfg["data"]["val_manifest"], "val")
+    cfg = resolve_config(args.config, args.profile)
+    vocab = load_vocab(args.vocab)
+    model_cfg = ModelConfig(**cfg["model"], vocab_size=len(vocab))
+    sched = ScheduleConfig(**cfg["schedule"])
+    run = _run_config(cfg, args)
+    train = load_manifest(args.train, "train")
+    val = load_manifest(args.val, "val")
     model = TransformerModel(model_cfg, seed=run.seed)
     result = train_xe(model, vocab, train, val, sched, run)
     print(json.dumps({"best_epoch": result.best_epoch,
@@ -184,13 +144,12 @@ def cmd_train(args) -> int:
 
 
 def cmd_finetune_scst(args) -> int:
-    cfg = _apply_flag_overrides(resolve_config(args.config, args.profile), args)
-    _require_paths(cfg, "train_manifest", "val_manifest", "vocab")
-    vocab = load_vocab(cfg["data"]["vocab"])
-    train = load_manifest(cfg["data"]["train_manifest"], "train")
-    val = load_manifest(cfg["data"]["val_manifest"], "val")
+    cfg = resolve_config(args.config, args.profile)
+    vocab = load_vocab(args.vocab)
+    train = load_manifest(args.train, "train")
+    val = load_manifest(args.val, "val")
     rc = RewardConfig(**cfg["reward"])
-    run = TrainRunConfig(**cfg["run"])
+    run = _run_config(cfg, args)
     result = finetune_scst(args.init, train, val, vocab, rc, run,
                            trace_path=args.trace)
     print(json.dumps({"best_epoch": result.best_epoch,
@@ -290,9 +249,9 @@ def build_parser() -> _Parser:
         p = sub.add_parser(name, help=f"{name} on a dataset")
         p.add_argument("--config")
         p.add_argument("--profile", choices=sorted(PROFILES))
-        p.add_argument("--train")
-        p.add_argument("--val")
-        p.add_argument("--vocab")
+        p.add_argument("--train", required=True)
+        p.add_argument("--val", required=True)
+        p.add_argument("--vocab", required=True)
         p.add_argument("--out")
         p.add_argument("--seed", type=int)
         p.add_argument("--epochs", type=int)

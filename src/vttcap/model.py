@@ -41,6 +41,7 @@ import math
 import os
 import struct
 import sys
+import typing
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -55,6 +56,15 @@ from .tensor import RngState, Tensor
 NEG_INF = -1e9
 
 ATTENTION_KINDS = ("memory_scaled_dot", "x_linear")
+
+
+def has_field_type(cls, name: str, value) -> bool:
+    """Whether ``value`` has one of the types annotated on field ``name`` of
+    the config dataclass ``cls``: an int counts as a float, a bool never as
+    a number, and None only where the annotation allows it."""
+    hint = typing.get_type_hints(cls)[name]
+    types = typing.get_args(hint) or (hint,)
+    return type(value) in types or (type(value) is int and float in types)
 
 
 @dataclass
@@ -92,14 +102,13 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        """A config from a JSON object whose values have their defaults' types."""
+        """A config from a JSON object whose values have their fields' types."""
         if not isinstance(d, dict):
             raise FormatError(f"model config must be a JSON object, not {type(d).__name__}")
-        defaults = {f.name: f.default for f in fields(cls)}
-        unknown = set(d) - set(defaults)
+        unknown = set(d) - {f.name for f in fields(cls)}
         if unknown:
             raise FormatError(f"unknown model config keys: {sorted(unknown)}")
-        wrong = sorted(k for k, v in d.items() if type(v) is not type(defaults[k]))
+        wrong = sorted(k for k, v in d.items() if not has_field_type(cls, k, v))
         if wrong:
             raise FormatError(f"model config values of the wrong type: {wrong}")
         return cls(**d)
@@ -144,30 +153,20 @@ def _key_mask(mask: np.ndarray, n_keys: int, dtype) -> np.ndarray:
 
 
 def memory_attention(q: Tensor, k: Tensor, v: Tensor,
-                     m_k: Tensor | None, m_v: Tensor | None,
                      mask: np.ndarray | None = None) -> Tensor:
-    """Scaled dot-product attention with memory slots appended to key/value.
+    """Scaled dot-product attention whose keys and values may end in memory slots.
 
-    softmax(q [k; M_k]^T / sqrt(d_head)) [v; M_v], batched over leading
-    (batch, head) axes; the memory slots broadcast over the batch.  The
-    additive mask broadcasts over the scores and covers real key positions
-    only; memory columns never are.
+    softmax(q k^T / sqrt(d_head)) v, batched over leading (batch, head)
+    axes.  The additive mask broadcasts over the scores and covers the
+    leading real key positions only; key columns past it (memory slots)
+    are never masked.
     """
     if q.shape[-1] != k.shape[-1] or k.shape[-2] != v.shape[-2]:
         raise DimensionError(f"attention shapes q={q.shape} k={k.shape} v={v.shape}")
-    if (m_k is None) != (m_v is None):
-        raise DimensionError("memory key/value must both be present or absent")
-    keys, values = k, v
-    if m_k is not None and m_k.shape[-2] > 0:
-        if m_k.shape[-1] != k.shape[-1] or m_v.shape != m_k.shape:
-            raise DimensionError(
-                f"memory shapes {m_k.shape}/{m_v.shape} do not match d_head {k.shape[-1]}")
-        keys = T.concat([k, m_k], axis=k.ndim - 2)
-        values = T.concat([v, m_v], axis=v.ndim - 2)
-    scores = T.scale(T.matmul(q, T.transpose(keys)), 1.0 / np.sqrt(q.shape[-1]))
+    scores = T.scale(T.matmul(q, T.transpose(k)), 1.0 / np.sqrt(q.shape[-1]))
     if mask is not None:
-        scores = T.add(scores, T.constant(_key_mask(mask, keys.shape[-2], scores.dtype)))
-    return T.matmul(T.softmax_lastdim(scores), values)
+        scores = T.add(scores, T.constant(_key_mask(mask, k.shape[-2], scores.dtype)))
+    return T.matmul(T.softmax_lastdim(scores), v)
 
 
 @dataclass
@@ -342,21 +341,17 @@ class TransformerModel:
         """Attention of the rows of ``x_q`` over the head-split key/value pair ``kv``."""
         cfg = self.cfg
         g = self.params
-        x_linear = memory_prefix is not None and cfg.attention_kind == "x_linear"
-        use_mem = memory_prefix is not None and cfg.d_memory > 0
         k, v = kv
         q = self._split_heads(T.matmul(x_q, g[f"{prefix}.wq"]))
-        m_k = m_v = None
-        if use_mem:
-            m_k, m_v = g[f"{memory_prefix}.mem_k"], g[f"{memory_prefix}.mem_v"]
-        if x_linear:
-            if use_mem:
-                k, v = T.concat([k, m_k], axis=2), T.concat([v, m_v], axis=2)
+        if memory_prefix is not None and cfg.d_memory > 0:
+            k = T.concat([k, g[f"{memory_prefix}.mem_k"]], axis=2)
+            v = T.concat([v, g[f"{memory_prefix}.mem_v"]], axis=2)
+        if memory_prefix is not None and cfg.attention_kind == "x_linear":
             w = XLinearWeights(*(g[f"{memory_prefix}.xl.{nm}"]
                                  for nm in ("wq", "wk", "wb", "ws", "wc")))
             heads = x_linear_attention(q, k, v, w, mask)
         else:
-            heads = memory_attention(q, k, v, m_k, m_v, mask)
+            heads = memory_attention(q, k, v, mask)
         joined = T.reshape(T.transpose(heads, (0, 2, 1, 3)), x_q.shape[:2] + (cfg.d_model,))
         return T.add(T.matmul(joined, g[f"{prefix}.out.w"]), g[f"{prefix}.out.b"])
 

@@ -45,7 +45,6 @@ class RewardConfig:
     n_samples: int = 5
     eta: float = 5e-6
     temperature: float = 1.0
-    idf: IdfTable | None = None
 
     def __post_init__(self):
         lambdas = (self.lambda_cider, self.lambda_bleu4)
@@ -57,17 +56,15 @@ class RewardConfig:
             raise ContractError("temperature must be finite and > 0")
 
 
-def mixed_reward(candidate, refs, rc: RewardConfig) -> float:
+def mixed_reward(candidate, refs, rc: RewardConfig, idf: IdfTable) -> float:
     """lambda_cider * sentence CIDEr-D + lambda_bleu4 * smoothed sentence BLEU-4.
 
-    ``candidate`` and ``refs`` are word-token lists; ``rc.idf`` must be the
-    frozen training-reference table.
+    ``candidate`` and ``refs`` are word-token lists; ``idf`` is the frozen
+    training-reference table.
     """
-    if rc.idf is None:
-        raise ContractError("reward needs a frozen IdfTable (rc.idf)")
     r = 0.0
     if rc.lambda_cider:
-        r += rc.lambda_cider * cider_sentence(candidate, refs, rc.idf, "D")
+        r += rc.lambda_cider * cider_sentence(candidate, refs, idf, "D")
     if rc.lambda_bleu4:
         r += rc.lambda_bleu4 * bleu4(candidate, refs, smooth=True)
     return r
@@ -112,18 +109,13 @@ def scst_surrogate_loss(model: TransformerModel, items) -> T.Tensor:
 
 
 def scst_batch_step(model: TransformerModel, batch, vocab: Vocabulary,
-                    rc: RewardConfig, rng: RngState,
-                    reward_fn=None) -> tuple:
+                    rc: RewardConfig, rng: RngState, reward_fn) -> tuple:
     """Rollouts, rewards, surrogate backward for one batch of videos.
 
     Returns (loss value, ScstBatchTrace); gradients are left in the model's
-    parameter buffers.  ``reward_fn(candidate_words, refs_words)`` may be
-    injected for tests; the default is the mixed CIDEr-D/BLEU-4 reward.
+    parameter buffers.  ``reward_fn(candidate_words, refs_words)`` scores a
+    caption.
     """
-    if reward_fn is None:
-        def reward_fn(cand, refs):
-            return mixed_reward(cand, refs, rc)
-
     trace = ScstBatchTrace()
     items = []
     for sample in batch:
@@ -154,10 +146,10 @@ def scst_batch_step(model: TransformerModel, batch, vocab: Vocabulary,
 
 
 def validation_mixed_reward(model: TransformerModel, samples, vocab: Vocabulary,
-                            rc: RewardConfig) -> float:
+                            rc: RewardConfig, idf: IdfTable) -> float:
     """Mean mixed reward of greedy captions over a validation set."""
     candidates, refs_corpus = greedy_captions(model, samples, vocab)
-    rewards = [mixed_reward(c, refs, rc) for c, refs in zip(candidates, refs_corpus)]
+    rewards = [mixed_reward(c, refs, rc, idf) for c, refs in zip(candidates, refs_corpus)]
     return statistics.fmean(rewards)
 
 
@@ -179,9 +171,7 @@ def finetune_scst(checkpoint, train: DatasetManifest, val: DatasetManifest,
         raise ContractError("train and val manifests must be non-empty")
     train_samples = train.load_samples()
     val_samples = val.load_samples()
-    if rc.idf is None:
-        rc.idf = compute_idf([[normalize_words(c) for c in s.captions]
-                              for s in train_samples])
+    idf = compute_idf([[normalize_words(c) for c in s.captions] for s in train_samples])
     rng = RngState(run.seed).derive("scst")
     sample_rng = rng.derive("rollouts")
     advantage_window = []
@@ -190,7 +180,8 @@ def finetune_scst(checkpoint, train: DatasetManifest, val: DatasetManifest,
             else contextlib.nullcontext() as trace_fh:
         def step_fn(indices, step: int) -> float:
             batch = [train_samples[i] for i in indices]
-            loss, trace = scst_batch_step(model, batch, vocab, rc, sample_rng)
+            loss, trace = scst_batch_step(model, batch, vocab, rc, sample_rng,
+                                          lambda cand, refs: mixed_reward(cand, refs, rc, idf))
             advantage_window.append(trace.mean_advantage)
             if trace_fh is not None:
                 trace_fh.write(json.dumps({
@@ -208,7 +199,7 @@ def finetune_scst(checkpoint, train: DatasetManifest, val: DatasetManifest,
 
         def validate_fn() -> dict:
             row = {**evaluate(model, val_samples, vocab).as_dict(),
-                   "mixed_reward": validation_mixed_reward(model, val_samples, vocab, rc),
+                   "mixed_reward": validation_mixed_reward(model, val_samples, vocab, rc, idf),
                    "mean_advantage": (statistics.fmean(advantage_window)
                                       if advantage_window else None)}
             advantage_window.clear()

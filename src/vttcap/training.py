@@ -110,8 +110,7 @@ def clip_gradients(params: dict, max_norm: float = GRAD_CLIP_NORM) -> float:
 
 @dataclass
 class ScheduleConfig:
-    kind: str = "default"  # default | sgdr
-    d_model: int = 512  # set to the model's d_model, never by a config file
+    kind: str = "sgdr"  # default | sgdr
     warmup: int = 10000
     t0: int = 4000
     t_mult: int = 2
@@ -124,25 +123,25 @@ class ScheduleConfig:
         if self.warmup < 1 or self.t0 < 1:
             raise ContractError("warmup and t0 must be >= 1")
 
-    def resolved_eta_max(self) -> float:
+    def resolved_eta_max(self, d_model: int) -> float:
         if self.eta_max is not None:
             return self.eta_max
-        return self.d_model ** -0.5 * self.warmup ** -0.5
+        return d_model ** -0.5 * self.warmup ** -0.5
 
-    def resolved_eta_min(self) -> float:
+    def resolved_eta_min(self, d_model: int) -> float:
         if self.eta_min is not None:
             return self.eta_min
-        return self.resolved_eta_max() / 100.0
+        return self.resolved_eta_max(d_model) / 100.0
 
 
-def lr_at(step: int, s: ScheduleConfig) -> float:
-    """Learning rate for 1-based optimizer step ``step``."""
+def lr_at(step: int, s: ScheduleConfig, d_model: int) -> float:
+    """Learning rate for 1-based optimizer step ``step`` of a model of width ``d_model``."""
     if step < 1:
         raise ContractError("step must be >= 1")
     if s.kind == "default":
-        return s.d_model ** -0.5 * min(step ** -0.5, step * s.warmup ** -1.5)
-    eta_max = s.resolved_eta_max()
-    eta_min = s.resolved_eta_min()
+        return d_model ** -0.5 * min(step ** -0.5, step * s.warmup ** -1.5)
+    eta_max = s.resolved_eta_max(d_model)
+    eta_min = s.resolved_eta_min(d_model)
     if step <= s.warmup:
         return eta_max * step / s.warmup
     u = step - s.warmup
@@ -155,11 +154,11 @@ def lr_at(step: int, s: ScheduleConfig) -> float:
 
 @dataclass
 class TrainRunConfig:
-    epochs: int = 30
-    batch_size: int = 16
+    epochs: int = 50
+    batch_size: int = 128
     seed: int = 7
     eval_every: int = 0  # steps between validations; 0 = once per epoch
-    patience: int = 0  # validations without improvement before stopping; 0 = off
+    patience: int = 10  # validations without improvement before stopping; 0 = off
     out_dir: str = "run"
 
     def __post_init__(self):
@@ -258,9 +257,10 @@ def _fit(model: TransformerModel, n_items: int, step_fn, lr_fn, validate_fn,
     ``step_fn(indices, step)`` runs forward and backward on the items at
     ``indices`` for 1-based step ``step`` and returns the loss; ``lr_fn(step)``
     is the step's learning rate; ``validate_fn()`` returns a history row's
-    metrics, ``cider_d`` among them.  Each row also records ``grad_norm``, the
-    mean pre-clip gradient norm of the steps since the previous row (None on
-    the step-0 row), and ``clipped``, how many of those steps were clipped.
+    metrics, ``cider_d`` among them.  Each row also records ``train_loss`` and
+    ``grad_norm``, the mean loss and pre-clip gradient norm of the steps since
+    the previous row (None on the step-0 row), and ``clipped``, how many of
+    those steps were clipped.
     """
     out_dir = Path(run.out_dir)
     ckpt_dir = out_dir / "checkpoints"
@@ -277,9 +277,10 @@ def _fit(model: TransformerModel, n_items: int, step_fn, lr_fn, validate_fn,
     write_history()
     best = (-1.0, 0, None)  # (cider_d, epoch, path)
     step = 0
-    norms = []  # pre-clip gradient norms since the previous row
+    losses = []  # training losses and pre-clip gradient norms since the previous row
+    norms = []
 
-    def validate(epoch: int, losses) -> bool:
+    def validate(epoch: int) -> bool:
         """Record one validation; True when its CIDEr-D is a new best."""
         nonlocal best
         row = {"epoch": epoch, "step": step, "lr": lr_fn(step),
@@ -287,6 +288,7 @@ def _fit(model: TransformerModel, n_items: int, step_fn, lr_fn, validate_fn,
                "grad_norm": statistics.fmean(norms) if norms else None,
                "clipped": sum(n > GRAD_CLIP_NORM for n in norms),
                **validate_fn()}
+        losses.clear()
         norms.clear()
         history.append(row)
         write_history()
@@ -297,12 +299,11 @@ def _fit(model: TransformerModel, n_items: int, step_fn, lr_fn, validate_fn,
             best = (row["cider_d"], epoch, path)
         return improved
 
-    validate(0, None)  # the starting point
+    validate(0)  # the starting point
     stall = 0
     stop = False
     for epoch in range(1, run.epochs + 1):
         order = rng.permutation(n_items)
-        losses = []
         for lo in range(0, n_items, run.batch_size):
             step += 1
             loss = step_fn(order[lo:lo + run.batch_size], step)
@@ -314,7 +315,7 @@ def _fit(model: TransformerModel, n_items: int, step_fn, lr_fn, validate_fn,
             due = (step % run.eval_every == 0 if run.eval_every
                    else lo + run.batch_size >= n_items)  # else at the end of the epoch
             if due:
-                stall = 0 if validate(epoch, losses) else stall + 1
+                stall = 0 if validate(epoch) else stall + 1
                 stop = bool(run.patience) and stall >= run.patience
                 if stop:
                     break
@@ -357,4 +358,5 @@ def train_xe(model: TransformerModel, vocab: Vocabulary, train: DatasetManifest,
                                             run.batch_size)}
 
     return _fit(model, len(train_pairs), step_fn,
-                lambda step: lr_at(step, sched) if step else 0.0, validate_fn, run, rng)
+                lambda step: lr_at(step, sched, model.cfg.d_model) if step else 0.0,
+                validate_fn, run, rng)

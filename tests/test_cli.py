@@ -1,15 +1,17 @@
 """CLI exit codes for usage errors, numeric failures, corrupt inputs,
-malformed config and removed config keys; the built-in profiles' keys;
-``caption``, ``score`` and atomic CLI outputs."""
+malformed config and removed config keys; the config type rule and the
+built-in profiles' values; ``caption``, ``score`` and atomic CLI outputs."""
 
 import json
-from dataclasses import fields
 
+import numpy as np
 import pytest
 
 from conftest import tiny_config
-from vttcap.cli import PROFILES, dispatch
-from vttcap.model import ModelConfig, TransformerModel, save_checkpoint
+from vttcap import tensor as T
+from vttcap import training
+from vttcap.cli import PROFILES, dispatch, resolve_config
+from vttcap.model import ModelConfig, TransformerModel, has_field_type, save_checkpoint
 from vttcap.scst import RewardConfig
 from vttcap.tokenizer import load_vocab
 from vttcap.training import ScheduleConfig, TrainRunConfig
@@ -39,12 +41,22 @@ def run_args(d, out):
             "--out", str(out), "--epochs", "1"]
 
 
+@pytest.mark.parametrize("command", ["train", "finetune-scst"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
-def test_non_finite_scst_loss_exits_3(workdir, tmp_path, monkeypatch, value):
-    monkeypatch.setattr("vttcap.scst.mixed_reward", lambda cand, refs, rc: value)
-    code = dispatch(["finetune-scst", *run_args(workdir, tmp_path / "run"),
-                     "--init", str(workdir / "init.vttc")])
-    assert code == 3
+def test_non_finite_training_loss_exits_3(workdir, tmp_path, monkeypatch, command, value):
+    if command == "train":
+        xe_loss = training.batch_xe_loss
+        monkeypatch.setattr(training, "batch_xe_loss",
+                            lambda *args: T.add(xe_loss(*args), T.constant(np.array(value))))
+        extra = []
+    else:
+        monkeypatch.setattr("vttcap.scst.mixed_reward", lambda *args: value)
+        extra = ["--init", str(workdir / "init.vttc")]
+    run = tmp_path / "run"
+    assert dispatch([command, *run_args(workdir, run), *extra]) == 3
+    rows = [json.loads(line) for line in (run / "history.jsonl").read_text().splitlines()]
+    assert [r["step"] for r in rows] == [0]  # the row written before the failed step
+    assert not list(run.rglob("*.tmp"))
 
 
 @pytest.mark.parametrize("temperature", [0.0, float("nan")])
@@ -88,21 +100,61 @@ def test_removed_config_key_is_unknown(workdir, tmp_path, capsys, section, key, 
     assert not (tmp_path / "run").exists()
 
 
-# derived from other values, never set by a profile
-DERIVED_FIELDS = {"schedule": {"d_model"}, "reward": {"idf"}}
+RESOLVED = {
+    "paper": {
+        "model": {"n_enc": 8, "n_dec": 8, "n_heads": 8, "d_model": 512, "d_ff": 2048,
+                  "d_memory": 64, "d_vision": 1024, "d_audio": 128, "p_audio": 300,
+                  "l_max": 24, "attention_kind": "memory_scaled_dot"},
+        "schedule": {"kind": "sgdr", "warmup": 10000, "t0": 4000, "t_mult": 2,
+                     "eta_max": None, "eta_min": None},
+        "reward": {"lambda_cider": 1.0, "lambda_bleu4": 1.0, "n_samples": 5, "eta": 5e-6,
+                   "temperature": 1.0},
+        "run": {"epochs": 50, "batch_size": 128, "seed": 7, "eval_every": 0, "patience": 10,
+                "out_dir": "run"},
+    },
+    "desk": {
+        "model": {"n_enc": 2, "n_dec": 2, "n_heads": 4, "d_model": 32, "d_ff": 64,
+                  "d_memory": 8, "d_vision": 32, "d_audio": 8, "p_audio": 300, "l_max": 24,
+                  "attention_kind": "memory_scaled_dot"},
+        "schedule": {"kind": "sgdr", "warmup": 200, "t0": 400, "t_mult": 2,
+                     "eta_max": None, "eta_min": None},
+        "reward": {"lambda_cider": 1.0, "lambda_bleu4": 1.0, "n_samples": 5, "eta": 1e-4,
+                   "temperature": 1.0},
+        "run": {"epochs": 30, "batch_size": 16, "seed": 7, "eval_every": 0, "patience": 0,
+                "out_dir": "run"},
+    },
+}
 
 
 @pytest.mark.parametrize("profile", sorted(PROFILES))
-def test_profile_sections_are_exactly_their_config_fields(profile):
-    sections = PROFILES[profile]
-    built = {"model": ModelConfig, "schedule": ScheduleConfig, "reward": RewardConfig,
-             "run": TrainRunConfig}
-    assert set(sections) == {*built, "data"}
-    for name, cls in built.items():
-        names = {f.name for f in fields(cls)} - DERIVED_FIELDS.get(name, set())
-        assert set(sections[name]) == names, name
-    assert sections["model"]["vocab_size"] is None  # taken from the vocab file
-    ModelConfig.from_dict({**sections["model"], "vocab_size": 12})
+def test_profiles_resolve_to_their_values(profile):
+    cfg = resolve_config(None, profile)
+    assert cfg == RESOLVED[profile]
+    assert all(type(cfg[s][k]) is type(v) for s in cfg for k, v in RESOLVED[profile][s].items())
+    ModelConfig(**cfg["model"], vocab_size=12)
+    ScheduleConfig(**cfg["schedule"])
+    RewardConfig(**cfg["reward"])
+    TrainRunConfig(**cfg["run"])
+
+
+@pytest.mark.parametrize("override, code", [
+    ({"schedule": {"eta_max": "x"}}, 1),
+    ({"schedule": {"eta_min": [1]}}, 1),
+    ({"profile": [1]}, 1),
+    ({"model": {"vocab_size": 64}}, 1),
+    ({"data": {"vocab": "vocab.txt"}}, 1),
+    ({"model": {"n_enc": True}}, 1),
+    ({"schedule": {"eta_max": 1}}, 0),
+    ({"schedule": {"eta_min": None}}, 0),
+])
+def test_config_contract(workdir, tmp_path, override, code):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**override, "model": {**TINY_MODEL,
+                                                        **override.get("model", {})}}))
+    args = run_args(workdir, tmp_path / "run")
+    args[1] = str(config)
+    assert dispatch(["train", *args]) == code
+    assert (tmp_path / "run").exists() == (code == 0)
 
 
 @pytest.mark.parametrize("sidecar", [
@@ -255,13 +307,30 @@ def test_config_value_of_the_wrong_type_exits_1(workdir, tmp_path, capsys, overr
     assert "must be of type int" in capsys.readouterr().err
 
 
-def test_config_type_rules():
-    from vttcap.cli import _fits
-
-    assert _fits(1e-4, 1) and _fits(1e-4, 0.5) and not _fits(1e-4, True)
-    assert _fits(16, 16) and not _fits(16, True) and not _fits(16, 16.0)
-    assert _fits(None, 30522) and _fits(None, "path") and _fits(None, 0.01)
-    assert _fits({"a": 1}, {}) and not _fits({"a": 1}, [1]) and not _fits(True, 1)
+@pytest.mark.parametrize("cls, key, value, fits", [
+    (RewardConfig, "eta", 1e-4, True),
+    (RewardConfig, "eta", 1, True),  # an int counts as a float
+    (RewardConfig, "eta", True, False),  # a bool never counts as a number
+    (RewardConfig, "eta", None, False),
+    (RewardConfig, "eta", "1e-4", False),
+    (TrainRunConfig, "batch_size", 16, True),
+    (TrainRunConfig, "batch_size", 16.0, False),
+    (TrainRunConfig, "batch_size", True, False),
+    (TrainRunConfig, "batch_size", None, False),
+    (TrainRunConfig, "out_dir", "run", True),
+    (TrainRunConfig, "out_dir", None, False),
+    (ScheduleConfig, "eta_max", 0.01, True),
+    (ScheduleConfig, "eta_max", 1, True),
+    (ScheduleConfig, "eta_max", None, True),  # the annotation allows None
+    (ScheduleConfig, "eta_min", [1], False),
+    (ScheduleConfig, "eta_min", False, False),
+    (ModelConfig, "attention_kind", "x_linear", True),
+    (ModelConfig, "attention_kind", None, False),
+    (ModelConfig, "n_heads", 2, True),
+    (ModelConfig, "n_heads", {"a": 1}, False),
+])
+def test_config_type_rule(cls, key, value, fits):
+    assert has_field_type(cls, key, value) is fits
 
 
 def test_zero_heads_exits_2(workdir, tmp_path, capsys):

@@ -114,7 +114,7 @@ class TestMemoryAttention:
             q = T.constant(np_rng.normal(size=(3, 4)))
             k = T.constant(np_rng.normal(size=(5, 4)))
             v = T.constant(np_rng.normal(size=(5, 4)))
-            out = memory_attention(q, k, v, None, None)
+            out = memory_attention(q, k, v)
             assert np.allclose(out.data,
                                oracle_vanilla_attention(q.data, k.data, v.data),
                                atol=1e-6)
@@ -122,22 +122,18 @@ class TestMemoryAttention:
     def test_rows_sum_to_one_over_keys_and_memory(self):
         rng = np.random.default_rng(8)
         q = T.constant(rng.normal(size=(2, 3)))
-        k = T.constant(rng.normal(size=(2, 3)))
+        k = T.constant(rng.normal(size=(3, 3)))  # two keys, then one memory slot
         # identity-like values expose the attention weights directly
-        v = T.constant(np.array([[1.0, 0, 0], [0, 1.0, 0]]))
-        m_k = T.constant(rng.normal(size=(1, 3)))
-        m_v = T.constant(np.array([[0, 0, 1.0]]))
-        out = memory_attention(q, k, v, m_k, m_v)
+        v = T.constant(np.eye(3))
+        out = memory_attention(q, k, v)
         assert np.allclose(out.data.sum(axis=1), 1.0, atol=1e-6)
 
     def test_hand_sized_oracle(self):
         # T=1, d=1 memory slot: evaluate the formula directly
         q = T.constant(np.array([[1.0, 0.0]]))
-        k = T.constant(np.array([[2.0, 0.0]]))
-        v = T.constant(np.array([[3.0, 1.0]]))
-        m_k = T.constant(np.array([[0.0, 5.0]]))
-        m_v = T.constant(np.array([[7.0, 2.0]]))
-        out = memory_attention(q, k, v, m_k, m_v)
+        k = T.constant(np.array([[2.0, 0.0], [0.0, 5.0]]))  # key, then memory slot
+        v = T.constant(np.array([[3.0, 1.0], [7.0, 2.0]]))
+        out = memory_attention(q, k, v)
         scores = np.array([2.0, 0.0]) / np.sqrt(2.0)
         w = np.exp(scores - scores.max())
         w /= w.sum()
@@ -149,10 +145,10 @@ class TestMemoryAttention:
         k = T.constant(np_rng.normal(size=(3, 4)))
         v = T.constant(np_rng.normal(size=(3, 4)))
         mask = np.array([[0.0, 0.0, -1e9]] * 2, dtype=np.float64)
-        out = memory_attention(q, k, v, None, None, mask)
+        out = memory_attention(q, k, v, mask)
         k2 = T.constant(k.data[:2])
         v2 = T.constant(v.data[:2])
-        expected = memory_attention(q, k2, v2, None, None)
+        expected = memory_attention(q, k2, v2)
         assert np.allclose(out.data, expected.data, atol=1e-7)
 
 
@@ -872,13 +868,13 @@ class TestHeadBatchedAttention:
     """Attention over a leading head axis equals one 2-D call per head."""
 
     def test_memory_attention_over_heads(self, np_rng):
-        q, k, v = (np_rng.normal(size=(3, n, 4)) for n in (2, 5, 5))
-        m_k, m_v = np_rng.normal(size=(2, 3, 2, 4))
+        # 5 keys, then 2 memory slots the mask does not cover
+        q, k, v = (np_rng.normal(size=(3, n, 4)) for n in (2, 7, 7))
         mask = np.where(np_rng.random((2, 5)) < 0.3, -1e9, 0.0)
         mask[:, 0] = 0.0
-        batched = memory_attention(*map(T.constant, (q, k, v, m_k, m_v)), mask).data
+        batched = memory_attention(*map(T.constant, (q, k, v)), mask).data
         for h in range(3):
-            one = memory_attention(*map(T.constant, (q[h], k[h], v[h], m_k[h], m_v[h])), mask)
+            one = memory_attention(*map(T.constant, (q[h], k[h], v[h])), mask)
             assert np.allclose(batched[h], one.data, rtol=1e-12, atol=1e-12)
 
     def test_x_linear_over_heads_matches_oracle(self, np_rng):

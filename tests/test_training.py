@@ -43,8 +43,8 @@ def ckpt_path(out_dir, row):
     return out_dir / "checkpoints" / f"epoch_{row['epoch']:04d}_step_{row['step']:06d}.vttc"
 
 
-SGDR = ScheduleConfig(kind="sgdr", d_model=8, warmup=5, t0=10, t_mult=2,
-                      eta_max=0.01, eta_min=1e-4)
+SGDR = ScheduleConfig(kind="sgdr", warmup=5, t0=10, t_mult=2, eta_max=0.01, eta_min=1e-4)
+D_MODEL = tiny_config().d_model
 
 
 # ---------------------------------------------------------------------------
@@ -54,33 +54,33 @@ SGDR = ScheduleConfig(kind="sgdr", d_model=8, warmup=5, t0=10, t_mult=2,
 class TestLrAt:
     def test_linear_warmup(self):
         for step in range(1, SGDR.warmup + 1):
-            assert lr_at(step, SGDR) == pytest.approx(SGDR.eta_max * step / SGDR.warmup)
+            assert lr_at(step, SGDR, D_MODEL) == pytest.approx(SGDR.eta_max * step / SGDR.warmup)
 
     def test_cosine_reaches_eta_min_before_restart(self):
-        last = lr_at(SGDR.warmup + SGDR.t0 - 1, SGDR)
+        last = lr_at(SGDR.warmup + SGDR.t0 - 1, SGDR, D_MODEL)
         assert SGDR.eta_min < last < SGDR.eta_min + 0.03 * (SGDR.eta_max - SGDR.eta_min)
-        lrs = [lr_at(s, SGDR) for s in range(SGDR.warmup, SGDR.warmup + SGDR.t0)]
+        lrs = [lr_at(s, SGDR, D_MODEL) for s in range(SGDR.warmup, SGDR.warmup + SGDR.t0)]
         assert all(a >= b for a, b in zip(lrs, lrs[1:]))
 
     def test_restarts_return_to_eta_max_with_growing_cycles(self):
-        lrs = [lr_at(s, SGDR) for s in range(1, 200)]
+        lrs = [lr_at(s, SGDR, D_MODEL) for s in range(1, 200)]
         restarts = [s for s in range(SGDR.warmup + 1, 200)
-                    if lr_at(s, SGDR) > lr_at(s - 1, SGDR)]
+                    if lr_at(s, SGDR, D_MODEL) > lr_at(s - 1, SGDR, D_MODEL)]
         assert restarts == [15, 35, 75, 155]
         assert [b - a for a, b in zip(restarts, restarts[1:])] == [20, 40, 80]
         for s in restarts:
             assert lrs[s - 1] == pytest.approx(SGDR.eta_max)
 
     def test_default_rule_peaks_at_warmup(self):
-        s = ScheduleConfig(kind="default", d_model=16, warmup=50)
-        lrs = [lr_at(step, s) for step in range(1, 200)]
+        s = ScheduleConfig(kind="default", warmup=50)
+        lrs = [lr_at(step, s, 16) for step in range(1, 200)]
         assert int(np.argmax(lrs)) + 1 == s.warmup
         assert max(lrs) == pytest.approx(16 ** -0.5 * 50 ** -0.5)
 
     def test_resolved_defaults(self):
-        s = ScheduleConfig(kind="sgdr", d_model=16, warmup=50)
-        assert s.resolved_eta_max() == pytest.approx(16 ** -0.5 * 50 ** -0.5)
-        assert s.resolved_eta_min() == pytest.approx(s.resolved_eta_max() / 100)
+        s = ScheduleConfig(kind="sgdr", warmup=50)
+        assert s.resolved_eta_max(16) == pytest.approx(16 ** -0.5 * 50 ** -0.5)
+        assert s.resolved_eta_min(16) == pytest.approx(s.resolved_eta_max(16) / 100)
 
     def test_only_default_and_sgdr_kinds(self):
         with pytest.raises(ContractError):
@@ -88,7 +88,7 @@ class TestLrAt:
 
     def test_step_must_be_positive(self):
         with pytest.raises(ContractError):
-            lr_at(0, SGDR)
+            lr_at(0, SGDR, D_MODEL)
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +170,7 @@ class TestTrainXe:
         assert [r["step"] for r in rows] == [0, 4, 8, 12] == \
             [e * steps_per_epoch for e in range(4)]
         assert rows[0]["train_loss"] is None and rows[0]["lr"] == 0.0
-        assert rows[-1]["lr"] == lr_at(12, SGDR)
+        assert rows[-1]["lr"] == lr_at(12, SGDR, D_MODEL)
         assert all(math.isfinite(r["val_loss"]) for r in rows)
         best = max(rows, key=lambda r: r["cider_d"])  # the first of equal maxima
         assert result.best_cider_d == best["cider_d"]
@@ -191,8 +191,7 @@ class TestTrainXe:
 
     def test_patience_stops_a_stalled_run(self, corpus, tmp_path):
         train, val, vocab = corpus
-        frozen = ScheduleConfig(kind="sgdr", d_model=8, warmup=5, t0=10,
-                                eta_max=0.0, eta_min=0.0)
+        frozen = ScheduleConfig(kind="sgdr", warmup=5, t0=10, eta_max=0.0, eta_min=0.0)
         run = TrainRunConfig(epochs=6, batch_size=8, seed=2, patience=2,
                              out_dir=str(tmp_path))
         result = train_xe(tiny_model(vocab), vocab, train, val, frozen, run)
@@ -364,11 +363,13 @@ def test_history_rows_record_pre_clip_gradient_norms(corpus, tmp_path):
         grad = np.zeros_like(model.params["out_proj.b"].data)
         grad[0] = norms[step]
         model.params["out_proj.b"].grad = grad
-        return 0.5
+        return float(step)  # the loss of step s is s
 
     run = TrainRunConfig(epochs=1, batch_size=1, eval_every=2, out_dir=str(tmp_path / "run"))
     _fit(model, 4, step_fn, lambda step: 1e-3, lambda: {"cider_d": 0.0}, run, RngState(1))
     rows = read_history(tmp_path / "run")
     assert [(r["step"], r["grad_norm"], r["clipped"]) for r in rows] == \
         [(0, None, 0), (2, pytest.approx(4.0), 0), (4, pytest.approx(7.0), 1)]
+    # each row's train_loss covers the same steps as its grad_norm
+    assert [r["train_loss"] for r in rows] == [None, 1.5, 3.5]
     assert np.linalg.norm(model.params["out_proj.b"].grad) == pytest.approx(GRAD_CLIP_NORM)
