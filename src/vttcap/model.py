@@ -23,6 +23,13 @@ and V is reshaped to (B, n_heads, rows, d_head), and every attention op
 runs over all videos and heads at once; memory slots and X-linear weights
 lead with the head axis and broadcast over the batch.
 
+Every parameter is a view of one ``ParamArena``: all values in one flat
+buffer and all gradients in another, so zeroing the gradients is one fill
+and the optimizer makes one pass over each.  The model declares its
+parameters' names and shapes (``_layout``), then draws each initial value
+straight into its view; a checkpoint is read into the views and written
+from them, with no copy of a float32 parameter on either side.
+
 Everything runs on the in-package autodiff tensors, one graph per batch.
 Decoding is incremental and runs rows in lockstep over the encoding of one
 video: ``decode_logits`` with a ``DecodeCache`` takes only each row's newest
@@ -83,13 +90,15 @@ class ModelConfig:
     attention_kind: str = "memory_scaled_dot"
 
     def __post_init__(self):
-        if self.n_heads < 1 or self.d_model < 1:
-            raise ContractError("n_heads and d_model must be >= 1")
+        small = [k for k in ("n_enc", "n_dec", "n_heads", "d_model", "d_ff", "vocab_size",
+                             "d_vision", "d_audio", "p_audio") if getattr(self, k) < 1]
+        small += [k for k in ("d_memory", "l_max") if getattr(self, k) < 0]
+        if small:
+            raise ContractError(f"model sizes out of range: {small} (d_memory and l_max "
+                                "must be >= 0, the others >= 1)")
         if self.d_model % self.n_heads != 0:
             raise ContractError(
                 f"d_model={self.d_model} not divisible by n_heads={self.n_heads}")
-        if self.d_memory < 0:
-            raise ContractError("d_memory must be >= 0")
         if self.attention_kind not in ATTENTION_KINDS:
             raise ContractError(f"unknown attention_kind {self.attention_kind!r}")
 
@@ -111,7 +120,10 @@ class ModelConfig:
         wrong = sorted(k for k, v in d.items() if not has_field_type(cls, k, v))
         if wrong:
             raise FormatError(f"model config values of the wrong type: {wrong}")
-        return cls(**d)
+        try:
+            return cls(**d)
+        except ContractError as exc:
+            raise FormatError(str(exc)) from exc
 
 
 def sinusoidal_pe(pos: int, d_model: int) -> np.ndarray:
@@ -231,96 +243,112 @@ def x_linear_attention(q: Tensor, k: Tensor, v: Tensor, w: XLinearWeights,
 
 
 class TransformerModel:
-    """Parameter container plus forward passes; owns no training state."""
+    """Parameter container plus forward passes; owns no training state.
+
+    The parameters live in one ``ParamArena`` (``self.arena``): ``params``
+    maps each name to a tensor whose data and gradient are views of the
+    arena's two flat buffers.
+    """
 
     def __init__(self, cfg: ModelConfig, seed: int = 0, dtype=np.float32,
                  init: str = "random"):
         self.cfg = cfg
         self.dtype = np.dtype(dtype)
-        self.params: dict = {}
+        layout = self._layout()
+        self.arena = T.ParamArena((spec for specs, _ in layout for spec in specs), self.dtype)
+        self.params: dict = self.arena.params
         rng = RngState(seed).derive("init")
-        self._build(rng, zeros=(init == "zeros"))
+        # Each value is written straight into its view; the arena starts as
+        # zeros, so under init="zeros" (a checkpoint about to be read in)
+        # only the constant ones are written.
+        for specs, fill in layout:
+            if callable(fill):
+                if init == "zeros":
+                    continue
+                values = fill(rng)
+            elif fill:
+                values = [fill] * len(specs)
+            else:
+                continue
+            for (name, _), value in zip(specs, values):
+                self.params[name].data[...] = value
 
     # -- construction
 
-    def _param(self, name: str, array: np.ndarray):
-        # C order: load_checkpoint reads each parameter straight into its buffer
-        p = T.parameter(np.ascontiguousarray(array, dtype=self.dtype), name=name)
-        self.params[name] = p
-        return p
-
-    def _linear(self, name: str, d_in: int, d_out: int, rng: RngState, zeros: bool):
-        bound = 1.0 / np.sqrt(d_in)
-        w = np.zeros((d_in, d_out), self.dtype) if zeros else \
-            rng.uniform((d_in, d_out), -bound, bound)
-        self._param(f"{name}.w", w)
-        self._param(f"{name}.b", np.zeros(d_out, self.dtype))
-
-    def _build(self, rng: RngState, zeros: bool):
+    def _layout(self) -> list:
+        """Every parameter in canonical (checkpoint) order, grouped by how its
+        initial value is made: (specs, fill) with specs [(name, shape)] and
+        fill a constant or a function of the init stream giving one array per
+        spec.  The groups come in the order the stream is drawn."""
         cfg = self.cfg
-        dh = cfg.d_head
+        d, dh, heads = cfg.d_model, cfg.d_head, cfg.n_heads
+        layout = []
 
-        self._linear("vision_embed", cfg.d_vision, cfg.d_model, rng, zeros)
-        self._linear("audio_embed", cfg.d_audio, cfg.d_model, rng, zeros)
-        emb = np.zeros((cfg.vocab_size, cfg.d_model), self.dtype) if zeros else \
-            rng.normal((cfg.vocab_size, cfg.d_model), std=0.02)
-        self._param("token_embed", emb)
+        def uniform(shape, bound, split=lambda a: [a]):
+            return lambda rng: split(rng.uniform(shape, -bound, bound))
 
-        def attn_params(prefix: str):
-            d = cfg.d_model
-            bound = 1.0 / np.sqrt(d)
+        def linear(name: str, d_in: int, d_out: int):
+            layout.append(([(f"{name}.w", (d_in, d_out))],
+                           uniform((d_in, d_out), 1.0 / np.sqrt(d_in))))
+            layout.append(([(f"{name}.b", (d_out,))], 0.0))
+
+        def attention(prefix: str):
             # drawn head by head; head h of each projection is its column block h
-            w = np.zeros((cfg.n_heads, 3, d, dh), self.dtype) if zeros else \
-                rng.uniform((cfg.n_heads, 3, d, dh), -bound, bound)
-            for j, proj in enumerate(("wq", "wk", "wv")):
-                self._param(f"{prefix}.{proj}", w[:, j].transpose(1, 0, 2).reshape(d, d))
-            self._linear(f"{prefix}.out", d, d, rng, zeros)
+            layout.append(([(f"{prefix}.{proj}", (d, d)) for proj in ("wq", "wk", "wv")],
+                           uniform((heads, 3, d, dh), 1.0 / np.sqrt(d), lambda w: [
+                               w[:, j].transpose(1, 0, 2).reshape(d, d) for j in range(3)])))
+            linear(f"{prefix}.out", d, d)
 
-        def norm_params(prefix: str):
-            self._param(f"{prefix}.gamma", np.ones(cfg.d_model))
-            self._param(f"{prefix}.beta", np.zeros(cfg.d_model))
+        def norm(prefix: str):
+            layout.append(([(f"{prefix}.gamma", (d,))], 1.0))
+            layout.append(([(f"{prefix}.beta", (d,))], 0.0))
 
+        linear("vision_embed", cfg.d_vision, d)
+        linear("audio_embed", cfg.d_audio, d)
+        layout.append(([("token_embed", (cfg.vocab_size, d))],
+                       lambda rng: [rng.normal((cfg.vocab_size, d), std=0.02)]))
         for i in range(cfg.n_enc):
             p = f"enc.{i}"
-            attn_params(f"{p}.attn")
+            attention(f"{p}.attn")
             if cfg.d_memory > 0:
-                std = 1.0 / np.sqrt(cfg.d_model)
                 for nm in ("mem_k", "mem_v"):
-                    m = np.zeros((cfg.d_memory, cfg.d_model), self.dtype) if zeros else \
-                        rng.normal((cfg.d_memory, cfg.d_model), std=std)
-                    self._param(f"{p}.{nm}", m.reshape(-1, cfg.n_heads, dh).swapaxes(0, 1))
+                    layout.append(([(f"{p}.{nm}", (heads, cfg.d_memory, dh))], lambda rng: [
+                        rng.normal((cfg.d_memory, d), std=1.0 / np.sqrt(d))
+                        .reshape(-1, heads, dh).swapaxes(0, 1)]))
             if cfg.attention_kind == "x_linear":
                 # drawn head by head: wq, wk, wb (dh, dh), ws (dh, 1), wc (dh, dh)
                 cols = (dh, dh, dh, 1, dh)
-                n, bound = dh * sum(cols), 1.0 / np.sqrt(dh)
-                flat = np.zeros((cfg.n_heads, n), self.dtype) if zeros else \
-                    rng.uniform((cfg.n_heads, n), -bound, bound)
-                parts = np.split(flat, np.cumsum([dh * c for c in cols])[:-1], axis=1)
-                for nm, c, part in zip(("wq", "wk", "wb", "ws", "wc"), cols, parts):
-                    self._param(f"{p}.xl.{nm}", part.reshape(cfg.n_heads, dh, c))
-            norm_params(f"{p}.ln1")
-            self._linear(f"{p}.ff1", cfg.d_model, cfg.d_ff, rng, zeros)
-            self._linear(f"{p}.ff2", cfg.d_ff, cfg.d_model, rng, zeros)
-            norm_params(f"{p}.ln2")
+
+                def split(flat):
+                    parts = np.split(flat, np.cumsum([dh * c for c in cols])[:-1], axis=1)
+                    return [part.reshape(heads, dh, c) for part, c in zip(parts, cols)]
+
+                layout.append(([(f"{p}.xl.{nm}", (heads, dh, c))
+                                for nm, c in zip(("wq", "wk", "wb", "ws", "wc"), cols)],
+                               uniform((heads, dh * sum(cols)), 1.0 / np.sqrt(dh), split)))
+            norm(f"{p}.ln1")
+            linear(f"{p}.ff1", d, cfg.d_ff)
+            linear(f"{p}.ff2", cfg.d_ff, d)
+            norm(f"{p}.ln2")
 
         for i in range(cfg.n_dec):
             p = f"dec.{i}"
-            attn_params(f"{p}.self")
-            norm_params(f"{p}.ln1")
-            attn_params(f"{p}.cross")
-            norm_params(f"{p}.ln2")
-            self._linear(f"{p}.ff1", cfg.d_model, cfg.d_ff, rng, zeros)
-            self._linear(f"{p}.ff2", cfg.d_ff, cfg.d_model, rng, zeros)
-            norm_params(f"{p}.ln3")
+            attention(f"{p}.self")
+            norm(f"{p}.ln1")
+            attention(f"{p}.cross")
+            norm(f"{p}.ln2")
+            linear(f"{p}.ff1", d, cfg.d_ff)
+            linear(f"{p}.ff2", cfg.d_ff, d)
+            norm(f"{p}.ln3")
 
-        self._linear("out_proj", cfg.d_model, cfg.vocab_size, rng, zeros)
+        linear("out_proj", d, cfg.vocab_size)
+        return layout
 
     def n_parameters(self) -> int:
         return sum(p.size for p in self.params.values())
 
     def zero_grad(self):
-        for p in self.params.values():
-            p.grad = None
+        self.arena.grad.fill(0)
 
     # -- forward pieces
 
@@ -630,7 +658,8 @@ def save_checkpoint(model: TransformerModel, path) -> None:
             fh.write(struct.pack("<I", len(shape)))
             for ext in shape:
                 fh.write(struct.pack("<I", ext))
-            fh.write(np.ascontiguousarray(p.data, dtype="<f4").tobytes())
+            # a view of the arena itself where it already holds <f4
+            fh.write(memoryview(np.ascontiguousarray(p.data, dtype="<f4")).cast("B"))
     with atomic_path(str(path) + ".json") as tmp, open(tmp, "w", encoding="utf-8") as fh:
         json.dump(model.cfg.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")

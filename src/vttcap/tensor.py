@@ -45,7 +45,8 @@ class Tensor:
     """A dense array plus optional gradient buffer and graph record.
 
     ``data`` is a NumPy array of any rank (row-major).
-    ``grad`` is allocated lazily during backward and has the same shape.
+    ``grad`` has the same shape: a view of the arena for a parameter of a
+    ``ParamArena``, else allocated by the first backward that reaches it.
     Tensors produced by operations keep references to their inputs and a
     closure that accumulates gradients into them; leaf tensors have none.
     """
@@ -87,19 +88,19 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def zero_grad(self):
-        self.grad = None
-
     def _accumulate(self, g, owned: bool = False):
-        """Add ``g`` to ``grad``.  ``owned``: ``g`` is a fresh array of this
-        tensor's shape and dtype that nothing else holds, so it can become
-        the buffer itself."""
-        if self.grad is None:
-            if owned:
-                self.grad = g
-                return
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+        """Add ``g`` to ``grad``, in place: a parameter's ``grad`` is a view of
+        its arena and is never rebound.  The first gradient of any other
+        tensor becomes its buffer: ``g`` itself when ``owned`` (a fresh array
+        of this tensor's shape and dtype that nothing else holds), else a
+        copy, since ``add``'s backward passes one ``g`` to both inputs."""
+        if self.grad is not None:
+            self.grad += g
+        elif owned:
+            self.grad = g
+        else:
+            self.grad = np.empty_like(self.data)
+            np.copyto(self.grad, g)
 
     def backward(self):
         """Populate ``grad`` of every reachable tensor that requires it.
@@ -147,6 +148,42 @@ def constant(data) -> Tensor:
 
 def parameter(data, name: str | None = None) -> Tensor:
     return Tensor(data, requires_grad=True, name=name)
+
+
+class ParamArena:
+    """Every parameter of a model in one contiguous buffer, every gradient in another.
+
+    ``data`` and ``grad`` are flat arrays of ``dtype``; ``table`` holds each
+    parameter's (name, offset, size) in declaration order, and ``params``
+    maps each name to a ``Tensor`` whose ``.data`` and ``.grad`` are views of
+    its slice of ``data`` and ``grad`` for the arena's whole life.  So zeroing
+    the gradients, clipping them and stepping Adam are each one pass over a
+    flat array.  Both buffers start as zeros (``np.zeros``: untouched pages
+    cost nothing), so an initializer writes only its non-zero values.
+    """
+
+    def __init__(self, specs, dtype=DEFAULT_DTYPE):
+        specs = list(specs)  # (name, shape) pairs
+        self.table = []
+        offset = 0
+        for name, shape in specs:
+            size = math.prod(shape)
+            self.table.append((name, offset, size))
+            offset += size
+        self.data = np.zeros(offset, dtype)
+        self.grad = np.zeros(offset, dtype)
+        self.params = {}
+        for (name, lo, size), (_, shape) in zip(self.table, specs):
+            p = parameter(self.data[lo:lo + size].reshape(shape), name=name)
+            p.grad = self.grad[lo:lo + size].reshape(shape)
+            self.params[name] = p
+
+    def name_at(self, index: int) -> str:
+        """The name of the parameter holding flat element ``index``."""
+        for name, lo, size in self.table:
+            if lo <= index < lo + size:
+                return name
+        raise ContractError(f"index {index} outside an arena of {self.data.size}")
 
 
 def _result(data, inputs, backward_fn) -> Tensor:
@@ -442,7 +479,7 @@ def gather_rows(table: Tensor, ids) -> Tensor:
     def make(out):
         def back(g):
             if table.requires_grad:
-                if table.grad is None:
+                if table.grad is None:  # never for a parameter: its grad is a view
                     table.grad = np.zeros_like(table.data)
                 np.add.at(table.grad, ids, g)
         return back
@@ -588,9 +625,3 @@ class RngState:
     def permutation(self, n: int) -> np.ndarray:
         return self._gen.permutation(n)
 
-
-def global_norm(grads) -> float:
-    acc = 0.0
-    for g in grads:
-        acc += float(np.sum(np.asarray(g, dtype=np.float64) ** 2))
-    return float(np.sqrt(acc))

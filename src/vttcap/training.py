@@ -1,7 +1,17 @@
 """Training: Adam, learning-rate schedules, and the one loop XE and SCST share.
 
 The optimizer is standard bias-corrected Adam with beta1=0.9, beta2=0.98,
-eps=1e-9.  Two schedules are provided: the analytic transformer rule
+eps=1e-9, after clipping the gradients to a global L2 norm of 5.  Both work
+on the model's ``ParamArena``, whose parameters and gradients are two flat
+buffers, with Adam's moments two more laid out alike.  The norm and the
+Adam step are each one pass over those buffers in blocks of ``CHUNK``
+elements, small enough that a block of every buffer stays in L2 cache
+while all of the pass's operations run over it: the arena, 365 MB at the
+paper's 91.2M parameters, is read from memory once per pass rather than
+once per operation.  The norm is summed in float64 and checks that every
+gradient is finite before anything changes; Adam computes each element by
+the same expression, in the same order, as a per-parameter loop would.
+Two schedules are provided: the analytic transformer rule
 d_model^-0.5 * min(step^-0.5, step * w^-1.5), and linear warmup into
 cosine annealing with warm restarts (restart boundaries return to eta_max).
 ``train_xe`` and ``scst.finetune_scst`` run one loop, ``_fit``, and differ
@@ -21,9 +31,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import shutil
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -39,49 +50,51 @@ from .tokenizer import Vocabulary, decode, encode, normalize_words, truncate
 
 GRAD_CLIP_NORM = 5.0
 
+# Elements per block of the optimizer's passes over the flat arena.  One
+# block each of parameters, gradients, both moments and Adam's two scratch
+# buffers (6 x 256 KB in float32) fits a 2 MB L2 cache, so every operation
+# of a step runs over the block in cache and each byte of the arena crosses
+# the memory bus once per pass, not once per operation.
+CHUNK = 65536
+
 
 @dataclass
 class OptimizerState:
-    """Per-parameter Adam moments; created lazily on first step."""
+    """Adam's step count and moments; ``m`` and ``v`` are flat buffers laid
+    out like the arena's, made on the first step."""
 
     beta1: float = 0.9
     beta2: float = 0.98
     eps: float = 1e-9
     t: int = 0
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
 
 
-def adam_update(params: dict, state: OptimizerState, lr: float) -> None:
-    """One bias-corrected Adam step over ``params`` using their .grad buffers.
+def adam_update(arena: T.ParamArena, state: OptimizerState, lr: float) -> None:
+    """One bias-corrected Adam step over every parameter of ``arena``.
 
-    In place: every intermediate lands in one of two scratch buffers sized
-    for the largest parameter and viewed in each parameter's shape, in the
-    order of ``m += (1-b1)(g-m); v += (1-b2)(g*g-v);
-    p -= (lr/c1) m / (sqrt(v/c2) + eps)``, so the result is bit for bit that
-    expression's.
+    One pass over the flat parameters, gradients and moments, ``CHUNK``
+    elements at a time, in place: every intermediate lands in one of two
+    chunk-sized scratch buffers, in the order of ``m += (1-b1)(g-m);
+    v += (1-b2)(g*g-v); p -= (lr/c1) m / (sqrt(v/c2) + eps)``, so each
+    element is bit for bit that expression's.  The gradients must be finite;
+    ``clip_gradients`` checks that first.
     """
     state.t += 1
     b1, b2 = state.beta1, state.beta2
     c1 = 1.0 - b1 ** state.t
     c2 = 1.0 - b2 ** state.t
-    scratch = {}  # dtype -> two flat buffers
-    for name, p in params.items():
-        g = p.grad
-        if g is None:
-            continue
-        if not np.isfinite(g).all():
-            raise TrainingError(f"non-finite gradient for parameter {name!r}")
-        if name not in state.m:
-            state.m[name] = np.zeros_like(p.data)
-            state.v[name] = np.zeros_like(p.data)
-        m = state.m[name]
-        v = state.v[name]
-        dt = p.data.dtype
-        if dt not in scratch:
-            n = max(q.size for q in params.values() if q.data.dtype == dt)
-            scratch[dt] = (np.empty(n, dt), np.empty(n, dt))
-        s, t = (buf[:g.size].reshape(g.shape) for buf in scratch[dt])
+    if state.m is None:
+        state.m = np.zeros_like(arena.data)
+        state.v = np.zeros_like(arena.data)
+    n = arena.data.size
+    s_buf = np.empty(min(CHUNK, n), arena.data.dtype)
+    t_buf = np.empty_like(s_buf)
+    for lo in range(0, n, CHUNK):
+        hi = min(lo + CHUNK, n)
+        g, m, v, p = (a[lo:hi] for a in (arena.grad, state.m, state.v, arena.data))
+        s, t = s_buf[:hi - lo], t_buf[:hi - lo]
         np.subtract(g, m, out=s)
         s *= 1.0 - b1
         m += s
@@ -94,17 +107,30 @@ def adam_update(params: dict, state: OptimizerState, lr: float) -> None:
         s += state.eps
         np.multiply(m, lr / c1, out=t)
         t /= s
-        p.data -= t
+        p -= t
 
 
-def clip_gradients(params: dict, max_norm: float = GRAD_CLIP_NORM) -> float:
-    """Scale all gradients so their global L2 norm is at most ``max_norm``."""
-    norm = T.global_norm(p.grad for p in params.values() if p.grad is not None)
-    if norm > max_norm and norm > 0.0:
-        factor = max_norm / norm
-        for p in params.values():
-            if p.grad is not None:
-                p.grad *= factor
+def clip_gradients(arena: T.ParamArena, max_norm: float = GRAD_CLIP_NORM) -> float:
+    """Scale all gradients of ``arena`` so their global L2 norm is at most
+    ``max_norm``; returns the norm before scaling.
+
+    The squares are summed in float64, one ``CHUNK`` at a time.  A
+    non-finite gradient raises ``TrainingError`` naming its parameter before
+    anything is scaled or stepped.
+    """
+    grad = arena.grad
+    block = np.empty(min(CHUNK, grad.size), np.float64)
+    total = 0.0
+    for lo in range(0, grad.size, CHUNK):
+        b = block[:min(CHUNK, grad.size - lo)]
+        np.copyto(b, grad[lo:lo + CHUNK])
+        total += float(b @ b)
+        if not math.isfinite(total):
+            bad = lo + int(np.argmin(np.isfinite(b)))
+            raise TrainingError(f"non-finite gradient for parameter {arena.name_at(bad)!r}")
+    norm = math.sqrt(total)
+    if norm > max_norm:
+        grad *= max_norm / norm
     return norm
 
 
@@ -120,8 +146,8 @@ class ScheduleConfig:
     def __post_init__(self):
         if self.kind not in ("default", "sgdr"):
             raise ContractError(f"unknown schedule kind {self.kind!r}")
-        if self.warmup < 1 or self.t0 < 1:
-            raise ContractError("warmup and t0 must be >= 1")
+        if self.warmup < 1 or self.t0 < 1 or self.t_mult < 1:
+            raise ContractError("warmup, t0 and t_mult must be >= 1")
 
     def resolved_eta_max(self, d_model: int) -> float:
         if self.eta_max is not None:
@@ -309,8 +335,8 @@ def _fit(model: TransformerModel, n_items: int, step_fn, lr_fn, validate_fn,
             loss = step_fn(order[lo:lo + run.batch_size], step)
             if not math.isfinite(loss):
                 raise TrainingError(f"non-finite training loss {loss} at step {step}")
-            norms.append(clip_gradients(model.params))
-            adam_update(model.params, state, lr_fn(step))
+            norms.append(clip_gradients(model.arena))
+            adam_update(model.arena, state, lr_fn(step))
             losses.append(loss)
             due = (step % run.eval_every == 0 if run.eval_every
                    else lo + run.batch_size >= n_items)  # else at the end of the epoch
@@ -325,7 +351,10 @@ def _fit(model: TransformerModel, n_items: int, step_fn, lr_fn, validate_fn,
     best_path = ckpt_dir / "best.vttc"
     for suffix in ("", ".json"):
         with atomic_path(str(best_path) + suffix) as tmp:
-            shutil.copyfile(str(best[2]) + suffix, tmp)
+            try:  # a second name for the file, not a copy of its bytes
+                os.link(str(best[2]) + suffix, tmp)
+            except OSError:  # a filesystem without hard links
+                shutil.copyfile(str(best[2]) + suffix, tmp)
     return TrainResult(best_path=best_path, best_epoch=best[1],
                        best_cider_d=best[0], history=history)
 

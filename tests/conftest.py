@@ -35,7 +35,8 @@ def assert_grads_match(loss_fn, params, rng, n_components: int = 20,
     Returns the worst relative error seen.
     """
     for p in params:
-        p.grad = None
+        if p.grad is not None:  # a model parameter's grad is a view of its arena
+            p.grad.fill(0)
     loss = loss_fn()
     loss.backward()
     flat = [(p, idx) for p in params for idx in np.ndindex(p.data.shape)]

@@ -163,6 +163,8 @@ def test_config_contract(workdir, tmp_path, override, code):
     '{"n_heads": "2"}',
     '{"l_max": "x"}',
     '{"n_heads": true}',
+    '{"vocab_size": 0}',
+    '{"d_ff": 0}',
 ])
 def test_corrupt_checkpoint_config_exits_2(workdir, tmp_path, capsys, sidecar):
     ckpt = tmp_path / "m.vttc"
@@ -340,6 +342,23 @@ def test_zero_heads_exits_2(workdir, tmp_path, capsys):
     args[1] = str(config)
     assert dispatch(["train", *args]) == 2
     assert "n_heads" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("model", "d_ff", 0), ("model", "d_vision", 0), ("model", "d_audio", 0),
+    ("model", "n_enc", 0), ("model", "n_enc", -1), ("model", "n_dec", 0),
+    ("model", "p_audio", 0), ("model", "l_max", -1), ("schedule", "t_mult", 0),
+])
+def test_out_of_range_size_exits_2(workdir, tmp_path, capsys, section, key, value):
+    config = tmp_path / "config.json"
+    layer = {"model": dict(TINY_MODEL)}
+    layer.setdefault(section, {})[key] = value
+    config.write_text(json.dumps(layer))
+    args = run_args(workdir, tmp_path / "run")
+    args[1] = str(config)
+    assert dispatch(["train", *args]) == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 def test_negative_epochs_exit_2(workdir, tmp_path, capsys):

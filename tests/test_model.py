@@ -2,6 +2,8 @@
 
 import gc
 import json
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +12,8 @@ from conftest import assert_grads_match, only, tiny_config
 from vttcap import tensor as T
 from vttcap.errors import ContractError, FormatError
 from vttcap.features import FeatureMatrix, VideoSample, dummy_audio
-from vttcap.model import (ModelConfig, TransformerModel, XLinearWeights, causal_mask,
+from vttcap.model import (CKPT_MAGIC, CKPT_VERSION, ModelConfig, TransformerModel,
+                          XLinearWeights, causal_mask,
                           embed_multimodal, greedy_decode, load_checkpoint,
                           load_checkpoint_for,
                           memory_attention, pe_block, sample_decode, save_checkpoint,
@@ -18,7 +21,8 @@ from vttcap.model import (ModelConfig, TransformerModel, XLinearWeights, causal_
 from vttcap.scst import scst_surrogate_loss
 from vttcap.tensor import RngState
 from vttcap.tokenizer import Vocabulary
-from vttcap.training import batch_xe_loss, validation_loss
+from vttcap.training import (OptimizerState, adam_update, batch_xe_loss, clip_gradients,
+                             validation_loss)
 
 
 def rand_frames(rng, t=4, d=5):
@@ -254,7 +258,7 @@ class TestGreedyDecode:
         # probe the final decoder states by projecting them through identity
         probe = np.zeros((8, 12), dtype=np.float32)
         probe[:8, :8] = np.eye(8)
-        model.params["out_proj.w"].data = probe
+        model.params["out_proj.w"].data[...] = probe
         with T.no_grad():
             enc = model.encode([(FeatureMatrix(np.zeros((2, 5), dtype=np.float32)), None)])
             x0 = model.decode_logits(enc, [[2]]).data[0][0, :8].astype(np.float64)
@@ -262,7 +266,7 @@ class TestGreedyDecode:
         w = np.zeros((8, 12))
         w[:, 7] = x0 / np.linalg.norm(x0)
         w[:, 3] = x1 / np.linalg.norm(x1)  # EOS column
-        model.params["out_proj.w"].data = w.astype(np.float32)
+        model.params["out_proj.w"].data[...] = w
         ids = greedy_decode(model, FeatureMatrix(np.zeros((2, 5), dtype=np.float32)),
                             None, bos_id=2, eos_id=3)
         assert ids == [2, 7, 3]
@@ -307,7 +311,7 @@ class TestSampleDecode:
         model = TransformerModel(cfg, init="zeros")
         bias = np.full(8, -1e9, dtype=np.float32)
         bias[4:7] = np.log([1.0, 2.0, 4.0])
-        model.params["out_proj.b"].data = bias
+        model.params["out_proj.b"].data[...] = bias
         frames = FeatureMatrix(np.zeros((1, 2), dtype=np.float32))
         probs = np.zeros(8)
         probs[4:7] = np.array([1.0, 2.0, 4.0]) / 7.0
@@ -917,7 +921,81 @@ class TestGraphLifetime:
             gc.enable()
         assert model.params["out_proj.w"].grad is not None
 
+class TestParamArena:
+    @staticmethod
+    def assert_views_of_the_arena(model):
+        arena = model.arena
+        assert [name for name, _, _ in arena.table] == list(model.params)
+        for name, lo, size in arena.table:
+            p = model.params[name]
+            assert p.data.size == p.grad.size == size, name
+            assert np.shares_memory(p.data, arena.data[lo:lo + size]), name
+            assert np.shares_memory(p.grad, arena.grad[lo:lo + size]), name
+
+    @pytest.mark.parametrize("kind", ["memory_scaled_dot", "x_linear"])
+    def test_parameters_stay_views_through_a_training_step(self, kind, tmp_path, np_rng):
+        model = TransformerModel(tiny_config(kind), seed=7)
+        assert model.arena.data.size == model.n_parameters()
+        self.assert_views_of_the_arena(model)
+        samples = batch_samples(np_rng, True)
+        model.zero_grad()
+        self.assert_views_of_the_arena(model)
+        batch_xe_loss(model, samples, BATCH_PAIRS, BATCH_VOCAB).backward()
+        self.assert_views_of_the_arena(model)
+        assert np.any(model.params["token_embed"].grad)
+        assert np.any(model.params["enc.0.ln1.gamma"].grad)
+        clip_gradients(model.arena, max_norm=1e-3)  # small enough to scale
+        self.assert_views_of_the_arena(model)
+        before = model.arena.data.copy()
+        adam_update(model.arena, OptimizerState(), lr=1e-2)
+        self.assert_views_of_the_arena(model)
+        assert not np.array_equal(before, model.arena.data)
+        model.zero_grad()
+        assert not np.any(model.arena.grad)
+        save_checkpoint(model, tmp_path / "m.vttc")
+        again = load_checkpoint(tmp_path / "m.vttc")
+        self.assert_views_of_the_arena(again)
+        assert np.array_equal(again.arena.data, model.arena.data)
+
+    def test_zero_init_writes_only_the_norm_gains(self):
+        model = TransformerModel(tiny_config("x_linear"), init="zeros")
+        for name, p in model.params.items():
+            assert np.all(p.data == (1.0 if name.endswith(".gamma") else 0.0)), name
+
+
+def tobytes_checkpoint(model) -> bytes:
+    """The VTTC bytes of ``model``, each parameter written as a ``tobytes`` copy."""
+    out = [CKPT_MAGIC, struct.pack("<II", CKPT_VERSION, len(model.params))]
+    for name, p in model.params.items():
+        raw = name.encode("utf-8")
+        out += [struct.pack("<I", len(raw)), raw, struct.pack("<I", p.data.ndim),
+                *(struct.pack("<I", ext) for ext in p.data.shape),
+                np.ascontiguousarray(p.data, dtype="<f4").tobytes()]
+    return b"".join(out)
+
+
 class TestCheckpoint:
+    @pytest.mark.parametrize("kind", ["memory_scaled_dot", "x_linear"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bytes_equal_the_tobytes_writer(self, tmp_path, kind, dtype):
+        model = TransformerModel(tiny_config(kind), seed=6, dtype=dtype)
+        save_checkpoint(model, tmp_path / "m.vttc")
+        assert (tmp_path / "m.vttc").read_bytes() == tobytes_checkpoint(model)
+
+    def test_load_makes_no_parameter_sized_copy(self, tmp_path):
+        model = TransformerModel(tiny_config(d_model=32, vocab_size=4096), seed=6)
+        save_checkpoint(model, tmp_path / "m.vttc")
+        largest = max(p.data.nbytes for p in model.params.values())
+        tracemalloc.start()
+        try:
+            again = load_checkpoint(tmp_path / "m.vttc")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the arena's two buffers, and less than half of the largest parameter besides
+        assert peak < again.arena.data.nbytes + again.arena.grad.nbytes + largest // 2
+        assert np.array_equal(again.arena.data, model.arena.data)
+
     def test_roundtrip(self, tmp_path, np_rng):
         model = TransformerModel(tiny_config("x_linear"), seed=6)
         path = tmp_path / "m.vttc"

@@ -1,5 +1,6 @@
 """Training loops on a tiny synthetic corpus: schedules, Adam, clipping, XE, SCST."""
 
+import dataclasses
 import json
 import math
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import only, tiny_config
-from vttcap import scst
+from vttcap import scst, training
 from vttcap import tensor as T
 from vttcap.errors import ContractError, TrainingError
 from vttcap.features import synth_dataset
@@ -16,8 +17,8 @@ from vttcap.scst import RewardConfig, finetune_scst, scst_batch_step, scst_surro
 from vttcap.tensor import RngState
 from vttcap.tokenizer import build_vocab, decode, normalize_words
 from vttcap.training import (GRAD_CLIP_NORM, OptimizerState, ScheduleConfig,
-                             TrainRunConfig, _fit, adam_update, clip_gradients, lr_at,
-                             train_xe)
+                             TrainRunConfig, _fit, adam_update, batch_xe_loss, caption_pairs,
+                             clip_gradients, lr_at, train_xe)
 
 
 @pytest.fixture(scope="module")
@@ -82,6 +83,16 @@ class TestLrAt:
         assert s.resolved_eta_max(16) == pytest.approx(16 ** -0.5 * 50 ** -0.5)
         assert s.resolved_eta_min(16) == pytest.approx(s.resolved_eta_max(16) / 100)
 
+    @pytest.mark.parametrize("t_mult", [0, -1])
+    def test_t_mult_below_one_is_rejected(self, t_mult):
+        with pytest.raises(ContractError, match="t_mult"):
+            ScheduleConfig(kind="sgdr", warmup=5, t0=10, t_mult=t_mult)
+
+    def test_t_mult_one_restarts_every_t0_steps(self):
+        s = ScheduleConfig(kind="sgdr", warmup=5, t0=10, t_mult=1, eta_max=0.01, eta_min=1e-4)
+        assert [lr_at(step, s, D_MODEL) for step in (5, 15, 25, 35)] == \
+            pytest.approx([s.eta_max] * 4)
+
     def test_only_default_and_sgdr_kinds(self):
         with pytest.raises(ContractError):
             ScheduleConfig(kind="constant")
@@ -95,26 +106,39 @@ class TestLrAt:
 # optimizer pieces
 
 
+def arena_of(values: dict, dtype=np.float64) -> T.ParamArena:
+    """An arena whose parameters hold ``values`` (name -> array), in order."""
+    arena = T.ParamArena([(n, np.shape(a)) for n, a in values.items()], dtype)
+    for n, a in values.items():
+        arena.params[n].data[...] = a
+    return arena
+
+
 class TestAdamAndClipping:
     def test_one_adam_step_matches_hand_formula(self, np_rng):
         w0 = np_rng.normal(size=(3, 4))
         g = np_rng.normal(size=(3, 4))
-        p = T.parameter(w0.copy())
-        p.grad = g.copy()
+        arena = arena_of({"w": w0})
+        p = arena.params["w"]
+        p.grad[...] = g
         state = OptimizerState()
-        adam_update({"w": p}, state, lr=0.1)
+        adam_update(arena, state, lr=0.1)
         b1, b2, eps = state.beta1, state.beta2, state.eps
         m = (1 - b1) * g
         v = (1 - b2) * g * g
         expected = w0 - 0.1 * (m / (1 - b1)) / (np.sqrt(v / (1 - b2)) + eps)
         assert np.allclose(p.data, expected, rtol=1e-12, atol=0)
         assert state.t == 1
-        assert np.allclose(state.m["w"], m) and np.allclose(state.v["w"], v)
+        assert np.allclose(state.m, m.ravel()) and np.allclose(state.v, v.ravel())
 
-    def test_in_place_adam_is_bit_identical_to_the_expression(self, np_rng):
+    @pytest.mark.parametrize("chunk", [13, training.CHUNK])
+    def test_blocked_adam_is_bit_identical_to_the_expression(self, np_rng, monkeypatch,
+                                                             chunk):
+        monkeypatch.setattr(training, "CHUNK", chunk)  # 13: blocks straddle parameters
         shapes = [(7, 5), (5,), (3, 2, 4), (5, 7)]
-        params = {f"p{i}": T.parameter(np_rng.normal(size=s).astype(np.float32))
-                  for i, s in enumerate(shapes)}
+        arena = arena_of({f"p{i}": np_rng.normal(size=s) for i, s in enumerate(shapes)},
+                         np.float32)
+        params = arena.params
         ref = {n: p.data.copy() for n, p in params.items()}
         m = {n: np.zeros_like(a) for n, a in ref.items()}
         v = {n: np.zeros_like(a) for n, a in ref.items()}
@@ -122,8 +146,8 @@ class TestAdamAndClipping:
         for step in range(1, 6):
             lr = 0.01 * step
             for n, p in params.items():
-                p.grad = np_rng.normal(size=p.shape).astype(np.float32)
-            adam_update(params, state, lr)
+                p.grad[...] = np_rng.normal(size=p.shape)
+            adam_update(arena, state, lr)
             c1, c2 = 1.0 - state.beta1 ** step, 1.0 - state.beta2 ** step
             for n, p in params.items():
                 g = p.grad
@@ -131,27 +155,70 @@ class TestAdamAndClipping:
                 v[n] += (1.0 - state.beta2) * (g * g - v[n])
                 ref[n] -= (lr / c1) * m[n] / (np.sqrt(v[n] / c2) + state.eps)
                 assert np.array_equal(p.data, ref[n]), (n, step)
-                assert np.array_equal(state.m[n], m[n]) and np.array_equal(state.v[n], v[n])
+            assert np.array_equal(state.m, np.concatenate([a.ravel() for a in m.values()]))
+            assert np.array_equal(state.v, np.concatenate([a.ravel() for a in v.values()]))
 
-    def test_adam_rejects_non_finite_gradient(self):
-        p = T.parameter(np.zeros(2))
-        p.grad = np.array([1.0, np.nan])
-        with pytest.raises(TrainingError):
-            adam_update({"w": p}, OptimizerState(), lr=0.1)
+    def test_non_finite_gradient_raises_before_any_update(self, np_rng):
+        arena = arena_of({n: np_rng.normal(size=(4, 3)) for n in "abc"}, np.float32)
+        state = OptimizerState()
+        arena.grad[...] = np_rng.normal(size=arena.grad.shape)
+        clip_gradients(arena)
+        adam_update(arena, state, lr=0.1)
+        arena.grad[...] = np_rng.normal(size=arena.grad.shape)
+        arena.params["b"].grad[2, 1] = np.nan
+        before = [a.copy() for a in (arena.data, arena.grad, state.m, state.v)]
+        with pytest.raises(TrainingError, match="'b'"):
+            clip_gradients(arena)
+            adam_update(arena, state, lr=0.1)
+        after = (arena.data, arena.grad, state.m, state.v)
+        assert all(np.array_equal(x, y, equal_nan=True) for x, y in zip(before, after))
+        assert state.t == 1
 
     def test_clip_returns_pre_clip_norm_and_rescales(self):
-        a, b = T.parameter(np.zeros(2)), T.parameter(np.zeros(1))
-        a.grad, b.grad = np.array([3.0, 4.0]), np.array([12.0])
-        norm = clip_gradients({"a": a, "b": b}, max_norm=2.6)
+        arena = arena_of({"a": np.zeros(2), "b": np.zeros(1)})
+        a, b = arena.params["a"], arena.params["b"]
+        a.grad[...], b.grad[...] = [3.0, 4.0], [12.0]
+        norm = clip_gradients(arena, max_norm=2.6)
         assert norm == pytest.approx(13.0)
-        assert T.global_norm([a.grad, b.grad]) == pytest.approx(2.6)
+        assert np.linalg.norm(arena.grad) == pytest.approx(2.6)
         assert np.allclose(a.grad / b.grad, [3.0 / 12.0, 4.0 / 12.0])
 
     def test_clip_leaves_small_gradients(self):
-        a = T.parameter(np.zeros(2))
-        a.grad = np.array([0.3, 0.4])
-        assert clip_gradients({"a": a}, max_norm=5.0) == pytest.approx(0.5)
-        assert np.array_equal(a.grad, [0.3, 0.4])
+        arena = arena_of({"a": np.zeros(2)})
+        arena.grad[...] = [0.3, 0.4]
+        assert clip_gradients(arena, max_norm=5.0) == pytest.approx(0.5)
+        assert np.array_equal(arena.grad, [0.3, 0.4])
+
+    @pytest.mark.parametrize("chunk", [13, training.CHUNK])
+    def test_blocked_norm_matches_the_float64_norm(self, np_rng, monkeypatch, chunk):
+        monkeypatch.setattr(training, "CHUNK", chunk)
+        arena = arena_of({f"p{i}": np.zeros(n) for i, n in enumerate((30, 1, 50))},
+                         np.float32)
+        arena.grad[...] = np_rng.normal(size=arena.grad.size)
+        expected = np.linalg.norm(arena.grad.astype(np.float64))
+        assert clip_gradients(arena, max_norm=1e9) == pytest.approx(expected, rel=1e-14)
+
+
+@pytest.mark.parametrize("kind", ["memory_scaled_dot", "x_linear"])
+@pytest.mark.parametrize("with_audio", [False, True])
+def test_every_parameter_gets_a_gradient_on_every_step(corpus, kind, with_audio):
+    """Backward of an XE step and of an SCST surrogate step reaches every
+    parameter, so an optimizer that updates every parameter skips none."""
+    train, _, vocab = corpus
+    model = TransformerModel(tiny_config(kind, vocab_size=len(vocab)), seed=3)
+    samples = [s if with_audio else dataclasses.replace(s, audio=None)
+               for s in train.load_samples()[:3]]
+    assert with_audio == any(s.audio is not None for s in samples)
+    pairs = caption_pairs(samples, vocab, model.cfg.l_max)
+    items = [(samples[i], ids, (-1.0) ** k) for k, (i, ids) in enumerate(pairs)]
+    for loss_fn in (lambda: batch_xe_loss(model, samples, pairs, vocab),
+                    lambda: scst_surrogate_loss(model, items)):
+        model.zero_grad()
+        loss = loss_fn()
+        reached = {id(t) for t in T._toposort(loss)}
+        loss.backward()
+        for name, p in model.params.items():
+            assert id(p) in reached and p.grad is not None, name
 
 
 # ---------------------------------------------------------------------------
@@ -360,9 +427,7 @@ def test_history_rows_record_pre_clip_gradient_norms(corpus, tmp_path):
 
     def step_fn(indices, step):
         model.zero_grad()
-        grad = np.zeros_like(model.params["out_proj.b"].data)
-        grad[0] = norms[step]
-        model.params["out_proj.b"].grad = grad
+        model.params["out_proj.b"].grad[0] = norms[step]
         return float(step)  # the loss of step s is s
 
     run = TrainRunConfig(epochs=1, batch_size=1, eval_every=2, out_dir=str(tmp_path / "run"))
