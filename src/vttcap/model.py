@@ -262,34 +262,39 @@ class TransformerModel:
         # zeros, so under init="zeros" (a checkpoint about to be read in)
         # only the constant ones are written.
         for specs, fill in layout:
-            if callable(fill):
-                if init == "zeros":
-                    continue
-                values = fill(rng)
-            elif fill:
-                values = [fill] * len(specs)
-            else:
+            views = [self.params[name].data for name, _ in specs]
+            if isinstance(fill, float):
+                for view in views if fill else ():
+                    view[...] = fill
+            elif init == "zeros":
                 continue
-            for (name, _), value in zip(specs, values):
-                self.params[name].data[...] = value
+            elif isinstance(fill, tuple):
+                rng.fill(views[0].reshape(-1), *fill)
+            else:
+                for view, value in zip(views, fill(rng)):
+                    view[...] = value
+        # positions 0..l_max+1 of a caption, sliced by every decode step
+        self.pe_table = pe_block(0, cfg.l_max + 2, cfg.d_model).astype(self.dtype)
+        self.pe_table.flags.writeable = False
 
     # -- construction
 
     def _layout(self) -> list:
         """Every parameter in canonical (checkpoint) order, grouped by how its
         initial value is made: (specs, fill) with specs [(name, shape)] and
-        fill a constant or a function of the init stream giving one array per
+        fill a constant, a ``RngState.fill`` draw (dist, a, b) of the group's
+        one parameter, or a function of the init stream giving one array per
         spec.  The groups come in the order the stream is drawn."""
         cfg = self.cfg
         d, dh, heads = cfg.d_model, cfg.d_head, cfg.n_heads
         layout = []
 
-        def uniform(shape, bound, split=lambda a: [a]):
+        def uniform(shape, bound, split):
             return lambda rng: split(rng.uniform(shape, -bound, bound))
 
         def linear(name: str, d_in: int, d_out: int):
-            layout.append(([(f"{name}.w", (d_in, d_out))],
-                           uniform((d_in, d_out), 1.0 / np.sqrt(d_in))))
+            bound = 1.0 / np.sqrt(d_in)
+            layout.append(([(f"{name}.w", (d_in, d_out))], ("uniform", -bound, bound)))
             layout.append(([(f"{name}.b", (d_out,))], 0.0))
 
         def attention(prefix: str):
@@ -305,8 +310,7 @@ class TransformerModel:
 
         linear("vision_embed", cfg.d_vision, d)
         linear("audio_embed", cfg.d_audio, d)
-        layout.append(([("token_embed", (cfg.vocab_size, d))],
-                       lambda rng: [rng.normal((cfg.vocab_size, d), std=0.02)]))
+        layout.append(([("token_embed", (cfg.vocab_size, d))], ("normal", 0.02, 0.0)))
         for i in range(cfg.n_enc):
             p = f"enc.{i}"
             attention(f"{p}.attn")
@@ -438,8 +442,9 @@ class TransformerModel:
         g = self.params
         start = cache.length
         L = ids.shape[1]
-        x = T.add(T.gather_rows(g["token_embed"], ids),
-                  T.constant(pe_block(start, L, self.cfg.d_model).astype(self.dtype)))
+        pe = (self.pe_table[start:start + L] if start + L <= len(self.pe_table)
+              else pe_block(start, L, self.cfg.d_model).astype(self.dtype))
+        x = T.add(T.gather_rows(g["token_embed"], ids), T.constant(pe))
         # one new row may attend to every position up to its own: nothing to mask
         mask = causal_mask(start + L, dtype=self.dtype)[start:] if L > 1 else None
         for i in range(self.cfg.n_dec):

@@ -44,7 +44,8 @@ def no_grad():
 class Tensor:
     """A dense array plus optional gradient buffer and graph record.
 
-    ``data`` is a NumPy array of any rank (row-major).
+    ``data`` is a float ``np.ndarray`` of any rank (row-major), 0-d for a
+    scalar; a primitive's result has the dtype its inputs promote to.
     ``grad`` has the same shape: a view of the arena for a parameter of a
     ``ParamArena``, else allocated by the first backward that reaches it.
     Tensors produced by operations keep references to their inputs and a
@@ -53,16 +54,10 @@ class Tensor:
 
     __slots__ = ("data", "grad", "requires_grad", "name", "_inputs", "_backward")
 
-    def __init__(self, data, requires_grad: bool = False, name: str | None = None,
-                 dtype=None):
-        if isinstance(data, Tensor):
-            data = data.data
-        if dtype is None and not (isinstance(data, (np.ndarray, np.generic))
-                                  and data.dtype.kind == "f"):
-            dtype = DEFAULT_DTYPE  # python lists/scalars default to float32
-        self.data = np.asarray(data, dtype=dtype)
-        if self.data.dtype.kind != "f":
-            self.data = self.data.astype(DEFAULT_DTYPE)
+    def __init__(self, data, requires_grad: bool = False, name: str | None = None):
+        if not (isinstance(data, (np.ndarray, np.generic)) and data.dtype.kind == "f"):
+            data = np.asarray(data, dtype=DEFAULT_DTYPE)  # lists, scalars, ints: float32
+        self.data = np.asarray(data)
         self.grad = None
         self.requires_grad = requires_grad
         self.name = name
@@ -187,12 +182,17 @@ class ParamArena:
 
 
 def _result(data, inputs, backward_fn) -> Tensor:
-    """Wrap an op result, attaching the graph record only when it matters."""
-    out = Tensor(data)
-    if _grad_enabled and any(t.requires_grad for t in inputs):
-        out.requires_grad = True
-        out._inputs = tuple(inputs)
-        out._backward = backward_fn(out)
+    """Wrap an op result, attaching the graph record only when it matters.
+
+    ``data`` is the float ndarray the primitive computed (a ufunc's NumPy scalar
+    for 0-d operands becomes 0-d), so ``Tensor.__init__``'s checks are skipped."""
+    record = _grad_enabled and any(t.requires_grad for t in inputs)
+    out = object.__new__(Tensor)
+    out.data = data if type(data) is np.ndarray else np.asarray(data)
+    out.grad = out.name = None
+    out.requires_grad = record
+    out._inputs = tuple(inputs) if record else ()
+    out._backward = backward_fn(out) if record else None
     return out
 
 
@@ -238,7 +238,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 def _broadcastable(sa: tuple, sb: tuple) -> bool:
     """NumPy's rule, without ``np.broadcast_shapes``'s cost on every op."""
-    return all(x == y or x == 1 or y == 1 for x, y in zip(reversed(sa), reversed(sb)))
+    return sa == sb or all(x == y or x == 1 or y == 1 for x, y in zip(reversed(sa), reversed(sb)))
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -314,10 +314,8 @@ def relu(x: Tensor) -> Tensor:
 
 def sigmoid(x: Tensor) -> Tensor:
     # Two-branch form avoids overflow in exp for large |x|.
-    data = np.where(x.data >= 0,
-                    1.0 / (1.0 + np.exp(-np.abs(x.data))),
-                    np.exp(-np.abs(x.data)) / (1.0 + np.exp(-np.abs(x.data))))
-    data = data.astype(x.dtype)
+    e = np.exp(-np.abs(x.data))
+    data = (np.where(x.data >= 0, 1.0, e) / (1.0 + e)).astype(x.dtype)
 
     def make(out):
         y = out.data  # not ``out``: a closure holding its own node is a reference cycle
@@ -360,10 +358,11 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
     if gamma.data.shape != (d,) or beta.data.shape != (d,):
         raise DimensionError(
             f"layer_norm affine shapes {gamma.shape}/{beta.shape} do not match row size {d}")
-    mean = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mean) * inv
+    # Rows are centred once, then scaled in place.  The sums are np.mean's and
+    # np.var's, whose float64 division rounds to the float32 of ``/ d``: same bits.
+    xhat = x.data - x.data.sum(axis=-1, keepdims=True) / d
+    inv = 1.0 / np.sqrt((xhat * xhat).sum(axis=-1, keepdims=True) / d + eps)
+    xhat *= inv
     data = xhat * gamma.data + beta.data
 
     def make(out):
@@ -522,18 +521,6 @@ def reshape(x: Tensor, shape) -> Tensor:
     return _result(data, (x,), make)
 
 
-def sum_all(x: Tensor) -> Tensor:
-    data = x.data.sum()
-
-    def make(out):
-        def back(g):
-            if x.requires_grad:
-                x._accumulate(np.full_like(x.data, g))
-        return back
-
-    return _result(data, (x,), make)
-
-
 def cross_entropy(logits: Tensor, targets, weights=None) -> Tensor:
     """Weighted token-level cross entropy from raw logits.
 
@@ -618,6 +605,20 @@ class RngState:
 
     def uniform(self, shape, low: float = 0.0, high: float = 1.0) -> np.ndarray:
         return self._gen.uniform(low, high, size=shape)
+
+    def fill(self, out: np.ndarray, dist: str, a: float, b: float, block: int = 65536):
+        """``uniform(out.size, a, b)`` (``dist`` "uniform") or ``normal(out.size,
+        std=a, mean=b)`` cast into the 1-D array ``out``, bit for bit: the same
+        float64 draws, made ``block`` at a time in one buffer, mapped as NumPy's."""
+        buf = np.empty(min(block, out.size))
+        draw, scale, shift = ((self._gen.random, b - a, a) if dist == "uniform"
+                              else (self._gen.standard_normal, a, b))
+        for lo in range(0, out.size, block):
+            part = buf[:min(block, out.size - lo)]
+            draw(out=part)
+            part *= scale
+            part += shift
+            out[lo:lo + part.size] = part
 
     def random(self) -> float:
         return float(self._gen.random())

@@ -150,14 +150,11 @@ class ScheduleConfig:
             raise ContractError("warmup, t0 and t_mult must be >= 1")
 
     def resolved_eta_max(self, d_model: int) -> float:
-        if self.eta_max is not None:
-            return self.eta_max
-        return d_model ** -0.5 * self.warmup ** -0.5
+        default = d_model ** -0.5 * self.warmup ** -0.5
+        return default if self.eta_max is None else self.eta_max
 
     def resolved_eta_min(self, d_model: int) -> float:
-        if self.eta_min is not None:
-            return self.eta_min
-        return self.resolved_eta_max(d_model) / 100.0
+        return self.resolved_eta_max(d_model) / 100.0 if self.eta_min is None else self.eta_min
 
 
 def lr_at(step: int, s: ScheduleConfig, d_model: int) -> float:
@@ -204,11 +201,8 @@ class TrainResult:
 
 def caption_pairs(samples, vocab: Vocabulary, l_max: int) -> list:
     """(sample index, token ids) for every reference caption."""
-    pairs = []
-    for i, s in enumerate(samples):
-        for cap in s.captions:
-            pairs.append((i, truncate(encode(cap, vocab), l_max, vocab)))
-    return pairs
+    return [(i, truncate(encode(cap, vocab), l_max, vocab))
+            for i, s in enumerate(samples) for cap in s.captions]
 
 
 def teacher_forcing(captions, pad_id: int) -> tuple:
@@ -250,8 +244,7 @@ def validation_loss(model: TransformerModel, samples, pairs, vocab: Vocabulary,
                     batch_size: int) -> float:
     """Teacher-forced mean CE per real target token over all (video, caption)
     pairs, ``batch_size`` pairs per forward pass."""
-    total = 0.0
-    denom = 0.0
+    total = denom = 0.0
     with T.no_grad():
         for lo in range(0, len(pairs), batch_size):
             ce, n_tok = _xe_sum(model, samples, pairs[lo:lo + batch_size], vocab)

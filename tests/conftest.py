@@ -61,6 +61,18 @@ def assert_grads_match(loss_fn, params, rng, n_components: int = 20,
     return worst
 
 
+def sum_all(x):
+    """Sum of every entry of ``x`` as a 0-d tensor, the scalar loss of the
+    gradient checks; backward spreads the gradient to every entry."""
+    def make(out):
+        def back(g):
+            if x.requires_grad:
+                x._accumulate(np.full_like(x.data, g))
+        return back
+
+    return T._result(x.data.sum(), (x,), make)
+
+
 def only(batch):
     """Row 0 of a batch of one, as a tensor, for checks on one video's
     (positions, ...) values."""

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import assert_grads_match, only, tiny_config
+from vttcap import model as model_module
 from vttcap import tensor as T
 from vttcap.errors import ContractError, FormatError
 from vttcap.features import FeatureMatrix, VideoSample, dummy_audio
@@ -488,6 +489,39 @@ class TestDecodeCache:
         many = sample_decode(model, frames, audio, 2, 3, n=6, rng=RngState(9))
         assert many[:3] == few
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_position_table_is_pe_block_for_every_decoded_position(self, dtype):
+        cfg = tiny_config()
+        table = TransformerModel(cfg, dtype=dtype).pe_table
+        assert table.dtype == dtype and not table.flags.writeable
+        assert table.shape == (cfg.l_max + 2, cfg.d_model)
+        for pos in range(cfg.l_max + 2):
+            assert np.array_equal(table[pos], pe_block(pos, 1, cfg.d_model)[0].astype(dtype))
+
+    def test_positions_past_the_table_fall_back_to_pe_block(self, monkeypatch, np_rng):
+        # l_max sets no parameter: the two models differ only in their tables
+        short = TransformerModel(tiny_config(l_max=2), seed=4)  # positions 0..3
+        wide = TransformerModel(tiny_config(l_max=12), seed=4)
+        assert np.array_equal(short.arena.data, wide.arena.data)
+        frames, audio = video(np_rng, True)
+        ids = [2, 5, 7, 4, 9, 1, 6, 11, 8]
+        chunks = [ids[:3], ids[3:6], ids[6:7], ids[7:]]  # the second one straddles the end
+        calls = []
+        real = model_module.pe_block
+        monkeypatch.setattr(model_module, "pe_block",
+                            lambda *args: calls.append(args) or real(*args))
+        logits = {}
+        with T.no_grad():
+            for name, model in (("short", short), ("wide", wide)):
+                enc = model.encode([(frames, audio)])
+                cache = model.decode_cache(enc)
+                calls.clear()
+                logits[name] = [model.decode_logits(enc, [c], cache=cache).data
+                                for c in chunks]
+                assert calls == ([(3, 3, 8), (6, 1, 8), (7, 2, 8)] if name == "short" else [])
+        for got, want in zip(logits["short"], logits["wide"]):
+            assert np.array_equal(got, want)
+
     def test_cache_of_another_encoding_rejected(self, np_rng):
         model = TransformerModel(tiny_config(), seed=5)
         with T.no_grad():
@@ -956,6 +990,16 @@ class TestParamArena:
         again = load_checkpoint(tmp_path / "m.vttc")
         self.assert_views_of_the_arena(again)
         assert np.array_equal(again.arena.data, model.arena.data)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("vocab_size", [12, 10_000])  # 10,000 x d_model 8 > 65,536
+    def test_streamed_init_equals_one_float64_draw_per_parameter(self, seed, vocab_size):
+        model = TransformerModel(tiny_config(vocab_size=vocab_size), seed=seed)
+        expected = replay_per_head_init(model.cfg, seed)
+        got = per_head_params(model)
+        assert got.keys() == expected.keys()
+        for name, a in expected.items():
+            assert np.array_equal(got[name], a.astype(np.float32)), name
 
     def test_zero_init_writes_only_the_norm_gains(self):
         model = TransformerModel(tiny_config("x_linear"), init="zeros")

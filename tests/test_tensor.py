@@ -1,11 +1,12 @@
 """Autodiff core: op contracts, gradient checks against central differences."""
 
+import contextlib
 import math
 
 import numpy as np
 import pytest
 
-from conftest import assert_grads_match, rel_err
+from conftest import assert_grads_match, rel_err, sum_all
 from vttcap import tensor as T
 from vttcap.errors import ContractError, DimensionError
 from vttcap.tensor import RngState, Tensor
@@ -80,6 +81,79 @@ class TestLayerNorm:
                          T.constant(np.zeros(0)))
 
 
+def np_var_layer_norm(x, gamma, beta, g, eps=1e-5):
+    """layer_norm through ``np.var`` and its backward, as plain arrays: the
+    output and the gradients of x, gamma and beta for output gradient g."""
+    mean = x.mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + eps)
+    xhat = (x - mean) * inv
+    gy = g * gamma
+    dx = inv * (gy - gy.mean(axis=-1, keepdims=True)
+                - xhat * (gy * xhat).mean(axis=-1, keepdims=True))
+    lead = tuple(range(g.ndim - 1))
+    return xhat * gamma + beta, dx, np.sum(g * xhat, axis=lead), np.sum(g, axis=lead)
+
+
+class TestLayerNormExactness:
+    @pytest.mark.parametrize("d", [1, 3, 32, 33, 48, 512])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_forward_and_backward_bit_equal_the_np_var_formula(self, d, dtype, np_rng):
+        # rows of different scales and offsets, none of them centred
+        x = (np_rng.normal(size=(3, 4, d)) * np_rng.uniform(1e-3, 1e3, size=(3, 4, 1))
+             + np_rng.normal(0.0, 50.0, size=(3, 4, 1))).astype(dtype)
+        gamma, beta = (np_rng.normal(size=d).astype(dtype) for _ in range(2))
+        g = np_rng.normal(size=x.shape).astype(dtype)
+        xs, gs, bs = T.parameter(x), T.parameter(gamma), T.parameter(beta)
+        y = T.layer_norm(xs, gs, bs)
+        sum_all(T.mul(y, T.constant(g))).backward()  # the layer's output gradient is g
+        for name, got, want in zip(("y", "dx", "dgamma", "dbeta"),
+                                   (y.data, xs.grad, gs.grad, bs.grad),
+                                   np_var_layer_norm(x, gamma, beta, g)):
+            assert got.dtype == want.dtype == dtype, name
+            assert np.array_equal(got, want), name
+
+
+def _op_results(t, x):
+    """One result of every primitive on operands made by ``t``, plus the ops
+    that NumPy answers with a scalar rather than an array, on 0-d operands."""
+    m = t(3, 5)
+    loss = T.cross_entropy(t(2, 3, 5), np.zeros((2, 3), dtype=np.int64))
+    return {
+        "matmul": T.matmul(x, t(4, 4)), "add": T.add(x, x), "mul": T.mul(x, t(4)),
+        "scale": T.scale(x, 0.5), "relu": T.relu(x), "sigmoid": T.sigmoid(x),
+        "softmax_lastdim": T.softmax_lastdim(x), "layer_norm": T.layer_norm(x, t(4), t(4)),
+        "concat": T.concat([x, t(2, 1, 4)], axis=1), "slice_rows": T.slice_rows(m, 1, 2),
+        "slice_cols": T.slice_cols(m, 0, 2), "gather_rows": T.gather_rows(m, [0, 2, 2]),
+        "transpose": T.transpose(x, (2, 0, 1)), "reshape": T.reshape(x, (6, 4)),
+        "sum_all": sum_all(x), "cross_entropy": loss,
+        "add 0-d": T.add(loss, loss), "mul 0-d": T.mul(loss, loss),
+        "scale 0-d": T.scale(loss, 2.0), "relu 0-d": T.relu(loss),
+    }
+
+
+class TestOpResults:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("record", [True, False])
+    def test_every_primitive_returns_an_ndarray_of_its_dtype(self, dtype, record, np_rng):
+        def t(*shape):
+            return T.parameter(np_rng.normal(size=shape).astype(dtype))
+
+        with contextlib.nullcontext() if record else T.no_grad():
+            outs = _op_results(t, t(2, 3, 4))
+        for name, out in outs.items():
+            assert type(out.data) is np.ndarray and out.dtype == dtype, name
+            assert out.grad is None and out.name is None, name
+            assert out.requires_grad is record, name
+            assert (out._backward is not None) is record and bool(out._inputs) is record, name
+        assert outs["sum_all"].shape == outs["cross_entropy"].shape == outs["add 0-d"].shape == ()
+
+    def test_a_zero_d_graph_backpropagates(self):
+        x = p64([1.0, 2.0, 3.0])
+        total = sum_all(x)
+        T.scale(T.add(total, T.mul(total, total)), 0.5).backward()  # (s + s^2) / 2
+        assert np.array_equal(x.grad, np.full(3, 0.5 * (1.0 + 2.0 * 6.0)))
+
+
 class TestBackwardBasics:
     def test_square(self):
         x = p64(3.0)
@@ -89,7 +163,7 @@ class TestBackwardBasics:
 
     def test_sum_gives_ones(self):
         x = p64(np.arange(6.0).reshape(2, 3))
-        T.sum_all(x).backward()
+        sum_all(x).backward()
         assert np.all(x.grad == 1.0)
 
     def test_non_scalar_rejected(self):
@@ -105,13 +179,13 @@ class TestBackwardBasics:
     def test_path_sum_linearity(self):
         base = np.array([0.4, -1.2, 2.0])
         x = p64(base)
-        T.add(T.sum_all(T.mul(x, x)), T.sum_all(T.scale(x, 3.0))).backward()
+        T.add(sum_all(T.mul(x, x)), sum_all(T.scale(x, 3.0))).backward()
         combined = x.grad.copy()
 
         x1 = p64(base)
-        T.sum_all(T.mul(x1, x1)).backward()
+        sum_all(T.mul(x1, x1)).backward()
         x2 = p64(base)
-        T.sum_all(T.scale(x2, 3.0)).backward()
+        sum_all(T.scale(x2, 3.0)).backward()
         assert np.allclose(combined, x1.grad + x2.grad)
 
     def test_random_three_op_graph(self, np_rng):
@@ -120,7 +194,7 @@ class TestBackwardBasics:
         c = p64(np_rng.normal(size=(3, 2)))
 
         def loss():
-            return T.sum_all(T.mul(T.add(T.matmul(a, b), c), c))
+            return sum_all(T.mul(T.add(T.matmul(a, b), c), c))
 
         worst = assert_grads_match(loss, [a, b, c], np.random.default_rng(0),
                                    n_components=20)
@@ -140,7 +214,7 @@ class TestPrimitiveGradients:
 
         def loss():
             y = T.add(T.matmul(a, b), bias)
-            return T.sum_all(T.mul(T.scale(y, 1.7), r))
+            return sum_all(T.mul(T.scale(y, 1.7), r))
 
         assert_grads_match(loss, [a, b, bias], rng, n_components=10)
 
@@ -154,7 +228,7 @@ class TestPrimitiveGradients:
         r = T.constant(rng.normal(size=(4, 5)))
 
         def loss():
-            return T.sum_all(T.mul(T.sigmoid(T.relu(x)), r))
+            return sum_all(T.mul(T.sigmoid(T.relu(x)), r))
 
         assert_grads_match(loss, [x], rng, n_components=10)
 
@@ -167,7 +241,7 @@ class TestPrimitiveGradients:
         r = T.constant(rng.normal(size=(3, 6)))
 
         def loss():
-            return T.sum_all(T.mul(T.softmax_lastdim(T.layer_norm(x, g, b)), r))
+            return sum_all(T.mul(T.softmax_lastdim(T.layer_norm(x, g, b)), r))
 
         assert_grads_match(loss, [x, g, b], rng, n_components=12)
 
@@ -184,7 +258,7 @@ class TestPrimitiveGradients:
                              T.slice_cols(joined, 1, 3)], axis=1)  # (5, 4)
             picked = T.slice_rows(cols, 1, 3)  # (2, 4)
             wide = T.concat([picked, T.slice_rows(T.transpose(joined), 0, 2)], axis=1)
-            return T.sum_all(T.mul(wide, r))
+            return sum_all(T.mul(wide, r))
 
         assert_grads_match(loss, [a, b], rng, n_components=12)
 
@@ -217,7 +291,7 @@ class TestBroadcastGradients:
         r = T.constant(rng.normal(size=(3, 2, 6)))
 
         def loss():
-            return T.sum_all(T.mul(T.matmul(T.matmul(w, x), b), r))
+            return sum_all(T.mul(T.matmul(T.matmul(w, x), b), r))
 
         assert_grads_match(loss, [w, x, b], rng, n_components=15)
 
@@ -229,7 +303,7 @@ class TestBroadcastGradients:
         r = T.constant(rng.normal(size=(2, 5, 3, 4)))
 
         def loss():
-            return T.sum_all(T.mul(T.mul(a, b), r))
+            return sum_all(T.mul(T.mul(a, b), r))
 
         assert_grads_match(loss, [a, b], rng, n_components=15)
 
@@ -241,7 +315,7 @@ class TestBroadcastGradients:
         r = T.constant(rng.normal(size=(3, 4, 4)))
 
         def loss():
-            return T.sum_all(T.mul(T.softmax_lastdim(T.add(scores, mask)), r))
+            return sum_all(T.mul(T.softmax_lastdim(T.add(scores, mask)), r))
 
         assert_grads_match(loss, [scores, mask], rng, n_components=15)
 
@@ -252,7 +326,7 @@ class TestBroadcastGradients:
         r = T.constant(rng.normal(size=(4, 2, 3)))
 
         def loss():
-            return T.sum_all(T.mul(T.transpose(x, (2, 0, 1)), r))
+            return sum_all(T.mul(T.transpose(x, (2, 0, 1)), r))
 
         assert T.transpose(x, (2, 0, 1)).shape == (4, 2, 3)
         assert T.transpose(x).shape == (2, 4, 3)
@@ -266,7 +340,7 @@ class TestBroadcastGradients:
         r = T.constant(rng.normal(size=(3, 2, 5)))
 
         def loss():
-            return T.sum_all(T.mul(T.matmul(T.reshape(x, (3, 2, 2)), w), r))
+            return sum_all(T.mul(T.matmul(T.reshape(x, (3, 2, 2)), w), r))
 
         assert_grads_match(loss, [x, w], rng, n_components=12)
 
@@ -311,7 +385,7 @@ class TestBatchAxisGradients:
         r = T.constant(rng.normal(size=(2, 3, 6, 5)))
 
         def loss():
-            return T.sum_all(T.mul(T.concat([k, mem], axis=2), r))
+            return sum_all(T.mul(T.concat([k, mem], axis=2), r))
 
         assert T.concat([k, mem], axis=2).shape == (2, 3, 6, 5)
         assert np.array_equal(T.concat([k, mem], axis=-2).data,
@@ -327,7 +401,7 @@ class TestBatchAxisGradients:
         r = T.constant(rng.normal(size=(2, 3, 2, 3, 2)))
 
         def loss():
-            return T.sum_all(T.mul(T.gather_rows(table, ids), r))
+            return sum_all(T.mul(T.gather_rows(table, ids), r))
 
         assert T.gather_rows(table, ids).shape == (2, 3, 2, 3, 2)
         assert np.array_equal(T.gather_rows(table, ids).data, table.data[ids])
@@ -341,7 +415,7 @@ class TestBatchAxisGradients:
         r = T.constant(rng.normal(size=(3, 4, 6)))
 
         def loss():
-            return T.sum_all(T.mul(T.matmul(x, w), r))
+            return sum_all(T.mul(T.matmul(x, w), r))
 
         assert np.allclose(T.matmul(x, w).data, x.data @ w.data, rtol=1e-12, atol=1e-12)
         assert_grads_match(loss, [x, w], rng, n_components=15)
@@ -444,6 +518,25 @@ class TestRngState:
         out1 = T.softmax_lastdim(T.matmul(x, x)).data
         out2 = T.softmax_lastdim(T.matmul(Tensor(a.copy()), Tensor(a.copy()))).data
         assert np.array_equal(out1, out2)
+
+
+class TestRngFill:
+    @pytest.mark.parametrize("block", [1, 7, 60, 65536])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_blocks_draw_what_one_call_draws(self, block, dtype):
+        for dist, a, b, one_call in (("uniform", -0.3, 0.3, lambda r: r.uniform(60, -0.3, 0.3)),
+                                     ("normal", 0.02, 0.5, lambda r: r.normal(60, 0.02, 0.5))):
+            out = np.zeros(60, dtype)
+            streamed, whole = RngState(5), RngState(5)
+            streamed.fill(out, dist, a, b, block=block)
+            assert np.array_equal(out, one_call(whole).astype(dtype)), dist
+            assert streamed.random() == whole.random(), dist  # the streams stay in step
+
+    def test_writes_through_a_strided_view(self):
+        out = np.zeros(20, np.float32)
+        RngState(1).fill(out[::2], "uniform", 0.0, 1.0, block=3)
+        assert np.array_equal(out[::2], RngState(1).uniform(10).astype(np.float32))
+        assert not out[1::2].any()
 
 
 class TestDtypes:
