@@ -168,17 +168,12 @@ def memory_attention(q: Tensor, k: Tensor, v: Tensor,
                      mask: np.ndarray | None = None) -> Tensor:
     """Scaled dot-product attention whose keys and values may end in memory slots.
 
-    softmax(q k^T / sqrt(d_head)) v, batched over leading (batch, head)
-    axes.  The additive mask broadcasts over the scores and covers the
-    leading real key positions only; key columns past it (memory slots)
-    are never masked.
+    softmax(q k^T / sqrt(d_head) + mask) v, batched over leading (batch,
+    head) axes, as one ``tensor.attention`` node.  The additive mask
+    broadcasts over the scores and covers the leading real key positions
+    only; key columns past it (memory slots) are never masked.
     """
-    if q.shape[-1] != k.shape[-1] or k.shape[-2] != v.shape[-2]:
-        raise DimensionError(f"attention shapes q={q.shape} k={k.shape} v={v.shape}")
-    scores = T.scale(T.matmul(q, T.transpose(k)), 1.0 / np.sqrt(q.shape[-1]))
-    if mask is not None:
-        scores = T.add(scores, T.constant(_key_mask(mask, k.shape[-2], scores.dtype)))
-    return T.matmul(T.softmax_lastdim(scores), v)
+    return T.attention(q, k, v, None if mask is None else _key_mask(mask, k.shape[-2], q.dtype))
 
 
 @dataclass
@@ -356,25 +351,21 @@ class TransformerModel:
 
     # -- forward pieces
 
-    def _split_heads(self, x: Tensor) -> Tensor:
-        """(B, rows, d_model) -> (B, n_heads, rows, d_head)."""
-        cfg = self.cfg
-        batch, rows = x.shape[:2]
-        return T.transpose(T.reshape(x, (batch, rows, cfg.n_heads, cfg.d_head)), (0, 2, 1, 3))
-
     def _project_kv(self, prefix: str, x_kv: Tensor) -> tuple:
         """(K, V) of ``x_kv`` for block ``prefix``, each (B, n_heads, rows, d_head)."""
-        g = self.params
-        return (self._split_heads(T.matmul(x_kv, g[f"{prefix}.wk"])),
-                self._split_heads(T.matmul(x_kv, g[f"{prefix}.wv"])))
+        g, heads = self.params, self.cfg.n_heads
+        return (T.split_heads(T.matmul(x_kv, g[f"{prefix}.wk"]), heads),
+                T.split_heads(T.matmul(x_kv, g[f"{prefix}.wv"]), heads))
 
     def _multi_head(self, prefix: str, x_q: Tensor, kv: tuple,
                     mask: np.ndarray | None, memory_prefix: str | None = None) -> Tensor:
-        """Attention of the rows of ``x_q`` over the head-split key/value pair ``kv``."""
+        """Attention of the rows of ``x_q`` over the head-split key/value pair
+        ``kv``, memory slots joined under ``memory_prefix``: one node each for
+        Q's projection, its head split, a memory attention, the merge and ``out``."""
         cfg = self.cfg
         g = self.params
         k, v = kv
-        q = self._split_heads(T.matmul(x_q, g[f"{prefix}.wq"]))
+        q = T.split_heads(T.matmul(x_q, g[f"{prefix}.wq"]), cfg.n_heads)
         if memory_prefix is not None and cfg.d_memory > 0:
             k = T.concat([k, g[f"{memory_prefix}.mem_k"]], axis=2)
             v = T.concat([v, g[f"{memory_prefix}.mem_v"]], axis=2)
@@ -384,17 +375,17 @@ class TransformerModel:
             heads = x_linear_attention(q, k, v, w, mask)
         else:
             heads = memory_attention(q, k, v, mask)
-        joined = T.reshape(T.transpose(heads, (0, 2, 1, 3)), x_q.shape[:2] + (cfg.d_model,))
-        return T.add(T.matmul(joined, g[f"{prefix}.out.w"]), g[f"{prefix}.out.b"])
+        return T.matmul(T.merge_heads(heads), g[f"{prefix}.out.w"], g[f"{prefix}.out.b"])
 
     def _ffn(self, prefix: str, x: Tensor) -> Tensor:
         g = self.params
-        hidden = T.relu(T.add(T.matmul(x, g[f"{prefix}.ff1.w"]), g[f"{prefix}.ff1.b"]))
-        return T.add(T.matmul(hidden, g[f"{prefix}.ff2.w"]), g[f"{prefix}.ff2.b"])
+        hidden = T.relu(T.matmul(x, g[f"{prefix}.ff1.w"], g[f"{prefix}.ff1.b"]))
+        return T.matmul(hidden, g[f"{prefix}.ff2.w"], g[f"{prefix}.ff2.b"])
 
-    def _norm(self, prefix: str, x: Tensor) -> Tensor:
+    def _norm(self, prefix: str, x: Tensor, y: Tensor) -> Tensor:
+        """Post-LN of the residual sum ``x + y``."""
         g = self.params
-        return T.layer_norm(x, g[f"{prefix}.gamma"], g[f"{prefix}.beta"])
+        return T.layer_norm(x, g[f"{prefix}.gamma"], g[f"{prefix}.beta"], y)
 
     def encode(self, videos) -> Encoding:
         """Encoder output of a batch of (frames, audio) videos, padded to its longest."""
@@ -403,8 +394,8 @@ class TransformerModel:
             p = f"enc.{i}"
             att = self._multi_head(f"{p}.attn", x, self._project_kv(f"{p}.attn", x),
                                    mask=mask, memory_prefix=p)
-            x = self._norm(f"{p}.ln1", T.add(x, att))
-            x = self._norm(f"{p}.ln2", T.add(x, self._ffn(p, x)))
+            x = self._norm(f"{p}.ln1", x, att)
+            x = self._norm(f"{p}.ln2", x, self._ffn(p, x))
         return Encoding(x, mask)
 
     def decode_cache(self, enc: Encoding) -> DecodeCache:
@@ -458,12 +449,12 @@ class TransformerModel:
                            for old, new in zip(cache.self_kv[i], kv))
             cache.self_kv[i] = kv
             att = self._multi_head(f"{p}.self", x, kv, mask=mask)
-            x = self._norm(f"{p}.ln1", T.add(x, att))
+            x = self._norm(f"{p}.ln1", x, att)
             cross = self._multi_head(f"{p}.cross", x, cache.cross[i], mask=enc.mask)
-            x = self._norm(f"{p}.ln2", T.add(x, cross))
-            x = self._norm(f"{p}.ln3", T.add(x, self._ffn(p, x)))
+            x = self._norm(f"{p}.ln2", x, cross)
+            x = self._norm(f"{p}.ln3", x, self._ffn(p, x))
         cache.length += L
-        return T.add(T.matmul(x, g["out_proj.w"]), g["out_proj.b"])
+        return T.matmul(x, g["out_proj.w"], g["out_proj.b"])
 
     def forward_teacher_forced(self, videos, token_ids) -> Tensor:
         """Teacher-forced logits (B, L, vocab) of a padded caption batch.
@@ -550,7 +541,7 @@ def embed_multimodal(videos, model: TransformerModel) -> tuple:
         padded = np.zeros((len(rows), t, rows[0].shape[1]), dtype=dt)
         for b, r in enumerate(rows):
             padded[b, :len(r)] = r
-        x = T.add(T.matmul(T.constant(padded), g[f"{name}.w"]), g[f"{name}.b"])
+        x = T.matmul(T.constant(padded), g[f"{name}.w"], g[f"{name}.b"])
         parts.append(T.add(x, T.constant(pe_block(first, t, cfg.d_model).astype(dt))))
         real.append(np.arange(t) < np.array([len(r) for r in rows])[:, None])
     real = np.concatenate(real, axis=1)

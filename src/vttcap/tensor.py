@@ -9,9 +9,15 @@ Shapes follow NumPy: ``matmul`` multiplies the last two axes and
 broadcasts the leading ones like ``np.matmul``, ``add``, ``mul`` and
 ``concat`` broadcast like ``+``, ``*`` and ``np.concatenate`` of broadcast
 arrays, and every backward sums its gradient back over the axes its input
-was broadcast along.  ``reshape`` and ``transpose`` move a head axis in and
-out of a (batch, rows, d_model) array, so attention runs over every video
-and head of a batch in one op instead of one op per caption and head.
+was broadcast along.
+
+A transformer sublayer is four kinds of fused node, each bit for bit the
+chain of primitives it replaced and holding less for backward: ``matmul``
+with a ``bias`` (a linear layer: its operands only), ``split_heads`` and
+``merge_heads`` (a head axis in and out of (batch, rows, d_model): nothing),
+``attention`` over every video and head of a batch (the probabilities and
+k^T), and ``layer_norm`` of a ``residual`` sum (the normalized rows and
+their inverse deviations).
 """
 
 from __future__ import annotations
@@ -185,7 +191,9 @@ def _result(data, inputs, backward_fn) -> Tensor:
     """Wrap an op result, attaching the graph record only when it matters.
 
     ``data`` is the float ndarray the primitive computed (a ufunc's NumPy scalar
-    for 0-d operands becomes 0-d), so ``Tensor.__init__``'s checks are skipped."""
+    for 0-d operands becomes 0-d), so ``Tensor.__init__``'s checks are skipped.
+    A backward exists only when an input requires grad: a one-input op's
+    backward need not check."""
     record = _grad_enabled and any(t.requires_grad for t in inputs)
     out = object.__new__(Tensor)
     out.data = data if type(data) is np.ndarray else np.asarray(data)
@@ -200,40 +208,48 @@ def _result(data, inputs, backward_fn) -> Tensor:
 # primitives
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """``np.matmul`` on 2+-D operands.  Backward: dA = dC @ B^T, dB = A^T @ dC,
-    each summed over the leading axes its operand was broadcast along.
+def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
+    """``np.matmul`` on 2+-D operands, plus ``bias`` (a linear layer as one node).
+    Backward: dA = dC @ B^T, dB = A^T @ dC and dbias = dC, each summed over
+    the leading axes its operand was broadcast along.
 
     A batch of rows times a 2-D weight runs as one (rows, d_in) product,
     forward and backward: NumPy's stacked matmul repacks the weight for every
     matrix of the stack, and the weight's gradient would be a
     (batch, d_in, d_out) stack summed afterwards.
     """
-    if (a.ndim < 2 or b.ndim < 2 or a.shape[-1] != b.shape[-2]
-            or not _broadcastable(a.shape[:-2], b.shape[:-2])):
-        raise DimensionError(f"matmul shapes incompatible: {a.shape} @ {b.shape}")
-    flat = b.ndim == 2 and a.ndim > 2 and a.size > a.shape[-1]
+    sa, sb = a.data.shape, b.data.shape
+    if (len(sa) < 2 or len(sb) < 2 or sa[-1] != sb[-2]
+            or not _broadcastable(sa[:-2], sb[:-2])):
+        raise DimensionError(f"matmul shapes incompatible: {sa} @ {sb}")
+    flat = len(sb) == 2 and len(sa) > 2 and a.data.size > sa[-1]
     if flat:
-        data = (a.data.reshape(-1, a.shape[-1]) @ b.data).reshape(a.shape[:-1] + b.shape[1:])
+        data = (a.data.reshape(-1, sa[-1]) @ b.data).reshape(sa[:-1] + sb[1:])
     else:
         data = a.data @ b.data
+    if bias is not None:
+        if bias.data.shape != data.shape[data.ndim - bias.data.ndim:]:
+            raise DimensionError(f"bias {bias.data.shape} does not end {data.shape}")
+        data = data + bias.data
 
     def make(out):
         def back(g):
+            if bias is not None and bias.requires_grad:
+                bias._accumulate(_unbroadcast(g, bias.data.shape))
             if flat:
                 g2 = g.reshape(-1, g.shape[-1])
                 if a.requires_grad:
-                    a._accumulate((g2 @ b.data.T).reshape(a.shape))
+                    a._accumulate((g2 @ b.data.T).reshape(sa))
                 if b.requires_grad:
-                    b._accumulate(a.data.reshape(-1, a.shape[-1]).T @ g2)
+                    b._accumulate(a.data.reshape(-1, sa[-1]).T @ g2)
                 return
             if a.requires_grad:
-                a._accumulate(_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape))
+                a._accumulate(_unbroadcast(g @ np.swapaxes(b.data, -1, -2), sa))
             if b.requires_grad:
-                b._accumulate(_unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape))
+                b._accumulate(_unbroadcast(np.swapaxes(a.data, -1, -2) @ g, sb))
         return back
 
-    return _result(data, (a, b), make)
+    return _result(data, (a, b) if bias is None else (a, b, bias), make)
 
 
 def _broadcastable(sa: tuple, sb: tuple) -> bool:
@@ -252,16 +268,17 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise sum under NumPy broadcasting (a bias row, a mask over heads)."""
-    if not _broadcastable(a.shape, b.shape):
-        raise DimensionError(f"add shapes incompatible: {a.shape} + {b.shape}")
+    sa, sb = a.data.shape, b.data.shape
+    if not _broadcastable(sa, sb):
+        raise DimensionError(f"add shapes incompatible: {sa} + {sb}")
     data = a.data + b.data
 
     def make(out):
         def back(g):
             if a.requires_grad:
-                a._accumulate(_unbroadcast(g, a.shape))
+                a._accumulate(_unbroadcast(g, sa))
             if b.requires_grad:
-                b._accumulate(_unbroadcast(g, b.shape))
+                b._accumulate(_unbroadcast(g, sb))
         return back
 
     return _result(data, (a, b), make)
@@ -269,16 +286,17 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise product under NumPy broadcasting."""
-    if not _broadcastable(a.shape, b.shape):
-        raise DimensionError(f"mul shapes incompatible: {a.shape} * {b.shape}")
+    sa, sb = a.data.shape, b.data.shape
+    if not _broadcastable(sa, sb):
+        raise DimensionError(f"mul shapes incompatible: {sa} * {sb}")
     data = a.data * b.data
 
     def make(out):
         def back(g):
             if a.requires_grad:
-                a._accumulate(_unbroadcast(g * b.data, a.shape))
+                a._accumulate(_unbroadcast(g * b.data, sa))
             if b.requires_grad:
-                b._accumulate(_unbroadcast(g * a.data, b.shape))
+                b._accumulate(_unbroadcast(g * a.data, sb))
         return back
 
     return _result(data, (a, b), make)
@@ -291,8 +309,7 @@ def scale(x: Tensor, c: float) -> Tensor:
 
     def make(out):
         def back(g):
-            if x.requires_grad:
-                x._accumulate(g * np.asarray(c, dtype=x.dtype))
+            x._accumulate(g * np.asarray(c, dtype=x.dtype))
         return back
 
     return _result(data, (x,), make)
@@ -305,8 +322,7 @@ def relu(x: Tensor) -> Tensor:
         mask = x.data > 0
 
         def back(g):
-            if x.requires_grad:
-                x._accumulate(g * mask)
+            x._accumulate(g * mask)
         return back
 
     return _result(data, (x,), make)
@@ -321,8 +337,7 @@ def sigmoid(x: Tensor) -> Tensor:
         y = out.data  # not ``out``: a closure holding its own node is a reference cycle
 
         def back(g):
-            if x.requires_grad:
-                x._accumulate(g * y * (1.0 - y))
+            x._accumulate(g * y * (1.0 - y))
         return back
 
     return _result(data, (x,), make)
@@ -342,25 +357,32 @@ def softmax_lastdim(x: Tensor) -> Tensor:
         y = out.data  # not ``out``: see sigmoid
 
         def back(g):
-            if x.requires_grad:
-                dot = np.sum(g * y, axis=-1, keepdims=True)
-                x._accumulate(y * (g - dot))
+            dot = np.sum(g * y, axis=-1, keepdims=True)
+            x._accumulate(y * (g - dot))
         return back
 
     return _result(data, (x,), make)
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """Per-row normalization to zero mean / unit variance, then affine."""
-    d = x.shape[-1]
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, residual: Tensor | None = None,
+               eps: float = 1e-5) -> Tensor:
+    """Per-row normalization to zero mean / unit variance, then affine, of
+    ``x`` or of ``x + residual`` (a post-LN sublayer as one node, whose
+    backward hands one gradient to both)."""
+    shape = x.data.shape
+    d = shape[-1]
     if d == 0:
         raise DimensionError("layer_norm over a zero-length row")
     if gamma.data.shape != (d,) or beta.data.shape != (d,):
         raise DimensionError(
             f"layer_norm affine shapes {gamma.shape}/{beta.shape} do not match row size {d}")
+    sources = (x,) if residual is None else (x, residual)
+    if residual is not None and residual.data.shape != shape:
+        raise DimensionError(f"layer_norm residual {residual.data.shape} is not {shape}")
+    s = x.data if residual is None else x.data + residual.data
     # Rows are centred once, then scaled in place.  The sums are np.mean's and
     # np.var's, whose float64 division rounds to the float32 of ``/ d``: same bits.
-    xhat = x.data - x.data.sum(axis=-1, keepdims=True) / d
+    xhat = s - s.sum(axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt((xhat * xhat).sum(axis=-1, keepdims=True) / d + eps)
     xhat *= inv
     data = xhat * gamma.data + beta.data
@@ -371,15 +393,75 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
                 gamma._accumulate(np.sum(g * xhat, axis=tuple(range(g.ndim - 1))))
             if beta.requires_grad:
                 beta._accumulate(np.sum(g, axis=tuple(range(g.ndim - 1))))
-            if x.requires_grad:
-                gy = g * gamma.data
-                # dx = inv * (gy - mean(gy) - xhat * mean(gy * xhat))
-                m1 = gy.mean(axis=-1, keepdims=True)
-                m2 = (gy * xhat).mean(axis=-1, keepdims=True)
-                x._accumulate(inv * (gy - m1 - xhat * m2))
+            gy = g * gamma.data
+            # dx = inv * (gy - mean(gy) - xhat * mean(gy * xhat))
+            m1 = gy.mean(axis=-1, keepdims=True)
+            m2 = (gy * xhat).mean(axis=-1, keepdims=True)
+            dx = inv * (gy - m1 - xhat * m2)
+            for t in sources:
+                if t.requires_grad:
+                    t._accumulate(dx)
         return back
 
-    return _result(data, (x, gamma, beta), make)
+    return _result(data, sources + (gamma, beta), make)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None = None) -> Tensor:
+    """softmax(q k^T / sqrt(d) + mask) v as one node, bit for bit the chain
+    transpose, matmul, scale, add, softmax_lastdim, matmul.  q, k and v have
+    one rank; k and v differ only in the last axis, and their leading axes
+    broadcast with q's.  ``mask``, additive in the scores' dtype, broadcasts
+    to the scores.  Backward keeps the probabilities and k^T."""
+    sq, sk, sv = q.data.shape, k.data.shape, v.data.shape
+    if (not 2 <= len(sq) == len(sk) or sq[-1] != sk[-1] or sk[:-1] != sv[:-1] or not sk[-2]
+            or not _broadcastable(sq[:-2], sk[:-2])):
+        raise DimensionError(f"attention shapes q={sq} k={sk} v={sv}")
+    kt = np.ascontiguousarray(np.swapaxes(k.data, -1, -2))
+    p = q.data @ kt
+    c = np.asarray(1.0 / math.sqrt(sq[-1]), dtype=p.dtype)
+    p *= c
+    if mask is not None:
+        p += mask
+    p -= p.max(axis=-1, keepdims=True)
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
+
+    def make(out):
+        def back(g):
+            if v.requires_grad:
+                v._accumulate(_unbroadcast(np.swapaxes(p, -1, -2) @ g, sv))
+            dp = _unbroadcast(g @ np.swapaxes(v.data, -1, -2), p.shape)
+            ds = p * (dp - np.sum(dp * p, axis=-1, keepdims=True))
+            ds *= c
+            if q.requires_grad:
+                q._accumulate(_unbroadcast(ds @ np.swapaxes(kt, -1, -2), sq))
+            if k.requires_grad:
+                dkt = _unbroadcast(np.swapaxes(q.data, -1, -2) @ ds, kt.shape)
+                k._accumulate(np.swapaxes(dkt, -1, -2))
+        return back
+
+    return _result(p @ v.data, (q, k, v), make)
+
+
+def split_heads(x: Tensor, n_heads: int) -> Tensor:
+    """(..., rows, n_heads * d_head) -> (..., n_heads, rows, d_head)."""
+    shape = x.data.shape
+    if len(shape) < 2 or n_heads < 1 or shape[-1] % n_heads:
+        raise DimensionError(f"cannot split {shape} into {n_heads} heads")
+    heads = np.swapaxes(x.data.reshape(shape[:-1] + (n_heads, shape[-1] // n_heads)), -3, -2)
+    return _result(np.ascontiguousarray(heads), (x,),
+                   lambda out: lambda g: x._accumulate(np.swapaxes(g, -3, -2).reshape(shape)))
+
+
+def merge_heads(x: Tensor) -> Tensor:
+    """(..., n_heads, rows, d_head) -> (..., rows, n_heads * d_head)."""
+    shape = x.data.shape
+    if len(shape) < 3:
+        raise DimensionError(f"merge_heads needs a head axis, got {shape}")
+    *lead, heads, rows, d_head = shape
+    data = np.ascontiguousarray(np.swapaxes(x.data, -3, -2)).reshape(*lead, rows, heads * d_head)
+    return _result(data, (x,), lambda out: lambda g: x._accumulate(
+        np.swapaxes(g.reshape(*lead, rows, heads, d_head), -3, -2)))
 
 
 def concat(tensors, axis: int = 0) -> Tensor:
@@ -389,7 +471,8 @@ def concat(tensors, axis: int = 0) -> Tensor:
     tensors = list(tensors)
     if not tensors:
         raise DimensionError("concat of an empty list")
-    ndim = max(t.ndim for t in tensors)
+    shapes = [t.data.shape for t in tensors]
+    ndim = max(map(len, shapes))
     if not -ndim <= axis < ndim:
         raise DimensionError(f"concat axis {axis} invalid for {ndim}-D tensors")
     axis = axis % ndim - ndim  # from the end, where shapes of different rank align
@@ -397,16 +480,15 @@ def concat(tensors, axis: int = 0) -> Tensor:
         data = np.concatenate([t.data for t in tensors], axis=axis)
     except ValueError:  # ranks or the other axes differ: broadcast them
         data = np.concatenate(_broadcast_except(tensors, axis), axis=axis)
-    sizes = [t.shape[axis] for t in tensors]
 
     def make(out):
         def back(g):
             offset = 0
-            for t, s in zip(tensors, sizes):
+            for t, s in zip(tensors, shapes):
                 if t.requires_grad:
-                    sl = (Ellipsis, slice(offset, offset + s)) + (slice(None),) * (-axis - 1)
-                    t._accumulate(_unbroadcast(g[sl], t.shape))
-                offset += s
+                    sl = (Ellipsis, slice(offset, offset + s[axis])) + (slice(None),) * (-axis - 1)
+                    t._accumulate(_unbroadcast(g[sl], s))
+                offset += s[axis]
         return back
 
     return _result(data, tuple(tensors), make)
@@ -431,36 +513,27 @@ def _broadcast_except(tensors, axis: int) -> list:
 
 def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:
     """Rows [start, stop) of a matrix.  Backward scatters into that range."""
-    if x.ndim != 2 or not (0 <= start <= stop <= x.shape[0]):
-        raise DimensionError(f"slice_rows [{start}:{stop}] invalid for shape {x.shape}")
-    data = x.data[start:stop].copy()
-
-    def make(out):
-        def back(g):
-            if x.requires_grad:
-                full = np.zeros_like(x.data)
-                full[start:stop] = g
-                x._accumulate(full)
-        return back
-
-    return _result(data, (x,), make)
+    return _slice(x, 0, start, stop)
 
 
 def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
     """Columns [start, stop) of a matrix.  Backward scatters into that range."""
-    if x.ndim != 2 or not (0 <= start <= stop <= x.shape[1]):
-        raise DimensionError(f"slice_cols [{start}:{stop}] invalid for shape {x.shape}")
-    data = x.data[:, start:stop].copy()
+    return _slice(x, 1, start, stop)
+
+
+def _slice(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
+    if x.ndim != 2 or not (0 <= start <= stop <= x.shape[axis]):
+        raise DimensionError(f"slice [{start}:{stop}] of axis {axis} invalid for shape {x.shape}")
+    index = (slice(None),) * axis + (slice(start, stop),)
 
     def make(out):
         def back(g):
-            if x.requires_grad:
-                full = np.zeros_like(x.data)
-                full[:, start:stop] = g
-                x._accumulate(full)
+            full = np.zeros_like(x.data)
+            full[index] = g
+            x._accumulate(full)
         return back
 
-    return _result(data, (x,), make)
+    return _result(x.data[index].copy(), (x,), make)
 
 
 def gather_rows(table: Tensor, ids) -> Tensor:
@@ -468,19 +541,18 @@ def gather_rows(table: Tensor, ids) -> Tensor:
     table.shape[1:]: token embeddings, or a batch's encodings repeated per
     caption.  Backward scatter-adds straight into the table's gradient."""
     ids = np.asarray(ids, dtype=np.int64)
-    if table.ndim < 1:
-        raise DimensionError(f"gather_rows needs a table with a leading axis, got {table.shape}")
-    if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
-        raise ContractError(
-            f"row id out of range for table with {table.shape[0]} rows")
+    shape = table.data.shape
+    if not shape:
+        raise DimensionError(f"gather_rows needs a table with a leading axis, got {shape}")
+    if ids.size and (ids.min() < 0 or ids.max() >= shape[0]):
+        raise ContractError(f"row id out of range for table with {shape[0]} rows")
     data = table.data[ids]
 
     def make(out):
         def back(g):
-            if table.requires_grad:
-                if table.grad is None:  # never for a parameter: its grad is a view
-                    table.grad = np.zeros_like(table.data)
-                np.add.at(table.grad, ids, g)
+            if table.grad is None:  # never for a parameter: its grad is a view
+                table.grad = np.zeros_like(table.data)
+            np.add.at(table.grad, ids, g)
         return back
 
     return _result(data, (table,), make)
@@ -498,8 +570,7 @@ def transpose(x: Tensor, axes=None) -> Tensor:
         inverse = np.argsort(axes)
 
         def back(g):
-            if x.requires_grad:
-                x._accumulate(np.transpose(g, inverse))
+            x._accumulate(np.transpose(g, inverse))
         return back
 
     return _result(data, (x,), make)
@@ -514,8 +585,7 @@ def reshape(x: Tensor, shape) -> Tensor:
 
     def make(out):
         def back(g):
-            if x.requires_grad:
-                x._accumulate(g.reshape(x.shape))
+            x._accumulate(g.reshape(x.shape))
         return back
 
     return _result(data, (x,), make)
@@ -554,12 +624,11 @@ def cross_entropy(logits: Tensor, targets, weights=None) -> Tensor:
 
     def make(out):
         def back(g):
-            if logits.requires_grad:
-                p = exp_shifted()  # softmax, then the gradient, in this one array
-                p /= p.sum(axis=-1, keepdims=True)
-                p[rows, cols] -= 1.0
-                p *= (w * float(g))[:, None]
-                logits._accumulate(p.reshape(logits.shape), owned=True)
+            p = exp_shifted()  # softmax, then the gradient, in this one array
+            p /= p.sum(axis=-1, keepdims=True)
+            p[rows, cols] -= 1.0
+            p *= (w * float(g))[:, None]
+            logits._accumulate(p.reshape(logits.shape), owned=True)
         return back
 
     return _result(data, (logits,), make)

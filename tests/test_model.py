@@ -902,6 +902,24 @@ class TestBatchedTeacherForcing:
         assert batches == [3]
 
 
+class TestGraphSize:
+    """Graph nodes (``tensor._toposort``, leaves included) of the tiny config:
+    an op split back into pieces shows here."""
+
+    @pytest.mark.parametrize("kind,xe_nodes", [("memory_scaled_dot", 98), ("x_linear", 126)])
+    def test_nodes_of_an_xe_step_and_of_a_decode_step(self, kind, xe_nodes):
+        model = TransformerModel(tiny_config(kind), seed=7)
+        samples = batch_samples(np.random.default_rng(1), True)
+        loss = batch_xe_loss(model, samples, BATCH_PAIRS, BATCH_VOCAB)
+        assert len(T._toposort(loss)) == xe_nodes
+        with T.no_grad():  # the encoder and the first token, as decoding runs them
+            enc = model.encode([(samples[0].frames, samples[0].audio)])
+            cache = model.decode_cache(enc)
+            model.decode_logits(enc, [[BATCH_VOCAB.bos_id]], cache=cache)
+        # the second token's step, recorded; X-linear is an encoder block only
+        assert len(T._toposort(model.decode_logits(enc, [[5]], cache=cache))) == 51
+
+
 class TestHeadBatchedAttention:
     """Attention over a leading head axis equals one 2-D call per head."""
 

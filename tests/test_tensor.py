@@ -125,6 +125,10 @@ def _op_results(t, x):
         "concat": T.concat([x, t(2, 1, 4)], axis=1), "slice_rows": T.slice_rows(m, 1, 2),
         "slice_cols": T.slice_cols(m, 0, 2), "gather_rows": T.gather_rows(m, [0, 2, 2]),
         "transpose": T.transpose(x, (2, 0, 1)), "reshape": T.reshape(x, (6, 4)),
+        "matmul bias": T.matmul(x, t(4, 4), t(4)), "attention": T.attention(x, x, x),
+        "split_heads": T.split_heads(x, 2),
+        "merge_heads": T.merge_heads(T.reshape(x, (1, 2, 3, 4))),
+        "layer_norm residual": T.layer_norm(x, t(4), t(4), x),
         "sum_all": sum_all(x), "cross_entropy": loss,
         "add 0-d": T.add(loss, loss), "mul 0-d": T.mul(loss, loss),
         "scale 0-d": T.scale(loss, 2.0), "relu 0-d": T.relu(loss),
@@ -447,6 +451,243 @@ class TestBatchAxisGradients:
             T.gather_rows(T.constant(np.float64(1.0)), [0])
         with pytest.raises(DimensionError):
             T.cross_entropy(T.constant(np.zeros((2, 3, 4))), [0, 1])
+
+
+# ---------------------------------------------------------------------------
+# fused transformer ops against the compositions they replace
+
+
+def chain_linear(x, w, b):
+    return T.add(T.matmul(x, w), b)
+
+
+def chain_attention(q, k, v, mask=None):
+    scores = T.scale(T.matmul(q, T.transpose(k)), 1.0 / np.sqrt(q.shape[-1]))
+    if mask is not None:
+        scores = T.add(scores, T.constant(mask))
+    return T.matmul(T.softmax_lastdim(scores), v)
+
+
+def _swap_head_axes(ndim):
+    return (*range(ndim - 3), ndim - 2, ndim - 3, ndim - 1)
+
+
+def chain_split_heads(x, n_heads):
+    parts = T.reshape(x, x.shape[:-1] + (n_heads, x.shape[-1] // n_heads))
+    return T.transpose(parts, _swap_head_axes(parts.ndim))
+
+
+def chain_merge_heads(x):
+    swapped = T.transpose(x, _swap_head_axes(x.ndim))
+    return T.reshape(swapped, swapped.shape[:-2] + (swapped.shape[-2] * swapped.shape[-1],))
+
+
+def chain_residual_norm(x, gamma, beta, residual):
+    return T.layer_norm(T.add(x, residual), gamma, beta)
+
+
+def outputs_and_grads(build, arrays, g):
+    """The output of ``build`` over fresh parameters holding ``arrays``, and
+    each parameter's gradient for output gradient ``g``."""
+    params = [T.parameter(a.copy()) for a in arrays]
+    out = build(*params)
+    sum_all(T.mul(out, T.constant(g))).backward()
+    return out.data, [p.grad for p in params]
+
+
+def assert_fused_equals_chain(fused, chain, arrays, rng):
+    """Forward values and every input gradient of ``fused`` bit-equal ``chain``'s."""
+    with T.no_grad():
+        shape = chain(*map(T.constant, arrays)).shape
+    g = rng.normal(size=shape).astype(arrays[0].dtype)
+    got, got_grads = outputs_and_grads(fused, arrays, g)
+    want, want_grads = outputs_and_grads(chain, arrays, g)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    for i, (a, b) in enumerate(zip(got_grads, want_grads)):
+        assert a.dtype == b.dtype and np.array_equal(a, b), f"gradient of input {i}"
+
+
+def padding_mask(rng, batch, keys, dtype, memory=0):
+    """A (batch, 1, 1, keys + memory) key mask, NEG_INF on a tail of each row's
+    real keys, never on its first key or on the memory columns."""
+    real = keys - rng.integers(0, keys, size=batch)
+    column = np.arange(keys + memory)
+    keep = (column < real[:, None]) | (column >= keys)
+    return np.where(keep, 0.0, -1e9).astype(dtype)[:, None, None, :]
+
+
+DTYPES = [np.float32, np.float64]
+
+
+class TestFusedOpsEqualTheirChains:
+    """Each fused op gives the values and gradients of the ops it replaced, bit
+    for bit: the chains stay here as the oracle."""
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("x_shape", [(5, 4), (3, 5, 4), (1, 1, 4)])
+    def test_biased_matmul(self, dtype, x_shape, np_rng):
+        arrays = [np_rng.normal(size=s).astype(dtype) for s in (x_shape, (4, 6), (6,))]
+        assert_fused_equals_chain(T.matmul, chain_linear, arrays, np_rng)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize("shapes", [
+        ((3, 2, 3), (3, 5, 3), (3, 5, 3)),            # heads, rows, d_head
+        ((2, 3, 4, 5), (2, 3, 6, 5), (2, 3, 6, 5)),   # batch, heads, rows, d_head
+        ((3, 2, 3), (1, 5, 3), (1, 5, 3)),            # one K/V for every head
+    ])
+    def test_attention(self, dtype, masked, shapes, np_rng):
+        # d_head 3 and 5: 1/sqrt(d_head) is not a power of two, so scaling
+        # before the product would round differently
+        arrays = [np_rng.normal(size=s).astype(dtype) for s in shapes]
+        mask = None
+        if masked:
+            keys = shapes[1][-2]
+            mask = np.where(np_rng.random((shapes[0][-2], keys)) < 0.3, -1e9, 0.0).astype(dtype)
+            mask[:, 0] = 0.0
+        assert_fused_equals_chain(lambda q, k, v: T.attention(q, k, v, mask),
+                                  lambda q, k, v: chain_attention(q, k, v, mask), arrays, np_rng)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_attention_over_keys_that_end_in_memory_slots(self, dtype, np_rng):
+        # 2 videos, 3 heads, 4 queries over 5 keys then 2 memory slots shared by the batch
+        arrays = [np_rng.normal(size=s).astype(dtype)
+                  for s in ((2, 3, 4, 3), (2, 3, 5, 3), (2, 3, 5, 3), (3, 2, 3), (3, 2, 3))]
+        mask = padding_mask(np_rng, 2, 5, dtype, memory=2)
+
+        def fused(q, k, v, mem_k, mem_v):
+            return T.attention(q, T.concat([k, mem_k], axis=2), T.concat([v, mem_v], axis=2), mask)
+
+        def chain(q, k, v, mem_k, mem_v):
+            return chain_attention(q, T.concat([k, mem_k], axis=2),
+                                   T.concat([v, mem_v], axis=2), mask)
+
+        assert_fused_equals_chain(fused, chain, arrays, np_rng)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_attention_of_rows_over_one_videos_keys(self, dtype, np_rng):
+        # r = 5 decode rows, each one new query, over the K/V of one padded video
+        arrays = [np_rng.normal(size=s).astype(dtype)
+                  for s in ((5, 2, 1, 3), (1, 2, 6, 3), (1, 2, 6, 3))]
+        mask = padding_mask(np_rng, 1, 6, dtype)
+        assert_fused_equals_chain(lambda q, k, v: T.attention(q, k, v, mask),
+                                  lambda q, k, v: chain_attention(q, k, v, mask), arrays, np_rng)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("shape", [(3, 5, 8), (2, 3, 5, 8)])
+    def test_split_and_merge_heads(self, dtype, shape, np_rng):
+        x = np_rng.normal(size=shape).astype(dtype)
+        assert_fused_equals_chain(lambda t: T.split_heads(t, 4),
+                                  lambda t: chain_split_heads(t, 4), [x], np_rng)
+        heads = np_rng.normal(size=shape[:-2] + (4, shape[-2], 2)).astype(dtype)
+        assert_fused_equals_chain(T.merge_heads, chain_merge_heads, [heads], np_rng)
+        split = T.split_heads(T.constant(x), 4)
+        assert split.shape == shape[:-2] + (4, shape[-2], 2)
+        assert np.array_equal(T.merge_heads(split).data, x)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    @pytest.mark.parametrize("shape", [(5, 8), (2, 3, 8)])
+    def test_residual_layer_norm(self, dtype, shape, np_rng):
+        arrays = [np_rng.normal(size=s).astype(dtype) for s in (shape, (8,), (8,), shape)]
+        assert_fused_equals_chain(T.layer_norm, chain_residual_norm, arrays, np_rng)
+
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_a_decoder_stack_sums_shared_gradients_in_the_same_order(self, dtype, np_rng):
+        # Two post-LN layers of self- then cross-attention over one encoding:
+        # x and the encoding reach the loss along several paths, so their
+        # gradients are sums whose order the fused graph must keep.
+        d, heads = 6, 2
+        sublayer = ((d, d),) * 4 + ((d,),) * 3  # wq, wk, wv, wo, bo, gamma, beta
+        arrays = [np_rng.normal(size=s).astype(dtype)
+                  for s in ((2, 4, d), (2, 5, d), (d, d)) + sublayer * 4]
+        mask = padding_mask(np_rng, 2, 5, dtype)
+        causal = np.triu(np.full((4, 4), -1e9, dtype), 1)
+
+        def stack(linear, split, attend, merge, norm):
+            def run(x, enc, w_enc, *w):
+                enc = T.relu(T.matmul(enc, w_enc))
+                for i in range(4):  # self, cross, self, cross
+                    wq, wk, wv, wo, bo, gamma, beta = w[7 * i:7 * i + 7]
+                    kv_in, m = (x, causal) if i % 2 == 0 else (enc, mask)
+                    q, k, v = (split(T.matmul(src, pw), heads)
+                               for src, pw in ((x, wq), (kv_in, wk), (kv_in, wv)))
+                    x = norm(x, gamma, beta, linear(merge(attend(q, k, v, m)), wo, bo))
+                return x
+            return run
+
+        assert_fused_equals_chain(
+            stack(T.matmul, T.split_heads, T.attention, T.merge_heads, T.layer_norm),
+            stack(chain_linear, chain_split_heads, chain_attention, chain_merge_heads,
+                  chain_residual_norm), arrays, np_rng)
+
+    def test_a_residual_that_needs_no_gradient(self, np_rng):
+        x, r = p64(np_rng.normal(size=(3, 4))), T.constant(np_rng.normal(size=(3, 4)))
+        gamma, beta = p64(np.ones(4)), p64(np.zeros(4))
+        sum_all(T.mul(T.layer_norm(x, gamma, beta, r), T.constant(np_rng.normal(size=(3, 4))))
+                ).backward()
+        assert x.grad is not None and r.grad is None
+
+    def test_shapes_rejected(self):
+        z = T.constant
+        with pytest.raises(DimensionError, match="bias"):
+            T.matmul(z(np.zeros((2, 3))), z(np.zeros((3, 4))), z(np.zeros(3)))
+        with pytest.raises(DimensionError, match="attention"):
+            T.attention(z(np.zeros((2, 4))), z(np.zeros((3, 5))), z(np.zeros((3, 5))))
+        with pytest.raises(DimensionError, match="attention"):
+            T.attention(z(np.zeros((2, 4))), z(np.zeros((3, 4))), z(np.zeros((2, 4))))
+        with pytest.raises(DimensionError, match="attention"):
+            T.attention(z(np.zeros((2, 2, 4))), z(np.zeros((3, 3, 4))), z(np.zeros((3, 3, 4))))
+        with pytest.raises(DimensionError, match="attention"):
+            T.attention(z(np.zeros((2, 4))), z(np.zeros((0, 4))), z(np.zeros((0, 4))))
+        with pytest.raises(DimensionError, match="attention"):
+            T.attention(z(np.zeros((3, 2, 4))), z(np.zeros((5, 4))), z(np.zeros((5, 4))))
+        with pytest.raises(DimensionError, match="heads"):
+            T.split_heads(z(np.zeros((2, 6))), 4)
+        with pytest.raises(DimensionError, match="head axis"):
+            T.merge_heads(z(np.zeros((2, 6))))
+        with pytest.raises(DimensionError, match="residual"):
+            T.layer_norm(z(np.zeros((2, 4))), z(np.ones(4)), z(np.zeros(4)), z(np.zeros((1, 4))))
+
+
+class TestFusedOpGradients:
+    """Central differences (float64) through each fused op."""
+
+    @pytest.mark.parametrize("trial", range(5))
+    def test_biased_matmul(self, trial):
+        rng = np.random.default_rng(1100 + trial)
+        x, w, b = (p64(rng.normal(size=s)) for s in ((2, 3, 4), (4, 5), (5,)))
+        r = T.constant(rng.normal(size=(2, 3, 5)))
+        assert_grads_match(lambda: sum_all(T.mul(T.matmul(x, w, b), r)), [x, w, b], rng,
+                           n_components=15)
+
+    @pytest.mark.parametrize("trial", range(5))
+    def test_attention(self, trial):
+        rng = np.random.default_rng(1200 + trial)
+        q, k, v = (p64(rng.normal(size=s)) for s in ((2, 3, 4), (2, 5, 4), (2, 5, 3)))
+        mask = padding_mask(rng, 2, 5, np.float64)[:, 0]  # (batch, 1, keys)
+        r = T.constant(rng.normal(size=(2, 3, 3)))
+        assert_grads_match(lambda: sum_all(T.mul(T.attention(q, k, v, mask), r)), [q, k, v],
+                           rng, n_components=20)
+
+    @pytest.mark.parametrize("trial", range(5))
+    def test_split_and_merge_heads(self, trial):
+        rng = np.random.default_rng(1300 + trial)
+        x, w = p64(rng.normal(size=(2, 4, 6))), p64(rng.normal(size=(2, 3, 4, 2)))
+        r = T.constant(rng.normal(size=(2, 4, 6)))
+
+        def loss():  # a per-head product in between, so the two are not inverses
+            return sum_all(T.mul(T.merge_heads(T.mul(T.split_heads(x, 3), w)), r))
+
+        assert_grads_match(loss, [x, w], rng, n_components=15)
+
+    @pytest.mark.parametrize("trial", range(5))
+    def test_residual_layer_norm(self, trial):
+        rng = np.random.default_rng(1400 + trial)
+        x, res = p64(rng.normal(size=(3, 6))), p64(rng.normal(size=(3, 6)))
+        g, b = p64(rng.normal(1.0, 0.2, size=6)), p64(rng.normal(size=6))
+        r = T.constant(rng.normal(size=(3, 6)))
+        assert_grads_match(lambda: sum_all(T.mul(T.layer_norm(x, g, b, res), r)),
+                           [x, res, g, b], rng, n_components=15)
 
 
 class TestCrossEntropy:
