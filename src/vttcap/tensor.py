@@ -18,6 +18,10 @@ with a ``bias`` (a linear layer: its operands only), ``split_heads`` and
 ``attention`` over every video and head of a batch (the probabilities and
 k^T), and ``layer_norm`` of a ``residual`` sum (the normalized rows and
 their inverse deviations).
+
+A graph takes one backward, which frees interior gradients: afterwards only
+leaves (parameters, inputs) hold a ``grad``, and a second backward that
+reaches a freed node raises ``ContractError``.
 """
 
 from __future__ import annotations
@@ -104,23 +108,33 @@ class Tensor:
             np.copyto(self.grad, g)
 
     def backward(self):
-        """Populate ``grad`` of every reachable tensor that requires it.
+        """Populate ``grad`` of every reachable leaf that requires it.
 
         Must be called on a scalar.  Gradients of tensors used on several
-        paths are summed (linearity of accumulation).
+        paths are summed (linearity of accumulation).  An interior node (an
+        op's result) drops its gradient, closure and inputs once it has passed
+        its gradient on; every node keeps its ``data``.
         """
         if self.data.size != 1:
             raise ContractError(
                 f"backward requires a scalar loss, got shape {self.data.shape}")
         topo = _toposort(self)
         self.grad = np.ones_like(self.data)
-        for t in reversed(topo):
+        while topo:
+            t = topo.pop()
             if t._backward is not None and t.grad is not None:
                 t._backward(t.grad)
+            if t._inputs:
+                t.grad, t._backward, t._inputs = None, _freed, ()
 
     def __repr__(self):
         tag = f" name={self.name!r}" if self.name else ""
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}{tag})"
+
+
+def _freed(g):
+    raise ContractError("backward reached a node an earlier backward freed: "
+                        "a graph takes one backward")
 
 
 def _toposort(root: Tensor) -> list[Tensor]:
@@ -216,7 +230,8 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
     A batch of rows times a 2-D weight runs as one (rows, d_in) product,
     forward and backward: NumPy's stacked matmul repacks the weight for every
     matrix of the stack, and the weight's gradient would be a
-    (batch, d_in, d_out) stack summed afterwards.
+    (batch, d_in, d_out) stack summed afterwards.  That gradient is added in
+    column blocks once the weight is large (``_GRAD_BLOCK``).
     """
     sa, sb = a.data.shape, b.data.shape
     if (len(sa) < 2 or len(sb) < 2 or sa[-1] != sb[-2]
@@ -230,7 +245,8 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
     if bias is not None:
         if bias.data.shape != data.shape[data.ndim - bias.data.ndim:]:
             raise DimensionError(f"bias {bias.data.shape} does not end {data.shape}")
-        data = data + bias.data
+        inplace = np.promote_types(data.dtype, bias.data.dtype) == data.dtype
+        data = np.add(data, bias.data, out=data if inplace else None)
 
     def make(out):
         def back(g):
@@ -241,7 +257,7 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
                 if a.requires_grad:
                     a._accumulate((g2 @ b.data.T).reshape(sa))
                 if b.requires_grad:
-                    b._accumulate(a.data.reshape(-1, sa[-1]).T @ g2)
+                    _accumulate_weight(b, a.data.reshape(-1, sa[-1]), g2)
                 return
             if a.requires_grad:
                 a._accumulate(_unbroadcast(g @ np.swapaxes(b.data, -1, -2), sa))
@@ -252,9 +268,31 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
     return _result(data, (a, b) if bias is None else (a, b, bias), make)
 
 
+# A larger weight gradient is added into its buffer in column blocks of about
+# this many elements, not via one a^T @ g of the weight's size (62 MB for the
+# paper's 512 x 30522 out_proj).  Blocks are a multiple of 64 columns wide and
+# the last takes the remainder, so BLAS runs the kernels of the full product
+# and each block equals those columns of it bit for bit (tested).
+_GRAD_BLOCK = 1 << 20
+
+
+def _accumulate_weight(w: Tensor, a2: np.ndarray, g2: np.ndarray):
+    """``w.grad += a2^T @ g2`` for a 2-D weight ``w``, in blocks once it is large."""
+    rows, cols = w.data.shape
+    if w.grad is None or w.data.size <= _GRAD_BLOCK:
+        w._accumulate(a2.T @ g2)
+        return
+    step = max(64, _GRAD_BLOCK // rows // 64 * 64)
+    n = max(1, cols // step)
+    for i in range(n):
+        cut = slice(i * step, cols if i == n - 1 else (i + 1) * step)
+        w.grad[:, cut] += a2.T @ g2[:, cut]
+
+
 def _broadcastable(sa: tuple, sb: tuple) -> bool:
     """NumPy's rule, without ``np.broadcast_shapes``'s cost on every op."""
-    return sa == sb or all(x == y or x == 1 or y == 1 for x, y in zip(reversed(sa), reversed(sb)))
+    return (not sa or not sb or sa == sb
+            or all(x == y or x == 1 or y == 1 for x, y in zip(reversed(sa), reversed(sb))))
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:

@@ -13,7 +13,7 @@ from vttcap import model as model_module
 from vttcap import tensor as T
 from vttcap.errors import ContractError, FormatError
 from vttcap.features import FeatureMatrix, VideoSample, dummy_audio
-from vttcap.model import (CKPT_MAGIC, CKPT_VERSION, ModelConfig, TransformerModel,
+from vttcap.model import (CKPT_MAGIC, CKPT_VERSION, Encoding, ModelConfig, TransformerModel,
                           XLinearWeights, causal_mask,
                           embed_multimodal, greedy_decode, load_checkpoint,
                           load_checkpoint_for,
@@ -876,7 +876,10 @@ class TestBatchedTeacherForcing:
     def test_padded_positions_get_zero_gradient(self, kind, with_audio, np_rng):
         model = TransformerModel(tiny_config(kind), seed=7, dtype=np.float64)
         samples = batch_samples(np_rng, with_audio)
-        enc = model.encode([(s.frames, s.audio) for s in samples])
+        with T.no_grad():
+            encoded = model.encode([(s.frames, s.audio) for s in samples])
+        # backward frees interior gradients, so the encoder output is a leaf here
+        enc = Encoding(T.Tensor(encoded.out.data, requires_grad=True), encoded.mask)
         padding = enc.mask[:, 0, 0, :] < 0
         assert padding.any() and not padding.all(axis=1).any()
         captions = CAPTIONS[:3]
@@ -887,7 +890,10 @@ class TestBatchedTeacherForcing:
         T.cross_entropy(logits, ids[:, 1:], real.astype(np.float64)).backward()
         assert np.all(enc.out.grad[padding] == 0.0)
         assert np.any(enc.out.grad[~padding] != 0.0)
-        assert np.all(logits.grad[~real] == 0.0)
+        # the loss's gradient into the logits, read on a leaf holding their values
+        leaf = T.Tensor(logits.data, requires_grad=True)
+        T.cross_entropy(leaf, ids[:, 1:], real.astype(np.float64)).backward()
+        assert np.all(leaf.grad[~real] == 0.0)
         # PAD is only ever an input at padded positions
         assert np.all(model.params["token_embed"].grad[BATCH_VOCAB.pad_id] == 0.0)
 

@@ -2,13 +2,16 @@
 
 import contextlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import assert_grads_match, rel_err, sum_all
+from conftest import assert_grads_match, rel_err, sum_all, tiny_config
 from vttcap import tensor as T
 from vttcap.errors import ContractError, DimensionError
+from vttcap.features import FeatureMatrix
+from vttcap.model import TransformerModel
 from vttcap.tensor import RngState, Tensor
 
 
@@ -205,6 +208,66 @@ class TestBackwardBasics:
         assert worst < 1e-4
 
 
+class TestGraphLifetime:
+    """One backward per graph: interior nodes free what they held, leaves keep ``grad``."""
+
+    def graph(self, np_rng):
+        x, w = p64(np_rng.normal(size=(3, 4))), p64(np_rng.normal(size=(4, 2)))
+        c = T.constant(np_rng.normal(size=(3, 2)))
+        h = T.relu(T.matmul(x, w))
+        return (x, w, c), h, sum_all(T.mul(h, c))
+
+    def test_interior_nodes_are_freed_and_leaves_keep_their_grad(self, np_rng):
+        (x, w, c), h, loss = self.graph(np_rng)
+        nodes = T._toposort(loss)
+        interior = [t for t in nodes if t._inputs]
+        assert len(interior) == 4 and h in interior and loss in interior
+        arrays = [t.data for t in interior]
+        loss.backward()
+        for t, data in zip(interior, arrays):
+            assert t.grad is None and t._inputs == () and t._backward is T._freed, t
+            assert t.data is data
+        assert x.grad is not None and w.grad is not None and c.grad is None
+        assert np.isfinite(loss.item())
+
+    def test_second_backward_through_a_freed_node_raises(self, np_rng):
+        _, h, loss = self.graph(np_rng)
+        loss.backward()
+        with pytest.raises(ContractError, match="freed"):
+            loss.backward()
+        with pytest.raises(ContractError, match="freed"):
+            sum_all(h).backward()
+
+    @pytest.mark.parametrize("dtype,rows,d_in,cols", [
+        (np.float32, 5, 64, 40000), (np.float64, 3, 96, 21847)])
+    def test_blocked_weight_gradient_equals_the_full_product(self, dtype, rows, d_in, cols):
+        assert d_in * cols > T._GRAD_BLOCK and cols % (T._GRAD_BLOCK // d_in) != 0
+        rng = np.random.default_rng(5)
+        a = T.constant(rng.normal(size=(1, rows, d_in)).astype(dtype))
+        g = rng.normal(size=(1, rows, cols)).astype(dtype)
+        w = T.parameter(rng.normal(size=(d_in, cols)).astype(dtype))
+        w.grad = np.zeros_like(w.data)  # as an arena view: a buffer to add into
+        sum_all(T.mul(T.matmul(a, w), T.constant(g))).backward()
+        expected = np.zeros_like(w.data)
+        expected += a.data[0].T @ g[0]
+        assert np.array_equal(w.grad.view(np.uint8), expected.view(np.uint8))
+
+    def test_backward_makes_no_out_proj_sized_temporary(self):
+        model = TransformerModel(tiny_config(d_model=32, vocab_size=100_000), seed=6)
+        weight = model.params["out_proj.w"]
+        assert weight.data.size > 3 * T._GRAD_BLOCK
+        frames = FeatureMatrix(np.random.default_rng(3).normal(size=(4, 5)))
+        loss = T.cross_entropy(model.forward_teacher_forced([(frames, None)], [[1, 5]]), [[5, 2]])
+        tracemalloc.start()
+        try:
+            loss.backward()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.any(weight.grad)
+        assert peak < weight.data.nbytes
+
+
 class TestPrimitiveGradients:
     """Every primitive: analytic vs central difference on random instances."""
 
@@ -359,6 +422,7 @@ class TestBroadcastGradients:
 
     @pytest.mark.parametrize("op,a,b", [
         (T.matmul, (2, 3, 4), (5, 4, 2)),
+        (T.matmul, (2, 3, 3, 4), (4, 4, 2)),
         (T.matmul, (3,), (3, 2)),
         (T.add, (2, 3), (3, 2)),
         (T.mul, (4, 1, 3), (2, 2)),
