@@ -25,11 +25,10 @@ from .errors import CapacityError, ContractError, DataError, DimensionError, \
 from .features import load_manifest, synth_dataset
 from .fileio import atomic_path
 from .metrics import score_corpus
-from .model import ModelConfig, TransformerModel, greedy_decode, has_field_type, \
-    load_checkpoint_for
+from .model import ModelConfig, TransformerModel, has_field_type, load_checkpoint_for
 from .scst import RewardConfig, finetune_scst
-from .tokenizer import build_vocab, decode, load_vocab, normalize_words, save_vocab
-from .training import ScheduleConfig, TrainRunConfig, evaluate, train_xe
+from .tokenizer import build_vocab, load_vocab, normalize_words, save_vocab
+from .training import ScheduleConfig, TrainRunConfig, evaluate, greedy_texts, train_xe
 
 
 class UsageError(VttError):
@@ -162,14 +161,12 @@ def cmd_finetune_scst(args) -> int:
 def cmd_caption(args) -> int:
     vocab = load_vocab(args.vocab)
     model = load_checkpoint_for(args.checkpoint, vocab)
-    manifest = load_manifest(args.manifest)
-    with atomic_path(args.out) as tmp, open(tmp, "w", encoding="utf-8") as fh:
-        for sample in manifest.load_samples():
-            ids = greedy_decode(model, sample.frames, sample.audio,
-                                vocab.bos_id, vocab.eos_id)
-            fh.write(json.dumps({"id": sample.id,
-                                 "caption": decode(ids, vocab)}) + "\n")
-    print(json.dumps({"captions": len(manifest), "out": str(args.out)}))
+    samples = load_manifest(args.manifest).load_samples()
+    texts = greedy_texts(model, samples, vocab)
+    with atomic_path(args.out) as tmp:
+        tmp.write_text("".join(json.dumps({"id": s.id, "caption": text}) + "\n"
+                               for s, text in zip(samples, texts)), encoding="utf-8")
+    print(json.dumps({"captions": len(samples), "out": str(args.out)}))
     return 0
 
 

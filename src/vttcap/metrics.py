@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ContractError
 
@@ -161,12 +161,11 @@ def cider(candidates, refs_corpus, idf: IdfTable, variant: str = "plain") -> tup
 
 @dataclass
 class MetricReport:
-    """Corpus metric values plus the per-video breakdown."""
+    """Corpus metric values."""
 
     bleu4: float
     cider: float
     cider_d: float
-    per_sample: list = field(default_factory=list)
 
     def as_dict(self) -> dict:
         return {"bleu4": self.bleu4, "cider": self.cider, "cider_d": self.cider_d}
@@ -182,10 +181,7 @@ def score_corpus(candidates, refs_corpus, idf: IdfTable | None = None) -> Metric
     if idf is None:
         idf = compute_idf(refs_corpus)
     bleus = [bleu4(c, refs) for c, refs in zip(candidates, refs_corpus)]
-    c_mean, c_each = cider(candidates, refs_corpus, idf, "plain")
-    d_mean, d_each = cider(candidates, refs_corpus, idf, "D")
-    per_sample = [{"bleu4": b, "cider": c, "cider_d": d}
-                  for b, c, d in zip(bleus, c_each, d_each)]
+    c_mean, _ = cider(candidates, refs_corpus, idf, "plain")
+    d_mean, _ = cider(candidates, refs_corpus, idf, "D")
     mean_bleu = sum(bleus) / len(bleus) if bleus else 0.0
-    return MetricReport(bleu4=mean_bleu, cider=c_mean, cider_d=d_mean,
-                        per_sample=per_sample)
+    return MetricReport(bleu4=mean_bleu, cider=c_mean, cider_d=d_mean)

@@ -36,9 +36,9 @@ video: ``decode_logits`` with a ``DecodeCache`` takes only each row's newest
 token, attends over the self-attention K/V rows cached from its earlier
 steps, and reuses cross-attention K/V projected once from the encoder
 output and broadcast over the rows.  A step of r rows is one (r, 1)
-decoder pass, and a row that ends leaves the batch, so greedy decoding
-(one row) and the n rollouts of ``sample_decode`` (n rows) run through the
-one core ``_decode``.
+decoder pass over every row; a row that ends stays in the batch until all
+have ended, its later tokens dropped.  Greedy decoding (one row) and the n
+rollouts of ``sample_decode`` (n rows) run through the one core ``_decode``.
 """
 
 from __future__ import annotations
@@ -498,19 +498,14 @@ class DecodeCache:
     from ``enc`` once; ``self_kv[i]`` holds its self-attention (K, V) rows
     of the ``length`` positions decoded so far (None before the first
     token).  Each K and V is (batch, n_heads, rows, d_head); the cross K/V
-    of a one-video ``enc`` broadcast over every row of the batch.
+    of a one-video ``enc`` broadcast over every row of the batch.  The batch
+    keeps its rows from the first step to the last.
     """
 
     enc: Encoding
     cross: list
     self_kv: list
     length: int = 0
-
-    def keep(self, rows) -> None:
-        """Drop every batch row but ``rows`` (indices, in order) from the
-        self-attention K/V; the rows kept go on as the new batch."""
-        self.self_kv = [None if kv is None else tuple(T.gather_rows(t, rows) for t in kv)
-                        for kv in self.self_kv]
 
 
 def embed_multimodal(videos, model: TransformerModel) -> tuple:
@@ -557,31 +552,24 @@ def _decode(model: TransformerModel, cache: DecodeCache, rows: int, bos_id: int,
             eos_id: int, l_max: int | None, pick) -> list:
     """``rows`` sequences from BOS, advanced in lockstep over ``cache``'s one video.
 
-    ``cache`` starts empty.  Each step runs the newest token of every
-    running row through the decoder as one (running, 1) batch, attending
-    over the K/V rows the cache holds for the earlier tokens, and
-    ``pick(logits, running, step)`` maps the newest logits (one row per
-    running sequence; ``running`` holds their indices) to the next token
-    ids.  A sequence ends at its EOS or at l_max+2 tokens; an ended one
-    leaves the batch and its K/V rows leave the cache.
+    ``cache`` starts empty.  Each step runs the newest token of every row
+    through the decoder as one (rows, 1) batch, attending over the K/V rows
+    the cache holds for the earlier tokens, and ``pick(logits, step)`` maps
+    the newest (rows, vocab) logits to the next token of every row.  A
+    sequence ends at its EOS or at l_max+2 tokens; a row that has ended
+    stays in the batch until every row has, and what it picks after its EOS
+    is dropped.  Returns one id list per row.
     """
     l_max = model.cfg.l_max if l_max is None else l_max
-    seqs = [[bos_id] for _ in range(rows)]
-    running = np.arange(rows)
-    last = np.full((rows, 1), bos_id, dtype=np.int64)
+    ids = np.full((rows, l_max + 2), bos_id, dtype=np.int64)
+    length = np.full(rows, l_max + 2)  # l_max + 2 while the row runs
     for step in range(l_max + 1):
-        nxt = pick(model.decode_logits(cache.enc, last, cache=cache).data[:, -1],
-                   running, step)
-        for r, tok in zip(running.tolist(), nxt.tolist()):
-            seqs[r].append(tok)
-        going = nxt != eos_id
-        if not going.any():
+        logits = model.decode_logits(cache.enc, ids[:, step:step + 1], cache=cache).data[:, -1]
+        ids[:, step + 1] = pick(logits, step)
+        length[(length == l_max + 2) & (ids[:, step + 1] == eos_id)] = step + 2
+        if (length < l_max + 2).all():
             break
-        if not going.all():
-            running = running[going]
-            cache.keep(np.flatnonzero(going))
-        last = nxt[going][:, None]
-    return seqs
+    return [row[:n].tolist() for row, n in zip(ids, length)]
 
 
 def greedy_decode(model: TransformerModel, frames: FeatureMatrix,
@@ -591,7 +579,7 @@ def greedy_decode(model: TransformerModel, frames: FeatureMatrix,
     with T.no_grad():
         cache = model.decode_cache(model.encode([(frames, audio)]))
         (ids,) = _decode(model, cache, 1, bos_id, eos_id, l_max,
-                         lambda logits, running, step: logits.argmax(axis=-1))
+                         lambda logits, step: logits.argmax(axis=-1))
     return ids
 
 
@@ -619,19 +607,18 @@ def sample_decode(model: TransformerModel, frames: FeatureMatrix,
         raise ContractError("temperature must be finite and > 0")
     l_max = model.cfg.l_max if l_max is None else l_max
     u = rng.uniform((n, l_max + 1))
-    logps = [[] for _ in range(n)]
+    logps = np.empty((n, l_max + 1))
 
-    def pick(logits, running, step):
+    def pick(logits, step):
         logp = T.log_softmax_lastdim(logits.astype(np.float64) / temperature)
-        idx = T.draw_rows(np.exp(logp), u[running, step])
-        for r, lp in zip(running.tolist(), logp[np.arange(len(idx)), idx].tolist()):
-            logps[r].append(lp)
+        idx = T.draw_rows(np.exp(logp), u[:, step])
+        logps[:, step] = logp[np.arange(n), idx]
         return idx
 
     with T.no_grad():
         cache = model.decode_cache(model.encode([(frames, audio)]))
         seqs = _decode(model, cache, n, bos_id, eos_id, l_max, pick)
-    return list(zip(seqs, logps))
+    return [(ids, lp[:len(ids) - 1].tolist()) for ids, lp in zip(seqs, logps)]
 
 
 # ---------------------------------------------------------------------------

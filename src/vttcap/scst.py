@@ -8,13 +8,14 @@ reward, and minimizes
 
 so samples beating the baseline are reinforced and the rest suppressed.
 Rewards are constants in the surrogate; gradient flows only through the
-token log-probabilities of the sampled captions.  The rollouts of a step
-are one padded teacher-forced batch (``forward_teacher_forced``, each video
-encoded once): a rollout's real tokens weigh advantage / (B*N) in the loss,
-its padding 0.  ``finetune_scst`` runs
-this step inside the training loop XE uses (``training._fit``), with Adam
-at the constant learning rate ``RewardConfig.eta`` and the reward IDF
-frozen from the training references before the first step.
+token log-probabilities of the sampled captions, which the surrogate
+recomputes as one padded teacher-forced batch (``forward_teacher_forced``,
+each video encoded once): a rollout's real tokens weigh advantage / (B*N)
+in the loss, its padding 0.  ``scst_batch_step`` returns the loss and each
+video's trace record; ``finetune_scst`` runs it inside the training loop
+XE uses (``training._fit``), with Adam at the constant learning rate
+``RewardConfig.eta`` and the reward IDF frozen from the training
+references before the first step.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import contextlib
 import json
 import math
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -70,27 +71,6 @@ def mixed_reward(candidate, refs, rc: RewardConfig, idf: IdfTable) -> float:
     return r
 
 
-@dataclass
-class VideoTrace:
-    video_id: str
-    baseline_ids: list
-    baseline_reward: float
-    sample_ids: list
-    sample_logps: list
-    sample_rewards: list
-    advantages: list
-
-
-@dataclass
-class ScstBatchTrace:
-    videos: list = field(default_factory=list)
-
-    @property
-    def mean_advantage(self) -> float:
-        advantages = [a for v in self.videos for a in v.advantages]
-        return statistics.fmean(advantages) if advantages else 0.0
-
-
 def scst_surrogate_loss(model: TransformerModel, items) -> T.Tensor:
     """Differentiable surrogate with frozen advantages.
 
@@ -112,37 +92,34 @@ def scst_batch_step(model: TransformerModel, batch, vocab: Vocabulary,
                     rc: RewardConfig, rng: RngState, reward_fn) -> tuple:
     """Rollouts, rewards, surrogate backward for one batch of videos.
 
-    Returns (loss value, ScstBatchTrace); gradients are left in the model's
-    parameter buffers.  ``reward_fn(candidate_words, refs_words)`` scores a
-    caption.
+    Returns (loss value, records), one record per video in batch order: the
+    dict ``finetune_scst`` writes for that video in its trace line.
+    Gradients are left in the model's parameter buffers.
+    ``reward_fn(candidate_words, refs_words)`` scores a caption.
     """
-    trace = ScstBatchTrace()
+    records = []
     items = []
     for sample in batch:
         refs = [normalize_words(c) for c in sample.captions]
         base_ids = greedy_decode(model, sample.frames, sample.audio,
                                  vocab.bos_id, vocab.eos_id)
         r_base = reward_fn(normalize_words(decode(base_ids, vocab)), refs)
-        rollouts = sample_decode(model, sample.frames, sample.audio,
-                                 vocab.bos_id, vocab.eos_id, rc.n_samples, rng,
-                                 temperature=rc.temperature)
-        rewards = []
-        advantages = []
-        for ids, _ in rollouts:
-            r = reward_fn(normalize_words(decode(ids, vocab)), refs)
-            rewards.append(r)
-            advantages.append(r - r_base)
-            items.append((sample, ids, r - r_base))
-        trace.videos.append(VideoTrace(
-            video_id=sample.id, baseline_ids=base_ids, baseline_reward=r_base,
-            sample_ids=[ids for ids, _ in rollouts],
-            sample_logps=[lp for _, lp in rollouts],
-            sample_rewards=rewards, advantages=advantages))
+        rollouts = [ids for ids, _ in sample_decode(
+            model, sample.frames, sample.audio, vocab.bos_id, vocab.eos_id,
+            rc.n_samples, rng, temperature=rc.temperature)]
+        rewards = [reward_fn(normalize_words(decode(ids, vocab)), refs) for ids in rollouts]
+        advantages = [r - r_base for r in rewards]
+        items += [(sample, ids, a) for ids, a in zip(rollouts, advantages)]
+        records.append({"id": sample.id, "baseline_reward": r_base,
+                        "sample_rewards": rewards, "advantages": advantages,
+                        "baseline_length": len(base_ids) - 1,
+                        "sample_lengths": [len(ids) - 1 for ids in rollouts],
+                        "truncated": sum(ids[-1] != vocab.eos_id for ids in rollouts)})
 
     model.zero_grad()
     loss = scst_surrogate_loss(model, items)
     loss.backward()
-    return loss.item(), trace
+    return loss.item(), records
 
 
 def validation_mixed_reward(model: TransformerModel, samples, vocab: Vocabulary,
@@ -160,11 +137,14 @@ def finetune_scst(checkpoint, train: DatasetManifest, val: DatasetManifest,
 
     The reward IDF is frozen from the training references before the first
     step.  Validation rows add the mean validation mixed reward and the
-    mean advantage of the steps since the previous row; ``trace_path``
-    receives one JSON line per step with, per video, the rewards, the
-    advantages, the baseline and rollout lengths (emitted tokens, BOS
-    excluded) and ``truncated``, the number of rollouts cut at l_max+2
-    tokens without an EOS.
+    mean advantage of the steps since the previous row.  ``trace_path``
+    receives one JSON line per step, ``{"step": s, "videos": [...]}``, with
+    one record per video of the batch, in batch order, holding these keys
+    in this order: ``id``; ``baseline_reward`` and ``sample_rewards``, the
+    mixed rewards of the greedy baseline and of each rollout;
+    ``advantages``, each rollout's reward minus the baseline's;
+    ``baseline_length`` and ``sample_lengths``, the tokens each emitted, BOS
+    excluded; ``truncated``, the rollouts cut at l_max+2 tokens without EOS.
     """
     model = load_checkpoint_for(checkpoint, vocab)
     if len(train) == 0 or len(val) == 0:
@@ -180,21 +160,12 @@ def finetune_scst(checkpoint, train: DatasetManifest, val: DatasetManifest,
             else contextlib.nullcontext() as trace_fh:
         def step_fn(indices, step: int) -> float:
             batch = [train_samples[i] for i in indices]
-            loss, trace = scst_batch_step(model, batch, vocab, rc, sample_rng,
-                                          lambda cand, refs: mixed_reward(cand, refs, rc, idf))
-            advantage_window.append(trace.mean_advantage)
+            loss, records = scst_batch_step(model, batch, vocab, rc, sample_rng,
+                                            lambda cand, refs: mixed_reward(cand, refs, rc, idf))
+            advantage_window.append(statistics.fmean(a for r in records
+                                                     for a in r["advantages"]))
             if trace_fh is not None:
-                trace_fh.write(json.dumps({
-                    "step": step,
-                    "videos": [{"id": v.video_id,
-                                "baseline_reward": v.baseline_reward,
-                                "sample_rewards": v.sample_rewards,
-                                "advantages": v.advantages,
-                                "baseline_length": len(v.baseline_ids) - 1,
-                                "sample_lengths": [len(ids) - 1 for ids in v.sample_ids],
-                                "truncated": sum(ids[-1] != vocab.eos_id
-                                                 for ids in v.sample_ids)}
-                               for v in trace.videos]}) + "\n")
+                trace_fh.write(json.dumps({"step": step, "videos": records}) + "\n")
             return loss
 
         def validate_fn() -> dict:

@@ -8,7 +8,7 @@ Adam step are each one pass over those buffers in blocks of ``CHUNK``
 elements, small enough that a block of every buffer stays in L2 cache
 while all of the pass's operations run over it: the arena, 365 MB at the
 paper's 91.2M parameters, is read from memory once per pass rather than
-once per operation.  The norm is summed in float64 and checks that every
+once per operation.  The norm adds block sums in float64 and checks that every
 gradient is finite before anything changes; Adam computes each element by
 the same expression, in the same order, as a per-parameter loop would.
 Two schedules are provided: the analytic transformer rule
@@ -114,20 +114,26 @@ def clip_gradients(arena: T.ParamArena, max_norm: float = GRAD_CLIP_NORM) -> flo
     """Scale all gradients of ``arena`` so their global L2 norm is at most
     ``max_norm``; returns the norm before scaling.
 
-    The squares are summed in float64, one ``CHUNK`` at a time.  A
-    non-finite gradient raises ``TrainingError`` naming its parameter before
-    anything is scaled or stepped.
+    Each ``CHUNK`` block's squares are summed by one dot product in the
+    arena's dtype, and the blocks' sums are added in float64.  A block whose
+    sum is not finite is summed again in float64, so finite values whose
+    squares overflow float32 are clipped; a non-finite gradient raises
+    ``TrainingError`` naming its parameter before anything is scaled or
+    stepped.
     """
     grad = arena.grad
-    block = np.empty(min(CHUNK, grad.size), np.float64)
     total = 0.0
-    for lo in range(0, grad.size, CHUNK):
-        b = block[:min(CHUNK, grad.size - lo)]
-        np.copyto(b, grad[lo:lo + CHUNK])
-        total += float(b @ b)
-        if not math.isfinite(total):
-            bad = lo + int(np.argmin(np.isfinite(b)))
-            raise TrainingError(f"non-finite gradient for parameter {arena.name_at(bad)!r}")
+    with np.errstate(over="ignore"):
+        for lo in range(0, grad.size, CHUNK):
+            b = grad[lo:lo + CHUNK]
+            square_sum = float(b @ b)
+            if not math.isfinite(square_sum):  # an overflow, or a non-finite gradient
+                square_sum = float(np.square(b, dtype=np.float64).sum())
+                if not math.isfinite(square_sum):
+                    bad = lo + int(np.argmin(np.isfinite(b)))
+                    raise TrainingError(
+                        f"non-finite gradient for parameter {arena.name_at(bad)!r}")
+            total += square_sum
     norm = math.sqrt(total)
     if norm > max_norm:
         grad *= max_norm / norm
@@ -253,15 +259,16 @@ def validation_loss(model: TransformerModel, samples, pairs, vocab: Vocabulary,
     return total / denom if denom else 0.0
 
 
+def greedy_texts(model: TransformerModel, samples, vocab: Vocabulary) -> list:
+    """The greedy caption of every sample, as text, one decode per sample."""
+    return [decode(greedy_decode(model, s.frames, s.audio, vocab.bos_id, vocab.eos_id), vocab)
+            for s in samples]
+
+
 def greedy_captions(model: TransformerModel, samples, vocab: Vocabulary) -> tuple:
     """Greedy-decode every sample: (word-token candidates, word-token references)."""
-    candidates = []
-    refs_corpus = []
-    for s in samples:
-        ids = greedy_decode(model, s.frames, s.audio, vocab.bos_id, vocab.eos_id)
-        candidates.append(normalize_words(decode(ids, vocab)))
-        refs_corpus.append([normalize_words(c) for c in s.captions])
-    return candidates, refs_corpus
+    return ([normalize_words(text) for text in greedy_texts(model, samples, vocab)],
+            [[normalize_words(c) for c in s.captions] for s in samples])
 
 
 def evaluate(model: TransformerModel, samples, vocab: Vocabulary) -> MetricReport:

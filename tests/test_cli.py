@@ -255,7 +255,7 @@ def test_caption_then_score_reproduces_evaluate(trained, tmp_path):
 
 
 def test_failed_caption_rerun_keeps_previous_file(trained, tmp_path, monkeypatch):
-    from vttcap import cli
+    from vttcap import training
     from vttcap.errors import DataError
 
     _, common = trained
@@ -263,7 +263,7 @@ def test_failed_caption_rerun_keeps_previous_file(trained, tmp_path, monkeypatch
     assert dispatch(["caption", *common, "--out", str(out)]) == 0
     before = out.read_bytes()
     calls = []
-    decode = cli.greedy_decode
+    decode = training.greedy_decode
 
     def failing_third(*args, **kwargs):
         calls.append(1)
@@ -271,7 +271,7 @@ def test_failed_caption_rerun_keeps_previous_file(trained, tmp_path, monkeypatch
             raise DataError("frames unreadable")
         return decode(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "greedy_decode", failing_third)
+    monkeypatch.setattr(training, "greedy_decode", failing_third)
     assert dispatch(["caption", *common, "--out", str(out)]) == 2
     assert len(calls) == 3
     assert out.read_bytes() == before

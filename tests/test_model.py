@@ -400,6 +400,16 @@ class TestDecodeCache:
                 assert step.shape == full.shape
                 assert np.max(np.abs(step - full)) <= tol * np.max(np.abs(full))
             assert cache.length == len(ids)
+            # three rows in lockstep: each row's step logits are its own decode's
+            seqs = np.array([[2, 5, 8], [2, 6, 3], [2, 7, 9]])
+            cache = model.decode_cache(enc)
+            for t in range(seqs.shape[1]):
+                step = model.decode_logits(enc, seqs[:, t:t + 1], cache=cache).data[:, 0]
+                for row, got in zip(seqs, step):
+                    alone = model.decode_logits(enc, [row[:t + 1]]).data[0, -1]
+                    assert np.max(np.abs(got - alone)) <= tol * np.max(np.abs(alone))
+            with pytest.raises(ContractError, match="token rows"):
+                model.decode_logits(enc, [[4], [4]], cache=cache)
 
     @pytest.mark.parametrize("kind", ["memory_scaled_dot", "x_linear"])
     @pytest.mark.parametrize("with_audio", [False, True])
@@ -446,24 +456,22 @@ class TestDecodeCache:
         assert all(len(ids) == 6 for ids, _ in got)
 
     @pytest.mark.parametrize("kind", ["memory_scaled_dot", "x_linear"])
-    def test_dropped_rows_leave_the_others_unchanged(self, kind, np_rng):
-        model = TransformerModel(tiny_config(kind), seed=5, dtype=np.float64)
+    def test_every_step_runs_every_rollout_row(self, kind, np_rng, monkeypatch):
+        model = TransformerModel(tiny_config(kind), seed=5)
+        model.params["out_proj.b"].data[3] = 1.5  # EOS likely, but not at once
         frames, audio = video(np_rng, True)
-        seqs = [[2, 5, 8], [2, 6, 3], [2, 7, 9]]  # row 1 ends after two steps
-        with T.no_grad():
-            enc = model.encode([(frames, audio)])
-            cache = model.decode_cache(enc)
-            first = model.decode_logits(enc, [[2], [2], [2]], cache=cache).data
-            model.decode_logits(enc, [[5], [6], [7]], cache=cache)
-            cache.keep([0, 2])
-            assert cache.self_kv[0][0].shape[0] == 2
-            last = model.decode_logits(enc, [[8], [9]], cache=cache).data
-            alone = [model.decode_logits(enc, [ids]).data[0] for ids in seqs[::2]]
-            assert np.allclose(first, model.decode_logits(enc, [[2]]).data, rtol=1e-12)
-            for got, full in zip(last, alone):
-                assert np.allclose(got[-1], full[-1], rtol=1e-10, atol=1e-12)
-            with pytest.raises(ContractError, match="token rows"):
-                model.decode_logits(enc, [[4], [4], [4]], cache=cache)
+        rows = []
+        decode_logits = TransformerModel.decode_logits
+
+        def counting(self, enc, token_ids, cache=None):
+            rows.append(len(token_ids))
+            return decode_logits(self, enc, token_ids, cache=cache)
+
+        monkeypatch.setattr(TransformerModel, "decode_logits", counting)
+        got = sample_decode(model, frames, audio, 2, 3, n=8, rng=RngState(2))
+        lengths = {len(ids) for ids, _ in got}
+        assert len(lengths) > 2  # rollouts end at different steps
+        assert rows == [8] * (max(lengths) - 1)
 
     @pytest.mark.parametrize("kind", ["memory_scaled_dot", "x_linear"])
     @pytest.mark.parametrize("with_audio", [False, True])

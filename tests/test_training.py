@@ -191,12 +191,36 @@ class TestAdamAndClipping:
 
     @pytest.mark.parametrize("chunk", [13, training.CHUNK])
     def test_blocked_norm_matches_the_float64_norm(self, np_rng, monkeypatch, chunk):
+        """Blocks are summed in the arena's dtype: to float32 resolution for a
+        float32 arena, to float64 rounding for a float64 one."""
         monkeypatch.setattr(training, "CHUNK", chunk)
-        arena = arena_of({f"p{i}": np.zeros(n) for i, n in enumerate((30, 1, 50))},
-                         np.float32)
-        arena.grad[...] = np_rng.normal(size=arena.grad.size)
+        values = np_rng.normal(size=81)
+        for dtype, rel in ((np.float32, 1e-6), (np.float64, 1e-14)):
+            arena = arena_of({f"p{i}": np.zeros(n) for i, n in enumerate((30, 1, 50))}, dtype)
+            arena.grad[...] = values
+            expected = np.linalg.norm(arena.grad.astype(np.float64))
+            assert clip_gradients(arena, max_norm=1e9) == pytest.approx(expected, rel=rel)
+
+    def test_norm_of_mixed_magnitudes_is_within_float32_resolution(self, np_rng):
+        arena = arena_of({"a": np.zeros(1 << 19), "b": np.zeros(1 << 19)}, np.float32)
+        arena.grad[...] = np_rng.normal(size=1 << 20) * 10.0 ** np_rng.uniform(-6, 3, 1 << 20)
         expected = np.linalg.norm(arena.grad.astype(np.float64))
-        assert clip_gradients(arena, max_norm=1e9) == pytest.approx(expected, rel=1e-14)
+        assert clip_gradients(arena, max_norm=1e12) == pytest.approx(expected, rel=1e-6)
+
+    def test_finite_gradients_that_overflow_float32_squares_are_clipped(self):
+        arena = arena_of({"a": np.zeros(3), "b": np.zeros(4)}, np.float32)
+        arena.grad[...] = 1e20  # each square overflows float32, the norm does not
+        assert clip_gradients(arena, max_norm=5.0) == pytest.approx(1e20 * np.sqrt(7))
+        assert np.linalg.norm(arena.grad.astype(np.float64)) == pytest.approx(5.0)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_gradient_among_huge_ones_names_its_parameter(self, bad):
+        arena = arena_of({"a": np.zeros(3), "b": np.zeros(4), "c": np.zeros(2)}, np.float32)
+        arena.grad[...] = 1e20
+        arena.params["b"].grad[2] = bad
+        with pytest.raises(TrainingError, match="'b'"):
+            clip_gradients(arena)
+        assert np.all(arena.params["a"].grad == np.float32(1e20))
 
 
 @pytest.mark.parametrize("kind", ["memory_scaled_dot", "x_linear"])
@@ -281,6 +305,25 @@ class TestTrainXe:
 # SCST
 
 
+def record_calls(monkeypatch, module, name) -> list:
+    """Patch ``module.name`` to append each call's return value to the list returned."""
+    calls = []
+    fn = getattr(module, name)
+
+    def recording(*args, **kwargs):
+        calls.append(fn(*args, **kwargs))
+        return calls[-1]
+
+    monkeypatch.setattr(module, name, recording)
+    return calls
+
+
+def record_decodes(monkeypatch) -> dict:
+    """What each greedy and sampled decode of the SCST step returned, in call order."""
+    return {name: record_calls(monkeypatch, scst, name)
+            for name in ("greedy_decode", "sample_decode")}
+
+
 class TestScst:
     def setup_batch(self, corpus):
         train, _, vocab = corpus
@@ -289,10 +332,10 @@ class TestScst:
     def test_constant_reward_gives_zero_advantage_and_zero_gradient(self, corpus):
         model, batch, vocab = self.setup_batch(corpus)
         rc = RewardConfig(n_samples=3)
-        loss, trace = scst_batch_step(model, batch, vocab, rc, RngState(4),
-                                      reward_fn=lambda cand, refs: 0.7)
+        loss, records = scst_batch_step(model, batch, vocab, rc, RngState(4),
+                                        reward_fn=lambda cand, refs: 0.7)
         assert loss == 0.0
-        assert all(a == 0.0 for v in trace.videos for a in v.advantages)
+        assert all(a == 0.0 for r in records for a in r["advantages"])
         grads = [p.grad for p in model.params.values() if p.grad is not None]
         assert grads and all(not np.any(g) for g in grads)
 
@@ -326,22 +369,24 @@ class TestScst:
         for name in ref:
             assert np.allclose(got[name], ref[name], rtol=1e-10, atol=1e-10), name
 
-    def test_advantage_is_sample_minus_greedy_reward(self, corpus):
+    def test_advantage_is_sample_minus_greedy_reward(self, corpus, monkeypatch):
         model, batch, vocab = self.setup_batch(corpus)
         rc = RewardConfig(n_samples=3)
+        decoded = record_decodes(monkeypatch)
 
         def reward(cand, refs):
             return float(len(cand))
 
-        _, trace = scst_batch_step(model, batch, vocab, rc, RngState(4), reward_fn=reward)
-        assert [v.video_id for v in trace.videos] == [s.id for s in batch]
-        for v in trace.videos:
-            assert v.baseline_reward == len(normalize_words(decode(v.baseline_ids, vocab)))
-            assert len(v.sample_ids) == len(v.sample_rewards) == 3
-            for ids, r, a in zip(v.sample_ids, v.sample_rewards, v.advantages):
-                assert r == len(normalize_words(decode(ids, vocab)))
-                assert a == r - v.baseline_reward
-        assert any(a != 0.0 for v in trace.videos for a in v.advantages)
+        _, records = scst_batch_step(model, batch, vocab, rc, RngState(4), reward_fn=reward)
+        assert [r["id"] for r in records] == [s.id for s in batch]
+        for r, base, rolls in zip(records, decoded["greedy_decode"],
+                                  decoded["sample_decode"]):
+            assert r["baseline_reward"] == len(normalize_words(decode(base, vocab)))
+            assert len(rolls) == len(r["sample_rewards"]) == 3
+            for (ids, _), reward_, a in zip(rolls, r["sample_rewards"], r["advantages"]):
+                assert reward_ == len(normalize_words(decode(ids, vocab)))
+                assert a == reward_ - r["baseline_reward"]
+        assert any(a != 0.0 for r in records for a in r["advantages"])
 
     def test_one_trace_line_per_step(self, corpus, tmp_path):
         train, val, vocab = corpus
@@ -368,25 +413,20 @@ class TestScst:
         train, val, vocab = corpus
         init = tmp_path / "init.vttc"
         save_checkpoint(tiny_model(vocab), init)
-        decoded = {"greedy_decode": [], "sample_decode": []}
-
-        def recorder(fn, calls):
-            def recording(*args, **kwargs):
-                calls.append(fn(*args, **kwargs))
-                return calls[-1]
-            return recording
-
-        for name, calls in decoded.items():
-            monkeypatch.setattr(scst, name, recorder(getattr(scst, name), calls))
+        decoded = record_decodes(monkeypatch)
+        steps = record_calls(monkeypatch, scst, "scst_batch_step")
         trace = tmp_path / "trace.jsonl"
         run = TrainRunConfig(epochs=1, batch_size=4, seed=5, out_dir=str(tmp_path / "run"))
         finetune_scst(init, train, val, vocab, RewardConfig(n_samples=3, eta=1e-3), run,
                       trace_path=trace)
-        videos = [v for line in trace.read_text().splitlines()
-                  for v in json.loads(line)["videos"]]
+        lines = [json.loads(line)["videos"] for line in trace.read_text().splitlines()]
+        assert lines == [records for _, records in steps]
+        videos = [v for line in lines for v in line]
         assert len(videos) == len(decoded["greedy_decode"]) == len(train)
         l_max = tiny_model(vocab).cfg.l_max
         for v, base, rolls in zip(videos, decoded["greedy_decode"], decoded["sample_decode"]):
+            assert list(v) == ["id", "baseline_reward", "sample_rewards", "advantages",
+                               "baseline_length", "sample_lengths", "truncated"]
             assert v["baseline_length"] == len(base) - 1
             assert v["sample_lengths"] == [len(ids) - 1 for ids, _ in rolls]
             cut = [ids for ids, _ in rolls if vocab.eos_id not in ids]
