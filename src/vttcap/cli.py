@@ -131,8 +131,8 @@ def cmd_train(args) -> int:
     model_cfg = ModelConfig(**cfg["model"], vocab_size=len(vocab))
     sched = ScheduleConfig(**cfg["schedule"])
     run = _run_config(cfg, args)
-    train = load_manifest(args.train, "train")
-    val = load_manifest(args.val, "val")
+    train = load_manifest(args.train)
+    val = load_manifest(args.val)
     model = TransformerModel(model_cfg, seed=run.seed)
     result = train_xe(model, vocab, train, val, sched, run)
     print(json.dumps({"best_epoch": result.best_epoch,
@@ -145,8 +145,8 @@ def cmd_train(args) -> int:
 def cmd_finetune_scst(args) -> int:
     cfg = resolve_config(args.config, args.profile)
     vocab = load_vocab(args.vocab)
-    train = load_manifest(args.train, "train")
-    val = load_manifest(args.val, "val")
+    train = load_manifest(args.train)
+    val = load_manifest(args.val)
     rc = RewardConfig(**cfg["reward"])
     run = _run_config(cfg, args)
     result = finetune_scst(args.init, train, val, vocab, rc, run,

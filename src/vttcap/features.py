@@ -1,9 +1,10 @@
 """Feature-matrix file format, dataset manifests and the synthetic corpus.
 
 Feature files («VTTF») are bit-exact: 4-byte magic, three u32 LE header
-fields (version=1, T, D), then T*D float32 LE values row-major.  Manifests
-are JSON lines with fields id / frame_file / audio_file (nullable) /
-captions; file paths are stored relative to the manifest's directory.
+fields (version=1, T, D), then T*D float32 LE values row-major.  A manifest
+is JSON lines, one video each: id / frame_file / audio_file (nullable) /
+captions, the paths relative to its directory.  It names no role; the
+command reading it makes it training, validation or scoring data.
 
 The synthetic generator replaces real video datasets at desk scale: each
 clip mixes one or two latent concepts, frame rows are noisy concept
@@ -94,10 +95,9 @@ class ManifestEntry:
 
 @dataclass
 class DatasetManifest:
-    """Entries of one split; ``root`` anchors the relative file paths."""
+    """Entries of one manifest; ``root`` anchors the relative file paths."""
 
     entries: list
-    split: str
     root: Path
 
     def __len__(self):
@@ -169,7 +169,7 @@ def _manifest_entry(obj, where: str) -> ManifestEntry:
     return ManifestEntry(obj["id"], obj["frame_file"], obj["audio_file"], list(captions))
 
 
-def load_manifest(path, split: str | None = None) -> DatasetManifest:
+def load_manifest(path) -> DatasetManifest:
     """Parse a JSON-lines manifest and check that referenced files exist."""
     path = Path(path)
     entries = []
@@ -193,7 +193,7 @@ def load_manifest(path, split: str | None = None) -> DatasetManifest:
         for rel in (e.frame_file, e.audio_file):
             if rel and not (root / rel).exists():
                 raise FormatError(f"{path}: referenced file {rel!r} does not exist")
-    return DatasetManifest(entries, split or path.stem, root)
+    return DatasetManifest(entries, root)
 
 
 def captions_for(concepts) -> list:
@@ -262,8 +262,8 @@ def synth_dataset(seed: int, n_videos: int, n_concepts: int, d_vision: int,
         entries.append(ManifestEntry(vid, frame_rel, audio_rel, captions_for(concepts)))
 
     n_val = max(1, round(n_videos * 0.1))
-    train = DatasetManifest(entries[:-n_val], "train", out_dir)
-    val = DatasetManifest(entries[-n_val:], "val", out_dir)
+    train = DatasetManifest(entries[:-n_val], out_dir)
+    val = DatasetManifest(entries[-n_val:], out_dir)
     save_manifest(train, out_dir / "train.jsonl")
     save_manifest(val, out_dir / "val.jsonl")
     return train, val

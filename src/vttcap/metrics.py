@@ -171,15 +171,14 @@ class MetricReport:
         return {"bleu4": self.bleu4, "cider": self.cider, "cider_d": self.cider_d}
 
 
-def score_corpus(candidates, refs_corpus, idf: IdfTable | None = None) -> MetricReport:
+def score_corpus(candidates, refs_corpus) -> MetricReport:
     """Score word-token candidates against their reference sets.
 
-    BLEU-4 is the mean of exact sentence scores; CIDEr variants use ``idf``
-    or, when absent, IDF statistics computed from ``refs_corpus`` itself.
+    BLEU-4 is the mean of exact sentence scores; both CIDEr variants use the
+    IDF statistics of ``refs_corpus`` itself.
     """
     refs_corpus = list(refs_corpus)
-    if idf is None:
-        idf = compute_idf(refs_corpus)
+    idf = compute_idf(refs_corpus)
     bleus = [bleu4(c, refs) for c, refs in zip(candidates, refs_corpus)]
     c_mean, _ = cider(candidates, refs_corpus, idf, "plain")
     d_mean, _ = cider(candidates, refs_corpus, idf, "D")

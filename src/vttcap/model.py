@@ -44,7 +44,6 @@ rollouts of ``sample_decode`` (n rows) run through the one core ``_decode``.
 from __future__ import annotations
 
 import json
-import math
 import os
 import struct
 import sys
@@ -416,7 +415,8 @@ class TransformerModel:
         cross-attention K/V, and are appended to the cache.  Without
         ``cache`` they start a fresh one, so each row is a whole sequence
         from position 0, and PAD after a row's last token leaves its real
-        positions unchanged.
+        positions unchanged.  A caption has positions 0..l_max+1; one past
+        them raises ``ContractError``.
         """
         ids = np.asarray(token_ids, dtype=np.int64)
         if ids.size == 0:
@@ -433,9 +433,10 @@ class TransformerModel:
         g = self.params
         start = cache.length
         L = ids.shape[1]
-        pe = (self.pe_table[start:start + L] if start + L <= len(self.pe_table)
-              else pe_block(start, L, self.cfg.d_model).astype(self.dtype))
-        x = T.add(T.gather_rows(g["token_embed"], ids), T.constant(pe))
+        if start + L > len(self.pe_table):
+            raise ContractError(f"caption position {start + L - 1} is past "
+                                f"l_max+1={self.cfg.l_max + 1}")
+        x = T.add(T.gather_rows(g["token_embed"], ids), T.constant(self.pe_table[start:start + L]))
         # one new row may attend to every position up to its own: nothing to mask
         mask = causal_mask(start + L, dtype=self.dtype)[start:] if L > 1 else None
         for i in range(self.cfg.n_dec):
@@ -464,17 +465,13 @@ class TransformerModel:
         audio, is encoded once, and its encoding is repeated for each of its
         captions.
         """
-        ids = np.asarray(token_ids, dtype=np.int64)
-        if ids.shape[-1] > self.cfg.l_max + 2:
-            raise ContractError(
-                f"caption length {ids.shape[-1]} exceeds l_max+2={self.cfg.l_max + 2}")
         slot = {}  # (id(frames), id(audio)) -> (index, video) of each distinct video
         index = [slot.setdefault((id(f), id(a)), (len(slot), (f, a)))[0] for f, a in videos]
         enc = self.encode([video for _, video in slot.values()])
         if len(slot) < len(videos):  # repeat each encoding for its captions
             enc = Encoding(T.gather_rows(enc.out, index),
                            None if enc.mask is None else enc.mask[index])
-        return self.decode_logits(enc, ids)
+        return self.decode_logits(enc, token_ids)
 
 
 @dataclass
@@ -549,18 +546,18 @@ def embed_multimodal(videos, model: TransformerModel) -> tuple:
 
 
 def _decode(model: TransformerModel, cache: DecodeCache, rows: int, bos_id: int,
-            eos_id: int, l_max: int | None, pick) -> list:
+            eos_id: int, pick) -> list:
     """``rows`` sequences from BOS, advanced in lockstep over ``cache``'s one video.
 
     ``cache`` starts empty.  Each step runs the newest token of every row
     through the decoder as one (rows, 1) batch, attending over the K/V rows
     the cache holds for the earlier tokens, and ``pick(logits, step)`` maps
     the newest (rows, vocab) logits to the next token of every row.  A
-    sequence ends at its EOS or at l_max+2 tokens; a row that has ended
-    stays in the batch until every row has, and what it picks after its EOS
-    is dropped.  Returns one id list per row.
+    sequence ends at its EOS or at ``model.cfg.l_max`` + 2 tokens; a row
+    that has ended stays in the batch until every row has, and what it picks
+    after its EOS is dropped.  Returns one id list per row.
     """
-    l_max = model.cfg.l_max if l_max is None else l_max
+    l_max = model.cfg.l_max
     ids = np.full((rows, l_max + 2), bos_id, dtype=np.int64)
     length = np.full(rows, l_max + 2)  # l_max + 2 while the row runs
     for step in range(l_max + 1):
@@ -573,26 +570,25 @@ def _decode(model: TransformerModel, cache: DecodeCache, rows: int, bos_id: int,
 
 
 def greedy_decode(model: TransformerModel, frames: FeatureMatrix,
-                  audio: FeatureMatrix | None, bos_id: int, eos_id: int,
-                  l_max: int | None = None) -> list:
+                  audio: FeatureMatrix | None, bos_id: int, eos_id: int) -> list:
     """Argmax decoding from BOS; ties break toward the lowest token id."""
     with T.no_grad():
         cache = model.decode_cache(model.encode([(frames, audio)]))
-        (ids,) = _decode(model, cache, 1, bos_id, eos_id, l_max,
+        (ids,) = _decode(model, cache, 1, bos_id, eos_id,
                          lambda logits, step: logits.argmax(axis=-1))
     return ids
 
 
 def sample_decode(model: TransformerModel, frames: FeatureMatrix,
                   audio: FeatureMatrix | None, bos_id: int, eos_id: int,
-                  n: int, rng: RngState, temperature: float = 1.0,
-                  l_max: int | None = None) -> list:
+                  n: int, rng: RngState) -> list:
     """``n`` multinomial rollouts; returns (ids, per-token log-prob) pairs.
 
-    Log-probs are taken from the tempered sampling distribution, so at
-    temperature 1 they are the policy log-probabilities of the drawn tokens.
-    The rollouts run in lockstep as the n rows of one batch over one
-    encoding, its cross-attention K/V projected once.
+    Each token is drawn from the model's own softmax (temperature 1), and
+    its log-prob is the policy log-probability of the drawn token.  The
+    rollouts run in lockstep as the n rows of one batch over one encoding,
+    its cross-attention K/V projected once; each ends at its EOS or at
+    ``model.cfg.l_max`` + 2 tokens.
 
     RNG draw order: one ``rng.uniform((n, l_max + 1))`` before the first
     step.  Rollout j takes its t-th token from row j, column t, by the
@@ -603,21 +599,19 @@ def sample_decode(model: TransformerModel, frames: FeatureMatrix,
     """
     if n < 1:
         raise ContractError("need n >= 1 samples")
-    if not (math.isfinite(temperature) and temperature > 0.0):
-        raise ContractError("temperature must be finite and > 0")
-    l_max = model.cfg.l_max if l_max is None else l_max
+    l_max = model.cfg.l_max
     u = rng.uniform((n, l_max + 1))
     logps = np.empty((n, l_max + 1))
 
     def pick(logits, step):
-        logp = T.log_softmax_lastdim(logits.astype(np.float64) / temperature)
+        logp = T.log_softmax_lastdim(logits.astype(np.float64))
         idx = T.draw_rows(np.exp(logp), u[:, step])
         logps[:, step] = logp[np.arange(n), idx]
         return idx
 
     with T.no_grad():
         cache = model.decode_cache(model.encode([(frames, audio)]))
-        seqs = _decode(model, cache, n, bos_id, eos_id, l_max, pick)
+        seqs = _decode(model, cache, n, bos_id, eos_id, pick)
     return [(ids, lp[:len(ids) - 1].tolist()) for ids, lp in zip(seqs, logps)]
 
 

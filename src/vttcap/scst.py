@@ -1,8 +1,9 @@
 """Self-critical sequence training: sampled rollouts against a greedy baseline.
 
 Each step greedy-decodes a baseline caption per video, draws ``n_samples``
-multinomial rollouts, scores both with the mixed CIDEr-D / smoothed-BLEU-4
-reward, and minimizes
+rollouts from the model's own distribution (temperature 1), scores both
+with one fixed reward, sentence CIDEr-D plus smoothed sentence BLEU-4
+(``mixed_reward``), and minimizes
 
     -(1/(B*N)) * sum_videos sum_samples (r(sample) - r(baseline)) * sum_t log p(token_t)
 
@@ -41,34 +42,23 @@ from .training import (TrainResult, TrainRunConfig, _fit, evaluate, greedy_capti
 
 @dataclass
 class RewardConfig:
-    lambda_cider: float = 1.0
-    lambda_bleu4: float = 1.0
     n_samples: int = 5
     eta: float = 5e-6
-    temperature: float = 1.0
 
     def __post_init__(self):
-        lambdas = (self.lambda_cider, self.lambda_bleu4)
-        if not all(math.isfinite(w) and w >= 0 for w in lambdas) or sum(lambdas) <= 0:
-            raise ContractError("reward weights must be finite, >= 0 and not both zero")
         if self.n_samples < 1:
             raise ContractError("n_samples must be >= 1")
-        if not (math.isfinite(self.temperature) and self.temperature > 0):
-            raise ContractError("temperature must be finite and > 0")
+        if not (math.isfinite(self.eta) and self.eta >= 0):
+            raise ContractError(f"eta must be finite and >= 0, got {self.eta}")
 
 
-def mixed_reward(candidate, refs, rc: RewardConfig, idf: IdfTable) -> float:
-    """lambda_cider * sentence CIDEr-D + lambda_bleu4 * smoothed sentence BLEU-4.
+def mixed_reward(candidate, refs, idf: IdfTable) -> float:
+    """Sentence CIDEr-D plus smoothed sentence BLEU-4, weighted equally.
 
     ``candidate`` and ``refs`` are word-token lists; ``idf`` is the frozen
     training-reference table.
     """
-    r = 0.0
-    if rc.lambda_cider:
-        r += rc.lambda_cider * cider_sentence(candidate, refs, idf, "D")
-    if rc.lambda_bleu4:
-        r += rc.lambda_bleu4 * bleu4(candidate, refs, smooth=True)
-    return r
+    return cider_sentence(candidate, refs, idf, "D") + bleu4(candidate, refs, smooth=True)
 
 
 def scst_surrogate_loss(model: TransformerModel, items) -> T.Tensor:
@@ -106,7 +96,7 @@ def scst_batch_step(model: TransformerModel, batch, vocab: Vocabulary,
         r_base = reward_fn(normalize_words(decode(base_ids, vocab)), refs)
         rollouts = [ids for ids, _ in sample_decode(
             model, sample.frames, sample.audio, vocab.bos_id, vocab.eos_id,
-            rc.n_samples, rng, temperature=rc.temperature)]
+            rc.n_samples, rng)]
         rewards = [reward_fn(normalize_words(decode(ids, vocab)), refs) for ids in rollouts]
         advantages = [r - r_base for r in rewards]
         items += [(sample, ids, a) for ids, a in zip(rollouts, advantages)]
@@ -123,10 +113,10 @@ def scst_batch_step(model: TransformerModel, batch, vocab: Vocabulary,
 
 
 def validation_mixed_reward(model: TransformerModel, samples, vocab: Vocabulary,
-                            rc: RewardConfig, idf: IdfTable) -> float:
+                            idf: IdfTable) -> float:
     """Mean mixed reward of greedy captions over a validation set."""
     candidates, refs_corpus = greedy_captions(model, samples, vocab)
-    rewards = [mixed_reward(c, refs, rc, idf) for c, refs in zip(candidates, refs_corpus)]
+    rewards = [mixed_reward(c, refs, idf) for c, refs in zip(candidates, refs_corpus)]
     return statistics.fmean(rewards)
 
 
@@ -161,7 +151,7 @@ def finetune_scst(checkpoint, train: DatasetManifest, val: DatasetManifest,
         def step_fn(indices, step: int) -> float:
             batch = [train_samples[i] for i in indices]
             loss, records = scst_batch_step(model, batch, vocab, rc, sample_rng,
-                                            lambda cand, refs: mixed_reward(cand, refs, rc, idf))
+                                            lambda cand, refs: mixed_reward(cand, refs, idf))
             advantage_window.append(statistics.fmean(a for r in records
                                                      for a in r["advantages"]))
             if trace_fh is not None:
@@ -170,7 +160,7 @@ def finetune_scst(checkpoint, train: DatasetManifest, val: DatasetManifest,
 
         def validate_fn() -> dict:
             row = {**evaluate(model, val_samples, vocab).as_dict(),
-                   "mixed_reward": validation_mixed_reward(model, val_samples, vocab, rc, idf),
+                   "mixed_reward": validation_mixed_reward(model, val_samples, vocab, idf),
                    "mean_advantage": (statistics.fmean(advantage_window)
                                       if advantage_window else None)}
             advantage_window.clear()

@@ -1,4 +1,4 @@
-"""Training: Adam, learning-rate schedules, and the one loop XE and SCST share.
+"""Training: Adam, the learning-rate schedule, and the one loop XE and SCST share.
 
 The optimizer is standard bias-corrected Adam with beta1=0.9, beta2=0.98,
 eps=1e-9, after clipping the gradients to a global L2 norm of 5.  Both work
@@ -11,14 +11,14 @@ paper's 91.2M parameters, is read from memory once per pass rather than
 once per operation.  The norm adds block sums in float64 and checks that every
 gradient is finite before anything changes; Adam computes each element by
 the same expression, in the same order, as a per-parameter loop would.
-Two schedules are provided: the analytic transformer rule
-d_model^-0.5 * min(step^-0.5, step * w^-1.5), and linear warmup into
-cosine annealing with warm restarts (restart boundaries return to eta_max).
-``train_xe`` and ``scst.finetune_scst`` run one loop, ``_fit``, and differ
-only in their step, learning-rate and validation functions.  It validates
-every epoch (or every ``eval_every`` steps), keeps one checkpoint per
-validation plus the best-CIDEr-D one as ``best.vttc``, and stops after
-``patience`` validations without improvement.
+The one schedule is SGDR: linear warmup over ``warmup`` steps to eta_max,
+then cosine annealing to eta_max / 100 with warm restarts, the first cycle
+``t0`` steps long and each next one twice the last (a restart returns to
+eta_max).  ``train_xe`` and ``scst.finetune_scst`` run one loop, ``_fit``,
+and differ only in their step, learning-rate and validation functions.  It
+validates at the end of each epoch, keeps one checkpoint per validation
+plus the best-CIDEr-D one as ``best.vttc``, and stops after ``patience``
+validations without improvement.
 
 An XE step is one graph: its (video, caption) pairs go through
 ``forward_teacher_forced`` as one padded batch (``teacher_forcing``), each
@@ -117,9 +117,9 @@ def clip_gradients(arena: T.ParamArena, max_norm: float = GRAD_CLIP_NORM) -> flo
     Each ``CHUNK`` block's squares are summed by one dot product in the
     arena's dtype, and the blocks' sums are added in float64.  A block whose
     sum is not finite is summed again in float64, so finite values whose
-    squares overflow float32 are clipped; a non-finite gradient raises
-    ``TrainingError`` naming its parameter before anything is scaled or
-    stepped.
+    squares overflow float32 are clipped.  A non-finite gradient raises
+    ``TrainingError`` naming its parameter, and a norm that overflows
+    float64 raises one saying so, before anything is scaled or stepped.
     """
     grad = arena.grad
     total = 0.0
@@ -128,12 +128,15 @@ def clip_gradients(arena: T.ParamArena, max_norm: float = GRAD_CLIP_NORM) -> flo
             b = grad[lo:lo + CHUNK]
             square_sum = float(b @ b)
             if not math.isfinite(square_sum):  # an overflow, or a non-finite gradient
-                square_sum = float(np.square(b, dtype=np.float64).sum())
-                if not math.isfinite(square_sum):
-                    bad = lo + int(np.argmin(np.isfinite(b)))
+                finite = np.isfinite(b)
+                if not finite.all():
+                    bad = lo + int(np.argmin(finite))
                     raise TrainingError(
                         f"non-finite gradient for parameter {arena.name_at(bad)!r}")
+                square_sum = float(np.square(b, dtype=np.float64).sum())
             total += square_sum
+    if not math.isfinite(total):
+        raise TrainingError("the gradient norm overflows float64")
     norm = math.sqrt(total)
     if norm > max_norm:
         grad *= max_norm / norm
@@ -142,42 +145,30 @@ def clip_gradients(arena: T.ParamArena, max_norm: float = GRAD_CLIP_NORM) -> flo
 
 @dataclass
 class ScheduleConfig:
-    kind: str = "sgdr"  # default | sgdr
     warmup: int = 10000
     t0: int = 4000
-    t_mult: int = 2
-    eta_max: float | None = None  # None: peak of the default rule at step w
-    eta_min: float | None = None  # None: eta_max / 100
+    eta_max: float | None = None  # None: d_model^-0.5 * warmup^-0.5
 
     def __post_init__(self):
-        if self.kind not in ("default", "sgdr"):
-            raise ContractError(f"unknown schedule kind {self.kind!r}")
-        if self.warmup < 1 or self.t0 < 1 or self.t_mult < 1:
-            raise ContractError("warmup, t0 and t_mult must be >= 1")
-
-    def resolved_eta_max(self, d_model: int) -> float:
-        default = d_model ** -0.5 * self.warmup ** -0.5
-        return default if self.eta_max is None else self.eta_max
-
-    def resolved_eta_min(self, d_model: int) -> float:
-        return self.resolved_eta_max(d_model) / 100.0 if self.eta_min is None else self.eta_min
+        if self.warmup < 1 or self.t0 < 1:
+            raise ContractError("warmup and t0 must be >= 1")
+        if self.eta_max is not None and not (math.isfinite(self.eta_max) and self.eta_max >= 0):
+            raise ContractError(f"eta_max must be finite and >= 0, got {self.eta_max}")
 
 
 def lr_at(step: int, s: ScheduleConfig, d_model: int) -> float:
     """Learning rate for 1-based optimizer step ``step`` of a model of width ``d_model``."""
     if step < 1:
         raise ContractError("step must be >= 1")
-    if s.kind == "default":
-        return d_model ** -0.5 * min(step ** -0.5, step * s.warmup ** -1.5)
-    eta_max = s.resolved_eta_max(d_model)
-    eta_min = s.resolved_eta_min(d_model)
+    eta_max = d_model ** -0.5 * s.warmup ** -0.5 if s.eta_max is None else s.eta_max
+    eta_min = eta_max / 100.0
     if step <= s.warmup:
         return eta_max * step / s.warmup
     u = step - s.warmup
     cycle = s.t0
     while u >= cycle:
         u -= cycle
-        cycle *= s.t_mult
+        cycle *= 2
     return eta_min + (eta_max - eta_min) * 0.5 * (1.0 + math.cos(math.pi * u / cycle))
 
 
@@ -186,7 +177,6 @@ class TrainRunConfig:
     epochs: int = 50
     batch_size: int = 128
     seed: int = 7
-    eval_every: int = 0  # steps between validations; 0 = once per epoch
     patience: int = 10  # validations without improvement before stopping; 0 = off
     out_dir: str = "run"
 
@@ -195,6 +185,8 @@ class TrainRunConfig:
             raise ContractError("batch_size must be >= 1")
         if self.epochs < 0:
             raise ContractError("epochs must be >= 0")
+        if self.patience < 0:
+            raise ContractError("patience must be >= 0")
 
 
 @dataclass
@@ -327,7 +319,6 @@ def _fit(model: TransformerModel, n_items: int, step_fn, lr_fn, validate_fn,
 
     validate(0)  # the starting point
     stall = 0
-    stop = False
     for epoch in range(1, run.epochs + 1):
         order = rng.permutation(n_items)
         for lo in range(0, n_items, run.batch_size):
@@ -338,14 +329,8 @@ def _fit(model: TransformerModel, n_items: int, step_fn, lr_fn, validate_fn,
             norms.append(clip_gradients(model.arena))
             adam_update(model.arena, state, lr_fn(step))
             losses.append(loss)
-            due = (step % run.eval_every == 0 if run.eval_every
-                   else lo + run.batch_size >= n_items)  # else at the end of the epoch
-            if due:
-                stall = 0 if validate(epoch) else stall + 1
-                stop = bool(run.patience) and stall >= run.patience
-                if stop:
-                    break
-        if stop:
+        stall = 0 if validate(epoch) else stall + 1
+        if run.patience and stall >= run.patience:
             break
 
     best_path = ckpt_dir / "best.vttc"

@@ -59,15 +59,14 @@ def test_non_finite_training_loss_exits_3(workdir, tmp_path, monkeypatch, comman
     assert not list(run.rglob("*.tmp"))
 
 
-@pytest.mark.parametrize("temperature", [0.0, float("nan")])
-def test_scst_temperature_must_be_finite_and_positive(workdir, tmp_path, capsys, temperature):
+@pytest.mark.parametrize("eta", [-1e-4, float("nan"), float("inf")])
+def test_scst_eta_must_be_finite_and_non_negative(workdir, tmp_path, capsys, eta):
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({"model": TINY_MODEL,
-                                  "reward": {"n_samples": 2, "temperature": temperature}}))
+    config.write_text(json.dumps({"model": TINY_MODEL, "reward": {"n_samples": 2, "eta": eta}}))
     args = run_args(workdir, tmp_path / "run")
     args[1] = str(config)
     assert dispatch(["finetune-scst", *args, "--init", str(workdir / "init.vttc")]) == 2
-    assert "temperature" in capsys.readouterr().err
+    assert "eta" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
 
 
@@ -87,6 +86,13 @@ def test_evaluate_on_truncated_checkpoint_exits_2(workdir, tmp_path, capsys):
     ("schedule", "d_model", 99999),
     ("model", "dropout", 0.0),
     ("model", "use_memory_with_x_linear", True),
+    ("schedule", "kind", "sgdr"),
+    ("schedule", "t_mult", 2),
+    ("schedule", "eta_min", None),
+    ("reward", "lambda_cider", 1.0),
+    ("reward", "lambda_bleu4", 1.0),
+    ("reward", "temperature", 1.0),
+    ("run", "eval_every", 0),
 ])
 def test_removed_config_key_is_unknown(workdir, tmp_path, capsys, section, key, value):
     config = tmp_path / "config.json"
@@ -105,23 +111,17 @@ RESOLVED = {
         "model": {"n_enc": 8, "n_dec": 8, "n_heads": 8, "d_model": 512, "d_ff": 2048,
                   "d_memory": 64, "d_vision": 1024, "d_audio": 128, "p_audio": 300,
                   "l_max": 24, "attention_kind": "memory_scaled_dot"},
-        "schedule": {"kind": "sgdr", "warmup": 10000, "t0": 4000, "t_mult": 2,
-                     "eta_max": None, "eta_min": None},
-        "reward": {"lambda_cider": 1.0, "lambda_bleu4": 1.0, "n_samples": 5, "eta": 5e-6,
-                   "temperature": 1.0},
-        "run": {"epochs": 50, "batch_size": 128, "seed": 7, "eval_every": 0, "patience": 10,
-                "out_dir": "run"},
+        "schedule": {"warmup": 10000, "t0": 4000, "eta_max": None},
+        "reward": {"n_samples": 5, "eta": 5e-6},
+        "run": {"epochs": 50, "batch_size": 128, "seed": 7, "patience": 10, "out_dir": "run"},
     },
     "desk": {
         "model": {"n_enc": 2, "n_dec": 2, "n_heads": 4, "d_model": 32, "d_ff": 64,
                   "d_memory": 8, "d_vision": 32, "d_audio": 8, "p_audio": 300, "l_max": 24,
                   "attention_kind": "memory_scaled_dot"},
-        "schedule": {"kind": "sgdr", "warmup": 200, "t0": 400, "t_mult": 2,
-                     "eta_max": None, "eta_min": None},
-        "reward": {"lambda_cider": 1.0, "lambda_bleu4": 1.0, "n_samples": 5, "eta": 1e-4,
-                   "temperature": 1.0},
-        "run": {"epochs": 30, "batch_size": 16, "seed": 7, "eval_every": 0, "patience": 0,
-                "out_dir": "run"},
+        "schedule": {"warmup": 200, "t0": 400, "eta_max": None},
+        "reward": {"n_samples": 5, "eta": 1e-4},
+        "run": {"epochs": 30, "batch_size": 16, "seed": 7, "patience": 0, "out_dir": "run"},
     },
 }
 
@@ -139,13 +139,13 @@ def test_profiles_resolve_to_their_values(profile):
 
 @pytest.mark.parametrize("override, code", [
     ({"schedule": {"eta_max": "x"}}, 1),
-    ({"schedule": {"eta_min": [1]}}, 1),
+    ({"schedule": {"t0": [1]}}, 1),
     ({"profile": [1]}, 1),
     ({"model": {"vocab_size": 64}}, 1),
     ({"data": {"vocab": "vocab.txt"}}, 1),
     ({"model": {"n_enc": True}}, 1),
     ({"schedule": {"eta_max": 1}}, 0),
-    ({"schedule": {"eta_min": None}}, 0),
+    ({"schedule": {"eta_max": None}}, 0),
 ])
 def test_config_contract(workdir, tmp_path, override, code):
     config = tmp_path / "config.json"
@@ -324,8 +324,8 @@ def test_config_value_of_the_wrong_type_exits_1(workdir, tmp_path, capsys, overr
     (ScheduleConfig, "eta_max", 0.01, True),
     (ScheduleConfig, "eta_max", 1, True),
     (ScheduleConfig, "eta_max", None, True),  # the annotation allows None
-    (ScheduleConfig, "eta_min", [1], False),
-    (ScheduleConfig, "eta_min", False, False),
+    (ScheduleConfig, "eta_max", [1], False),
+    (ScheduleConfig, "eta_max", False, False),
     (ModelConfig, "attention_kind", "x_linear", True),
     (ModelConfig, "attention_kind", None, False),
     (ModelConfig, "n_heads", 2, True),
@@ -347,7 +347,9 @@ def test_zero_heads_exits_2(workdir, tmp_path, capsys):
 @pytest.mark.parametrize("section, key, value", [
     ("model", "d_ff", 0), ("model", "d_vision", 0), ("model", "d_audio", 0),
     ("model", "n_enc", 0), ("model", "n_enc", -1), ("model", "n_dec", 0),
-    ("model", "p_audio", 0), ("model", "l_max", -1), ("schedule", "t_mult", 0),
+    ("model", "p_audio", 0), ("model", "l_max", -1), ("run", "patience", -1),
+    ("schedule", "eta_max", -0.01), ("schedule", "eta_max", float("nan")),
+    ("schedule", "eta_max", float("inf")),
 ])
 def test_out_of_range_size_exits_2(workdir, tmp_path, capsys, section, key, value):
     config = tmp_path / "config.json"

@@ -175,7 +175,6 @@ class TestManifest:
     def test_roundtrip_via_synth(self, tmp_path):
         train, val = synth_dataset(2, 12, 3, 8, 4, tmp_path)
         loaded = load_manifest(tmp_path / "train.jsonl")
-        assert loaded.split == "train"
         assert [e.id for e in loaded.entries] == [e.id for e in train.entries]
         samples = loaded.load_samples()
         assert len(samples) == len(train)
@@ -204,11 +203,11 @@ class TestManifest:
     def test_failed_save_keeps_previous_manifest(self, tmp_path):
         path = tmp_path / "m.jsonl"
         good = ManifestEntry("v1", "f.vttf", None, ["a cat"])
-        save_manifest(DatasetManifest([good], "m", tmp_path), path)
+        save_manifest(DatasetManifest([good], tmp_path), path)
         before = path.read_bytes()
         bad = ManifestEntry("v2", "g.vttf", None, [object()])  # not JSON-serialisable
         with pytest.raises(TypeError):
-            save_manifest(DatasetManifest([good, bad], "m", tmp_path), path)
+            save_manifest(DatasetManifest([good, bad], tmp_path), path)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["m.jsonl"]
 

@@ -11,7 +11,7 @@ import random
 import pytest
 
 from vttcap.errors import ContractError
-from vttcap.metrics import (IdfTable, bleu4, cider, cider_sentence, compute_idf,
+from vttcap.metrics import (bleu4, cider, cider_sentence, compute_idf,
                             modified_precisions, ngram_counts, score_corpus)
 
 # ---------------------------------------------------------------------------
@@ -279,10 +279,3 @@ class TestScoreCorpus:
         assert 0.0 <= report.bleu4 <= 1.0
         assert 0.0 <= report.cider <= 10.0
         assert 0.0 <= report.cider_d <= 10.0
-
-    def test_external_idf_respected(self):
-        refs_corpus = [[["cat", "dog", "sun", "red"]], [["run", "sit", "big", "sky"]]]
-        frozen = IdfTable(df={}, n_docs=5)  # everything unseen -> ln 5 weights
-        report = score_corpus([refs_corpus[0][0], refs_corpus[1][0]],
-                              refs_corpus, idf=frozen)
-        assert report.cider == pytest.approx(10.0)

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from conftest import assert_grads_match, only, tiny_config
-from vttcap import model as model_module
 from vttcap import tensor as T
 from vttcap.errors import ContractError, FormatError
 from vttcap.features import FeatureMatrix, VideoSample, dummy_audio
@@ -273,9 +272,9 @@ class TestGreedyDecode:
         assert ids == [2, 7, 3]
 
     def test_length_cap(self, np_rng):
-        model = TransformerModel(tiny_config(), init="zeros")
+        model = TransformerModel(tiny_config(l_max=6), init="zeros")
         model.params["out_proj.b"].data[7] = 5.0  # constant argmax, never EOS
-        ids = greedy_decode(model, rand_frames(np_rng), None, 2, 3, l_max=6)
+        ids = greedy_decode(model, rand_frames(np_rng), None, 2, 3)
         assert len(ids) <= 6 + 2
         assert ids == [2] + [7] * 7
 
@@ -287,16 +286,6 @@ class TestGreedyDecode:
 
 
 class TestSampleDecode:
-    def test_temperature_limit_is_greedy(self, np_rng):
-        model = TransformerModel(tiny_config(), seed=5)
-        frames = rand_frames(np_rng)
-        greedy = greedy_decode(model, frames, None, 2, 3)
-        rolls = sample_decode(model, frames, None, 2, 3, n=3, rng=RngState(0),
-                              temperature=1e-8)
-        for ids, logps in rolls:
-            assert ids == greedy
-            assert all(lp > -1e-6 for lp in logps)
-
     def test_seed_reproducibility(self, np_rng):
         model = TransformerModel(tiny_config(), seed=5)
         frames = rand_frames(np_rng)
@@ -317,8 +306,7 @@ class TestSampleDecode:
         probs = np.zeros(8)
         probs[4:7] = np.array([1.0, 2.0, 4.0]) / 7.0
         n = 100_000
-        rolls = sample_decode(model, frames, None, bos_id=2, eos_id=3, n=n,
-                              rng=RngState(123), l_max=0)
+        rolls = sample_decode(model, frames, None, bos_id=2, eos_id=3, n=n, rng=RngState(123))
         firsts = np.array([ids[1] for ids, _ in rolls])
         freq = np.bincount(firsts, minlength=8) / n
         sigma = np.sqrt(probs * (1 - probs) / n)
@@ -355,7 +343,7 @@ def inverse_cdf(probs, u):
     return int(np.searchsorted(cdf, u * cdf[-1], side="right").clip(0, len(cdf) - 1))
 
 
-def reference_sample(model, frames, audio, n, rng, l_max, temperature=1.0):
+def reference_sample(model, frames, audio, n, rng, l_max):
     """Each rollout decoded alone, uncached: rollout j takes its t-th token
     from row j, column t, of one ``rng.uniform((n, l_max + 1))``."""
     u = rng.uniform((n, l_max + 1))
@@ -364,7 +352,7 @@ def reference_sample(model, frames, audio, n, rng, l_max, temperature=1.0):
         logps = []
 
         def pick(row):
-            logp = T.log_softmax_lastdim(row.astype(np.float64) / temperature)
+            logp = T.log_softmax_lastdim(row.astype(np.float64))
             idx = inverse_cdf(np.exp(logp), u[j, len(logps)])
             logps.append(float(logp[idx]))
             return idx
@@ -443,14 +431,14 @@ class TestDecodeCache:
         assert all(len(logps) == 1 for _, logps in rolls)
 
     def test_l_max_cap(self, np_rng):
-        model = TransformerModel(tiny_config(), seed=5)
+        model = TransformerModel(tiny_config(l_max=4), seed=5)
         model.params["out_proj.b"].data[3] = -50.0  # never EOS
         frames, audio = video(np_rng, False)
-        ids = greedy_decode(model, frames, audio, 2, 3, l_max=4)
+        ids = greedy_decode(model, frames, audio, 2, 3)
         assert len(ids) == 6
         assert ids == reference_decode(model, frames, audio, 2, 3, 4,
                                        lambda row: int(np.argmax(row)))
-        got = sample_decode(model, frames, audio, 2, 3, n=2, rng=RngState(8), l_max=4)
+        got = sample_decode(model, frames, audio, 2, 3, n=2, rng=RngState(8))
         expected = reference_sample(model, frames, audio, 2, RngState(8), 4)
         assert [ids for ids, _ in got] == [ids for ids, _ in expected]
         assert all(len(ids) == 6 for ids, _ in got)
@@ -506,27 +494,26 @@ class TestDecodeCache:
         for pos in range(cfg.l_max + 2):
             assert np.array_equal(table[pos], pe_block(pos, 1, cfg.d_model)[0].astype(dtype))
 
-    def test_positions_past_the_table_fall_back_to_pe_block(self, monkeypatch, np_rng):
+    def test_positions_past_l_max_plus_one_are_rejected(self, np_rng):
         # l_max sets no parameter: the two models differ only in their tables
         short = TransformerModel(tiny_config(l_max=2), seed=4)  # positions 0..3
         wide = TransformerModel(tiny_config(l_max=12), seed=4)
         assert np.array_equal(short.arena.data, wide.arena.data)
         frames, audio = video(np_rng, True)
-        ids = [2, 5, 7, 4, 9, 1, 6, 11, 8]
-        chunks = [ids[:3], ids[3:6], ids[6:7], ids[7:]]  # the second one straddles the end
-        calls = []
-        real = model_module.pe_block
-        monkeypatch.setattr(model_module, "pe_block",
-                            lambda *args: calls.append(args) or real(*args))
+        ids = [2, 5, 7, 4, 9]
         logits = {}
         with T.no_grad():
             for name, model in (("short", short), ("wide", wide)):
                 enc = model.encode([(frames, audio)])
                 cache = model.decode_cache(enc)
-                calls.clear()
-                logits[name] = [model.decode_logits(enc, [c], cache=cache).data
-                                for c in chunks]
-                assert calls == ([(3, 3, 8), (6, 1, 8), (7, 2, 8)] if name == "short" else [])
+                logits[name] = [model.decode_logits(enc, [ids[:3]], cache=cache).data]
+                if model is short:
+                    with pytest.raises(ContractError, match="l_max"):  # positions 3 and 4
+                        model.decode_logits(enc, [ids[3:]], cache=cache)
+                    assert cache.length == 3
+                logits[name].append(model.decode_logits(enc, [ids[3:4]], cache=cache).data)
+            with pytest.raises(ContractError, match="l_max"):
+                short.forward_teacher_forced([(frames, audio)], [ids])
         for got, want in zip(logits["short"], logits["wide"]):
             assert np.array_equal(got, want)
 
