@@ -170,7 +170,7 @@ def _manifest_entry(obj, where: str) -> ManifestEntry:
 
 
 def load_manifest(path) -> DatasetManifest:
-    """Parse a JSON-lines manifest and check that referenced files exist."""
+    """Parse a JSON-lines manifest of at least one video; check that referenced files exist."""
     path = Path(path)
     entries = []
     seen = set()
@@ -188,6 +188,8 @@ def load_manifest(path) -> DatasetManifest:
                 raise FormatError(f"{path}:{lineno}: duplicate id {entry.id!r}")
             seen.add(entry.id)
             entries.append(entry)
+    if not entries:
+        raise FormatError(f"{path} holds no videos")
     root = path.parent
     for e in entries:
         for rel in (e.frame_file, e.audio_file):

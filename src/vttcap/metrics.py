@@ -1,12 +1,14 @@
 """Caption evaluation metrics: BLEU-4, CIDEr and CIDEr-D.
 
 All metrics operate on word tokens produced by the shared caption
-normalizer (lowercase, punctuation split), never on subword pieces.
-CIDEr follows the standard TF-IDF n-gram cosine definition (n = 1..4
-averaged, scaled by 10); the D variant adds count clipping and a gaussian
-length penalty (sigma = 6).  BLEU-4 is the geometric mean of clipped
-modified precisions times the brevity penalty; an add-one smoothed mode
-exists for sentence-level rewards, evaluation reports use the exact form.
+normalizer (lowercase, punctuation split), never on subword pieces, and
+read a video's references from its ``References`` table, counted once.
+CIDEr is the standard TF-IDF n-gram cosine (n = 1..4 averaged, scaled by
+10); the D variant adds count clipping and a gaussian length penalty
+(sigma = 6), and one pass gives both.  BLEU-4 is the geometric mean of
+clipped modified precisions times the brevity penalty: corpus BLEU-4 in
+reports, counts and lengths summed over the corpus first (Papineni et al.
+2002), and add-one smoothed sentence BLEU-4 in the SCST reward.
 """
 
 from __future__ import annotations
@@ -27,59 +29,6 @@ def ngram_counts(tokens, n: int) -> Counter:
         raise ContractError(f"n must be in 1..{N_MAX}, got {n}")
     tokens = list(tokens)
     return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
-
-
-def modified_precisions(candidate, refs) -> list:
-    """Per-order (clipped matches, candidate total) pairs for n = 1..4."""
-    out = []
-    for n in range(1, N_MAX + 1):
-        cand = ngram_counts(candidate, n)
-        total = sum(cand.values())
-        if total == 0:
-            out.append((0, 0))
-            continue
-        max_ref = Counter()
-        for ref in refs:
-            for g, c in ngram_counts(ref, n).items():
-                if c > max_ref[g]:
-                    max_ref[g] = c
-        matches = sum(min(c, max_ref[g]) for g, c in cand.items())
-        out.append((matches, total))
-    return out
-
-
-def brevity_penalty(cand_len: int, ref_lens) -> float:
-    if cand_len == 0:
-        return 0.0
-    # closest reference length, ties broken toward the shorter one
-    r = min(ref_lens, key=lambda L: (abs(L - cand_len), L))
-    if cand_len >= r:
-        return 1.0
-    return math.exp(1.0 - r / cand_len)
-
-
-def bleu4(candidate, refs, smooth: bool = False) -> float:
-    """Sentence BLEU-4.  ``smooth`` applies add-one smoothing to zero-match
-    orders that do have candidate n-grams (used only in the SCST reward path)."""
-    refs = list(refs)
-    if not refs:
-        raise ContractError("bleu4 needs at least one reference")
-    candidate = list(candidate)
-    if not candidate:
-        return 0.0
-    log_sum = 0.0
-    for matches, total in modified_precisions(candidate, refs):
-        if total == 0:
-            return 0.0
-        if matches == 0:
-            if not smooth:
-                return 0.0
-            p = (matches + 1) / (total + 1)
-        else:
-            p = matches / total
-        log_sum += math.log(p)
-    bp = brevity_penalty(len(candidate), [len(r) for r in refs])
-    return bp * math.exp(log_sum / N_MAX)
 
 
 @dataclass
@@ -110,53 +59,93 @@ def compute_idf(refs_corpus) -> IdfTable:
     return IdfTable(df=df, n_docs=len(refs_corpus))
 
 
-def _tfidf_vec(tokens, n: int, idf: IdfTable):
-    vec = {g: c * idf.idf(g) for g, c in ngram_counts(tokens, n).items()}
-    norm = math.sqrt(sum(v * v for v in vec.values()))
-    return vec, norm
+class References:
+    """One video's word-token reference set, counted once under ``idf``: for
+    each order n = 1..4, each gram's largest count in one reference
+    (``max_counts[n - 1]``) and each reference's TF-IDF vector and norm
+    (``vectors[n - 1]``); ``lengths`` holds the reference lengths."""
+
+    def __init__(self, refs, idf: IdfTable):
+        refs = [list(ref) for ref in refs]
+        if not refs:
+            raise ContractError("a reference set needs at least one reference")
+        self.idf = idf
+        self.lengths = [len(ref) for ref in refs]
+        self.max_counts, self.vectors = [], []
+        for n in range(1, N_MAX + 1):
+            max_count, vectors = Counter(), []
+            for counts in (ngram_counts(ref, n) for ref in refs):
+                max_count |= counts  # each gram's larger count
+                vec = {g: c * idf.idf(g) for g, c in counts.items()}
+                vectors.append((vec, math.sqrt(sum(v * v for v in vec.values()))))
+            self.max_counts.append(max_count)
+            self.vectors.append(vectors)
 
 
-def cider_sentence(candidate, refs, idf: IdfTable, variant: str = "plain") -> float:
-    """Per-video CIDEr: 10 * mean over n of the mean per-reference cosine.
+def _grams(tokens) -> list:
+    """The n-gram counts of ``tokens`` for n = 1..4: a counted candidate."""
+    return [ngram_counts(tokens, n) for n in range(1, N_MAX + 1)]
 
-    ``variant="D"`` clips candidate weights at the reference's and applies the
-    gaussian length penalty.  Zero-norm (n, ref) pairs contribute 0.
-    """
-    if variant not in ("plain", "D"):
-        raise ContractError(f"unknown cider variant {variant!r}")
-    refs = list(refs)
-    if not refs:
-        raise ContractError("cider needs at least one reference")
-    candidate = list(candidate)
-    per_n = []
-    for n in range(1, N_MAX + 1):
-        vc, norm_c = _tfidf_vec(candidate, n, idf)
-        acc = 0.0
-        for ref in refs:
-            vr, norm_r = _tfidf_vec(ref, n, idf)
+
+def _bleu_counts(grams, refs: References) -> list:
+    """What corpus BLEU-4 sums over a counted candidate ``grams``: for each
+    order the clipped matches and the candidate n-grams, then the candidate
+    length and the closest reference length (ties go to the shorter)."""
+    counts = []
+    for cand, max_count in zip(grams, refs.max_counts):
+        counts += [sum(min(c, max_count[g]) for g, c in cand.items()), sum(cand.values())]
+    length = sum(grams[0].values())
+    return counts + [length, min(refs.lengths, key=lambda r: (abs(r - length), r))]
+
+
+def _bleu(counts, smooth: bool) -> float:
+    """BLEU-4 from one candidate's ``_bleu_counts`` or their sum over a corpus.
+    ``smooth`` adds one to both counts of a zero-match order with n-grams."""
+    log_sum = 0.0
+    for matches, total in zip(counts[0:-2:2], counts[1:-2:2]):
+        if total == 0:
+            return 0.0
+        if matches == 0:
+            if not smooth:
+                return 0.0
+            p = (matches + 1) / (total + 1)
+        else:
+            p = matches / total
+        log_sum += math.log(p)
+    cand_len, ref_len = counts[-2:]
+    bp = 1.0 if cand_len >= ref_len else math.exp(1.0 - ref_len / cand_len)
+    return bp * math.exp(log_sum / N_MAX)
+
+
+def bleu4(candidate, refs: References) -> float:
+    """Smoothed sentence BLEU-4, the SCST reward's."""
+    return _bleu(_bleu_counts(_grams(candidate), refs), smooth=True)
+
+
+def _cider(grams, refs: References) -> tuple:
+    """(CIDEr, CIDEr-D) of counted candidate ``grams``: 10 * mean over n of the
+    mean per-reference cosine.  Zero-norm (n, ref) pairs contribute 0."""
+    cand_len = sum(grams[0].values())
+    per_n, per_n_d = [], []
+    for cand, vectors in zip(grams, refs.vectors):
+        vc = {g: c * refs.idf.idf(g) for g, c in cand.items()}
+        norm_c = math.sqrt(sum(v * v for v in vc.values()))
+        acc = acc_d = 0.0
+        for (vr, norm_r), ref_len in zip(vectors, refs.lengths):
             if norm_c == 0.0 or norm_r == 0.0:
                 continue
-            if variant == "D":
-                dot = sum(min(w, vr[g]) * vr[g] for g, w in vc.items() if g in vr)
-                delta = len(candidate) - len(ref)
-                penalty = math.exp(-(delta * delta) / (2.0 * CIDER_SIGMA ** 2))
-                acc += penalty * dot / (norm_c * norm_r)
-            else:
-                dot = sum(w * vr[g] for g, w in vc.items() if g in vr)
-                acc += dot / (norm_c * norm_r)
-        per_n.append(acc / len(refs))
-    return 10.0 * sum(per_n) / N_MAX
+            acc += sum(w * vr[g] for g, w in vc.items() if g in vr) / (norm_c * norm_r)
+            dot = sum(min(w, vr[g]) * vr[g] for g, w in vc.items() if g in vr)
+            penalty = math.exp(-(cand_len - ref_len) ** 2 / (2.0 * CIDER_SIGMA ** 2))
+            acc_d += penalty * dot / (norm_c * norm_r)
+        per_n.append(acc / len(vectors))
+        per_n_d.append(acc_d / len(vectors))
+    return 10.0 * sum(per_n) / N_MAX, 10.0 * sum(per_n_d) / N_MAX
 
 
-def cider(candidates, refs_corpus, idf: IdfTable, variant: str = "plain") -> tuple:
-    """Corpus CIDEr: per-video sentence scores and their mean."""
-    refs_corpus = list(refs_corpus)
-    if len(candidates) != len(refs_corpus):
-        raise ContractError(f"{len(candidates)} candidates for "
-                            f"{len(refs_corpus)} reference sets")
-    scores = [cider_sentence(c, refs, idf, variant)
-              for c, refs in zip(candidates, refs_corpus)]
-    return (sum(scores) / len(scores) if scores else 0.0), scores
+def cider_sentence(candidate, refs: References) -> tuple:
+    """Per-video (CIDEr, CIDEr-D) of word-token ``candidate``."""
+    return _cider(_grams(candidate), refs)
 
 
 @dataclass
@@ -172,15 +161,14 @@ class MetricReport:
 
 
 def score_corpus(candidates, refs_corpus) -> MetricReport:
-    """Score word-token candidates against their reference sets.
-
-    BLEU-4 is the mean of exact sentence scores; both CIDEr variants use the
-    IDF statistics of ``refs_corpus`` itself.
-    """
+    """Corpus BLEU-4 and mean CIDEr and CIDEr-D, under the IDF of
+    ``refs_corpus`` itself, counting each candidate's n-grams once for all three."""
     refs_corpus = list(refs_corpus)
     idf = compute_idf(refs_corpus)
-    bleus = [bleu4(c, refs) for c, refs in zip(candidates, refs_corpus)]
-    c_mean, _ = cider(candidates, refs_corpus, idf, "plain")
-    d_mean, _ = cider(candidates, refs_corpus, idf, "D")
-    mean_bleu = sum(bleus) / len(bleus) if bleus else 0.0
-    return MetricReport(bleu4=mean_bleu, cider=c_mean, cider_d=d_mean)
+    sums, ciders = [0] * (2 * N_MAX + 2), []
+    for candidate, refs in zip(candidates, refs_corpus, strict=True):
+        grams, table = _grams(candidate), References(refs, idf)
+        sums = [a + b for a, b in zip(sums, _bleu_counts(grams, table))]
+        ciders.append(_cider(grams, table))
+    plain, d = zip(*ciders)
+    return MetricReport(_bleu(sums, smooth=False), sum(plain) / len(plain), sum(d) / len(d))

@@ -44,6 +44,7 @@ rollouts of ``sample_decode`` (n rows) run through the one core ``_decode``.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 import sys
@@ -248,7 +249,7 @@ class TransformerModel:
                  init: str = "random"):
         self.cfg = cfg
         self.dtype = np.dtype(dtype)
-        layout = self._layout()
+        layout = self._layout(cfg)
         self.arena = T.ParamArena((spec for specs, _ in layout for spec in specs), self.dtype)
         self.params: dict = self.arena.params
         rng = RngState(seed).derive("init")
@@ -273,13 +274,13 @@ class TransformerModel:
 
     # -- construction
 
-    def _layout(self) -> list:
+    @staticmethod
+    def _layout(cfg: ModelConfig) -> list:
         """Every parameter in canonical (checkpoint) order, grouped by how its
         initial value is made: (specs, fill) with specs [(name, shape)] and
         fill a constant, a ``RngState.fill`` draw (dist, a, b) of the group's
         one parameter, or a function of the init stream giving one array per
         spec.  The groups come in the order the stream is drawn."""
-        cfg = self.cfg
         d, dh, heads = cfg.d_model, cfg.d_head, cfg.n_heads
         layout = []
 
@@ -653,10 +654,16 @@ def load_checkpoint(path) -> TransformerModel:
         raise FormatError(f"missing checkpoint config {cfg_path}") from exc
     except FormatError as exc:
         raise FormatError(f"{cfg_path}: {exc}") from exc
-    model = TransformerModel(cfg, init="zeros")
     loaded = set()
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
+        # the file holds at least 4 bytes per value: check before allocating
+        needed = 4 * sum(math.prod(shape) for specs, _ in TransformerModel._layout(cfg)
+                         for _, shape in specs)
+        if needed > size:
+            raise FormatError(f"{path} holds {size} bytes, fewer than the {needed} of the "
+                              f"float32 values {cfg_path} describes")
+        model = TransformerModel(cfg, init="zeros")
 
         def read(n: int) -> bytes:
             if fh.tell() + n > size:

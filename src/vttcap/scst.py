@@ -15,8 +15,8 @@ each video encoded once): a rollout's real tokens weigh advantage / (B*N)
 in the loss, its padding 0.  ``scst_batch_step`` returns the loss and each
 video's trace record; ``finetune_scst`` runs it inside the training loop
 XE uses (``training._fit``), with Adam at the constant learning rate
-``RewardConfig.eta`` and the reward IDF frozen from the training
-references before the first step.
+``RewardConfig.eta``; every reward reads the video's ``metrics.References``
+table, counted once per run under the training references' IDF.
 """
 
 from __future__ import annotations
@@ -32,12 +32,11 @@ import numpy as np
 from . import tensor as T
 from .errors import ContractError
 from .features import DatasetManifest
-from .metrics import IdfTable, bleu4, cider_sentence, compute_idf
+from .metrics import References, bleu4, cider_sentence, compute_idf
 from .model import TransformerModel, greedy_decode, load_checkpoint_for, sample_decode
 from .tensor import RngState
 from .tokenizer import Vocabulary, decode, normalize_words
-from .training import (TrainResult, TrainRunConfig, _fit, evaluate, greedy_captions,
-                       teacher_forcing)
+from .training import TrainResult, TrainRunConfig, _fit, evaluate, greedy_texts, teacher_forcing
 
 
 @dataclass
@@ -52,13 +51,10 @@ class RewardConfig:
             raise ContractError(f"eta must be finite and >= 0, got {self.eta}")
 
 
-def mixed_reward(candidate, refs, idf: IdfTable) -> float:
-    """Sentence CIDEr-D plus smoothed sentence BLEU-4, weighted equally.
-
-    ``candidate`` and ``refs`` are word-token lists; ``idf`` is the frozen
-    training-reference table.
-    """
-    return cider_sentence(candidate, refs, idf, "D") + bleu4(candidate, refs, smooth=True)
+def mixed_reward(candidate, refs: References) -> float:
+    """Sentence CIDEr-D plus smoothed sentence BLEU-4, weighted equally, of
+    the word tokens ``candidate`` against the video's reference table."""
+    return cider_sentence(candidate, refs)[1] + bleu4(candidate, refs)
 
 
 def scst_surrogate_loss(model: TransformerModel, items) -> T.Tensor:
@@ -85,19 +81,18 @@ def scst_batch_step(model: TransformerModel, batch, vocab: Vocabulary,
     Returns (loss value, records), one record per video in batch order: the
     dict ``finetune_scst`` writes for that video in its trace line.
     Gradients are left in the model's parameter buffers.
-    ``reward_fn(candidate_words, refs_words)`` scores a caption.
+    ``reward_fn(candidate_words, sample)`` scores a caption of ``sample``.
     """
     records = []
     items = []
     for sample in batch:
-        refs = [normalize_words(c) for c in sample.captions]
         base_ids = greedy_decode(model, sample.frames, sample.audio,
                                  vocab.bos_id, vocab.eos_id)
-        r_base = reward_fn(normalize_words(decode(base_ids, vocab)), refs)
+        r_base = reward_fn(normalize_words(decode(base_ids, vocab)), sample)
         rollouts = [ids for ids, _ in sample_decode(
             model, sample.frames, sample.audio, vocab.bos_id, vocab.eos_id,
             rc.n_samples, rng)]
-        rewards = [reward_fn(normalize_words(decode(ids, vocab)), refs) for ids in rollouts]
+        rewards = [reward_fn(normalize_words(decode(ids, vocab)), sample) for ids in rollouts]
         advantages = [r - r_base for r in rewards]
         items += [(sample, ids, a) for ids, a in zip(rollouts, advantages)]
         records.append({"id": sample.id, "baseline_reward": r_base,
@@ -113,11 +108,11 @@ def scst_batch_step(model: TransformerModel, batch, vocab: Vocabulary,
 
 
 def validation_mixed_reward(model: TransformerModel, samples, vocab: Vocabulary,
-                            idf: IdfTable) -> float:
-    """Mean mixed reward of greedy captions over a validation set."""
-    candidates, refs_corpus = greedy_captions(model, samples, vocab)
-    rewards = [mixed_reward(c, refs, idf) for c, refs in zip(candidates, refs_corpus)]
-    return statistics.fmean(rewards)
+                            tables) -> float:
+    """Mean mixed reward of greedy captions over a validation set, against ``tables``."""
+    texts = greedy_texts(model, samples, vocab)
+    return statistics.fmean(mixed_reward(normalize_words(text), refs)
+                            for text, refs in zip(texts, tables))
 
 
 def finetune_scst(checkpoint, train: DatasetManifest, val: DatasetManifest,
@@ -125,23 +120,27 @@ def finetune_scst(checkpoint, train: DatasetManifest, val: DatasetManifest,
                   trace_path=None) -> TrainResult:
     """SCST finetuning from an XE checkpoint at constant learning rate ``rc.eta``.
 
-    The reward IDF is frozen from the training references before the first
-    step.  Validation rows add the mean validation mixed reward and the
-    mean advantage of the steps since the previous row.  ``trace_path``
-    receives one JSON line per step, ``{"step": s, "videos": [...]}``, with
-    one record per video of the batch, in batch order, holding these keys
-    in this order: ``id``; ``baseline_reward`` and ``sample_rewards``, the
-    mixed rewards of the greedy baseline and of each rollout;
-    ``advantages``, each rollout's reward minus the baseline's;
-    ``baseline_length`` and ``sample_lengths``, the tokens each emitted, BOS
-    excluded; ``truncated``, the rollouts cut at l_max+2 tokens without EOS.
+    Every video's references are counted once, into a ``References`` table
+    under the training references' IDF, before the first step.  Validation
+    rows add the mean validation mixed reward and the mean advantage of the
+    steps since the previous row.  ``trace_path`` receives one JSON line per
+    step, ``{"step": s, "videos": [...]}``, with one record per video of the
+    batch, in batch order, holding these keys in this order: ``id``;
+    ``baseline_reward`` and ``sample_rewards``, the mixed rewards of the
+    greedy baseline and of each rollout; ``advantages``, each rollout's
+    reward minus the baseline's; ``baseline_length`` and ``sample_lengths``,
+    the tokens each emitted, BOS excluded; ``truncated``, the rollouts cut
+    at l_max+2 tokens without EOS.
     """
     model = load_checkpoint_for(checkpoint, vocab)
     if len(train) == 0 or len(val) == 0:
         raise ContractError("train and val manifests must be non-empty")
     train_samples = train.load_samples()
     val_samples = val.load_samples()
-    idf = compute_idf([[normalize_words(c) for c in s.captions] for s in train_samples])
+    train_refs = [[normalize_words(c) for c in s.captions] for s in train_samples]
+    idf = compute_idf(train_refs)
+    train_tables = {s.id: References(refs, idf) for s, refs in zip(train_samples, train_refs)}
+    val_tables = [References([normalize_words(c) for c in s.captions], idf) for s in val_samples]
     rng = RngState(run.seed).derive("scst")
     sample_rng = rng.derive("rollouts")
     advantage_window = []
@@ -150,8 +149,9 @@ def finetune_scst(checkpoint, train: DatasetManifest, val: DatasetManifest,
             else contextlib.nullcontext() as trace_fh:
         def step_fn(indices, step: int) -> float:
             batch = [train_samples[i] for i in indices]
-            loss, records = scst_batch_step(model, batch, vocab, rc, sample_rng,
-                                            lambda cand, refs: mixed_reward(cand, refs, idf))
+            loss, records = scst_batch_step(
+                model, batch, vocab, rc, sample_rng,
+                lambda cand, sample: mixed_reward(cand, train_tables[sample.id]))
             advantage_window.append(statistics.fmean(a for r in records
                                                      for a in r["advantages"]))
             if trace_fh is not None:
@@ -160,7 +160,7 @@ def finetune_scst(checkpoint, train: DatasetManifest, val: DatasetManifest,
 
         def validate_fn() -> dict:
             row = {**evaluate(model, val_samples, vocab).as_dict(),
-                   "mixed_reward": validation_mixed_reward(model, val_samples, vocab, idf),
+                   "mixed_reward": validation_mixed_reward(model, val_samples, vocab, val_tables),
                    "mean_advantage": (statistics.fmean(advantage_window)
                                       if advantage_window else None)}
             advantage_window.clear()

@@ -257,15 +257,11 @@ def greedy_texts(model: TransformerModel, samples, vocab: Vocabulary) -> list:
             for s in samples]
 
 
-def greedy_captions(model: TransformerModel, samples, vocab: Vocabulary) -> tuple:
-    """Greedy-decode every sample: (word-token candidates, word-token references)."""
-    return ([normalize_words(text) for text in greedy_texts(model, samples, vocab)],
-            [[normalize_words(c) for c in s.captions] for s in samples])
-
-
 def evaluate(model: TransformerModel, samples, vocab: Vocabulary) -> MetricReport:
-    """Greedy-decode every sample and score BLEU-4 / CIDEr / CIDEr-D."""
-    return score_corpus(*greedy_captions(model, samples, vocab))
+    """Greedy-decode every sample and score the word tokens of its caption:
+    corpus BLEU-4 and mean CIDEr and CIDEr-D, under the samples' own IDF."""
+    return score_corpus([normalize_words(text) for text in greedy_texts(model, samples, vocab)],
+                        [[normalize_words(c) for c in s.captions] for s in samples])
 
 
 def _fit(model: TransformerModel, n_items: int, step_fn, lr_fn, validate_fn,

@@ -32,6 +32,7 @@ def workdir(tmp_path_factory):
     vocab = load_vocab(d / "vocab.txt")
     save_checkpoint(TransformerModel(tiny_config(vocab_size=len(vocab)), seed=1),
                     d / "init.vttc")
+    (d / "data" / "empty.jsonl").write_text("\n")
     return d
 
 
@@ -165,8 +166,13 @@ def test_config_contract(workdir, tmp_path, override, code):
     '{"n_heads": true}',
     '{"vocab_size": 0}',
     '{"d_ff": 0}',
+    '{"d_model": 65536, "n_heads": 1}',  # a model of 192 GiB that the file does not hold
 ])
-def test_corrupt_checkpoint_config_exits_2(workdir, tmp_path, capsys, sidecar):
+def test_corrupt_checkpoint_config_exits_2(workdir, tmp_path, capsys, monkeypatch, sidecar):
+    def allocate(*args, **kwargs):
+        raise AssertionError("a model was allocated before its sidecar was checked")
+
+    monkeypatch.setattr(T, "ParamArena", allocate)
     ckpt = tmp_path / "m.vttc"
     ckpt.write_bytes((workdir / "init.vttc").read_bytes())
     value = json.loads(sidecar)
@@ -196,10 +202,17 @@ def test_corrupt_checkpoint_config_exits_2(workdir, tmp_path, capsys, sidecar):
       "--vocab", "{d}/vocab.txt", "--out", "{t}/caps.jsonl"], 2),
     (["evaluate", "--checkpoint", "{d}/init.vttc", "--manifest", "{t}/missing.jsonl",
       "--vocab", "{d}/vocab.txt"], 2),
+    (["evaluate", "--checkpoint", "{d}/init.vttc", "--manifest", "{d}/data/empty.jsonl",
+      "--vocab", "{d}/vocab.txt"], 2),
+    (["score", "--hyp", "{d}/data/empty.jsonl", "--refs", "{d}/data/empty.jsonl",
+      "--out", "{t}/score.json"], 2),
 ])
-def test_exit_codes(workdir, tmp_path, argv, code):
+def test_exit_codes(workdir, tmp_path, capsys, argv, code):
     assert dispatch([a.format(d=workdir, t=tmp_path) for a in argv]) == code
     assert list(tmp_path.iterdir()) == []
+    # a manifest that lists no video is named as such
+    assert ("empty.jsonl holds no videos" in capsys.readouterr().err) == \
+        ("{d}/data/empty.jsonl" in argv)
 
 
 @pytest.mark.parametrize("line", [

@@ -11,8 +11,8 @@ import random
 import pytest
 
 from vttcap.errors import ContractError
-from vttcap.metrics import (bleu4, cider, cider_sentence, compute_idf,
-                            modified_precisions, ngram_counts, score_corpus)
+from vttcap.metrics import (References, bleu4, cider_sentence, compute_idf, ngram_counts,
+                            score_corpus)
 
 # ---------------------------------------------------------------------------
 # oracles
@@ -57,6 +57,38 @@ def oracle_bleu4(candidate, refs, smooth=False):
             best_r = len(ref)
     bp = 1.0 if c_len >= best_r else math.exp(1.0 - best_r / c_len)
     return bp * math.exp(sum(log_ps) / 4.0)
+
+
+def oracle_corpus_bleu4(candidates, refs_corpus):
+    """Papineni et al. 2002: clipped matches, candidate n-grams, candidate
+    lengths and closest reference lengths summed over the corpus first."""
+    matches = [0, 0, 0, 0]
+    totals = [0, 0, 0, 0]
+    c_len = 0
+    r_len = 0
+    for candidate, refs in zip(candidates, refs_corpus):
+        for n in (1, 2, 3, 4):
+            for g, c in oracle_ngrams(candidate, n).items():
+                best = 0
+                for ref in refs:
+                    rc = oracle_ngrams(ref, n).get(g, 0)
+                    if rc > best:
+                        best = rc
+                matches[n - 1] += min(c, best)
+                totals[n - 1] += c
+        c_len += len(candidate)
+        best_r = None
+        for ref in refs:
+            if best_r is None or abs(len(ref) - len(candidate)) < abs(best_r - len(candidate)) \
+                    or (abs(len(ref) - len(candidate)) == abs(best_r - len(candidate))
+                        and len(ref) < best_r):
+                best_r = len(ref)
+        r_len += best_r
+    if 0 in totals or 0 in matches:
+        return 0.0
+    log_p = sum(math.log(m / t) for m, t in zip(matches, totals)) / 4.0
+    bp = 1.0 if c_len >= r_len else math.exp(1.0 - r_len / c_len)
+    return bp * math.exp(log_p)
 
 
 def oracle_idf(refs_corpus):
@@ -135,36 +167,52 @@ class TestNgrams:
         assert ngram_counts(["a", "a", "a"], 2) == {("a", "a"): 2}
 
 
+def table(refs, refs_corpus=None):
+    """``refs`` counted under the IDF of ``refs_corpus`` (default: ``refs`` alone)."""
+    return References(refs, compute_idf(refs_corpus or [refs]))
+
+
+def sentence_bleu4(candidate, refs):
+    """Exact sentence BLEU-4: corpus BLEU-4 of a one-video corpus."""
+    return score_corpus([candidate], [refs]).bleu4
+
+
 class TestBleu:
     def test_perfect_match(self):
         ref = "the cat sat on the mat".split()
-        assert bleu4(ref, [ref]) == 1.0
+        assert bleu4(ref, table([ref])) == 1.0
+        assert sentence_bleu4(ref, [ref]) == 1.0
 
     def test_clipping_hand_case(self):
         cand = "the the the the the the the".split()
         ref = "the cat is on the mat".split()
-        matches, total = modified_precisions(cand, [ref])[0]
-        assert (matches, total) == (2, 7)
+        refs = table([ref])
+        assert refs.max_counts[0][("the",)] == 2  # so 2 of the 7 "the" match
+        p = [2 / 7, 1 / 7, 1 / 6, 1 / 5]  # orders 2-4 match nothing and are smoothed
+        assert bleu4(cand, refs) == pytest.approx(math.exp(sum(map(math.log, p)) / 4),
+                                                  abs=1e-12)
 
     def test_empty_candidate(self):
-        assert bleu4([], [["a", "b"]]) == 0.0
+        assert bleu4([], table([["a", "b"]])) == 0.0
+        assert sentence_bleu4([], [["a", "b"]]) == 0.0
 
     def test_smoothing_only_helps_zero_orders(self):
         cand = "the cat sat on a rug".split()
         ref = "the cat sat on the mat".split()
-        exact = bleu4(cand, [ref])
-        smoothed = bleu4(cand, [ref], smooth=True)
+        exact = sentence_bleu4(cand, [ref])
+        smoothed = bleu4(cand, table([ref]))
         assert exact == 0.0 or exact == smoothed
         assert smoothed > 0.0
 
     def test_reference_order_invariant(self):
         cand = "a b c d".split()
         refs = [["a", "b", "x", "y"], ["c", "d", "a", "b"]]
-        assert bleu4(cand, refs) == bleu4(cand, refs[::-1])
+        assert bleu4(cand, table(refs)) == bleu4(cand, table(refs[::-1]))
+        assert sentence_bleu4(cand, refs) == sentence_bleu4(cand, refs[::-1])
 
     def test_needs_references(self):
         with pytest.raises(ContractError):
-            bleu4(["a"], [])
+            References([], compute_idf([[["a"]]]))
 
 
 class TestIdf:
@@ -196,40 +244,32 @@ class TestIdf:
 
 class TestCider:
     def test_empty_candidate_zero(self):
-        refs = [[["a", "b", "c", "d"]]]
-        idf = compute_idf(refs)
-        assert cider_sentence([], refs[0], idf, "plain") == 0.0
-        assert cider_sentence([], refs[0], idf, "D") == 0.0
+        refs = [["a", "b", "c", "d"]]
+        assert cider_sentence([], table(refs)) == (0.0, 0.0)
 
     def test_disjoint_exact_match_scores_ten(self):
         refs_corpus = [[["cat", "dog", "sun", "red"]], [["run", "sit", "big", "sky"]]]
-        idf = compute_idf(refs_corpus)
-        for variant in ("plain", "D"):
-            mean, scores = cider([refs_corpus[0][0], refs_corpus[1][0]],
-                                 refs_corpus, idf, variant)
-            assert scores[0] == pytest.approx(10.0, abs=1e-9)
-            assert scores[1] == pytest.approx(10.0, abs=1e-9)
+        for refs in refs_corpus:
+            for score in cider_sentence(refs[0], table(refs, refs_corpus)):
+                assert score == pytest.approx(10.0, abs=1e-9)
 
     def test_all_shared_grams_score_zero(self):
         common = ["the", "cat", "sat", "mat"]
         refs_corpus = [[list(common)], [list(common)], [list(common)]]
-        idf = compute_idf(refs_corpus)
-        assert cider_sentence(list(common), refs_corpus[0], idf, "plain") == 0.0
+        assert cider_sentence(list(common), table(refs_corpus[0], refs_corpus)) == (0.0, 0.0)
 
     def test_reference_order_invariant(self):
         refs = [["a", "b", "c", "d"], ["d", "c", "b", "a"]]
-        idf = compute_idf([refs])
         cand = ["a", "b", "c"]
-        assert cider_sentence(cand, refs, idf, "D") == \
-            cider_sentence(cand, refs[::-1], idf, "D")
+        assert cider_sentence(cand, table(refs)) == cider_sentence(cand, table(refs[::-1]))
 
     def test_plain_equals_d_on_exact_single_ref(self):
         refs_corpus = [[["cat", "dog", "sun", "red"]], [["run", "dog", "big", "sky"]]]
-        idf = compute_idf(refs_corpus)
-        cands = [refs_corpus[0][0], refs_corpus[1][0]]
-        plain, _ = cider(cands, refs_corpus, idf, "plain")
-        d, _ = cider(cands, refs_corpus, idf, "D")
-        assert plain == pytest.approx(d, abs=1e-12)
+        for refs in refs_corpus:
+            plain, d = cider_sentence(refs[0], table(refs, refs_corpus))
+            assert plain == pytest.approx(d, abs=1e-12)
+        report = score_corpus([refs[0] for refs in refs_corpus], refs_corpus)
+        assert report.cider == pytest.approx(report.cider_d, abs=1e-12)
 
     def test_monotone_under_vandalism(self):
         rnd = random.Random(4)
@@ -239,11 +279,12 @@ class TestCider:
             for cand, refs in zip(candidates, refs_corpus):
                 if not cand:
                     continue
-                before_c = cider_sentence(cand, refs, idf, "D")
-                before_b = bleu4(cand, refs)
+                refs_table = References(refs, idf)
                 vandal = ["qqq" if w == cand[0] else w for w in cand]
-                assert cider_sentence(vandal, refs, idf, "D") <= before_c + 1e-12
-                assert bleu4(vandal, refs) <= before_b + 1e-12
+                assert cider_sentence(vandal, refs_table)[1] <= \
+                    cider_sentence(cand, refs_table)[1] + 1e-12
+                assert bleu4(vandal, refs_table) <= bleu4(cand, refs_table) + 1e-12
+                assert sentence_bleu4(vandal, refs) <= sentence_bleu4(cand, refs) + 1e-12
 
 
 class TestOracleEquivalence:
@@ -255,14 +296,21 @@ class TestOracleEquivalence:
         candidates, refs_corpus = random_corpus(rnd)
         idf = compute_idf(refs_corpus)
         df, n_docs = oracle_idf(refs_corpus)
+        ciders = {"plain": [], "D": []}
         for cand, refs in zip(candidates, refs_corpus):
-            assert bleu4(cand, refs) == pytest.approx(
+            assert sentence_bleu4(cand, refs) == pytest.approx(
                 oracle_bleu4(cand, refs), abs=1e-9)
-            assert bleu4(cand, refs, smooth=True) == pytest.approx(
+            refs_table = References(refs, idf)
+            assert bleu4(cand, refs_table) == pytest.approx(
                 oracle_bleu4(cand, refs, smooth=True), abs=1e-9)
-            for variant in ("plain", "D"):
-                assert cider_sentence(cand, refs, idf, variant) == pytest.approx(
-                    oracle_cider_sentence(cand, refs, df, n_docs, variant), abs=1e-9)
+            for variant, score in zip(("plain", "D"), cider_sentence(cand, refs_table)):
+                ciders[variant].append(oracle_cider_sentence(cand, refs, df, n_docs, variant))
+                assert score == pytest.approx(ciders[variant][-1], abs=1e-9)
+        report = score_corpus(candidates, refs_corpus)
+        assert report.bleu4 == pytest.approx(oracle_corpus_bleu4(candidates, refs_corpus),
+                                             abs=1e-9)
+        assert report.cider == pytest.approx(sum(ciders["plain"]) / len(candidates), abs=1e-9)
+        assert report.cider_d == pytest.approx(sum(ciders["D"]) / len(candidates), abs=1e-9)
 
 
 class TestScoreCorpus:

@@ -395,6 +395,21 @@ class TestScst:
         assert load_checkpoint(result.best_path).n_parameters() == \
             tiny_model(vocab).n_parameters()
 
+    def test_references_are_counted_once_per_video(self, corpus, tmp_path, monkeypatch):
+        train, val, vocab = corpus
+        init = tmp_path / "init.vttc"
+        save_checkpoint(tiny_model(vocab), init)
+        tables = record_calls(monkeypatch, scst, "References")
+        read = set()
+        reward = scst.mixed_reward
+        monkeypatch.setattr(scst, "mixed_reward",
+                            lambda cand, refs: read.add(id(refs)) or reward(cand, refs))
+        run = TrainRunConfig(epochs=2, batch_size=4, seed=5, out_dir=str(tmp_path / "run"))
+        finetune_scst(init, train, val, vocab, RewardConfig(n_samples=2, eta=1e-3), run)
+        samples = train.load_samples() + val.load_samples()
+        assert [t.lengths for t in tables] == \
+            [[len(normalize_words(c)) for c in s.captions] for s in samples]
+        assert read == {id(t) for t in tables}  # every reward reads a table built here
 
     def test_trace_records_rollout_lengths(self, corpus, tmp_path, monkeypatch):
         train, val, vocab = corpus
