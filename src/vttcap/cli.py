@@ -24,7 +24,7 @@ from .errors import CapacityError, ContractError, DataError, DimensionError, \
     FormatError, TrainingError, VttError
 from .features import load_manifest, synth_dataset
 from .fileio import atomic_path
-from .metrics import score_corpus
+from .metrics import reference_tables, score_corpus
 from .model import ModelConfig, TransformerModel, has_field_type, load_checkpoint_for
 from .scst import RewardConfig, finetune_scst
 from .tokenizer import build_vocab, load_vocab, normalize_words, save_vocab
@@ -173,8 +173,8 @@ def cmd_caption(args) -> int:
 def cmd_evaluate(args) -> int:
     vocab = load_vocab(args.vocab)
     model = load_checkpoint_for(args.checkpoint, vocab)
-    manifest = load_manifest(args.manifest)
-    report = evaluate(model, manifest.load_samples(), vocab)
+    samples = load_manifest(args.manifest).load_samples()
+    report = evaluate(model, samples, vocab, reference_tables(s.captions for s in samples))
     return _report(report, args.out)
 
 
@@ -193,15 +193,13 @@ def cmd_score(args) -> int:
             if obj["id"] in hyps:
                 raise FormatError(f"{args.hyp}:{lineno}: duplicate id {obj['id']!r}")
             hyps[obj["id"]] = obj["caption"]
-    refs_manifest = load_manifest(args.refs)
-    candidates = []
-    refs_corpus = []
-    for e in refs_manifest.entries:
+    entries = load_manifest(args.refs).entries
+    for e in entries:
         if e.id not in hyps:
             raise FormatError(f"no hypothesis for video {e.id!r}")
-        candidates.append(normalize_words(hyps[e.id]))
-        refs_corpus.append([normalize_words(c) for c in e.captions])
-    return _report(score_corpus(candidates, refs_corpus), args.out)
+    candidates = [normalize_words(hyps[e.id]) for e in entries]
+    return _report(score_corpus(candidates, reference_tables(e.captions for e in entries)),
+                   args.out)
 
 
 def _report(report, out) -> int:

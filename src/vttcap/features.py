@@ -174,20 +174,23 @@ def load_manifest(path) -> DatasetManifest:
     path = Path(path)
     entries = []
     seen = set()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise FormatError(f"{path}:{lineno}: invalid JSON ({exc})") from exc
-            entry = _manifest_entry(obj, f"{path}:{lineno}")
-            if entry.id in seen:
-                raise FormatError(f"{path}:{lineno}: duplicate id {entry.id!r}")
-            seen.add(entry.id)
-            entries.append(entry)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text ({exc})") from exc
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except (json.JSONDecodeError, RecursionError) as exc:
+            raise FormatError(f"{path}:{lineno}: invalid JSON ({exc})") from exc
+        entry = _manifest_entry(obj, f"{path}:{lineno}")
+        if entry.id in seen:
+            raise FormatError(f"{path}:{lineno}: duplicate id {entry.id!r}")
+        seen.add(entry.id)
+        entries.append(entry)
     if not entries:
         raise FormatError(f"{path} holds no videos")
     root = path.parent

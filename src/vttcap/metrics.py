@@ -2,7 +2,8 @@
 
 All metrics operate on word tokens produced by the shared caption
 normalizer (lowercase, punctuation split), never on subword pieces, and
-read a video's references from its ``References`` table, counted once.
+read a video's references from its ``References`` table, which
+``reference_tables`` alone builds from captions, once per run and set.
 CIDEr is the standard TF-IDF n-gram cosine (n = 1..4 averaged, scaled by
 10); the D variant adds count clipping and a gaussian length penalty
 (sigma = 6), and one pass gives both.  BLEU-4 is the geometric mean of
@@ -18,6 +19,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .errors import ContractError
+from .tokenizer import normalize_words
 
 N_MAX = 4
 CIDER_SIGMA = 6.0
@@ -80,6 +82,14 @@ class References:
                 vectors.append((vec, math.sqrt(sum(v * v for v in vec.values()))))
             self.max_counts.append(max_count)
             self.vectors.append(vectors)
+
+
+def reference_tables(caption_sets, idf: IdfTable | None = None) -> list:
+    """One ``References`` table per caption set, each caption normalized to
+    word tokens, under ``idf`` when given, else under the sets' own IDF."""
+    ref_sets = [[normalize_words(c) for c in captions] for captions in caption_sets]
+    idf = compute_idf(ref_sets) if idf is None else idf
+    return [References(refs, idf) for refs in ref_sets]
 
 
 def _grams(tokens) -> list:
@@ -160,14 +170,12 @@ class MetricReport:
         return {"bleu4": self.bleu4, "cider": self.cider, "cider_d": self.cider_d}
 
 
-def score_corpus(candidates, refs_corpus) -> MetricReport:
-    """Corpus BLEU-4 and mean CIDEr and CIDEr-D, under the IDF of
-    ``refs_corpus`` itself, counting each candidate's n-grams once for all three."""
-    refs_corpus = list(refs_corpus)
-    idf = compute_idf(refs_corpus)
+def score_corpus(candidates, tables) -> MetricReport:
+    """Corpus BLEU-4 and mean CIDEr and CIDEr-D of word-token ``candidates``
+    against their ``tables``, counting each candidate's n-grams once for all three."""
     sums, ciders = [0] * (2 * N_MAX + 2), []
-    for candidate, refs in zip(candidates, refs_corpus, strict=True):
-        grams, table = _grams(candidate), References(refs, idf)
+    for candidate, table in zip(candidates, tables, strict=True):
+        grams = _grams(candidate)
         sums = [a + b for a, b in zip(sums, _bleu_counts(grams, table))]
         ciders.append(_cider(grams, table))
     plain, d = zip(*ciders)

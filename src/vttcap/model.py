@@ -126,21 +126,18 @@ class ModelConfig:
             raise FormatError(str(exc)) from exc
 
 
-def sinusoidal_pe(pos: int, d_model: int) -> np.ndarray:
-    """Standard sinusoid: even dims sin(pos/10000^(2i/d)), odd dims cos."""
-    if pos < 0:
-        raise ContractError("position must be >= 0")
-    pe = np.zeros(d_model, dtype=np.float64)
-    half = (d_model + 1) // 2
-    i = np.arange(half, dtype=np.float64)
-    angles = pos / np.power(10000.0, 2.0 * i / d_model)
-    pe[0::2] = np.sin(angles)
-    pe[1::2] = np.cos(angles[: d_model // 2])
-    return pe
-
-
 def pe_block(start: int, count: int, d_model: int) -> np.ndarray:
-    return np.stack([sinusoidal_pe(start + j, d_model) for j in range(count)])
+    """The standard sinusoid at positions start .. start+count-1, one row each:
+    even dims sin(pos/10000^(2i/d)), odd dims cos."""
+    if start < 0:
+        raise ContractError("position must be >= 0")
+    pe = np.zeros((count, d_model), dtype=np.float64)
+    i = np.arange((d_model + 1) // 2, dtype=np.float64)
+    angles = np.arange(start, start + count, dtype=np.float64)[:, None] \
+        / np.power(10000.0, 2.0 * i / d_model)
+    pe[:, 0::2] = np.sin(angles)
+    pe[:, 1::2] = np.cos(angles[:, : d_model // 2])
+    return pe
 
 
 def causal_mask(n: int, dtype=np.float32) -> np.ndarray:
@@ -652,7 +649,7 @@ def load_checkpoint(path) -> TransformerModel:
             cfg = ModelConfig.from_dict(json.load(fh))
     except FileNotFoundError as exc:
         raise FormatError(f"missing checkpoint config {cfg_path}") from exc
-    except FormatError as exc:
+    except (FormatError, ValueError, RecursionError) as exc:  # JSON or UTF-8 errors too
         raise FormatError(f"{cfg_path}: {exc}") from exc
     loaded = set()
     with open(path, "rb") as fh:

@@ -16,7 +16,7 @@ in the loss, its padding 0.  ``scst_batch_step`` returns the loss and each
 video's trace record; ``finetune_scst`` runs it inside the training loop
 XE uses (``training._fit``), with Adam at the constant learning rate
 ``RewardConfig.eta``; every reward reads the video's ``metrics.References``
-table, counted once per run under the training references' IDF.
+table, built once per run under the training references' IDF.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import numpy as np
 from . import tensor as T
 from .errors import ContractError
 from .features import DatasetManifest
-from .metrics import References, bleu4, cider_sentence, compute_idf
+from .metrics import References, bleu4, cider_sentence, reference_tables
 from .model import TransformerModel, greedy_decode, load_checkpoint_for, sample_decode
 from .tensor import RngState
 from .tokenizer import Vocabulary, decode, normalize_words
@@ -120,11 +120,12 @@ def finetune_scst(checkpoint, train: DatasetManifest, val: DatasetManifest,
                   trace_path=None) -> TrainResult:
     """SCST finetuning from an XE checkpoint at constant learning rate ``rc.eta``.
 
-    Every video's references are counted once, into a ``References`` table
-    under the training references' IDF, before the first step.  Validation
-    rows add the mean validation mixed reward and the mean advantage of the
-    steps since the previous row.  ``trace_path`` receives one JSON line per
-    step, ``{"step": s, "videos": [...]}``, with one record per video of the
+    Each video's reward table, under the training references' IDF, and each
+    validation video's report table, under the validation references' own,
+    is built once, before the first step.  Validation rows add the mean
+    validation mixed reward and the mean advantage of the steps since the
+    previous row.  ``trace_path`` receives one JSON line per step,
+    ``{"step": s, "videos": [...]}``, with one record per video of the
     batch, in batch order, holding these keys in this order: ``id``;
     ``baseline_reward`` and ``sample_rewards``, the mixed rewards of the
     greedy baseline and of each rollout; ``advantages``, each rollout's
@@ -137,10 +138,10 @@ def finetune_scst(checkpoint, train: DatasetManifest, val: DatasetManifest,
         raise ContractError("train and val manifests must be non-empty")
     train_samples = train.load_samples()
     val_samples = val.load_samples()
-    train_refs = [[normalize_words(c) for c in s.captions] for s in train_samples]
-    idf = compute_idf(train_refs)
-    train_tables = {s.id: References(refs, idf) for s, refs in zip(train_samples, train_refs)}
-    val_tables = [References([normalize_words(c) for c in s.captions], idf) for s in val_samples]
+    train_tables = reference_tables(s.captions for s in train_samples)
+    train_rewards = {s.id: t for s, t in zip(train_samples, train_tables)}
+    val_rewards = reference_tables((s.captions for s in val_samples), train_tables[0].idf)
+    val_tables = reference_tables(s.captions for s in val_samples)
     rng = RngState(run.seed).derive("scst")
     sample_rng = rng.derive("rollouts")
     advantage_window = []
@@ -151,7 +152,7 @@ def finetune_scst(checkpoint, train: DatasetManifest, val: DatasetManifest,
             batch = [train_samples[i] for i in indices]
             loss, records = scst_batch_step(
                 model, batch, vocab, rc, sample_rng,
-                lambda cand, sample: mixed_reward(cand, train_tables[sample.id]))
+                lambda cand, sample: mixed_reward(cand, train_rewards[sample.id]))
             advantage_window.append(statistics.fmean(a for r in records
                                                      for a in r["advantages"]))
             if trace_fh is not None:
@@ -159,8 +160,8 @@ def finetune_scst(checkpoint, train: DatasetManifest, val: DatasetManifest,
             return loss
 
         def validate_fn() -> dict:
-            row = {**evaluate(model, val_samples, vocab).as_dict(),
-                   "mixed_reward": validation_mixed_reward(model, val_samples, vocab, val_tables),
+            row = {**evaluate(model, val_samples, vocab, val_tables).as_dict(),
+                   "mixed_reward": validation_mixed_reward(model, val_samples, vocab, val_rewards),
                    "mean_advantage": (statistics.fmean(advantage_window)
                                       if advantage_window else None)}
             advantage_window.clear()

@@ -72,8 +72,11 @@ def load_vocab(path) -> Vocabulary:
     do carry ``[PAD]`` must have it on the first line so masks can rely on
     pad id 0.
     """
-    with open(path, encoding="utf-8") as fh:
-        tokens = [line.rstrip("\r\n") for line in fh]
+    try:
+        with open(path, encoding="utf-8") as fh:
+            tokens = [line.rstrip("\r\n") for line in fh]
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text ({exc})") from exc
     while tokens and tokens[-1] == "":
         tokens.pop()
     return Vocabulary.from_tokens(tokens)

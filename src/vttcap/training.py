@@ -16,9 +16,9 @@ then cosine annealing to eta_max / 100 with warm restarts, the first cycle
 ``t0`` steps long and each next one twice the last (a restart returns to
 eta_max).  ``train_xe`` and ``scst.finetune_scst`` run one loop, ``_fit``,
 and differ only in their step, learning-rate and validation functions.  It
-validates at the end of each epoch, keeps one checkpoint per validation
-plus the best-CIDEr-D one as ``best.vttc``, and stops after ``patience``
-validations without improvement.
+validates at the end of each epoch against reference tables built once,
+keeps the last and the best-CIDEr-D checkpoints, and stops after
+``patience`` validations without improvement.
 
 An XE step is one graph: its (video, caption) pairs go through
 ``forward_teacher_forced`` as one padded batch (``teacher_forcing``), each
@@ -42,7 +42,7 @@ import numpy as np
 from . import tensor as T
 from .errors import ContractError, TrainingError
 from .features import DatasetManifest
-from .metrics import MetricReport, score_corpus
+from .metrics import MetricReport, reference_tables, score_corpus
 from .fileio import atomic_path
 from .model import TransformerModel, greedy_decode, save_checkpoint
 from .tensor import RngState
@@ -257,11 +257,11 @@ def greedy_texts(model: TransformerModel, samples, vocab: Vocabulary) -> list:
             for s in samples]
 
 
-def evaluate(model: TransformerModel, samples, vocab: Vocabulary) -> MetricReport:
-    """Greedy-decode every sample and score the word tokens of its caption:
-    corpus BLEU-4 and mean CIDEr and CIDEr-D, under the samples' own IDF."""
+def evaluate(model: TransformerModel, samples, vocab: Vocabulary, tables) -> MetricReport:
+    """Greedy-decode every sample and score the word tokens of its caption against
+    its table in ``tables``: corpus BLEU-4 and mean CIDEr and CIDEr-D."""
     return score_corpus([normalize_words(text) for text in greedy_texts(model, samples, vocab)],
-                        [[normalize_words(c) for c in s.captions] for s in samples])
+                        tables)
 
 
 def _fit(model: TransformerModel, n_items: int, step_fn, lr_fn, validate_fn,
@@ -274,11 +274,13 @@ def _fit(model: TransformerModel, n_items: int, step_fn, lr_fn, validate_fn,
     metrics, ``cider_d`` among them.  Each row also records ``train_loss`` and
     ``grad_norm``, the mean loss and pre-clip gradient norm of the steps since
     the previous row (None on the step-0 row), and ``clipped``, how many of
-    those steps were clipped.
+    those steps were clipped.  Each validation saves ``last.vttc``, a new file,
+    and one with a new best CIDEr-D makes ``best.vttc`` a second name for it.
     """
     out_dir = Path(run.out_dir)
     ckpt_dir = out_dir / "checkpoints"
     ckpt_dir.mkdir(parents=True, exist_ok=True)
+    last_path, best_path = ckpt_dir / "last.vttc", ckpt_dir / "best.vttc"
     history_path = out_dir / "history.jsonl"
     state = OptimizerState()
     history = []
@@ -289,7 +291,7 @@ def _fit(model: TransformerModel, n_items: int, step_fn, lr_fn, validate_fn,
             tmp.write_text("".join(json.dumps(r) + "\n" for r in history), encoding="utf-8")
 
     write_history()
-    best = (-1.0, 0, None)  # (cider_d, epoch, path)
+    best = (-1.0, 0)  # (cider_d, epoch)
     step = 0
     losses = []  # training losses and pre-clip gradient norms since the previous row
     norms = []
@@ -306,11 +308,16 @@ def _fit(model: TransformerModel, n_items: int, step_fn, lr_fn, validate_fn,
         norms.clear()
         history.append(row)
         write_history()
-        path = ckpt_dir / f"epoch_{epoch:04d}_step_{step:06d}.vttc"
-        save_checkpoint(model, path)
+        save_checkpoint(model, last_path)
         improved = row["cider_d"] > best[0]
         if improved:
-            best = (row["cider_d"], epoch, path)
+            best = (row["cider_d"], epoch)
+            for suffix in ("", ".json"):
+                with atomic_path(str(best_path) + suffix) as tmp:
+                    try:  # a second name for the file, not a copy of its bytes
+                        os.link(str(last_path) + suffix, tmp)
+                    except OSError:  # a filesystem without hard links
+                        shutil.copyfile(str(last_path) + suffix, tmp)
         return improved
 
     validate(0)  # the starting point
@@ -328,14 +335,6 @@ def _fit(model: TransformerModel, n_items: int, step_fn, lr_fn, validate_fn,
         stall = 0 if validate(epoch) else stall + 1
         if run.patience and stall >= run.patience:
             break
-
-    best_path = ckpt_dir / "best.vttc"
-    for suffix in ("", ".json"):
-        with atomic_path(str(best_path) + suffix) as tmp:
-            try:  # a second name for the file, not a copy of its bytes
-                os.link(str(best[2]) + suffix, tmp)
-            except OSError:  # a filesystem without hard links
-                shutil.copyfile(str(best[2]) + suffix, tmp)
     return TrainResult(best_path=best_path, best_epoch=best[1],
                        best_cider_d=best[0], history=history)
 
@@ -354,6 +353,7 @@ def train_xe(model: TransformerModel, vocab: Vocabulary, train: DatasetManifest,
     val_samples = val.load_samples()
     train_pairs = caption_pairs(train_samples, vocab, model.cfg.l_max)
     val_pairs = caption_pairs(val_samples, vocab, model.cfg.l_max)
+    val_tables = reference_tables(s.captions for s in val_samples)
     rng = RngState(run.seed).derive("train_xe")
 
     def step_fn(indices, step: int) -> float:
@@ -363,7 +363,7 @@ def train_xe(model: TransformerModel, vocab: Vocabulary, train: DatasetManifest,
         return loss.item()
 
     def validate_fn() -> dict:
-        return {**evaluate(model, val_samples, vocab).as_dict(),
+        return {**evaluate(model, val_samples, vocab, val_tables).as_dict(),
                 "val_loss": validation_loss(model, val_samples, val_pairs, vocab,
                                             run.batch_size)}
 

@@ -12,7 +12,7 @@ import pytest
 
 from vttcap.errors import ContractError
 from vttcap.metrics import (References, bleu4, cider_sentence, compute_idf, ngram_counts,
-                            score_corpus)
+                            reference_tables, score_corpus)
 
 # ---------------------------------------------------------------------------
 # oracles
@@ -172,9 +172,15 @@ def table(refs, refs_corpus=None):
     return References(refs, compute_idf(refs_corpus or [refs]))
 
 
+def corpus_tables(refs_corpus):
+    """One table per reference set, all under the IDF of ``refs_corpus``."""
+    idf = compute_idf(refs_corpus)
+    return [References(refs, idf) for refs in refs_corpus]
+
+
 def sentence_bleu4(candidate, refs):
     """Exact sentence BLEU-4: corpus BLEU-4 of a one-video corpus."""
-    return score_corpus([candidate], [refs]).bleu4
+    return score_corpus([candidate], corpus_tables([refs])).bleu4
 
 
 class TestBleu:
@@ -268,7 +274,7 @@ class TestCider:
         for refs in refs_corpus:
             plain, d = cider_sentence(refs[0], table(refs, refs_corpus))
             assert plain == pytest.approx(d, abs=1e-12)
-        report = score_corpus([refs[0] for refs in refs_corpus], refs_corpus)
+        report = score_corpus([refs[0] for refs in refs_corpus], corpus_tables(refs_corpus))
         assert report.cider == pytest.approx(report.cider_d, abs=1e-12)
 
     def test_monotone_under_vandalism(self):
@@ -306,7 +312,7 @@ class TestOracleEquivalence:
             for variant, score in zip(("plain", "D"), cider_sentence(cand, refs_table)):
                 ciders[variant].append(oracle_cider_sentence(cand, refs, df, n_docs, variant))
                 assert score == pytest.approx(ciders[variant][-1], abs=1e-9)
-        report = score_corpus(candidates, refs_corpus)
+        report = score_corpus(candidates, [References(refs, idf) for refs in refs_corpus])
         assert report.bleu4 == pytest.approx(oracle_corpus_bleu4(candidates, refs_corpus),
                                              abs=1e-9)
         assert report.cider == pytest.approx(sum(ciders["plain"]) / len(candidates), abs=1e-9)
@@ -316,14 +322,36 @@ class TestOracleEquivalence:
 class TestScoreCorpus:
     def test_perfect_hypotheses(self):
         refs_corpus = [[["a", "cat", "on", "mat"]], [["dog", "in", "the", "sun"]]]
-        report = score_corpus([r[0] for r in refs_corpus], refs_corpus)
+        report = score_corpus([r[0] for r in refs_corpus], corpus_tables(refs_corpus))
         assert report.bleu4 == 1.0
         assert 0.0 <= report.cider <= 10.0 and 0.0 <= report.cider_d <= 10.0
 
     def test_bounds(self):
         rnd = random.Random(77)
         candidates, refs_corpus = random_corpus(rnd)
-        report = score_corpus(candidates, refs_corpus)
+        report = score_corpus(candidates, corpus_tables(refs_corpus))
         assert 0.0 <= report.bleu4 <= 1.0
         assert 0.0 <= report.cider <= 10.0
         assert 0.0 <= report.cider_d <= 10.0
+
+
+class TestReferenceTables:
+    CAPTIONS = [["A cat, on the MAT.", "the cat"], ["Dogs  run!"]]
+    WORDS = [[["a", "cat", ",", "on", "the", "mat", "."], ["the", "cat"]], [["dogs", "run", "!"]]]
+
+    @staticmethod
+    def same(a, b):
+        return (a.lengths, a.max_counts, a.vectors) == (b.lengths, b.max_counts, b.vectors)
+
+    def test_normalized_under_the_sets_own_idf(self):
+        built = reference_tables(iter(self.CAPTIONS))
+        idf = built[0].idf
+        assert all(t.idf is idf for t in built)
+        assert (idf.df, idf.n_docs) == (compute_idf(self.WORDS).df, 2)
+        assert all(self.same(t, References(refs, idf)) for t, refs in zip(built, self.WORDS))
+
+    def test_given_idf(self):
+        idf = compute_idf([[["a", "cat"]], [["dogs"]], [["x"]]])
+        built = reference_tables(self.CAPTIONS, idf)
+        assert all(t.idf is idf for t in built)
+        assert all(self.same(t, References(refs, idf)) for t, refs in zip(built, self.WORDS))

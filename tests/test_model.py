@@ -17,7 +17,7 @@ from vttcap.model import (CKPT_MAGIC, CKPT_VERSION, Encoding, ModelConfig, Trans
                           embed_multimodal, greedy_decode, load_checkpoint,
                           load_checkpoint_for,
                           memory_attention, pe_block, sample_decode, save_checkpoint,
-                          sinusoidal_pe, x_linear_attention)
+                          x_linear_attention)
 from vttcap.scst import scst_surrogate_loss
 from vttcap.tensor import RngState
 from vttcap.tokenizer import Vocabulary
@@ -60,23 +60,31 @@ def oracle_x_linear(q, k, v, wq, wk, wb, ws, wc):
     return np.concatenate(outs, axis=0), np.stack(spatials)
 
 
-class TestSinusoidalPe:
+class TestPeBlock:
     def test_position_zero(self):
-        assert np.allclose(sinusoidal_pe(0, 8), [0, 1, 0, 1, 0, 1, 0, 1])
+        assert np.allclose(pe_block(0, 1, 8), [[0, 1, 0, 1, 0, 1, 0, 1]])
 
     def test_bounded(self):
         for pos in (1, 17, 300, 9999):
-            pe = sinusoidal_pe(pos, 16)
+            pe = pe_block(pos, 1, 16)
             assert np.all(np.abs(pe) <= 1.0)
 
     def test_audio_offset_vector(self):
         # the first audio row receives exactly the position-300 encoding
-        pe300 = sinusoidal_pe(300, 8)
+        pe300 = pe_block(300, 1, 8)[0]
         assert np.allclose(pe_block(300, 2, 8)[0], pe300)
+
+    @pytest.mark.parametrize("d_model", [1, 8, 31, 32])
+    def test_rows_are_the_single_position_formula(self, d_model):
+        i = np.arange((d_model + 1) // 2)
+        for row, pos in zip(pe_block(298, 5, d_model), range(298, 303)):
+            angles = pos / np.power(10000.0, 2.0 * i / d_model)
+            assert np.array_equal(row[0::2], np.sin(angles))
+            assert np.array_equal(row[1::2], np.cos(angles[:d_model // 2]))
 
     def test_negative_position(self):
         with pytest.raises(ContractError):
-            sinusoidal_pe(-1, 8)
+            pe_block(-1, 1, 8)
 
 
 class TestEmbedMultimodal:
@@ -97,7 +105,7 @@ class TestEmbedMultimodal:
         out = only(embed_multimodal([(frames, None)], self.zero)[0])
         assert out.shape == (3, 8)
         assert np.array_equal(out.data[-1],
-                              sinusoidal_pe(300, 8).astype(np.float32))
+                              pe_block(300, 1, 8)[0].astype(np.float32))
 
     def test_dummy_equals_absent(self, np_rng):
         model = TransformerModel(self.cfg, seed=4)

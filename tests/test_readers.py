@@ -1,0 +1,130 @@
+"""Every file reader gives a valid object or a ``VttError``, whatever the bytes.
+
+Bounded Hypothesis searches over the files a command reads: a dataset (a
+manifest and the feature files, VTTF, it names), a vocabulary, and a
+checkpoint (VTTC) with its JSON sidecar.  Each input replaces one file of
+the set, by the valid file with a few bytes set, inserted or deleted and
+maybe cut short, or by arbitrary bytes; the explicit examples are inputs
+that once escaped as ``UnicodeDecodeError``, ``JSONDecodeError`` or
+``RecursionError``.
+"""
+
+import json
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+from conftest import tiny_config
+from vttcap.errors import FormatError, VttError
+from vttcap.features import FeatureMatrix, load_manifest, write_feature_file
+from vttcap.model import TransformerModel, load_checkpoint, save_checkpoint
+from vttcap.tokenizer import PAD_TOKEN, load_vocab
+
+FUZZ = settings(max_examples=200, deadline=None,
+                suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+DEEP_JSON = b"[" * 100_000
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    """A valid file of each kind: {kind: (path, bytes)}."""
+    d = tmp_path_factory.mktemp("readers")
+    write_feature_file(d / "f.vttf", FeatureMatrix(np.arange(6, dtype=np.float32).reshape(2, 3)))
+    (d / "m.jsonl").write_text("".join(json.dumps(
+        {"id": f"v{i}", "frame_file": "f.vttf", "audio_file": None if i else "f.vttf",
+         "captions": ["a cat", "the dog runs"]}) + "\n" for i in range(2)), encoding="utf-8")
+    (d / "vocab.txt").write_text(f"{PAD_TOKEN}\na\ncat\n##s\nthe\n", encoding="utf-8")
+    save_checkpoint(TransformerModel(tiny_config(), seed=0), d / "ckpt.vttc")
+    names = {"vttf": "f.vttf", "manifest": "m.jsonl", "vocab": "vocab.txt",
+             "vttc": "ckpt.vttc", "sidecar": "ckpt.vttc.json"}
+    return {kind: (d / name, (d / name).read_bytes()) for kind, name in names.items()}
+
+
+@st.composite
+def mutated(draw, base: bytes) -> bytes:
+    """``base`` with one to four bytes set, inserted or deleted, often near
+    its start where the headers are, and maybe cut short."""
+    data = bytearray(base)
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.one_of(st.integers(0, min(64, len(data))), st.integers(0, len(data))))
+        kind = draw(st.sampled_from(["set", "insert", "delete"]))
+        byte = draw(st.integers(0, 255))
+        if kind == "insert":
+            data.insert(i, byte)
+        elif i < len(data):
+            if kind == "set":
+                data[i] = byte
+            else:
+                del data[i]
+    if draw(st.booleans()):
+        del data[draw(st.integers(0, len(data))):]
+    return bytes(data)
+
+
+def read_or_vtt_error(files, kinds, data, kind, blob, read):
+    """Replace the file of one of ``kinds``, read the set, and restore the
+    file; None when the reader raised a ``VttError``.  An example gives
+    ``kind`` and ``blob``, else both are drawn: a mutation of the valid file
+    or arbitrary bytes."""
+    if blob is None:
+        kind = data.draw(st.sampled_from(kinds))
+        blob = data.draw(st.one_of(mutated(files[kind][1]), st.binary(max_size=256)))
+    path, base = files[kind]
+    path.write_bytes(blob)
+    try:
+        return read(files)
+    except VttError:
+        return None
+    finally:
+        path.write_bytes(base)
+
+
+@FUZZ
+@given(data=st.data(), kind=st.none(), blob=st.none())
+@example(data=None, kind="manifest", blob=b"\xff\xfe")
+@example(data=None, kind="manifest", blob=DEEP_JSON)
+@example(data=None, kind="vttf", blob=b"VTTF" + bytes(12))
+def test_dataset(files, data, kind, blob):
+    samples = read_or_vtt_error(files, ["manifest", "vttf"], data, kind, blob,
+                                lambda f: load_manifest(f["manifest"][0]).load_samples())
+    assert samples is None or len(samples) >= 1
+    for s in samples or []:
+        for m in filter(None, (s.frames, s.audio)):
+            assert m.t >= 1 and m.d >= 1 and np.isfinite(m.values).all()
+
+
+@FUZZ
+@given(data=st.data(), kind=st.none(), blob=st.none())
+@example(data=None, kind="vocab", blob=b"[PAD]\n\xe9t\xe9\n")
+def test_vocab(files, data, kind, blob):
+    vocab = read_or_vtt_error(files, ["vocab"], data, kind, blob,
+                              lambda f: load_vocab(f["vocab"][0]))
+    assert vocab is None or vocab.pad_id == 0
+
+
+@FUZZ
+@given(data=st.data(), kind=st.none(), blob=st.none())
+@example(data=None, kind="sidecar", blob=b"{\xff}")
+@example(data=None, kind="sidecar", blob=b'{"d_model": 8,')
+@example(data=None, kind="sidecar", blob=DEEP_JSON)
+def test_checkpoint(files, data, kind, blob):
+    model = read_or_vtt_error(files, ["vttc", "sidecar"], data, kind, blob,
+                              lambda f: load_checkpoint(f["vttc"][0]))
+    assert model is None or model.n_parameters() == TransformerModel(
+        tiny_config(), init="zeros").n_parameters()
+
+
+@pytest.mark.parametrize("kind,read", [
+    ("manifest", load_manifest), ("vocab", load_vocab),
+    ("sidecar", lambda path: load_checkpoint(str(path)[:-len(".json")])),
+])
+def test_undecodable_bytes_name_the_file(files, kind, read):
+    path, base = files[kind]
+    path.write_bytes(b"\xff" + base)
+    try:
+        with pytest.raises(FormatError, match=path.name):
+            read(path)
+    finally:
+        path.write_bytes(base)

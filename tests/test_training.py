@@ -3,12 +3,13 @@
 import dataclasses
 import json
 import math
+import os
 
 import numpy as np
 import pytest
 
 from conftest import only, tiny_config
-from vttcap import scst, training
+from vttcap import metrics, scst, training
 from vttcap import tensor as T
 from vttcap.errors import ContractError, TrainingError
 from vttcap.features import synth_dataset
@@ -40,8 +41,25 @@ def read_history(out_dir):
     return [json.loads(line) for line in lines]
 
 
-def ckpt_path(out_dir, row):
-    return out_dir / "checkpoints" / f"epoch_{row['epoch']:04d}_step_{row['step']:06d}.vttc"
+def record_checkpoints(monkeypatch) -> list:
+    """Patch ``training.save_checkpoint`` to keep each checkpoint it writes:
+    (file bytes, sidecar text), in save order."""
+    saved = []
+    save = training.save_checkpoint
+
+    def recording(model, path):
+        save(model, path)
+        saved.append(checkpoint_contents(path))
+
+    monkeypatch.setattr(training, "save_checkpoint", recording)
+    return saved
+
+
+def checkpoint_contents(path) -> tuple:
+    return path.read_bytes(), path.with_name(path.name + ".json").read_text()
+
+
+CHECKPOINT_FILES = ["best.vttc", "best.vttc.json", "last.vttc", "last.vttc.json"]
 
 
 SGDR = ScheduleConfig(warmup=5, t0=10, eta_max=0.01)
@@ -246,8 +264,9 @@ def test_every_parameter_gets_a_gradient_on_every_step(corpus, kind, with_audio)
 
 
 class TestTrainXe:
-    def test_history_rows_and_best_checkpoint(self, corpus, tmp_path):
+    def test_history_rows_and_best_checkpoint(self, corpus, tmp_path, monkeypatch):
         train, val, vocab = corpus
+        saved = record_checkpoints(monkeypatch)
         run = TrainRunConfig(epochs=3, batch_size=8, seed=2, out_dir=str(tmp_path))
         result = train_xe(tiny_model(vocab), vocab, train, val, SGDR, run)
         rows = read_history(tmp_path)
@@ -262,13 +281,15 @@ class TestTrainXe:
         best = max(rows, key=lambda r: r["cider_d"])  # the first of equal maxima
         assert result.best_cider_d == best["cider_d"]
         assert result.best_epoch == best["epoch"]
-        src = ckpt_path(tmp_path, best)
-        assert result.best_path.read_bytes() == src.read_bytes()
-        assert result.best_path.with_name("best.vttc.json").read_text() == \
-            src.with_name(src.name + ".json").read_text()
+        ckpt_dir = tmp_path / "checkpoints"
+        assert sorted(p.name for p in ckpt_dir.iterdir()) == CHECKPOINT_FILES
+        assert len(saved) == len(rows)
+        assert checkpoint_contents(result.best_path) == saved[rows.index(best)]
+        assert checkpoint_contents(ckpt_dir / "last.vttc") == saved[-1]
 
-    def test_patience_stops_a_stalled_run(self, corpus, tmp_path):
+    def test_patience_stops_a_stalled_run(self, corpus, tmp_path, monkeypatch):
         train, val, vocab = corpus
+        saved = record_checkpoints(monkeypatch)
         frozen = ScheduleConfig(warmup=5, t0=10, eta_max=0.0)
         run = TrainRunConfig(epochs=6, batch_size=8, seed=2, patience=2,
                              out_dir=str(tmp_path))
@@ -277,7 +298,21 @@ class TestTrainXe:
         assert len(rows) == 3  # epoch 0 plus two validations without improvement
         assert len({r["cider_d"] for r in rows}) == 1
         assert result.best_epoch == 0
-        assert result.best_path.read_bytes() == ckpt_path(tmp_path, rows[0]).read_bytes()
+        assert len(saved) == 3
+        assert checkpoint_contents(result.best_path) == saved[0]
+
+    def test_validation_tables_are_built_once(self, corpus, tmp_path, monkeypatch):
+        train, val, vocab = corpus
+        tables = record_calls(monkeypatch, metrics, "References")
+        scored = []
+        score = training.score_corpus
+        monkeypatch.setattr(training, "score_corpus",
+                            lambda cands, tabs: scored.append(tabs) or score(cands, tabs))
+        run = TrainRunConfig(epochs=2, batch_size=8, seed=2, out_dir=str(tmp_path))
+        train_xe(tiny_model(vocab), vocab, train, val, SGDR, run)
+        assert [t.lengths for t in tables] == \
+            [[len(normalize_words(c)) for c in s.captions] for s in val.load_samples()]
+        assert len(scored) == 3 and all(tabs == tables for tabs in scored)
 
     def test_non_finite_loss_is_a_training_error(self, corpus, tmp_path):
         train, val, vocab = corpus
@@ -399,17 +434,27 @@ class TestScst:
         train, val, vocab = corpus
         init = tmp_path / "init.vttc"
         save_checkpoint(tiny_model(vocab), init)
-        tables = record_calls(monkeypatch, scst, "References")
+        tables = record_calls(monkeypatch, metrics, "References")
         read = set()
         reward = scst.mixed_reward
         monkeypatch.setattr(scst, "mixed_reward",
                             lambda cand, refs: read.add(id(refs)) or reward(cand, refs))
+        scored = []
+        score = training.score_corpus
+        monkeypatch.setattr(training, "score_corpus",
+                            lambda cands, tabs: scored.append(tabs) or score(cands, tabs))
         run = TrainRunConfig(epochs=2, batch_size=4, seed=5, out_dir=str(tmp_path / "run"))
         finetune_scst(init, train, val, vocab, RewardConfig(n_samples=2, eta=1e-3), run)
-        samples = train.load_samples() + val.load_samples()
+        train_samples, val_samples = train.load_samples(), val.load_samples()
+        # the rewards' tables for training and validation videos, then the report's
         assert [t.lengths for t in tables] == \
-            [[len(normalize_words(c)) for c in s.captions] for s in samples]
-        assert read == {id(t) for t in tables}  # every reward reads a table built here
+            [[len(normalize_words(c)) for c in s.captions]
+             for s in train_samples + val_samples + val_samples]
+        rewards, reports = tables[:-len(val_samples)], tables[-len(val_samples):]
+        assert read == {id(t) for t in rewards}  # every reward reads a table built here
+        assert len(scored) == 3 and all(tabs == reports for tabs in scored)
+        assert {id(t.idf) for t in rewards} == {id(rewards[0].idf)}
+        assert reports[0].idf.n_docs == len(val_samples) != rewards[0].idf.n_docs
 
     def test_trace_records_rollout_lengths(self, corpus, tmp_path, monkeypatch):
         train, val, vocab = corpus
@@ -446,6 +491,34 @@ class TestScst:
 
 # ---------------------------------------------------------------------------
 # run artefacts
+
+
+@pytest.mark.parametrize("hard_links", [True, False])
+def test_best_checkpoint_survives_later_saves(corpus, tmp_path, monkeypatch, hard_links):
+    _, _, vocab = corpus
+    model = tiny_model(vocab)
+    saved = record_checkpoints(monkeypatch)
+    if not hard_links:
+        def no_link(src, dst):
+            raise OSError("no hard links here")
+
+        monkeypatch.setattr(os, "link", no_link)
+    scores = iter([0.1, 0.5, 0.2])
+
+    def step_fn(indices, step):
+        model.zero_grad()
+        model.params["out_proj.b"].grad[0] = 1.0  # so every step moves the model
+        return 0.5
+
+    run = TrainRunConfig(epochs=2, batch_size=1, out_dir=str(tmp_path / "run"))
+    result = _fit(model, 1, step_fn, lambda step: 1e-3, lambda: {"cider_d": next(scores)},
+                  run, RngState(1))
+    ckpt_dir = tmp_path / "run" / "checkpoints"
+    assert sorted(p.name for p in ckpt_dir.iterdir()) == CHECKPOINT_FILES
+    assert (result.best_epoch, result.best_path) == (1, ckpt_dir / "best.vttc")
+    assert len({data for data, _ in saved}) == 3
+    assert checkpoint_contents(result.best_path) == saved[1]
+    assert checkpoint_contents(ckpt_dir / "last.vttc") == saved[2]
 
 
 def test_failed_validation_keeps_the_previous_history(corpus, tmp_path):
