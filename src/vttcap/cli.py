@@ -80,7 +80,10 @@ def resolve_config(config_path: str | None, profile: str | None) -> dict:
     file_cfg = {}
     if config_path:
         with open(config_path, encoding="utf-8") as fh:
-            file_cfg = json.load(fh)
+            try:
+                file_cfg = json.load(fh)
+            except (json.JSONDecodeError, RecursionError) as exc:
+                raise FormatError(f"{config_path}: invalid JSON ({exc})") from exc
         if not isinstance(file_cfg, dict):
             raise FormatError(f"{config_path}: config must be a JSON object")
     name = file_cfg.pop("profile", "desk")
@@ -185,7 +188,10 @@ def cmd_score(args) -> int:
             line = line.strip()
             if not line:
                 continue
-            obj = json.loads(line)
+            try:
+                obj = json.loads(line)
+            except (json.JSONDecodeError, RecursionError) as exc:
+                raise FormatError(f"{args.hyp}:{lineno}: invalid JSON ({exc})") from exc
             if not (isinstance(obj, dict) and isinstance(obj.get("id"), str)
                     and isinstance(obj.get("caption"), str)):
                 raise FormatError(f"{args.hyp}:{lineno}: needs an object with string "

@@ -15,8 +15,8 @@ padding rows) is honoured by encoder self-attention, memory slots and
 X-linear pooling included, and by decoder cross-attention.  Captions are
 one (B, L) array padded with PAD after their last token; the one causal
 mask keeps every real position from seeing the padding, and the loss gives
-padded targets weight 0.  ``forward_teacher_forced`` encodes each distinct
-video of a batch once and repeats its encoding for each of its captions.
+padded targets weight 0.  Callers encode; through ``decode_cache(enc,
+rows)``, decoder row b reads video ``rows[b]`` of the encoding ``enc``.
 
 Heads are a tensor axis: one (d_model, d_model) projection each for Q, K
 and V is reshaped to (B, n_heads, rows, d_head), and every attention op
@@ -31,14 +31,14 @@ straight into its view; a checkpoint is read into the views and written
 from them, with no copy of a float32 parameter on either side.
 
 Everything runs on the in-package autodiff tensors, one graph per batch.
-Decoding is incremental and runs rows in lockstep over the encoding of one
-video: ``decode_logits`` with a ``DecodeCache`` takes only each row's newest
-token, attends over the self-attention K/V rows cached from its earlier
-steps, and reuses cross-attention K/V projected once from the encoder
-output and broadcast over the rows.  A step of r rows is one (r, 1)
-decoder pass over every row; a row that ends stays in the batch until all
-have ended, its later tokens dropped.  Greedy decoding (one row) and the n
-rollouts of ``sample_decode`` (n rows) run through the one core ``_decode``.
+Decoding is incremental and runs rows in lockstep: ``decode_logits`` with a
+``DecodeCache`` takes only each row's newest token, attends over the
+self-attention K/V rows cached from its earlier steps, and reuses the
+cross-attention K/V the cache projected once from its rows' encodings.  A
+step of r rows is one (r, 1) decoder pass over every row; a row that ends
+stays in the batch until all have ended, its later tokens dropped.  Greedy
+decoding (one row) and the n rollouts of ``sample_decode`` (n rows), each
+over one video of an encoding, run through the one core ``_decode``.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ContractError, DimensionError, FormatError
-from .features import FeatureMatrix, dummy_audio
+from .features import dummy_audio
 from .fileio import atomic_path
 from .tensor import RngState, Tensor
 
@@ -395,39 +395,34 @@ class TransformerModel:
             x = self._norm(f"{p}.ln2", x, self._ffn(p, x))
         return Encoding(x, mask)
 
-    def decode_cache(self, enc: Encoding) -> DecodeCache:
-        """An empty ``DecodeCache`` over ``enc``, its cross-attention K/V projected."""
-        n_dec = self.cfg.n_dec
-        return DecodeCache(enc, [self._project_kv(f"dec.{i}.cross", enc.out)
-                                 for i in range(n_dec)], [None] * n_dec)
+    def decode_cache(self, enc: Encoding, rows: list) -> DecodeCache:
+        """An empty ``DecodeCache`` whose row b reads video ``rows[b]`` of
+        ``enc``: the encoder output and key mask gathered per row, then each
+        decoder layer's cross-attention K/V projected from them."""
+        out = T.gather_rows(enc.out, rows)
+        return DecodeCache([self._project_kv(f"dec.{i}.cross", out) for i in range(self.cfg.n_dec)],
+                           None if enc.mask is None else enc.mask[rows], [None] * self.cfg.n_dec)
 
-    def decode_logits(self, enc: Encoding, token_ids,
-                      cache: DecodeCache | None = None) -> Tensor:
+    def decode_logits(self, cache: DecodeCache, token_ids) -> Tensor:
         """Logits (B, L, vocab) for every position of the (B, L) ``token_ids``
-        under a causal mask; row b continues over video b of ``enc``, or
-        every row over its one video when ``enc`` holds one.
+        under a causal mask, row b continuing row b of ``cache``.
 
-        The rows continue the sequences ``cache`` holds: they take the
-        positions from ``cache.length`` on, attend over the cached
-        self-attention K/V rows as well as their own, use the cache's
-        cross-attention K/V, and are appended to the cache.  Without
-        ``cache`` they start a fresh one, so each row is a whole sequence
-        from position 0, and PAD after a row's last token leaves its real
-        positions unchanged.  A caption has positions 0..l_max+1; one past
-        them raises ``ContractError``.
+        The rows take the positions from ``cache.length`` on, attend over the
+        cached self-attention K/V rows as well as their own, use the cache's
+        cross-attention K/V, and are appended to the cache.  Over a fresh
+        cache each row is a whole sequence from position 0, and PAD after a
+        row's last token leaves its real positions unchanged.  A caption has
+        positions 0..l_max+1; one past them raises ``ContractError``.
         """
         ids = np.asarray(token_ids, dtype=np.int64)
         if ids.size == 0:
             raise ContractError("decoder needs at least one input token")
-        if ids.ndim != 2 or enc.out.shape[0] not in (1, ids.shape[0]):
-            raise ContractError(f"token ids {ids.shape} are not one row per video "
-                                f"of a batch of {enc.out.shape[0]}")
+        n_rows = cache.cross[0][0].shape[0]
+        if ids.ndim != 2 or ids.shape[0] != n_rows:
+            raise ContractError(f"token ids {ids.shape} are not one row per row "
+                                f"of a decode cache of {n_rows}")
         if ids.max() >= self.cfg.vocab_size or ids.min() < 0:
             raise ContractError(f"token id out of range for vocab {self.cfg.vocab_size}")
-        if cache is None:
-            cache = self.decode_cache(enc)
-        elif cache.enc is not enc:
-            raise ContractError("decode cache was made for another encoder output")
         g = self.params
         start = cache.length
         L = ids.shape[1]
@@ -441,35 +436,21 @@ class TransformerModel:
             p = f"dec.{i}"
             kv = self._project_kv(f"{p}.self", x)
             if cache.self_kv[i] is not None:
-                if cache.self_kv[i][0].shape[0] != ids.shape[0]:
-                    raise ContractError(f"{ids.shape[0]} token rows for a decode cache "
-                                        f"of {cache.self_kv[i][0].shape[0]}")
                 kv = tuple(T.concat([old, new], axis=2)
                            for old, new in zip(cache.self_kv[i], kv))
             cache.self_kv[i] = kv
             att = self._multi_head(f"{p}.self", x, kv, mask=mask)
             x = self._norm(f"{p}.ln1", x, att)
-            cross = self._multi_head(f"{p}.cross", x, cache.cross[i], mask=enc.mask)
+            cross = self._multi_head(f"{p}.cross", x, cache.cross[i], mask=cache.mask)
             x = self._norm(f"{p}.ln2", x, cross)
             x = self._norm(f"{p}.ln3", x, self._ffn(p, x))
         cache.length += L
         return T.matmul(x, g["out_proj.w"], g["out_proj.b"])
 
-    def forward_teacher_forced(self, videos, token_ids) -> Tensor:
-        """Teacher-forced logits (B, L, vocab) of a padded caption batch.
-
-        Row b of ``token_ids`` is a caption of ``videos[b]``, a (frames,
-        audio) pair.  Each distinct video, by the identity of its frames and
-        audio, is encoded once, and its encoding is repeated for each of its
-        captions.
-        """
-        slot = {}  # (id(frames), id(audio)) -> (index, video) of each distinct video
-        index = [slot.setdefault((id(f), id(a)), (len(slot), (f, a)))[0] for f, a in videos]
-        enc = self.encode([video for _, video in slot.values()])
-        if len(slot) < len(videos):  # repeat each encoding for its captions
-            enc = Encoding(T.gather_rows(enc.out, index),
-                           None if enc.mask is None else enc.mask[index])
-        return self.decode_logits(enc, token_ids)
+    def forward_teacher_forced(self, enc: Encoding, rows: list, token_ids) -> Tensor:
+        """Teacher-forced logits (B, L, vocab) of a padded caption batch: row b
+        of ``token_ids`` is a caption of video ``rows[b]`` of ``enc``."""
+        return self.decode_logits(self.decode_cache(enc, rows), token_ids)
 
 
 @dataclass
@@ -487,18 +468,18 @@ class Encoding:
 
 @dataclass
 class DecodeCache:
-    """Decoder state of a batch decoded incrementally over ``enc``.
+    """Decoder state of a batch of rows decoded incrementally.
 
     ``cross[i]`` holds decoder layer i's cross-attention (K, V), projected
-    from ``enc`` once; ``self_kv[i]`` holds its self-attention (K, V) rows
+    once from the rows' encoder outputs, and ``mask`` the rows' key mask
+    (see ``Encoding``); ``self_kv[i]`` holds its self-attention (K, V) rows
     of the ``length`` positions decoded so far (None before the first
-    token).  Each K and V is (batch, n_heads, rows, d_head); the cross K/V
-    of a one-video ``enc`` broadcast over every row of the batch.  The batch
+    token).  Each K and V is (rows, n_heads, positions, d_head).  The batch
     keeps its rows from the first step to the last.
     """
 
-    enc: Encoding
     cross: list
+    mask: np.ndarray | None
     self_kv: list
     length: int = 0
 
@@ -543,50 +524,51 @@ def embed_multimodal(videos, model: TransformerModel) -> tuple:
 # decoding
 
 
-def _decode(model: TransformerModel, cache: DecodeCache, rows: int, bos_id: int,
+def _decode(model: TransformerModel, enc: Encoding, rows: list, bos_id: int,
             eos_id: int, pick) -> list:
-    """``rows`` sequences from BOS, advanced in lockstep over ``cache``'s one video.
+    """Sequences from BOS, row b over video ``rows[b]`` of ``enc``, advanced
+    in lockstep under ``no_grad``.
 
-    ``cache`` starts empty.  Each step runs the newest token of every row
-    through the decoder as one (rows, 1) batch, attending over the K/V rows
-    the cache holds for the earlier tokens, and ``pick(logits, step)`` maps
-    the newest (rows, vocab) logits to the next token of every row.  A
-    sequence ends at its EOS or at ``model.cfg.l_max`` + 2 tokens; a row
-    that has ended stays in the batch until every row has, and what it picks
-    after its EOS is dropped.  Returns one id list per row.
+    Each step runs the newest token of every row through the decoder as one
+    (rows, 1) batch, attending over the K/V rows the cache holds for the
+    earlier tokens, and ``pick(logits, step)`` maps the newest (rows, vocab)
+    logits to the next token of every row.  A sequence ends at its EOS or at
+    ``model.cfg.l_max`` + 2 tokens; a row that has ended stays in the batch
+    until every row has, and what it picks after its EOS is dropped.
+    Returns one id list per row.
     """
     l_max = model.cfg.l_max
-    ids = np.full((rows, l_max + 2), bos_id, dtype=np.int64)
-    length = np.full(rows, l_max + 2)  # l_max + 2 while the row runs
-    for step in range(l_max + 1):
-        logits = model.decode_logits(cache.enc, ids[:, step:step + 1], cache=cache).data[:, -1]
-        ids[:, step + 1] = pick(logits, step)
-        length[(length == l_max + 2) & (ids[:, step + 1] == eos_id)] = step + 2
-        if (length < l_max + 2).all():
-            break
+    ids = np.full((len(rows), l_max + 2), bos_id, dtype=np.int64)
+    length = np.full(len(rows), l_max + 2)  # l_max + 2 while the row runs
+    with T.no_grad():
+        cache = model.decode_cache(enc, rows)
+        for step in range(l_max + 1):
+            logits = model.decode_logits(cache, ids[:, step:step + 1]).data[:, -1]
+            ids[:, step + 1] = pick(logits, step)
+            length[(length == l_max + 2) & (ids[:, step + 1] == eos_id)] = step + 2
+            if (length < l_max + 2).all():
+                break
     return [row[:n].tolist() for row, n in zip(ids, length)]
 
 
-def greedy_decode(model: TransformerModel, frames: FeatureMatrix,
-                  audio: FeatureMatrix | None, bos_id: int, eos_id: int) -> list:
-    """Argmax decoding from BOS; ties break toward the lowest token id."""
-    with T.no_grad():
-        cache = model.decode_cache(model.encode([(frames, audio)]))
-        (ids,) = _decode(model, cache, 1, bos_id, eos_id,
-                         lambda logits, step: logits.argmax(axis=-1))
+def greedy_decode(model: TransformerModel, enc: Encoding, video: int,
+                  bos_id: int, eos_id: int) -> list:
+    """Argmax decoding from BOS over video ``video`` of ``enc``; ties break
+    toward the lowest token id."""
+    (ids,) = _decode(model, enc, [video], bos_id, eos_id,
+                     lambda logits, step: logits.argmax(axis=-1))
     return ids
 
 
-def sample_decode(model: TransformerModel, frames: FeatureMatrix,
-                  audio: FeatureMatrix | None, bos_id: int, eos_id: int,
-                  n: int, rng: RngState) -> list:
-    """``n`` multinomial rollouts; returns (ids, per-token log-prob) pairs.
+def sample_decode(model: TransformerModel, enc: Encoding, video: int, bos_id: int,
+                  eos_id: int, n: int, rng: RngState) -> list:
+    """``n`` multinomial rollouts over video ``video`` of ``enc``; returns
+    (ids, per-token log-prob) pairs.
 
     Each token is drawn from the model's own softmax (temperature 1), and
     its log-prob is the policy log-probability of the drawn token.  The
-    rollouts run in lockstep as the n rows of one batch over one encoding,
-    its cross-attention K/V projected once; each ends at its EOS or at
-    ``model.cfg.l_max`` + 2 tokens.
+    rollouts run in lockstep as the n rows of one batch, each reading the
+    video; each ends at its EOS or at ``model.cfg.l_max`` + 2 tokens.
 
     RNG draw order: one ``rng.uniform((n, l_max + 1))`` before the first
     step.  Rollout j takes its t-th token from row j, column t, by the
@@ -607,9 +589,7 @@ def sample_decode(model: TransformerModel, frames: FeatureMatrix,
         logps[:, step] = logp[np.arange(n), idx]
         return idx
 
-    with T.no_grad():
-        cache = model.decode_cache(model.encode([(frames, audio)]))
-        seqs = _decode(model, cache, n, bos_id, eos_id, pick)
+    seqs = _decode(model, enc, [video] * n, bos_id, eos_id, pick)
     return [(ids, lp[:len(ids) - 1].tolist()) for ids, lp in zip(seqs, logps)]
 
 
@@ -654,12 +634,13 @@ def load_checkpoint(path) -> TransformerModel:
     loaded = set()
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
-        # the file holds at least 4 bytes per value: check before allocating
-        needed = 4 * sum(math.prod(shape) for specs, _ in TransformerModel._layout(cfg)
-                         for _, shape in specs)
+        # the file holds at least 4 bytes per value, and at least as many as the
+        # float32 (l_max + 2) x d_model position table: check before allocating
+        needed = 4 * max(sum(math.prod(shape) for specs, _ in TransformerModel._layout(cfg)
+                             for _, shape in specs), (cfg.l_max + 2) * cfg.d_model)
         if needed > size:
             raise FormatError(f"{path} holds {size} bytes, fewer than the {needed} of the "
-                              f"float32 values {cfg_path} describes")
+                              f"float32 values or position table {cfg_path} describes")
         model = TransformerModel(cfg, init="zeros")
 
         def read(n: int) -> bytes:

@@ -1,6 +1,7 @@
 """Self-critical sequence training: sampled rollouts against a greedy baseline.
 
-Each step greedy-decodes a baseline caption per video, draws ``n_samples``
+Each step encodes its batch of videos once, with grad; from that encoding
+it greedy-decodes a baseline caption per video, draws ``n_samples``
 rollouts from the model's own distribution (temperature 1), scores both
 with one fixed reward, sentence CIDEr-D plus smoothed sentence BLEU-4
 (``mixed_reward``), and minimizes
@@ -10,13 +11,14 @@ with one fixed reward, sentence CIDEr-D plus smoothed sentence BLEU-4
 so samples beating the baseline are reinforced and the rest suppressed.
 Rewards are constants in the surrogate; gradient flows only through the
 token log-probabilities of the sampled captions, which the surrogate
-recomputes as one padded teacher-forced batch (``forward_teacher_forced``,
-each video encoded once): a rollout's real tokens weigh advantage / (B*N)
-in the loss, its padding 0.  ``scst_batch_step`` returns the loss and each
-video's trace record; ``finetune_scst`` runs it inside the training loop
-XE uses (``training._fit``), with Adam at the constant learning rate
-``RewardConfig.eta``; every reward reads the video's ``metrics.References``
-table, built once per run under the training references' IDF.
+recomputes as one padded teacher-forced batch over the same encoding
+(``forward_teacher_forced``): a rollout's real tokens weigh advantage /
+(B*N) in the loss, its padding 0.  ``scst_batch_step`` returns the loss
+and each video's trace record; ``finetune_scst`` runs it inside the
+training loop XE uses (``training._fit``), with Adam at the constant
+learning rate ``RewardConfig.eta``; every reward reads the video's
+``metrics.References`` table, built once per run under the training
+references' IDF.
 """
 
 from __future__ import annotations
@@ -57,26 +59,27 @@ def mixed_reward(candidate, refs: References) -> float:
     return cider_sentence(candidate, refs)[1] + bleu4(candidate, refs)
 
 
-def scst_surrogate_loss(model: TransformerModel, items) -> T.Tensor:
+def scst_surrogate_loss(model: TransformerModel, enc, items) -> T.Tensor:
     """Differentiable surrogate with frozen advantages.
 
-    ``items`` holds (sample, token ids, advantage) triples; the loss is the
-    mean over items of advantage * (-sum_t log p(token_t)), so zero advantage
-    contributes exactly zero value and gradient.  All rollouts run as one
-    batch padded with PAD (id 0 in every vocabulary); each sample is encoded
-    once, and backward sums its rollouts' gradients through that encoding.
+    ``items`` holds (video, token ids, advantage) triples, ``video`` an index
+    into the encoding ``enc``; the loss is the mean over items of advantage *
+    (-sum_t log p(token_t)), so zero advantage contributes exactly zero value
+    and gradient.  All rollouts run as one batch padded with PAD (id 0 in
+    every vocabulary), and backward sums each video's rollouts' gradients
+    through its encoding.
     """
     if not items:
         raise ContractError("surrogate loss needs at least one rollout")
     inputs, targets, real = teacher_forcing([ids for _, ids, _ in items], 0)
     weight = np.array([advantage for _, _, advantage in items], dtype=np.float64) / len(items)
-    logits = model.forward_teacher_forced([(s.frames, s.audio) for s, _, _ in items], inputs)
+    logits = model.forward_teacher_forced(enc, [video for video, _, _ in items], inputs)
     return T.cross_entropy(logits, targets, real * weight[:, None])
 
 
 def scst_batch_step(model: TransformerModel, batch, vocab: Vocabulary,
                     rc: RewardConfig, rng: RngState, reward_fn) -> tuple:
-    """Rollouts, rewards, surrogate backward for one batch of videos.
+    """Rollouts, rewards, surrogate backward for one batch of videos, over one encoding.
 
     Returns (loss value, records), one record per video in batch order: the
     dict ``finetune_scst`` writes for that video in its trace line.
@@ -85,16 +88,15 @@ def scst_batch_step(model: TransformerModel, batch, vocab: Vocabulary,
     """
     records = []
     items = []
-    for sample in batch:
-        base_ids = greedy_decode(model, sample.frames, sample.audio,
-                                 vocab.bos_id, vocab.eos_id)
+    enc = model.encode([(sample.frames, sample.audio) for sample in batch])
+    for video, sample in enumerate(batch):
+        base_ids = greedy_decode(model, enc, video, vocab.bos_id, vocab.eos_id)
         r_base = reward_fn(normalize_words(decode(base_ids, vocab)), sample)
         rollouts = [ids for ids, _ in sample_decode(
-            model, sample.frames, sample.audio, vocab.bos_id, vocab.eos_id,
-            rc.n_samples, rng)]
+            model, enc, video, vocab.bos_id, vocab.eos_id, rc.n_samples, rng)]
         rewards = [reward_fn(normalize_words(decode(ids, vocab)), sample) for ids in rollouts]
         advantages = [r - r_base for r in rewards]
-        items += [(sample, ids, a) for ids, a in zip(rollouts, advantages)]
+        items += [(video, ids, a) for ids, a in zip(rollouts, advantages)]
         records.append({"id": sample.id, "baseline_reward": r_base,
                         "sample_rewards": rewards, "advantages": advantages,
                         "baseline_length": len(base_ids) - 1,
@@ -102,7 +104,7 @@ def scst_batch_step(model: TransformerModel, batch, vocab: Vocabulary,
                         "truncated": sum(ids[-1] != vocab.eos_id for ids in rollouts)})
 
     model.zero_grad()
-    loss = scst_surrogate_loss(model, items)
+    loss = scst_surrogate_loss(model, enc, items)
     loss.backward()
     return loss.item(), records
 

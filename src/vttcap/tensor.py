@@ -482,12 +482,12 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None = None) -
 
 
 def split_heads(x: Tensor, n_heads: int) -> Tensor:
-    """(..., rows, n_heads * d_head) -> (..., n_heads, rows, d_head)."""
+    """(..., rows, n_heads * d_head) -> (..., n_heads, rows, d_head), a view of x."""
     shape = x.data.shape
     if len(shape) < 2 or n_heads < 1 or shape[-1] % n_heads:
         raise DimensionError(f"cannot split {shape} into {n_heads} heads")
     heads = np.swapaxes(x.data.reshape(shape[:-1] + (n_heads, shape[-1] // n_heads)), -3, -2)
-    return _result(np.ascontiguousarray(heads), (x,),
+    return _result(heads, (x,),
                    lambda out: lambda g: x._accumulate(np.swapaxes(g, -3, -2).reshape(shape)))
 
 
@@ -576,8 +576,8 @@ def _slice(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
 
 def gather_rows(table: Tensor, ids) -> Tensor:
     """Entries ``ids`` of the leading axis of ``table``, shape ids.shape +
-    table.shape[1:]: token embeddings, or a batch's encodings repeated per
-    caption.  Backward scatter-adds straight into the table's gradient."""
+    table.shape[1:]: token embeddings, or a batch's encodings, one per
+    decoder row.  Backward scatter-adds straight into the table's gradient."""
     ids = np.asarray(ids, dtype=np.int64)
     shape = table.data.shape
     if not shape:

@@ -20,11 +20,12 @@ validates at the end of each epoch against reference tables built once,
 keeps the last and the best-CIDEr-D checkpoints, and stops after
 ``patience`` validations without improvement.
 
-An XE step is one graph: its (video, caption) pairs go through
-``forward_teacher_forced`` as one padded batch (``teacher_forcing``), each
-distinct video encoded once, and the loss weights every real target token 1
-and every padded one 0.  ``validation_loss`` runs the validation pairs the
-same way, ``batch_size`` pairs at a time.
+An XE step is one graph: the step's distinct videos are encoded once, in
+the order they first appear, and its (video, caption) pairs go through
+``forward_teacher_forced`` over that encoding as one padded batch
+(``teacher_forcing``); the loss weights every real target token 1 and every
+padded one 0.  ``validation_loss`` runs the validation pairs the same way,
+``batch_size`` pairs at a time.
 """
 
 from __future__ import annotations
@@ -225,8 +226,10 @@ def _xe_sum(model: TransformerModel, samples, pairs, vocab: Vocabulary) -> tuple
     """Summed cross entropy over the real target tokens of ``pairs``, run as
     one padded batch, plus their count."""
     inputs, targets, real = teacher_forcing([ids for _, ids in pairs], vocab.pad_id)
-    videos = [(samples[i].frames, samples[i].audio) for i, _ in pairs]
-    logits = model.forward_teacher_forced(videos, inputs)
+    place = {}  # sample index -> its video's place in the encoder batch
+    rows = [place.setdefault(i, len(place)) for i, _ in pairs]
+    enc = model.encode([(samples[i].frames, samples[i].audio) for i in place])
+    logits = model.forward_teacher_forced(enc, rows, inputs)
     return T.cross_entropy(logits, targets, real), float(real.sum())
 
 
@@ -252,9 +255,10 @@ def validation_loss(model: TransformerModel, samples, pairs, vocab: Vocabulary,
 
 
 def greedy_texts(model: TransformerModel, samples, vocab: Vocabulary) -> list:
-    """The greedy caption of every sample, as text, one decode per sample."""
-    return [decode(greedy_decode(model, s.frames, s.audio, vocab.bos_id, vocab.eos_id), vocab)
-            for s in samples]
+    """The greedy caption of every sample, as text, one encoding and decode per sample."""
+    with T.no_grad():
+        return [decode(greedy_decode(model, model.encode([(s.frames, s.audio)]), 0,
+                                     vocab.bos_id, vocab.eos_id), vocab) for s in samples]
 
 
 def evaluate(model: TransformerModel, samples, vocab: Vocabulary, tables) -> MetricReport:

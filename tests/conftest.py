@@ -73,6 +73,19 @@ def sum_all(x):
     return T._result(x.data.sum(), (x,), make)
 
 
+def teacher_forced(model, videos, token_ids):
+    """Teacher-forced logits of caption row b over ``videos[b]``, a (frames,
+    audio) pair, every video encoded in one batch."""
+    return model.forward_teacher_forced(model.encode(videos), list(range(len(videos))),
+                                        token_ids)
+
+
+def encoded(model, frames, audio=None):
+    """The encoding of the one video (frames, audio), made without a graph."""
+    with T.no_grad():
+        return model.encode([(frames, audio)])
+
+
 def only(batch):
     """Row 0 of a batch of one, as a tensor, for checks on one video's
     (positions, ...) values."""

@@ -167,6 +167,8 @@ def test_config_contract(workdir, tmp_path, override, code):
     '{"vocab_size": 0}',
     '{"d_ff": 0}',
     '{"d_model": 65536, "n_heads": 1}',  # a model of 192 GiB that the file does not hold
+    '{"l_max": 100000000}',  # a position table of 12 GiB
+    '{"l_max": 1000000000000000}',  # one of 114 PiB
 ])
 def test_corrupt_checkpoint_config_exits_2(workdir, tmp_path, capsys, monkeypatch, sidecar):
     def allocate(*args, **kwargs):
@@ -306,6 +308,23 @@ def test_malformed_hypothesis_exits_2(workdir, tmp_path, capsys, line):
     assert code == 2
     assert "hyp.jsonl:1" in capsys.readouterr().err
     assert not (tmp_path / "score.json").exists()
+
+
+def test_deeply_nested_hypothesis_exits_2(workdir, tmp_path, capsys):
+    hyp = tmp_path / "hyp.jsonl"
+    hyp.write_text("[" * 100_000 + "\n")
+    assert dispatch(["score", "--hyp", str(hyp), "--refs", str(workdir / "data" / "val.jsonl")]) == 2
+    assert "hyp.jsonl:1" in capsys.readouterr().err
+
+
+def test_deeply_nested_config_exits_2(workdir, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text("[" * 100_000)
+    args = run_args(workdir, tmp_path / "run")
+    args[1] = str(config)
+    assert dispatch(["train", *args]) == 2
+    assert "config.json" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("override", [

@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import assert_grads_match, only, tiny_config
+from conftest import assert_grads_match, encoded, only, teacher_forced, tiny_config
 from vttcap import tensor as T
 from vttcap.errors import ContractError, FormatError
 from vttcap.features import FeatureMatrix, VideoSample, dummy_audio
@@ -110,8 +110,8 @@ class TestEmbedMultimodal:
     def test_dummy_equals_absent(self, np_rng):
         model = TransformerModel(self.cfg, seed=4)
         frames = rand_frames(np_rng)
-        a = only(model.forward_teacher_forced([(frames, None)], [[2, 5, 7]]))
-        b = only(model.forward_teacher_forced([(frames, dummy_audio(1, 3))], [[2, 5, 7]]))
+        a = only(teacher_forced(model, [(frames, None)], [[2, 5, 7]]))
+        b = only(teacher_forced(model, [(frames, dummy_audio(1, 3))], [[2, 5, 7]]))
         assert np.array_equal(a.data, b.data)
 
     def test_frames_beyond_offset_rejected(self, np_rng):
@@ -212,26 +212,26 @@ class TestForwardTeacherForced:
     def test_causal_mask(self, kind, np_rng):
         model = TransformerModel(tiny_config(kind), seed=2)
         frames = rand_frames(np_rng)
-        base = only(model.forward_teacher_forced([(frames, None)], [[2, 5, 7, 9]]))
-        poked = only(model.forward_teacher_forced([(frames, None)], [[2, 5, 8, 9]]))
+        base = only(teacher_forced(model, [(frames, None)], [[2, 5, 7, 9]]))
+        poked = only(teacher_forced(model, [(frames, None)], [[2, 5, 8, 9]]))
         assert np.array_equal(base.data[:2], poked.data[:2])
         assert not np.array_equal(base.data[2:], poked.data[2:])
 
     def test_logit_shape(self, np_rng):
         model = TransformerModel(tiny_config(), seed=2)
-        out = only(model.forward_teacher_forced([(rand_frames(np_rng), None)], [[2, 5, 7]]))
+        out = only(teacher_forced(model, [(rand_frames(np_rng), None)], [[2, 5, 7]]))
         assert out.shape == (3, 12)
 
     def test_zero_init_cross_entropy_is_log_vocab(self, np_rng):
         model = TransformerModel(tiny_config(), init="zeros")
-        logits = only(model.forward_teacher_forced([(rand_frames(np_rng), None)], [[2, 5, 7]]))
+        logits = only(teacher_forced(model, [(rand_frames(np_rng), None)], [[2, 5, 7]]))
         ce = T.cross_entropy(logits, [5, 7, 3])
         assert ce.item() == pytest.approx(3 * np.log(12), rel=1e-6)
 
     def test_token_out_of_range(self, np_rng):
         model = TransformerModel(tiny_config(), seed=2)
         with pytest.raises(ContractError):
-            model.forward_teacher_forced([(rand_frames(np_rng), None)], [[2, 12]])
+            teacher_forced(model, [(rand_frames(np_rng), None)], [[2, 12]])
 
     def test_encoder_is_order_sensitive(self, np_rng):
         model = TransformerModel(tiny_config(), seed=2)
@@ -251,7 +251,7 @@ class TestGradientChecks:
         ids = [2, 5, 7, 4, 3]
 
         def loss():
-            logits = only(model.forward_teacher_forced([(frames, audio)], [ids[:-1]]))
+            logits = only(teacher_forced(model, [(frames, audio)], [ids[:-1]]))
             return T.cross_entropy(logits, ids[1:])
 
         worst = assert_grads_match(loss, list(model.params.values()),
@@ -269,36 +269,34 @@ class TestGreedyDecode:
         model.params["out_proj.w"].data[...] = probe
         with T.no_grad():
             enc = model.encode([(FeatureMatrix(np.zeros((2, 5), dtype=np.float32)), None)])
-            x0 = model.decode_logits(enc, [[2]]).data[0][0, :8].astype(np.float64)
-            x1 = model.decode_logits(enc, [[2, 7]]).data[0][1, :8].astype(np.float64)
+            x0 = model.forward_teacher_forced(enc, [0], [[2]]).data[0][0, :8].astype(np.float64)
+            x1 = model.forward_teacher_forced(enc, [0], [[2, 7]]).data[0][1, :8].astype(np.float64)
         w = np.zeros((8, 12))
         w[:, 7] = x0 / np.linalg.norm(x0)
         w[:, 3] = x1 / np.linalg.norm(x1)  # EOS column
         model.params["out_proj.w"].data[...] = w
-        ids = greedy_decode(model, FeatureMatrix(np.zeros((2, 5), dtype=np.float32)),
-                            None, bos_id=2, eos_id=3)
+        ids = greedy_decode(model, enc, 0, bos_id=2, eos_id=3)
         assert ids == [2, 7, 3]
 
     def test_length_cap(self, np_rng):
         model = TransformerModel(tiny_config(l_max=6), init="zeros")
         model.params["out_proj.b"].data[7] = 5.0  # constant argmax, never EOS
-        ids = greedy_decode(model, rand_frames(np_rng), None, 2, 3)
+        ids = greedy_decode(model, encoded(model, rand_frames(np_rng)), 0, 2, 3)
         assert len(ids) <= 6 + 2
         assert ids == [2] + [7] * 7
 
     def test_deterministic(self, np_rng):
         model = TransformerModel(tiny_config(), seed=9)
-        frames = rand_frames(np_rng)
-        assert greedy_decode(model, frames, None, 2, 3) == \
-            greedy_decode(model, frames, None, 2, 3)
+        enc = encoded(model, rand_frames(np_rng))
+        assert greedy_decode(model, enc, 0, 2, 3) == greedy_decode(model, enc, 0, 2, 3)
 
 
 class TestSampleDecode:
     def test_seed_reproducibility(self, np_rng):
         model = TransformerModel(tiny_config(), seed=5)
-        frames = rand_frames(np_rng)
-        a = sample_decode(model, frames, None, 2, 3, n=4, rng=RngState(11))
-        b = sample_decode(model, frames, None, 2, 3, n=4, rng=RngState(11))
+        enc = encoded(model, rand_frames(np_rng))
+        a = sample_decode(model, enc, 0, 2, 3, n=4, rng=RngState(11))
+        b = sample_decode(model, enc, 0, 2, 3, n=4, rng=RngState(11))
         assert a == b
 
     def test_first_token_frequencies(self):
@@ -314,7 +312,8 @@ class TestSampleDecode:
         probs = np.zeros(8)
         probs[4:7] = np.array([1.0, 2.0, 4.0]) / 7.0
         n = 100_000
-        rolls = sample_decode(model, frames, None, bos_id=2, eos_id=3, n=n, rng=RngState(123))
+        rolls = sample_decode(model, encoded(model, frames), 0, bos_id=2, eos_id=3, n=n,
+                              rng=RngState(123))
         firsts = np.array([ids[1] for ids, _ in rolls])
         freq = np.bincount(firsts, minlength=8) / n
         sigma = np.sqrt(probs * (1 - probs) / n)
@@ -324,10 +323,10 @@ class TestSampleDecode:
     def test_logps_match_distribution(self, np_rng):
         model = TransformerModel(tiny_config(), seed=5)
         frames = rand_frames(np_rng)
-        (ids, logps), = sample_decode(model, frames, None, 2, 3, n=1,
+        (ids, logps), = sample_decode(model, encoded(model, frames), 0, 2, 3, n=1,
                                       rng=RngState(7))
         with T.no_grad():
-            logits = only(model.forward_teacher_forced([(frames, None)], [ids[:-1]]))
+            logits = only(teacher_forced(model, [(frames, None)], [ids[:-1]]))
         expected = T.log_softmax_lastdim(logits.data.astype(np.float64))
         for t, tok in enumerate(ids[1:]):
             assert logps[t] == pytest.approx(expected[t, tok], abs=1e-5)
@@ -339,7 +338,7 @@ def reference_decode(model, frames, audio, bos_id, eos_id, l_max, pick):
         enc = model.encode([(frames, audio)])
         ids = [bos_id]
         while len(ids) < l_max + 2:
-            ids.append(pick(model.decode_logits(enc, [ids]).data[0, -1]))
+            ids.append(pick(model.forward_teacher_forced(enc, [0], [ids]).data[0, -1]))
             if ids[-1] == eos_id:
                 break
     return ids
@@ -385,27 +384,27 @@ class TestDecodeCache:
         ids = [2, 5, 7, 4, 9, 1, 6, 11, 8, 5]  # l_max + 2 tokens
         with T.no_grad():
             enc = model.encode([(frames, audio)])
-            cache = model.decode_cache(enc)
+            cache = model.decode_cache(enc, [0])
             # one token per call, with two multi-token calls among them
             chunks = [ids[:3], ids[3:4], ids[4:7]] + [[i] for i in ids[7:]]
             pos = 0
             for chunk in chunks:
-                step = model.decode_logits(enc, [chunk], cache=cache).data[0]
+                step = model.decode_logits(cache, [chunk]).data[0]
                 pos += len(chunk)
-                full = model.decode_logits(enc, [ids[:pos]]).data[0][pos - len(chunk):]
+                full = model.forward_teacher_forced(enc, [0], [ids[:pos]]).data[0][pos - len(chunk):]
                 assert step.shape == full.shape
                 assert np.max(np.abs(step - full)) <= tol * np.max(np.abs(full))
             assert cache.length == len(ids)
             # three rows in lockstep: each row's step logits are its own decode's
             seqs = np.array([[2, 5, 8], [2, 6, 3], [2, 7, 9]])
-            cache = model.decode_cache(enc)
+            cache = model.decode_cache(enc, [0, 0, 0])
             for t in range(seqs.shape[1]):
-                step = model.decode_logits(enc, seqs[:, t:t + 1], cache=cache).data[:, 0]
+                step = model.decode_logits(cache, seqs[:, t:t + 1]).data[:, 0]
                 for row, got in zip(seqs, step):
-                    alone = model.decode_logits(enc, [row[:t + 1]]).data[0, -1]
+                    alone = model.forward_teacher_forced(enc, [0], [row[:t + 1]]).data[0, -1]
                     assert np.max(np.abs(got - alone)) <= tol * np.max(np.abs(alone))
-            with pytest.raises(ContractError, match="token rows"):
-                model.decode_logits(enc, [[4], [4]], cache=cache)
+            with pytest.raises(ContractError, match="decode cache of 3"):
+                model.decode_logits(cache, [[4], [4]])
 
     @pytest.mark.parametrize("kind", ["memory_scaled_dot", "x_linear"])
     @pytest.mark.parametrize("with_audio", [False, True])
@@ -415,26 +414,44 @@ class TestDecodeCache:
             frames, audio = video(np_rng, with_audio)
             expected = reference_decode(model, frames, audio, 2, 3, 8,
                                         lambda row: int(np.argmax(row)))
-            assert greedy_decode(model, frames, audio, 2, 3) == expected
+            assert greedy_decode(model, encoded(model, frames, audio), 0, 2, 3) == expected
 
     @pytest.mark.parametrize("kind", ["memory_scaled_dot", "x_linear"])
     @pytest.mark.parametrize("with_audio", [False, True])
     def test_sample_matches_uncached_loop(self, kind, with_audio, np_rng):
         model = TransformerModel(tiny_config(kind), seed=5)
         frames, audio = video(np_rng, with_audio)
-        got = sample_decode(model, frames, audio, 2, 3, n=6, rng=RngState(21))
+        got = sample_decode(model, encoded(model, frames, audio), 0, 2, 3, n=6, rng=RngState(21))
         expected = reference_sample(model, frames, audio, 6, RngState(21), 8)
         assert [ids for ids, _ in got] == [ids for ids, _ in expected]
         assert len({tuple(ids) for ids, _ in got}) > 1  # rollouts differ
         for (_, a), (_, b) in zip(got, expected):
             assert np.allclose(a, b, rtol=0, atol=1e-5)
 
+    @pytest.mark.parametrize("kind", ["memory_scaled_dot", "x_linear"])
+    @pytest.mark.parametrize("with_audio", [False, True])
+    def test_a_video_of_a_batch_decodes_as_it_does_alone(self, kind, with_audio, np_rng):
+        model = TransformerModel(tiny_config(kind), seed=5)
+        model.params["out_proj.b"].data[3] = 1.5  # EOS likely, but not at once
+        samples = batch_samples(np_rng, with_audio)  # 2, 4 and 3 frames
+        with T.no_grad():
+            batch = model.encode([(s.frames, s.audio) for s in samples])
+        assert batch.mask is not None
+        for v, s in enumerate(samples):
+            alone = encoded(model, s.frames, s.audio)
+            assert greedy_decode(model, batch, v, 2, 3) == greedy_decode(model, alone, 0, 2, 3)
+            got, want = (sample_decode(model, enc, row, 2, 3, n=6, rng=RngState(v))
+                         for enc, row in ((batch, v), (alone, 0)))
+            assert [ids for ids, _ in got] == [ids for ids, _ in want]
+            for (_, a), (_, b) in zip(got, want):
+                assert np.allclose(a, b, rtol=0, atol=1e-5)
+
     def test_eos_at_first_step(self, np_rng):
         model = TransformerModel(tiny_config(), seed=5)
         model.params["out_proj.b"].data[3] = 50.0
         frames, audio = video(np_rng, True)
-        assert greedy_decode(model, frames, audio, 2, 3) == [2, 3]
-        rolls = sample_decode(model, frames, audio, 2, 3, n=3, rng=RngState(1))
+        assert greedy_decode(model, encoded(model, frames, audio), 0, 2, 3) == [2, 3]
+        rolls = sample_decode(model, encoded(model, frames, audio), 0, 2, 3, n=3, rng=RngState(1))
         assert [ids for ids, _ in rolls] == [[2, 3]] * 3
         assert all(len(logps) == 1 for _, logps in rolls)
 
@@ -442,11 +459,11 @@ class TestDecodeCache:
         model = TransformerModel(tiny_config(l_max=4), seed=5)
         model.params["out_proj.b"].data[3] = -50.0  # never EOS
         frames, audio = video(np_rng, False)
-        ids = greedy_decode(model, frames, audio, 2, 3)
+        ids = greedy_decode(model, encoded(model, frames, audio), 0, 2, 3)
         assert len(ids) == 6
         assert ids == reference_decode(model, frames, audio, 2, 3, 4,
                                        lambda row: int(np.argmax(row)))
-        got = sample_decode(model, frames, audio, 2, 3, n=2, rng=RngState(8))
+        got = sample_decode(model, encoded(model, frames, audio), 0, 2, 3, n=2, rng=RngState(8))
         expected = reference_sample(model, frames, audio, 2, RngState(8), 4)
         assert [ids for ids, _ in got] == [ids for ids, _ in expected]
         assert all(len(ids) == 6 for ids, _ in got)
@@ -459,12 +476,12 @@ class TestDecodeCache:
         rows = []
         decode_logits = TransformerModel.decode_logits
 
-        def counting(self, enc, token_ids, cache=None):
+        def counting(self, cache, token_ids):
             rows.append(len(token_ids))
-            return decode_logits(self, enc, token_ids, cache=cache)
+            return decode_logits(self, cache, token_ids)
 
         monkeypatch.setattr(TransformerModel, "decode_logits", counting)
-        got = sample_decode(model, frames, audio, 2, 3, n=8, rng=RngState(2))
+        got = sample_decode(model, encoded(model, frames, audio), 0, 2, 3, n=8, rng=RngState(2))
         lengths = {len(ids) for ids, _ in got}
         assert len(lengths) > 2  # rollouts end at different steps
         assert rows == [8] * (max(lengths) - 1)
@@ -476,7 +493,7 @@ class TestDecodeCache:
         model = TransformerModel(tiny_config(kind), seed=5)
         model.params["out_proj.b"].data[3] = 1.5  # EOS likely, but not at once
         frames, audio = video(np_rng, with_audio)
-        got = sample_decode(model, frames, audio, 2, 3, n=8, rng=RngState(2))
+        got = sample_decode(model, encoded(model, frames, audio), 0, 2, 3, n=8, rng=RngState(2))
         expected = reference_sample(model, frames, audio, 8, RngState(2), 8)
         assert len({len(ids) for ids, _ in got}) > 2
         assert [ids for ids, _ in got] == [ids for ids, _ in expected]
@@ -487,10 +504,10 @@ class TestDecodeCache:
         model = TransformerModel(tiny_config(), seed=5)
         frames, audio = video(np_rng, True)
         rng = RngState(9)
-        few = sample_decode(model, frames, audio, 2, 3, n=3, rng=rng)
+        few = sample_decode(model, encoded(model, frames, audio), 0, 2, 3, n=3, rng=rng)
         stream = RngState(9).uniform(3 * (8 + 1) + 1)  # n * (l_max + 1) draws, then the next
         assert rng.random() == stream[-1]
-        many = sample_decode(model, frames, audio, 2, 3, n=6, rng=RngState(9))
+        many = sample_decode(model, encoded(model, frames, audio), 0, 2, 3, n=6, rng=RngState(9))
         assert many[:3] == few
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -512,26 +529,17 @@ class TestDecodeCache:
         logits = {}
         with T.no_grad():
             for name, model in (("short", short), ("wide", wide)):
-                enc = model.encode([(frames, audio)])
-                cache = model.decode_cache(enc)
-                logits[name] = [model.decode_logits(enc, [ids[:3]], cache=cache).data]
+                cache = model.decode_cache(model.encode([(frames, audio)]), [0])
+                logits[name] = [model.decode_logits(cache, [ids[:3]]).data]
                 if model is short:
                     with pytest.raises(ContractError, match="l_max"):  # positions 3 and 4
-                        model.decode_logits(enc, [ids[3:]], cache=cache)
+                        model.decode_logits(cache, [ids[3:]])
                     assert cache.length == 3
-                logits[name].append(model.decode_logits(enc, [ids[3:4]], cache=cache).data)
+                logits[name].append(model.decode_logits(cache, [ids[3:4]]).data)
             with pytest.raises(ContractError, match="l_max"):
-                short.forward_teacher_forced([(frames, audio)], [ids])
+                teacher_forced(short, [(frames, audio)], [ids])
         for got, want in zip(logits["short"], logits["wide"]):
             assert np.array_equal(got, want)
-
-    def test_cache_of_another_encoding_rejected(self, np_rng):
-        model = TransformerModel(tiny_config(), seed=5)
-        with T.no_grad():
-            cache = model.decode_cache(model.encode([(rand_frames(np_rng), None)]))
-            other = model.encode([(rand_frames(np_rng), None)])
-            with pytest.raises(ContractError, match="encoder output"):
-                model.decode_logits(other, [[2]], cache=cache)
 
 
 # ---------------------------------------------------------------------------
@@ -705,12 +713,11 @@ class TestPerHeadReference:
         expected = ref_logits(per_head_params(model), model.cfg, frames, audio, ids)
         scale = np.max(np.abs(expected))
         with T.no_grad():
-            got = model.forward_teacher_forced([(frames, audio)], [ids]).data[0]
+            got = teacher_forced(model, [(frames, audio)], [ids]).data[0]
             assert np.max(np.abs(got - expected)) <= tol * scale
-            enc = model.encode([(frames, audio)])
-            cache = model.decode_cache(enc)
+            cache = model.decode_cache(model.encode([(frames, audio)]), [0])
             for t, tok in enumerate(ids):
-                step = model.decode_logits(enc, [[tok]], cache=cache).data[0, 0]
+                step = model.decode_logits(cache, [[tok]]).data[0, 0]
                 assert np.max(np.abs(step - expected[t])) <= tol * scale, t
 
     @pytest.mark.parametrize("kind,n_heads", HEAD_CONFIGS)
@@ -719,7 +726,7 @@ class TestPerHeadReference:
         model = head_model(kind, n_heads, seed=5)
         frames, audio = video(np_rng, with_audio)
         P, cfg = per_head_params(model), model.cfg
-        assert greedy_decode(model, frames, audio, 2, 3) == \
+        assert greedy_decode(model, encoded(model, frames, audio), 0, 2, 3) == \
             ref_decode(P, cfg, frames, audio, cfg.l_max, lambda row: int(np.argmax(row)))
         u = RngState(21).uniform((4, cfg.l_max + 1))
 
@@ -733,7 +740,7 @@ class TestPerHeadReference:
             return ref_decode(P, cfg, frames, audio, cfg.l_max, pick)
 
         expected = [sampled(j) for j in range(4)]
-        got = sample_decode(model, frames, audio, 2, 3, n=4, rng=RngState(21))
+        got = sample_decode(model, encoded(model, frames, audio), 0, 2, 3, n=4, rng=RngState(21))
         assert [ids for ids, _ in got] == expected
 
 
@@ -747,7 +754,7 @@ def sequence_loss(model, sample, ids, vocab):
     """Summed cross entropy over non-PAD target positions, plus their count."""
     targets = np.asarray(ids[1:], dtype=np.int64)
     weights = (targets != vocab.pad_id).astype(np.float64)
-    logits = only(model.forward_teacher_forced([(sample.frames, sample.audio)], [ids[:-1]]))
+    logits = only(teacher_forced(model, [(sample.frames, sample.audio)], [ids[:-1]]))
     return T.cross_entropy(logits, targets, weights), float(weights.sum())
 
 
@@ -760,10 +767,10 @@ def per_pair_xe_loss(model, samples, pairs, vocab):
     return T.scale(total, 1.0 / denom)
 
 
-def per_rollout_surrogate(model, items, vocab):
+def per_rollout_surrogate(model, samples, items, vocab):
     total = None
-    for sample, ids, advantage in items:
-        ce, _ = sequence_loss(model, sample, ids, vocab)
+    for video, ids, advantage in items:
+        ce, _ = sequence_loss(model, samples[video], ids, vocab)
         term = T.scale(ce, advantage)
         total = term if total is None else T.add(total, term)
     return T.scale(total, 1.0 / len(items))
@@ -840,11 +847,12 @@ class TestBatchedTeacherForcing:
     def test_surrogate_matches_per_rollout(self, kind, with_audio, dtype, tol, np_rng):
         model = TransformerModel(tiny_config(kind), seed=7, dtype=dtype)
         samples = batch_samples(np_rng, with_audio)
-        items = [(samples[i], ids, adv)
-                 for (i, ids), adv in zip(BATCH_PAIRS, (0.5, -1.25, 2.0, 0.0, 0.75))]
-        loss, grads = loss_and_grads(model, lambda: scst_surrogate_loss(model, items))
+        items = [(i, ids, adv) for (i, ids), adv in zip(BATCH_PAIRS, (0.5, -1.25, 2.0, 0.0, 0.75))]
+        videos = [(s.frames, s.audio) for s in samples]
+        loss, grads = loss_and_grads(
+            model, lambda: scst_surrogate_loss(model, model.encode(videos), items))
         ref_loss, ref = loss_and_grads(
-            model, lambda: per_rollout_surrogate(model, items, BATCH_VOCAB))
+            model, lambda: per_rollout_surrogate(model, samples, items, BATCH_VOCAB))
         assert loss == pytest.approx(ref_loss, rel=tol)
         assert grads.keys() == ref.keys()
         for name in ref:
@@ -864,7 +872,7 @@ class TestBatchedTeacherForcing:
             ids = np.array([c + [0] * (width - len(c)) for _, c in pairs])
             with T.no_grad():
                 logp = T.log_softmax_lastdim(
-                    model.forward_teacher_forced(videos, ids[:, :-1]).data)
+                    teacher_forced(model, videos, ids[:, :-1]).data)
             return [-sum(logp[b, t, c[t + 1]] for t in range(len(c) - 1))
                     for b, (_, c) in enumerate(pairs)]
 
@@ -889,7 +897,7 @@ class TestBatchedTeacherForcing:
         width = max(len(c) for c in captions)
         ids = np.array([c + [BATCH_VOCAB.pad_id] * (width - len(c)) for c in captions])
         real = (np.arange(width - 1) < np.array([len(c) - 1 for c in captions])[:, None])
-        logits = model.decode_logits(enc, ids[:, :-1])
+        logits = model.forward_teacher_forced(enc, [0, 1, 2], ids[:, :-1])
         T.cross_entropy(logits, ids[:, 1:], real.astype(np.float64)).backward()
         assert np.all(enc.out.grad[padding] == 0.0)
         assert np.any(enc.out.grad[~padding] != 0.0)
@@ -922,11 +930,10 @@ class TestGraphSize:
         loss = batch_xe_loss(model, samples, BATCH_PAIRS, BATCH_VOCAB)
         assert len(T._toposort(loss)) == xe_nodes
         with T.no_grad():  # the encoder and the first token, as decoding runs them
-            enc = model.encode([(samples[0].frames, samples[0].audio)])
-            cache = model.decode_cache(enc)
-            model.decode_logits(enc, [[BATCH_VOCAB.bos_id]], cache=cache)
+            cache = model.decode_cache(model.encode([(samples[0].frames, samples[0].audio)]), [0])
+            model.decode_logits(cache, [[BATCH_VOCAB.bos_id]])
         # the second token's step, recorded; X-linear is an encoder block only
-        assert len(T._toposort(model.decode_logits(enc, [[5]], cache=cache))) == 51
+        assert len(T._toposort(model.decode_logits(cache, [[5]]))) == 51
 
 
 class TestHeadBatchedAttention:
@@ -973,7 +980,7 @@ class TestGraphLifetime:
         gc.collect()
         gc.disable()
         try:
-            logits = only(model.forward_teacher_forced([(frames, audio)], [[2, 5, 7, 4]]))
+            logits = only(teacher_forced(model, [(frames, audio)], [[2, 5, 7, 4]]))
             loss = T.cross_entropy(logits, [5, 7, 4, 3])
             loss.backward()
             del logits, loss
@@ -1076,8 +1083,8 @@ class TestCheckpoint:
         for name, p in model.params.items():
             assert np.array_equal(p.data, again.params[name].data), name
         frames = rand_frames(np_rng)
-        a = only(model.forward_teacher_forced([(frames, None)], [[2, 5, 3]]))
-        b = only(again.forward_teacher_forced([(frames, None)], [[2, 5, 3]]))
+        a = only(teacher_forced(model, [(frames, None)], [[2, 5, 3]]))
+        b = only(teacher_forced(again, [(frames, None)], [[2, 5, 3]]))
         assert np.array_equal(a.data, b.data)
 
     def test_deterministic_bytes(self, tmp_path):

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import assert_grads_match, rel_err, sum_all, tiny_config
+from conftest import assert_grads_match, rel_err, sum_all, teacher_forced, tiny_config
 from vttcap import tensor as T
 from vttcap.errors import ContractError, DimensionError
 from vttcap.features import FeatureMatrix
@@ -257,7 +257,7 @@ class TestGraphLifetime:
         weight = model.params["out_proj.w"]
         assert weight.data.size > 3 * T._GRAD_BLOCK
         frames = FeatureMatrix(np.random.default_rng(3).normal(size=(4, 5)))
-        loss = T.cross_entropy(model.forward_teacher_forced([(frames, None)], [[1, 5]]), [[5, 2]])
+        loss = T.cross_entropy(teacher_forced(model, [(frames, None)], [[1, 5]]), [[5, 2]])
         tracemalloc.start()
         try:
             loss.backward()

@@ -8,7 +8,7 @@ import os
 import numpy as np
 import pytest
 
-from conftest import only, tiny_config
+from conftest import only, teacher_forced, tiny_config
 from vttcap import metrics, scst, training
 from vttcap import tensor as T
 from vttcap.errors import ContractError, TrainingError
@@ -248,9 +248,10 @@ def test_every_parameter_gets_a_gradient_on_every_step(corpus, kind, with_audio)
                for s in train.load_samples()[:3]]
     assert with_audio == any(s.audio is not None for s in samples)
     pairs = caption_pairs(samples, vocab, model.cfg.l_max)
-    items = [(samples[i], ids, (-1.0) ** k) for k, (i, ids) in enumerate(pairs)]
+    items = [(i, ids, (-1.0) ** k) for k, (i, ids) in enumerate(pairs)]
+    videos = [(s.frames, s.audio) for s in samples]
     for loss_fn in (lambda: batch_xe_loss(model, samples, pairs, vocab),
-                    lambda: scst_surrogate_loss(model, items)):
+                    lambda: scst_surrogate_loss(model, model.encode(videos), items)):
         model.zero_grad()
         loss = loss_fn()
         reached = {id(t) for t in T._toposort(loss)}
@@ -361,25 +362,35 @@ class TestScst:
         grads = [p.grad for p in model.params.values() if p.grad is not None]
         assert grads and all(not np.any(g) for g in grads)
 
+    def test_a_step_encodes_its_batch_once(self, corpus, monkeypatch):
+        model, batch, vocab = self.setup_batch(corpus)
+        encodings = record_calls(monkeypatch, TransformerModel, "encode")
+        decoded = record_decodes(monkeypatch)
+        scst_batch_step(model, batch, vocab, RewardConfig(n_samples=3), RngState(4),
+                        reward_fn=lambda cand, refs: float(len(cand)))
+        assert len(encodings) == 1 and encodings[0].out.shape[0] == len(batch)
+        assert len(decoded["greedy_decode"]) == len(decoded["sample_decode"]) == len(batch)
+
     def test_surrogate_encoding_once_equals_encoding_per_rollout(self, corpus):
         train, _, vocab = corpus
         model = TransformerModel(tiny_config(vocab_size=len(vocab)), seed=3, dtype=np.float64)
         samples = train.load_samples()[:2]
         rollouts = [[2, 5, 7, 3], [2, 6, 3], [2, 9, 8, 10, 3]]
-        items = [(s, ids, adv) for s in samples
+        items = [(video, ids, adv) for video in range(len(samples))
                  for ids, adv in zip(rollouts, (0.5, -1.25, 2.0))]
+        videos = [(s.frames, s.audio) for s in samples]
 
         def per_rollout_encode():  # one encoder pass per rollout
             total = None
-            for sample, ids, advantage in items:
-                logits = only(model.forward_teacher_forced([(sample.frames, sample.audio)],
-                                                           [ids[:-1]]))
+            for video, ids, advantage in items:
+                logits = only(teacher_forced(model, [videos[video]], [ids[:-1]]))
                 term = T.scale(T.cross_entropy(logits, ids[1:]), advantage)
                 total = term if total is None else T.add(total, term)
             return T.scale(total, 1.0 / len(items))
 
         grads = []
-        for loss_fn in (lambda: scst_surrogate_loss(model, items), per_rollout_encode):
+        for loss_fn in (lambda: scst_surrogate_loss(model, model.encode(videos), items),
+                        per_rollout_encode):
             model.zero_grad()
             loss = loss_fn()
             loss.backward()
