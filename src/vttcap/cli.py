@@ -23,7 +23,7 @@ from pathlib import Path
 from .errors import CapacityError, ContractError, DataError, DimensionError, \
     FormatError, TrainingError, VttError
 from .features import load_manifest, synth_dataset
-from .fileio import atomic_path
+from .fileio import read_json, read_json_lines, write_text
 from .metrics import reference_tables, score_corpus
 from .model import ModelConfig, TransformerModel, has_field_type, load_checkpoint_for
 from .scst import RewardConfig, finetune_scst
@@ -77,15 +77,9 @@ def resolve_config(config_path: str | None, profile: str | None) -> dict:
     """The dataclass defaults overlaid with a profile, then with the config
     file, which may name its own base profile by a top-level "profile" key;
     ``profile`` overrides that.  One dict per section."""
-    file_cfg = {}
-    if config_path:
-        with open(config_path, encoding="utf-8") as fh:
-            try:
-                file_cfg = json.load(fh)
-            except (json.JSONDecodeError, RecursionError) as exc:
-                raise FormatError(f"{config_path}: invalid JSON ({exc})") from exc
-        if not isinstance(file_cfg, dict):
-            raise FormatError(f"{config_path}: config must be a JSON object")
+    file_cfg = read_json(config_path) if config_path else {}
+    if not isinstance(file_cfg, dict):
+        raise FormatError(f"{config_path}: config must be a JSON object")
     name = file_cfg.pop("profile", "desk")
     if not isinstance(name, str):
         raise UsageError(f"config key 'profile' must be of type str, got {name!r}")
@@ -166,9 +160,8 @@ def cmd_caption(args) -> int:
     model = load_checkpoint_for(args.checkpoint, vocab)
     samples = load_manifest(args.manifest).load_samples()
     texts = greedy_texts(model, samples, vocab)
-    with atomic_path(args.out) as tmp:
-        tmp.write_text("".join(json.dumps({"id": s.id, "caption": text}) + "\n"
-                               for s, text in zip(samples, texts)), encoding="utf-8")
+    write_text(args.out, "".join(json.dumps({"id": s.id, "caption": text}) + "\n"
+                                 for s, text in zip(samples, texts)))
     print(json.dumps({"captions": len(samples), "out": str(args.out)}))
     return 0
 
@@ -183,22 +176,13 @@ def cmd_evaluate(args) -> int:
 
 def cmd_score(args) -> int:
     hyps = {}
-    with open(args.hyp, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except (json.JSONDecodeError, RecursionError) as exc:
-                raise FormatError(f"{args.hyp}:{lineno}: invalid JSON ({exc})") from exc
-            if not (isinstance(obj, dict) and isinstance(obj.get("id"), str)
-                    and isinstance(obj.get("caption"), str)):
-                raise FormatError(f"{args.hyp}:{lineno}: needs an object with string "
-                                  "id and caption fields")
-            if obj["id"] in hyps:
-                raise FormatError(f"{args.hyp}:{lineno}: duplicate id {obj['id']!r}")
-            hyps[obj["id"]] = obj["caption"]
+    for where, obj in read_json_lines(args.hyp):
+        if not (isinstance(obj, dict) and isinstance(obj.get("id"), str)
+                and isinstance(obj.get("caption"), str)):
+            raise FormatError(f"{where}: needs an object with string id and caption fields")
+        if obj["id"] in hyps:
+            raise FormatError(f"{where}: duplicate id {obj['id']!r}")
+        hyps[obj["id"]] = obj["caption"]
     entries = load_manifest(args.refs).entries
     for e in entries:
         if e.id not in hyps:
@@ -212,8 +196,7 @@ def _report(report, out) -> int:
     """Print the metric report, and write it to ``out`` too when given."""
     payload = json.dumps(report.as_dict())
     if out:
-        with atomic_path(out) as tmp:
-            tmp.write_text(payload + "\n", encoding="utf-8")
+        write_text(out, payload + "\n")
     print(payload)
     return 0
 
@@ -293,7 +276,7 @@ def dispatch(argv) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except (FormatError, DataError, CapacityError, ContractError, DimensionError,
-            json.JSONDecodeError, UnicodeDecodeError, OSError) as exc:
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (TrainingError, FloatingPointError) as exc:

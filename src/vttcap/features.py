@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ContractError, DataError, FormatError
-from .fileio import atomic_path
+from .fileio import atomic_path, read_json_lines, write_text
 from .tensor import RngState
 
 MAGIC = b"VTTF"
@@ -144,11 +144,10 @@ def dummy_audio(t: int, d_audio: int) -> FeatureMatrix:
 
 
 def save_manifest(manifest: DatasetManifest, path) -> None:
-    with atomic_path(path) as tmp, open(tmp, "w", encoding="utf-8") as fh:
-        for e in manifest.entries:
-            fh.write(json.dumps({"id": e.id, "frame_file": e.frame_file,
-                                 "audio_file": e.audio_file,
-                                 "captions": e.captions}) + "\n")
+    write_text(path, "".join(json.dumps({"id": e.id, "frame_file": e.frame_file,
+                                         "audio_file": e.audio_file,
+                                         "captions": e.captions}) + "\n"
+                             for e in manifest.entries))
 
 
 def _manifest_entry(obj, where: str) -> ManifestEntry:
@@ -174,21 +173,10 @@ def load_manifest(path) -> DatasetManifest:
     path = Path(path)
     entries = []
     seen = set()
-    try:
-        text = path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{path}: not UTF-8 text ({exc})") from exc
-    for lineno, line in enumerate(text.split("\n"), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            obj = json.loads(line)
-        except (json.JSONDecodeError, RecursionError) as exc:
-            raise FormatError(f"{path}:{lineno}: invalid JSON ({exc})") from exc
-        entry = _manifest_entry(obj, f"{path}:{lineno}")
+    for where, obj in read_json_lines(path):
+        entry = _manifest_entry(obj, where)
         if entry.id in seen:
-            raise FormatError(f"{path}:{lineno}: duplicate id {entry.id!r}")
+            raise FormatError(f"{where}: duplicate id {entry.id!r}")
         seen.add(entry.id)
         entries.append(entry)
     if not entries:

@@ -1,14 +1,20 @@
-"""Crash-safe file writes shared by every artefact writer in the package.
+"""Text and JSON files, and crash-safe writes, for the whole package.
 
-It imports nothing from the package, so ``features``, ``tokenizer``,
-``model`` and ``training`` can all use it without an import cycle.
+Every text file is read and written here: UTF-8 reads, JSON parsing whose
+invalid or too deeply nested input raises ``FormatError`` naming ``path`` or
+``path:line``, JSON-lines iteration and atomic writes.  The binary VTTF and
+VTTC formats keep their own parsers and share ``atomic_path``.  It imports
+only ``errors`` from the package, so every other module can use it.
 """
 
 from __future__ import annotations
 
+import json
 import os
 from contextlib import contextmanager
 from pathlib import Path
+
+from .errors import FormatError
 
 
 @contextmanager
@@ -24,3 +30,39 @@ def atomic_path(path):
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_text(path, text: str) -> None:
+    """Write ``text`` as UTF-8 to ``path`` through ``atomic_path``."""
+    with atomic_path(path) as tmp:
+        tmp.write_text(text, encoding="utf-8")
+
+
+def read_text(path) -> str:
+    """The UTF-8 text of ``path``, every line ending read as "\\n"."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text ({exc})") from exc
+
+
+def _parse_json(text: str, where):
+    try:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise FormatError(f"{where}: invalid JSON ({exc})") from exc
+
+
+def read_json(path):
+    """The one JSON document in the UTF-8 file ``path``."""
+    return _parse_json(read_text(path), path)
+
+
+def read_json_lines(path):
+    """(``path:line``, value) for each non-blank line of the JSON-lines file ``path``."""
+    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
+        line = line.strip()
+        if line:
+            where = f"{path}:{lineno}"
+            yield where, _parse_json(line, where)

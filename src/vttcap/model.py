@@ -57,7 +57,7 @@ import numpy as np
 from . import tensor as T
 from .errors import ContractError, DimensionError, FormatError
 from .features import dummy_audio
-from .fileio import atomic_path
+from .fileio import atomic_path, read_json, write_text
 from .tensor import RngState, Tensor
 
 NEG_INF = -1e9
@@ -421,8 +421,6 @@ class TransformerModel:
         if ids.ndim != 2 or ids.shape[0] != n_rows:
             raise ContractError(f"token ids {ids.shape} are not one row per row "
                                 f"of a decode cache of {n_rows}")
-        if ids.max() >= self.cfg.vocab_size or ids.min() < 0:
-            raise ContractError(f"token id out of range for vocab {self.cfg.vocab_size}")
         g = self.params
         start = cache.length
         L = ids.shape[1]
@@ -595,29 +593,38 @@ def sample_decode(model: TransformerModel, enc: Encoding, video: int, bos_id: in
 
 # ---------------------------------------------------------------------------
 # checkpoints («VTTC»)
+#
+# "VTTC", a u32 LE version and record count, then one record per parameter
+# in canonical (``_layout``) order: ``_record_header(name, shape)`` and the
+# float32 LE values.  A record takes at least 16 bytes (name length, a name
+# byte, rank, an extent, a value) and a layer at least one record, so before
+# it builds a layout the loader bounds the record count by the file size and
+# the sidecar's layer count by the record count.  Before it allocates, it
+# bounds the sidecar's values and its (l_max + 2) x d_model position table,
+# 4 bytes each, by the file size.  Then each record header must be the bytes
+# of the layout's next parameter.
 
 CKPT_MAGIC = b"VTTC"
 CKPT_VERSION = 1
 
 
+def _record_header(name: str, shape: tuple) -> bytes:
+    """The bytes before a parameter's values in a VTTC file: the length of its
+    UTF-8 name, the name, its rank and each extent, every number a u32 LE."""
+    raw = name.encode("utf-8")
+    return struct.pack(f"<I{len(raw)}sI{len(shape)}I", len(raw), raw, len(shape), *shape)
+
+
 def save_checkpoint(model: TransformerModel, path) -> None:
     """Write parameters in canonical order plus the config as JSON alongside."""
     with atomic_path(path) as tmp, open(tmp, "wb") as fh:
-        fh.write(CKPT_MAGIC)
-        fh.write(struct.pack("<II", CKPT_VERSION, len(model.params)))
+        fh.write(CKPT_MAGIC + struct.pack("<II", CKPT_VERSION, len(model.params)))
         for name, p in model.params.items():
-            raw = name.encode("utf-8")
-            fh.write(struct.pack("<I", len(raw)))
-            fh.write(raw)
-            shape = p.data.shape
-            fh.write(struct.pack("<I", len(shape)))
-            for ext in shape:
-                fh.write(struct.pack("<I", ext))
+            fh.write(_record_header(name, p.data.shape))
             # a view of the arena itself where it already holds <f4
             fh.write(memoryview(np.ascontiguousarray(p.data, dtype="<f4")).cast("B"))
-    with atomic_path(str(path) + ".json") as tmp, open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(model.cfg.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_text(str(path) + ".json",
+               json.dumps(model.cfg.to_dict(), indent=2, sort_keys=True) + "\n")
 
 
 def load_checkpoint(path) -> TransformerModel:
@@ -625,63 +632,49 @@ def load_checkpoint(path) -> TransformerModel:
     path = Path(path)
     cfg_path = str(path) + ".json"
     try:
-        with open(cfg_path, encoding="utf-8") as fh:
-            cfg = ModelConfig.from_dict(json.load(fh))
+        sidecar = read_json(cfg_path)
     except FileNotFoundError as exc:
         raise FormatError(f"missing checkpoint config {cfg_path}") from exc
-    except (FormatError, ValueError, RecursionError) as exc:  # JSON or UTF-8 errors too
+    try:
+        cfg = ModelConfig.from_dict(sidecar)
+    except FormatError as exc:
         raise FormatError(f"{cfg_path}: {exc}") from exc
-    loaded = set()
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
-        # the file holds at least 4 bytes per value, and at least as many as the
-        # float32 (l_max + 2) x d_model position table: check before allocating
-        needed = 4 * max(sum(math.prod(shape) for specs, _ in TransformerModel._layout(cfg)
-                             for _, shape in specs), (cfg.l_max + 2) * cfg.d_model)
+        head = fh.read(12)
+        if len(head) < 12 or head[:4] != CKPT_MAGIC:
+            raise FormatError(f"{path}: bad magic or truncated header {head!r}")
+        version, count = struct.unpack("<II", head[4:])
+        if version != CKPT_VERSION:
+            raise FormatError(f"{path}: unsupported checkpoint version {version}")
+        if 12 + 16 * count > size:
+            raise FormatError(f"{path}: {count} parameters cannot fit in {size} bytes")
+        if cfg.n_enc + cfg.n_dec > count:
+            raise FormatError(f"{cfg_path}: {cfg.n_enc + cfg.n_dec} layers cannot fit in "
+                              f"the {count} parameters of {path}")
+        specs = [spec for specs, _ in TransformerModel._layout(cfg) for spec in specs]
+        if count != len(specs):
+            excess = "unknown parameters" if count > len(specs) else "missing parameters"
+            raise FormatError(f"{path}: {excess}, {count} records for the {len(specs)} "
+                              "parameters of this config")
+        needed = 4 * max(sum(math.prod(shape) for _, shape in specs),
+                         (cfg.l_max + 2) * cfg.d_model)
         if needed > size:
             raise FormatError(f"{path} holds {size} bytes, fewer than the {needed} of the "
                               f"float32 values or position table {cfg_path} describes")
         model = TransformerModel(cfg, init="zeros")
-
-        def read(n: int) -> bytes:
-            if fh.tell() + n > size:
-                raise FormatError(f"{path}: truncated checkpoint, {n} bytes needed "
-                                  f"at offset {fh.tell()} of {size}")
-            return fh.read(n)
-
-        def unpack(fmt: str) -> tuple:
-            return struct.unpack(fmt, read(struct.calcsize(fmt)))
-
-        magic = fh.read(4)
-        if magic != CKPT_MAGIC:
-            raise FormatError(f"{path}: bad magic {magic!r}")
-        version, count = unpack("<II")
-        if version != CKPT_VERSION:
-            raise FormatError(f"{path}: unsupported checkpoint version {version}")
-        for _ in range(count):
-            (nlen,) = unpack("<I")
-            try:
-                name = read(nlen).decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise FormatError(f"{path}: corrupt parameter name ({exc})") from exc
-            (rank,) = unpack("<I")
-            shape = unpack(f"<{rank}I")
-            if name not in model.params:
-                raise FormatError(f"{path}: unknown parameter {name!r} for this config")
-            data = model.params[name].data
-            if data.shape != shape:
-                raise FormatError(f"{path}: parameter {name!r} has shape {shape}, "
-                                  f"expected {data.shape}")
+        for name, p in model.params.items():
+            data = p.data
+            header = _record_header(name, data.shape)
+            if fh.read(len(header)) != header:
+                raise FormatError(f"{path}: the next record is not parameter {name!r} "
+                                  f"of shape {data.shape}")
             if fh.readinto(memoryview(data).cast("B")) != data.nbytes:
                 raise FormatError(f"{path}: truncated checkpoint in parameter {name!r}")
             if sys.byteorder != "little":  # the file stores <f4
                 data.byteswap(inplace=True)
-            loaded.add(name)
         if fh.tell() != size:
             raise FormatError(f"{path}: {size - fh.tell()} trailing bytes")
-    missing = set(model.params) - loaded
-    if missing:
-        raise FormatError(f"{path}: missing parameters {sorted(missing)[:5]}")
     return model
 
 

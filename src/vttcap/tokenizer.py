@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .errors import CapacityError, ContractError, FormatError
-from .fileio import atomic_path
+from .fileio import read_text, write_text
 
 PAD_TOKEN = "[PAD]"
 UNK_TOKEN = "[UNK]"
@@ -72,20 +72,14 @@ def load_vocab(path) -> Vocabulary:
     do carry ``[PAD]`` must have it on the first line so masks can rely on
     pad id 0.
     """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            tokens = [line.rstrip("\r\n") for line in fh]
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{path}: not UTF-8 text ({exc})") from exc
+    tokens = read_text(path).split("\n")
     while tokens and tokens[-1] == "":
         tokens.pop()
     return Vocabulary.from_tokens(tokens)
 
 
 def save_vocab(vocab: Vocabulary, path) -> None:
-    with atomic_path(path) as tmp, open(tmp, "w", encoding="utf-8") as fh:
-        for tok in vocab.tokens:
-            fh.write(tok + "\n")
+    write_text(path, "".join(tok + "\n" for tok in vocab.tokens))
 
 
 def normalize_words(text: str) -> list:

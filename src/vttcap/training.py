@@ -44,7 +44,7 @@ from . import tensor as T
 from .errors import ContractError, TrainingError
 from .features import DatasetManifest
 from .metrics import MetricReport, reference_tables, score_corpus
-from .fileio import atomic_path
+from .fileio import atomic_path, write_text
 from .model import TransformerModel, greedy_decode, save_checkpoint
 from .tensor import RngState
 from .tokenizer import Vocabulary, decode, encode, normalize_words, truncate
@@ -291,8 +291,7 @@ def _fit(model: TransformerModel, n_items: int, step_fn, lr_fn, validate_fn,
 
     def write_history():
         """Rewrite the whole file, so a crash midway leaves the previous one intact."""
-        with atomic_path(history_path) as tmp:
-            tmp.write_text("".join(json.dumps(r) + "\n" for r in history), encoding="utf-8")
+        write_text(history_path, "".join(json.dumps(r) + "\n" for r in history))
 
     write_history()
     best = (-1.0, 0)  # (cider_d, epoch)

@@ -406,16 +406,23 @@ def test_negative_epochs_exit_2(workdir, tmp_path, capsys):
 NOT_UTF8 = b"\xff\xfe{\"id\": \"v\"}\n"
 
 
-@pytest.mark.parametrize("subcommand", ["score", "build-vocab", "evaluate"])
+@pytest.mark.parametrize("subcommand", ["train", "score", "build-vocab", "evaluate", "sidecar"])
 def test_non_utf8_input_exits_2(workdir, tmp_path, capsys, subcommand):
-    bad = tmp_path / "bad.txt"
+    """Each text input (--config, --hyp, --manifest, --vocab and a
+    checkpoint's sidecar) that is not UTF-8 is named on stderr."""
+    bad = tmp_path / ("m.vttc.json" if subcommand == "sidecar" else "bad.txt")
     bad.write_bytes(NOT_UTF8)
+    (tmp_path / "m.vttc").write_bytes((workdir / "init.vttc").read_bytes())
+    evaluate = ["evaluate", "--checkpoint", str(tmp_path / "m.vttc"),
+                "--manifest", str(workdir / "data" / "val.jsonl")]
     argv = {
+        "train": ["train", *run_args(workdir, tmp_path / "run")[2:], "--config", str(bad)],
         "score": ["score", "--hyp", str(bad), "--refs", str(workdir / "data" / "val.jsonl")],
         "build-vocab": ["build-vocab", "--manifest", str(bad),
                         "--out", str(tmp_path / "vocab.txt")],
-        "evaluate": ["evaluate", "--checkpoint", str(workdir / "init.vttc"),
-                     "--manifest", str(workdir / "data" / "val.jsonl"), "--vocab", str(bad)],
+        "evaluate": [*evaluate, "--vocab", str(bad)],
+        "sidecar": [*evaluate, "--vocab", str(workdir / "vocab.txt")],
     }[subcommand]
     assert dispatch(argv) == 2
-    assert "utf-8" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "utf-8" in err and str(bad) in err

@@ -1183,6 +1183,19 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match=match):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("n_enc", [100_000, 10**8])
+    def test_layer_count_is_checked_before_the_layout(self, tmp_path, monkeypatch, n_enc):
+        path = tmp_path / "m.vttc"
+        save_checkpoint(TransformerModel(tiny_config(), seed=6), path)
+        (tmp_path / "m.vttc.json").write_text(json.dumps(tiny_config(n_enc=n_enc).to_dict()))
+
+        def layout(cfg):
+            raise AssertionError("a layout was built before the sidecar was checked")
+
+        monkeypatch.setattr(TransformerModel, "_layout", staticmethod(layout))
+        with pytest.raises(FormatError, match="m.vttc.json"):
+            load_checkpoint(path)
+
     def test_vocab_size_must_match(self, tmp_path):
         path = tmp_path / "m.vttc"
         save_checkpoint(TransformerModel(tiny_config(), seed=6), path)

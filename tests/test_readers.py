@@ -1,14 +1,16 @@
 """Every file reader gives a valid object or a ``VttError``, whatever the bytes.
 
 Bounded Hypothesis searches over the files a command reads: a dataset (a
-manifest and the feature files, VTTF, it names), a vocabulary, and a
-checkpoint (VTTC) with its JSON sidecar.  Each input replaces one file of
+manifest and the feature files, VTTF, it names), a vocabulary, a
+checkpoint (VTTC) with its JSON sidecar, a JSON config (``--config``) and
+a JSON-lines caption file (``--hyp``).  Each input replaces one file of
 the set, by the valid file with a few bytes set, inserted or deleted and
 maybe cut short, or by arbitrary bytes; the explicit examples are inputs
 that once escaped as ``UnicodeDecodeError``, ``JSONDecodeError`` or
 ``RecursionError``.
 """
 
+import argparse
 import json
 
 import numpy as np
@@ -17,6 +19,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import tiny_config
+from vttcap.cli import SECTIONS, cmd_score, resolve_config
 from vttcap.errors import FormatError, VttError
 from vttcap.features import FeatureMatrix, load_manifest, write_feature_file
 from vttcap.model import TransformerModel, load_checkpoint, save_checkpoint
@@ -37,8 +40,14 @@ def files(tmp_path_factory):
          "captions": ["a cat", "the dog runs"]}) + "\n" for i in range(2)), encoding="utf-8")
     (d / "vocab.txt").write_text(f"{PAD_TOKEN}\na\ncat\n##s\nthe\n", encoding="utf-8")
     save_checkpoint(TransformerModel(tiny_config(), seed=0), d / "ckpt.vttc")
+    (d / "config.json").write_text(json.dumps(
+        {"profile": "desk", "model": {"n_enc": 1, "attention_kind": "x_linear"},
+         "run": {"epochs": 2, "seed": 3}}), encoding="utf-8")
+    (d / "hyp.jsonl").write_text("".join(json.dumps({"id": f"v{i}", "caption": "a cat"}) + "\n"
+                                         for i in range(2)), encoding="utf-8")
     names = {"vttf": "f.vttf", "manifest": "m.jsonl", "vocab": "vocab.txt",
-             "vttc": "ckpt.vttc", "sidecar": "ckpt.vttc.json"}
+             "vttc": "ckpt.vttc", "sidecar": "ckpt.vttc.json", "config": "config.json",
+             "hyp": "hyp.jsonl"}
     return {kind: (d / name, (d / name).read_bytes()) for kind, name in names.items()}
 
 
@@ -114,6 +123,26 @@ def test_checkpoint(files, data, kind, blob):
                               lambda f: load_checkpoint(f["vttc"][0]))
     assert model is None or model.n_parameters() == TransformerModel(
         tiny_config(), init="zeros").n_parameters()
+
+
+@FUZZ
+@given(data=st.data(), kind=st.none(), blob=st.none())
+@example(data=None, kind="config", blob=b"\xff\xfe{}")
+@example(data=None, kind="config", blob=DEEP_JSON)
+def test_config(files, data, kind, blob):
+    cfg = read_or_vtt_error(files, ["config"], data, kind, blob,
+                            lambda f: resolve_config(str(f["config"][0]), None))
+    assert cfg is None or list(cfg) == list(SECTIONS)
+
+
+@FUZZ
+@given(data=st.data(), kind=st.none(), blob=st.none())
+@example(data=None, kind="hyp", blob=b'{"id": "v0", "caption": "\xe9"}\n')
+@example(data=None, kind="hyp", blob=DEEP_JSON)
+def test_hypotheses(files, data, kind, blob):
+    args = argparse.Namespace(hyp=files["hyp"][0], refs=files["manifest"][0], out=None)
+    code = read_or_vtt_error(files, ["hyp"], data, kind, blob, lambda f: cmd_score(args))
+    assert code in (None, 0)
 
 
 @pytest.mark.parametrize("kind,read", [
