@@ -1,7 +1,8 @@
 """Text and JSON files, and crash-safe writes, for the whole package.
 
 Every text file is read and written here: UTF-8 reads, JSON parsing whose
-invalid or too deeply nested input raises ``FormatError`` naming ``path`` or
+invalid or too deeply nested input, or a string holding a lone surrogate
+(which UTF-8 cannot write back), raises ``FormatError`` naming ``path`` or
 ``path:line``, JSON-lines iteration and atomic writes.  The binary VTTF and
 VTTC formats keep their own parsers and share ``atomic_path``.  It imports
 only ``errors`` from the package, so every other module can use it.
@@ -49,8 +50,11 @@ def read_text(path) -> str:
 
 def _parse_json(text: str, where):
     try:
-        return json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+        value = json.loads(text)
+        if "\\u" in text:  # only an escape gives a lone surrogate, which UTF-8 cannot write
+            json.dumps(value, ensure_ascii=False).encode("utf-8")
+        return value
+    except (json.JSONDecodeError, RecursionError, UnicodeEncodeError) as exc:
         raise FormatError(f"{where}: invalid JSON ({exc})") from exc
 
 

@@ -11,6 +11,11 @@ broadcasts the leading ones like ``np.matmul``, ``add``, ``mul`` and
 arrays, and every backward sums its gradient back over the axes its input
 was broadcast along.
 
+Every primitive follows one contract: it computes its ``data``, defines
+``back(g)`` over the arrays it needs, and hands both to ``_result``, which
+keeps ``back`` and the inputs only when an input requires grad.  That call
+is the one place every graph node passes through.
+
 A transformer sublayer is four kinds of fused node, each bit for bit the
 chain of primitives it replaced and holding less for backward: ``matmul``
 with a ``bias`` (a linear layer: its operands only), ``split_heads`` and
@@ -201,12 +206,13 @@ class ParamArena:
         raise ContractError(f"index {index} outside an arena of {self.data.size}")
 
 
-def _result(data, inputs, backward_fn) -> Tensor:
-    """Wrap an op result, attaching the graph record only when it matters.
+def _result(data, inputs, backward) -> Tensor:
+    """Wrap an op result, keeping ``inputs`` and ``backward`` only when it matters.
 
     ``data`` is the float ndarray the primitive computed (a ufunc's NumPy scalar
     for 0-d operands becomes 0-d), so ``Tensor.__init__``'s checks are skipped.
-    A backward exists only when an input requires grad: a one-input op's
+    ``backward(g)`` takes the result's gradient and accumulates it into the
+    inputs; it is kept only when an input requires grad, so a one-input op's
     backward need not check."""
     record = _grad_enabled and any(t.requires_grad for t in inputs)
     out = object.__new__(Tensor)
@@ -214,7 +220,7 @@ def _result(data, inputs, backward_fn) -> Tensor:
     out.grad = out.name = None
     out.requires_grad = record
     out._inputs = tuple(inputs) if record else ()
-    out._backward = backward_fn(out) if record else None
+    out._backward = backward if record else None
     return out
 
 
@@ -248,24 +254,22 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
         inplace = np.promote_types(data.dtype, bias.data.dtype) == data.dtype
         data = np.add(data, bias.data, out=data if inplace else None)
 
-    def make(out):
-        def back(g):
-            if bias is not None and bias.requires_grad:
-                bias._accumulate(_unbroadcast(g, bias.data.shape))
-            if flat:
-                g2 = g.reshape(-1, g.shape[-1])
-                if a.requires_grad:
-                    a._accumulate((g2 @ b.data.T).reshape(sa))
-                if b.requires_grad:
-                    _accumulate_weight(b, a.data.reshape(-1, sa[-1]), g2)
-                return
+    def back(g):
+        if bias is not None and bias.requires_grad:
+            bias._accumulate(_unbroadcast(g, bias.data.shape))
+        if flat:
+            g2 = g.reshape(-1, g.shape[-1])
             if a.requires_grad:
-                a._accumulate(_unbroadcast(g @ np.swapaxes(b.data, -1, -2), sa))
+                a._accumulate((g2 @ b.data.T).reshape(sa))
             if b.requires_grad:
-                b._accumulate(_unbroadcast(np.swapaxes(a.data, -1, -2) @ g, sb))
-        return back
+                _accumulate_weight(b, a.data.reshape(-1, sa[-1]), g2)
+            return
+        if a.requires_grad:
+            a._accumulate(_unbroadcast(g @ np.swapaxes(b.data, -1, -2), sa))
+        if b.requires_grad:
+            b._accumulate(_unbroadcast(np.swapaxes(a.data, -1, -2) @ g, sb))
 
-    return _result(data, (a, b) if bias is None else (a, b, bias), make)
+    return _result(data, (a, b) if bias is None else (a, b, bias), back)
 
 
 # A larger weight gradient is added into its buffer in column blocks of about
@@ -311,15 +315,13 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         raise DimensionError(f"add shapes incompatible: {sa} + {sb}")
     data = a.data + b.data
 
-    def make(out):
-        def back(g):
-            if a.requires_grad:
-                a._accumulate(_unbroadcast(g, sa))
-            if b.requires_grad:
-                b._accumulate(_unbroadcast(g, sb))
-        return back
+    def back(g):
+        if a.requires_grad:
+            a._accumulate(_unbroadcast(g, sa))
+        if b.requires_grad:
+            b._accumulate(_unbroadcast(g, sb))
 
-    return _result(data, (a, b), make)
+    return _result(data, (a, b), back)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -329,15 +331,13 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         raise DimensionError(f"mul shapes incompatible: {sa} * {sb}")
     data = a.data * b.data
 
-    def make(out):
-        def back(g):
-            if a.requires_grad:
-                a._accumulate(_unbroadcast(g * b.data, sa))
-            if b.requires_grad:
-                b._accumulate(_unbroadcast(g * a.data, sb))
-        return back
+    def back(g):
+        if a.requires_grad:
+            a._accumulate(_unbroadcast(g * b.data, sa))
+        if b.requires_grad:
+            b._accumulate(_unbroadcast(g * a.data, sb))
 
-    return _result(data, (a, b), make)
+    return _result(data, (a, b), back)
 
 
 def scale(x: Tensor, c: float) -> Tensor:
@@ -345,25 +345,19 @@ def scale(x: Tensor, c: float) -> Tensor:
     c = float(c)
     data = x.data * np.asarray(c, dtype=x.dtype)
 
-    def make(out):
-        def back(g):
-            x._accumulate(g * np.asarray(c, dtype=x.dtype))
-        return back
+    def back(g):
+        x._accumulate(g * np.asarray(c, dtype=x.dtype))
 
-    return _result(data, (x,), make)
+    return _result(data, (x,), back)
 
 
 def relu(x: Tensor) -> Tensor:
     data = np.maximum(x.data, 0)
 
-    def make(out):
-        mask = x.data > 0
+    def back(g):
+        x._accumulate(g * (x.data > 0))
 
-        def back(g):
-            x._accumulate(g * mask)
-        return back
-
-    return _result(data, (x,), make)
+    return _result(data, (x,), back)
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -371,14 +365,10 @@ def sigmoid(x: Tensor) -> Tensor:
     e = np.exp(-np.abs(x.data))
     data = (np.where(x.data >= 0, 1.0, e) / (1.0 + e)).astype(x.dtype)
 
-    def make(out):
-        y = out.data  # not ``out``: a closure holding its own node is a reference cycle
+    def back(g):
+        x._accumulate(g * data * (1.0 - data))
 
-        def back(g):
-            x._accumulate(g * y * (1.0 - y))
-        return back
-
-    return _result(data, (x,), make)
+    return _result(data, (x,), back)
 
 
 def softmax_lastdim(x: Tensor) -> Tensor:
@@ -391,15 +381,11 @@ def softmax_lastdim(x: Tensor) -> Tensor:
     e = np.exp(x.data - x.data.max(axis=-1, keepdims=True))
     data = e / e.sum(axis=-1, keepdims=True)
 
-    def make(out):
-        y = out.data  # not ``out``: see sigmoid
+    def back(g):
+        dot = np.sum(g * data, axis=-1, keepdims=True)
+        x._accumulate(data * (g - dot))
 
-        def back(g):
-            dot = np.sum(g * y, axis=-1, keepdims=True)
-            x._accumulate(y * (g - dot))
-        return back
-
-    return _result(data, (x,), make)
+    return _result(data, (x,), back)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, residual: Tensor | None = None,
@@ -425,23 +411,21 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, residual: Tensor | None =
     xhat *= inv
     data = xhat * gamma.data + beta.data
 
-    def make(out):
-        def back(g):
-            if gamma.requires_grad:
-                gamma._accumulate(np.sum(g * xhat, axis=tuple(range(g.ndim - 1))))
-            if beta.requires_grad:
-                beta._accumulate(np.sum(g, axis=tuple(range(g.ndim - 1))))
-            gy = g * gamma.data
-            # dx = inv * (gy - mean(gy) - xhat * mean(gy * xhat))
-            m1 = gy.mean(axis=-1, keepdims=True)
-            m2 = (gy * xhat).mean(axis=-1, keepdims=True)
-            dx = inv * (gy - m1 - xhat * m2)
-            for t in sources:
-                if t.requires_grad:
-                    t._accumulate(dx)
-        return back
+    def back(g):
+        if gamma.requires_grad:
+            gamma._accumulate(np.sum(g * xhat, axis=tuple(range(g.ndim - 1))))
+        if beta.requires_grad:
+            beta._accumulate(np.sum(g, axis=tuple(range(g.ndim - 1))))
+        gy = g * gamma.data
+        # dx = inv * (gy - mean(gy) - xhat * mean(gy * xhat))
+        m1 = gy.mean(axis=-1, keepdims=True)
+        m2 = (gy * xhat).mean(axis=-1, keepdims=True)
+        dx = inv * (gy - m1 - xhat * m2)
+        for t in sources:
+            if t.requires_grad:
+                t._accumulate(dx)
 
-    return _result(data, sources + (gamma, beta), make)
+    return _result(data, sources + (gamma, beta), back)
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None = None) -> Tensor:
@@ -464,21 +448,19 @@ def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None = None) -
     np.exp(p, out=p)
     p /= p.sum(axis=-1, keepdims=True)
 
-    def make(out):
-        def back(g):
-            if v.requires_grad:
-                v._accumulate(_unbroadcast(np.swapaxes(p, -1, -2) @ g, sv))
-            dp = _unbroadcast(g @ np.swapaxes(v.data, -1, -2), p.shape)
-            ds = p * (dp - np.sum(dp * p, axis=-1, keepdims=True))
-            ds *= c
-            if q.requires_grad:
-                q._accumulate(_unbroadcast(ds @ np.swapaxes(kt, -1, -2), sq))
-            if k.requires_grad:
-                dkt = _unbroadcast(np.swapaxes(q.data, -1, -2) @ ds, kt.shape)
-                k._accumulate(np.swapaxes(dkt, -1, -2))
-        return back
+    def back(g):
+        if v.requires_grad:
+            v._accumulate(_unbroadcast(np.swapaxes(p, -1, -2) @ g, sv))
+        dp = _unbroadcast(g @ np.swapaxes(v.data, -1, -2), p.shape)
+        ds = p * (dp - np.sum(dp * p, axis=-1, keepdims=True))
+        ds *= c
+        if q.requires_grad:
+            q._accumulate(_unbroadcast(ds @ np.swapaxes(kt, -1, -2), sq))
+        if k.requires_grad:
+            dkt = _unbroadcast(np.swapaxes(q.data, -1, -2) @ ds, kt.shape)
+            k._accumulate(np.swapaxes(dkt, -1, -2))
 
-    return _result(p @ v.data, (q, k, v), make)
+    return _result(p @ v.data, (q, k, v), back)
 
 
 def split_heads(x: Tensor, n_heads: int) -> Tensor:
@@ -487,8 +469,7 @@ def split_heads(x: Tensor, n_heads: int) -> Tensor:
     if len(shape) < 2 or n_heads < 1 or shape[-1] % n_heads:
         raise DimensionError(f"cannot split {shape} into {n_heads} heads")
     heads = np.swapaxes(x.data.reshape(shape[:-1] + (n_heads, shape[-1] // n_heads)), -3, -2)
-    return _result(heads, (x,),
-                   lambda out: lambda g: x._accumulate(np.swapaxes(g, -3, -2).reshape(shape)))
+    return _result(heads, (x,), lambda g: x._accumulate(np.swapaxes(g, -3, -2).reshape(shape)))
 
 
 def merge_heads(x: Tensor) -> Tensor:
@@ -498,7 +479,7 @@ def merge_heads(x: Tensor) -> Tensor:
         raise DimensionError(f"merge_heads needs a head axis, got {shape}")
     *lead, heads, rows, d_head = shape
     data = np.ascontiguousarray(np.swapaxes(x.data, -3, -2)).reshape(*lead, rows, heads * d_head)
-    return _result(data, (x,), lambda out: lambda g: x._accumulate(
+    return _result(data, (x,), lambda g: x._accumulate(
         np.swapaxes(g.reshape(*lead, rows, heads, d_head), -3, -2)))
 
 
@@ -519,17 +500,15 @@ def concat(tensors, axis: int = 0) -> Tensor:
     except ValueError:  # ranks or the other axes differ: broadcast them
         data = np.concatenate(_broadcast_except(tensors, axis), axis=axis)
 
-    def make(out):
-        def back(g):
-            offset = 0
-            for t, s in zip(tensors, shapes):
-                if t.requires_grad:
-                    sl = (Ellipsis, slice(offset, offset + s[axis])) + (slice(None),) * (-axis - 1)
-                    t._accumulate(_unbroadcast(g[sl], s))
-                offset += s[axis]
-        return back
+    def back(g):
+        offset = 0
+        for t, s in zip(tensors, shapes):
+            if t.requires_grad:
+                sl = (Ellipsis, slice(offset, offset + s[axis])) + (slice(None),) * (-axis - 1)
+                t._accumulate(_unbroadcast(g[sl], s))
+            offset += s[axis]
 
-    return _result(data, tuple(tensors), make)
+    return _result(data, tuple(tensors), back)
 
 
 def _broadcast_except(tensors, axis: int) -> list:
@@ -564,14 +543,12 @@ def _slice(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
         raise DimensionError(f"slice [{start}:{stop}] of axis {axis} invalid for shape {x.shape}")
     index = (slice(None),) * axis + (slice(start, stop),)
 
-    def make(out):
-        def back(g):
-            full = np.zeros_like(x.data)
-            full[index] = g
-            x._accumulate(full)
-        return back
+    def back(g):
+        full = np.zeros_like(x.data)
+        full[index] = g
+        x._accumulate(full)
 
-    return _result(x.data[index].copy(), (x,), make)
+    return _result(x.data[index].copy(), (x,), back)
 
 
 def gather_rows(table: Tensor, ids) -> Tensor:
@@ -586,14 +563,12 @@ def gather_rows(table: Tensor, ids) -> Tensor:
         raise ContractError(f"row id out of range for table with {shape[0]} rows")
     data = table.data[ids]
 
-    def make(out):
-        def back(g):
-            if table.grad is None:  # never for a parameter: its grad is a view
-                table.grad = np.zeros_like(table.data)
-            np.add.at(table.grad, ids, g)
-        return back
+    def back(g):
+        if table.grad is None:  # never for a parameter: its grad is a view
+            table.grad = np.zeros_like(table.data)
+        np.add.at(table.grad, ids, g)
 
-    return _result(data, (table,), make)
+    return _result(data, (table,), back)
 
 
 def transpose(x: Tensor, axes=None) -> Tensor:
@@ -604,14 +579,10 @@ def transpose(x: Tensor, axes=None) -> Tensor:
         raise DimensionError(f"transpose axes {axes} invalid for shape {x.shape}")
     data = np.ascontiguousarray(np.transpose(x.data, axes))
 
-    def make(out):
-        inverse = np.argsort(axes)
+    def back(g):
+        x._accumulate(np.transpose(g, np.argsort(axes)))
 
-        def back(g):
-            x._accumulate(np.transpose(g, inverse))
-        return back
-
-    return _result(data, (x,), make)
+    return _result(data, (x,), back)
 
 
 def reshape(x: Tensor, shape) -> Tensor:
@@ -621,12 +592,10 @@ def reshape(x: Tensor, shape) -> Tensor:
         raise DimensionError(f"cannot reshape {x.shape} to {shape}")
     data = x.data.reshape(shape)
 
-    def make(out):
-        def back(g):
-            x._accumulate(g.reshape(x.shape))
-        return back
+    def back(g):
+        x._accumulate(g.reshape(x.shape))
 
-    return _result(data, (x,), make)
+    return _result(data, (x,), back)
 
 
 def cross_entropy(logits: Tensor, targets, weights=None) -> Tensor:
@@ -660,16 +629,14 @@ def cross_entropy(logits: Tensor, targets, weights=None) -> Tensor:
     logz = np.log(exp_shifted().sum(axis=-1)) + top[:, 0]
     data = np.asarray(np.sum(w * (logz - flat[rows, cols])), dtype=logits.dtype)
 
-    def make(out):
-        def back(g):
-            p = exp_shifted()  # softmax, then the gradient, in this one array
-            p /= p.sum(axis=-1, keepdims=True)
-            p[rows, cols] -= 1.0
-            p *= (w * float(g))[:, None]
-            logits._accumulate(p.reshape(logits.shape), owned=True)
-        return back
+    def back(g):
+        p = exp_shifted()  # softmax, then the gradient, in this one array
+        p /= p.sum(axis=-1, keepdims=True)
+        p[rows, cols] -= 1.0
+        p *= (w * float(g))[:, None]
+        logits._accumulate(p.reshape(logits.shape), owned=True)
 
-    return _result(data, (logits,), make)
+    return _result(data, (logits,), back)
 
 
 def log_softmax_lastdim(values: np.ndarray) -> np.ndarray:

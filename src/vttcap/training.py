@@ -50,6 +50,7 @@ from .tensor import RngState
 from .tokenizer import Vocabulary, decode, encode, normalize_words, truncate
 
 GRAD_CLIP_NORM = 5.0
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.98, 1e-9
 
 # Elements per block of the optimizer's passes over the flat arena.  One
 # block each of parameters, gradients, both moments and Adam's two scratch
@@ -64,9 +65,6 @@ class OptimizerState:
     """Adam's step count and moments; ``m`` and ``v`` are flat buffers laid
     out like the arena's, made on the first step."""
 
-    beta1: float = 0.9
-    beta2: float = 0.98
-    eps: float = 1e-9
     t: int = 0
     m: np.ndarray | None = None
     v: np.ndarray | None = None
@@ -83,7 +81,7 @@ def adam_update(arena: T.ParamArena, state: OptimizerState, lr: float) -> None:
     ``clip_gradients`` checks that first.
     """
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     c1 = 1.0 - b1 ** state.t
     c2 = 1.0 - b2 ** state.t
     if state.m is None:
@@ -105,7 +103,7 @@ def adam_update(arena: T.ParamArena, state: OptimizerState, lr: float) -> None:
         v += s
         np.divide(v, c2, out=s)
         np.sqrt(s, out=s)
-        s += state.eps
+        s += ADAM_EPS
         np.multiply(m, lr / c1, out=t)
         t /= s
         p -= t

@@ -64,13 +64,11 @@ def assert_grads_match(loss_fn, params, rng, n_components: int = 20,
 def sum_all(x):
     """Sum of every entry of ``x`` as a 0-d tensor, the scalar loss of the
     gradient checks; backward spreads the gradient to every entry."""
-    def make(out):
-        def back(g):
-            if x.requires_grad:
-                x._accumulate(np.full_like(x.data, g))
-        return back
+    def back(g):
+        if x.requires_grad:
+            x._accumulate(np.full_like(x.data, g))
 
-    return T._result(x.data.sum(), (x,), make)
+    return T._result(x.data.sum(), (x,), back)
 
 
 def teacher_forced(model, videos, token_ids):

@@ -222,8 +222,11 @@ def test_exit_codes(workdir, tmp_path, capsys, argv, code):
     '"str"',
     '{"id": [1], "frame_file": "f.vttf", "audio_file": null, "captions": ["a cat"]}',
     '{"id": "v1", "frame_file": 5, "audio_file": null, "captions": ["a cat"]}',
+    # a lone surrogate is valid JSON, but UTF-8 cannot write it to the vocabulary
+    '{"id": "v1", "frame_file": "f.vttf", "audio_file": null, "captions": ["a \\ud800 cat"]}',
 ])
 def test_malformed_manifest_exits_2(tmp_path, capsys, line):
+    (tmp_path / "f.vttf").write_bytes(b"")
     manifest = tmp_path / "m.jsonl"
     manifest.write_text(line + "\n")
     code = dispatch(["build-vocab", "--manifest", str(manifest), "--size", "40",

@@ -1,6 +1,7 @@
 """Autodiff core: op contracts, gradient checks against central differences."""
 
 import contextlib
+import gc
 import math
 import tracemalloc
 
@@ -153,6 +154,20 @@ class TestOpResults:
             assert out.requires_grad is record, name
             assert (out._backward is not None) is record and bool(out._inputs) is record, name
         assert outs["sum_all"].shape == outs["cross_entropy"].shape == outs["add 0-d"].shape == ()
+
+    def test_dropped_results_need_no_cycle_collection(self, np_rng):
+        def t(*shape):
+            return T.parameter(np_rng.normal(size=shape))
+
+        gc.collect()
+        gc.disable()
+        try:
+            outs = _op_results(t, t(2, 3, 4))
+            assert all(out._backward is not None for out in outs.values())
+            del outs
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_a_zero_d_graph_backpropagates(self):
         x = p64([1.0, 2.0, 3.0])

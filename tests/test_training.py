@@ -17,9 +17,9 @@ from vttcap.model import TransformerModel, load_checkpoint, save_checkpoint
 from vttcap.scst import RewardConfig, finetune_scst, scst_batch_step, scst_surrogate_loss
 from vttcap.tensor import RngState
 from vttcap.tokenizer import build_vocab, decode, normalize_words
-from vttcap.training import (GRAD_CLIP_NORM, OptimizerState, ScheduleConfig,
-                             TrainRunConfig, _fit, adam_update, batch_xe_loss, caption_pairs,
-                             clip_gradients, lr_at, train_xe)
+from vttcap.training import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, GRAD_CLIP_NORM, OptimizerState,
+                             ScheduleConfig, TrainRunConfig, _fit, adam_update, batch_xe_loss,
+                             caption_pairs, clip_gradients, lr_at, train_xe)
 
 
 @pytest.fixture(scope="module")
@@ -124,7 +124,7 @@ class TestAdamAndClipping:
         p.grad[...] = g
         state = OptimizerState()
         adam_update(arena, state, lr=0.1)
-        b1, b2, eps = state.beta1, state.beta2, state.eps
+        b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
         m = (1 - b1) * g
         v = (1 - b2) * g * g
         expected = w0 - 0.1 * (m / (1 - b1)) / (np.sqrt(v / (1 - b2)) + eps)
@@ -149,12 +149,12 @@ class TestAdamAndClipping:
             for n, p in params.items():
                 p.grad[...] = np_rng.normal(size=p.shape)
             adam_update(arena, state, lr)
-            c1, c2 = 1.0 - state.beta1 ** step, 1.0 - state.beta2 ** step
+            c1, c2 = 1.0 - ADAM_BETA1 ** step, 1.0 - ADAM_BETA2 ** step
             for n, p in params.items():
                 g = p.grad
-                m[n] += (1.0 - state.beta1) * (g - m[n])
-                v[n] += (1.0 - state.beta2) * (g * g - v[n])
-                ref[n] -= (lr / c1) * m[n] / (np.sqrt(v[n] / c2) + state.eps)
+                m[n] += (1.0 - ADAM_BETA1) * (g - m[n])
+                v[n] += (1.0 - ADAM_BETA2) * (g * g - v[n])
+                ref[n] -= (lr / c1) * m[n] / (np.sqrt(v[n] / c2) + ADAM_EPS)
                 assert np.array_equal(p.data, ref[n]), (n, step)
             assert np.array_equal(state.m, np.concatenate([a.ravel() for a in m.values()]))
             assert np.array_equal(state.v, np.concatenate([a.ravel() for a in v.values()]))
