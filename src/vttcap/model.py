@@ -597,12 +597,12 @@ def sample_decode(model: TransformerModel, enc: Encoding, video: int, bos_id: in
 # "VTTC", a u32 LE version and record count, then one record per parameter
 # in canonical (``_layout``) order: ``_record_header(name, shape)`` and the
 # float32 LE values.  A record takes at least 16 bytes (name length, a name
-# byte, rank, an extent, a value), an encoder layer at least its 4 d_model^2
-# attention values and a decoder layer 8 d_model^2, so before it builds a
-# layout the loader bounds the record count and the sidecar's layer counts by
-# the file size.  Before it allocates, it bounds the sidecar's values and its
-# (l_max + 2) x d_model position table, 4 bytes each, by the file size.  Then
-# each record header must be the bytes of the layout's next parameter.
+# byte, rank, an extent, a value) and a layout at least 7 + 13 n_enc + 20 n_dec
+# records, so before it builds a layout the loader bounds the record count by
+# the file size and the sidecar's layers by the record count.  Before it
+# allocates, it bounds the sidecar's values and its (l_max + 2) x d_model
+# position table, 4 bytes each, by the file size.  Then each record header
+# must be the bytes of the layout's next parameter.
 
 CKPT_MAGIC = b"VTTC"
 CKPT_VERSION = 1
@@ -649,9 +649,9 @@ def load_checkpoint(path) -> TransformerModel:
             raise FormatError(f"{path}: unsupported checkpoint version {version}")
         if 12 + 16 * count > size:
             raise FormatError(f"{path}: {count} parameters cannot fit in {size} bytes")
-        if 16 * cfg.d_model ** 2 * (cfg.n_enc + 2 * cfg.n_dec) > size:
+        if 7 + 13 * cfg.n_enc + 20 * cfg.n_dec > count:
             raise FormatError(f"{cfg_path}: {cfg.n_enc} encoder and {cfg.n_dec} decoder layers "
-                              f"cannot fit in the {size} bytes of {path}")
+                              f"cannot fit in the {count} parameters of {path}")
         specs = [spec for specs, _ in TransformerModel._layout(cfg) for spec in specs]
         if count != len(specs):
             excess = "unknown parameters" if count > len(specs) else "missing parameters"

@@ -1187,17 +1187,22 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match=match):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("n_enc", [100_000, 10**8, "forged"])
+    @pytest.mark.parametrize("n_enc", [100_000, 10**8, "forged", "narrow"])
     def test_layer_count_is_checked_before_the_layout(self, tmp_path, monkeypatch, n_enc):
         path = tmp_path / "m.vttc"
         save_checkpoint(TransformerModel(tiny_config(), seed=6), path)
-        if n_enc == "forged":  # the most records the file could hold, all layers but one
+        claimed = {}
+        count = (path.stat().st_size - 12) // 16  # the most records the file could hold
+        if n_enc == "forged":  # that many records, all layers but one
             blob = bytearray(path.read_bytes())
-            count = (len(blob) - 12) // 16
             blob[8:12] = count.to_bytes(4, "little")
             path.write_bytes(bytes(blob))
             n_enc = count - tiny_config().n_dec
-        (tmp_path / "m.vttc.json").write_text(json.dumps(tiny_config(n_enc=n_enc).to_dict()))
+        elif n_enc == "narrow":  # on the unforged file, layers of 16 bytes of values each
+            claimed = dict(d_model=1, n_heads=1, d_memory=0)
+            n_enc = count - 2 * tiny_config().n_dec
+        (tmp_path / "m.vttc.json").write_text(
+            json.dumps(tiny_config(n_enc=n_enc, **claimed).to_dict()))
 
         def layout(cfg):
             raise AssertionError("a layout was built before the sidecar was checked")
