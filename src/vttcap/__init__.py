@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .features import DatasetManifest, FeatureMatrix, VideoSample  # noqa: F401
+from .features import DatasetManifest, VideoSample  # noqa: F401
 from .metrics import IdfTable, MetricReport  # noqa: F401
 from .model import ModelConfig, TransformerModel  # noqa: F401
 from .scst import RewardConfig  # noqa: F401

@@ -76,7 +76,8 @@ def _overlay(cfg: dict, layer: dict) -> None:
 def resolve_config(config_path: str | None, profile: str | None) -> dict:
     """The dataclass defaults overlaid with a profile, then with the config
     file, which may name its own base profile by a top-level "profile" key;
-    ``profile`` overrides that.  One dict per section."""
+    ``profile`` overrides that.  One dict per section, each checked by its
+    dataclass whether or not the command reads it."""
     file_cfg = read_json(config_path) if config_path else {}
     if not isinstance(file_cfg, dict):
         raise FormatError(f"{config_path}: config must be a JSON object")
@@ -91,6 +92,8 @@ def resolve_config(config_path: str | None, profile: str | None) -> dict:
     del cfg["model"]["vocab_size"]  # set by the vocabulary file
     _overlay(cfg, PROFILES[name])
     _overlay(cfg, file_cfg)
+    for section, cls in SECTIONS.items():
+        cls(**cfg[section])
     return cfg
 
 

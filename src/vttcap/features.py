@@ -1,7 +1,9 @@
 """Feature-matrix file format, dataset manifests and the synthetic corpus.
 
-Feature files («VTTF») are bit-exact: 4-byte magic, three u32 LE header
-fields (version=1, T, D), then T*D float32 LE values row-major.  A manifest
+A feature matrix is a (T, D) float32 array of per-timestep features, T and
+D at least 1.  Feature files («VTTF») are bit-exact: 4-byte magic, three
+u32 LE header fields (version=1, T, D), then T*D float32 LE values
+row-major; ``read_feature_file`` is the one check of such a file.  A manifest
 is JSON lines, one video each: id / frame_file / audio_file (nullable) /
 captions, the paths relative to its directory.  It names no role; the
 command reading it makes it training, validation or scoring data.
@@ -49,35 +51,13 @@ _TWO_CONCEPT = [
 
 
 @dataclass
-class FeatureMatrix:
-    """T x D float32 matrix of per-timestep features."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float32)
-        if self.values.ndim != 2 or self.values.shape[0] < 1 or self.values.shape[1] < 1:
-            raise ContractError(f"feature matrix must be T x D with T,D >= 1, "
-                                f"got shape {self.values.shape}")
-        if not np.isfinite(self.values).all():
-            raise DataError("feature matrix contains non-finite values")
-
-    @property
-    def t(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def d(self) -> int:
-        return self.values.shape[1]
-
-
-@dataclass
 class VideoSample:
-    """One clip: frame features, optional audio features, reference captions."""
+    """One clip: its frame feature matrix, its audio feature matrix (None
+    when the clip has no audio stream) and its reference captions."""
 
     id: str
-    frames: FeatureMatrix
-    audio: FeatureMatrix | None
+    frames: np.ndarray
+    audio: np.ndarray | None
     captions: list
 
     def __post_init__(self):
@@ -112,13 +92,14 @@ class DatasetManifest:
         return samples
 
 
-def write_feature_file(path, m: FeatureMatrix) -> None:
+def write_feature_file(path, values: np.ndarray) -> None:
+    t, d = values.shape
     with atomic_path(path) as tmp, open(tmp, "wb") as fh:
-        fh.write(MAGIC + struct.pack("<III", VERSION, m.t, m.d))
-        fh.write(np.ascontiguousarray(m.values, dtype="<f4").tobytes())
+        fh.write(MAGIC + struct.pack("<III", VERSION, t, d))
+        fh.write(np.ascontiguousarray(values, dtype="<f4").tobytes())
 
 
-def read_feature_file(path) -> FeatureMatrix:
+def read_feature_file(path) -> np.ndarray:
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < 16 or blob[:4] != MAGIC:
@@ -126,6 +107,8 @@ def read_feature_file(path) -> FeatureMatrix:
     version, t, d = struct.unpack("<III", blob[4:16])
     if version != VERSION:
         raise FormatError(f"{path}: unsupported version {version}")
+    if t < 1 or d < 1:
+        raise FormatError(f"{path}: empty {t}x{d} feature matrix")
     expected = 16 + 4 * t * d
     if len(blob) != expected:
         raise FormatError(f"{path}: payload length {len(blob) - 16} bytes, "
@@ -133,14 +116,7 @@ def read_feature_file(path) -> FeatureMatrix:
     values = np.frombuffer(blob, dtype="<f4", offset=16).reshape(t, d)
     if not np.isfinite(values).all():
         raise DataError(f"{path}: non-finite feature values")
-    return FeatureMatrix(values.copy())
-
-
-def dummy_audio(t: int, d_audio: int) -> FeatureMatrix:
-    """All-zero stand-in rows for clips without an audio stream."""
-    if t < 1:
-        raise ContractError("dummy_audio needs t >= 1")
-    return FeatureMatrix(np.zeros((t, d_audio), dtype=np.float32))
+    return values.astype(np.float32)
 
 
 def save_manifest(manifest: DatasetManifest, path) -> None:
@@ -210,6 +186,9 @@ def synth_dataset(seed: int, n_videos: int, n_concepts: int, d_vision: int,
         raise ContractError(f"at most {len(CONCEPT_NAMES)} concepts supported")
     if n_videos < 10:
         raise ContractError("need at least 10 videos for a 90/10 split")
+    if d_vision < 1 or d_audio < 1:
+        raise ContractError(f"feature widths must be >= 1, got d_vision={d_vision}, "
+                            f"d_audio={d_audio}")
 
     out_dir = Path(out_dir)
     feat_dir = out_dir / "features"
@@ -237,9 +216,8 @@ def synth_dataset(seed: int, n_videos: int, n_concepts: int, d_vision: int,
             base = vision_embed[c]
             rows.append(base + rng.normal((d_vision,),
                                           std=NOISE_SCALE * float(np.linalg.norm(base))))
-        frames = FeatureMatrix(np.stack(rows))
         frame_rel = f"features/{vid}_frames.vttf"
-        write_feature_file(out_dir / frame_rel, frames)
+        write_feature_file(out_dir / frame_rel, np.stack(rows))
 
         has_audio = rng.random() < 0.7
         audio_rel = None
@@ -250,7 +228,7 @@ def synth_dataset(seed: int, n_videos: int, n_concepts: int, d_vision: int,
                                        std=NOISE_SCALE * float(np.linalg.norm(base)))
                      for _ in range(t_a)]
             audio_rel = f"features/{vid}_audio.vttf"
-            write_feature_file(out_dir / audio_rel, FeatureMatrix(np.stack(arows)))
+            write_feature_file(out_dir / audio_rel, np.stack(arows))
 
         entries.append(ManifestEntry(vid, frame_rel, audio_rel, captions_for(concepts)))
 

@@ -56,7 +56,6 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ContractError, DimensionError, FormatError
-from .features import dummy_audio
 from .fileio import atomic_path, read_json, write_text
 from .tensor import RngState, Tensor
 
@@ -385,7 +384,8 @@ class TransformerModel:
         return T.layer_norm(x, g[f"{prefix}.gamma"], g[f"{prefix}.beta"], y)
 
     def encode(self, videos) -> Encoding:
-        """Encoder output of a batch of (frames, audio) videos, padded to its longest."""
+        """Encoder output of a batch of (frames, audio) videos (see
+        ``embed_multimodal``), padded to its longest."""
         x, mask = embed_multimodal(videos, self)
         for i in range(self.cfg.n_enc):
             p = f"enc.{i}"
@@ -483,25 +483,26 @@ class DecodeCache:
 
 
 def embed_multimodal(videos, model: TransformerModel) -> tuple:
-    """Joint encoder input of a batch of (frames, audio) videos: vision rows
-    at positions 0..T_v-1, audio rows at positions p_audio.., missing audio
-    replaced by one all-zero row.  Returns the (B, S, d_model) input, vision
-    rows padded to the batch's longest and then audio rows likewise, and its
-    additive key mask (see ``Encoding``)."""
+    """Joint encoder input of a batch of (frames, audio) videos, each a
+    (T, D) float32 feature matrix and audio None when the clip has none:
+    vision rows at positions 0..T_v-1, audio rows at positions p_audio..,
+    missing audio replaced by one all-zero row.  Returns the (B, S, d_model)
+    input, vision rows padded to the batch's longest and then audio rows
+    likewise, and its additive key mask (see ``Encoding``)."""
     cfg = model.cfg
     vision, sound = [], []
     for frames, audio in videos:
-        if frames.t > cfg.p_audio:
+        if len(frames) > cfg.p_audio:
             raise ContractError(
-                f"frames.T={frames.t} exceeds the audio offset p_audio={cfg.p_audio}")
-        if frames.d != cfg.d_vision:
-            raise DimensionError(f"frame dim {frames.d} != d_vision {cfg.d_vision}")
+                f"{len(frames)} frame rows exceed the audio offset p_audio={cfg.p_audio}")
+        if frames.shape[1] != cfg.d_vision:
+            raise DimensionError(f"frame dim {frames.shape[1]} != d_vision {cfg.d_vision}")
         if audio is None:
-            audio = dummy_audio(1, cfg.d_audio)
-        if audio.d != cfg.d_audio:
-            raise DimensionError(f"audio dim {audio.d} != d_audio {cfg.d_audio}")
-        vision.append(frames.values)
-        sound.append(audio.values)
+            audio = np.zeros((1, cfg.d_audio), dtype=np.float32)
+        if audio.shape[1] != cfg.d_audio:
+            raise DimensionError(f"audio dim {audio.shape[1]} != d_audio {cfg.d_audio}")
+        vision.append(frames)
+        sound.append(audio)
     g = model.params
     dt = model.dtype
     parts, real = [], []

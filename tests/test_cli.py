@@ -158,6 +158,25 @@ def test_config_contract(workdir, tmp_path, override, code):
     assert (tmp_path / "run").exists() == (code == 0)
 
 
+@pytest.mark.parametrize("command, override, key", [
+    ("train", {"reward": {"n_samples": 0}}, "n_samples"),
+    ("train", {"reward": {"eta": -1.0}}, "eta"),
+    ("finetune-scst", {"model": {"n_heads": 3}}, "n_heads"),
+    ("finetune-scst", {"schedule": {"warmup": 0}}, "warmup"),
+])
+def test_every_section_is_checked(workdir, tmp_path, capsys, command, override, key):
+    """An out-of-range value exits 2 and names its key, also in a section the
+    command does not read."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(override))
+    args = run_args(workdir, tmp_path / "run")
+    args[1] = str(config)
+    extra = ["--init", str(workdir / "init.vttc")] if command == "finetune-scst" else []
+    assert dispatch([command, *args, *extra]) == 2
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 @pytest.mark.parametrize("sidecar", [
     "5",
     "null",
@@ -196,6 +215,8 @@ def test_corrupt_checkpoint_config_exits_2(workdir, tmp_path, capsys, monkeypatc
     (["train", "--profile", "huge"], 1),
     (["synth-data", "--videos", "5", "--out", "{t}/data"], 2),
     (["synth-data", "--concepts", "1", "--out", "{t}/data"], 2),
+    (["synth-data", "--d-vision", "0", "--out", "{t}/data"], 2),
+    (["synth-data", "--d-audio", "0", "--out", "{t}/data"], 2),
     (["build-vocab", "--manifest", "{d}/data/train.jsonl", "--size", "3",
       "--out", "{t}/vocab.txt"], 2),
     (["train", "--train", "{d}/data/train.jsonl", "--val", "{t}/missing.jsonl",

@@ -1,5 +1,6 @@
 """Feature file format, manifests, synthetic corpus generator."""
 
+import hashlib
 import json
 import struct
 from pathlib import Path
@@ -8,42 +9,31 @@ import numpy as np
 import pytest
 
 from vttcap.errors import ContractError, DataError, FormatError
-from vttcap.features import (DatasetManifest, FeatureMatrix, ManifestEntry, VideoSample,
-                             captions_for, dummy_audio, load_manifest, read_feature_file,
-                             save_manifest, synth_dataset, write_feature_file)
+from vttcap.features import (DatasetManifest, ManifestEntry, VideoSample, captions_for,
+                             load_manifest, read_feature_file, save_manifest, synth_dataset,
+                             write_feature_file)
 
 
-class TestFeatureMatrix:
-    def test_validates_shape(self):
-        with pytest.raises(ContractError):
-            FeatureMatrix(np.zeros((0, 4), dtype=np.float32))
-        with pytest.raises(ContractError):
-            FeatureMatrix(np.zeros(4, dtype=np.float32))
-
-    def test_rejects_non_finite(self):
-        bad = np.full((2, 2), np.nan, dtype=np.float32)
-        with pytest.raises(DataError):
-            FeatureMatrix(bad)
-
+class TestVideoSample:
     def test_video_sample_needs_captions(self):
-        m = FeatureMatrix(np.zeros((1, 2), dtype=np.float32))
         with pytest.raises(ContractError):
-            VideoSample("v", m, None, [])
+            VideoSample("v", np.zeros((1, 2), dtype=np.float32), None, [])
 
 
 class TestFeatureFile:
     def test_roundtrip_bit_exact(self, tmp_path, np_rng):
-        m = FeatureMatrix(np_rng.normal(size=(5, 7)).astype(np.float32))
+        m = np_rng.normal(size=(5, 7)).astype(np.float32)
         path = tmp_path / "m.vttf"
         write_feature_file(path, m)
         again = read_feature_file(path)
-        assert np.array_equal(m.values, again.values)
+        assert again.dtype == np.float32 and again.flags.writeable
+        assert np.array_equal(m, again)
         write_feature_file(tmp_path / "m2.vttf", m)
         assert path.read_bytes() == (tmp_path / "m2.vttf").read_bytes()
 
     def test_single_value_file_is_twenty_bytes(self, tmp_path):
         path = tmp_path / "one.vttf"
-        write_feature_file(path, FeatureMatrix(np.array([[0.5]], dtype=np.float32)))
+        write_feature_file(path, np.array([[0.5]], dtype=np.float32))
         blob = path.read_bytes()
         assert len(blob) == 16 + 4
         assert blob[:4] == b"VTTF"
@@ -69,16 +59,22 @@ class TestFeatureFile:
         with pytest.raises(DataError):
             read_feature_file(path)
 
+    @pytest.mark.parametrize("t, d", [(0, 4), (3, 0), (0, 0)])
+    def test_empty_matrix_rejected(self, tmp_path, t, d):
+        path = tmp_path / "empty.vttf"
+        path.write_bytes(b"VTTF" + struct.pack("<III", 1, t, d))
+        with pytest.raises(FormatError, match=f"empty.vttf: empty {t}x{d}"):
+            read_feature_file(path)
+
     def test_failed_write_keeps_previous_file(self, tmp_path):
         path = tmp_path / "m.vttf"
-        write_feature_file(path, FeatureMatrix(np.ones((2, 3), dtype=np.float32)))
+        write_feature_file(path, np.ones((2, 3), dtype=np.float32))
         before = path.read_bytes()
 
         class Exploding:  # the header is written, then the payload fails
-            t, d = 2, 3
+            shape = (2, 3)
 
-            @property
-            def values(self):
+            def __array__(self, *args, **kwargs):
                 raise RuntimeError("disk gone")
 
         with pytest.raises(RuntimeError):
@@ -87,7 +83,7 @@ class TestFeatureFile:
         assert [p.name for p in tmp_path.iterdir()] == ["m.vttf"]
 
     def test_paper_scale_header(self, tmp_path):
-        m = FeatureMatrix(np.zeros((300, 2048), dtype=np.float32))
+        m = np.zeros((300, 2048), dtype=np.float32)
         path = tmp_path / "big.vttf"
         write_feature_file(path, m)
         with open(path, "rb") as fh:
@@ -95,15 +91,31 @@ class TestFeatureFile:
         assert struct.unpack("<III", head[4:]) == (1, 300, 2048)
 
 
-class TestDummyAudio:
-    def test_all_zeros(self):
-        m = dummy_audio(1, 128)
-        assert m.values.shape == (1, 128)
-        assert m.values.sum() == 0.0
-
-    def test_needs_positive_t(self):
-        with pytest.raises(ContractError):
-            dummy_audio(0, 8)
+# md5 of each file of synth_dataset(seed=7, n_videos=10, n_concepts=8,
+# d_vision=32, d_audio=8); vid_0005 has no audio.
+PINNED_CORPUS = {
+    "features/vid_0000_audio.vttf": "04f431ee2f6147815c902095aaec0bc6",
+    "features/vid_0000_frames.vttf": "5888ed3bc1757d1a1767ac50a6a55b94",
+    "features/vid_0001_audio.vttf": "fe1e8eccfb129bc1f242155c535416dd",
+    "features/vid_0001_frames.vttf": "f00f74102a18ed4ab0a812c28c9403eb",
+    "features/vid_0002_audio.vttf": "a849cc37b8752d580600990b17c4a8f6",
+    "features/vid_0002_frames.vttf": "a7ee019888cfe871978c22164cdc6bf3",
+    "features/vid_0003_audio.vttf": "2e380f720864cd480b0165842fed8ae2",
+    "features/vid_0003_frames.vttf": "ac15506026644395213949c18b100644",
+    "features/vid_0004_audio.vttf": "88eec779158478449cfd20d42825858f",
+    "features/vid_0004_frames.vttf": "c55b2d9b9425eebaefc79390d003535b",
+    "features/vid_0005_frames.vttf": "00f234de85ba6778677f13cd113c3e9f",
+    "features/vid_0006_audio.vttf": "5efe2d82f223bc3f7a3df2af57c163db",
+    "features/vid_0006_frames.vttf": "1cf95ddf16692e736fb67925dd7ce7ea",
+    "features/vid_0007_audio.vttf": "ed6070985b292ce5316ad73b54e2f207",
+    "features/vid_0007_frames.vttf": "9c079178fa4a9db5c7f84f99321f3287",
+    "features/vid_0008_audio.vttf": "42e1067613f0105e0e177b85a889363b",
+    "features/vid_0008_frames.vttf": "420774a5cf568f476332d4f544746128",
+    "features/vid_0009_audio.vttf": "3beb1ae37ad2ad794b8d287d722f9d23",
+    "features/vid_0009_frames.vttf": "3152c1df8e3cf6c36161225a25e4f758",
+    "train.jsonl": "1a4bb967c6230f33f8b7ddd201a7f3e5",
+    "val.jsonl": "f15e6bed73f9c2e6f5fe24a4819ade8a",
+}
 
 
 class TestSynthDataset:
@@ -141,6 +153,18 @@ class TestSynthDataset:
             synth_dataset(1, 5, 4, 8, 4, tmp_path)
         with pytest.raises(ContractError):
             synth_dataset(1, 20, 1, 8, 4, tmp_path)
+        for d_vision, d_audio in ((0, 4), (8, 0)):
+            with pytest.raises(ContractError, match="widths"):
+                synth_dataset(1, 20, 4, d_vision, d_audio, tmp_path)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_default_corpus_is_pinned(self, tmp_path):
+        """The md5 of every file of the corpus the ``synth-data`` defaults
+        give at 10 videos; a new generator option must leave them as they are."""
+        synth_dataset(7, 10, 8, 32, 8, tmp_path)
+        digests = {p.relative_to(tmp_path).as_posix(): hashlib.md5(p.read_bytes()).hexdigest()
+                   for p in tmp_path.rglob("*") if p.is_file()}
+        assert digests == PINNED_CORPUS
 
     def test_some_videos_lack_audio(self, tmp_path):
         train, val = synth_dataset(5, 40, 4, 8, 4, tmp_path)
@@ -150,9 +174,9 @@ class TestSynthDataset:
     def test_noise_bounded_and_finite(self, tmp_path):
         train, _ = synth_dataset(9, 12, 3, 8, 4, tmp_path)
         for s in train.load_samples():
-            assert np.isfinite(s.frames.values).all()
+            assert np.isfinite(s.frames).all()
             if s.audio is not None:
-                assert np.isfinite(s.audio.values).all()
+                assert np.isfinite(s.audio).all()
 
 
 class TestManifest:
@@ -164,8 +188,7 @@ class TestManifest:
             load_manifest(path)
 
     def test_duplicate_ids_rejected(self, tmp_path):
-        write_feature_file(tmp_path / "f.vttf",
-                           FeatureMatrix(np.zeros((1, 2), dtype=np.float32)))
+        write_feature_file(tmp_path / "f.vttf", np.zeros((1, 2), dtype=np.float32))
         row = json.dumps({"id": "v1", "frame_file": "f.vttf",
                           "audio_file": None, "captions": ["a cat"]})
         (tmp_path / "m.jsonl").write_text(row + "\n" + row + "\n")
@@ -178,7 +201,7 @@ class TestManifest:
         assert [e.id for e in loaded.entries] == [e.id for e in train.entries]
         samples = loaded.load_samples()
         assert len(samples) == len(train)
-        assert all(s.frames.t >= 1 for s in samples)
+        assert all(s.frames.dtype == np.float32 and len(s.frames) >= 1 for s in samples)
 
     @pytest.mark.parametrize("line,match", [
         ("[1, 2]", "JSON object"),

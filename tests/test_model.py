@@ -11,7 +11,7 @@ import pytest
 from conftest import assert_grads_match, encoded, only, teacher_forced, tiny_config
 from vttcap import tensor as T
 from vttcap.errors import ContractError, FormatError
-from vttcap.features import FeatureMatrix, VideoSample, dummy_audio
+from vttcap.features import VideoSample
 from vttcap.model import (CKPT_MAGIC, CKPT_VERSION, Encoding, ModelConfig, TransformerModel,
                           XLinearWeights, causal_mask,
                           embed_multimodal, greedy_decode, load_checkpoint,
@@ -26,7 +26,7 @@ from vttcap.training import (OptimizerState, adam_update, batch_xe_loss, clip_gr
 
 
 def rand_frames(rng, t=4, d=5):
-    return FeatureMatrix(rng.normal(size=(t, d)).astype(np.float32))
+    return rng.normal(size=(t, d)).astype(np.float32)
 
 
 # ---------------------------------------------------------------------------
@@ -93,15 +93,15 @@ class TestEmbedMultimodal:
         self.zero = TransformerModel(self.cfg, init="zeros")
 
     def test_pe_indices_with_audio(self):
-        frames = FeatureMatrix(np.zeros((2, 5), dtype=np.float32))
-        audio = FeatureMatrix(np.zeros((3, 3), dtype=np.float32))
+        frames = np.zeros((2, 5), dtype=np.float32)
+        audio = np.zeros((3, 3), dtype=np.float32)
         out = only(embed_multimodal([(frames, audio)], self.zero)[0])
         assert out.shape == (5, 8)
         expected = np.concatenate([pe_block(0, 2, 8), pe_block(300, 3, 8)])
         assert np.array_equal(out.data, expected.astype(np.float32))
 
     def test_absent_audio_single_offset_row(self):
-        frames = FeatureMatrix(np.zeros((2, 5), dtype=np.float32))
+        frames = np.zeros((2, 5), dtype=np.float32)
         out = only(embed_multimodal([(frames, None)], self.zero)[0])
         assert out.shape == (3, 8)
         assert np.array_equal(out.data[-1],
@@ -111,11 +111,12 @@ class TestEmbedMultimodal:
         model = TransformerModel(self.cfg, seed=4)
         frames = rand_frames(np_rng)
         a = only(teacher_forced(model, [(frames, None)], [[2, 5, 7]]))
-        b = only(teacher_forced(model, [(frames, dummy_audio(1, 3))], [[2, 5, 7]]))
+        zero_row = np.zeros((1, 3), dtype=np.float32)
+        b = only(teacher_forced(model, [(frames, zero_row)], [[2, 5, 7]]))
         assert np.array_equal(a.data, b.data)
 
     def test_frames_beyond_offset_rejected(self, np_rng):
-        frames = FeatureMatrix(np_rng.normal(size=(301, 5)).astype(np.float32))
+        frames = np_rng.normal(size=(301, 5)).astype(np.float32)
         with pytest.raises(ContractError, match="p_audio"):
             embed_multimodal([(frames, None)], self.zero)
 
@@ -236,7 +237,7 @@ class TestForwardTeacherForced:
     def test_encoder_is_order_sensitive(self, np_rng):
         model = TransformerModel(tiny_config(), seed=2)
         frames = rand_frames(np_rng, t=4)
-        permuted = FeatureMatrix(frames.values[::-1].copy())
+        permuted = frames[::-1].copy()
         a = model.encode([(frames, None)]).out
         b = model.encode([(permuted, None)]).out
         assert not np.allclose(a.data, b.data)
@@ -246,8 +247,8 @@ class TestGradientChecks:
     @pytest.mark.parametrize("kind", ["memory_scaled_dot", "x_linear"])
     def test_full_model_gradients(self, kind, np_rng):
         model = TransformerModel(tiny_config(kind), seed=3, dtype=np.float64)
-        frames = FeatureMatrix(np_rng.normal(size=(3, 5)).astype(np.float32))
-        audio = FeatureMatrix(np_rng.normal(size=(2, 3)).astype(np.float32))
+        frames = np_rng.normal(size=(3, 5)).astype(np.float32)
+        audio = np_rng.normal(size=(2, 3)).astype(np.float32)
         ids = [2, 5, 7, 4, 3]
 
         def loss():
@@ -268,7 +269,7 @@ class TestGreedyDecode:
         probe[:8, :8] = np.eye(8)
         model.params["out_proj.w"].data[...] = probe
         with T.no_grad():
-            enc = model.encode([(FeatureMatrix(np.zeros((2, 5), dtype=np.float32)), None)])
+            enc = model.encode([(np.zeros((2, 5), dtype=np.float32), None)])
             x0 = model.forward_teacher_forced(enc, [0], [[2]]).data[0][0, :8].astype(np.float64)
             x1 = model.forward_teacher_forced(enc, [0], [[2, 7]]).data[0][1, :8].astype(np.float64)
         w = np.zeros((8, 12))
@@ -308,7 +309,7 @@ class TestSampleDecode:
         bias = np.full(8, -1e9, dtype=np.float32)
         bias[4:7] = np.log([1.0, 2.0, 4.0])
         model.params["out_proj.b"].data[...] = bias
-        frames = FeatureMatrix(np.zeros((1, 2), dtype=np.float32))
+        frames = np.zeros((1, 2), dtype=np.float32)
         probs = np.zeros(8)
         probs[4:7] = np.array([1.0, 2.0, 4.0]) / 7.0
         n = 100_000
@@ -370,7 +371,7 @@ def reference_sample(model, frames, audio, n, rng, l_max):
 
 def video(rng, with_audio):
     frames = rand_frames(rng, t=3)
-    audio = FeatureMatrix(rng.normal(size=(2, 3)).astype(np.float32)) if with_audio else None
+    audio = rng.normal(size=(2, 3)).astype(np.float32) if with_audio else None
     return frames, audio
 
 
@@ -653,9 +654,9 @@ def ref_logits(P, cfg, frames, audio, ids):
         return hidden @ P[f"{prefix}.ff2.w"] + P[f"{prefix}.ff2.b"]
 
     d = cfg.d_model
-    aud = np.zeros((1, cfg.d_audio)) if audio is None else audio.values
+    aud = np.zeros((1, cfg.d_audio)) if audio is None else audio
     x = np.concatenate([
-        frames.values @ P["vision_embed.w"] + P["vision_embed.b"] + pe_block(0, frames.t, d),
+        frames @ P["vision_embed.w"] + P["vision_embed.b"] + pe_block(0, len(frames), d),
         aud @ P["audio_embed.w"] + P["audio_embed.b"] + pe_block(cfg.p_audio, len(aud), d)])
     for i in range(cfg.n_enc):
         p = f"enc.{i}"
@@ -786,8 +787,7 @@ def batch_samples(rng, with_audio):
     """Three videos of 2, 4 and 3 frames; with audio, of 3, 1 and 2 audio rows."""
     out = []
     for i, (t, t_audio) in enumerate(((2, 3), (4, 1), (3, 2))):
-        audio = (FeatureMatrix(rng.normal(size=(t_audio, 3)).astype(np.float32))
-                 if with_audio else None)
+        audio = rng.normal(size=(t_audio, 3)).astype(np.float32) if with_audio else None
         out.append(VideoSample(f"v{i}", rand_frames(rng, t=t), audio, ["a"]))
     return out
 
@@ -863,7 +863,7 @@ class TestBatchedTeacherForcing:
         model = TransformerModel(tiny_config(kind), seed=7, dtype=np.float64)
         samples = batch_samples(np_rng, with_audio)
         longer = VideoSample("long", rand_frames(np_rng, t=7),
-                             FeatureMatrix(np_rng.normal(size=(5, 3)))
+                             np_rng.normal(size=(5, 3)).astype(np.float32)
                              if with_audio else None, ["a"])
 
         def row_losses(pairs):

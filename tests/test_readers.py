@@ -12,6 +12,7 @@ that once escaped as ``UnicodeDecodeError``, ``JSONDecodeError`` or
 
 import argparse
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from hypothesis import strategies as st
 from conftest import tiny_config
 from vttcap.cli import SECTIONS, cmd_score, resolve_config
 from vttcap.errors import FormatError, VttError
-from vttcap.features import FeatureMatrix, load_manifest, write_feature_file
+from vttcap.features import load_manifest, write_feature_file
 from vttcap.model import TransformerModel, load_checkpoint, save_checkpoint
 from vttcap.tokenizer import PAD_TOKEN, load_vocab
 
@@ -34,7 +35,7 @@ DEEP_JSON = b"[" * 100_000
 def files(tmp_path_factory):
     """A valid file of each kind: {kind: (path, bytes)}."""
     d = tmp_path_factory.mktemp("readers")
-    write_feature_file(d / "f.vttf", FeatureMatrix(np.arange(6, dtype=np.float32).reshape(2, 3)))
+    write_feature_file(d / "f.vttf", np.arange(6, dtype=np.float32).reshape(2, 3))
     (d / "m.jsonl").write_text("".join(json.dumps(
         {"id": f"v{i}", "frame_file": "f.vttf", "audio_file": None if i else "f.vttf",
          "captions": ["a cat", "the dog runs"]}) + "\n" for i in range(2)), encoding="utf-8")
@@ -95,13 +96,16 @@ def read_or_vtt_error(files, kinds, data, kind, blob, read):
 @example(data=None, kind="manifest", blob=b"\xff\xfe")
 @example(data=None, kind="manifest", blob=DEEP_JSON)
 @example(data=None, kind="vttf", blob=b"VTTF" + bytes(12))
+@example(data=None, kind="vttf", blob=b"VTTF" + struct.pack("<III", 1, 0, 4))
 def test_dataset(files, data, kind, blob):
     samples = read_or_vtt_error(files, ["manifest", "vttf"], data, kind, blob,
                                 lambda f: load_manifest(f["manifest"][0]).load_samples())
     assert samples is None or len(samples) >= 1
     for s in samples or []:
-        for m in filter(None, (s.frames, s.audio)):
-            assert m.t >= 1 and m.d >= 1 and np.isfinite(m.values).all()
+        for m in (s.frames, s.audio):
+            if m is not None:
+                assert m.dtype == np.float32 and m.ndim == 2 and min(m.shape) >= 1
+                assert np.isfinite(m).all()
 
 
 @FUZZ

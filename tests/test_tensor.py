@@ -11,7 +11,6 @@ import pytest
 from conftest import assert_grads_match, rel_err, sum_all, teacher_forced, tiny_config
 from vttcap import tensor as T
 from vttcap.errors import ContractError, DimensionError
-from vttcap.features import FeatureMatrix
 from vttcap.model import TransformerModel
 from vttcap.tensor import RngState, Tensor
 
@@ -264,7 +263,7 @@ class TestGraphLifetime:
         model = TransformerModel(tiny_config(d_model=32, vocab_size=100_000), seed=6)
         weight = model.params["out_proj.w"]
         assert weight.data.size > 3 * T._GRAD_BLOCK
-        frames = FeatureMatrix(np.random.default_rng(3).normal(size=(4, 5)))
+        frames = np.random.default_rng(3).normal(size=(4, 5)).astype(np.float32)
         loss = T.cross_entropy(teacher_forced(model, [(frames, None)], [[1, 5]]), [[5, 2]])
         tracemalloc.start()
         try:
