@@ -20,8 +20,7 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
-from .errors import CapacityError, ContractError, DataError, DimensionError, \
-    FormatError, TrainingError, VttError
+from .errors import FormatError, TrainingError, VttError
 from .features import load_manifest, synth_dataset
 from .fileio import read_json, read_json_lines, write_text
 from .metrics import reference_tables, score_corpus
@@ -125,32 +124,20 @@ def cmd_build_vocab(args) -> int:
     return 0
 
 
-def cmd_train(args) -> int:
+def cmd_fit(args) -> int:
+    """``train``: XE from a freshly initialised model; ``finetune-scst``: SCST
+    from the ``--init`` checkpoint."""
     cfg = resolve_config(args.config, args.profile)
     vocab = load_vocab(args.vocab)
-    model_cfg = ModelConfig(**cfg["model"], vocab_size=len(vocab))
-    sched = ScheduleConfig(**cfg["schedule"])
     run = _run_config(cfg, args)
     train = load_manifest(args.train)
     val = load_manifest(args.val)
-    model = TransformerModel(model_cfg, seed=run.seed)
-    result = train_xe(model, vocab, train, val, sched, run)
-    print(json.dumps({"best_epoch": result.best_epoch,
-                      "best_cider_d": result.best_cider_d,
-                      "best_checkpoint": str(result.best_path),
-                      "history": str(Path(run.out_dir) / "history.jsonl")}))
-    return 0
-
-
-def cmd_finetune_scst(args) -> int:
-    cfg = resolve_config(args.config, args.profile)
-    vocab = load_vocab(args.vocab)
-    train = load_manifest(args.train)
-    val = load_manifest(args.val)
-    rc = RewardConfig(**cfg["reward"])
-    run = _run_config(cfg, args)
-    result = finetune_scst(args.init, train, val, vocab, rc, run,
-                           trace_path=args.trace)
+    if args.command == "train":
+        model = TransformerModel(ModelConfig(**cfg["model"], vocab_size=len(vocab)), seed=run.seed)
+        result = train_xe(model, vocab, train, val, ScheduleConfig(**cfg["schedule"]), run)
+    else:
+        result = finetune_scst(args.init, train, val, vocab, RewardConfig(**cfg["reward"]), run,
+                               trace_path=args.trace)
     print(json.dumps({"best_epoch": result.best_epoch,
                       "best_cider_d": result.best_cider_d,
                       "best_checkpoint": str(result.best_path),
@@ -232,7 +219,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_build_vocab)
 
-    for name, fn in (("train", cmd_train), ("finetune-scst", cmd_finetune_scst)):
+    for name in ("train", "finetune-scst"):
         p = sub.add_parser(name, help=f"{name} on a dataset")
         p.add_argument("--config")
         p.add_argument("--profile", choices=sorted(PROFILES))
@@ -245,7 +232,7 @@ def build_parser() -> _Parser:
         if name == "finetune-scst":
             p.add_argument("--init", required=True, help="XE checkpoint to start from")
             p.add_argument("--trace", help="per-step reward trace (JSON lines)")
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=cmd_fit)
 
     p = sub.add_parser("caption", help="greedy-decode captions for a manifest")
     p.add_argument("--checkpoint", required=True)
@@ -278,13 +265,12 @@ def dispatch(argv) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (FormatError, DataError, CapacityError, ContractError, DimensionError,
-            OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (TrainingError, FloatingPointError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 3
+    except (VttError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 def main() -> None:

@@ -11,8 +11,10 @@ standard causal transformer over subword tokens.
 Every forward pass is batch-first.  A batch of videos is one (B, S, d_model)
 encoder input: each video's vision rows padded to the batch's longest, then
 its audio rows padded likewise.  An additive key mask (``NEG_INF`` on the
-padding rows) is honoured by encoder self-attention, memory slots and
-X-linear pooling included, and by decoder cross-attention.  Captions are
+padding rows) is honoured by encoder self-attention, X-linear pooling
+included, and by decoder cross-attention.  The encoder widens it once with
+zero columns for the memory slots, which are never masked, so every
+attention reads a mask as wide as its keys.  Captions are
 one (B, L) array padded with PAD after their last token; the one causal
 mask keeps every real position from seeing the padding, and the loss gives
 padded targets weight 0.  Callers encode; through ``decode_cache(enc,
@@ -110,12 +112,17 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        """A config from a JSON object whose values have their fields' types."""
+        """A config from a JSON object that names every field, each value of
+        its field's type."""
         if not isinstance(d, dict):
             raise FormatError(f"model config must be a JSON object, not {type(d).__name__}")
-        unknown = set(d) - {f.name for f in fields(cls)}
+        names = [f.name for f in fields(cls)]
+        unknown = set(d) - set(names)
         if unknown:
             raise FormatError(f"unknown model config keys: {sorted(unknown)}")
+        missing = [k for k in names if k not in d]
+        if missing:
+            raise FormatError(f"missing model config keys: {missing}")
         wrong = sorted(k for k, v in d.items() if not has_field_type(cls, k, v))
         if wrong:
             raise FormatError(f"model config values of the wrong type: {wrong}")
@@ -150,28 +157,6 @@ def causal_mask(n: int, dtype=np.float32) -> np.ndarray:
 # attention blocks
 
 
-def _key_mask(mask: np.ndarray, n_keys: int, dtype) -> np.ndarray:
-    """``mask`` widened with zeros to ``n_keys`` columns: keys past it (memory
-    slots) are never masked."""
-    mask = np.asarray(mask, dtype=dtype)
-    short = n_keys - mask.shape[-1]
-    if short:
-        mask = np.concatenate([mask, np.zeros(mask.shape[:-1] + (short,), dtype)], axis=-1)
-    return mask
-
-
-def memory_attention(q: Tensor, k: Tensor, v: Tensor,
-                     mask: np.ndarray | None = None) -> Tensor:
-    """Scaled dot-product attention whose keys and values may end in memory slots.
-
-    softmax(q k^T / sqrt(d_head) + mask) v, batched over leading (batch,
-    head) axes, as one ``tensor.attention`` node.  The additive mask
-    broadcasts over the scores and covers the leading real key positions
-    only; key columns past it (memory slots) are never masked.
-    """
-    return T.attention(q, k, v, None if mask is None else _key_mask(mask, k.shape[-2], q.dtype))
-
-
 @dataclass
 class XLinearWeights:
     """Bilinear attention parameters, each with the leading (head) axes of q."""
@@ -191,10 +176,10 @@ def x_linear_attention(q: Tensor, k: Tensor, v: Tensor, w: XLinearWeights,
     spatial weights are a softmax over keys j of ws-scored embedded features
     relu(B_ij Wb); the channel gate is a sigmoid of their mean over j times Wc;
     the output is gate * (spatial-weighted sum of value rows).  All rows run
-    at once, batched over leading (batch, head) axes.  ``mask`` is a key
-    mask, the same for every query row: (keys,), or (batch, 1, 1, keys)
-    under a batch and head axis.  Keys past its last column (memory slots)
-    are never masked; the mean runs over the kept keys.
+    at once, batched over leading (batch, head) axes.  ``mask`` is an
+    additive key mask as wide as the keys, the same for every query row:
+    (keys,), or (batch, 1, 1, keys) under a batch and head axis; the mean
+    runs over the kept keys.
 
     Deviation from Pan et al. 2020 (X-Linear Attention Networks): there the
     values are embedded bilinearly too, relu(v Wv) * relu(q Wq'), before
@@ -218,7 +203,6 @@ def x_linear_attention(q: Tensor, k: Tensor, v: Tensor, w: XLinearWeights,
     if mask is None:
         pool_w = np.full((1, n_keys), 1.0 / n_keys, dtype)
     else:
-        mask = _key_mask(mask, n_keys, dtype)
         keep = mask > NEG_INF / 2
         pool_w = (keep / keep.sum(axis=-1, keepdims=True)).astype(dtype)[..., None, :]
         scores = T.add(scores, T.constant(mask))
@@ -356,8 +340,9 @@ class TransformerModel:
     def _multi_head(self, prefix: str, x_q: Tensor, kv: tuple,
                     mask: np.ndarray | None, memory_prefix: str | None = None) -> Tensor:
         """Attention of the rows of ``x_q`` over the head-split key/value pair
-        ``kv``, memory slots joined under ``memory_prefix``: one node each for
-        Q's projection, its head split, a memory attention, the merge and ``out``."""
+        ``kv``, memory slots joined under ``memory_prefix``, with ``mask`` as
+        wide as the keys: one node each for Q's projection, its head split,
+        the attention, the merge and ``out``."""
         cfg = self.cfg
         g = self.params
         k, v = kv
@@ -370,7 +355,7 @@ class TransformerModel:
                                  for nm in ("wq", "wk", "wb", "ws", "wc")))
             heads = x_linear_attention(q, k, v, w, mask)
         else:
-            heads = memory_attention(q, k, v, mask)
+            heads = T.attention(q, k, v, mask)
         return T.matmul(T.merge_heads(heads), g[f"{prefix}.out.w"], g[f"{prefix}.out.b"])
 
     def _ffn(self, prefix: str, x: Tensor) -> Tensor:
@@ -385,12 +370,17 @@ class TransformerModel:
 
     def encode(self, videos) -> Encoding:
         """Encoder output of a batch of (frames, audio) videos (see
-        ``embed_multimodal``), padded to its longest."""
+        ``embed_multimodal``), padded to its longest.  Each layer's keys end
+        in its ``d_memory`` memory slots; the key mask is widened once, with
+        zero columns for them, and the ``Encoding`` keeps it unwidened."""
         x, mask = embed_multimodal(videos, self)
+        keys_mask = mask
+        if mask is not None and self.cfg.d_memory > 0:
+            keys_mask = np.pad(mask, ((0, 0),) * 3 + ((0, self.cfg.d_memory),))
         for i in range(self.cfg.n_enc):
             p = f"enc.{i}"
             att = self._multi_head(f"{p}.attn", x, self._project_kv(f"{p}.attn", x),
-                                   mask=mask, memory_prefix=p)
+                                   mask=keys_mask, memory_prefix=p)
             x = self._norm(f"{p}.ln1", x, att)
             x = self._norm(f"{p}.ln2", x, self._ffn(p, x))
         return Encoding(x, mask)

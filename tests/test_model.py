@@ -15,8 +15,7 @@ from vttcap.features import VideoSample
 from vttcap.model import (CKPT_MAGIC, CKPT_VERSION, Encoding, ModelConfig, TransformerModel,
                           XLinearWeights, causal_mask,
                           embed_multimodal, greedy_decode, load_checkpoint,
-                          load_checkpoint_for,
-                          memory_attention, pe_block, sample_decode, save_checkpoint,
+                          load_checkpoint_for, pe_block, sample_decode, save_checkpoint,
                           x_linear_attention)
 from vttcap.scst import scst_surrogate_loss
 from vttcap.tensor import RngState
@@ -122,12 +121,15 @@ class TestEmbedMultimodal:
 
 
 class TestMemoryAttention:
+    """``T.attention`` over keys that end in memory slots: the slots are
+    plain key rows, and a key mask as wide as the keys leaves them unmasked."""
+
     def test_zero_memory_equals_vanilla(self, np_rng):
         for _ in range(20):
             q = T.constant(np_rng.normal(size=(3, 4)))
             k = T.constant(np_rng.normal(size=(5, 4)))
             v = T.constant(np_rng.normal(size=(5, 4)))
-            out = memory_attention(q, k, v)
+            out = T.attention(q, k, v)
             assert np.allclose(out.data,
                                oracle_vanilla_attention(q.data, k.data, v.data),
                                atol=1e-6)
@@ -138,7 +140,7 @@ class TestMemoryAttention:
         k = T.constant(rng.normal(size=(3, 3)))  # two keys, then one memory slot
         # identity-like values expose the attention weights directly
         v = T.constant(np.eye(3))
-        out = memory_attention(q, k, v)
+        out = T.attention(q, k, v)
         assert np.allclose(out.data.sum(axis=1), 1.0, atol=1e-6)
 
     def test_hand_sized_oracle(self):
@@ -146,7 +148,7 @@ class TestMemoryAttention:
         q = T.constant(np.array([[1.0, 0.0]]))
         k = T.constant(np.array([[2.0, 0.0], [0.0, 5.0]]))  # key, then memory slot
         v = T.constant(np.array([[3.0, 1.0], [7.0, 2.0]]))
-        out = memory_attention(q, k, v)
+        out = T.attention(q, k, v)
         scores = np.array([2.0, 0.0]) / np.sqrt(2.0)
         w = np.exp(scores - scores.max())
         w /= w.sum()
@@ -154,14 +156,14 @@ class TestMemoryAttention:
         assert np.allclose(out.data[0], expected, atol=1e-6)
 
     def test_mask_excludes_padded_keys(self, np_rng):
+        # 3 keys, the last one padding, then 2 memory slots the mask keeps
         q = T.constant(np_rng.normal(size=(2, 4)))
-        k = T.constant(np_rng.normal(size=(3, 4)))
-        v = T.constant(np_rng.normal(size=(3, 4)))
-        mask = np.array([[0.0, 0.0, -1e9]] * 2, dtype=np.float64)
-        out = memory_attention(q, k, v, mask)
-        k2 = T.constant(k.data[:2])
-        v2 = T.constant(v.data[:2])
-        expected = memory_attention(q, k2, v2)
+        k = T.constant(np_rng.normal(size=(5, 4)))
+        v = T.constant(np_rng.normal(size=(5, 4)))
+        mask = np.array([[0.0, 0.0, -1e9, 0.0, 0.0]] * 2, dtype=np.float64)
+        out = T.attention(q, k, v, mask)
+        keep = [0, 1, 3, 4]
+        expected = T.attention(q, T.constant(k.data[keep]), T.constant(v.data[keep]))
         assert np.allclose(out.data, expected.data, atol=1e-7)
 
 
@@ -939,14 +941,15 @@ class TestGraphSize:
 class TestHeadBatchedAttention:
     """Attention over a leading head axis equals one 2-D call per head."""
 
-    def test_memory_attention_over_heads(self, np_rng):
-        # 5 keys, then 2 memory slots the mask does not cover
+    def test_attention_with_memory_slots_over_heads(self, np_rng):
+        # 5 keys, then 2 memory slots the mask leaves unmasked
         q, k, v = (np_rng.normal(size=(3, n, 4)) for n in (2, 7, 7))
         mask = np.where(np_rng.random((2, 5)) < 0.3, -1e9, 0.0)
         mask[:, 0] = 0.0
-        batched = memory_attention(*map(T.constant, (q, k, v)), mask).data
+        mask = np.pad(mask, ((0, 0), (0, 2)))
+        batched = T.attention(*map(T.constant, (q, k, v)), mask).data
         for h in range(3):
-            one = memory_attention(*map(T.constant, (q[h], k[h], v[h])), mask)
+            one = T.attention(*map(T.constant, (q[h], k[h], v[h])), mask)
             assert np.allclose(batched[h], one.data, rtol=1e-12, atol=1e-12)
 
     def test_x_linear_over_heads_matches_oracle(self, np_rng):
@@ -960,7 +963,7 @@ class TestHeadBatchedAttention:
                                                                ("wq", "wk", "wb", "ws", "wc")))
             assert np.allclose(out.data[h], expected, rtol=1e-12, atol=1e-12)
 
-    def test_x_linear_key_mask_drops_the_masked_keys(self, np_rng):
+    def test_x_linear_mask_drops_the_masked_keys(self, np_rng):
         tensors = XLinearWeights(*(T.constant(np_rng.normal(size=(2, 4, 1 if n == "ws" else 4)))
                                    for n in ("wq", "wk", "wb", "ws", "wc")))
         q, k, v = (np_rng.normal(size=(2, n, 4)) for n in (3, 5, 5))
@@ -1209,6 +1212,16 @@ class TestCheckpoint:
 
         monkeypatch.setattr(TransformerModel, "_layout", staticmethod(layout))
         with pytest.raises(FormatError, match="m.vttc.json"):
+            load_checkpoint(path)
+
+    def test_sidecar_names_every_key(self, tmp_path):
+        # neither key changes the parameter layout, so no later check sees them go
+        path = tmp_path / "m.vttc"
+        save_checkpoint(TransformerModel(tiny_config(l_max=5), seed=6), path)
+        cfg = tiny_config(l_max=5).to_dict()
+        del cfg["l_max"], cfg["p_audio"]
+        (tmp_path / "m.vttc.json").write_text(json.dumps(cfg))
+        with pytest.raises(FormatError, match=r"m\.vttc\.json: .*\['p_audio', 'l_max'\]"):
             load_checkpoint(path)
 
     def test_vocab_size_must_match(self, tmp_path):

@@ -5,9 +5,11 @@ manifest and the feature files, VTTF, it names), a vocabulary, a
 checkpoint (VTTC) with its JSON sidecar, a JSON config (``--config``) and
 a JSON-lines caption file (``--hyp``).  Each input replaces one file of
 the set, by the valid file with a few bytes set, inserted or deleted and
-maybe cut short, or by arbitrary bytes; the explicit examples are inputs
-that once escaped as ``UnicodeDecodeError``, ``JSONDecodeError`` or
-``RecursionError``.
+maybe cut short, or by arbitrary bytes.  The explicit examples are the
+valid set itself, which must read, and inputs that once escaped as
+``UnicodeDecodeError``, ``JSONDecodeError`` or ``RecursionError`` or once
+read as a wrong object.  The searches are derandomized and keep no example
+database, so one tree always gets the same verdict.
 """
 
 import argparse
@@ -23,12 +25,17 @@ from conftest import tiny_config
 from vttcap.cli import SECTIONS, cmd_score, resolve_config
 from vttcap.errors import FormatError, VttError
 from vttcap.features import load_manifest, write_feature_file
+from vttcap.fileio import read_json
 from vttcap.model import TransformerModel, load_checkpoint, save_checkpoint
 from vttcap.tokenizer import PAD_TOKEN, load_vocab
 
-FUZZ = settings(max_examples=200, deadline=None,
+FUZZ = settings(max_examples=200, deadline=None, derandomize=True, database=None,
                 suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
 DEEP_JSON = b"[" * 100_000
+# the sidecar of the ``files`` checkpoint without two keys that leave its
+# parameter layout unchanged
+PARTIAL_SIDECAR = json.dumps({k: v for k, v in tiny_config().to_dict().items()
+                              if k not in ("l_max", "p_audio")}).encode()
 
 
 @pytest.fixture(scope="module")
@@ -76,11 +83,14 @@ def mutated(draw, base: bytes) -> bytes:
 def read_or_vtt_error(files, kinds, data, kind, blob, read):
     """Replace the file of one of ``kinds``, read the set, and restore the
     file; None when the reader raised a ``VttError``.  An example gives
-    ``kind`` and ``blob``, else both are drawn: a mutation of the valid file
-    or arbitrary bytes."""
-    if blob is None:
+    ``kind`` and ``blob``, or ``kind`` alone to read the valid set, which
+    must succeed; else both are drawn: a mutation of the valid file or
+    arbitrary bytes."""
+    if kind is None:
         kind = data.draw(st.sampled_from(kinds))
         blob = data.draw(st.one_of(mutated(files[kind][1]), st.binary(max_size=256)))
+    elif blob is None:
+        return read(files)
     path, base = files[kind]
     path.write_bytes(blob)
     try:
@@ -93,6 +103,7 @@ def read_or_vtt_error(files, kinds, data, kind, blob, read):
 
 @FUZZ
 @given(data=st.data(), kind=st.none(), blob=st.none())
+@example(data=None, kind="manifest", blob=None)
 @example(data=None, kind="manifest", blob=b"\xff\xfe")
 @example(data=None, kind="manifest", blob=DEEP_JSON)
 @example(data=None, kind="vttf", blob=b"VTTF" + bytes(12))
@@ -110,6 +121,7 @@ def test_dataset(files, data, kind, blob):
 
 @FUZZ
 @given(data=st.data(), kind=st.none(), blob=st.none())
+@example(data=None, kind="vocab", blob=None)
 @example(data=None, kind="vocab", blob=b"[PAD]\n\xe9t\xe9\n")
 def test_vocab(files, data, kind, blob):
     vocab = read_or_vtt_error(files, ["vocab"], data, kind, blob,
@@ -119,18 +131,23 @@ def test_vocab(files, data, kind, blob):
 
 @FUZZ
 @given(data=st.data(), kind=st.none(), blob=st.none())
+@example(data=None, kind="vttc", blob=None)
 @example(data=None, kind="sidecar", blob=b"{\xff}")
 @example(data=None, kind="sidecar", blob=b'{"d_model": 8,')
 @example(data=None, kind="sidecar", blob=DEEP_JSON)
+@example(data=None, kind="sidecar", blob=PARTIAL_SIDECAR)
 def test_checkpoint(files, data, kind, blob):
-    model = read_or_vtt_error(files, ["vttc", "sidecar"], data, kind, blob,
-                              lambda f: load_checkpoint(f["vttc"][0]))
-    assert model is None or model.n_parameters() == TransformerModel(
-        tiny_config(), init="zeros").n_parameters()
+    read = read_or_vtt_error(files, ["vttc", "sidecar"], data, kind, blob,
+                             lambda f: (load_checkpoint(f["vttc"][0]), read_json(f["sidecar"][0])))
+    if read is not None:
+        model, sidecar = read
+        assert model.cfg.to_dict() == sidecar  # every key as the sidecar names it
+        assert model.n_parameters() == TransformerModel(tiny_config(), init="zeros").n_parameters()
 
 
 @FUZZ
 @given(data=st.data(), kind=st.none(), blob=st.none())
+@example(data=None, kind="config", blob=None)
 @example(data=None, kind="config", blob=b"\xff\xfe{}")
 @example(data=None, kind="config", blob=DEEP_JSON)
 def test_config(files, data, kind, blob):
@@ -141,6 +158,7 @@ def test_config(files, data, kind, blob):
 
 @FUZZ
 @given(data=st.data(), kind=st.none(), blob=st.none())
+@example(data=None, kind="hyp", blob=None)
 @example(data=None, kind="hyp", blob=b'{"id": "v0", "caption": "\xe9"}\n')
 @example(data=None, kind="hyp", blob=DEEP_JSON)
 def test_hypotheses(files, data, kind, blob):
