@@ -148,7 +148,7 @@ def cmd_fit(args) -> int:
 def cmd_caption(args) -> int:
     vocab = load_vocab(args.vocab)
     model = load_checkpoint_for(args.checkpoint, vocab)
-    samples = load_manifest(args.manifest).load_samples()
+    samples = load_manifest(args.manifest).load_samples(model.cfg.check_video)
     texts = greedy_texts(model, samples, vocab)
     write_text(args.out, "".join(json.dumps({"id": s.id, "caption": text}) + "\n"
                                  for s, text in zip(samples, texts)))
@@ -159,7 +159,7 @@ def cmd_caption(args) -> int:
 def cmd_evaluate(args) -> int:
     vocab = load_vocab(args.vocab)
     model = load_checkpoint_for(args.checkpoint, vocab)
-    samples = load_manifest(args.manifest).load_samples()
+    samples = load_manifest(args.manifest).load_samples(model.cfg.check_video)
     report = evaluate(model, samples, vocab, reference_tables(s.captions for s in samples))
     return _report(report, args.out)
 

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ContractError, DataError, FormatError
+from .errors import ContractError, DataError, FormatError, VttError
 from .fileio import atomic_path, read_json_lines, write_text
 from .tensor import RngState
 
@@ -83,11 +83,21 @@ class DatasetManifest:
     def __len__(self):
         return len(self.entries)
 
-    def load_samples(self) -> list:
+    def load_samples(self, check=None) -> list:
+        """Read every entry's feature files.  ``check(frames, audio)``, when
+        given, raises a ``VttError`` for a video its reader cannot take (see
+        ``ModelConfig.check_video``); the error is raised again, of the same
+        type, naming the video's id and frame file."""
         samples = []
         for e in self.entries:
-            frames = read_feature_file(self.root / e.frame_file)
+            frame_path = self.root / e.frame_file
+            frames = read_feature_file(frame_path)
             audio = read_feature_file(self.root / e.audio_file) if e.audio_file else None
+            if check is not None:
+                try:
+                    check(frames, audio)
+                except VttError as exc:
+                    raise type(exc)(f"video {e.id!r} ({frame_path}): {exc}") from exc
             samples.append(VideoSample(e.id, frames, audio, list(e.captions)))
         return samples
 

@@ -17,8 +17,12 @@ zero columns for the memory slots, which are never masked, so every
 attention reads a mask as wide as its keys.  Captions are
 one (B, L) array padded with PAD after their last token; the one causal
 mask keeps every real position from seeing the padding, and the loss gives
-padded targets weight 0.  Callers encode; through ``decode_cache(enc,
-rows)``, decoder row b reads video ``rows[b]`` of the encoding ``enc``.
+padded targets weight 0.  Callers encode, a batch of videos in one pass:
+an XE step its distinct videos, an SCST step its batch, and greedy
+captioning (``training.greedy_texts``) its videos a fixed-size chunk at a
+time.  Through ``decode_cache(enc, rows)``, decoder row b reads video
+``rows[b]`` of the encoding ``enc``; the key mask keeps a video's
+encoding, beyond float rounding, from depending on the rest of its batch.
 
 Heads are a tensor axis: one (d_model, d_model) projection each for Q, K
 and V is reshaped to (B, n_heads, rows, d_head), and every attention op
@@ -106,6 +110,18 @@ class ModelConfig:
     @property
     def d_head(self) -> int:
         return self.d_model // self.n_heads
+
+    def check_video(self, frames: np.ndarray, audio: np.ndarray | None) -> None:
+        """Raise unless a video's (T, D) frame and audio matrices fit the
+        model: at most ``p_audio`` frame rows, ``d_vision`` frame columns and
+        ``d_audio`` audio columns (audio None is a clip without sound)."""
+        if len(frames) > self.p_audio:
+            raise ContractError(
+                f"{len(frames)} frame rows exceed the audio offset p_audio={self.p_audio}")
+        if frames.shape[1] != self.d_vision:
+            raise DimensionError(f"frame dim {frames.shape[1]} != d_vision {self.d_vision}")
+        if audio is not None and audio.shape[1] != self.d_audio:
+            raise DimensionError(f"audio dim {audio.shape[1]} != d_audio {self.d_audio}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -482,17 +498,9 @@ def embed_multimodal(videos, model: TransformerModel) -> tuple:
     cfg = model.cfg
     vision, sound = [], []
     for frames, audio in videos:
-        if len(frames) > cfg.p_audio:
-            raise ContractError(
-                f"{len(frames)} frame rows exceed the audio offset p_audio={cfg.p_audio}")
-        if frames.shape[1] != cfg.d_vision:
-            raise DimensionError(f"frame dim {frames.shape[1]} != d_vision {cfg.d_vision}")
-        if audio is None:
-            audio = np.zeros((1, cfg.d_audio), dtype=np.float32)
-        if audio.shape[1] != cfg.d_audio:
-            raise DimensionError(f"audio dim {audio.shape[1]} != d_audio {cfg.d_audio}")
+        cfg.check_video(frames, audio)
         vision.append(frames)
-        sound.append(audio)
+        sound.append(np.zeros((1, cfg.d_audio), dtype=np.float32) if audio is None else audio)
     g = model.params
     dt = model.dtype
     parts, real = [], []

@@ -138,8 +138,8 @@ def finetune_scst(checkpoint, train: DatasetManifest, val: DatasetManifest,
     model = load_checkpoint_for(checkpoint, vocab)
     if len(train) == 0 or len(val) == 0:
         raise ContractError("train and val manifests must be non-empty")
-    train_samples = train.load_samples()
-    val_samples = val.load_samples()
+    train_samples = train.load_samples(model.cfg.check_video)
+    val_samples = val.load_samples(model.cfg.check_video)
     train_tables = reference_tables(s.captions for s in train_samples)
     train_rewards = {s.id: t for s, t in zip(train_samples, train_tables)}
     val_rewards = reference_tables((s.captions for s in val_samples), train_tables[0].idf)

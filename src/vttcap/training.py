@@ -59,6 +59,12 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.98, 1e-9
 # the memory bus once per pass, not once per operation.
 CHUNK = 65536
 
+# Videos per encoder pass of ``greedy_texts``.  It bounds the encoder's
+# memory: at the paper's sizes, X-linear attention's (videos, heads, queries,
+# keys, d_head) bilinear tensor for 16 videos of 40 rows, each row attending
+# over 104 keys (its 40 and the 64 memory slots), is 136 MB per layer.
+GREEDY_CHUNK = 16
+
 
 @dataclass
 class OptimizerState:
@@ -253,15 +259,28 @@ def validation_loss(model: TransformerModel, samples, pairs, vocab: Vocabulary,
 
 
 def greedy_texts(model: TransformerModel, samples, vocab: Vocabulary) -> list:
-    """The greedy caption of every sample, as text, one encoding and decode per sample."""
+    """The greedy caption of every sample, as text.
+
+    The samples are encoded ``GREEDY_CHUNK`` at a time, one encoder pass per
+    chunk, and each video is then decoded alone (``greedy_decode``) from its
+    chunk's encoding.  The key mask keeps a video's encoding, beyond float
+    rounding, from depending on which videos share its chunk.
+    """
+    texts = []
     with T.no_grad():
-        return [decode(greedy_decode(model, model.encode([(s.frames, s.audio)]), 0,
-                                     vocab.bos_id, vocab.eos_id), vocab) for s in samples]
+        for lo in range(0, len(samples), GREEDY_CHUNK):
+            chunk = samples[lo:lo + GREEDY_CHUNK]
+            enc = model.encode([(s.frames, s.audio) for s in chunk])
+            texts += [decode(greedy_decode(model, enc, i, vocab.bos_id, vocab.eos_id), vocab)
+                      for i in range(len(chunk))]
+    return texts
 
 
 def evaluate(model: TransformerModel, samples, vocab: Vocabulary, tables) -> MetricReport:
-    """Greedy-decode every sample and score the word tokens of its caption against
-    its table in ``tables``: corpus BLEU-4 and mean CIDEr and CIDEr-D."""
+    """Greedy-decode every sample (``greedy_texts``: one encoder pass per
+    chunk of ``GREEDY_CHUNK`` videos, one decode per video) and score the
+    word tokens of its caption against its table in ``tables``: corpus
+    BLEU-4 and mean CIDEr and CIDEr-D."""
     return score_corpus([normalize_words(text) for text in greedy_texts(model, samples, vocab)],
                         tables)
 
@@ -350,8 +369,8 @@ def train_xe(model: TransformerModel, vocab: Vocabulary, train: DatasetManifest,
     """
     if len(train) == 0 or len(val) == 0:
         raise ContractError("train and val manifests must be non-empty")
-    train_samples = train.load_samples()
-    val_samples = val.load_samples()
+    train_samples = train.load_samples(model.cfg.check_video)
+    val_samples = val.load_samples(model.cfg.check_video)
     train_pairs = caption_pairs(train_samples, vocab, model.cfg.l_max)
     val_pairs = caption_pairs(val_samples, vocab, model.cfg.l_max)
     val_tables = reference_tables(s.captions for s in val_samples)

@@ -6,6 +6,8 @@ import pytest
 from vttcap import tensor as T
 from vttcap.model import ModelConfig
 
+pytest_plugins = ["pytester"]  # tests/test_settings.py runs pytest on a scratch suite
+
 
 def rel_err(a: float, b: float, floor: float = 1e-6) -> float:
     return abs(a - b) / max(abs(a), abs(b), floor)

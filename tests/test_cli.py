@@ -11,6 +11,7 @@ from conftest import tiny_config
 from vttcap import tensor as T
 from vttcap import training
 from vttcap.cli import PROFILES, dispatch, resolve_config
+from vttcap.features import write_feature_file
 from vttcap.model import ModelConfig, TransformerModel, has_field_type, save_checkpoint
 from vttcap.scst import RewardConfig
 from vttcap.tokenizer import load_vocab
@@ -236,6 +237,46 @@ def test_exit_codes(workdir, tmp_path, capsys, argv, code):
     # a manifest that lists no video is named as such
     assert ("empty.jsonl holds no videos" in capsys.readouterr().err) == \
         ("{d}/data/empty.jsonl" in argv)
+
+
+@pytest.mark.parametrize("frames_shape, audio_shape, problem", [
+    ((6, 4), None, "frame dim 4 != d_vision 5"),
+    ((301, 5), (2, 3), "301 frame rows exceed the audio offset p_audio=300"),
+    ((6, 5), (2, 2), "audio dim 2 != d_audio 3"),
+])
+@pytest.mark.parametrize("command", ["evaluate", "caption", "train", "finetune-scst"])
+def test_a_video_that_does_not_fit_the_model_is_named(workdir, tmp_path, capsys, command,
+                                                      frames_shape, audio_shape, problem):
+    """A manifest's second video does not fit the checkpoint's model: the
+    error names its id and frame file, and the command exits 2 having
+    written nothing."""
+    entries = [json.loads(line) for line in
+               (workdir / "data" / "train.jsonl").read_text().splitlines()[:2]]
+    for e in entries:  # the manifest lives in tmp_path; its files stay in workdir
+        for key in ("frame_file", "audio_file"):
+            if e[key]:
+                e[key] = str(workdir / "data" / e[key])
+    bad = entries[1]
+    bad["frame_file"] = "bad_frames.vttf"
+    write_feature_file(tmp_path / bad["frame_file"], np.ones(frames_shape, np.float32))
+    bad["audio_file"] = audio_shape and "bad_audio.vttf"
+    if audio_shape:
+        write_feature_file(tmp_path / bad["audio_file"], np.ones(audio_shape, np.float32))
+    manifest = tmp_path / "m.jsonl"
+    manifest.write_text("".join(json.dumps(e) + "\n" for e in entries))
+    out = tmp_path / "out"
+    if command in ("evaluate", "caption"):
+        argv = [command, "--checkpoint", str(workdir / "init.vttc"), "--manifest",
+                str(manifest), "--vocab", str(workdir / "vocab.txt"), "--out", str(out)]
+    else:
+        argv = [command, *run_args(workdir, out)]
+        argv[argv.index("--train") + 1] = str(manifest)
+        if command == "finetune-scst":
+            argv += ["--init", str(workdir / "init.vttc")]
+    assert dispatch(argv) == 2
+    err = capsys.readouterr().err
+    assert f"video {bad['id']!r} ({tmp_path / 'bad_frames.vttf'}): {problem}" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("line", [

@@ -13,7 +13,7 @@ from vttcap import metrics, scst, training
 from vttcap import tensor as T
 from vttcap.errors import ContractError, TrainingError
 from vttcap.features import synth_dataset
-from vttcap.model import TransformerModel, load_checkpoint, save_checkpoint
+from vttcap.model import TransformerModel, greedy_decode, load_checkpoint, save_checkpoint
 from vttcap.scst import RewardConfig, finetune_scst, scst_batch_step, scst_surrogate_loss
 from vttcap.tensor import RngState
 from vttcap.tokenizer import build_vocab, decode, normalize_words
@@ -57,6 +57,19 @@ def record_checkpoints(monkeypatch) -> list:
 
 def checkpoint_contents(path) -> tuple:
     return path.read_bytes(), path.with_name(path.name + ".json").read_text()
+
+
+def record_calls(monkeypatch, module, name) -> list:
+    """Patch ``module.name`` to append each call's return value to the list returned."""
+    calls = []
+    fn = getattr(module, name)
+
+    def recording(*args, **kwargs):
+        calls.append(fn(*args, **kwargs))
+        return calls[-1]
+
+    monkeypatch.setattr(module, name, recording)
+    return calls
 
 
 CHECKPOINT_FILES = ["best.vttc", "best.vttc.json", "last.vttc", "last.vttc.json"]
@@ -260,6 +273,36 @@ def test_every_parameter_gets_a_gradient_on_every_step(corpus, kind, with_audio)
             assert id(p) in reached and p.grad is not None, name
 
 
+def greedy_text_alone(model, sample, vocab) -> str:
+    """The greedy caption of one video encoded on its own: the oracle of
+    ``greedy_texts``, which encodes videos a chunk at a time."""
+    with T.no_grad():
+        enc = model.encode([(sample.frames, sample.audio)])
+    return decode(greedy_decode(model, enc, 0, vocab.bos_id, vocab.eos_id), vocab)
+
+
+@pytest.mark.parametrize("kind", ["memory_scaled_dot", "x_linear"])
+@pytest.mark.parametrize("with_audio", [False, True])
+def test_greedy_texts_by_chunk_equal_per_video_captions(corpus, kind, with_audio,
+                                                         monkeypatch):
+    train, val, vocab = corpus
+    model = TransformerModel(tiny_config(kind, vocab_size=len(vocab)), seed=3)
+    model.params["out_proj.b"].data[vocab.eos_id] = 1.0  # EOS likely, but not at once
+    samples = [s if with_audio else dataclasses.replace(s, audio=None)
+               for s in train.load_samples() + val.load_samples()]
+    assert with_audio == any(s.audio is not None for s in samples)
+    chunk = 4  # 10 videos: chunks of 4, 4 and 2
+    assert len({len(s.frames) for s in samples[:chunk]}) > 1  # the key mask is active
+    want = [greedy_text_alone(model, s, vocab) for s in samples]
+    assert len(set(want)) > 1
+    monkeypatch.setattr(training, "GREEDY_CHUNK", chunk)
+    encodings = record_calls(monkeypatch, TransformerModel, "encode")
+    decoded = record_calls(monkeypatch, training, "greedy_decode")
+    assert training.greedy_texts(model, samples, vocab) == want
+    assert [e.out.shape[0] for e in encodings] == [4, 4, 2]
+    assert len(decoded) == len(samples)
+
+
 # ---------------------------------------------------------------------------
 # XE loop
 
@@ -326,19 +369,6 @@ class TestTrainXe:
 
 # ---------------------------------------------------------------------------
 # SCST
-
-
-def record_calls(monkeypatch, module, name) -> list:
-    """Patch ``module.name`` to append each call's return value to the list returned."""
-    calls = []
-    fn = getattr(module, name)
-
-    def recording(*args, **kwargs):
-        calls.append(fn(*args, **kwargs))
-        return calls[-1]
-
-    monkeypatch.setattr(module, name, recording)
-    return calls
 
 
 def record_decodes(monkeypatch) -> dict:
