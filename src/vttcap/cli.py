@@ -1,15 +1,19 @@
 """Command-line pipeline: data generation, vocab, training, captioning, scoring.
 
-One subcommand per pipeline stage.  ``train`` and ``finetune-scst`` read a
-JSON config file with one section per config dataclass (``model``,
-``schedule``, ``reward``, ``run``); the dataclass fields are its keys, their
-annotations its types and their defaults the ``paper`` profile.  The file
-may name a base profile (``desk`` if it names none; ``--profile`` overrides
-it) and overrides single keys of it; the ``--out``, ``--seed`` and
-``--epochs`` flags override the file.  Data paths come only from flags, and
-the model's vocabulary size from the vocabulary file.  Exit codes: 0
-success, 1 usage error, 2 data/format error (a file that is not UTF-8 text
-among them), 3 numeric failure.
+One subcommand per pipeline stage.  The commands load every input: they turn
+the paths of manifests, vocabularies and checkpoints into a model and the
+videos it reads, and hand those to ``training`` and ``scst``, which read no
+input file.  Manifests are parsed before a checkpoint is read, and their
+videos, checked against the model, are read last.  ``train`` and
+``finetune-scst`` read a JSON config file with one section per config
+dataclass (``model``, ``schedule``, ``reward``, ``run``); the dataclass
+fields are its keys, their annotations its types and their defaults the
+``paper`` profile.  The file may name a base profile (``desk`` if it names
+none; ``--profile`` overrides it) and overrides single keys of it; the
+``--out``, ``--seed`` and ``--epochs`` flags override the file.  Data paths
+come only from flags, and the model's vocabulary size from the vocabulary
+file.  Exit codes: 0 success, 1 usage error, 2 data/format error (a file
+that is not UTF-8 text among them), 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -130,13 +134,16 @@ def cmd_fit(args) -> int:
     cfg = resolve_config(args.config, args.profile)
     vocab = load_vocab(args.vocab)
     run = _run_config(cfg, args)
-    train = load_manifest(args.train)
-    val = load_manifest(args.val)
+    manifests = load_manifest(args.train), load_manifest(args.val)
     if args.command == "train":
         model = TransformerModel(ModelConfig(**cfg["model"], vocab_size=len(vocab)), seed=run.seed)
+    else:
+        model = load_checkpoint_for(args.init, vocab)
+    train, val = (m.load_samples(model.cfg.check_video) for m in manifests)
+    if args.command == "train":
         result = train_xe(model, vocab, train, val, ScheduleConfig(**cfg["schedule"]), run)
     else:
-        result = finetune_scst(args.init, train, val, vocab, RewardConfig(**cfg["reward"]), run,
+        result = finetune_scst(model, vocab, train, val, RewardConfig(**cfg["reward"]), run,
                                trace_path=args.trace)
     print(json.dumps({"best_epoch": result.best_epoch,
                       "best_cider_d": result.best_cider_d,
@@ -145,23 +152,21 @@ def cmd_fit(args) -> int:
     return 0
 
 
-def cmd_caption(args) -> int:
+def cmd_decode(args) -> int:
+    """``caption``: write each video's greedy caption to ``--out``;
+    ``evaluate``: score those captions against the manifest's references."""
     vocab = load_vocab(args.vocab)
+    manifest = load_manifest(args.manifest)
     model = load_checkpoint_for(args.checkpoint, vocab)
-    samples = load_manifest(args.manifest).load_samples(model.cfg.check_video)
+    samples = manifest.load_samples(model.cfg.check_video)
+    if args.command == "evaluate":
+        return _report(evaluate(model, samples, vocab,
+                                reference_tables(s.captions for s in samples)), args.out)
     texts = greedy_texts(model, samples, vocab)
     write_text(args.out, "".join(json.dumps({"id": s.id, "caption": text}) + "\n"
                                  for s, text in zip(samples, texts)))
     print(json.dumps({"captions": len(samples), "out": str(args.out)}))
     return 0
-
-
-def cmd_evaluate(args) -> int:
-    vocab = load_vocab(args.vocab)
-    model = load_checkpoint_for(args.checkpoint, vocab)
-    samples = load_manifest(args.manifest).load_samples(model.cfg.check_video)
-    report = evaluate(model, samples, vocab, reference_tables(s.captions for s in samples))
-    return _report(report, args.out)
 
 
 def cmd_score(args) -> int:
@@ -234,19 +239,14 @@ def build_parser() -> _Parser:
             p.add_argument("--trace", help="per-step reward trace (JSON lines)")
         p.set_defaults(fn=cmd_fit)
 
-    p = sub.add_parser("caption", help="greedy-decode captions for a manifest")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--vocab", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_caption)
-
-    p = sub.add_parser("evaluate", help="decode and score a manifest")
-    p.add_argument("--checkpoint", required=True)
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--vocab", required=True)
-    p.add_argument("--out")
-    p.set_defaults(fn=cmd_evaluate)
+    for name, help_ in (("caption", "greedy-decode captions for a manifest"),
+                        ("evaluate", "decode and score a manifest")):
+        p = sub.add_parser(name, help=help_)
+        p.add_argument("--checkpoint", required=True)
+        p.add_argument("--manifest", required=True)
+        p.add_argument("--vocab", required=True)
+        p.add_argument("--out", required=name == "caption")
+        p.set_defaults(fn=cmd_decode)
 
     p = sub.add_parser("score", help="score a caption file against references")
     p.add_argument("--hyp", required=True)

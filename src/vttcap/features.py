@@ -4,9 +4,10 @@ A feature matrix is a (T, D) float32 array of per-timestep features, T and
 D at least 1.  Feature files («VTTF») are bit-exact: 4-byte magic, three
 u32 LE header fields (version=1, T, D), then T*D float32 LE values
 row-major; ``read_feature_file`` is the one check of such a file.  A manifest
-is JSON lines, one video each: id / frame_file / audio_file (nullable) /
-captions, the paths relative to its directory.  It names no role; the
-command reading it makes it training, validation or scoring data.
+is JSON lines, one video each: id / frame_file / audio_file (null for a clip
+without audio) / captions, the paths non-empty and relative to its
+directory.  It names no role; the command reading it makes it training,
+validation or scoring data.
 
 The synthetic generator replaces real video datasets at desk scale: each
 clip mixes one or two latent concepts, frame rows are noisy concept
@@ -147,6 +148,9 @@ def _manifest_entry(obj, where: str) -> ManifestEntry:
         raise FormatError(f"{where}: id and frame_file must be strings")
     if obj["audio_file"] is not None and not isinstance(obj["audio_file"], str):
         raise FormatError(f"{where}: audio_file must be a string or null")
+    for key in ("frame_file", "audio_file"):
+        if obj[key] == "":  # a clip without audio has audio_file null
+            raise FormatError(f"{where}: {key} is an empty path")
     captions = obj["captions"]
     if not isinstance(captions, list) or not captions \
             or not all(isinstance(c, str) for c in captions):

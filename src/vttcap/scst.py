@@ -4,7 +4,7 @@ Each step encodes its batch of videos once, with grad; from that encoding
 it greedy-decodes a baseline caption per video, draws ``n_samples``
 rollouts from the model's own distribution (temperature 1), scores both
 with one fixed reward, sentence CIDEr-D plus smoothed sentence BLEU-4
-(``mixed_reward``), and minimizes
+(``mixed_reward``) against the video's own reference table, and minimizes
 
     -(1/(B*N)) * sum_videos sum_samples (r(sample) - r(baseline)) * sum_t log p(token_t)
 
@@ -14,9 +14,10 @@ token log-probabilities of the sampled captions, which the surrogate
 recomputes as one padded teacher-forced batch over the same encoding
 (``forward_teacher_forced``): a rollout's real tokens weigh advantage /
 (B*N) in the loss, its padding 0.  ``scst_batch_step`` returns the loss
-and each video's trace record; ``finetune_scst`` runs it inside the
-training loop XE uses (``training._fit``), with Adam at the constant
-learning rate ``RewardConfig.eta``; every reward reads the video's
+and each video's trace record; ``finetune_scst`` starts from the model it
+is given (the CLI reads it from an XE checkpoint) and runs the step inside
+the training loop XE uses (``training._fit``), with Adam at the constant
+learning rate ``RewardConfig.eta``; every reward reads its video's
 ``metrics.References`` table, built once per run under the training
 references' IDF.
 """
@@ -33,9 +34,8 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ContractError
-from .features import DatasetManifest
 from .metrics import References, bleu4, cider_sentence, reference_tables
-from .model import TransformerModel, greedy_decode, load_checkpoint_for, sample_decode
+from .model import TransformerModel, greedy_decode, sample_decode
 from .tensor import RngState
 from .tokenizer import Vocabulary, decode, normalize_words
 from .training import TrainResult, TrainRunConfig, _fit, evaluate, greedy_texts, teacher_forcing
@@ -77,24 +77,24 @@ def scst_surrogate_loss(model: TransformerModel, enc, items) -> T.Tensor:
     return T.cross_entropy(logits, targets, real * weight[:, None])
 
 
-def scst_batch_step(model: TransformerModel, batch, vocab: Vocabulary,
-                    rc: RewardConfig, rng: RngState, reward_fn) -> tuple:
+def scst_batch_step(model: TransformerModel, batch, tables, vocab: Vocabulary,
+                    rc: RewardConfig, rng: RngState) -> tuple:
     """Rollouts, rewards, surrogate backward for one batch of videos, over one encoding.
 
-    Returns (loss value, records), one record per video in batch order: the
-    dict ``finetune_scst`` writes for that video in its trace line.
-    Gradients are left in the model's parameter buffers.
-    ``reward_fn(candidate_words, sample)`` scores a caption of ``sample``.
+    Video ``i``'s captions are scored by ``mixed_reward`` against
+    ``tables[i]``.  Returns (loss value, records), one record per video in
+    batch order: the dict ``finetune_scst`` writes for that video in its
+    trace line.  Gradients are left in the model's parameter buffers.
     """
     records = []
     items = []
     enc = model.encode([(sample.frames, sample.audio) for sample in batch])
-    for video, sample in enumerate(batch):
+    for video, (sample, refs) in enumerate(zip(batch, tables)):
         base_ids = greedy_decode(model, enc, video, vocab.bos_id, vocab.eos_id)
-        r_base = reward_fn(normalize_words(decode(base_ids, vocab)), sample)
+        r_base = mixed_reward(normalize_words(decode(base_ids, vocab)), refs)
         rollouts = [ids for ids, _ in sample_decode(
             model, enc, video, vocab.bos_id, vocab.eos_id, rc.n_samples, rng)]
-        rewards = [reward_fn(normalize_words(decode(ids, vocab)), sample) for ids in rollouts]
+        rewards = [mixed_reward(normalize_words(decode(ids, vocab)), refs) for ids in rollouts]
         advantages = [r - r_base for r in rewards]
         items += [(video, ids, a) for ids, a in zip(rollouts, advantages)]
         records.append({"id": sample.id, "baseline_reward": r_base,
@@ -117,16 +117,15 @@ def validation_mixed_reward(model: TransformerModel, samples, vocab: Vocabulary,
                             for text, refs in zip(texts, tables))
 
 
-def finetune_scst(checkpoint, train: DatasetManifest, val: DatasetManifest,
-                  vocab: Vocabulary, rc: RewardConfig, run: TrainRunConfig,
-                  trace_path=None) -> TrainResult:
-    """SCST finetuning from an XE checkpoint at constant learning rate ``rc.eta``.
+def finetune_scst(model: TransformerModel, vocab: Vocabulary, train_samples, val_samples,
+                  rc: RewardConfig, run: TrainRunConfig, trace_path=None) -> TrainResult:
+    """SCST finetuning of ``model`` at constant learning rate ``rc.eta``.
 
-    Each video's reward table, under the training references' IDF, and each
-    validation video's report table, under the validation references' own,
-    is built once, before the first step.  Validation rows add the mean
-    validation mixed reward and the mean advantage of the steps since the
-    previous row.  ``trace_path`` receives one JSON line per step,
+    Each training video's reward table, under the training references' IDF,
+    and each validation video's report table, under the validation
+    references' own, is built once, before the first step.  Validation rows
+    add the mean validation mixed reward and the mean advantage of the steps
+    since the previous row.  ``trace_path`` receives one JSON line per step,
     ``{"step": s, "videos": [...]}``, with one record per video of the
     batch, in batch order, holding these keys in this order: ``id``;
     ``baseline_reward`` and ``sample_rewards``, the mixed rewards of the
@@ -135,13 +134,7 @@ def finetune_scst(checkpoint, train: DatasetManifest, val: DatasetManifest,
     the tokens each emitted, BOS excluded; ``truncated``, the rollouts cut
     at l_max+2 tokens without EOS.
     """
-    model = load_checkpoint_for(checkpoint, vocab)
-    if len(train) == 0 or len(val) == 0:
-        raise ContractError("train and val manifests must be non-empty")
-    train_samples = train.load_samples(model.cfg.check_video)
-    val_samples = val.load_samples(model.cfg.check_video)
     train_tables = reference_tables(s.captions for s in train_samples)
-    train_rewards = {s.id: t for s, t in zip(train_samples, train_tables)}
     val_rewards = reference_tables((s.captions for s in val_samples), train_tables[0].idf)
     val_tables = reference_tables(s.captions for s in val_samples)
     rng = RngState(run.seed).derive("scst")
@@ -151,10 +144,9 @@ def finetune_scst(checkpoint, train: DatasetManifest, val: DatasetManifest,
     with open(trace_path, "w", encoding="utf-8") if trace_path \
             else contextlib.nullcontext() as trace_fh:
         def step_fn(indices, step: int) -> float:
-            batch = [train_samples[i] for i in indices]
-            loss, records = scst_batch_step(
-                model, batch, vocab, rc, sample_rng,
-                lambda cand, sample: mixed_reward(cand, train_rewards[sample.id]))
+            loss, records = scst_batch_step(model, [train_samples[i] for i in indices],
+                                            [train_tables[i] for i in indices], vocab, rc,
+                                            sample_rng)
             advantage_window.append(statistics.fmean(a for r in records
                                                      for a in r["advantages"]))
             if trace_fh is not None:

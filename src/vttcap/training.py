@@ -14,11 +14,12 @@ the same expression, in the same order, as a per-parameter loop would.
 The one schedule is SGDR: linear warmup over ``warmup`` steps to eta_max,
 then cosine annealing to eta_max / 100 with warm restarts, the first cycle
 ``t0`` steps long and each next one twice the last (a restart returns to
-eta_max).  ``train_xe`` and ``scst.finetune_scst`` run one loop, ``_fit``,
-and differ only in their step, learning-rate and validation functions.  It
-validates at the end of each epoch against reference tables built once,
-keeps the last and the best-CIDEr-D checkpoints, and stops after
-``patience`` validations without improvement.
+eta_max).  ``train_xe`` takes a model and its training and validation
+samples; it and ``scst.finetune_scst`` run one loop, ``_fit``, and differ
+only in their step, learning-rate and validation functions.  It validates
+at the end of each epoch against reference tables built once, keeps the
+last and the best-CIDEr-D checkpoints, and stops after ``patience``
+validations without improvement.
 
 An XE step is one graph: the step's distinct videos are encoded once, in
 the order they first appear, and its (video, caption) pairs go through
@@ -42,7 +43,6 @@ import numpy as np
 
 from . import tensor as T
 from .errors import ContractError, TrainingError
-from .features import DatasetManifest
 from .metrics import MetricReport, reference_tables, score_corpus
 from .fileio import atomic_path, write_text
 from .model import TransformerModel, greedy_decode, save_checkpoint
@@ -359,18 +359,13 @@ def _fit(model: TransformerModel, n_items: int, step_fn, lr_fn, validate_fn,
                        best_cider_d=best[0], history=history)
 
 
-def train_xe(model: TransformerModel, vocab: Vocabulary, train: DatasetManifest,
-             val: DatasetManifest, sched: ScheduleConfig,
-             run: TrainRunConfig) -> TrainResult:
-    """Teacher-forced cross-entropy training under ``sched``.
+def train_xe(model: TransformerModel, vocab: Vocabulary, train_samples, val_samples,
+             sched: ScheduleConfig, run: TrainRunConfig) -> TrainResult:
+    """Teacher-forced cross-entropy training of ``model`` under ``sched``.
 
     Validation rows add the teacher-forced ``val_loss``; the row at step 0
     records lr 0.
     """
-    if len(train) == 0 or len(val) == 0:
-        raise ContractError("train and val manifests must be non-empty")
-    train_samples = train.load_samples(model.cfg.check_video)
-    val_samples = val.load_samples(model.cfg.check_video)
     train_pairs = caption_pairs(train_samples, vocab, model.cfg.l_max)
     val_pairs = caption_pairs(val_samples, vocab, model.cfg.l_max)
     val_tables = reference_tables(s.captions for s in val_samples)

@@ -239,6 +239,26 @@ def test_exit_codes(workdir, tmp_path, capsys, argv, code):
         ("{d}/data/empty.jsonl" in argv)
 
 
+@pytest.mark.parametrize("command", ["finetune-scst", "evaluate", "caption"])
+def test_a_missing_manifest_is_reported_before_the_checkpoint_is_read(
+        workdir, tmp_path, capsys, monkeypatch, command):
+    def read(*args, **kwargs):
+        raise AssertionError("a checkpoint was read before the manifests were parsed")
+
+    monkeypatch.setattr("vttcap.model.load_checkpoint", read)
+    missing = str(tmp_path / "missing.jsonl")
+    if command == "finetune-scst":
+        argv = [command, *run_args(workdir, tmp_path / "run"),
+                "--init", str(workdir / "init.vttc")]
+        argv[argv.index("--val") + 1] = missing
+    else:
+        argv = [command, "--checkpoint", str(workdir / "init.vttc"), "--manifest", missing,
+                "--vocab", str(workdir / "vocab.txt"), "--out", str(tmp_path / "out")]
+    assert dispatch(argv) == 2
+    assert "missing.jsonl" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("frames_shape, audio_shape, problem", [
     ((6, 4), None, "frame dim 4 != d_vision 5"),
     ((301, 5), (2, 3), "301 frame rows exceed the audio offset p_audio=300"),

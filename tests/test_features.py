@@ -211,6 +211,10 @@ class TestManifest:
         ('{"id": "v", "frame_file": 5, "audio_file": null, "captions": ["a"]}', "strings"),
         ('{"id": "v", "frame_file": "f.vttf", "audio_file": 7, "captions": ["a"]}',
          "audio_file"),
+        ('{"id": "v", "frame_file": "", "audio_file": null, "captions": ["a"]}',
+         "m.jsonl:1: frame_file is an empty path"),
+        ('{"id": "v", "frame_file": "f.vttf", "audio_file": "", "captions": ["a"]}',
+         "m.jsonl:1: audio_file is an empty path"),
         ('{"id": "v", "frame_file": "f.vttf", "audio_file": null, "captions": []}',
          "captions"),
         ('{"id": "v", "frame_file": "f.vttf", "audio_file": null, "captions": "a"}',

@@ -32,6 +32,11 @@ from vttcap.tokenizer import PAD_TOKEN, load_vocab
 FUZZ = settings(max_examples=200, deadline=None, derandomize=True, database=None,
                 suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
 DEEP_JSON = b"[" * 100_000
+# manifest lines that name an empty feature path, which is no file
+EMPTY_FRAME_FILE = json.dumps({"id": "v0", "frame_file": "", "audio_file": None,
+                               "captions": ["a cat"]}).encode()
+EMPTY_AUDIO_FILE = json.dumps({"id": "v0", "frame_file": "f.vttf", "audio_file": "",
+                               "captions": ["a cat"]}).encode()
 # the sidecar of the ``files`` checkpoint without two keys that leave its
 # parameter layout unchanged
 PARTIAL_SIDECAR = json.dumps({k: v for k, v in tiny_config().to_dict().items()
@@ -106,6 +111,8 @@ def read_or_vtt_error(files, kinds, data, kind, blob, read):
 @example(data=None, kind="manifest", blob=None)
 @example(data=None, kind="manifest", blob=b"\xff\xfe")
 @example(data=None, kind="manifest", blob=DEEP_JSON)
+@example(data=None, kind="manifest", blob=EMPTY_FRAME_FILE)
+@example(data=None, kind="manifest", blob=EMPTY_AUDIO_FILE)
 @example(data=None, kind="vttf", blob=b"VTTF" + bytes(12))
 @example(data=None, kind="vttf", blob=b"VTTF" + struct.pack("<III", 1, 0, 4))
 def test_dataset(files, data, kind, blob):

@@ -13,10 +13,10 @@ from vttcap import metrics, scst, training
 from vttcap import tensor as T
 from vttcap.errors import ContractError, TrainingError
 from vttcap.features import synth_dataset
-from vttcap.model import TransformerModel, greedy_decode, load_checkpoint, save_checkpoint
+from vttcap.model import TransformerModel, greedy_decode, load_checkpoint
 from vttcap.scst import RewardConfig, finetune_scst, scst_batch_step, scst_surrogate_loss
 from vttcap.tensor import RngState
-from vttcap.tokenizer import build_vocab, decode, normalize_words
+from vttcap.tokenizer import build_vocab, decode, encode, normalize_words, truncate
 from vttcap.training import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, GRAD_CLIP_NORM, OptimizerState,
                              ScheduleConfig, TrainRunConfig, _fit, adam_update, batch_xe_loss,
                              caption_pairs, clip_gradients, lr_at, train_xe)
@@ -24,11 +24,12 @@ from vttcap.training import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, GRAD_CLIP_NORM, O
 
 @pytest.fixture(scope="module")
 def corpus(tmp_path_factory):
-    """10 videos (9 train, 1 val) over 2 concepts plus a vocab built on them."""
+    """The samples of 10 videos (9 train, 1 val) over 2 concepts plus a vocab
+    built on the training captions."""
     root = tmp_path_factory.mktemp("corpus")
-    train, val = synth_dataset(seed=1, n_videos=10, n_concepts=2, d_vision=5, d_audio=3,
-                               out_dir=root)
-    vocab = build_vocab([c for e in train.entries for c in e.captions], 40)
+    train, val = (m.load_samples() for m in synth_dataset(
+        seed=1, n_videos=10, n_concepts=2, d_vision=5, d_audio=3, out_dir=root))
+    vocab = build_vocab([c for s in train for c in s.captions], 40)
     return train, val, vocab
 
 
@@ -258,7 +259,7 @@ def test_every_parameter_gets_a_gradient_on_every_step(corpus, kind, with_audio)
     train, _, vocab = corpus
     model = TransformerModel(tiny_config(kind, vocab_size=len(vocab)), seed=3)
     samples = [s if with_audio else dataclasses.replace(s, audio=None)
-               for s in train.load_samples()[:3]]
+               for s in train[:3]]
     assert with_audio == any(s.audio is not None for s in samples)
     pairs = caption_pairs(samples, vocab, model.cfg.l_max)
     items = [(i, ids, (-1.0) ** k) for k, (i, ids) in enumerate(pairs)]
@@ -289,7 +290,7 @@ def test_greedy_texts_by_chunk_equal_per_video_captions(corpus, kind, with_audio
     model = TransformerModel(tiny_config(kind, vocab_size=len(vocab)), seed=3)
     model.params["out_proj.b"].data[vocab.eos_id] = 1.0  # EOS likely, but not at once
     samples = [s if with_audio else dataclasses.replace(s, audio=None)
-               for s in train.load_samples() + val.load_samples()]
+               for s in train + val]
     assert with_audio == any(s.audio is not None for s in samples)
     chunk = 4  # 10 videos: chunks of 4, 4 and 2
     assert len({len(s.frames) for s in samples[:chunk]}) > 1  # the key mask is active
@@ -355,7 +356,7 @@ class TestTrainXe:
         run = TrainRunConfig(epochs=2, batch_size=8, seed=2, out_dir=str(tmp_path))
         train_xe(tiny_model(vocab), vocab, train, val, SGDR, run)
         assert [t.lengths for t in tables] == \
-            [[len(normalize_words(c)) for c in s.captions] for s in val.load_samples()]
+            [[len(normalize_words(c)) for c in s.captions] for s in val]
         assert len(scored) == 3 and all(tabs == tables for tabs in scored)
 
     def test_non_finite_loss_is_a_training_error(self, corpus, tmp_path):
@@ -380,31 +381,32 @@ def record_decodes(monkeypatch) -> dict:
 class TestScst:
     def setup_batch(self, corpus):
         train, _, vocab = corpus
-        return tiny_model(vocab, seed=3), train.load_samples()[:3], vocab
+        batch = train[:3]
+        tables = metrics.reference_tables(s.captions for s in batch)
+        return tiny_model(vocab, seed=3), batch, tables, vocab
 
-    def test_constant_reward_gives_zero_advantage_and_zero_gradient(self, corpus):
-        model, batch, vocab = self.setup_batch(corpus)
+    def test_constant_reward_gives_zero_advantage_and_zero_gradient(self, corpus, monkeypatch):
+        model, batch, tables, vocab = self.setup_batch(corpus)
         rc = RewardConfig(n_samples=3)
-        loss, records = scst_batch_step(model, batch, vocab, rc, RngState(4),
-                                        reward_fn=lambda cand, refs: 0.7)
+        monkeypatch.setattr(scst, "mixed_reward", lambda cand, refs: 0.7)
+        loss, records = scst_batch_step(model, batch, tables, vocab, rc, RngState(4))
         assert loss == 0.0
         assert all(a == 0.0 for r in records for a in r["advantages"])
         grads = [p.grad for p in model.params.values() if p.grad is not None]
         assert grads and all(not np.any(g) for g in grads)
 
     def test_a_step_encodes_its_batch_once(self, corpus, monkeypatch):
-        model, batch, vocab = self.setup_batch(corpus)
+        model, batch, tables, vocab = self.setup_batch(corpus)
         encodings = record_calls(monkeypatch, TransformerModel, "encode")
         decoded = record_decodes(monkeypatch)
-        scst_batch_step(model, batch, vocab, RewardConfig(n_samples=3), RngState(4),
-                        reward_fn=lambda cand, refs: float(len(cand)))
+        scst_batch_step(model, batch, tables, vocab, RewardConfig(n_samples=3), RngState(4))
         assert len(encodings) == 1 and encodings[0].out.shape[0] == len(batch)
         assert len(decoded["greedy_decode"]) == len(decoded["sample_decode"]) == len(batch)
 
     def test_surrogate_encoding_once_equals_encoding_per_rollout(self, corpus):
         train, _, vocab = corpus
         model = TransformerModel(tiny_config(vocab_size=len(vocab)), seed=3, dtype=np.float64)
-        samples = train.load_samples()[:2]
+        samples = train[:2]
         rollouts = [[2, 5, 7, 3], [2, 6, 3], [2, 9, 8, 10, 3]]
         items = [(video, ids, adv) for video in range(len(samples))
                  for ids, adv in zip(rollouts, (0.5, -1.25, 2.0))]
@@ -433,14 +435,11 @@ class TestScst:
             assert np.allclose(got[name], ref[name], rtol=1e-10, atol=1e-10), name
 
     def test_advantage_is_sample_minus_greedy_reward(self, corpus, monkeypatch):
-        model, batch, vocab = self.setup_batch(corpus)
+        model, batch, tables, vocab = self.setup_batch(corpus)
         rc = RewardConfig(n_samples=3)
         decoded = record_decodes(monkeypatch)
-
-        def reward(cand, refs):
-            return float(len(cand))
-
-        _, records = scst_batch_step(model, batch, vocab, rc, RngState(4), reward_fn=reward)
+        monkeypatch.setattr(scst, "mixed_reward", lambda cand, refs: float(len(cand)))
+        _, records = scst_batch_step(model, batch, tables, vocab, rc, RngState(4))
         assert [r["id"] for r in records] == [s.id for s in batch]
         for r, base, rolls in zip(records, decoded["greedy_decode"],
                                   decoded["sample_decode"]):
@@ -451,14 +450,35 @@ class TestScst:
                 assert a == reward_ - r["baseline_reward"]
         assert any(a != 0.0 for r in records for a in r["advantages"])
 
+    def test_each_video_is_scored_against_its_own_table(self, corpus, monkeypatch):
+        """Video i's baseline and rollouts are rewarded against ``tables[i]``.
+        Each video's baseline is its own first reference caption, which
+        scores differently against the other video's table."""
+        train, _, vocab = corpus
+        batch = [train[0], next(s for s in train if s.captions != train[0].captions)]
+        tables = metrics.reference_tables(s.captions for s in batch)
+        model = tiny_model(vocab, seed=3)
+        own = [truncate(encode(s.captions[0], vocab), model.cfg.l_max, vocab) for s in batch]
+        monkeypatch.setattr(scst, "greedy_decode", lambda m, enc, video, bos, eos: own[video])
+        rollouts = record_calls(monkeypatch, scst, "sample_decode")
+        _, records = scst_batch_step(model, batch, tables, vocab, RewardConfig(n_samples=3),
+                                     RngState(4))
+
+        def words(ids):
+            return normalize_words(decode(ids, vocab))
+
+        for r, base, rolls, refs, other in zip(records, own, rollouts, tables, tables[::-1]):
+            assert r["baseline_reward"] == scst.mixed_reward(words(base), refs) \
+                != scst.mixed_reward(words(base), other)
+            assert r["sample_rewards"] == [scst.mixed_reward(words(ids), refs)
+                                           for ids, _ in rolls]
+
     def test_one_trace_line_per_step(self, corpus, tmp_path):
         train, val, vocab = corpus
-        init = tmp_path / "init.vttc"
-        save_checkpoint(tiny_model(vocab), init)
         trace = tmp_path / "trace.jsonl"
         run = TrainRunConfig(epochs=2, batch_size=4, seed=5, out_dir=str(tmp_path / "run"))
-        result = finetune_scst(init, train, val, vocab, RewardConfig(n_samples=2, eta=1e-3),
-                               run, trace_path=trace)
+        result = finetune_scst(tiny_model(vocab), vocab, train, val,
+                               RewardConfig(n_samples=2, eta=1e-3), run, trace_path=trace)
         lines = [json.loads(line) for line in trace.read_text().splitlines()]
         steps = 2 * math.ceil(len(train) / 4)
         assert [ln["step"] for ln in lines] == list(range(1, steps + 1))
@@ -473,8 +493,6 @@ class TestScst:
 
     def test_references_are_counted_once_per_video(self, corpus, tmp_path, monkeypatch):
         train, val, vocab = corpus
-        init = tmp_path / "init.vttc"
-        save_checkpoint(tiny_model(vocab), init)
         tables = record_calls(monkeypatch, metrics, "References")
         read = set()
         reward = scst.mixed_reward
@@ -485,28 +503,25 @@ class TestScst:
         monkeypatch.setattr(training, "score_corpus",
                             lambda cands, tabs: scored.append(tabs) or score(cands, tabs))
         run = TrainRunConfig(epochs=2, batch_size=4, seed=5, out_dir=str(tmp_path / "run"))
-        finetune_scst(init, train, val, vocab, RewardConfig(n_samples=2, eta=1e-3), run)
-        train_samples, val_samples = train.load_samples(), val.load_samples()
+        finetune_scst(tiny_model(vocab), vocab, train, val, RewardConfig(n_samples=2, eta=1e-3),
+                      run)
         # the rewards' tables for training and validation videos, then the report's
         assert [t.lengths for t in tables] == \
-            [[len(normalize_words(c)) for c in s.captions]
-             for s in train_samples + val_samples + val_samples]
-        rewards, reports = tables[:-len(val_samples)], tables[-len(val_samples):]
+            [[len(normalize_words(c)) for c in s.captions] for s in train + val + val]
+        rewards, reports = tables[:-len(val)], tables[-len(val):]
         assert read == {id(t) for t in rewards}  # every reward reads a table built here
         assert len(scored) == 3 and all(tabs == reports for tabs in scored)
         assert {id(t.idf) for t in rewards} == {id(rewards[0].idf)}
-        assert reports[0].idf.n_docs == len(val_samples) != rewards[0].idf.n_docs
+        assert reports[0].idf.n_docs == len(val) != rewards[0].idf.n_docs
 
     def test_trace_records_rollout_lengths(self, corpus, tmp_path, monkeypatch):
         train, val, vocab = corpus
-        init = tmp_path / "init.vttc"
-        save_checkpoint(tiny_model(vocab), init)
         decoded = record_decodes(monkeypatch)
         steps = record_calls(monkeypatch, scst, "scst_batch_step")
         trace = tmp_path / "trace.jsonl"
         run = TrainRunConfig(epochs=1, batch_size=4, seed=5, out_dir=str(tmp_path / "run"))
-        finetune_scst(init, train, val, vocab, RewardConfig(n_samples=3, eta=1e-3), run,
-                      trace_path=trace)
+        finetune_scst(tiny_model(vocab), vocab, train, val, RewardConfig(n_samples=3, eta=1e-3),
+                      run, trace_path=trace)
         lines = [json.loads(line)["videos"] for line in trace.read_text().splitlines()]
         assert lines == [records for _, records in steps]
         videos = [v for line in lines for v in line]
