@@ -159,7 +159,7 @@ def _manifest_entry(obj, where: str) -> ManifestEntry:
 
 
 def load_manifest(path) -> DatasetManifest:
-    """Parse a JSON-lines manifest of at least one video; check that referenced files exist."""
+    """Parse a JSON-lines manifest of at least one video, each naming existing files."""
     path = Path(path)
     entries = []
     seen = set()
@@ -167,16 +167,14 @@ def load_manifest(path) -> DatasetManifest:
         entry = _manifest_entry(obj, where)
         if entry.id in seen:
             raise FormatError(f"{where}: duplicate id {entry.id!r}")
+        for rel in (entry.frame_file, entry.audio_file):
+            if rel and not (path.parent / rel).is_file():
+                raise FormatError(f"{where}: referenced file {rel!r} is missing or not a file")
         seen.add(entry.id)
         entries.append(entry)
     if not entries:
         raise FormatError(f"{path} holds no videos")
-    root = path.parent
-    for e in entries:
-        for rel in (e.frame_file, e.audio_file):
-            if rel and not (root / rel).exists():
-                raise FormatError(f"{path}: referenced file {rel!r} does not exist")
-    return DatasetManifest(entries, root)
+    return DatasetManifest(entries, path.parent)
 
 
 def captions_for(concepts) -> list:

@@ -30,8 +30,8 @@ runs over all videos and heads at once; memory slots and X-linear weights
 lead with the head axis and broadcast over the batch.
 
 Every parameter is a view of one ``ParamArena``: all values in one flat
-buffer and all gradients in another, so zeroing the gradients is one fill
-and the optimizer makes one pass over each.  The model declares its
+buffer and all gradients in another, so the optimizer makes one pass over
+each, zeroing the gradients as it consumes them.  The model declares its
 parameters' names and shapes (``_layout``), then draws each initial value
 straight into its view; a checkpoint is read into the views and written
 from them, with no copy of a float32 parameter on either side.
@@ -341,9 +341,6 @@ class TransformerModel:
 
     def n_parameters(self) -> int:
         return sum(p.size for p in self.params.values())
-
-    def zero_grad(self):
-        self.arena.grad.fill(0)
 
     # -- forward pieces
 

@@ -84,7 +84,8 @@ def scst_batch_step(model: TransformerModel, batch, tables, vocab: Vocabulary,
     Video ``i``'s captions are scored by ``mixed_reward`` against
     ``tables[i]``.  Returns (loss value, records), one record per video in
     batch order: the dict ``finetune_scst`` writes for that video in its
-    trace line.  Gradients are left in the model's parameter buffers.
+    trace line.  Gradients accumulate in the model's parameter buffers,
+    which the previous Adam step left zero.
     """
     records = []
     items = []
@@ -103,7 +104,6 @@ def scst_batch_step(model: TransformerModel, batch, tables, vocab: Vocabulary,
                         "sample_lengths": [len(ids) - 1 for ids in rollouts],
                         "truncated": sum(ids[-1] != vocab.eos_id for ids in rollouts)})
 
-    model.zero_grad()
     loss = scst_surrogate_loss(model, enc, items)
     loss.backward()
     return loss.item(), records

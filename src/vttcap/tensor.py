@@ -176,9 +176,9 @@ class ParamArena:
     ``data`` and ``grad`` are flat arrays of ``dtype``; ``table`` holds each
     parameter's (name, offset, size) in declaration order, and ``params``
     maps each name to a ``Tensor`` whose ``.data`` and ``.grad`` are views of
-    its slice of ``data`` and ``grad`` for the arena's whole life.  So zeroing
-    the gradients, clipping them and stepping Adam are each one pass over a
-    flat array.  Both buffers start as zeros (``np.zeros``: untouched pages
+    its slice of ``data`` and ``grad`` for the arena's whole life.  So clipping
+    the gradients and stepping Adam, which zeroes them, are each one pass over
+    a flat array.  Both buffers start as zeros (``np.zeros``: untouched pages
     cost nothing), so an initializer writes only its non-zero values.
     """
 

@@ -11,6 +11,11 @@ paper's 91.2M parameters, is read from memory once per pass rather than
 once per operation.  The norm adds block sums in float64 and checks that every
 gradient is finite before anything changes; Adam computes each element by
 the same expression, in the same order, as a per-parameter loop would.
+Both write only what a step changes: clipping scales only blocks holding a
+non-zero gradient; Adam skips a block whose gradients and moments are all
+zero (the step leaves it as it is) and zeroes each gradient block it uses.
+So a step starts from zero gradients with no zeroing pass, and gradient and
+moment pages no step reaches (unused tokens' embeddings) stay unmapped.
 The one schedule is SGDR: linear warmup over ``warmup`` steps to eta_max,
 then cosine annealing to eta_max / 100 with warm restarts, the first cycle
 ``t0`` steps long and each next one twice the last (a restart returns to
@@ -68,8 +73,8 @@ GREEDY_CHUNK = 16
 
 @dataclass
 class OptimizerState:
-    """Adam's step count and moments; ``m`` and ``v`` are flat buffers laid
-    out like the arena's, made on the first step."""
+    """Adam's step count and moments; ``m`` and ``v`` are flat buffers laid out
+    like the arena's, made by ``np.zeros`` on the first step: lazily mapped."""
 
     t: int = 0
     m: np.ndarray | None = None
@@ -83,27 +88,32 @@ def adam_update(arena: T.ParamArena, state: OptimizerState, lr: float) -> None:
     elements at a time, in place: every intermediate lands in one of two
     chunk-sized scratch buffers, in the order of ``m += (1-b1)(g-m);
     v += (1-b2)(g*g-v); p -= (lr/c1) m / (sqrt(v/c2) + eps)``, so each
-    element is bit for bit that expression's.  The gradients must be finite;
-    ``clip_gradients`` checks that first.
+    element is bit for bit that expression's.  A block whose gradients and
+    moments are all zero, which that leaves unchanged, is skipped; any other
+    block's gradients are zeroed once consumed, so all are zero on return.
+    The gradients must be finite; ``clip_gradients`` checks that first.
     """
     state.t += 1
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     c1 = 1.0 - b1 ** state.t
     c2 = 1.0 - b2 ** state.t
-    if state.m is None:
-        state.m = np.zeros_like(arena.data)
-        state.v = np.zeros_like(arena.data)
+    if state.m is None:  # np.zeros: a page is mapped when first written
+        state.m = np.zeros(arena.data.shape, arena.data.dtype)
+        state.v = np.zeros(arena.data.shape, arena.data.dtype)
     n = arena.data.size
     s_buf = np.empty(min(CHUNK, n), arena.data.dtype)
     t_buf = np.empty_like(s_buf)
     for lo in range(0, n, CHUNK):
         hi = min(lo + CHUNK, n)
         g, m, v, p = (a[lo:hi] for a in (arena.grad, state.m, state.v, arena.data))
+        if not (g.any() or m.any() or v.any()):
+            continue  # the step would leave p, m and v bit for bit as they are
         s, t = s_buf[:hi - lo], t_buf[:hi - lo]
         np.subtract(g, m, out=s)
         s *= 1.0 - b1
         m += s
         np.multiply(g, g, out=s)
+        g.fill(0)  # consumed: the next step starts from zero gradients
         s -= v
         s *= 1.0 - b2
         v += s
@@ -125,6 +135,7 @@ def clip_gradients(arena: T.ParamArena, max_norm: float = GRAD_CLIP_NORM) -> flo
     squares overflow float32 are clipped.  A non-finite gradient raises
     ``TrainingError`` naming its parameter, and a norm that overflows
     float64 raises one saying so, before anything is scaled or stepped.
+    Scaling writes only the blocks holding a non-zero gradient.
     """
     grad = arena.grad
     total = 0.0
@@ -144,7 +155,10 @@ def clip_gradients(arena: T.ParamArena, max_norm: float = GRAD_CLIP_NORM) -> flo
         raise TrainingError("the gradient norm overflows float64")
     norm = math.sqrt(total)
     if norm > max_norm:
-        grad *= max_norm / norm
+        for lo in range(0, grad.size, CHUNK):
+            b = grad[lo:lo + CHUNK]
+            if b.any():  # not the square sum, which is 0 for tiny values
+                b *= max_norm / norm
     return norm
 
 
@@ -372,7 +386,6 @@ def train_xe(model: TransformerModel, vocab: Vocabulary, train_samples, val_samp
     rng = RngState(run.seed).derive("train_xe")
 
     def step_fn(indices, step: int) -> float:
-        model.zero_grad()
         loss = batch_xe_loss(model, train_samples, [train_pairs[i] for i in indices], vocab)
         loss.backward()
         return loss.item()

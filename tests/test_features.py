@@ -215,6 +215,10 @@ class TestManifest:
          "m.jsonl:1: frame_file is an empty path"),
         ('{"id": "v", "frame_file": "f.vttf", "audio_file": "", "captions": ["a"]}',
          "m.jsonl:1: audio_file is an empty path"),
+        ('{"id": "v", "frame_file": ".", "audio_file": null, "captions": ["a"]}',
+         "m.jsonl:1: referenced file '.' is missing or not a file"),
+        ('{"id": "v", "frame_file": "m.jsonl", "audio_file": ".", "captions": ["a"]}',
+         "m.jsonl:1: referenced file '.' is missing or not a file"),
         ('{"id": "v", "frame_file": "f.vttf", "audio_file": null, "captions": []}',
          "captions"),
         ('{"id": "v", "frame_file": "f.vttf", "audio_file": null, "captions": "a"}',

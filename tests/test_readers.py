@@ -37,6 +37,9 @@ EMPTY_FRAME_FILE = json.dumps({"id": "v0", "frame_file": "", "audio_file": None,
                                "captions": ["a cat"]}).encode()
 EMPTY_AUDIO_FILE = json.dumps({"id": "v0", "frame_file": "f.vttf", "audio_file": "",
                                "captions": ["a cat"]}).encode()
+# a manifest line whose frame_file names the manifest's own directory
+DIRECTORY_FRAME_FILE = json.dumps({"id": "v0", "frame_file": ".", "audio_file": None,
+                                   "captions": ["a cat"]}).encode()
 # the sidecar of the ``files`` checkpoint without two keys that leave its
 # parameter layout unchanged
 PARTIAL_SIDECAR = json.dumps({k: v for k, v in tiny_config().to_dict().items()
@@ -113,6 +116,7 @@ def read_or_vtt_error(files, kinds, data, kind, blob, read):
 @example(data=None, kind="manifest", blob=DEEP_JSON)
 @example(data=None, kind="manifest", blob=EMPTY_FRAME_FILE)
 @example(data=None, kind="manifest", blob=EMPTY_AUDIO_FILE)
+@example(data=None, kind="manifest", blob=DIRECTORY_FRAME_FILE)
 @example(data=None, kind="vttf", blob=b"VTTF" + bytes(12))
 @example(data=None, kind="vttf", blob=b"VTTF" + struct.pack("<III", 1, 0, 4))
 def test_dataset(files, data, kind, blob):

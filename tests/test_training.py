@@ -149,11 +149,15 @@ class TestAdamAndClipping:
     @pytest.mark.parametrize("chunk", [13, training.CHUNK])
     def test_blocked_adam_is_bit_identical_to_the_expression(self, np_rng, monkeypatch,
                                                              chunk):
+        """``zero`` never gets a gradient and ``once`` only on step 1; at
+        ``chunk`` 13 each holds whole blocks, which Adam may skip only while
+        their gradients and moments are all zero."""
         monkeypatch.setattr(training, "CHUNK", chunk)  # 13: blocks straddle parameters
-        shapes = [(7, 5), (5,), (3, 2, 4), (5, 7)]
-        arena = arena_of({f"p{i}": np_rng.normal(size=s) for i, s in enumerate(shapes)},
-                         np.float32)
+        shapes = {"p0": (7, 5), "p1": (5,), "p2": (3, 2, 4), "p3": (5, 7),
+                  "zero": (6, 6), "once": (6, 6)}
+        arena = arena_of({n: np_rng.normal(size=s) for n, s in shapes.items()}, np.float32)
         params = arena.params
+        start = arena.data.copy()
         ref = {n: p.data.copy() for n, p in params.items()}
         m = {n: np.zeros_like(a) for n, a in ref.items()}
         v = {n: np.zeros_like(a) for n, a in ref.items()}
@@ -161,17 +165,25 @@ class TestAdamAndClipping:
         for step in range(1, 6):
             lr = 0.01 * step
             for n, p in params.items():
-                p.grad[...] = np_rng.normal(size=p.shape)
+                if n != "zero" and (n != "once" or step == 1):
+                    p.grad[...] = np_rng.normal(size=p.shape)
+            grads = {n: p.grad.copy() for n, p in params.items()}
+            before = {n: p.data.copy() for n, p in params.items()}
             adam_update(arena, state, lr)
+            assert not np.any(arena.grad)  # each consumed block is zeroed
             c1, c2 = 1.0 - ADAM_BETA1 ** step, 1.0 - ADAM_BETA2 ** step
             for n, p in params.items():
-                g = p.grad
+                g = grads[n]
                 m[n] += (1.0 - ADAM_BETA1) * (g - m[n])
                 v[n] += (1.0 - ADAM_BETA2) * (g * g - v[n])
                 ref[n] -= (lr / c1) * m[n] / (np.sqrt(v[n] / c2) + ADAM_EPS)
                 assert np.array_equal(p.data, ref[n]), (n, step)
             assert np.array_equal(state.m, np.concatenate([a.ravel() for a in m.values()]))
             assert np.array_equal(state.v, np.concatenate([a.ravel() for a in v.values()]))
+            assert np.all(params["once"].data != before["once"])  # its moments still step it
+        _, lo, size = arena.table[list(params).index("zero")]
+        assert np.array_equal(arena.data[lo:lo + size], start[lo:lo + size])
+        assert not np.any(state.m[lo:lo + size]) and not np.any(state.v[lo:lo + size])
 
     def test_non_finite_gradient_raises_before_any_update(self, np_rng):
         arena = arena_of({n: np_rng.normal(size=(4, 3)) for n in "abc"}, np.float32)
@@ -197,6 +209,16 @@ class TestAdamAndClipping:
         assert norm == pytest.approx(13.0)
         assert np.linalg.norm(arena.grad) == pytest.approx(2.6)
         assert np.allclose(a.grad / b.grad, [3.0 / 12.0, 4.0 / 12.0])
+
+    def test_clip_scales_blocks_whose_squares_underflow(self, monkeypatch):
+        monkeypatch.setattr(training, "CHUNK", 4)
+        arena = arena_of({"tiny": np.zeros(4), "big": np.zeros(4)}, np.float32)
+        tiny, big = arena.params["tiny"], arena.params["big"]
+        tiny.grad[...], big.grad[...] = 1e-30, 100.0  # 1e-30 squared is 0 in float32
+        assert np.float32(1e-30) ** 2 == 0.0
+        assert clip_gradients(arena, max_norm=5.0) == pytest.approx(200.0)
+        assert np.array_equal(tiny.grad, np.full(4, np.float32(1e-30) * (5.0 / 200.0)))
+        assert np.array_equal(big.grad, np.full(4, np.float32(100.0) * (5.0 / 200.0)))
 
     def test_clip_leaves_small_gradients(self):
         arena = arena_of({"a": np.zeros(2)})
@@ -266,7 +288,7 @@ def test_every_parameter_gets_a_gradient_on_every_step(corpus, kind, with_audio)
     videos = [(s.frames, s.audio) for s in samples]
     for loss_fn in (lambda: batch_xe_loss(model, samples, pairs, vocab),
                     lambda: scst_surrogate_loss(model, model.encode(videos), items)):
-        model.zero_grad()
+        model.arena.grad.fill(0)
         loss = loss_fn()
         reached = {id(t) for t in T._toposort(loss)}
         loss.backward()
@@ -313,7 +335,9 @@ class TestTrainXe:
         train, val, vocab = corpus
         saved = record_checkpoints(monkeypatch)
         run = TrainRunConfig(epochs=3, batch_size=8, seed=2, out_dir=str(tmp_path))
-        result = train_xe(tiny_model(vocab), vocab, train, val, SGDR, run)
+        model = tiny_model(vocab)
+        result = train_xe(model, vocab, train, val, SGDR, run)
+        assert not np.any(model.arena.grad)  # each Adam step zeroes what it consumed
         rows = read_history(tmp_path)
         assert rows == result.history
         assert [r["epoch"] for r in rows] == [0, 1, 2, 3]
@@ -423,7 +447,7 @@ class TestScst:
         grads = []
         for loss_fn in (lambda: scst_surrogate_loss(model, model.encode(videos), items),
                         per_rollout_encode):
-            model.zero_grad()
+            model.arena.grad.fill(0)
             loss = loss_fn()
             loss.backward()
             grads.append((loss.item(), {n: p.grad.copy() for n, p in model.params.items()
@@ -520,13 +544,15 @@ class TestScst:
         steps = record_calls(monkeypatch, scst, "scst_batch_step")
         trace = tmp_path / "trace.jsonl"
         run = TrainRunConfig(epochs=1, batch_size=4, seed=5, out_dir=str(tmp_path / "run"))
-        finetune_scst(tiny_model(vocab), vocab, train, val, RewardConfig(n_samples=3, eta=1e-3),
+        model = tiny_model(vocab)
+        finetune_scst(model, vocab, train, val, RewardConfig(n_samples=3, eta=1e-3),
                       run, trace_path=trace)
+        assert not np.any(model.arena.grad)  # each Adam step zeroes what it consumed
         lines = [json.loads(line)["videos"] for line in trace.read_text().splitlines()]
         assert lines == [records for _, records in steps]
         videos = [v for line in lines for v in line]
         assert len(videos) == len(decoded["greedy_decode"]) == len(train)
-        l_max = tiny_model(vocab).cfg.l_max
+        l_max = model.cfg.l_max
         for v, base, rolls in zip(videos, decoded["greedy_decode"], decoded["sample_decode"]):
             assert list(v) == ["id", "baseline_reward", "sample_rewards", "advantages",
                                "baseline_length", "sample_lengths", "truncated"]
@@ -562,7 +588,6 @@ def test_best_checkpoint_survives_later_saves(corpus, tmp_path, monkeypatch, har
     scores = iter([0.1, 0.5, 0.2])
 
     def step_fn(indices, step):
-        model.zero_grad()
         model.params["out_proj.b"].grad[0] = 1.0  # so every step moves the model
         return 0.5
 
@@ -589,13 +614,20 @@ def test_failed_validation_keeps_the_previous_history(corpus, tmp_path):
     assert not (tmp_path / "run" / "history.jsonl.tmp").exists()
 
 
-def test_history_rows_record_pre_clip_gradient_norms(corpus, tmp_path):
+def test_history_rows_record_pre_clip_gradient_norms(corpus, tmp_path, monkeypatch):
     _, _, vocab = corpus
     model = tiny_model(vocab)
     norms = {1: 3.0, 2: GRAD_CLIP_NORM, 3: 4.0, 4: 10.0}  # step -> pre-clip norm
+    stepped = []  # the gradient each Adam step receives, which it then zeroes
+    update = training.adam_update
+
+    def recording(arena, state, lr):
+        stepped.append(arena.grad.copy())
+        update(arena, state, lr)
+
+    monkeypatch.setattr(training, "adam_update", recording)
 
     def step_fn(indices, step):
-        model.zero_grad()
         model.params["out_proj.b"].grad[0] = norms[step]
         return float(step)  # the loss of step s is s
 
@@ -606,4 +638,6 @@ def test_history_rows_record_pre_clip_gradient_norms(corpus, tmp_path):
         [(0, None, 0), (2, pytest.approx(4.0), 0), (4, pytest.approx(7.0), 1)]
     # each row's train_loss covers the same steps as its grad_norm
     assert [r["train_loss"] for r in rows] == [None, 1.5, 3.5]
-    assert np.linalg.norm(model.params["out_proj.b"].grad) == pytest.approx(GRAD_CLIP_NORM)
+    assert [np.linalg.norm(g) for g in stepped] == \
+        pytest.approx([3.0, GRAD_CLIP_NORM, 4.0, GRAD_CLIP_NORM])
+    assert not np.any(model.arena.grad)
