@@ -10,8 +10,9 @@ standard causal transformer over subword tokens.
 
 Every forward pass is batch-first.  A batch of videos is one (B, S, d_model)
 encoder input: each video's vision rows padded to the batch's longest, then
-its audio rows padded likewise.  An additive key mask (``NEG_INF`` on the
-padding rows) is honoured by encoder self-attention, X-linear pooling
+its audio rows padded likewise.  Every encoded batch carries an additive
+key mask, ``NEG_INF`` on the padding rows and all zeros when no row is
+padding.  It is honoured by encoder self-attention, X-linear pooling
 included, and by decoder cross-attention.  The encoder widens it once with
 zero columns for the memory slots, which are never masked, so every
 attention reads a mask as wide as its keys.  Captions are
@@ -173,29 +174,24 @@ def causal_mask(n: int, dtype=np.float32) -> np.ndarray:
 # attention blocks
 
 
-@dataclass
-class XLinearWeights:
-    """Bilinear attention parameters, each with the leading (head) axes of q."""
-
-    wq: Tensor  # query bilinear embedding
-    wk: Tensor  # key bilinear embedding
-    wb: Tensor  # spatial embedding of the bilinear features
-    ws: Tensor  # spatial score vector (d, 1)
-    wc: Tensor  # channel gate
+# X-linear weights, each (d, d) per head but ws (d, 1): the query and key
+# bilinear embeddings, the spatial embedding and score vector, the channel gate
+XL_WEIGHTS = ("wq", "wk", "wb", "ws", "wc")
 
 
-def x_linear_attention(q: Tensor, k: Tensor, v: Tensor, w: XLinearWeights,
-                       mask: np.ndarray | None = None) -> Tensor:
+def x_linear_attention(q: Tensor, k: Tensor, v: Tensor, wq: Tensor, wk: Tensor, wb: Tensor,
+                       ws: Tensor, wc: Tensor, mask: np.ndarray) -> Tensor:
     """Bilinear query-key attention with spatial and channel gating.
 
     Per query row i: bilinear features B_ij = relu(k_j Wk) * relu(q_i Wq);
     spatial weights are a softmax over keys j of ws-scored embedded features
     relu(B_ij Wb); the channel gate is a sigmoid of their mean over j times Wc;
     the output is gate * (spatial-weighted sum of value rows).  All rows run
-    at once, batched over leading (batch, head) axes.  ``mask`` is an
-    additive key mask as wide as the keys, the same for every query row:
-    (keys,), or (batch, 1, 1, keys) under a batch and head axis; the mean
-    runs over the kept keys.
+    at once, batched over leading (batch, head) axes; the five weights
+    (``XL_WEIGHTS``) lead with q's head axes.  ``mask`` is the additive key
+    mask as wide as the keys, the same for every query row: (keys,), or
+    (batch, 1, 1, keys) under a batch and head axis; it is all zeros where
+    no key is padding.  The mean runs over the kept keys.
 
     Deviation from Pan et al. 2020 (X-Linear Attention Networks): there the
     values are embedded bilinearly too, relu(v Wv) * relu(q Wq'), before
@@ -204,27 +200,21 @@ def x_linear_attention(q: Tensor, k: Tensor, v: Tensor, w: XLinearWeights,
     """
     if q.shape[-1] != k.shape[-1] or k.shape[-2] != v.shape[-2]:
         raise DimensionError(f"attention shapes q={q.shape} k={k.shape} v={v.shape}")
-    n_keys = k.shape[-2]
-    dtype = q.dtype
 
     def expand(x: Tensor, axis: int) -> Tensor:  # np.expand_dims for a negative axis
         at = x.ndim + 1 + axis
         return T.reshape(x, x.shape[:at] + (1,) + x.shape[at:])
 
-    k_emb = expand(T.relu(T.matmul(k, w.wk)), -3)  # (..., 1, keys, d)
-    q_emb = expand(T.relu(T.matmul(q, w.wq)), -2)  # (..., queries, 1, d)
-    embedded = T.relu(T.matmul(T.mul(k_emb, q_emb), expand(w.wb, -3)))
-    scores = T.matmul(embedded, expand(w.ws, -3))  # (..., queries, keys, 1)
-    scores = T.reshape(scores, scores.shape[:-1])
-    if mask is None:
-        pool_w = np.full((1, n_keys), 1.0 / n_keys, dtype)
-    else:
-        keep = mask > NEG_INF / 2
-        pool_w = (keep / keep.sum(axis=-1, keepdims=True)).astype(dtype)[..., None, :]
-        scores = T.add(scores, T.constant(mask))
+    k_emb = expand(T.relu(T.matmul(k, wk)), -3)  # (..., 1, keys, d)
+    q_emb = expand(T.relu(T.matmul(q, wq)), -2)  # (..., queries, 1, d)
+    embedded = T.relu(T.matmul(T.mul(k_emb, q_emb), expand(wb, -3)))
+    scores = T.matmul(embedded, expand(ws, -3))  # (..., queries, keys, 1)
+    scores = T.add(T.reshape(scores, scores.shape[:-1]), T.constant(mask))
+    keep = mask > NEG_INF / 2
+    pool_w = (keep / keep.sum(axis=-1, keepdims=True)).astype(q.dtype)[..., None, :]
     spatial = T.softmax_lastdim(scores)
     pooled = T.matmul(T.constant(pool_w), embedded)  # (..., queries, 1, d)
-    gate = T.sigmoid(T.matmul(pooled, expand(w.wc, -3)))
+    gate = T.sigmoid(T.matmul(pooled, expand(wc, -3)))
     return T.mul(T.reshape(gate, gate.shape[:-2] + gate.shape[-1:]),
                  T.matmul(spatial, v))
 
@@ -319,7 +309,7 @@ class TransformerModel:
                     return [part.reshape(heads, dh, c) for part, c in zip(parts, cols)]
 
                 layout.append(([(f"{p}.xl.{nm}", (heads, dh, c))
-                                for nm, c in zip(("wq", "wk", "wb", "ws", "wc"), cols)],
+                                for nm, c in zip(XL_WEIGHTS, cols)],
                                uniform((heads, dh * sum(cols)), 1.0 / np.sqrt(dh), split)))
             norm(f"{p}.ln1")
             linear(f"{p}.ff1", d, cfg.d_ff)
@@ -364,9 +354,8 @@ class TransformerModel:
             k = T.concat([k, g[f"{memory_prefix}.mem_k"]], axis=2)
             v = T.concat([v, g[f"{memory_prefix}.mem_v"]], axis=2)
         if memory_prefix is not None and cfg.attention_kind == "x_linear":
-            w = XLinearWeights(*(g[f"{memory_prefix}.xl.{nm}"]
-                                 for nm in ("wq", "wk", "wb", "ws", "wc")))
-            heads = x_linear_attention(q, k, v, w, mask)
+            heads = x_linear_attention(q, k, v, *(g[f"{memory_prefix}.xl.{nm}"]
+                                                  for nm in XL_WEIGHTS), mask)
         else:
             heads = T.attention(q, k, v, mask)
         return T.matmul(T.merge_heads(heads), g[f"{prefix}.out.w"], g[f"{prefix}.out.b"])
@@ -387,9 +376,7 @@ class TransformerModel:
         in its ``d_memory`` memory slots; the key mask is widened once, with
         zero columns for them, and the ``Encoding`` keeps it unwidened."""
         x, mask = embed_multimodal(videos, self)
-        keys_mask = mask
-        if mask is not None and self.cfg.d_memory > 0:
-            keys_mask = np.pad(mask, ((0, 0),) * 3 + ((0, self.cfg.d_memory),))
+        keys_mask = np.pad(mask, ((0, 0),) * 3 + ((0, self.cfg.d_memory),))
         for i in range(self.cfg.n_enc):
             p = f"enc.{i}"
             att = self._multi_head(f"{p}.attn", x, self._project_kv(f"{p}.attn", x),
@@ -404,7 +391,7 @@ class TransformerModel:
         decoder layer's cross-attention K/V projected from them."""
         out = T.gather_rows(enc.out, rows)
         return DecodeCache([self._project_kv(f"dec.{i}.cross", out) for i in range(self.cfg.n_dec)],
-                           None if enc.mask is None else enc.mask[rows], [None] * self.cfg.n_dec)
+                           enc.mask[rows], [None] * self.cfg.n_dec)
 
     def decode_logits(self, cache: DecodeCache, token_ids) -> Tensor:
         """Logits (B, L, vocab) for every position of the (B, L) ``token_ids``
@@ -459,12 +446,12 @@ class Encoding:
     """Encoder output of a batch of videos, padded to its longest.
 
     ``out`` is (B, S, d_model).  ``mask`` is the additive (B, 1, 1, S) key
-    mask, ``NEG_INF`` on each video's padding rows, or None when no row of
-    the batch is padding.
+    mask, ``NEG_INF`` on each video's padding rows and 0 elsewhere; a batch
+    with no padding gets an all-zero mask.
     """
 
     out: Tensor
-    mask: np.ndarray | None
+    mask: np.ndarray
 
 
 @dataclass
@@ -472,15 +459,16 @@ class DecodeCache:
     """Decoder state of a batch of rows decoded incrementally.
 
     ``cross[i]`` holds decoder layer i's cross-attention (K, V), projected
-    once from the rows' encoder outputs, and ``mask`` the rows' key mask
-    (see ``Encoding``); ``self_kv[i]`` holds its self-attention (K, V) rows
-    of the ``length`` positions decoded so far (None before the first
-    token).  Each K and V is (rows, n_heads, positions, d_head).  The batch
-    keeps its rows from the first step to the last.
+    once from the rows' encoder outputs, and ``mask`` the rows' (rows, 1,
+    1, S) key mask (see ``Encoding``); ``self_kv[i]`` holds its
+    self-attention (K, V) rows of the ``length`` positions decoded so far
+    (None before the first token).  Each K and V is (rows, n_heads,
+    positions, d_head).  The batch keeps its rows from the first step to
+    the last.
     """
 
     cross: list
-    mask: np.ndarray | None
+    mask: np.ndarray
     self_kv: list
     length: int = 0
 
@@ -491,7 +479,8 @@ def embed_multimodal(videos, model: TransformerModel) -> tuple:
     vision rows at positions 0..T_v-1, audio rows at positions p_audio..,
     missing audio replaced by one all-zero row.  Returns the (B, S, d_model)
     input, vision rows padded to the batch's longest and then audio rows
-    likewise, and its additive key mask (see ``Encoding``)."""
+    likewise, and its additive (B, 1, 1, S) key mask, all zeros when no row
+    is padding (see ``Encoding``)."""
     cfg = model.cfg
     vision, sound = [], []
     for frames, audio in videos:
@@ -509,8 +498,7 @@ def embed_multimodal(videos, model: TransformerModel) -> tuple:
         x = T.matmul(T.constant(padded), g[f"{name}.w"], g[f"{name}.b"])
         parts.append(T.add(x, T.constant(pe_block(first, t, cfg.d_model).astype(dt))))
         real.append(np.arange(t) < np.array([len(r) for r in rows])[:, None])
-    real = np.concatenate(real, axis=1)
-    mask = None if real.all() else np.where(real, 0.0, NEG_INF).astype(dt)[:, None, None, :]
+    mask = np.where(np.concatenate(real, axis=1), 0.0, NEG_INF).astype(dt)[:, None, None, :]
     return T.concat(parts, axis=1), mask
 
 

@@ -12,11 +12,10 @@ from conftest import assert_grads_match, encoded, only, teacher_forced, tiny_con
 from vttcap import tensor as T
 from vttcap.errors import ContractError, FormatError
 from vttcap.features import VideoSample
-from vttcap.model import (CKPT_MAGIC, CKPT_VERSION, Encoding, ModelConfig, TransformerModel,
-                          XLinearWeights, causal_mask,
-                          embed_multimodal, greedy_decode, load_checkpoint,
-                          load_checkpoint_for, pe_block, sample_decode, save_checkpoint,
-                          x_linear_attention)
+from vttcap.model import (CKPT_MAGIC, CKPT_VERSION, XL_WEIGHTS, Encoding, ModelConfig,
+                          TransformerModel, causal_mask, embed_multimodal, greedy_decode,
+                          load_checkpoint, load_checkpoint_for, pe_block, sample_decode,
+                          save_checkpoint, x_linear_attention)
 from vttcap.scst import scst_surrogate_loss
 from vttcap.tensor import RngState
 from vttcap.tokenizer import Vocabulary
@@ -169,16 +168,16 @@ class TestMemoryAttention:
 
 class TestXLinearAttention:
     def make_weights(self, rng, d):
+        """The weights in ``XL_WEIGHTS`` order, as tensors and as arrays."""
         arrays = {n: rng.normal(size=(d, d)) for n in ("wq", "wk", "wb", "wc")}
         arrays["ws"] = rng.normal(size=(d, 1))
-        return ({n: T.constant(a) for n, a in arrays.items()}, arrays)
+        return [T.constant(arrays[n]) for n in XL_WEIGHTS], [arrays[n] for n in XL_WEIGHTS]
 
     def test_output_shape_matches_values(self, np_rng):
         tensors, _ = self.make_weights(np_rng, 4)
         out = x_linear_attention(T.constant(np_rng.normal(size=(3, 4))),
                                  T.constant(np_rng.normal(size=(6, 4))),
-                                 T.constant(np_rng.normal(size=(6, 4))),
-                                 XLinearWeights(**tensors))
+                                 T.constant(np_rng.normal(size=(6, 4))), *tensors, np.zeros(6))
         assert out.shape == (3, 4)
 
     def test_identical_keys_uniform_spatial(self, np_rng):
@@ -186,15 +185,13 @@ class TestXLinearAttention:
         q = np_rng.normal(size=(2, 4))
         k = np.tile(np_rng.normal(size=(1, 4)), (5, 1))
         v = np_rng.normal(size=(5, 4))
-        _, spatial = oracle_x_linear(q, k, v, arrays["wq"], arrays["wk"],
-                                     arrays["wb"], arrays["ws"], arrays["wc"])
+        _, spatial = oracle_x_linear(q, k, v, *arrays)
         assert np.allclose(spatial, 0.2, atol=1e-6)
         # with uniform weights the output is invariant to value-row order
-        out = x_linear_attention(T.constant(q), T.constant(k), T.constant(v),
-                                 XLinearWeights(**tensors))
+        out = x_linear_attention(T.constant(q), T.constant(k), T.constant(v), *tensors,
+                                 np.zeros(5))
         shuffled = x_linear_attention(T.constant(q), T.constant(k),
-                                      T.constant(v[::-1].copy()),
-                                      XLinearWeights(**tensors))
+                                      T.constant(v[::-1].copy()), *tensors, np.zeros(5))
         assert np.allclose(out.data, shuffled.data, atol=1e-6)
 
     def test_two_by_two_matches_oracle(self):
@@ -203,10 +200,9 @@ class TestXLinearAttention:
         q = rng.normal(size=(2, 2))
         k = rng.normal(size=(2, 2))
         v = rng.normal(size=(2, 2))
-        out = x_linear_attention(T.constant(q), T.constant(k), T.constant(v),
-                                 XLinearWeights(**tensors))
-        expected, _ = oracle_x_linear(q, k, v, arrays["wq"], arrays["wk"],
-                                      arrays["wb"], arrays["ws"], arrays["wc"])
+        out = x_linear_attention(T.constant(q), T.constant(k), T.constant(v), *tensors,
+                                 np.zeros(2))
+        expected, _ = oracle_x_linear(q, k, v, *arrays)
         assert np.allclose(out.data, expected, atol=1e-9)
 
 
@@ -439,7 +435,7 @@ class TestDecodeCache:
         samples = batch_samples(np_rng, with_audio)  # 2, 4 and 3 frames
         with T.no_grad():
             batch = model.encode([(s.frames, s.audio) for s in samples])
-        assert batch.mask is not None
+        assert (batch.mask < 0).any()  # the batch has padding
         for v, s in enumerate(samples):
             alone = encoded(model, s.frames, s.audio)
             assert greedy_decode(model, batch, v, 2, 3) == greedy_decode(model, alone, 0, 2, 3)
@@ -448,6 +444,28 @@ class TestDecodeCache:
             assert [ids for ids, _ in got] == [ids for ids, _ in want]
             for (_, a), (_, b) in zip(got, want):
                 assert np.allclose(a, b, rtol=0, atol=1e-5)
+
+    @pytest.mark.parametrize("kind", ["memory_scaled_dot", "x_linear"])
+    def test_unpadded_batches_get_a_zero_mask_and_decode_as_in_a_padded_one(self, kind,
+                                                                          np_rng):
+        model = TransformerModel(tiny_config(kind), seed=5, dtype=np.float64)
+        # videos 0 and 1 of 3 frames and 2 audio rows; video 2 pads them
+        videos = [(rand_frames(np_rng, t=t), np_rng.normal(size=(2, 3)).astype(np.float32))
+                  for t in (3, 3, 5)]
+        ids = np.array([CAPTIONS[1], [2, 7, 5, 4, 3]])
+        with T.no_grad():
+            padded = model.encode(videos)
+            assert (padded.mask[:2] < 0).any()
+            for rows in ([0], [1], [0, 1]):
+                enc = model.encode([videos[r] for r in rows])
+                assert enc.mask.shape == (len(rows), 1, 1, 5) and enc.mask.dtype == model.dtype
+                assert not enc.mask.any()
+                got, want = (model.forward_teacher_forced(e, r, ids[:len(rows)]).data
+                             for e, r in ((enc, list(range(len(rows)))), (padded, rows)))
+                assert np.allclose(got, want, rtol=1e-9, atol=0), rows
+                for b, r in enumerate(rows):
+                    assert greedy_decode(model, enc, b, 2, 3) == greedy_decode(model, padded, r,
+                                                                               2, 3)
 
     def test_eos_at_first_step(self, np_rng):
         model = TransformerModel(tiny_config(), seed=5)
@@ -954,24 +972,22 @@ class TestHeadBatchedAttention:
 
     def test_x_linear_over_heads_matches_oracle(self, np_rng):
         q, k, v = (np_rng.normal(size=(3, n, 4)) for n in (2, 5, 5))
-        w = {n: np_rng.normal(size=(3, 4, 1 if n == "ws" else 4))
-             for n in ("wq", "wk", "wb", "ws", "wc")}
+        w = [np_rng.normal(size=(3, 4, 1 if n == "ws" else 4)) for n in XL_WEIGHTS]
         out = x_linear_attention(T.constant(q), T.constant(k), T.constant(v),
-                                 XLinearWeights(**{n: T.constant(a) for n, a in w.items()}))
+                                 *map(T.constant, w), np.zeros(5))
         for h in range(3):
-            expected, _ = oracle_x_linear(q[h], k[h], v[h], *(w[n][h] for n in
-                                                               ("wq", "wk", "wb", "ws", "wc")))
+            expected, _ = oracle_x_linear(q[h], k[h], v[h], *(a[h] for a in w))
             assert np.allclose(out.data[h], expected, rtol=1e-12, atol=1e-12)
 
     def test_x_linear_mask_drops_the_masked_keys(self, np_rng):
-        tensors = XLinearWeights(*(T.constant(np_rng.normal(size=(2, 4, 1 if n == "ws" else 4)))
-                                   for n in ("wq", "wk", "wb", "ws", "wc")))
+        tensors = [T.constant(np_rng.normal(size=(2, 4, 1 if n == "ws" else 4)))
+                   for n in XL_WEIGHTS]
         q, k, v = (np_rng.normal(size=(2, n, 4)) for n in (3, 5, 5))
         keep = np.array([True, False, True, True, False])
-        out = x_linear_attention(T.constant(q), T.constant(k), T.constant(v), tensors,
+        out = x_linear_attention(T.constant(q), T.constant(k), T.constant(v), *tensors,
                                  np.where(keep, 0.0, -1e9))
         short = x_linear_attention(T.constant(q), T.constant(k[:, keep]),
-                                   T.constant(v[:, keep]), tensors)
+                                   T.constant(v[:, keep]), *tensors, np.zeros(3))
         assert np.allclose(out.data, short.data, rtol=1e-12, atol=1e-12)
 
 
