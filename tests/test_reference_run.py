@@ -1,17 +1,29 @@
-"""A reference run, pinned: the pipeline of CI's determinism step, run in
-process for both attention kinds and compared with ``reference_run.json``.
+"""A reference run of both attention kinds, built in process and checked.
 
-Each kind runs ``synth-data`` (24 videos, seed 3), ``build-vocab`` (64),
-``train`` (desk profile, 5 XE epochs on the desk benchmark's schedule),
-``finetune-scst`` (1 epoch, with a reward trace) and ``caption`` of the
-validation and the training manifest.  The pin holds:
+``build`` makes the whole tree through ``cli.dispatch``: ``synth-data`` (24
+videos, seed 3) and ``build-vocab`` (64 tokens); then, for each attention
+kind, ``train`` (desk profile, 5 XE epochs on the desk benchmark's schedule,
+so that the scores are not all 0), ``finetune-scst`` (1 epoch, with a reward
+trace), ``caption`` of the validation and the training manifest, and
+``evaluate`` and ``score`` of the validation captions.  One more
+memory-attention XE + SCST run reads the vocabulary padded with unused
+tokens to 8192, as the benchmark pads its paper-scale one: several
+token_embed blocks then never get a gradient, and Adam skips them.
 
-- every caption, compared exactly;
-- every value of both histories and of the SCST trace, numbers within a
-  relative tolerance of ``REL_TOL`` (``ABS_TOL`` near zero), everything
-  else exactly;
-- the md5 of each checkpoint, for information only: another CPU's BLAS may
-  round differently, so a differing md5 is printed, never failed.
+The checks on that tree:
+
+- the pin, ``reference_run.json``: every caption, compared exactly; every
+  value of both histories and of the SCST trace, numbers within a relative
+  tolerance of ``REL_TOL`` (``ABS_TOL`` near zero), everything else exactly;
+  the md5 of each checkpoint, for information only: another CPU's BLAS may
+  round differently, so a differing md5 is printed, never failed;
+- determinism across processes: a child interpreter under another
+  ``PYTHONHASHSEED`` builds the same tree, and every file must be
+  byte-identical;
+- ``score`` of the captions writes the report ``evaluate`` writes;
+- a video's greedy caption does not depend on the chunk it is encoded in;
+- each run keeps its best and its last checkpoint, each with its sidecar;
+- every JSON document is standard JSON: no NaN or Infinity.
 
 A change that means to alter the run regenerates the pin with
 
@@ -23,19 +35,28 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
 import pytest
 
+from test_training import CHECKPOINT_FILES
 from vttcap.cli import dispatch
+from vttcap.features import load_manifest
+from vttcap.model import load_checkpoint_for
+from vttcap.tokenizer import load_vocab
+from vttcap.training import GREEDY_CHUNK, greedy_texts
 
 PIN = Path(__file__).with_name("reference_run.json")
 REL_TOL = 1e-4
 ABS_TOL = 1e-9
 SCHEDULE = {"warmup": 10, "eta_max": 0.01, "t0": 80}
 KINDS = ("memory_scaled_dot", "x_linear")
+PADDED = 8192
+RUNS = [f"{run}/{stage}" for run in (*KINDS, "padded") for stage in ("xe", "scst")]
 
 
 def run(*argv) -> None:
@@ -44,40 +65,61 @@ def run(*argv) -> None:
     assert code == 0, f"{argv[0]} exited {code}"
 
 
-def make_corpus(d: Path) -> None:
-    run("synth-data", "--seed", 3, "--videos", 24, "--concepts", 4, "--out", d / "data")
-    run("build-vocab", "--manifest", d / "data" / "train.jsonl", "--size", 64,
-        "--out", d / "vocab.txt")
+def read_json(path: Path):
+    """The document of a ``.json`` file, or the documents of a ``.jsonl``
+    file, one a line; the NaN and Infinity that standard JSON lacks fail."""
+    def reject(constant):
+        raise ValueError(f"{path}: {constant} is not standard JSON")
+    text = path.read_text(encoding="utf-8")
+    if path.suffix == ".jsonl":
+        return [json.loads(line, parse_constant=reject) for line in text.splitlines()]
+    return json.loads(text, parse_constant=reject)
 
 
-def json_lines(path: Path) -> list:
-    return [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
-
-
-def reference_run(d: Path, kind: str) -> dict:
-    """Train, finetune and caption one attention kind on the corpus in ``d``;
-    returns its captions, histories, trace and checkpoint md5s."""
-    out = d / kind
-    out.mkdir()
-    config = out / "config.json"
-    config.write_text(json.dumps({"model": {"attention_kind": kind}, "schedule": SCHEDULE}))
-    data, vocab = d / "data", d / "vocab.txt"
+def fit(d: Path, out: Path, vocab: Path, config: Path) -> None:
+    """XE for 5 epochs, then SCST for 1 with a reward trace, into ``out``."""
     common = ["--profile", "desk", "--seed", 3, "--epochs", 1, "--vocab", vocab,
-              "--train", data / "train.jsonl", "--val", data / "val.jsonl", "--config", config]
+              "--train", d / "data" / "train.jsonl", "--val", d / "data" / "val.jsonl",
+              "--config", config]
     run("train", *common, "--epochs", 5, "--out", out / "xe")
     run("finetune-scst", *common, "--init", out / "xe" / "checkpoints" / "best.vttc",
         "--out", out / "scst", "--trace", out / "trace.jsonl")
-    captions = {}
-    for split in ("val", "train"):
-        run("caption", "--checkpoint", out / "scst" / "checkpoints" / "best.vttc",
-            "--manifest", data / f"{split}.jsonl", "--vocab", vocab,
-            "--out", out / f"{split}-captions.jsonl")
-        captions[split] = {row["id"]: row["caption"]
-                           for row in json_lines(out / f"{split}-captions.jsonl")}
+
+
+def build(d: Path) -> None:
+    """Build the reference tree of the module docstring in ``d``."""
+    data, vocab = d / "data", d / "vocab.txt"
+    run("synth-data", "--seed", 3, "--videos", 24, "--concepts", 4, "--out", data)
+    run("build-vocab", "--manifest", data / "train.jsonl", "--size", 64, "--out", vocab)
+    for kind in KINDS:
+        out = d / kind
+        out.mkdir()
+        (out / "config.json").write_text(
+            json.dumps({"model": {"attention_kind": kind}, "schedule": SCHEDULE}))
+        fit(d, out, vocab, out / "config.json")
+        decode = ["--checkpoint", out / "scst" / "checkpoints" / "best.vttc", "--vocab", vocab]
+        for split in ("val", "train"):
+            run("caption", *decode, "--manifest", data / f"{split}.jsonl",
+                "--out", out / f"{split}-captions.jsonl")
+        run("evaluate", *decode, "--manifest", data / "val.jsonl", "--out", out / "report.json")
+        run("score", "--hyp", out / "val-captions.jsonl", "--refs", data / "val.jsonl",
+            "--out", out / "score.json")
+    tokens = vocab.read_text(encoding="utf-8").splitlines()
+    tokens += [f"[unused{i}]" for i in range(PADDED - len(tokens))]
+    padded = d / f"vocab-{PADDED}.txt"
+    padded.write_text("".join(t + "\n" for t in tokens), encoding="utf-8")
+    fit(d, d / "padded", padded, d / KINDS[0] / "config.json")
+
+
+def summary(d: Path, kind: str) -> dict:
+    """What the pin holds of one attention kind's run in the tree ``d``."""
+    out = d / kind
     return {
-        "captions": captions,
-        "history": {stage: json_lines(out / stage / "history.jsonl") for stage in ("xe", "scst")},
-        "trace": json_lines(out / "trace.jsonl"),
+        "captions": {split: {row["id"]: row["caption"]
+                             for row in read_json(out / f"{split}-captions.jsonl")}
+                     for split in ("val", "train")},
+        "history": {stage: read_json(out / stage / "history.jsonl") for stage in ("xe", "scst")},
+        "trace": read_json(out / "trace.jsonl"),
         "md5": {f"{stage}/{p.name}": hashlib.md5(p.read_bytes()).hexdigest()
                 for stage in ("xe", "scst")
                 for p in sorted((out / stage / "checkpoints").glob("*.vttc"))},
@@ -113,16 +155,27 @@ def mismatches(got, pinned) -> list:
 
 
 @pytest.fixture(scope="module")
-def corpus(tmp_path_factory):
-    d = tmp_path_factory.mktemp("reference")
-    make_corpus(d)
-    return d
+def trees(tmp_path_factory):
+    """The tree built here, and a child interpreter building the same tree
+    under another hash seed, started first so that the two builds overlap."""
+    here, there = tmp_path_factory.mktemp("reference"), tmp_path_factory.mktemp("child")
+    seed = "1" if os.environ.get("PYTHONHASHSEED") == "0" else "0"
+    with subprocess.Popen(
+            [sys.executable, "-c", "import pathlib, sys, test_reference_run as t; "
+                                   "t.build(pathlib.Path(sys.argv[1]))", str(there)],
+            env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": os.pathsep.join(sys.path)},
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True) as child:
+        try:
+            build(here)
+            yield here, there, child
+        finally:
+            child.kill()
 
 
 @pytest.mark.parametrize("kind", KINDS)
-def test_reference_run_matches_the_pin(corpus, kind):
-    pinned = json.loads(PIN.read_text(encoding="utf-8"))[kind]
-    got = reference_run(corpus, kind)
+def test_reference_run_matches_the_pin(trees, kind):
+    pinned = read_json(PIN)[kind]
+    got = summary(trees[0], kind)
     assert got["captions"] == pinned["captions"]
     bad = mismatches({k: got[k] for k in ("history", "trace")},
                      {k: pinned[k] for k in ("history", "trace")})
@@ -143,9 +196,54 @@ def test_mismatches_name_each_departure():
                                        "/h/0/loss: 1.001 != pinned 1.0"]
 
 
+@pytest.mark.parametrize("kind", KINDS)
+def test_score_of_the_captions_reproduces_evaluate(trees, kind):
+    out = trees[0] / kind
+    assert (out / "score.json").read_bytes() == (out / "report.json").read_bytes()
+    assert any(read_json(out / "report.json").values())
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_captions_do_not_depend_on_their_chunk(trees, kind):
+    here = trees[0]
+    vocab = load_vocab(here / "vocab.txt")
+    model = load_checkpoint_for(here / kind / "scst" / "checkpoints" / "best.vttc", vocab)
+    samples = load_manifest(here / "data" / "train.jsonl").load_samples(model.cfg.check_video)
+    assert len(samples) > GREEDY_CHUNK  # a full chunk and a partial one
+    assert greedy_texts(model, samples, vocab) == [greedy_texts(model, [s], vocab)[0]
+                                                   for s in samples]
+
+
+def test_each_run_keeps_its_best_and_last_checkpoint(trees):
+    listing = {r: sorted(p.name for p in (trees[0] / r / "checkpoints").iterdir()) for r in RUNS}
+    assert listing == {r: CHECKPOINT_FILES for r in RUNS}
+
+
+def test_the_padded_run_reads_every_token(trees):
+    sidecar = trees[0] / "padded" / "scst" / "checkpoints" / "best.vttc.json"
+    assert read_json(sidecar)["vocab_size"] == PADDED
+
+
+def test_every_json_document_is_standard(trees):
+    paths = [p for p in sorted(trees[0].rglob("*")) if p.suffix in (".json", ".jsonl")]
+    assert paths
+    for path in paths:
+        read_json(path)
+
+
+def test_a_child_process_builds_the_same_tree(trees):
+    here, there, child = trees
+    _, err = child.communicate(timeout=300)
+    assert child.returncode == 0, err
+    files = sorted(str(p.relative_to(here)) for p in here.rglob("*") if p.is_file())
+    assert files == sorted(str(p.relative_to(there)) for p in there.rglob("*") if p.is_file())
+    differ = [f for f in files if (here / f).read_bytes() != (there / f).read_bytes()]
+    assert not differ, f"not byte-identical to the child's build: {differ}"
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
-        make_corpus(Path(tmp))
-        pin = {kind: reference_run(Path(tmp), kind) for kind in KINDS}
+        build(Path(tmp))
+        pin = {kind: summary(Path(tmp), kind) for kind in KINDS}
     PIN.write_text(json.dumps(pin, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     print(f"wrote {PIN}", file=sys.stderr)
