@@ -20,7 +20,8 @@ The checks on that tree:
 - determinism across processes: a child interpreter under another
   ``PYTHONHASHSEED`` builds the same tree, and every file must be
   byte-identical;
-- ``score`` of the captions writes the report ``evaluate`` writes;
+- ``score`` of the captions writes the report ``evaluate`` writes, and
+  ``python -m vttcap.cli score`` prints it;
 - a video's greedy caption does not depend on the chunk it is encoded in;
 - each run keeps its best and its last checkpoint, each with its sidecar;
 - every JSON document is standard JSON: no NaN or Infinity.
@@ -63,6 +64,14 @@ def run(*argv) -> None:
     with contextlib.redirect_stdout(io.StringIO()):
         code = dispatch([str(a) for a in argv])
     assert code == 0, f"{argv[0]} exited {code}"
+
+
+def python(*argv, **env) -> subprocess.CompletedProcess:
+    """Run a child interpreter with ``argv`` on this process's import path,
+    with ``env`` added to this process's environment."""
+    return subprocess.run([sys.executable, *map(str, argv)], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path), **env},
+                          timeout=300)
 
 
 def read_json(path: Path):
@@ -155,27 +164,17 @@ def mismatches(got, pinned) -> list:
 
 
 @pytest.fixture(scope="module")
-def trees(tmp_path_factory):
-    """The tree built here, and a child interpreter building the same tree
-    under another hash seed, started first so that the two builds overlap."""
-    here, there = tmp_path_factory.mktemp("reference"), tmp_path_factory.mktemp("child")
-    seed = "1" if os.environ.get("PYTHONHASHSEED") == "0" else "0"
-    with subprocess.Popen(
-            [sys.executable, "-c", "import pathlib, sys, test_reference_run as t; "
-                                   "t.build(pathlib.Path(sys.argv[1]))", str(there)],
-            env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": os.pathsep.join(sys.path)},
-            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True) as child:
-        try:
-            build(here)
-            yield here, there, child
-        finally:
-            child.kill()
+def tree(tmp_path_factory):
+    """The reference tree, built in this process."""
+    here = tmp_path_factory.mktemp("reference")
+    build(here)
+    return here
 
 
 @pytest.mark.parametrize("kind", KINDS)
-def test_reference_run_matches_the_pin(trees, kind):
+def test_reference_run_matches_the_pin(tree, kind):
     pinned = read_json(PIN)[kind]
-    got = summary(trees[0], kind)
+    got = summary(tree, kind)
     assert got["captions"] == pinned["captions"]
     bad = mismatches({k: got[k] for k in ("history", "trace")},
                      {k: pinned[k] for k in ("history", "trace")})
@@ -197,47 +196,56 @@ def test_mismatches_name_each_departure():
 
 
 @pytest.mark.parametrize("kind", KINDS)
-def test_score_of_the_captions_reproduces_evaluate(trees, kind):
-    out = trees[0] / kind
+def test_score_of_the_captions_reproduces_evaluate(tree, kind):
+    out = tree / kind
     assert (out / "score.json").read_bytes() == (out / "report.json").read_bytes()
     assert any(read_json(out / "report.json").values())
 
 
 @pytest.mark.parametrize("kind", KINDS)
-def test_captions_do_not_depend_on_their_chunk(trees, kind):
-    here = trees[0]
-    vocab = load_vocab(here / "vocab.txt")
-    model = load_checkpoint_for(here / kind / "scst" / "checkpoints" / "best.vttc", vocab)
-    samples = load_manifest(here / "data" / "train.jsonl").load_samples(model.cfg.check_video)
+def test_captions_do_not_depend_on_their_chunk(tree, kind):
+    vocab = load_vocab(tree / "vocab.txt")
+    model = load_checkpoint_for(tree / kind / "scst" / "checkpoints" / "best.vttc", vocab)
+    samples = load_manifest(tree / "data" / "train.jsonl").load_samples(model.cfg.check_video)
     assert len(samples) > GREEDY_CHUNK  # a full chunk and a partial one
     assert greedy_texts(model, samples, vocab) == [greedy_texts(model, [s], vocab)[0]
                                                    for s in samples]
 
 
-def test_each_run_keeps_its_best_and_last_checkpoint(trees):
-    listing = {r: sorted(p.name for p in (trees[0] / r / "checkpoints").iterdir()) for r in RUNS}
+def test_each_run_keeps_its_best_and_last_checkpoint(tree):
+    listing = {r: sorted(p.name for p in (tree / r / "checkpoints").iterdir()) for r in RUNS}
     assert listing == {r: CHECKPOINT_FILES for r in RUNS}
 
 
-def test_the_padded_run_reads_every_token(trees):
-    sidecar = trees[0] / "padded" / "scst" / "checkpoints" / "best.vttc.json"
+def test_the_padded_run_reads_every_token(tree):
+    sidecar = tree / "padded" / "scst" / "checkpoints" / "best.vttc.json"
     assert read_json(sidecar)["vocab_size"] == PADDED
 
 
-def test_every_json_document_is_standard(trees):
-    paths = [p for p in sorted(trees[0].rglob("*")) if p.suffix in (".json", ".jsonl")]
+def test_every_json_document_is_standard(tree):
+    paths = [p for p in sorted(tree.rglob("*")) if p.suffix in (".json", ".jsonl")]
     assert paths
     for path in paths:
         read_json(path)
 
 
-def test_a_child_process_builds_the_same_tree(trees):
-    here, there, child = trees
-    _, err = child.communicate(timeout=300)
-    assert child.returncode == 0, err
-    files = sorted(str(p.relative_to(here)) for p in here.rglob("*") if p.is_file())
-    assert files == sorted(str(p.relative_to(there)) for p in there.rglob("*") if p.is_file())
-    differ = [f for f in files if (here / f).read_bytes() != (there / f).read_bytes()]
+def test_the_module_entry_point_prints_the_score(tree):
+    out = tree / KINDS[0]
+    done = python("-m", "vttcap.cli", "score", "--hyp", out / "val-captions.jsonl",
+                  "--refs", tree / "data" / "val.jsonl")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == (out / "score.json").read_text(encoding="utf-8")
+
+
+def test_a_child_process_builds_the_same_tree(tree, tmp_path):
+    seed = "1" if os.environ.get("PYTHONHASHSEED") == "0" else "0"
+    done = python("-c", "import pathlib, sys, test_reference_run as t; "
+                        "t.build(pathlib.Path(sys.argv[1]))", tmp_path, PYTHONHASHSEED=seed)
+    assert done.returncode == 0, done.stderr
+    files = sorted(str(p.relative_to(tree)) for p in tree.rglob("*") if p.is_file())
+    assert files == sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*")
+                           if p.is_file())
+    differ = [f for f in files if (tree / f).read_bytes() != (tmp_path / f).read_bytes()]
     assert not differ, f"not byte-identical to the child's build: {differ}"
 
 
