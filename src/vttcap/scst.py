@@ -12,14 +12,21 @@ so samples beating the baseline are reinforced and the rest suppressed.
 Rewards are constants in the surrogate; gradient flows only through the
 token log-probabilities of the sampled captions, which the surrogate
 recomputes as one padded teacher-forced batch over the same encoding
-(``forward_teacher_forced``): a rollout's real tokens weigh advantage /
-(B*N) in the loss, its padding 0.  ``scst_batch_step`` returns the loss
-and each video's trace record; ``finetune_scst`` starts from the model it
-is given (the CLI reads it from an XE checkpoint) and runs the step inside
-the training loop XE uses (``training._fit``), with Adam at the constant
-learning rate ``RewardConfig.eta``; every reward reads its video's
-``metrics.References`` table, built once per run under the training
-references' IDF.
+(``forward_teacher_forced``).  Identical rollouts of one video share
+their log-probabilities, so the batch holds one row per distinct (video,
+token ids) pair, whose real tokens weigh its rollouts' summed advantage /
+(B*N) and its padding 0.  A row whose sum is 0.0, such as a rollout that
+ties its baseline, adds nothing and is dropped; a step where every rollout
+ties runs no teacher-forced pass.  Since no dropped row can carry a NaN
+model's NaN into the loss, the step checks the sampled log-probabilities
+of the rollouts instead and raises ``TrainingError`` on a non-finite one.
+
+``scst_batch_step`` returns the loss and each video's trace record;
+``finetune_scst`` starts from the model it is given (the CLI reads it from
+an XE checkpoint) and runs the step inside the training loop XE uses
+(``training._fit``), with Adam at the constant learning rate
+``RewardConfig.eta``; every reward reads its video's ``metrics.References``
+table, built once per run under the training references' IDF.
 """
 
 from __future__ import annotations
@@ -33,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .errors import ContractError
+from .errors import ContractError, TrainingError
 from .metrics import References, bleu4, cider_sentence, reference_tables
 from .model import TransformerModel, greedy_decode, sample_decode
 from .tensor import RngState
@@ -64,16 +71,27 @@ def scst_surrogate_loss(model: TransformerModel, enc, items) -> T.Tensor:
 
     ``items`` holds (video, token ids, advantage) triples, ``video`` an index
     into the encoding ``enc``; the loss is the mean over items of advantage *
-    (-sum_t log p(token_t)), so zero advantage contributes exactly zero value
-    and gradient.  All rollouts run as one batch padded with PAD (id 0 in
-    every vocabulary), and backward sums each video's rollouts' gradients
-    through its encoding.
+    (-sum_t log p(token_t)), in value and gradient.  Each distinct (video,
+    token ids) pair is one row, in order of first appearance, weighted by
+    its items' summed advantage (in float64) over the item count; a row
+    whose sum is exactly 0.0 is dropped (a NaN sum stays, so a non-finite
+    reward still reaches the loss).  The rows run as one batch padded with
+    PAD (id 0 in every vocabulary), and backward sums each video's rows'
+    gradients through its encoding.  With no row left the loss is a zero
+    constant, and no decoder pass runs.
     """
     if not items:
         raise ContractError("surrogate loss needs at least one rollout")
-    inputs, targets, real = teacher_forcing([ids for _, ids, _ in items], 0)
-    weight = np.array([advantage for _, _, advantage in items], dtype=np.float64) / len(items)
-    logits = model.forward_teacher_forced(enc, [video for video, _, _ in items], inputs)
+    summed = {}  # (video, token ids) -> summed advantage, in order of first appearance
+    for video, ids, advantage in items:
+        key = (video, tuple(ids))
+        summed[key] = summed.get(key, 0.0) + advantage
+    rows = [(video, ids, total) for (video, ids), total in summed.items() if total != 0.0]
+    if not rows:
+        return T.constant(np.zeros((), dtype=model.dtype))
+    inputs, targets, real = teacher_forcing([ids for _, ids, _ in rows], 0)
+    weight = np.array([total for _, _, total in rows], dtype=np.float64) / len(items)
+    logits = model.forward_teacher_forced(enc, [video for video, _, _ in rows], inputs)
     return T.cross_entropy(logits, targets, real * weight[:, None])
 
 
@@ -84,8 +102,13 @@ def scst_batch_step(model: TransformerModel, batch, tables, vocab: Vocabulary,
     Video ``i``'s captions are scored by ``mixed_reward`` against
     ``tables[i]``.  Returns (loss value, records), one record per video in
     batch order: the dict ``finetune_scst`` writes for that video in its
-    trace line.  Gradients accumulate in the model's parameter buffers,
-    which the previous Adam step left zero.
+    trace line.  The surrogate merges identical rollouts of a video and
+    drops rows whose summed advantage is 0.0, so a NaN model, whose rollouts
+    all tie their baseline, leaves it no row; a non-finite sampled
+    log-probability raises ``TrainingError`` naming the video instead.
+    ``loss.backward()`` runs once per step, with or without rows.
+    Gradients accumulate in the model's parameter buffers, which the
+    previous Adam step left zero.
     """
     records = []
     items = []
@@ -93,8 +116,10 @@ def scst_batch_step(model: TransformerModel, batch, tables, vocab: Vocabulary,
     for video, (sample, refs) in enumerate(zip(batch, tables)):
         base_ids = greedy_decode(model, enc, video, vocab.bos_id, vocab.eos_id)
         r_base = mixed_reward(normalize_words(decode(base_ids, vocab)), refs)
-        rollouts = [ids for ids, _ in sample_decode(
-            model, enc, video, vocab.bos_id, vocab.eos_id, rc.n_samples, rng)]
+        sampled = sample_decode(model, enc, video, vocab.bos_id, vocab.eos_id, rc.n_samples, rng)
+        if not all(math.isfinite(lp) for _, logps in sampled for lp in logps):
+            raise TrainingError(f"non-finite rollout log-probability for video {sample.id}")
+        rollouts = [ids for ids, _ in sampled]
         rewards = [mixed_reward(normalize_words(decode(ids, vocab)), refs) for ids in rollouts]
         advantages = [r - r_base for r in rewards]
         items += [(video, ids, a) for ids, a in zip(rollouts, advantages)]

@@ -19,7 +19,9 @@ The checks on that tree:
   round differently, so a differing md5 is printed, never failed;
 - determinism across processes: a child interpreter under another
   ``PYTHONHASHSEED`` builds the same tree, and every file must be
-  byte-identical;
+  byte-identical.  That holds at one OpenBLAS thread count only (built
+  under 1 and under 2 threads, the x_linear SCST checkpoint differs), so
+  the child inherits the parent's environment, thread settings included;
 - ``score`` of the captions writes the report ``evaluate`` writes, and
   ``python -m vttcap.cli score`` prints it;
 - a video's greedy caption does not depend on the chunk it is encoded in;

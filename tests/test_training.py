@@ -19,7 +19,7 @@ from vttcap.tensor import RngState
 from vttcap.tokenizer import build_vocab, decode, encode, normalize_words, truncate
 from vttcap.training import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, GRAD_CLIP_NORM, OptimizerState,
                              ScheduleConfig, TrainRunConfig, _fit, adam_update, batch_xe_loss,
-                             caption_pairs, clip_gradients, lr_at, train_xe)
+                             caption_pairs, clip_gradients, lr_at, teacher_forcing, train_xe)
 
 
 @pytest.fixture(scope="module")
@@ -410,14 +410,19 @@ class TestScst:
         return tiny_model(vocab, seed=3), batch, tables, vocab
 
     def test_constant_reward_gives_zero_advantage_and_zero_gradient(self, corpus, monkeypatch):
+        """Every rollout ties its baseline, so the surrogate has no row: no
+        teacher-forced pass runs, and the one backward of the step leaves
+        every gradient zero."""
         model, batch, tables, vocab = self.setup_batch(corpus)
         rc = RewardConfig(n_samples=3)
         monkeypatch.setattr(scst, "mixed_reward", lambda cand, refs: 0.7)
+        forced = record_calls(monkeypatch, TransformerModel, "forward_teacher_forced")
+        backwards = record_calls(monkeypatch, T.Tensor, "backward")
         loss, records = scst_batch_step(model, batch, tables, vocab, rc, RngState(4))
         assert loss == 0.0
         assert all(a == 0.0 for r in records for a in r["advantages"])
-        grads = [p.grad for p in model.params.values() if p.grad is not None]
-        assert grads and all(not np.any(g) for g in grads)
+        assert forced == [] and len(backwards) == 1
+        assert not np.any(model.arena.grad)
 
     def test_a_step_encodes_its_batch_once(self, corpus, monkeypatch):
         model, batch, tables, vocab = self.setup_batch(corpus)
@@ -427,13 +432,22 @@ class TestScst:
         assert len(encodings) == 1 and encodings[0].out.shape[0] == len(batch)
         assert len(decoded["greedy_decode"]) == len(decoded["sample_decode"]) == len(batch)
 
-    def test_surrogate_encoding_once_equals_encoding_per_rollout(self, corpus):
+    def test_surrogate_encoding_once_equals_encoding_per_rollout(self, corpus, monkeypatch):
+        """The surrogate teacher-forces one row per distinct (video, token ids)
+        pair with a non-zero summed advantage, and matches one encoder pass
+        and one loss term per rollout in value and every gradient."""
         train, _, vocab = corpus
         model = TransformerModel(tiny_config(vocab_size=len(vocab)), seed=3, dtype=np.float64)
         samples = train[:2]
-        rollouts = [[2, 5, 7, 3], [2, 6, 3], [2, 9, 8, 10, 3]]
-        items = [(video, ids, adv) for video in range(len(samples))
-                 for ids, adv in zip(rollouts, (0.5, -1.25, 2.0))]
+        items = [(0, [2, 5, 7, 3], 0.5), (0, [2, 6, 3], -1.25), (0, [2, 9, 8, 10, 3], 2.0),
+                 (0, [2, 5, 7, 3], 0.75),  # the same caption of the same video: one row
+                 (0, [2, 5, 7], -0.5),  # decodes to the text of [2, 5, 7, 3]: its own row
+                 (0, [2, 11, 3], 0.0),  # ties its baseline: no row
+                 (1, [2, 5, 7, 3], 2.0),  # video 0's caption: a row of video 1
+                 (1, [2, 6, 3], 1.5), (1, [2, 6, 3], -1.5),  # sums to 0.0: no row
+                 (1, [2, 9, 8, 10, 3], -0.25)]
+        rows = [(0, [2, 5, 7, 3]), (0, [2, 6, 3]), (0, [2, 9, 8, 10, 3]), (0, [2, 5, 7]),
+                (1, [2, 5, 7, 3]), (1, [2, 9, 8, 10, 3])]
         videos = [(s.frames, s.audio) for s in samples]
 
         def per_rollout_encode():  # one encoder pass per rollout
@@ -444,15 +458,24 @@ class TestScst:
                 total = term if total is None else T.add(total, term)
             return T.scale(total, 1.0 / len(items))
 
-        grads = []
-        for loss_fn in (lambda: scst_surrogate_loss(model, model.encode(videos), items),
-                        per_rollout_encode):
+        forced = []
+        forward = TransformerModel.forward_teacher_forced
+        with monkeypatch.context() as m:
+            m.setattr(TransformerModel, "forward_teacher_forced",
+                      lambda self, enc, r, x: forced.append((r, x)) or forward(self, enc, r, x))
+            surrogate = scst_surrogate_loss(model, model.encode(videos), items)
+        ((got_rows, got_inputs),) = forced
+        assert got_rows == [video for video, _ in rows]
+        assert np.array_equal(got_inputs, teacher_forcing([ids for _, ids in rows], 0)[0])
+
+        def value_and_grads(loss):
             model.arena.grad.fill(0)
-            loss = loss_fn()
             loss.backward()
-            grads.append((loss.item(), {n: p.grad.copy() for n, p in model.params.items()
-                                        if p.grad is not None}))
-        (loss, got), (ref_loss, ref) = grads
+            return loss.item(), {n: p.grad.copy() for n, p in model.params.items()
+                                 if p.grad is not None}
+
+        (loss, got), (ref_loss, ref) = value_and_grads(surrogate), \
+            value_and_grads(per_rollout_encode())
         assert loss == pytest.approx(ref_loss, rel=1e-10, abs=1e-10)
         assert got.keys() == ref.keys() and any(n.startswith("enc.") for n in got)
         for name in ref:
@@ -562,6 +585,16 @@ class TestScst:
             assert v["truncated"] == len(cut)
             assert all(len(ids) == l_max + 2 for ids in cut)
         assert 0 < sum(v["truncated"] for v in videos) < 3 * len(videos)
+
+    def test_nan_model_is_a_training_error(self, corpus, tmp_path):
+        """A NaN model's rollouts all tie their baseline, so the surrogate has
+        no row to carry the NaN; the rollouts' log-probabilities do."""
+        train, val, vocab = corpus
+        model = tiny_model(vocab)
+        model.params["out_proj.b"].data[:] = np.nan
+        run = TrainRunConfig(epochs=1, batch_size=4, seed=5, out_dir=str(tmp_path))
+        with pytest.raises(TrainingError):
+            finetune_scst(model, vocab, train, val, RewardConfig(n_samples=2, eta=1e-3), run)
 
     @pytest.mark.parametrize("bad", [
         {"eta": -1e-4}, {"eta": float("nan")}, {"eta": float("inf")}, {"n_samples": 0},
