@@ -13,7 +13,8 @@ none; ``--profile`` overrides it) and overrides single keys of it; the
 ``--out``, ``--seed`` and ``--epochs`` flags override the file.  Data paths
 come only from flags, and the model's vocabulary size from the vocabulary
 file.  Exit codes: 0 success, 1 usage error, 2 data/format error (a file
-that is not UTF-8 text among them), 3 numeric failure.
+that is not UTF-8 text among them) or a model too large to allocate, 3
+numeric failure.
 """
 
 from __future__ import annotations
@@ -213,8 +214,9 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--videos", type=int, default=100)
     p.add_argument("--concepts", type=int, default=8)
-    p.add_argument("--d-vision", type=int, default=32)
-    p.add_argument("--d-audio", type=int, default=8)
+    desk = PROFILES["desk"]["model"]
+    p.add_argument("--d-vision", type=int, default=desk["d_vision"])
+    p.add_argument("--d-audio", type=int, default=desk["d_audio"])
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_synth_data)
 
@@ -268,7 +270,7 @@ def dispatch(argv) -> int:
     except (TrainingError, FloatingPointError) as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 3
-    except (VttError, OSError) as exc:
+    except (VttError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

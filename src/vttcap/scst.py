@@ -89,7 +89,7 @@ def scst_surrogate_loss(model: TransformerModel, enc, items) -> T.Tensor:
     rows = [(video, ids, total) for (video, ids), total in summed.items() if total != 0.0]
     if not rows:
         return T.constant(np.zeros((), dtype=model.dtype))
-    inputs, targets, real = teacher_forcing([ids for _, ids, _ in rows], 0)
+    inputs, targets, real = teacher_forcing([ids for _, ids, _ in rows])
     weight = np.array([total for _, _, total in rows], dtype=np.float64) / len(items)
     logits = model.forward_teacher_forced(enc, [video for video, _, _ in rows], inputs)
     return T.cross_entropy(logits, targets, real * weight[:, None])

@@ -222,17 +222,18 @@ def caption_pairs(samples, vocab: Vocabulary, l_max: int) -> list:
             for i, s in enumerate(samples) for cap in s.captions]
 
 
-def teacher_forcing(captions, pad_id: int) -> tuple:
+def teacher_forcing(captions) -> tuple:
     """(inputs, targets, real) of a padded caption batch, each (B, L).
 
     Row b holds ``captions[b][:-1]`` as inputs and ``captions[b][1:]`` as
-    targets, padded with ``pad_id`` to the longest; ``real`` is 1.0 on each
-    caption's own targets and 0.0 on the padding.
+    targets, padded with ``[PAD]`` to the longest: id 0 in every
+    vocabulary, by ``Vocabulary.from_tokens``'s rule.  ``real`` is 1.0 on
+    each caption's own targets and 0.0 on the padding.
     """
     width = max(len(c) for c in captions)
     if min(len(c) for c in captions) < 2:
         raise ContractError("a caption needs BOS plus one token")
-    ids = np.full((len(captions), width), pad_id, dtype=np.int64)
+    ids = np.zeros((len(captions), width), dtype=np.int64)
     for row, c in zip(ids, captions):
         row[:len(c)] = c
     lengths = np.array([len(c) - 1 for c in captions])
@@ -240,10 +241,10 @@ def teacher_forcing(captions, pad_id: int) -> tuple:
     return ids[:, :-1], ids[:, 1:], real
 
 
-def _xe_sum(model: TransformerModel, samples, pairs, vocab: Vocabulary) -> tuple:
+def _xe_sum(model: TransformerModel, samples, pairs) -> tuple:
     """Summed cross entropy over the real target tokens of ``pairs``, run as
     one padded batch, plus their count."""
-    inputs, targets, real = teacher_forcing([ids for _, ids in pairs], vocab.pad_id)
+    inputs, targets, real = teacher_forcing([ids for _, ids in pairs])
     place = {}  # sample index -> its video's place in the encoder batch
     rows = [place.setdefault(i, len(place)) for i, _ in pairs]
     enc = model.encode([(samples[i].frames, samples[i].audio) for i in place])
@@ -251,22 +252,21 @@ def _xe_sum(model: TransformerModel, samples, pairs, vocab: Vocabulary) -> tuple
     return T.cross_entropy(logits, targets, real), float(real.sum())
 
 
-def batch_xe_loss(model: TransformerModel, samples, batch_pairs, vocab: Vocabulary):
+def batch_xe_loss(model: TransformerModel, samples, batch_pairs):
     """Mean cross entropy per real target token over a batch of caption pairs."""
     if not batch_pairs:
         raise ContractError("batch contains no scorable tokens")
-    total, denom = _xe_sum(model, samples, batch_pairs, vocab)
+    total, denom = _xe_sum(model, samples, batch_pairs)
     return T.scale(total, 1.0 / denom)
 
 
-def validation_loss(model: TransformerModel, samples, pairs, vocab: Vocabulary,
-                    batch_size: int) -> float:
+def validation_loss(model: TransformerModel, samples, pairs, batch_size: int) -> float:
     """Teacher-forced mean CE per real target token over all (video, caption)
     pairs, ``batch_size`` pairs per forward pass."""
     total = denom = 0.0
     with T.no_grad():
         for lo in range(0, len(pairs), batch_size):
-            ce, n_tok = _xe_sum(model, samples, pairs[lo:lo + batch_size], vocab)
+            ce, n_tok = _xe_sum(model, samples, pairs[lo:lo + batch_size])
             total += ce.item()
             denom += n_tok
     return total / denom if denom else 0.0
@@ -386,14 +386,13 @@ def train_xe(model: TransformerModel, vocab: Vocabulary, train_samples, val_samp
     rng = RngState(run.seed).derive("train_xe")
 
     def step_fn(indices, step: int) -> float:
-        loss = batch_xe_loss(model, train_samples, [train_pairs[i] for i in indices], vocab)
+        loss = batch_xe_loss(model, train_samples, [train_pairs[i] for i in indices])
         loss.backward()
         return loss.item()
 
     def validate_fn() -> dict:
         return {**evaluate(model, val_samples, vocab, val_tables).as_dict(),
-                "val_loss": validation_loss(model, val_samples, val_pairs, vocab,
-                                            run.batch_size)}
+                "val_loss": validation_loss(model, val_samples, val_pairs, run.batch_size)}
 
     return _fit(model, len(train_pairs), step_fn,
                 lambda step: lr_at(step, sched, model.cfg.d_model) if step else 0.0,

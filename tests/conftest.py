@@ -2,11 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from vttcap import tensor as T
 from vttcap.model import ModelConfig
 
 pytest_plugins = ["pytester"]  # tests/test_settings.py runs pytest on a scratch suite
+
+# The property tests are derandomized, which keeps no example database, so a
+# verdict never depends on an earlier run's failures.  Stated here only:
+# tests/test_rules.py fails if another test file restates or overrides it.
+settings.register_profile("vttcap", derandomize=True)
+settings.load_profile("vttcap")
 
 
 def rel_err(a: float, b: float, floor: float = 1e-6) -> float:

@@ -480,6 +480,18 @@ def test_out_of_range_size_exits_2(workdir, tmp_path, capsys, section, key, valu
     assert not (tmp_path / "run").exists()
 
 
+def test_a_model_too_large_to_allocate_exits_2(workdir, tmp_path, capsys):
+    # 10**15 positions of encoding need petabytes: the allocation fails at once
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"model": {**TINY_MODEL, "l_max": 10**15}}))
+    args = run_args(workdir, tmp_path / "run")
+    args[1] = str(config)
+    assert dispatch(["train", *args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not (tmp_path / "run").exists()
+
+
 def test_negative_epochs_exit_2(workdir, tmp_path, capsys):
     args = run_args(workdir, tmp_path / "run")
     args[-1] = "-1"

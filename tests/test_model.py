@@ -843,7 +843,7 @@ class TestBatchedTeacherForcing:
         model = TransformerModel(tiny_config(kind), seed=7, dtype=dtype)
         samples = batch_samples(np_rng, with_audio)
         loss, grads = loss_and_grads(
-            model, lambda: batch_xe_loss(model, samples, BATCH_PAIRS, BATCH_VOCAB))
+            model, lambda: batch_xe_loss(model, samples, BATCH_PAIRS))
         ref_loss, ref = loss_and_grads(
             model, lambda: per_pair_xe_loss(model, samples, BATCH_PAIRS, BATCH_VOCAB))
         assert loss == pytest.approx(ref_loss, rel=tol)
@@ -859,7 +859,7 @@ class TestBatchedTeacherForcing:
         with T.no_grad():
             expected = per_pair_xe_loss(model, samples, BATCH_PAIRS, BATCH_VOCAB).item()
         for batch_size in (1, 2, len(BATCH_PAIRS)):
-            got = validation_loss(model, samples, BATCH_PAIRS, BATCH_VOCAB, batch_size)
+            got = validation_loss(model, samples, BATCH_PAIRS, batch_size)
             assert got == pytest.approx(expected, rel=tol), batch_size
 
     @pytest.mark.parametrize("kind,with_audio", BATCH_CASES)
@@ -935,7 +935,7 @@ class TestBatchedTeacherForcing:
         encode = model.encode
         monkeypatch.setattr(model, "encode",
                             lambda videos, **kw: batches.append(len(videos)) or encode(videos, **kw))
-        batch_xe_loss(model, samples, BATCH_PAIRS, BATCH_VOCAB)
+        batch_xe_loss(model, samples, BATCH_PAIRS)
         assert batches == [3]
 
 
@@ -947,7 +947,7 @@ class TestGraphSize:
     def test_nodes_of_an_xe_step_and_of_a_decode_step(self, kind, xe_nodes):
         model = TransformerModel(tiny_config(kind), seed=7)
         samples = batch_samples(np.random.default_rng(1), True)
-        loss = batch_xe_loss(model, samples, BATCH_PAIRS, BATCH_VOCAB)
+        loss = batch_xe_loss(model, samples, BATCH_PAIRS)
         assert len(T._toposort(loss)) == xe_nodes
         with T.no_grad():  # the encoder and the first token, as decoding runs them
             cache = model.decode_cache(model.encode([(samples[0].frames, samples[0].audio)]), [0])
@@ -1030,7 +1030,7 @@ class TestParamArena:
         self.assert_views_of_the_arena(model)
         samples = batch_samples(np_rng, True)
         assert not np.any(model.arena.grad)  # a fresh arena's gradients are zero
-        batch_xe_loss(model, samples, BATCH_PAIRS, BATCH_VOCAB).backward()
+        batch_xe_loss(model, samples, BATCH_PAIRS).backward()
         self.assert_views_of_the_arena(model)
         assert np.any(model.params["token_embed"].grad)
         assert np.any(model.params["enc.0.ln1.gamma"].grad)

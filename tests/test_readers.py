@@ -9,7 +9,8 @@ maybe cut short, or by arbitrary bytes.  The explicit examples are the
 valid set itself, which must read, and inputs that once escaped as
 ``UnicodeDecodeError``, ``JSONDecodeError`` or ``RecursionError`` or once
 read as a wrong object.  The searches are derandomized and keep no example
-database, so one tree always gets the same verdict.
+database (the profile ``conftest.py`` loads), so one tree always gets the
+same verdict.
 """
 
 import argparse
@@ -29,7 +30,7 @@ from vttcap.fileio import read_json
 from vttcap.model import TransformerModel, load_checkpoint, save_checkpoint
 from vttcap.tokenizer import PAD_TOKEN, load_vocab
 
-FUZZ = settings(max_examples=200, deadline=None, derandomize=True, database=None,
+FUZZ = settings(max_examples=200, deadline=None,
                 suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
 DEEP_JSON = b"[" * 100_000
 # manifest lines that name an empty feature path, which is no file

@@ -7,8 +7,10 @@ so that the scores are not all 0), ``finetune-scst`` (1 epoch, with a reward
 trace), ``caption`` of the validation and the training manifest, and
 ``evaluate`` and ``score`` of the validation captions.  One more
 memory-attention XE + SCST run reads the vocabulary padded with unused
-tokens to 8192, as the benchmark pads its paper-scale one: several
-token_embed blocks then never get a gradient, and Adam skips them.
+tokens, as the benchmark pads its paper-scale one, to ``PADDED`` tokens:
+enough that ``token_embed`` holds one whole ``training.CHUNK`` block past
+the built vocabulary's rows.  No XE step reaches that block, and Adam
+skips it.
 
 The checks on that tree:
 
@@ -26,6 +28,8 @@ The checks on that tree:
   ``python -m vttcap.cli score`` prints it;
 - a video's greedy caption does not depend on the chunk it is encoded in;
 - each run keeps its best and its last checkpoint, each with its sidecar;
+- the padded run reads every token, and its ``token_embed`` holds a whole
+  block past the built vocabulary's rows;
 - every JSON document is standard JSON: no NaN or Infinity.
 
 A change that means to alter the run regenerates the pin with
@@ -47,18 +51,20 @@ from pathlib import Path
 import pytest
 
 from test_training import CHECKPOINT_FILES
-from vttcap.cli import dispatch
+from vttcap.cli import PROFILES, dispatch
 from vttcap.features import load_manifest
 from vttcap.model import load_checkpoint_for
 from vttcap.tokenizer import load_vocab
-from vttcap.training import GREEDY_CHUNK, greedy_texts
+from vttcap.training import CHUNK, GREEDY_CHUNK, greedy_texts
 
 PIN = Path(__file__).with_name("reference_run.json")
 REL_TOL = 1e-4
 ABS_TOL = 1e-9
 SCHEDULE = {"warmup": 10, "eta_max": 0.01, "t0": 80}
 KINDS = ("memory_scaled_dot", "x_linear")
-PADDED = 8192
+# token_embed rows spanning two CHUNK blocks: enough for a whole block past
+# the built vocabulary's rows at the desk layout, where 4054 is the least
+PADDED = 2 * CHUNK // PROFILES["desk"]["model"]["d_model"]
 RUNS = [f"{run}/{stage}" for run in (*KINDS, "padded") for stage in ("xe", "scst")]
 
 
@@ -222,6 +228,11 @@ def test_each_run_keeps_its_best_and_last_checkpoint(tree):
 def test_the_padded_run_reads_every_token(tree):
     sidecar = tree / "padded" / "scst" / "checkpoints" / "best.vttc.json"
     assert read_json(sidecar)["vocab_size"] == PADDED
+    model = load_checkpoint_for(sidecar.with_suffix(""), load_vocab(tree / f"vocab-{PADDED}.txt"))
+    (lo, size), = [(lo, size) for name, lo, size in model.arena.table if name == "token_embed"]
+    unreached = lo + len(load_vocab(tree / "vocab.txt")) * model.cfg.d_model
+    first_block = -(-unreached // CHUNK) * CHUNK
+    assert first_block + CHUNK <= lo + size, "no whole token_embed block past the built rows"
 
 
 def test_every_json_document_is_standard(tree):

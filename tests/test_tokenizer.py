@@ -168,7 +168,7 @@ class TestDecode:
         with pytest.raises(ContractError):
             decode([0, 99], v)
 
-    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=60, deadline=None)
     @given(st.lists(st.text(alphabet="abcd", min_size=1, max_size=6),
                     min_size=0, max_size=6))
     def test_roundtrip_on_covered_text(self, words):

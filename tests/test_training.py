@@ -286,7 +286,7 @@ def test_every_parameter_gets_a_gradient_on_every_step(corpus, kind, with_audio)
     pairs = caption_pairs(samples, vocab, model.cfg.l_max)
     items = [(i, ids, (-1.0) ** k) for k, (i, ids) in enumerate(pairs)]
     videos = [(s.frames, s.audio) for s in samples]
-    for loss_fn in (lambda: batch_xe_loss(model, samples, pairs, vocab),
+    for loss_fn in (lambda: batch_xe_loss(model, samples, pairs),
                     lambda: scst_surrogate_loss(model, model.encode(videos), items)):
         model.arena.grad.fill(0)
         loss = loss_fn()
@@ -466,7 +466,7 @@ class TestScst:
             surrogate = scst_surrogate_loss(model, model.encode(videos), items)
         ((got_rows, got_inputs),) = forced
         assert got_rows == [video for video, _ in rows]
-        assert np.array_equal(got_inputs, teacher_forcing([ids for _, ids in rows], 0)[0])
+        assert np.array_equal(got_inputs, teacher_forcing([ids for _, ids in rows])[0])
 
         def value_and_grads(loss):
             model.arena.grad.fill(0)
