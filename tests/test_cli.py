@@ -3,6 +3,7 @@ malformed config and removed config keys; the config type rule and the
 built-in profiles' values; ``caption``, ``score`` and atomic CLI outputs."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -80,7 +81,7 @@ def test_evaluate_on_truncated_checkpoint_exits_2(workdir, tmp_path, capsys):
                      "--manifest", str(workdir / "data" / "val.jsonl"),
                      "--vocab", str(workdir / "vocab.txt")])
     assert code == 2
-    assert "truncated" in capsys.readouterr().err
+    assert re.search(r"cut\.vttc: truncated", capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("section, key, value", [

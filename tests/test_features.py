@@ -43,7 +43,7 @@ class TestFeatureFile:
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.vttf"
         path.write_bytes(b"XXXX" + struct.pack("<III", 1, 1, 1) + b"\x00" * 4)
-        with pytest.raises(FormatError, match="magic"):
+        with pytest.raises(FormatError, match=r"bad\.vttf: bad magic"):
             read_feature_file(path)
 
     def test_truncated_payload(self, tmp_path):
@@ -192,7 +192,7 @@ class TestManifest:
         row = json.dumps({"id": "v1", "frame_file": "f.vttf",
                           "audio_file": None, "captions": ["a cat"]})
         (tmp_path / "m.jsonl").write_text(row + "\n" + row + "\n")
-        with pytest.raises(FormatError, match="duplicate"):
+        with pytest.raises(FormatError, match=r"m\.jsonl:2: duplicate id 'v1'"):
             load_manifest(tmp_path / "m.jsonl")
 
     def test_roundtrip_via_synth(self, tmp_path):

@@ -1121,7 +1121,7 @@ class TestCheckpoint:
         blob = bytearray(path.read_bytes())
         blob[:4] = b"JUNK"
         path.write_bytes(bytes(blob))
-        with pytest.raises(FormatError, match="magic"):
+        with pytest.raises(FormatError, match=r"m\.vttc: bad magic"):
             load_checkpoint(path)
 
     def test_missing_config_json(self, tmp_path):
@@ -1129,7 +1129,7 @@ class TestCheckpoint:
         path = tmp_path / "m.vttc"
         save_checkpoint(model, path)
         (tmp_path / "m.vttc.json").unlink()
-        with pytest.raises(FormatError, match="config"):
+        with pytest.raises(FormatError, match=r"^missing checkpoint config .*m\.vttc\.json$"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("section", ["header", "name length", "name", "rank", "shape",
@@ -1153,7 +1153,7 @@ class TestCheckpoint:
         path = tmp_path / "m.vttc"
         save_checkpoint(model, path)
         path.write_bytes(path.read_bytes() + b"\0\0\0\0")
-        with pytest.raises(FormatError, match="trailing"):
+        with pytest.raises(FormatError, match=r"m\.vttc: 4 trailing bytes"):
             load_checkpoint(path)
 
     def test_failed_write_keeps_previous_file(self, tmp_path):
@@ -1189,7 +1189,7 @@ class TestCheckpoint:
         blob = bytearray(path.read_bytes())
         blob[4:8] = (2).to_bytes(4, "little")
         path.write_bytes(bytes(blob))
-        with pytest.raises(FormatError, match="version"):
+        with pytest.raises(FormatError, match=r"m\.vttc: unsupported checkpoint version 2"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("saved,claimed,match", [
