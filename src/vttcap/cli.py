@@ -3,18 +3,19 @@
 One subcommand per pipeline stage.  The commands load every input: they turn
 the paths of manifests, vocabularies and checkpoints into a model and the
 videos it reads, and hand those to ``training`` and ``scst``, which read no
-input file.  Manifests are parsed before a checkpoint is read, and their
-videos, checked against the model, are read last.  ``train`` and
-``finetune-scst`` read a JSON config file with one section per config
-dataclass (``model``, ``schedule``, ``reward``, ``run``); the dataclass
-fields are its keys, their annotations its types and their defaults the
-``paper`` profile.  The file may name a base profile (``desk`` if it names
-none; ``--profile`` overrides it) and overrides single keys of it; the
-``--out``, ``--seed`` and ``--epochs`` flags override the file.  Data paths
-come only from flags, and the model's vocabulary size from the vocabulary
-file.  Exit codes: 0 success, 1 usage error, 2 data/format error (a file
-that is not UTF-8 text among them) or a model too large to allocate, 3
-numeric failure.
+input file.  ``caption`` and ``evaluate`` check, before reading any input,
+that ``--out`` is not a directory and its parent is.  Manifests are parsed
+before a checkpoint is read, and their videos, checked against the model,
+are read last.  ``train`` and ``finetune-scst`` read a JSON config file with
+one section per config dataclass (``model``, ``schedule``, ``reward``,
+``run``); the dataclass fields are its keys, their annotations its types and
+their defaults the ``paper`` profile.  The file may name a base profile
+(``desk`` if it names none; ``--profile`` overrides it) and overrides single
+keys of it; the ``--out``, ``--seed`` and ``--epochs`` flags override the
+file.  Data paths come only from flags, and the model's vocabulary size from
+the vocabulary file.  Exit codes: 0 success, 1 usage error, 2 data/format
+error (a file that is not UTF-8 text among them) or a model too large to
+allocate, 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -156,6 +157,10 @@ def cmd_fit(args) -> int:
 def cmd_decode(args) -> int:
     """``caption``: write each video's greedy caption to ``--out``;
     ``evaluate``: score those captions against the manifest's references."""
+    out = args.out and Path(args.out)
+    if out and (out.is_dir() or not out.parent.is_dir()):
+        raise (IsADirectoryError(f"--out {out} is a directory") if out.is_dir()
+               else NotADirectoryError(f"--out {out}: {out.parent} is not a directory"))
     vocab = load_vocab(args.vocab)
     manifest = load_manifest(args.manifest)
     model = load_checkpoint_for(args.checkpoint, vocab)

@@ -34,8 +34,8 @@ Every parameter is a view of one ``ParamArena``: all values in one flat
 buffer and all gradients in another, so the optimizer makes one pass over
 each, zeroing the gradients as it consumes them.  The model declares its
 parameters' names and shapes (``_layout``), then draws each initial value
-straight into its view; a checkpoint is read into the views and written
-from them, with no copy of a float32 parameter on either side.
+straight into its view; a checkpoint is written from the value buffer and
+loaded as a mapping the arena wraps, with no float32 copy on either side.
 
 Everything runs on the in-package autodiff tensors, one graph per batch.
 Decoding is incremental and runs rows in lockstep: ``decode_logits`` with a
@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import json
 import math
+import mmap
 import os
 import struct
 import sys
@@ -232,17 +233,18 @@ class TransformerModel:
     """
 
     def __init__(self, cfg: ModelConfig, seed: int = 0, dtype=np.float32,
-                 init: str = "random"):
+                 init: str | np.ndarray = "random"):
+        """Each value is written straight into its view: under ``init="random"``
+        drawn from ``seed``; under "zeros", into the zero arena, only the
+        constant ones.  A flat array ``init`` of every value is the arena's."""
         self.cfg = cfg
         self.dtype = np.dtype(dtype)
         layout = self._layout(cfg)
-        self.arena = T.ParamArena((spec for specs, _ in layout for spec in specs), self.dtype)
+        values = None if isinstance(init, str) else init
+        self.arena = T.ParamArena((s for specs, _ in layout for s in specs), self.dtype, values)
         self.params: dict = self.arena.params
         rng = RngState(seed).derive("init")
-        # Each value is written straight into its view; the arena starts as
-        # zeros, so under init="zeros" (a checkpoint about to be read in)
-        # only the constant ones are written.
-        for specs, fill in layout:
+        for specs, fill in layout if values is None else ():
             views = [self.params[name].data for name, _ in specs]
             if isinstance(fill, float):
                 for view in views if fill else ():
@@ -578,23 +580,23 @@ def sample_decode(model: TransformerModel, enc: Encoding, video: int, bos_id: in
 # ---------------------------------------------------------------------------
 # checkpoints («VTTC»)
 #
-# "VTTC", a u32 LE version and record count, then one record per parameter
-# in canonical (``_layout``) order: ``_record_header(name, shape)`` and the
-# float32 LE values.  A record takes at least 16 bytes (name length, a name
-# byte, rank, an extent, a value) and a layout at least 7 + 13 n_enc + 20 n_dec
-# records, so before it builds a layout the loader bounds the record count by
-# the file size and the sidecar's layers by the record count.  Before it
-# allocates, it bounds the sidecar's values and its (l_max + 2) x d_model
-# position table, 4 bytes each, by the file size.  Then each record header
-# must be the bytes of the layout's next parameter.
+# "VTTC", a u32 LE version and parameter count, each ``_record_header(name,
+# shape)`` in canonical (``_layout``) order, zero bytes to a 64-byte boundary,
+# then every float32 LE value in that order: the bytes of ``ParamArena.data``.
+# A parameter takes at least 16 bytes (name length, a name byte, rank, an
+# extent, a value) and a layout at least 7 + 13 n_enc + 20 n_dec, so before it
+# builds a layout the loader bounds the count by the file size and the
+# sidecar's layers by the count, and before it allocates, the sidecar's values
+# and (l_max + 2) x d_model position table, 4 bytes each.  Then the headers
+# must be the layout's, the padding zero and the rest exactly the values.
 
 CKPT_MAGIC = b"VTTC"
-CKPT_VERSION = 1
+CKPT_VERSION = 2
 
 
 def _record_header(name: str, shape: tuple) -> bytes:
-    """The bytes before a parameter's values in a VTTC file: the length of its
-    UTF-8 name, the name, its rank and each extent, every number a u32 LE."""
+    """A parameter's entry in the header block of a VTTC file: the length of
+    its UTF-8 name, the name, its rank and each extent, every number a u32 LE."""
     raw = name.encode("utf-8")
     return struct.pack(f"<I{len(raw)}sI{len(shape)}I", len(raw), raw, len(shape), *shape)
 
@@ -602,17 +604,20 @@ def _record_header(name: str, shape: tuple) -> bytes:
 def save_checkpoint(model: TransformerModel, path) -> None:
     """Write parameters in canonical order plus the config as JSON alongside."""
     with atomic_path(path) as tmp, open(tmp, "wb") as fh:
-        fh.write(CKPT_MAGIC + struct.pack("<II", CKPT_VERSION, len(model.params)))
-        for name, p in model.params.items():
-            fh.write(_record_header(name, p.data.shape))
-            # a view of the arena itself where it already holds <f4
-            fh.write(memoryview(np.ascontiguousarray(p.data, dtype="<f4")).cast("B"))
+        head = CKPT_MAGIC + struct.pack("<II", CKPT_VERSION, len(model.params)) + b"".join(
+            _record_header(name, p.data.shape) for name, p in model.params.items())
+        fh.write(head + bytes(-len(head) % 64))
+        # the arena itself where it already holds <f4
+        fh.write(memoryview(np.ascontiguousarray(model.arena.data, dtype="<f4")).cast("B"))
     write_text(str(path) + ".json",
                json.dumps(model.cfg.to_dict(), indent=2, sort_keys=True) + "\n")
 
 
 def load_checkpoint(path) -> TransformerModel:
-    """Read a VTTC file, each parameter straight from the file into its buffer."""
+    """A model whose arena wraps a private (copy-on-write) mapping of the VTTC
+    file ``path``: no value is copied, and no write to the model (an Adam
+    step) reaches the file.  A file changed or truncated in place while a
+    model maps it is unsupported; vttcap's own writers replace files whole."""
     path = Path(path)
     cfg_path = str(path) + ".json"
     try:
@@ -641,25 +646,26 @@ def load_checkpoint(path) -> TransformerModel:
             excess = "unknown parameters" if count > len(specs) else "missing parameters"
             raise FormatError(f"{path}: {excess}, {count} records for the {len(specs)} "
                               "parameters of this config")
-        needed = 4 * max(sum(math.prod(shape) for _, shape in specs),
-                         (cfg.l_max + 2) * cfg.d_model)
+        n = sum(math.prod(shape) for _, shape in specs)
+        needed = 4 * max(n, (cfg.l_max + 2) * cfg.d_model)
         if needed > size:
             raise FormatError(f"{path} holds {size} bytes, fewer than the {needed} of the "
                               f"float32 values or position table {cfg_path} describes")
-        model = TransformerModel(cfg, init="zeros")
-        for name, p in model.params.items():
-            data = p.data
-            header = _record_header(name, data.shape)
-            if fh.read(len(header)) != header:
+        for name, shape in specs:
+            if fh.read(len(header := _record_header(name, shape))) != header:
                 raise FormatError(f"{path}: the next record is not parameter {name!r} "
-                                  f"of shape {data.shape}")
-            if fh.readinto(memoryview(data).cast("B")) != data.nbytes:
-                raise FormatError(f"{path}: truncated checkpoint in parameter {name!r}")
-            if sys.byteorder != "little":  # the file stores <f4
-                data.byteswap(inplace=True)
-        if fh.tell() != size:
-            raise FormatError(f"{path}: {size - fh.tell()} trailing bytes")
-    return model
+                                  f"of shape {shape}")
+        offset = fh.tell() + -fh.tell() % 64
+        if any(fh.read(offset - fh.tell())):
+            raise FormatError(f"{path}: non-zero padding before the values")
+        if (extra := size - offset - 4 * n) != 0:
+            raise FormatError(f"{path}: {extra} trailing bytes" if extra > 0
+                              else f"{path}: truncated, {-extra} bytes short")
+        values = np.frombuffer(mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_COPY),
+                               np.float32, n, offset)
+    if sys.byteorder != "little":  # the file stores <f4
+        values.byteswap(inplace=True)
+    return TransformerModel(cfg, init=values)
 
 
 def load_checkpoint_for(path, vocab) -> TransformerModel:

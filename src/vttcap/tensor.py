@@ -179,10 +179,11 @@ class ParamArena:
     its slice of ``data`` and ``grad`` for the arena's whole life.  So clipping
     the gradients and stepping Adam, which zeroes them, are each one pass over
     a flat array.  Both buffers start as zeros (``np.zeros``: untouched pages
-    cost nothing), so an initializer writes only its non-zero values.
+    cost nothing), so an initializer writes only its non-zero values, unless
+    ``data``, a flat ``dtype`` array of every value, is given to be wrapped.
     """
 
-    def __init__(self, specs, dtype=DEFAULT_DTYPE):
+    def __init__(self, specs, dtype=DEFAULT_DTYPE, data=None):
         specs = list(specs)  # (name, shape) pairs
         self.table = []
         offset = 0
@@ -190,7 +191,7 @@ class ParamArena:
             size = math.prod(shape)
             self.table.append((name, offset, size))
             offset += size
-        self.data = np.zeros(offset, dtype)
+        self.data = np.zeros(offset, dtype) if data is None else data
         self.grad = np.zeros(offset, dtype)
         self.params = {}
         for (name, lo, size), (_, shape) in zip(self.table, specs):

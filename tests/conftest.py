@@ -1,4 +1,7 @@
-"""Shared test helpers: finite-difference gradient oracle, tiny configs."""
+"""Shared test helpers: finite-difference gradient oracle, tiny configs, a
+version-1 checkpoint writer."""
+
+import struct
 
 import numpy as np
 import pytest
@@ -106,6 +109,18 @@ def tiny_config(attention_kind: str = "memory_scaled_dot", **overrides) -> Model
                 attention_kind=attention_kind)
     base.update(overrides)
     return ModelConfig(**base)
+
+
+def version1_checkpoint(model) -> bytes:
+    """The VTTC bytes of ``model`` in the retired version 1: "VTTC", version
+    and count, then per parameter its record header and its float32 LE values."""
+    out = [b"VTTC", struct.pack("<II", 1, len(model.params))]
+    for name, p in model.params.items():
+        raw = name.encode("utf-8")
+        out += [struct.pack("<I", len(raw)), raw, struct.pack("<I", p.data.ndim),
+                *(struct.pack("<I", ext) for ext in p.data.shape),
+                np.ascontiguousarray(p.data, dtype="<f4").tobytes()]
+    return b"".join(out)
 
 
 @pytest.fixture

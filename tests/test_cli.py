@@ -8,7 +8,7 @@ import re
 import numpy as np
 import pytest
 
-from conftest import tiny_config
+from conftest import tiny_config, version1_checkpoint
 from vttcap import tensor as T
 from vttcap import training
 from vttcap.cli import PROFILES, dispatch, resolve_config
@@ -258,6 +258,37 @@ def test_a_missing_manifest_is_reported_before_the_checkpoint_is_read(
     assert dispatch(argv) == 2
     assert "missing.jsonl" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("out, problem", [
+    ("made", "is a directory"), ("gone/x.jsonl", r"gone is not a directory"),
+    ("file/x.jsonl", r"file is not a directory")])
+@pytest.mark.parametrize("command", ["evaluate", "caption"])
+def test_an_unwritable_out_is_reported_before_any_input_is_read(
+        workdir, tmp_path, capsys, monkeypatch, command, out, problem):
+    def read(*args, **kwargs):
+        raise AssertionError("a checkpoint was read before --out was checked")
+
+    monkeypatch.setattr("vttcap.model.load_checkpoint", read)
+    (tmp_path / "made").mkdir()
+    (tmp_path / "file").write_text("")
+    missing = str(tmp_path / "missing")  # a vocabulary or manifest read first would fail
+    assert dispatch([command, "--checkpoint", missing, "--manifest", missing, "--vocab", missing,
+                     "--out", str(tmp_path / out)]) == 2
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: --out \S+/" + re.escape(out) + r"\b.*" + problem + "\n", err)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file", "made"]
+
+
+def test_evaluate_on_a_version_1_checkpoint_exits_2(workdir, tmp_path, capsys):
+    vocab = load_vocab(workdir / "vocab.txt")
+    old = tmp_path / "old.vttc"
+    old.write_bytes(version1_checkpoint(TransformerModel(tiny_config(vocab_size=len(vocab)))))
+    (tmp_path / "old.vttc.json").write_bytes((workdir / "init.vttc.json").read_bytes())
+    assert dispatch(["evaluate", "--checkpoint", str(old),
+                     "--manifest", str(workdir / "data" / "val.jsonl"),
+                     "--vocab", str(workdir / "vocab.txt")]) == 2
+    assert re.search(r"old\.vttc: unsupported checkpoint version 1\b", capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("frames_shape, audio_shape, problem", [

@@ -12,10 +12,10 @@ from conftest import assert_grads_match, encoded, only, teacher_forced, tiny_con
 from vttcap import tensor as T
 from vttcap.errors import ContractError, FormatError
 from vttcap.features import VideoSample
-from vttcap.model import (CKPT_MAGIC, CKPT_VERSION, XL_WEIGHTS, Encoding, ModelConfig,
-                          TransformerModel, causal_mask, embed_multimodal, greedy_decode,
-                          load_checkpoint, load_checkpoint_for, pe_block, sample_decode,
-                          save_checkpoint, x_linear_attention)
+from vttcap.model import (XL_WEIGHTS, Encoding, ModelConfig, TransformerModel, causal_mask,
+                          embed_multimodal, greedy_decode, load_checkpoint,
+                          load_checkpoint_for, pe_block, sample_decode, save_checkpoint,
+                          x_linear_attention)
 from vttcap.scst import scst_surrogate_loss
 from vttcap.tensor import RngState
 from vttcap.tokenizer import Vocabulary
@@ -1062,14 +1062,22 @@ class TestParamArena:
             assert np.all(p.data == (1.0 if name.endswith(".gamma") else 0.0)), name
 
 
+def header_length(model) -> int:
+    """Where the record headers of ``model``'s VTTC file end: 12 bytes of magic,
+    version and count, then per parameter 4 + name + 4 + 4 per extent."""
+    return 12 + sum(8 + len(name.encode()) + 4 * p.data.ndim for name, p in model.params.items())
+
+
 def tobytes_checkpoint(model) -> bytes:
-    """The VTTC bytes of ``model``, each parameter written as a ``tobytes`` copy."""
-    out = [CKPT_MAGIC, struct.pack("<II", CKPT_VERSION, len(model.params))]
+    """The version-2 VTTC bytes of ``model``: every record header, zero padding
+    to a 64-byte boundary, then each parameter's values as a ``tobytes`` copy."""
+    out = [b"VTTC", struct.pack("<II", 2, len(model.params))]
     for name, p in model.params.items():
         raw = name.encode("utf-8")
         out += [struct.pack("<I", len(raw)), raw, struct.pack("<I", p.data.ndim),
-                *(struct.pack("<I", ext) for ext in p.data.shape),
-                np.ascontiguousarray(p.data, dtype="<f4").tobytes()]
+                *(struct.pack("<I", ext) for ext in p.data.shape)]
+    out.append(bytes(-header_length(model) % 64))
+    out += [np.ascontiguousarray(p.data, dtype="<f4").tobytes() for p in model.params.values()]
     return b"".join(out)
 
 
@@ -1091,9 +1099,35 @@ class TestCheckpoint:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # the arena's two buffers, and less than half of the largest parameter besides
-        assert peak < again.arena.data.nbytes + again.arena.grad.nbytes + largest // 2
+        # the gradient buffer, and less than half of the largest parameter besides:
+        # the values are the file's mapped pages
+        assert peak < again.arena.grad.nbytes + largest // 2
         assert np.array_equal(again.arena.data, model.arena.data)
+
+    def test_writes_to_a_loaded_model_never_reach_its_file(self, tmp_path):
+        path = tmp_path / "m.vttc"
+        save_checkpoint(TransformerModel(tiny_config(), seed=6), path)
+        before = path.read_bytes()
+        model = load_checkpoint(path)
+        model.arena.grad[:] = 1.0
+        adam_update(model.arena, OptimizerState(), lr=0.1)
+        assert not np.array_equal(model.arena.data, load_checkpoint(path).arena.data)
+        assert path.read_bytes() == before
+
+    def test_a_loaded_model_holds_the_file_values_without_constant_fills(self, tmp_path):
+        model = TransformerModel(tiny_config(), seed=6)
+        model.arena.data[:] = -2.0  # no parameter's initial constant
+        save_checkpoint(model, tmp_path / "m.vttc")
+        assert np.all(load_checkpoint(tmp_path / "m.vttc").arena.data == -2.0)
+
+    def test_replacing_its_file_leaves_a_loaded_model_as_it_was(self, tmp_path):
+        path = tmp_path / "m.vttc"
+        save_checkpoint(TransformerModel(tiny_config(), seed=6), path)
+        model = load_checkpoint(path)
+        values = model.arena.data.copy()
+        save_checkpoint(TransformerModel(tiny_config(), seed=7), path)
+        assert not np.array_equal(load_checkpoint(path).arena.data, values)
+        assert np.array_equal(model.arena.data, values)
 
     def test_roundtrip(self, tmp_path, np_rng):
         model = TransformerModel(tiny_config("x_linear"), seed=6)
@@ -1132,20 +1166,36 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match=r"^missing checkpoint config .*m\.vttc\.json$"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("section", ["header", "name length", "name", "rank", "shape",
-                                         "payload", "last value", "half"])
-    def test_truncation_is_a_format_error(self, tmp_path, section):
+    # A cut before the last (header + padding) bytes leaves fewer bytes than the
+    # values alone need, which the size bound reports before any layout check.
+    @pytest.mark.parametrize("section, match", [
+        ("magic", ": bad magic or truncated header"),
+        ("first record", r": \d+ parameters cannot fit in 14 bytes"),
+        ("last record", " holds"), ("padding", " holds"), ("first value", " holds"),
+        ("half", " holds"), ("last value", ": truncated, 3 bytes short")])
+    def test_truncation_is_a_format_error(self, tmp_path, section, match):
         model = TransformerModel(tiny_config(), seed=6)
         path = tmp_path / "m.vttc"
         save_checkpoint(model, path)
         blob = path.read_bytes()
-        name = next(iter(model.params)).encode()  # first record starts at byte 12
-        rank_at = 16 + len(name)
-        cut = {"header": 6, "name length": 14, "name": 16 + len(name) // 2,
-               "rank": rank_at + 2, "shape": rank_at + 6, "payload": rank_at + 20,
-               "last value": len(blob) - 3, "half": len(blob) // 2}[section]
+        end = header_length(model)
+        offset = end + -end % 64
+        assert offset - end >= 2  # this layout has padding to cut
+        cut = {"magic": 6, "first record": 14, "last record": end - 2,
+               "padding": end + 1, "first value": offset + 2, "half": len(blob) // 2,
+               "last value": len(blob) - 3}[section]
         path.write_bytes(blob[:cut])
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError, match=r"m\.vttc" + match):
+            load_checkpoint(path)
+
+    def test_non_zero_padding_is_a_format_error(self, tmp_path):
+        model = TransformerModel(tiny_config(), seed=6)
+        path = tmp_path / "m.vttc"
+        save_checkpoint(model, path)
+        blob = bytearray(path.read_bytes())
+        blob[header_length(model)] = 1  # the first padding byte
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match=r"m\.vttc: non-zero padding"):
             load_checkpoint(path)
 
     def test_trailing_bytes_rejected(self, tmp_path):
@@ -1163,12 +1213,11 @@ class TestCheckpoint:
         before = path.read_bytes()
 
         class Exploding:
-            @property
-            def data(self):
+            def __array__(self, *args, **kwargs):
                 raise RuntimeError("disk gone")
 
         new = TransformerModel(tiny_config(), seed=7)
-        new.params["zz_last"] = Exploding()  # fails after the other records are written
+        new.arena.data = Exploding()  # fails after the header block is written
         with pytest.raises(RuntimeError):
             save_checkpoint(new, path)
         assert path.read_bytes() == before
@@ -1187,9 +1236,9 @@ class TestCheckpoint:
         path = tmp_path / "m.vttc"
         save_checkpoint(TransformerModel(tiny_config(), seed=6), path)
         blob = bytearray(path.read_bytes())
-        blob[4:8] = (2).to_bytes(4, "little")
+        blob[4:8] = (3).to_bytes(4, "little")
         path.write_bytes(bytes(blob))
-        with pytest.raises(FormatError, match=r"m\.vttc: unsupported checkpoint version 2"):
+        with pytest.raises(FormatError, match=r"m\.vttc: unsupported checkpoint version 3"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("saved,claimed,match", [
