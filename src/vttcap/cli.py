@@ -157,10 +157,8 @@ def cmd_fit(args) -> int:
 def cmd_decode(args) -> int:
     """``caption``: write each video's greedy caption to ``--out``;
     ``evaluate``: score those captions against the manifest's references."""
-    out = args.out and Path(args.out)
-    if out and (out.is_dir() or not out.parent.is_dir()):
-        raise (IsADirectoryError(f"--out {out} is a directory") if out.is_dir()
-               else NotADirectoryError(f"--out {out}: {out.parent} is not a directory"))
+    if args.out and (Path(args.out).is_dir() or not Path(args.out).parent.is_dir()):
+        raise NotADirectoryError(f"--out {args.out}: not a file in an existing directory")
     vocab = load_vocab(args.vocab)
     manifest = load_manifest(args.manifest)
     model = load_checkpoint_for(args.checkpoint, vocab)

@@ -260,12 +260,10 @@ def test_a_missing_manifest_is_reported_before_the_checkpoint_is_read(
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("out, problem", [
-    ("made", "is a directory"), ("gone/x.jsonl", r"gone is not a directory"),
-    ("file/x.jsonl", r"file is not a directory")])
+@pytest.mark.parametrize("out", ["made", "gone/x.jsonl", "file/x.jsonl"])
 @pytest.mark.parametrize("command", ["evaluate", "caption"])
 def test_an_unwritable_out_is_reported_before_any_input_is_read(
-        workdir, tmp_path, capsys, monkeypatch, command, out, problem):
+        workdir, tmp_path, capsys, monkeypatch, command, out):
     def read(*args, **kwargs):
         raise AssertionError("a checkpoint was read before --out was checked")
 
@@ -276,7 +274,7 @@ def test_an_unwritable_out_is_reported_before_any_input_is_read(
     assert dispatch([command, "--checkpoint", missing, "--manifest", missing, "--vocab", missing,
                      "--out", str(tmp_path / out)]) == 2
     err = capsys.readouterr().err
-    assert re.fullmatch(r"error: --out \S+/" + re.escape(out) + r"\b.*" + problem + "\n", err)
+    assert err == f"error: --out {tmp_path / out}: not a file in an existing directory\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["file", "made"]
 
 
