@@ -3,8 +3,10 @@
 One subcommand per pipeline stage.  The commands load every input: they turn
 the paths of manifests, vocabularies and checkpoints into a model and the
 videos it reads, and hand those to ``training`` and ``scst``, which read no
-input file.  ``caption`` and ``evaluate`` check, before reading any input,
-that ``--out`` is not a directory and its parent is.  Manifests are parsed
+input file.  Before reading any input, ``caption``, ``evaluate`` and ``score``
+check that ``--out`` is not a directory and its parent is; ``train`` and
+``finetune-scst``, after the config file, that the first of ``--out`` and its
+parents to exist is a directory.  Manifests are parsed
 before a checkpoint is read, and their videos, checked against the model,
 are read last.  ``train`` and ``finetune-scst`` read a JSON config file with
 one section per config dataclass (``model``, ``schedule``, ``reward``,
@@ -134,8 +136,12 @@ def cmd_fit(args) -> int:
     """``train``: XE from a freshly initialised model; ``finetune-scst``: SCST
     from the ``--init`` checkpoint."""
     cfg = resolve_config(args.config, args.profile)
-    vocab = load_vocab(args.vocab)
     run = _run_config(cfg, args)
+    out = Path(run.out_dir)
+    base = next((p for p in (out, *out.parents) if p.exists()), out)  # the run makes the rest
+    if not base.is_dir():
+        raise NotADirectoryError(f"--out {out}: {base} is not a directory")
+    vocab = load_vocab(args.vocab)
     manifests = load_manifest(args.train), load_manifest(args.val)
     if args.command == "train":
         model = TransformerModel(ModelConfig(**cfg["model"], vocab_size=len(vocab)), seed=run.seed)
@@ -150,15 +156,14 @@ def cmd_fit(args) -> int:
     print(json.dumps({"best_epoch": result.best_epoch,
                       "best_cider_d": result.best_cider_d,
                       "best_checkpoint": str(result.best_path),
-                      "history": str(Path(run.out_dir) / "history.jsonl")}))
+                      "history": str(result.history_path)}))
     return 0
 
 
 def cmd_decode(args) -> int:
     """``caption``: write each video's greedy caption to ``--out``;
     ``evaluate``: score those captions against the manifest's references."""
-    if args.out and (Path(args.out).is_dir() or not Path(args.out).parent.is_dir()):
-        raise NotADirectoryError(f"--out {args.out}: not a file in an existing directory")
+    _check_out_file(args.out)
     vocab = load_vocab(args.vocab)
     manifest = load_manifest(args.manifest)
     model = load_checkpoint_for(args.checkpoint, vocab)
@@ -174,6 +179,7 @@ def cmd_decode(args) -> int:
 
 
 def cmd_score(args) -> int:
+    _check_out_file(args.out)
     hyps = {}
     for where, obj in read_json_lines(args.hyp):
         if not (isinstance(obj, dict) and isinstance(obj.get("id"), str)
@@ -189,6 +195,12 @@ def cmd_score(args) -> int:
     candidates = [normalize_words(hyps[e.id]) for e in entries]
     return _report(score_corpus(candidates, reference_tables(e.captions for e in entries)),
                    args.out)
+
+
+def _check_out_file(out) -> None:
+    """Fail unless ``out`` is None or names a file in an existing directory."""
+    if out and (Path(out).is_dir() or not Path(out).parent.is_dir()):
+        raise NotADirectoryError(f"--out {out}: not a file in an existing directory")
 
 
 def _report(report, out) -> int:
@@ -270,7 +282,7 @@ def dispatch(argv) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (TrainingError, FloatingPointError) as exc:
+    except TrainingError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 3
     except (VttError, OSError, MemoryError) as exc:

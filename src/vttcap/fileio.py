@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import os
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from pathlib import Path
 
 from .errors import FormatError
@@ -22,14 +22,19 @@ from .errors import FormatError
 def atomic_path(path):
     """Yield ``path`` + ".tmp" to write; it replaces ``path`` only if the block succeeds.
 
-    A crash or error midway leaves any previous file at ``path`` intact.
+    A crash or error midway leaves any previous file at ``path`` intact, and
+    an ``OSError`` naming the temporary file is raised naming ``path``.
     """
     tmp = Path(str(path) + ".tmp")
     try:
         yield tmp
         os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
+    except BaseException as exc:
+        with suppress(FileNotFoundError, NotADirectoryError):  # no temporary file was made
+            tmp.unlink()
+        if isinstance(exc, OSError) and exc.filename == str(tmp):
+            exc.filename = str(path)
+            del exc.filename2  # os.replace's second name, ``path`` itself
         raise
 
 

@@ -54,6 +54,7 @@ import json
 import math
 import mmap
 import os
+import shutil
 import struct
 import sys
 import typing
@@ -611,6 +612,17 @@ def save_checkpoint(model: TransformerModel, path) -> None:
         fh.write(memoryview(np.ascontiguousarray(model.arena.data, dtype="<f4")).cast("B"))
     write_text(str(path) + ".json",
                json.dumps(model.cfg.to_dict(), indent=2, sort_keys=True) + "\n")
+
+
+def link_checkpoint(src, dst) -> None:
+    """Make ``dst`` and its config second names of checkpoint ``src``'s two
+    files through ``atomic_path``: hard links, or copies without them."""
+    for suffix in ("", ".json"):
+        with atomic_path(str(dst) + suffix) as tmp:
+            try:
+                os.link(str(src) + suffix, tmp)
+            except OSError:  # a filesystem without hard links
+                shutil.copyfile(str(src) + suffix, tmp)
 
 
 def load_checkpoint(path) -> TransformerModel:

@@ -38,8 +38,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
-import shutil
 import statistics
 from dataclasses import dataclass
 from pathlib import Path
@@ -49,8 +47,8 @@ import numpy as np
 from . import tensor as T
 from .errors import ContractError, TrainingError
 from .metrics import MetricReport, reference_tables, score_corpus
-from .fileio import atomic_path, write_text
-from .model import TransformerModel, greedy_decode, save_checkpoint
+from .fileio import write_text
+from .model import TransformerModel, greedy_decode, link_checkpoint, save_checkpoint
 from .tensor import RngState
 from .tokenizer import Vocabulary, decode, encode, normalize_words, truncate
 
@@ -214,6 +212,7 @@ class TrainResult:
     best_epoch: int
     best_cider_d: float
     history: list
+    history_path: Path
 
 
 def caption_pairs(samples, vocab: Vocabulary, l_max: int) -> list:
@@ -309,8 +308,9 @@ def _fit(model: TransformerModel, n_items: int, step_fn, lr_fn, validate_fn,
     metrics, ``cider_d`` among them.  Each row also records ``train_loss`` and
     ``grad_norm``, the mean loss and pre-clip gradient norm of the steps since
     the previous row (None on the step-0 row), and ``clipped``, how many of
-    those steps were clipped.  Each validation saves ``last.vttc``, a new file,
-    and one with a new best CIDEr-D makes ``best.vttc`` a second name for it.
+    those steps were clipped.  Rows go to ``history.jsonl``; each validation
+    saves ``checkpoints/last.vttc``, a new file, and one with a new best
+    CIDEr-D makes ``best.vttc`` a second name for it (``link_checkpoint``).
     """
     out_dir = Path(run.out_dir)
     ckpt_dir = out_dir / "checkpoints"
@@ -346,12 +346,7 @@ def _fit(model: TransformerModel, n_items: int, step_fn, lr_fn, validate_fn,
         improved = row["cider_d"] > best[0]
         if improved:
             best = (row["cider_d"], epoch)
-            for suffix in ("", ".json"):
-                with atomic_path(str(best_path) + suffix) as tmp:
-                    try:  # a second name for the file, not a copy of its bytes
-                        os.link(str(last_path) + suffix, tmp)
-                    except OSError:  # a filesystem without hard links
-                        shutil.copyfile(str(last_path) + suffix, tmp)
+            link_checkpoint(last_path, best_path)
         return improved
 
     validate(0)  # the starting point
@@ -369,8 +364,8 @@ def _fit(model: TransformerModel, n_items: int, step_fn, lr_fn, validate_fn,
         stall = 0 if validate(epoch) else stall + 1
         if run.patience and stall >= run.patience:
             break
-    return TrainResult(best_path=best_path, best_epoch=best[1],
-                       best_cider_d=best[0], history=history)
+    return TrainResult(best_path=best_path, best_epoch=best[1], best_cider_d=best[0],
+                       history=history, history_path=history_path)
 
 
 def train_xe(model: TransformerModel, vocab: Vocabulary, train_samples, val_samples,

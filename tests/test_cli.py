@@ -45,6 +45,17 @@ def run_args(d, out):
 
 
 @pytest.mark.parametrize("command", ["train", "finetune-scst"])
+def test_a_run_prints_where_its_artefacts_are(workdir, tmp_path, capsys, command):
+    run = tmp_path / "run"
+    extra = [] if command == "train" else ["--init", str(workdir / "init.vttc")]
+    assert dispatch([command, *run_args(workdir, run), *extra]) == 0
+    printed = json.loads(capsys.readouterr().out)
+    assert printed["best_checkpoint"] == str(run / "checkpoints" / "best.vttc")
+    assert printed["history"] == str(run / "history.jsonl")
+    assert (run / "history.jsonl").is_file()
+
+
+@pytest.mark.parametrize("command", ["train", "finetune-scst"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf")])
 def test_non_finite_training_loss_exits_3(workdir, tmp_path, monkeypatch, command, value):
     if command == "train":
@@ -261,7 +272,7 @@ def test_a_missing_manifest_is_reported_before_the_checkpoint_is_read(
 
 
 @pytest.mark.parametrize("out", ["made", "gone/x.jsonl", "file/x.jsonl"])
-@pytest.mark.parametrize("command", ["evaluate", "caption"])
+@pytest.mark.parametrize("command", ["evaluate", "caption", "score"])
 def test_an_unwritable_out_is_reported_before_any_input_is_read(
         workdir, tmp_path, capsys, monkeypatch, command, out):
     def read(*args, **kwargs):
@@ -270,11 +281,48 @@ def test_an_unwritable_out_is_reported_before_any_input_is_read(
     monkeypatch.setattr("vttcap.model.load_checkpoint", read)
     (tmp_path / "made").mkdir()
     (tmp_path / "file").write_text("")
-    missing = str(tmp_path / "missing")  # a vocabulary or manifest read first would fail
-    assert dispatch([command, "--checkpoint", missing, "--manifest", missing, "--vocab", missing,
-                     "--out", str(tmp_path / out)]) == 2
+    missing = str(tmp_path / "missing")  # an input read first would fail
+    inputs = (["--hyp", missing, "--refs", missing] if command == "score" else
+              ["--checkpoint", missing, "--manifest", missing, "--vocab", missing])
+    assert dispatch([command, *inputs, "--out", str(tmp_path / out)]) == 2
     err = capsys.readouterr().err
     assert err == f"error: --out {tmp_path / out}: not a file in an existing directory\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file", "made"]
+
+
+@pytest.mark.parametrize("out, blocker", [("file", "file"), ("file/run", "file"),
+                                          ("gone/run", None)])
+@pytest.mark.parametrize("command", ["train", "finetune-scst"])
+def test_an_unusable_run_directory_is_reported_before_any_input_is_read(
+        workdir, tmp_path, capsys, monkeypatch, command, out, blocker):
+    """The config file may name the run directory, so it alone is read first;
+    a missing parent is no error, since the run makes it."""
+    def read(*args, **kwargs):
+        raise AssertionError("a checkpoint was read before --out was checked")
+
+    monkeypatch.setattr("vttcap.model.load_checkpoint", read)
+    (tmp_path / "file").write_text("")
+    extra = [] if command == "train" else ["--init", str(workdir / "init.vttc")]
+    argv = [command, *run_args(workdir, tmp_path / out), *extra]
+    for flag in ("--train", "--val", "--vocab"):  # an input read first would fail
+        argv[argv.index(flag) + 1] = str(tmp_path / "missing")
+    assert dispatch(argv) == 2
+    err = capsys.readouterr().err
+    if blocker:
+        assert err == f"error: --out {tmp_path / out}: {tmp_path / blocker} is not a directory\n"
+    else:
+        assert err.startswith("error: ") and "missing" in err, err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+
+
+@pytest.mark.parametrize("out", ["made", "gone/v.txt", "file/v.txt"])
+def test_a_failed_write_names_the_file_not_its_temporary(workdir, tmp_path, capsys, out):
+    (tmp_path / "made").mkdir()
+    (tmp_path / "file").write_text("")
+    assert dispatch(["build-vocab", "--manifest", str(workdir / "data" / "train.jsonl"),
+                     "--out", str(tmp_path / out)]) == 2
+    err = capsys.readouterr().err
+    assert re.fullmatch(rf"error: \[Errno \d+\] [^:]+: '{re.escape(str(tmp_path / out))}'\n", err)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["file", "made"]
 
 

@@ -6,6 +6,10 @@
 - ``training`` and ``scst`` read no input file: the commands in ``cli``
   turn manifests, feature files, vocabularies and checkpoints into a model
   and its videos, and pass those objects in.
+- Each file layout has one owning module: ``model`` alone spells the
+  ``.json`` suffix of a checkpoint's config, and ``training`` alone the run
+  directory's ``history.jsonl``; the others call the owner or read the path
+  it returns.
 - The property tests are derandomized and keep no example database, so a
   verdict never depends on an earlier run's failures.  ``conftest.py``
   loads the one profile that says so, and no other test file restates or
@@ -28,6 +32,7 @@ SRC = TESTS.parent / "src" / "vttcap"
 JSON_PARSE = r"json\.loads?\("
 RUN_INPUT_READERS = r"load_manifest|load_samples|load_checkpoint|load_vocab|read_feature_file"
 PROFILE_KEYS = {"derandomize", "database"}
+LAYOUT_OWNERS = [(r'\.json"', "model.py"), (r"history\.jsonl", "training.py")]
 
 
 def matching_lines(paths, pattern) -> list:
@@ -58,6 +63,14 @@ def test_training_and_scst_read_no_run_input():
     found = matching_lines([SRC / "training.py", SRC / "scst.py"], RUN_INPUT_READERS)
     assert not found, ("read run inputs in vttcap.cli and pass the objects in:\n"
                        + "\n".join(found))
+
+
+@pytest.mark.parametrize("pattern, owner", LAYOUT_OWNERS, ids=["checkpoint-config", "history"])
+def test_each_file_layout_is_spelled_only_by_its_owner(pattern, owner):
+    assert matching_lines([SRC / owner], pattern)
+    others = [p for p in sorted(SRC.glob("*.py")) if p.name != owner]
+    found = matching_lines(others, pattern)
+    assert not found, f"only {owner} spells {pattern}:\n" + "\n".join(found)
 
 
 def test_the_loaded_hypothesis_profile_keeps_no_example_database():

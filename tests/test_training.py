@@ -340,6 +340,7 @@ class TestTrainXe:
         assert not np.any(model.arena.grad)  # each Adam step zeroes what it consumed
         rows = read_history(tmp_path)
         assert rows == result.history
+        assert result.history_path == tmp_path / "history.jsonl"
         assert [r["epoch"] for r in rows] == [0, 1, 2, 3]
         steps_per_epoch = math.ceil(27 / 8)
         assert [r["step"] for r in rows] == [0, 4, 8, 12] == \
