@@ -3,21 +3,22 @@
 One subcommand per pipeline stage.  The commands load every input: they turn
 the paths of manifests, vocabularies and checkpoints into a model and the
 videos it reads, and hand those to ``training`` and ``scst``, which read no
-input file.  Before reading any input, ``caption``, ``evaluate`` and ``score``
-check that ``--out`` is not a directory and its parent is; ``train`` and
-``finetune-scst``, after the config file, that the first of ``--out`` and its
-parents to exist is a directory.  Manifests are parsed
-before a checkpoint is read, and their videos, checked against the model,
-are read last.  ``train`` and ``finetune-scst`` read a JSON config file with
+input file.  Every command checks every path it writes before it reads any
+input: a file (``--out`` of the commands that write one, and ``--trace``) must
+not be a directory and its parent must be one; a run directory (``--out`` of
+``train`` and ``finetune-scst``) must be one, or the first of its parents to
+exist must be, since the run makes the rest.  Manifests are parsed before a
+checkpoint is read, and their videos, checked against the model, are read
+last.  ``train`` and ``finetune-scst`` read a JSON config file with
 one section per config dataclass (``model``, ``schedule``, ``reward``,
 ``run``); the dataclass fields are its keys, their annotations its types and
 their defaults the ``paper`` profile.  The file may name a base profile
 (``desk`` if it names none; ``--profile`` overrides it) and overrides single
-keys of it; the ``--out``, ``--seed`` and ``--epochs`` flags override the
-file.  Data paths come only from flags, and the model's vocabulary size from
-the vocabulary file.  Exit codes: 0 success, 1 usage error, 2 data/format
-error (a file that is not UTF-8 text among them) or a model too large to
-allocate, 3 numeric failure.
+keys of it; the ``--seed`` and ``--epochs`` flags override the file.  It
+holds run settings only: every path comes from a flag, and the model's
+vocabulary size from the vocabulary file.  Exit codes: 0 success, 1 usage
+error, 2 data/format error (a file that is not UTF-8 text among them) or a
+model too large to allocate, 3 numeric failure.
 """
 
 from __future__ import annotations
@@ -104,12 +105,6 @@ def resolve_config(config_path: str | None, profile: str | None) -> dict:
     return cfg
 
 
-def _run_config(cfg: dict, args) -> TrainRunConfig:
-    """The ``run`` section with the --out, --seed and --epochs flags laid over it."""
-    flags = {"out_dir": args.out, "seed": args.seed, "epochs": args.epochs}
-    return TrainRunConfig(**{**cfg["run"], **{k: v for k, v in flags.items() if v is not None}})
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -118,12 +113,12 @@ def cmd_synth_data(args) -> int:
     train, val = synth_dataset(seed=args.seed, n_videos=args.videos,
                                n_concepts=args.concepts, d_vision=args.d_vision,
                                d_audio=args.d_audio, out_dir=args.out)
-    print(json.dumps({"train": len(train), "val": len(val),
-                      "out_dir": str(args.out)}))
+    print(json.dumps({"train": len(train), "val": len(val), "out_dir": str(args.out)}))
     return 0
 
 
 def cmd_build_vocab(args) -> int:
+    _check_out_file(args.out)
     manifest = load_manifest(args.manifest)
     corpus = [cap for e in manifest.entries for cap in e.captions]
     vocab = build_vocab(corpus, args.size)
@@ -135,12 +130,15 @@ def cmd_build_vocab(args) -> int:
 def cmd_fit(args) -> int:
     """``train``: XE from a freshly initialised model; ``finetune-scst``: SCST
     from the ``--init`` checkpoint."""
-    cfg = resolve_config(args.config, args.profile)
-    run = _run_config(cfg, args)
-    out = Path(run.out_dir)
+    out = Path(args.out)
     base = next((p for p in (out, *out.parents) if p.exists()), out)  # the run makes the rest
     if not base.is_dir():
         raise NotADirectoryError(f"--out {out}: {base} is not a directory")
+    if args.command == "finetune-scst":
+        _check_out_file(args.trace, "--trace")
+    cfg = resolve_config(args.config, args.profile)
+    flags = {"seed": args.seed, "epochs": args.epochs}  # laid over the ``run`` section
+    run = TrainRunConfig(**{**cfg["run"], **{k: v for k, v in flags.items() if v is not None}})
     vocab = load_vocab(args.vocab)
     manifests = load_manifest(args.train), load_manifest(args.val)
     if args.command == "train":
@@ -149,10 +147,10 @@ def cmd_fit(args) -> int:
         model = load_checkpoint_for(args.init, vocab)
     train, val = (m.load_samples(model.cfg.check_video) for m in manifests)
     if args.command == "train":
-        result = train_xe(model, vocab, train, val, ScheduleConfig(**cfg["schedule"]), run)
+        result = train_xe(model, vocab, train, val, ScheduleConfig(**cfg["schedule"]), run, out)
     else:
         result = finetune_scst(model, vocab, train, val, RewardConfig(**cfg["reward"]), run,
-                               trace_path=args.trace)
+                               out, trace_path=args.trace)
     print(json.dumps({"best_epoch": result.best_epoch,
                       "best_cider_d": result.best_cider_d,
                       "best_checkpoint": str(result.best_path),
@@ -197,10 +195,10 @@ def cmd_score(args) -> int:
                    args.out)
 
 
-def _check_out_file(out) -> None:
-    """Fail unless ``out`` is None or names a file in an existing directory."""
+def _check_out_file(out, flag: str = "--out") -> None:
+    """Fail unless ``out``, given as ``flag``, is None or a file in an existing directory."""
     if out and (Path(out).is_dir() or not Path(out).parent.is_dir()):
-        raise NotADirectoryError(f"--out {out}: not a file in an existing directory")
+        raise NotADirectoryError(f"{flag} {out}: not a file in an existing directory")
 
 
 def _report(report, out) -> int:
@@ -248,7 +246,7 @@ def build_parser() -> _Parser:
         p.add_argument("--train", required=True)
         p.add_argument("--val", required=True)
         p.add_argument("--vocab", required=True)
-        p.add_argument("--out")
+        p.add_argument("--out", required=True, help="run directory")
         p.add_argument("--seed", type=int)
         p.add_argument("--epochs", type=int)
         if name == "finetune-scst":

@@ -2,7 +2,7 @@
 
 Vision and audio features are embedded by separate linear maps and share
 one encoder sequence: vision rows get sinusoidal positions 0..T_v-1, audio
-rows get positions starting at the fixed offset ``p_audio`` so the encoder
+rows get positions starting at the fixed offset ``P_AUDIO`` so the encoder
 can tell the modalities apart without a separator.  Encoder self-attention
 is augmented with learned memory slots concatenated to keys and values
 (or replaced by an X-linear bilinear attention block); the decoder is a
@@ -72,6 +72,8 @@ NEG_INF = -1e9
 
 ATTENTION_KINDS = ("memory_scaled_dot", "x_linear")
 
+P_AUDIO = 300  # first audio row's position, so the most frame rows a video has
+
 
 def has_field_type(cls, name: str, value) -> bool:
     """Whether ``value`` has one of the types annotated on field ``name`` of
@@ -93,13 +95,12 @@ class ModelConfig:
     vocab_size: int = 30522
     d_vision: int = 1024
     d_audio: int = 128
-    p_audio: int = 300
     l_max: int = 24
     attention_kind: str = "memory_scaled_dot"
 
     def __post_init__(self):
         small = [k for k in ("n_enc", "n_dec", "n_heads", "d_model", "d_ff", "vocab_size",
-                             "d_vision", "d_audio", "p_audio") if getattr(self, k) < 1]
+                             "d_vision", "d_audio") if getattr(self, k) < 1]
         small += [k for k in ("d_memory", "l_max") if getattr(self, k) < 0]
         if small:
             raise ContractError(f"model sizes out of range: {small} (d_memory and l_max "
@@ -116,11 +117,11 @@ class ModelConfig:
 
     def check_video(self, frames: np.ndarray, audio: np.ndarray | None) -> None:
         """Raise unless a video's (T, D) frame and audio matrices fit the
-        model: at most ``p_audio`` frame rows, ``d_vision`` frame columns and
+        model: at most ``P_AUDIO`` frame rows, ``d_vision`` frame columns and
         ``d_audio`` audio columns (audio None is a clip without sound)."""
-        if len(frames) > self.p_audio:
+        if len(frames) > P_AUDIO:
             raise ContractError(
-                f"{len(frames)} frame rows exceed the audio offset p_audio={self.p_audio}")
+                f"{len(frames)} frame rows exceed the audio offset P_AUDIO={P_AUDIO}")
         if frames.shape[1] != self.d_vision:
             raise DimensionError(f"frame dim {frames.shape[1]} != d_vision {self.d_vision}")
         if audio is not None and audio.shape[1] != self.d_audio:
@@ -479,7 +480,7 @@ class DecodeCache:
 def embed_multimodal(videos, model: TransformerModel) -> tuple:
     """Joint encoder input of a batch of (frames, audio) videos, each a
     (T, D) float32 feature matrix and audio None when the clip has none:
-    vision rows at positions 0..T_v-1, audio rows at positions p_audio..,
+    vision rows at positions 0..T_v-1, audio rows at positions P_AUDIO..,
     missing audio replaced by one all-zero row.  Returns the (B, S, d_model)
     input, vision rows padded to the batch's longest and then audio rows
     likewise, and its additive (B, 1, 1, S) key mask, all zeros when no row
@@ -493,7 +494,7 @@ def embed_multimodal(videos, model: TransformerModel) -> tuple:
     g = model.params
     dt = model.dtype
     parts, real = [], []
-    for rows, name, first in ((vision, "vision_embed", 0), (sound, "audio_embed", cfg.p_audio)):
+    for rows, name, first in ((vision, "vision_embed", 0), (sound, "audio_embed", P_AUDIO)):
         t = max(len(r) for r in rows)
         padded = np.zeros((len(rows), t, rows[0].shape[1]), dtype=dt)
         for b, r in enumerate(rows):

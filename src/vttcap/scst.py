@@ -143,8 +143,8 @@ def validation_mixed_reward(model: TransformerModel, samples, vocab: Vocabulary,
 
 
 def finetune_scst(model: TransformerModel, vocab: Vocabulary, train_samples, val_samples,
-                  rc: RewardConfig, run: TrainRunConfig, trace_path=None) -> TrainResult:
-    """SCST finetuning of ``model`` at constant learning rate ``rc.eta``.
+                  rc: RewardConfig, run: TrainRunConfig, out_dir, trace_path=None) -> TrainResult:
+    """SCST finetuning of ``model`` at constant learning rate ``rc.eta``, into ``out_dir``.
 
     Each training video's reward table, under the training references' IDF,
     and each validation video's report table, under the validation
@@ -187,4 +187,4 @@ def finetune_scst(model: TransformerModel, vocab: Vocabulary, train_samples, val
             return row
 
         return _fit(model, len(train_samples), step_fn, lambda step: rc.eta,
-                    validate_fn, run, rng)
+                    validate_fn, run, out_dir, rng)

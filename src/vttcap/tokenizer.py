@@ -68,9 +68,9 @@ class Vocabulary:
 def load_vocab(path) -> Vocabulary:
     """Read a one-token-per-line UTF-8 file; line index = token id.
 
-    Specials are matched by exact string and appended when absent; files that
-    do carry ``[PAD]`` must have it on the first line so masks can rely on
-    pad id 0.
+    Specials are matched by exact string.  ``[PAD]`` must be on the first
+    line, so masks can rely on pad id 0: a non-empty file without it is
+    rejected.  The other specials are appended when absent.
     """
     tokens = read_text(path).split("\n")
     while tokens and tokens[-1] == "":

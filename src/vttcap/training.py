@@ -191,11 +191,12 @@ def lr_at(step: int, s: ScheduleConfig, d_model: int) -> float:
 
 @dataclass
 class TrainRunConfig:
+    """Run settings only: where a run writes is ``out_dir``, an argument of
+    ``train_xe``, ``scst.finetune_scst`` and ``_fit``."""
     epochs: int = 50
     batch_size: int = 128
     seed: int = 7
     patience: int = 10  # validations without improvement before stopping; 0 = off
-    out_dir: str = "run"
 
     def __post_init__(self):
         if self.batch_size < 1:
@@ -299,8 +300,8 @@ def evaluate(model: TransformerModel, samples, vocab: Vocabulary, tables) -> Met
 
 
 def _fit(model: TransformerModel, n_items: int, step_fn, lr_fn, validate_fn,
-         run: TrainRunConfig, rng: RngState) -> TrainResult:
-    """The training loop of XE and SCST, writing under ``run.out_dir``.
+         run: TrainRunConfig, out_dir, rng: RngState) -> TrainResult:
+    """The training loop of XE and SCST, writing under ``out_dir``, made with its parents.
 
     ``step_fn(indices, step)`` runs forward and backward on the items at
     ``indices`` for 1-based step ``step`` and returns the loss; ``lr_fn(step)``
@@ -312,7 +313,7 @@ def _fit(model: TransformerModel, n_items: int, step_fn, lr_fn, validate_fn,
     saves ``checkpoints/last.vttc``, a new file, and one with a new best
     CIDEr-D makes ``best.vttc`` a second name for it (``link_checkpoint``).
     """
-    out_dir = Path(run.out_dir)
+    out_dir = Path(out_dir)
     ckpt_dir = out_dir / "checkpoints"
     ckpt_dir.mkdir(parents=True, exist_ok=True)
     last_path, best_path = ckpt_dir / "last.vttc", ckpt_dir / "best.vttc"
@@ -369,8 +370,8 @@ def _fit(model: TransformerModel, n_items: int, step_fn, lr_fn, validate_fn,
 
 
 def train_xe(model: TransformerModel, vocab: Vocabulary, train_samples, val_samples,
-             sched: ScheduleConfig, run: TrainRunConfig) -> TrainResult:
-    """Teacher-forced cross-entropy training of ``model`` under ``sched``.
+             sched: ScheduleConfig, run: TrainRunConfig, out_dir) -> TrainResult:
+    """Teacher-forced cross-entropy training of ``model`` under ``sched``, into ``out_dir``.
 
     Validation rows add the teacher-forced ``val_loss``; the row at step 0
     records lr 0.
@@ -391,4 +392,4 @@ def train_xe(model: TransformerModel, vocab: Vocabulary, train_samples, val_samp
 
     return _fit(model, len(train_pairs), step_fn,
                 lambda step: lr_at(step, sched, model.cfg.d_model) if step else 0.0,
-                validate_fn, run, rng)
+                validate_fn, run, out_dir, rng)

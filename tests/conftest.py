@@ -105,7 +105,7 @@ def only(batch):
 def tiny_config(attention_kind: str = "memory_scaled_dot", **overrides) -> ModelConfig:
     """The spec's gradient-suite configuration."""
     base = dict(n_enc=1, n_dec=1, n_heads=2, d_model=8, d_ff=16, d_memory=2,
-                vocab_size=12, d_vision=5, d_audio=3, p_audio=300, l_max=8,
+                vocab_size=12, d_vision=5, d_audio=3, l_max=8,
                 attention_kind=attention_kind)
     base.update(overrides)
     return ModelConfig(**base)

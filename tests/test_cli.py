@@ -13,6 +13,7 @@ from vttcap import tensor as T
 from vttcap import training
 from vttcap.cli import PROFILES, dispatch, resolve_config
 from vttcap.features import write_feature_file
+from vttcap.fileio import write_text
 from vttcap.model import ModelConfig, TransformerModel, has_field_type, save_checkpoint
 from vttcap.scst import RewardConfig
 from vttcap.tokenizer import load_vocab
@@ -107,6 +108,8 @@ def test_evaluate_on_truncated_checkpoint_exits_2(workdir, tmp_path, capsys):
     ("reward", "lambda_bleu4", 1.0),
     ("reward", "temperature", 1.0),
     ("run", "eval_every", 0),
+    ("model", "p_audio", 300),
+    ("run", "out_dir", "run"),
 ])
 def test_removed_config_key_is_unknown(workdir, tmp_path, capsys, section, key, value):
     config = tmp_path / "config.json"
@@ -123,19 +126,19 @@ def test_removed_config_key_is_unknown(workdir, tmp_path, capsys, section, key, 
 RESOLVED = {
     "paper": {
         "model": {"n_enc": 8, "n_dec": 8, "n_heads": 8, "d_model": 512, "d_ff": 2048,
-                  "d_memory": 64, "d_vision": 1024, "d_audio": 128, "p_audio": 300,
-                  "l_max": 24, "attention_kind": "memory_scaled_dot"},
+                  "d_memory": 64, "d_vision": 1024, "d_audio": 128, "l_max": 24,
+                  "attention_kind": "memory_scaled_dot"},
         "schedule": {"warmup": 10000, "t0": 4000, "eta_max": None},
         "reward": {"n_samples": 5, "eta": 5e-6},
-        "run": {"epochs": 50, "batch_size": 128, "seed": 7, "patience": 10, "out_dir": "run"},
+        "run": {"epochs": 50, "batch_size": 128, "seed": 7, "patience": 10},
     },
     "desk": {
         "model": {"n_enc": 2, "n_dec": 2, "n_heads": 4, "d_model": 32, "d_ff": 64,
-                  "d_memory": 8, "d_vision": 32, "d_audio": 8, "p_audio": 300, "l_max": 24,
+                  "d_memory": 8, "d_vision": 32, "d_audio": 8, "l_max": 24,
                   "attention_kind": "memory_scaled_dot"},
         "schedule": {"warmup": 200, "t0": 400, "eta_max": None},
         "reward": {"n_samples": 5, "eta": 1e-4},
-        "run": {"epochs": 30, "batch_size": 16, "seed": 7, "patience": 0, "out_dir": "run"},
+        "run": {"epochs": 30, "batch_size": 16, "seed": 7, "patience": 0},
     },
 }
 
@@ -201,6 +204,7 @@ def test_every_section_is_checked(workdir, tmp_path, capsys, command, override, 
     '{"d_model": 65536, "n_heads": 1}',  # a model of 192 GiB that the file does not hold
     '{"l_max": 100000000}',  # a position table of 12 GiB
     '{"l_max": 1000000000000000}',  # one of 114 PiB
+    '{"p_audio": 300}',  # a key that left the config: a sidecar written before
 ])
 def test_corrupt_checkpoint_config_exits_2(workdir, tmp_path, capsys, monkeypatch, sidecar):
     def allocate(*args, **kwargs):
@@ -217,7 +221,9 @@ def test_corrupt_checkpoint_config_exits_2(workdir, tmp_path, capsys, monkeypatc
                      "--manifest", str(workdir / "data" / "val.jsonl"),
                      "--vocab", str(workdir / "vocab.txt")])
     assert code == 2
-    assert "m.vttc.json" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "m.vttc.json" in err
+    assert "p_audio" in err or "p_audio" not in sidecar
 
 
 @pytest.mark.parametrize("argv, code", [
@@ -272,22 +278,45 @@ def test_a_missing_manifest_is_reported_before_the_checkpoint_is_read(
 
 
 @pytest.mark.parametrize("out", ["made", "gone/x.jsonl", "file/x.jsonl"])
-@pytest.mark.parametrize("command", ["evaluate", "caption", "score"])
+@pytest.mark.parametrize("command", ["evaluate", "caption", "score", "build-vocab",
+                                     "finetune-scst"])
 def test_an_unwritable_out_is_reported_before_any_input_is_read(
         workdir, tmp_path, capsys, monkeypatch, command, out):
+    """Each file a command writes, ``--out`` or ``finetune-scst``'s
+    ``--trace``, is checked before any input is read."""
     def read(*args, **kwargs):
-        raise AssertionError("a checkpoint was read before --out was checked")
+        raise AssertionError("a checkpoint was read before the output was checked")
 
     monkeypatch.setattr("vttcap.model.load_checkpoint", read)
     (tmp_path / "made").mkdir()
     (tmp_path / "file").write_text("")
     missing = str(tmp_path / "missing")  # an input read first would fail
-    inputs = (["--hyp", missing, "--refs", missing] if command == "score" else
-              ["--checkpoint", missing, "--manifest", missing, "--vocab", missing])
-    assert dispatch([command, *inputs, "--out", str(tmp_path / out)]) == 2
+    flag = "--trace" if command == "finetune-scst" else "--out"
+    inputs = {
+        "score": ["--hyp", missing, "--refs", missing],
+        "build-vocab": ["--manifest", missing],
+        "finetune-scst": ["--config", missing, "--train", missing, "--val", missing,
+                          "--vocab", missing, "--init", missing, "--out", str(tmp_path / "run")],
+    }.get(command, ["--checkpoint", missing, "--manifest", missing, "--vocab", missing])
+    assert dispatch([command, *inputs, flag, str(tmp_path / out)]) == 2
     err = capsys.readouterr().err
-    assert err == f"error: --out {tmp_path / out}: not a file in an existing directory\n"
+    assert err == f"error: {flag} {tmp_path / out}: not a file in an existing directory\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["file", "made"]
+
+
+@pytest.mark.parametrize("command", ["train", "finetune-scst"])
+def test_a_run_needs_out_and_makes_nothing_without_it(workdir, tmp_path, capsys, monkeypatch,
+                                                      command):
+    """No run directory is assumed, so an SCST run cannot overwrite the XE
+    run it starts from by sharing a default with it."""
+    monkeypatch.chdir(tmp_path)
+    argv = [command, *run_args(workdir, "unused")]
+    del argv[argv.index("--out"):argv.index("--out") + 2]
+    if command == "finetune-scst":
+        argv += ["--init", str(workdir / "init.vttc")]
+    assert dispatch(argv) == 1
+    assert "--out" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("out, blocker", [("file", "file"), ("file/run", "file"),
@@ -295,8 +324,9 @@ def test_an_unwritable_out_is_reported_before_any_input_is_read(
 @pytest.mark.parametrize("command", ["train", "finetune-scst"])
 def test_an_unusable_run_directory_is_reported_before_any_input_is_read(
         workdir, tmp_path, capsys, monkeypatch, command, out, blocker):
-    """The config file may name the run directory, so it alone is read first;
-    a missing parent is no error, since the run makes it."""
+    """The run directory comes only from ``--out``, so it is checked before
+    any input, the config file included; a missing parent is no error, since
+    the run makes it."""
     def read(*args, **kwargs):
         raise AssertionError("a checkpoint was read before --out was checked")
 
@@ -304,7 +334,7 @@ def test_an_unusable_run_directory_is_reported_before_any_input_is_read(
     (tmp_path / "file").write_text("")
     extra = [] if command == "train" else ["--init", str(workdir / "init.vttc")]
     argv = [command, *run_args(workdir, tmp_path / out), *extra]
-    for flag in ("--train", "--val", "--vocab"):  # an input read first would fail
+    for flag in ("--config", "--train", "--val", "--vocab"):  # an input read first would fail
         argv[argv.index(flag) + 1] = str(tmp_path / "missing")
     assert dispatch(argv) == 2
     err = capsys.readouterr().err
@@ -316,13 +346,15 @@ def test_an_unusable_run_directory_is_reported_before_any_input_is_read(
 
 
 @pytest.mark.parametrize("out", ["made", "gone/v.txt", "file/v.txt"])
-def test_a_failed_write_names_the_file_not_its_temporary(workdir, tmp_path, capsys, out):
+def test_a_failed_write_names_the_file_not_its_temporary(tmp_path, out):
+    """Every command checks its outputs before it writes them, so the write
+    that the CLI reports as ``error: <OSError>`` is called directly."""
     (tmp_path / "made").mkdir()
     (tmp_path / "file").write_text("")
-    assert dispatch(["build-vocab", "--manifest", str(workdir / "data" / "train.jsonl"),
-                     "--out", str(tmp_path / out)]) == 2
-    err = capsys.readouterr().err
-    assert re.fullmatch(rf"error: \[Errno \d+\] [^:]+: '{re.escape(str(tmp_path / out))}'\n", err)
+    with pytest.raises(OSError) as failed:
+        write_text(tmp_path / out, "a\n")
+    assert re.fullmatch(rf"\[Errno \d+\] [^:]+: '{re.escape(str(tmp_path / out))}'",
+                        str(failed.value))
     assert sorted(p.name for p in tmp_path.iterdir()) == ["file", "made"]
 
 
@@ -339,7 +371,7 @@ def test_evaluate_on_a_version_1_checkpoint_exits_2(workdir, tmp_path, capsys):
 
 @pytest.mark.parametrize("frames_shape, audio_shape, problem", [
     ((6, 4), None, "frame dim 4 != d_vision 5"),
-    ((301, 5), (2, 3), "301 frame rows exceed the audio offset p_audio=300"),
+    ((301, 5), (2, 3), "301 frame rows exceed the audio offset P_AUDIO=300"),
     ((6, 5), (2, 2), "audio dim 2 != d_audio 3"),
 ])
 @pytest.mark.parametrize("command", ["evaluate", "caption", "train", "finetune-scst"])
@@ -514,8 +546,6 @@ def test_config_value_of_the_wrong_type_exits_1(workdir, tmp_path, capsys, overr
     (TrainRunConfig, "batch_size", 16.0, False),
     (TrainRunConfig, "batch_size", True, False),
     (TrainRunConfig, "batch_size", None, False),
-    (TrainRunConfig, "out_dir", "run", True),
-    (TrainRunConfig, "out_dir", None, False),
     (ScheduleConfig, "eta_max", 0.01, True),
     (ScheduleConfig, "eta_max", 1, True),
     (ScheduleConfig, "eta_max", None, True),  # the annotation allows None
@@ -542,7 +572,7 @@ def test_zero_heads_exits_2(workdir, tmp_path, capsys):
 @pytest.mark.parametrize("section, key, value", [
     ("model", "d_ff", 0), ("model", "d_vision", 0), ("model", "d_audio", 0),
     ("model", "n_enc", 0), ("model", "n_enc", -1), ("model", "n_dec", 0),
-    ("model", "p_audio", 0), ("model", "l_max", -1), ("run", "patience", -1),
+    ("model", "l_max", -1), ("run", "patience", -1),
     ("schedule", "eta_max", -0.01), ("schedule", "eta_max", float("nan")),
     ("schedule", "eta_max", float("inf")),
 ])

@@ -12,8 +12,8 @@ from conftest import assert_grads_match, encoded, only, teacher_forced, tiny_con
 from vttcap import tensor as T
 from vttcap.errors import ContractError, FormatError
 from vttcap.features import VideoSample
-from vttcap.model import (XL_WEIGHTS, Encoding, ModelConfig, TransformerModel, causal_mask,
-                          embed_multimodal, greedy_decode, load_checkpoint,
+from vttcap.model import (P_AUDIO, XL_WEIGHTS, Encoding, ModelConfig, TransformerModel,
+                          causal_mask, embed_multimodal, greedy_decode, load_checkpoint,
                           load_checkpoint_for, pe_block, sample_decode, save_checkpoint,
                           x_linear_attention)
 from vttcap.scst import scst_surrogate_loss
@@ -115,7 +115,7 @@ class TestEmbedMultimodal:
 
     def test_frames_beyond_offset_rejected(self, np_rng):
         frames = np_rng.normal(size=(301, 5)).astype(np.float32)
-        with pytest.raises(ContractError, match="p_audio"):
+        with pytest.raises(ContractError, match="P_AUDIO=300"):
             embed_multimodal([(frames, None)], self.zero)
 
 
@@ -301,8 +301,7 @@ class TestSampleDecode:
     def test_first_token_frequencies(self):
         # fixed three-token softmax via output bias; 1e5 single-token rollouts
         cfg = ModelConfig(n_enc=1, n_dec=1, n_heads=1, d_model=2, d_ff=2,
-                          d_memory=0, vocab_size=8, d_vision=2, d_audio=2,
-                          p_audio=300, l_max=0)
+                          d_memory=0, vocab_size=8, d_vision=2, d_audio=2, l_max=0)
         model = TransformerModel(cfg, init="zeros")
         bias = np.full(8, -1e9, dtype=np.float32)
         bias[4:7] = np.log([1.0, 2.0, 4.0])
@@ -677,7 +676,7 @@ def ref_logits(P, cfg, frames, audio, ids):
     aud = np.zeros((1, cfg.d_audio)) if audio is None else audio
     x = np.concatenate([
         frames @ P["vision_embed.w"] + P["vision_embed.b"] + pe_block(0, len(frames), d),
-        aud @ P["audio_embed.w"] + P["audio_embed.b"] + pe_block(cfg.p_audio, len(aud), d)])
+        aud @ P["audio_embed.w"] + P["audio_embed.b"] + pe_block(P_AUDIO, len(aud), d)])
     for i in range(cfg.n_enc):
         p = f"enc.{i}"
         x = norm(f"{p}.ln1", x + ref_attention(P, cfg, f"{p}.attn", x, x, memory_prefix=p))
@@ -1278,13 +1277,15 @@ class TestCheckpoint:
             load_checkpoint(path)
 
     def test_sidecar_names_every_key(self, tmp_path):
-        # neither key changes the parameter layout, so no later check sees them go
+        # at their defaults, neither key would change the parameter layout, so
+        # no later check sees them go
         path = tmp_path / "m.vttc"
         save_checkpoint(TransformerModel(tiny_config(l_max=5), seed=6), path)
         cfg = tiny_config(l_max=5).to_dict()
-        del cfg["l_max"], cfg["p_audio"]
+        del cfg["l_max"], cfg["attention_kind"]
         (tmp_path / "m.vttc.json").write_text(json.dumps(cfg))
-        with pytest.raises(FormatError, match=r"m\.vttc\.json: .*\['p_audio', 'l_max'\]"):
+        with pytest.raises(FormatError,
+                           match=r"m\.vttc\.json: .*\['l_max', 'attention_kind'\]"):
             load_checkpoint(path)
 
     def test_vocab_size_must_match(self, tmp_path):

@@ -41,10 +41,10 @@ EMPTY_AUDIO_FILE = json.dumps({"id": "v0", "frame_file": "f.vttf", "audio_file":
 # a manifest line whose frame_file names the manifest's own directory
 DIRECTORY_FRAME_FILE = json.dumps({"id": "v0", "frame_file": ".", "audio_file": None,
                                    "captions": ["a cat"]}).encode()
-# the sidecar of the ``files`` checkpoint without two keys that leave its
+# the sidecar of the ``files`` checkpoint without a key that leaves its
 # parameter layout unchanged
 PARTIAL_SIDECAR = json.dumps({k: v for k, v in tiny_config().to_dict().items()
-                              if k not in ("l_max", "p_audio")}).encode()
+                              if k != "l_max"}).encode()
 
 
 @pytest.fixture(scope="module")

@@ -334,9 +334,9 @@ class TestTrainXe:
     def test_history_rows_and_best_checkpoint(self, corpus, tmp_path, monkeypatch):
         train, val, vocab = corpus
         saved = record_checkpoints(monkeypatch)
-        run = TrainRunConfig(epochs=3, batch_size=8, seed=2, out_dir=str(tmp_path))
+        run = TrainRunConfig(epochs=3, batch_size=8, seed=2)
         model = tiny_model(vocab)
-        result = train_xe(model, vocab, train, val, SGDR, run)
+        result = train_xe(model, vocab, train, val, SGDR, run, tmp_path)
         assert not np.any(model.arena.grad)  # each Adam step zeroes what it consumed
         rows = read_history(tmp_path)
         assert rows == result.history
@@ -361,9 +361,8 @@ class TestTrainXe:
         train, val, vocab = corpus
         saved = record_checkpoints(monkeypatch)
         frozen = ScheduleConfig(warmup=5, t0=10, eta_max=0.0)
-        run = TrainRunConfig(epochs=6, batch_size=8, seed=2, patience=2,
-                             out_dir=str(tmp_path))
-        result = train_xe(tiny_model(vocab), vocab, train, val, frozen, run)
+        run = TrainRunConfig(epochs=6, batch_size=8, seed=2, patience=2)
+        result = train_xe(tiny_model(vocab), vocab, train, val, frozen, run, tmp_path)
         rows = read_history(tmp_path)
         assert len(rows) == 3  # epoch 0 plus two validations without improvement
         assert len({r["cider_d"] for r in rows}) == 1
@@ -378,8 +377,8 @@ class TestTrainXe:
         score = training.score_corpus
         monkeypatch.setattr(training, "score_corpus",
                             lambda cands, tabs: scored.append(tabs) or score(cands, tabs))
-        run = TrainRunConfig(epochs=2, batch_size=8, seed=2, out_dir=str(tmp_path))
-        train_xe(tiny_model(vocab), vocab, train, val, SGDR, run)
+        run = TrainRunConfig(epochs=2, batch_size=8, seed=2)
+        train_xe(tiny_model(vocab), vocab, train, val, SGDR, run, tmp_path)
         assert [t.lengths for t in tables] == \
             [[len(normalize_words(c)) for c in s.captions] for s in val]
         assert len(scored) == 3 and all(tabs == tables for tabs in scored)
@@ -388,9 +387,9 @@ class TestTrainXe:
         train, val, vocab = corpus
         model = tiny_model(vocab)
         model.params["out_proj.b"].data[:] = np.nan
-        run = TrainRunConfig(epochs=1, batch_size=8, out_dir=str(tmp_path))
+        run = TrainRunConfig(epochs=1, batch_size=8)
         with pytest.raises(TrainingError):
-            train_xe(model, vocab, train, val, SGDR, run)
+            train_xe(model, vocab, train, val, SGDR, run, tmp_path)
 
 
 # ---------------------------------------------------------------------------
@@ -524,9 +523,10 @@ class TestScst:
     def test_one_trace_line_per_step(self, corpus, tmp_path):
         train, val, vocab = corpus
         trace = tmp_path / "trace.jsonl"
-        run = TrainRunConfig(epochs=2, batch_size=4, seed=5, out_dir=str(tmp_path / "run"))
+        run = TrainRunConfig(epochs=2, batch_size=4, seed=5)
         result = finetune_scst(tiny_model(vocab), vocab, train, val,
-                               RewardConfig(n_samples=2, eta=1e-3), run, trace_path=trace)
+                               RewardConfig(n_samples=2, eta=1e-3), run, tmp_path / "run",
+                               trace_path=trace)
         lines = [json.loads(line) for line in trace.read_text().splitlines()]
         steps = 2 * math.ceil(len(train) / 4)
         assert [ln["step"] for ln in lines] == list(range(1, steps + 1))
@@ -550,9 +550,9 @@ class TestScst:
         score = training.score_corpus
         monkeypatch.setattr(training, "score_corpus",
                             lambda cands, tabs: scored.append(tabs) or score(cands, tabs))
-        run = TrainRunConfig(epochs=2, batch_size=4, seed=5, out_dir=str(tmp_path / "run"))
+        run = TrainRunConfig(epochs=2, batch_size=4, seed=5)
         finetune_scst(tiny_model(vocab), vocab, train, val, RewardConfig(n_samples=2, eta=1e-3),
-                      run)
+                      run, tmp_path / "run")
         # the rewards' tables for training and validation videos, then the report's
         assert [t.lengths for t in tables] == \
             [[len(normalize_words(c)) for c in s.captions] for s in train + val + val]
@@ -567,10 +567,10 @@ class TestScst:
         decoded = record_decodes(monkeypatch)
         steps = record_calls(monkeypatch, scst, "scst_batch_step")
         trace = tmp_path / "trace.jsonl"
-        run = TrainRunConfig(epochs=1, batch_size=4, seed=5, out_dir=str(tmp_path / "run"))
+        run = TrainRunConfig(epochs=1, batch_size=4, seed=5)
         model = tiny_model(vocab)
         finetune_scst(model, vocab, train, val, RewardConfig(n_samples=3, eta=1e-3),
-                      run, trace_path=trace)
+                      run, tmp_path / "run", trace_path=trace)
         assert not np.any(model.arena.grad)  # each Adam step zeroes what it consumed
         lines = [json.loads(line)["videos"] for line in trace.read_text().splitlines()]
         assert lines == [records for _, records in steps]
@@ -593,9 +593,10 @@ class TestScst:
         train, val, vocab = corpus
         model = tiny_model(vocab)
         model.params["out_proj.b"].data[:] = np.nan
-        run = TrainRunConfig(epochs=1, batch_size=4, seed=5, out_dir=str(tmp_path))
+        run = TrainRunConfig(epochs=1, batch_size=4, seed=5)
         with pytest.raises(TrainingError):
-            finetune_scst(model, vocab, train, val, RewardConfig(n_samples=2, eta=1e-3), run)
+            finetune_scst(model, vocab, train, val, RewardConfig(n_samples=2, eta=1e-3), run,
+                          tmp_path)
 
     @pytest.mark.parametrize("bad", [
         {"eta": -1e-4}, {"eta": float("nan")}, {"eta": float("inf")}, {"n_samples": 0},
@@ -625,9 +626,9 @@ def test_best_checkpoint_survives_later_saves(corpus, tmp_path, monkeypatch, har
         model.params["out_proj.b"].grad[0] = 1.0  # so every step moves the model
         return 0.5
 
-    run = TrainRunConfig(epochs=2, batch_size=1, out_dir=str(tmp_path / "run"))
+    run = TrainRunConfig(epochs=2, batch_size=1)
     result = _fit(model, 1, step_fn, lambda step: 1e-3, lambda: {"cider_d": next(scores)},
-                  run, RngState(1))
+                  run, tmp_path / "run", RngState(1))
     ckpt_dir = tmp_path / "run" / "checkpoints"
     assert sorted(p.name for p in ckpt_dir.iterdir()) == CHECKPOINT_FILES
     assert (result.best_epoch, result.best_path) == (1, ckpt_dir / "best.vttc")
@@ -639,10 +640,10 @@ def test_best_checkpoint_survives_later_saves(corpus, tmp_path, monkeypatch, har
 def test_failed_validation_keeps_the_previous_history(corpus, tmp_path):
     _, _, vocab = corpus
     rows = iter([{"cider_d": 0.1}, {"cider_d": object()}])  # the second is not JSON
-    run = TrainRunConfig(epochs=1, batch_size=4, seed=1, out_dir=str(tmp_path / "run"))
+    run = TrainRunConfig(epochs=1, batch_size=4, seed=1)
     with pytest.raises(TypeError):
         _fit(tiny_model(vocab), 4, lambda indices, step: 0.5, lambda step: 1e-3,
-             lambda: next(rows), run, RngState(1))
+             lambda: next(rows), run, tmp_path / "run", RngState(1))
     history = read_history(tmp_path / "run")
     assert [r["cider_d"] for r in history] == [0.1]
     assert not (tmp_path / "run" / "history.jsonl.tmp").exists()
@@ -665,8 +666,9 @@ def test_history_rows_record_pre_clip_gradient_norms(corpus, tmp_path, monkeypat
         model.params["out_proj.b"].grad[0] = norms[step]
         return float(step)  # the loss of step s is s
 
-    run = TrainRunConfig(epochs=2, batch_size=1, out_dir=str(tmp_path / "run"))
-    _fit(model, 2, step_fn, lambda step: 1e-3, lambda: {"cider_d": 0.0}, run, RngState(1))
+    run = TrainRunConfig(epochs=2, batch_size=1)
+    _fit(model, 2, step_fn, lambda step: 1e-3, lambda: {"cider_d": 0.0}, run, tmp_path / "run",
+         RngState(1))
     rows = read_history(tmp_path / "run")
     assert [(r["step"], r["grad_norm"], r["clipped"]) for r in rows] == \
         [(0, None, 0), (2, pytest.approx(4.0), 0), (4, pytest.approx(7.0), 1)]
