@@ -4,13 +4,12 @@ One subcommand per pipeline stage.  The commands load every input: they turn
 the paths of manifests, vocabularies and checkpoints into a model and the
 videos it reads, and hand those to ``training`` and ``scst``, which read no
 input file.  Every command checks every path it writes before it reads any
-input: a file (``--out`` of the commands that write one, and ``--trace``) must
-not be a directory and its parent must be one; a run directory (``--out`` of
-``train`` and ``finetune-scst``) must be one, or the first of its parents to
-exist must be, since the run makes the rest.  Manifests are parsed before a
-checkpoint is read, and their videos, checked against the model, are read
-last.  ``train`` and ``finetune-scst`` read a JSON config file with
-one section per config dataclass (``model``, ``schedule``, ``reward``,
+input: a file (``--out``, ``--trace``) must not be a directory and its parent
+must be one; for a run directory (``--out`` of ``train`` and ``finetune-scst``),
+the first of it and its parents to exist must be a directory.  Manifests are
+parsed before a checkpoint is read, and their videos, checked against the
+model, are read last.  ``train`` and ``finetune-scst`` read a JSON config file
+with one section per config dataclass (``model``, ``schedule``, ``reward``,
 ``run``); the dataclass fields are its keys, their annotations its types and
 their defaults the ``paper`` profile.  The file may name a base profile
 (``desk`` if it names none; ``--profile`` overrides it) and overrides single
@@ -113,7 +112,8 @@ def cmd_synth_data(args) -> int:
     train, val = synth_dataset(seed=args.seed, n_videos=args.videos,
                                n_concepts=args.concepts, d_vision=args.d_vision,
                                d_audio=args.d_audio, out_dir=args.out)
-    print(json.dumps({"train": len(train), "val": len(val), "out_dir": str(args.out)}))
+    print(json.dumps({"train": len(train), "val": len(val),
+                      "out_dir": str(args.out)}))
     return 0
 
 
