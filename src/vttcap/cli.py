@@ -5,13 +5,15 @@ the paths of manifests, vocabularies and checkpoints into a model and the
 videos it reads, and hand those to ``training`` and ``scst``, which read no
 input file.  Every command checks every path it writes before it reads any
 input: a file (``--out``, ``--trace``) must not be a directory and its parent
-must be one; for a run directory (``--out`` of ``train`` and ``finetune-scst``),
-the first of it and its parents to exist must be a directory.  Manifests are
-parsed before a checkpoint is read, and their videos, checked against the
-model, are read last.  ``train`` and ``finetune-scst`` read a JSON config file
-with one section per config dataclass (``model``, ``schedule``, ``reward``,
-``run``); the dataclass fields are its keys, their annotations its types and
-their defaults the ``paper`` profile.  The file may name a base profile
+must be one; for a directory the command makes (``--out`` of ``synth-data``,
+``train`` and ``finetune-scst``), and for the parent of a ``--trace`` inside
+the run directory, which the run makes too, the first of it and its parents
+to exist must be a directory.  Manifests are parsed before a checkpoint is
+read, and their videos, checked against the model, are read last.
+``train`` and ``finetune-scst`` read a JSON config file with one section per
+config dataclass (``model``, ``schedule``, ``reward``, ``run``); the
+dataclass fields are its keys, their annotations its types and their
+defaults the ``paper`` profile.  The file may name a base profile
 (``desk`` if it names none; ``--profile`` overrides it) and overrides single
 keys of it; the ``--seed`` and ``--epochs`` flags override the file.  It
 holds run settings only: every path comes from a flag, and the model's
@@ -109,6 +111,7 @@ def resolve_config(config_path: str | None, profile: str | None) -> dict:
 
 
 def cmd_synth_data(args) -> int:
+    _check_out_dir(args.out)
     train, val = synth_dataset(seed=args.seed, n_videos=args.videos,
                                n_concepts=args.concepts, d_vision=args.d_vision,
                                d_audio=args.d_audio, out_dir=args.out)
@@ -131,11 +134,9 @@ def cmd_fit(args) -> int:
     """``train``: XE from a freshly initialised model; ``finetune-scst``: SCST
     from the ``--init`` checkpoint."""
     out = Path(args.out)
-    base = next((p for p in (out, *out.parents) if p.exists()), out)  # the run makes the rest
-    if not base.is_dir():
-        raise NotADirectoryError(f"--out {out}: {base} is not a directory")
+    _check_out_dir(out)
     if args.command == "finetune-scst":
-        _check_out_file(args.trace, "--trace")
+        _check_out_file(args.trace, "--trace", run_dir=out)
     cfg = resolve_config(args.config, args.profile)
     flags = {"seed": args.seed, "epochs": args.epochs}  # laid over the ``run`` section
     run = TrainRunConfig(**{**cfg["run"], **{k: v for k, v in flags.items() if v is not None}})
@@ -195,10 +196,27 @@ def cmd_score(args) -> int:
                    args.out)
 
 
-def _check_out_file(out, flag: str = "--out") -> None:
-    """Fail unless ``out``, given as ``flag``, is None or a file in an existing directory."""
-    if out and (Path(out).is_dir() or not Path(out).parent.is_dir()):
+def _check_out_dir(out, flag: str = "--out", given=None) -> None:
+    """Fail unless the first of directory ``out`` and its parents to exist is
+    a directory: the command makes the rest.  The error names ``flag`` with
+    its value, ``given`` or else ``out``."""
+    out = Path(out)
+    base = next((p for p in (out, *out.parents) if p.exists()), out)
+    if not base.is_dir():
+        raise NotADirectoryError(f"{flag} {given or out}: {base} is not a directory")
+
+
+def _check_out_file(out, flag: str = "--out", run_dir=None) -> None:
+    """Fail unless ``out``, given as ``flag``, is None or a file in an existing
+    directory or, inside ``run_dir``, in one ``_check_out_dir`` accepts."""
+    if not out:
+        return
+    path = Path(out)
+    inside = run_dir is not None and Path(run_dir).resolve() in path.resolve().parents
+    if path.is_dir() or not (inside or path.parent.is_dir()):
         raise NotADirectoryError(f"{flag} {out}: not a file in an existing directory")
+    if inside:
+        _check_out_dir(path.parent, flag, out)
 
 
 def _report(report, out) -> int:

@@ -11,13 +11,15 @@ with one fixed reward, sentence CIDEr-D plus smoothed sentence BLEU-4
 so samples beating the baseline are reinforced and the rest suppressed.
 Rewards are constants in the surrogate; gradient flows only through the
 token log-probabilities of the sampled captions, which the surrogate
-recomputes as one padded teacher-forced batch over the same encoding
-(``forward_teacher_forced``).  Identical rollouts of one video share
-their log-probabilities, so the batch holds one row per distinct (video,
-token ids) pair, whose real tokens weigh its rollouts' summed advantage /
-(B*N) and its padding 0.  A row whose sum is 0.0, such as a rollout that
-ties its baseline, adds nothing and is dropped; a step where every rollout
-ties runs no teacher-forced pass.  Since no dropped row can carry a NaN
+recomputes teacher-forced over the same encoding
+(``training.teacher_forced_loss``).  Identical rollouts of one video share
+their log-probabilities, so it holds one row per distinct (video, token ids)
+pair, whose real tokens weigh its rollouts' summed advantage / (B*N) and its
+padding 0.  The rows run shortest first, in groups of at most
+``TEACHER_ROWS`` padded to each group's longest, so rollouts of similar
+length share a group.  A row whose sum is 0.0, such as a rollout that ties
+its baseline, adds nothing and is dropped; a step where every rollout ties
+runs no teacher-forced pass.  Since no dropped row can carry a NaN
 model's NaN into the loss, the step checks the sampled log-probabilities
 of the rollouts instead and raises ``TrainingError`` on a non-finite one.
 
@@ -36,6 +38,7 @@ import json
 import math
 import statistics
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -45,7 +48,8 @@ from .metrics import References, bleu4, cider_sentence, reference_tables
 from .model import TransformerModel, greedy_decode, sample_decode
 from .tensor import RngState
 from .tokenizer import Vocabulary, decode, normalize_words
-from .training import TrainResult, TrainRunConfig, _fit, evaluate, greedy_texts, teacher_forcing
+from .training import (TrainResult, TrainRunConfig, _fit, evaluate, greedy_texts,
+                       teacher_forced_loss)
 
 
 @dataclass
@@ -72,11 +76,13 @@ def scst_surrogate_loss(model: TransformerModel, enc, items) -> T.Tensor:
     ``items`` holds (video, token ids, advantage) triples, ``video`` an index
     into the encoding ``enc``; the loss is the mean over items of advantage *
     (-sum_t log p(token_t)), in value and gradient.  Each distinct (video,
-    token ids) pair is one row, in order of first appearance, weighted by
-    its items' summed advantage (in float64) over the item count; a row
-    whose sum is exactly 0.0 is dropped (a NaN sum stays, so a non-finite
-    reward still reaches the loss).  The rows run as one batch padded with
-    PAD (id 0 in every vocabulary), and backward sums each video's rows'
+    token ids) pair is one row, weighted by its items' summed advantage (in
+    float64) over the item count; a row whose sum is exactly 0.0 is dropped
+    (a NaN sum stays, so a non-finite reward still reaches the loss).  The
+    rows are ordered by caption length, rows of one length in order of first
+    appearance, and run through ``teacher_forced_loss``: in groups of at
+    most ``TEACHER_ROWS``, each padded with PAD (id 0 in every vocabulary)
+    to its own longest row, under one backward that sums each video's rows'
     gradients through its encoding.  With no row left the loss is a zero
     constant, and no decoder pass runs.
     """
@@ -86,13 +92,13 @@ def scst_surrogate_loss(model: TransformerModel, enc, items) -> T.Tensor:
     for video, ids, advantage in items:
         key = (video, tuple(ids))
         summed[key] = summed.get(key, 0.0) + advantage
-    rows = [(video, ids, total) for (video, ids), total in summed.items() if total != 0.0]
+    rows = sorted(((video, ids, total) for (video, ids), total in summed.items()
+                   if total != 0.0), key=lambda row: len(row[1]))  # stable: ties keep their order
     if not rows:
         return T.constant(np.zeros((), dtype=model.dtype))
-    inputs, targets, real = teacher_forcing([ids for _, ids, _ in rows])
-    weight = np.array([total for _, _, total in rows], dtype=np.float64) / len(items)
-    logits = model.forward_teacher_forced(enc, [video for video, _, _ in rows], inputs)
-    return T.cross_entropy(logits, targets, real * weight[:, None])
+    weights = np.array([total for _, _, total in rows], dtype=np.float64) / len(items)
+    return teacher_forced_loss(model, enc, [video for video, _, _ in rows],
+                               [ids for _, ids, _ in rows], weights)
 
 
 def scst_batch_step(model: TransformerModel, batch, tables, vocab: Vocabulary,
@@ -157,7 +163,8 @@ def finetune_scst(model: TransformerModel, vocab: Vocabulary, train_samples, val
     greedy baseline and of each rollout; ``advantages``, each rollout's
     reward minus the baseline's; ``baseline_length`` and ``sample_lengths``,
     the tokens each emitted, BOS excluded; ``truncated``, the rollouts cut
-    at l_max+2 tokens without EOS.
+    at l_max+2 tokens without EOS.  The trace's directory is made, with its
+    parents, when the file is opened, so a trace may lie in ``out_dir``.
     """
     train_tables = reference_tables(s.captions for s in train_samples)
     val_rewards = reference_tables((s.captions for s in val_samples), train_tables[0].idf)
@@ -165,6 +172,8 @@ def finetune_scst(model: TransformerModel, vocab: Vocabulary, train_samples, val
     rng = RngState(run.seed).derive("scst")
     sample_rng = rng.derive("rollouts")
     advantage_window = []
+    if trace_path:
+        Path(trace_path).parent.mkdir(parents=True, exist_ok=True)
 
     with open(trace_path, "w", encoding="utf-8") if trace_path \
             else contextlib.nullcontext() as trace_fh:

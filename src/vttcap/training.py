@@ -27,11 +27,14 @@ last and the best-CIDEr-D checkpoints, and stops after ``patience``
 validations without improvement.
 
 An XE step is one graph: the step's distinct videos are encoded once, in
-the order they first appear, and its (video, caption) pairs go through
-``forward_teacher_forced`` over that encoding as one padded batch
-(``teacher_forcing``); the loss weights every real target token 1 and every
-padded one 0.  ``validation_loss`` runs the validation pairs the same way,
-``batch_size`` pairs at a time.
+the order they first appear, and its (video, caption) pairs, in batch order,
+go through ``teacher_forced_loss`` over that encoding: ``forward_teacher_forced``
+and ``cross_entropy`` run on groups of at most ``TEACHER_ROWS`` consecutive
+pairs, each padded to its own longest caption (``teacher_forcing``), and the
+group losses are added into one scalar, so a step still runs one backward.
+The loss weights every real target token 1 and every padded one 0.
+``validation_loss`` runs the validation pairs the same way, ``batch_size``
+pairs at a time.
 """
 
 from __future__ import annotations
@@ -67,6 +70,13 @@ CHUNK = 65536
 # keys, d_head) bilinear tensor for 16 videos of 40 rows, each row attending
 # over 104 keys (its 40 and the 64 memory slots), is 136 MB per layer.
 GREEDY_CHUNK = 16
+
+# Rows per teacher-forced pass of ``teacher_forced_loss``.  Each pass's
+# logits, cross entropy's temporaries and, in backward, the logits' gradient
+# are (rows, positions, vocab) arrays, so the group size bounds the largest
+# of them: at the paper's sizes (30522 tokens, l_max 24), 16 rows of 25
+# positions are 49 MB in float32.
+TEACHER_ROWS = 16
 
 
 @dataclass
@@ -241,15 +251,37 @@ def teacher_forcing(captions) -> tuple:
     return ids[:, :-1], ids[:, 1:], real
 
 
+def teacher_forced_loss(model: TransformerModel, enc, rows, captions, weights) -> T.Tensor:
+    """Weighted summed cross entropy of teacher-forced ``captions`` over ``enc``.
+
+    Caption b, token ids from BOS, is one of video ``rows[b]`` of the encoding
+    ``enc``, and each of its real target tokens weighs ``weights[b]``.  The
+    captions run in their given order in consecutive groups of at most
+    ``TEACHER_ROWS``, one ``forward_teacher_forced`` and one ``cross_entropy``
+    per group padded to its own longest caption, so a caller that orders its
+    captions by length pads less.  The group losses are added into one
+    scalar, so backward runs once and sums each video's rows' gradients
+    through its encoding.
+    """
+    total = None
+    for lo in range(0, len(captions), TEACHER_ROWS):
+        hi = lo + TEACHER_ROWS
+        inputs, targets, real = teacher_forcing(captions[lo:hi])
+        logits = model.forward_teacher_forced(enc, rows[lo:hi], inputs)
+        loss = T.cross_entropy(logits, targets, real * weights[lo:hi, None])
+        total = loss if total is None else T.add(total, loss)
+    return total
+
+
 def _xe_sum(model: TransformerModel, samples, pairs) -> tuple:
-    """Summed cross entropy over the real target tokens of ``pairs``, run as
-    one padded batch, plus their count."""
-    inputs, targets, real = teacher_forcing([ids for _, ids in pairs])
+    """Summed cross entropy over the real target tokens of ``pairs``, in
+    ``teacher_forced_loss``'s groups, plus their count."""
+    captions = [ids for _, ids in pairs]
     place = {}  # sample index -> its video's place in the encoder batch
     rows = [place.setdefault(i, len(place)) for i, _ in pairs]
     enc = model.encode([(samples[i].frames, samples[i].audio) for i in place])
-    logits = model.forward_teacher_forced(enc, rows, inputs)
-    return T.cross_entropy(logits, targets, real), float(real.sum())
+    loss = teacher_forced_loss(model, enc, rows, captions, np.ones(len(captions)))
+    return loss, float(sum(len(ids) - 1 for ids in captions))
 
 
 def batch_xe_loss(model: TransformerModel, samples, batch_pairs):

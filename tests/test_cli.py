@@ -345,6 +345,40 @@ def test_an_unusable_run_directory_is_reported_before_any_input_is_read(
     assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
 
 
+@pytest.mark.parametrize("out", ["file", "file/sub"])
+def test_synth_data_reports_an_unusable_out_before_writing(tmp_path, capsys, out):
+    (tmp_path / "file").write_text("")
+    assert dispatch(["synth-data", "--videos", "10", "--out", str(tmp_path / out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: --out {tmp_path / out}: {tmp_path / 'file'} is not a directory\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+    assert (tmp_path / "file").read_text() == ""
+
+
+@pytest.mark.parametrize("trace", ["trace.jsonl", "logs/trace.jsonl"])
+def test_a_trace_inside_a_new_run_directory_gets_one_line_per_step(workdir, tmp_path, trace):
+    """The run makes its directory, and the trace's with it, so a first run
+    may keep its trace inside it."""
+    run = tmp_path / "runs" / "scst"
+    assert dispatch(["finetune-scst", *run_args(workdir, run), "--init",
+                     str(workdir / "init.vttc"), "--trace", str(run / trace)]) == 0
+    steps = json.loads((run / "history.jsonl").read_text().splitlines()[-1])["step"]
+    lines = (run / trace).read_text().splitlines()
+    assert steps >= 1 and [json.loads(line)["step"] for line in lines] == [*range(1, steps + 1)]
+
+
+def test_a_trace_inside_the_run_directory_under_a_file_exits_2(workdir, tmp_path, capsys):
+    run = tmp_path / "run"
+    run.mkdir()
+    (run / "logs").write_text("")
+    trace = run / "logs" / "trace.jsonl"
+    assert dispatch(["finetune-scst", *run_args(workdir, run), "--init",
+                     str(tmp_path / "missing.vttc"), "--trace", str(trace)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: --trace {trace}: {run / 'logs'} is not a directory\n"
+    assert [p.name for p in run.iterdir()] == ["logs"]
+
+
 @pytest.mark.parametrize("out", ["made", "gone/v.txt", "file/v.txt"])
 def test_a_failed_write_names_the_file_not_its_temporary(tmp_path, out):
     """Every command checks its outputs before it writes them, so the write

@@ -10,14 +10,18 @@
   ``.json`` suffix of a checkpoint's config, and ``training`` alone the run
   directory's ``history.jsonl``; the others call the owner or read the path
   it returns.
+- ``training.teacher_forced_loss`` alone calls ``forward_teacher_forced``,
+  so every teacher-forced loss runs in its groups of at most
+  ``TEACHER_ROWS`` rows and no ungrouped copy of it returns.
 - The property tests are derandomized and keep no example database, so a
   verdict never depends on an earlier run's failures.  ``conftest.py``
   loads the one profile that says so, and no other test file restates or
   overrides it.
 
-The source rules match lines by regular expression, as ``grep`` would; the
-settings rule reads the calls of each test file, so a test suite written
-inside a string (``test_settings.py`` has one) is not a call.
+The other source rules match lines by regular expression, as ``grep``
+would; the teacher-forcing rule reads the calls of each source file and the
+settings rule those of each test file, so a call written inside a string
+(``test_settings.py`` has a test suite in one) is not a call.
 """
 
 import ast
@@ -52,6 +56,24 @@ def profile_overrides(source: str) -> list:
                  or isinstance(node.func, ast.Attribute) and node.func.attr == "load_profile")]
 
 
+def callers(source: str, name: str) -> list:
+    """The innermost function around each call in ``source`` of a function
+    or method called ``name``; "<module>" for a call outside any function."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                func = child.func
+                if getattr(func, "attr", getattr(func, "id", None)) == name:
+                    found.append(where)
+            is_def = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if is_def else where)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
 def test_json_is_parsed_only_in_fileio():
     modules = [p for p in sorted(SRC.glob("*.py")) if p.name != "fileio.py"]
     assert SRC / "cli.py" in modules
@@ -71,6 +93,23 @@ def test_each_file_layout_is_spelled_only_by_its_owner(pattern, owner):
     others = [p for p in sorted(SRC.glob("*.py")) if p.name != owner]
     found = matching_lines(others, pattern)
     assert not found, f"only {owner} spells {pattern}:\n" + "\n".join(found)
+
+
+@pytest.mark.parametrize("source, found", [
+    ("def f(m):\n    return m.g(1)", ["f"]),
+    ("def f():\n    def h():\n        g()\n    return g", ["h"]),
+    ("g()\nclass C:\n    def g(self):\n        'g()'", ["<module>"]),
+])
+def test_callers_are_read_from_calls(source, found):
+    assert callers(source, "g") == found
+
+
+def test_only_teacher_forced_loss_runs_the_teacher_forced_decoder():
+    found = [f"{p.stem}.{where}" for p in sorted(SRC.glob("*.py"))
+             for where in callers(p.read_text(encoding="utf-8"), "forward_teacher_forced")]
+    assert found == ["training.teacher_forced_loss"], (
+        "teacher-force through training.teacher_forced_loss, which runs groups of at "
+        "most TEACHER_ROWS rows:\n" + "\n".join(found))
 
 
 def test_the_loaded_hypothesis_profile_keeps_no_example_database():

@@ -17,9 +17,10 @@ from vttcap.model import TransformerModel, greedy_decode, load_checkpoint
 from vttcap.scst import RewardConfig, finetune_scst, scst_batch_step, scst_surrogate_loss
 from vttcap.tensor import RngState
 from vttcap.tokenizer import build_vocab, decode, encode, normalize_words, truncate
-from vttcap.training import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, GRAD_CLIP_NORM, OptimizerState,
-                             ScheduleConfig, TrainRunConfig, _fit, adam_update, batch_xe_loss,
-                             caption_pairs, clip_gradients, lr_at, teacher_forcing, train_xe)
+from vttcap.training import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, GRAD_CLIP_NORM, TEACHER_ROWS,
+                             OptimizerState, ScheduleConfig, TrainRunConfig, _fit, adam_update,
+                             batch_xe_loss, caption_pairs, clip_gradients, lr_at,
+                             teacher_forcing, train_xe)
 
 
 @pytest.fixture(scope="module")
@@ -327,6 +328,124 @@ def test_greedy_texts_by_chunk_equal_per_video_captions(corpus, kind, with_audio
 
 
 # ---------------------------------------------------------------------------
+# teacher-forced groups
+
+
+def one_batch_xe(model, samples, pairs):
+    """The XE loss of ``pairs`` run as one padded batch: the oracle of
+    ``batch_xe_loss``, which runs them in groups."""
+    inputs, targets, real = teacher_forcing([ids for _, ids in pairs])
+    place = {}
+    rows = [place.setdefault(i, len(place)) for i, _ in pairs]
+    enc = model.encode([(samples[i].frames, samples[i].audio) for i in place])
+    logits = model.forward_teacher_forced(enc, rows, inputs)
+    return T.scale(T.cross_entropy(logits, targets, real), 1.0 / real.sum())
+
+
+def one_batch_surrogate(model, enc, items):
+    """The surrogate of distinct rollouts ``items`` with non-zero advantages,
+    each one row, as one padded batch in their given order: the oracle of
+    ``scst_surrogate_loss``, which runs them by length in groups."""
+    inputs, targets, real = teacher_forcing([ids for _, ids, _ in items])
+    weight = np.array([a for _, _, a in items], dtype=np.float64) / len(items)
+    logits = model.forward_teacher_forced(enc, [video for video, _, _ in items], inputs)
+    return T.cross_entropy(logits, targets, real * weight[:, None])
+
+
+def mixed_captions(vocab, n: int, rng) -> list:
+    """``n`` captions of random ids after BOS, 1 to l_max+1 tokens of them."""
+    longest = tiny_config().l_max + 1
+    return [[vocab.bos_id, *rng.integers(1, len(vocab), rng.integers(1, longest + 1)).tolist()]
+            for _ in range(n)]
+
+
+def value_and_grads(model, loss) -> tuple:
+    """The loss value and a copy of every parameter gradient of one backward."""
+    model.arena.grad.fill(0)
+    loss.backward()
+    return loss.item(), {n: p.grad.copy() for n, p in model.params.items()
+                         if p.grad is not None}
+
+
+def record_forced(monkeypatch) -> list:
+    """Patch ``TransformerModel.forward_teacher_forced`` to record each
+    call's (rows, input ids)."""
+    calls = []
+    forward = TransformerModel.forward_teacher_forced
+    monkeypatch.setattr(TransformerModel, "forward_teacher_forced",
+                        lambda self, enc, r, x: calls.append((r, x)) or forward(self, enc, r, x))
+    return calls
+
+
+def assert_run_in_groups(forced, captions):
+    """``forced`` holds one call per ``TEACHER_ROWS`` consecutive captions,
+    each padded to its own longest."""
+    assert len(forced) == math.ceil(len(captions) / TEACHER_ROWS)
+    for k, (rows, inputs) in enumerate(forced):
+        group = captions[k * TEACHER_ROWS:(k + 1) * TEACHER_ROWS]
+        assert len(rows) == len(group) <= TEACHER_ROWS
+        assert np.array_equal(inputs, teacher_forcing(group)[0])
+
+
+def assert_same_loss(got, ref, exact: bool):
+    (loss, grads), (ref_loss, ref_grads) = got, ref
+    assert grads.keys() == ref_grads.keys() and any(n.startswith("enc.") for n in grads)
+    if exact:
+        assert loss == ref_loss
+        assert all(np.array_equal(grads[n], ref_grads[n]) for n in ref_grads)
+    else:
+        assert loss == pytest.approx(ref_loss, rel=1e-10)
+        for name in ref_grads:
+            assert np.allclose(grads[name], ref_grads[name], rtol=1e-10, atol=1e-14), name
+
+
+@pytest.mark.parametrize("n_pairs", [7, TEACHER_ROWS, 40])
+def test_xe_loss_in_groups_equals_one_batch(corpus, monkeypatch, n_pairs):
+    """Up to ``TEACHER_ROWS`` pairs the groups are one batch, bit for bit;
+    40 pairs are two full groups and a partial one, in batch order, under
+    one backward, and match the one batch to float64 rounding."""
+    train, _, vocab = corpus
+    model = TransformerModel(tiny_config(vocab_size=len(vocab)), seed=3, dtype=np.float64)
+    rng = np.random.default_rng(5)
+    pairs = [(int(rng.integers(len(train))), ids)
+             for ids in mixed_captions(vocab, n_pairs, rng)]
+    assert len({len(ids) for _, ids in pairs}) > 3
+    ref = value_and_grads(model, one_batch_xe(model, train, pairs))
+    forced = record_forced(monkeypatch)
+    backwards = record_calls(monkeypatch, T.Tensor, "backward")
+    got = value_and_grads(model, batch_xe_loss(model, train, pairs))
+    assert len(backwards) == 1
+    assert_run_in_groups(forced, [ids for _, ids in pairs])
+    assert_same_loss(got, ref, exact=n_pairs <= TEACHER_ROWS)
+
+
+def test_surrogate_in_groups_by_length_equals_one_batch(corpus, monkeypatch):
+    """40 distinct rollouts of mixed lengths run shortest first, rollouts of
+    one length in order of first appearance, as two full groups and a
+    partial one under one backward, and match the one batch of them in
+    first-appearance order to float64 rounding."""
+    train, _, vocab = corpus
+    model = TransformerModel(tiny_config(vocab_size=len(vocab)), seed=3, dtype=np.float64)
+    rng = np.random.default_rng(6)
+    videos = [(s.frames, s.audio) for s in train[:3]]
+    items = [(int(rng.integers(len(videos))), ids, float(rng.normal()))
+             for ids in mixed_captions(vocab, 40, rng)]
+    assert len({(v, tuple(ids)) for v, ids, _ in items}) == len(items)
+    assert all(a != 0.0 for _, _, a in items)
+    ref = value_and_grads(model, one_batch_surrogate(model, model.encode(videos), items))
+    forced = record_forced(monkeypatch)
+    backwards = record_calls(monkeypatch, T.Tensor, "backward")
+    got = value_and_grads(model, scst_surrogate_loss(model, model.encode(videos), items))
+    assert len(backwards) == 1
+    by_length = sorted(items, key=lambda item: len(item[1]))
+    assert_run_in_groups(forced, [ids for _, ids, _ in by_length])
+    assert [v for rows, _ in forced for v in rows] == [v for v, _, _ in by_length]
+    lengths = [int(n) for _, inputs in forced for n in (inputs != 0).sum(axis=1)]  # no PAD id
+    assert lengths == sorted(lengths) and len(set(lengths)) > 3
+    assert_same_loss(got, ref, exact=False)
+
+
+# ---------------------------------------------------------------------------
 # XE loop
 
 
@@ -434,8 +553,9 @@ class TestScst:
 
     def test_surrogate_encoding_once_equals_encoding_per_rollout(self, corpus, monkeypatch):
         """The surrogate teacher-forces one row per distinct (video, token ids)
-        pair with a non-zero summed advantage, and matches one encoder pass
-        and one loss term per rollout in value and every gradient."""
+        pair with a non-zero summed advantage, shortest first and rows of one
+        length in order of first appearance, and matches one encoder pass and
+        one loss term per rollout in value and every gradient."""
         train, _, vocab = corpus
         model = TransformerModel(tiny_config(vocab_size=len(vocab)), seed=3, dtype=np.float64)
         samples = train[:2]
@@ -446,8 +566,8 @@ class TestScst:
                  (1, [2, 5, 7, 3], 2.0),  # video 0's caption: a row of video 1
                  (1, [2, 6, 3], 1.5), (1, [2, 6, 3], -1.5),  # sums to 0.0: no row
                  (1, [2, 9, 8, 10, 3], -0.25)]
-        rows = [(0, [2, 5, 7, 3]), (0, [2, 6, 3]), (0, [2, 9, 8, 10, 3]), (0, [2, 5, 7]),
-                (1, [2, 5, 7, 3]), (1, [2, 9, 8, 10, 3])]
+        rows = [(0, [2, 6, 3]), (0, [2, 5, 7]), (0, [2, 5, 7, 3]), (1, [2, 5, 7, 3]),
+                (0, [2, 9, 8, 10, 3]), (1, [2, 9, 8, 10, 3])]
         videos = [(s.frames, s.audio) for s in samples]
 
         def per_rollout_encode():  # one encoder pass per rollout
@@ -458,24 +578,15 @@ class TestScst:
                 total = term if total is None else T.add(total, term)
             return T.scale(total, 1.0 / len(items))
 
-        forced = []
-        forward = TransformerModel.forward_teacher_forced
         with monkeypatch.context() as m:
-            m.setattr(TransformerModel, "forward_teacher_forced",
-                      lambda self, enc, r, x: forced.append((r, x)) or forward(self, enc, r, x))
+            forced = record_forced(m)
             surrogate = scst_surrogate_loss(model, model.encode(videos), items)
         ((got_rows, got_inputs),) = forced
         assert got_rows == [video for video, _ in rows]
         assert np.array_equal(got_inputs, teacher_forcing([ids for _, ids in rows])[0])
 
-        def value_and_grads(loss):
-            model.arena.grad.fill(0)
-            loss.backward()
-            return loss.item(), {n: p.grad.copy() for n, p in model.params.items()
-                                 if p.grad is not None}
-
-        (loss, got), (ref_loss, ref) = value_and_grads(surrogate), \
-            value_and_grads(per_rollout_encode())
+        (loss, got), (ref_loss, ref) = value_and_grads(model, surrogate), \
+            value_and_grads(model, per_rollout_encode())
         assert loss == pytest.approx(ref_loss, rel=1e-10, abs=1e-10)
         assert got.keys() == ref.keys() and any(n.startswith("enc.") for n in got)
         for name in ref:
