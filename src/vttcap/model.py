@@ -32,10 +32,11 @@ lead with the head axis and broadcast over the batch.
 
 Every parameter is a view of one ``ParamArena``: all values in one flat
 buffer and all gradients in another, so the optimizer makes one pass over
-each, zeroing the gradients as it consumes them.  The model declares its
-parameters' names and shapes (``_layout``), then draws each initial value
-straight into its view; a checkpoint is written from the value buffer and
-loaded as a mapping the arena wraps, with no float32 copy on either side.
+each, giving the gradients' pages back to the system as it consumes them
+(on Linux they read back as zeros).  The model declares its parameters'
+names and shapes (``_layout``), then draws each initial value straight into
+its view; a checkpoint is written from the value buffer and loaded as a
+mapping the arena wraps, with no float32 copy on either side.
 
 Everything runs on the in-package autodiff tensors, one graph per batch.
 Decoding is incremental and runs rows in lockstep: ``decode_logits`` with a

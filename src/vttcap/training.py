@@ -13,9 +13,15 @@ gradient is finite before anything changes; Adam computes each element by
 the same expression, in the same order, as a per-parameter loop would.
 Both write only what a step changes: clipping scales only blocks holding a
 non-zero gradient; Adam skips a block whose gradients and moments are all
-zero (the step leaves it as it is) and zeroes each gradient block it uses.
-So a step starts from zero gradients with no zeroing pass, and gradient and
-moment pages no step reaches (unused tokens' embeddings) stay unmapped.
+zero (the step leaves it as it is) and gives the gradient pages back
+(``ParamArena.release_grad``) one ``tensor.GRAD_UNIT`` at a time, once it
+has read every block of the unit.  So a step starts from zero gradients
+with no zeroing pass, the gradients hold memory only from a backward to its
+Adam step rather than beside the next forward, and gradient and moment pages
+no step reaches (unused tokens' embeddings) stay unmapped.  This relies on
+Linux reading released private anonymous pages back as zeros, and is fast
+only with transparent huge pages: 4 KiB pages faulted back one at a time
+cost 17-26% of paper-scale XE throughput in a probe.
 The one schedule is SGDR: linear warmup over ``warmup`` steps to eta_max,
 then cosine annealing to eta_max / 100 with warm restarts, the first cycle
 ``t0`` steps long and each next one twice the last (a restart returns to
@@ -82,7 +88,9 @@ TEACHER_ROWS = 16
 @dataclass
 class OptimizerState:
     """Adam's step count and moments; ``m`` and ``v`` are flat buffers laid out
-    like the arena's, made by ``np.zeros`` on the first step: lazily mapped."""
+    like the arena's, made by ``np.zeros`` on the first step: lazily mapped.
+    Unlike the arena's gradients, which Adam gives back every step, the
+    moments stay mapped from the first step on."""
 
     t: int = 0
     m: np.ndarray | None = None
@@ -97,8 +105,12 @@ def adam_update(arena: T.ParamArena, state: OptimizerState, lr: float) -> None:
     chunk-sized scratch buffers, in the order of ``m += (1-b1)(g-m);
     v += (1-b2)(g*g-v); p -= (lr/c1) m / (sqrt(v/c2) + eps)``, so each
     element is bit for bit that expression's.  A block whose gradients and
-    moments are all zero, which that leaves unchanged, is skipped; any other
-    block's gradients are zeroed once consumed, so all are zero on return.
+    moments are all zero, which that leaves unchanged, is skipped.  Each
+    whole ``tensor.GRAD_UNIT`` of gradients is given back to the system
+    (``ParamArena.release_grad``) once every block in it has been read,
+    skipped ones included, and the last partial unit at the end of the
+    pass: on return every gradient reads as zero and holds no memory, as
+    on Linux a released private anonymous page reads back as zeros.
     The gradients must be finite; ``clip_gradients`` checks that first.
     """
     state.t += 1
@@ -109,9 +121,14 @@ def adam_update(arena: T.ParamArena, state: OptimizerState, lr: float) -> None:
         state.m = np.zeros(arena.data.shape, arena.data.dtype)
         state.v = np.zeros(arena.data.shape, arena.data.dtype)
     n = arena.data.size
+    unit = T.GRAD_UNIT // arena.grad.itemsize
+    released = 0  # the gradients below this element are given back
     s_buf = np.empty(min(CHUNK, n), arena.data.dtype)
     t_buf = np.empty_like(s_buf)
     for lo in range(0, n, CHUNK):
+        if lo - released >= unit:  # every block below lo is read
+            arena.release_grad(released, lo - lo % unit)
+            released = lo - lo % unit
         hi = min(lo + CHUNK, n)
         g, m, v, p = (a[lo:hi] for a in (arena.grad, state.m, state.v, arena.data))
         if not (g.any() or m.any() or v.any()):
@@ -121,7 +138,6 @@ def adam_update(arena: T.ParamArena, state: OptimizerState, lr: float) -> None:
         s *= 1.0 - b1
         m += s
         np.multiply(g, g, out=s)
-        g.fill(0)  # consumed: the next step starts from zero gradients
         s -= v
         s *= 1.0 - b2
         v += s
@@ -131,6 +147,7 @@ def adam_update(arena: T.ParamArena, state: OptimizerState, lr: float) -> None:
         np.multiply(m, lr / c1, out=t)
         t /= s
         p -= t
+    arena.release_grad(released, n)
 
 
 def clip_gradients(arena: T.ParamArena, max_norm: float = GRAD_CLIP_NORM) -> float:

@@ -10,6 +10,10 @@
   ``.json`` suffix of a checkpoint's config, and ``training`` alone the run
   directory's ``history.jsonl``; the others call the owner or read the path
   it returns.
+- ``tensor`` alone maps anonymous memory and advises the kernel on pages
+  (``mmap.mmap(-1, ...)``, ``madvise(``): ``ParamArena`` owns gradient
+  memory, whose released pages must read back as zeros, so no other module
+  maps or releases pages behind it.
 - ``training.teacher_forced_loss`` alone calls ``forward_teacher_forced``,
   so every teacher-forced loss runs in its groups of at most
   ``TEACHER_ROWS`` rows and no ungrouped copy of it returns.
@@ -37,6 +41,7 @@ JSON_PARSE = r"json\.loads?\("
 RUN_INPUT_READERS = r"load_manifest|load_samples|load_checkpoint|load_vocab|read_feature_file"
 PROFILE_KEYS = {"derandomize", "database"}
 LAYOUT_OWNERS = [(r'\.json"', "model.py"), (r"history\.jsonl", "training.py")]
+PAGE_CALLS = [r"madvise\(", r"mmap\.mmap\(\s*-1\b"]
 
 
 def matching_lines(paths, pattern) -> list:
@@ -87,12 +92,25 @@ def test_training_and_scst_read_no_run_input():
                        + "\n".join(found))
 
 
-@pytest.mark.parametrize("pattern, owner", LAYOUT_OWNERS, ids=["checkpoint-config", "history"])
-def test_each_file_layout_is_spelled_only_by_its_owner(pattern, owner):
+def spelled_elsewhere(pattern, owner) -> list:
+    """The lines of every source module but ``owner`` that ``pattern``
+    matches, after checking that ``owner`` has one."""
     assert matching_lines([SRC / owner], pattern)
     others = [p for p in sorted(SRC.glob("*.py")) if p.name != owner]
-    found = matching_lines(others, pattern)
+    return matching_lines(others, pattern)
+
+
+@pytest.mark.parametrize("pattern, owner", LAYOUT_OWNERS, ids=["checkpoint-config", "history"])
+def test_each_file_layout_is_spelled_only_by_its_owner(pattern, owner):
+    found = spelled_elsewhere(pattern, owner)
     assert not found, f"only {owner} spells {pattern}:\n" + "\n".join(found)
+
+
+@pytest.mark.parametrize("pattern", PAGE_CALLS, ids=["madvise", "anonymous-mmap"])
+def test_only_tensor_maps_and_releases_pages(pattern):
+    found = spelled_elsewhere(pattern, "tensor.py")
+    assert not found, ("gradient memory is tensor.ParamArena's; map or release pages "
+                       "there:\n" + "\n".join(found))
 
 
 @pytest.mark.parametrize("source, found", [

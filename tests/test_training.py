@@ -3,7 +3,9 @@
 import dataclasses
 import json
 import math
+import mmap
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -122,6 +124,14 @@ class TestLrAt:
 # optimizer pieces
 
 
+def rss_anon() -> int:
+    """This process's resident anonymous memory in bytes, as Linux counts it."""
+    for line in Path("/proc/self/status").read_text().splitlines():
+        if line.startswith("RssAnon:"):
+            return int(line.split()[1]) * 1024
+    raise AssertionError("/proc/self/status has no RssAnon line")
+
+
 def arena_of(values: dict, dtype=np.float64) -> T.ParamArena:
     """An arena whose parameters hold ``values`` (name -> array), in order."""
     arena = T.ParamArena([(n, np.shape(a)) for n, a in values.items()], dtype)
@@ -147,15 +157,21 @@ class TestAdamAndClipping:
         assert state.t == 1
         assert np.allclose(state.m, m.ravel()) and np.allclose(state.v, v.ravel())
 
-    @pytest.mark.parametrize("chunk", [13, training.CHUNK])
+    @pytest.mark.parametrize("chunk, unit", [(13, T.GRAD_UNIT), (training.CHUNK, T.GRAD_UNIT),
+                                             (13, mmap.PAGESIZE), (1536, mmap.PAGESIZE)],
+                             ids=["13", str(training.CHUNK), "13-page", "1536-page"])
     def test_blocked_adam_is_bit_identical_to_the_expression(self, np_rng, monkeypatch,
-                                                             chunk):
+                                                             chunk, unit):
         """``zero`` never gets a gradient and ``once`` only on step 1; at
         ``chunk`` 13 each holds whole blocks, which Adam may skip only while
-        their gradients and moments are all zero."""
+        their gradients and moments are all zero.  At a release unit of one
+        page (1024 of the 4295 elements) a unit spans many blocks of 13,
+        blocks of 1536 straddle units, and ``zero`` holds a whole unit of
+        skipped blocks: Adam may give a unit back only once it has read it."""
         monkeypatch.setattr(training, "CHUNK", chunk)  # 13: blocks straddle parameters
-        shapes = {"p0": (7, 5), "p1": (5,), "p2": (3, 2, 4), "p3": (5, 7),
-                  "zero": (6, 6), "once": (6, 6)}
+        monkeypatch.setattr(T, "GRAD_UNIT", unit)
+        shapes = {"p0": (7, 5), "p1": (5,), "p2": (3, 2, 4), "p3": (5, 7), "wide": (40, 64),
+                  "zero": (40, 40), "once": (6, 6)}
         arena = arena_of({n: np_rng.normal(size=s) for n, s in shapes.items()}, np.float32)
         params = arena.params
         start = arena.data.copy()
@@ -171,7 +187,7 @@ class TestAdamAndClipping:
             grads = {n: p.grad.copy() for n, p in params.items()}
             before = {n: p.data.copy() for n, p in params.items()}
             adam_update(arena, state, lr)
-            assert not np.any(arena.grad)  # each consumed block is zeroed
+            assert not np.any(arena.grad)  # each consumed unit is given back
             c1, c2 = 1.0 - ADAM_BETA1 ** step, 1.0 - ADAM_BETA2 ** step
             for n, p in params.items():
                 g = grads[n]
@@ -185,6 +201,26 @@ class TestAdamAndClipping:
         _, lo, size = arena.table[list(params).index("zero")]
         assert np.array_equal(arena.data[lo:lo + size], start[lo:lo + size])
         assert not np.any(state.m[lo:lo + size]) and not np.any(state.v[lo:lo + size])
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads Linux's RssAnon")
+    def test_adam_gives_the_gradient_pages_back(self):
+        """Adam leaves the gradients it consumed holding no memory, and no
+        step maps a gradient or moment page of a parameter it never reaches."""
+        used, unreached = 1 << 21, 1 << 24  # float32: 8 MiB and 64 MiB
+        arena = T.ParamArena([("used", (used,)), ("unreached", (unreached,))])
+        grad_bytes = used * 4
+        state = OptimizerState()
+        start = rss_anon()
+        for _ in range(2):  # step 1 maps the moments, so step 2 reads only the release
+            arena.params["used"].grad[...] = 0.5
+            written = rss_anon()
+            adam_update(arena, state, lr=1e-3)
+            end = rss_anon()
+        assert written - end >= grad_bytes * 3 // 4, (written, end)
+        assert not np.any(arena.grad)
+        # used's values and moments map 3 x 8 MiB, plus at most a huge page at
+        # an edge; any one buffer of unreached would map 64 MiB
+        assert end - start < 3 * grad_bytes + unreached * 4 // 2, (start, end)
 
     def test_non_finite_gradient_raises_before_any_update(self, np_rng):
         arena = arena_of({n: np_rng.normal(size=(4, 3)) for n in "abc"}, np.float32)
