@@ -209,7 +209,7 @@ def _check_out_dir(out, flag: str = "--out", given=None) -> None:
 def _check_out_file(out, flag: str = "--out", run_dir=None) -> None:
     """Fail unless ``out``, given as ``flag``, is None or a file in an existing
     directory or, inside ``run_dir``, in one ``_check_out_dir`` accepts."""
-    if not out:
+    if out is None:
         return
     path = Path(out)
     inside = run_dir is not None and Path(run_dir).resolve() in path.resolve().parents

@@ -1,10 +1,11 @@
 """Feature-matrix file format, dataset manifests and the synthetic corpus.
 
 A feature matrix is a (T, D) float32 array of per-timestep features, T and
-D at least 1.  Feature files («VTTF») are bit-exact: 4-byte magic, three
-u32 LE header fields (version=1, T, D), then T*D float32 LE values
-row-major; ``read_feature_file`` is the one check of such a file.  A manifest
-is JSON lines, one video each: id / frame_file / audio_file (null for a clip
+D at least 1.  A feature file holds one as NumPy's ``.npy`` (what ``np.save``
+writes): dtype exactly ``<f4``, never converted, C or Fortran order, nothing
+after the values.  ``read_feature_file`` is the one check of such a file; it
+reads the file whole, as a map would cost a page per file.  A manifest is
+JSON lines, one video each: id / frame_file / audio_file (null for a clip
 without audio) / captions, the paths non-empty and relative to its
 directory.  It names no role; the command reading it makes it training,
 validation or scoring data.
@@ -18,7 +19,8 @@ embedding, and captions are fixed templates over the concept names.
 from __future__ import annotations
 
 import json
-import struct
+import tokenize
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -28,8 +30,6 @@ from .errors import ContractError, DataError, FormatError, VttError
 from .fileio import atomic_path, read_json_lines, write_text
 from .tensor import RngState
 
-MAGIC = b"VTTF"
-VERSION = 1
 NOISE_SCALE = 0.1  # noise sigma as a fraction of the concept embedding norm
 
 CONCEPT_NAMES = [
@@ -104,30 +104,28 @@ class DatasetManifest:
 
 
 def write_feature_file(path, values: np.ndarray) -> None:
-    t, d = values.shape
+    # to an open file, since np.save appends ".npy" to a path
     with atomic_path(path) as tmp, open(tmp, "wb") as fh:
-        fh.write(MAGIC + struct.pack("<III", VERSION, t, d))
-        fh.write(np.ascontiguousarray(values, dtype="<f4").tobytes())
+        np.save(fh, np.ascontiguousarray(values, dtype="<f4"))
 
 
 def read_feature_file(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < 16 or blob[:4] != MAGIC:
-        raise FormatError(f"{path}: bad magic {blob[:4]!r}, expected {MAGIC!r}")
-    version, t, d = struct.unpack("<III", blob[4:16])
-    if version != VERSION:
-        raise FormatError(f"{path}: unsupported version {version}")
-    if t < 1 or d < 1:
-        raise FormatError(f"{path}: empty {t}x{d} feature matrix")
-    expected = 16 + 4 * t * d
-    if len(blob) != expected:
-        raise FormatError(f"{path}: payload length {len(blob) - 16} bytes, "
-                          f"expected {4 * t * d} for {t}x{d}")
-    values = np.frombuffer(blob, dtype="<f4", offset=16).reshape(t, d)
+    try:
+        with open(path, "rb") as fh, warnings.catch_warnings():
+            warnings.simplefilter("error")  # NumPy warns, not fails, on a Python-2 header
+            values = np.lib.format.read_array(fh, allow_pickle=False)  # never .npz
+            trailing = fh.read(1)
+    except (ValueError, TypeError, SyntaxError, tokenize.TokenError, MemoryError,
+            Warning) as exc:  # what a corrupt header raises
+        raise FormatError(f"{path}: cannot read as .npy ({type(exc).__name__}: {exc})") from exc
+    if trailing:
+        raise FormatError(f"{path}: bytes after the array")
+    if values.dtype.str != "<f4" or values.ndim != 2 or 0 in values.shape:
+        raise FormatError(f"{path}: {values.dtype.str} array of shape {values.shape}, "
+                          "expected a <f4 (T, D) matrix, T and D at least 1")
     if not np.isfinite(values).all():
         raise DataError(f"{path}: non-finite feature values")
-    return values.astype(np.float32)
+    return values
 
 
 def save_manifest(manifest: DatasetManifest, path) -> None:
@@ -228,7 +226,7 @@ def synth_dataset(seed: int, n_videos: int, n_concepts: int, d_vision: int,
             base = vision_embed[c]
             rows.append(base + rng.normal((d_vision,),
                                           std=NOISE_SCALE * float(np.linalg.norm(base))))
-        frame_rel = f"features/{vid}_frames.vttf"
+        frame_rel = f"features/{vid}_frames.npy"
         write_feature_file(out_dir / frame_rel, np.stack(rows))
 
         has_audio = rng.random() < 0.7
@@ -239,7 +237,7 @@ def synth_dataset(seed: int, n_videos: int, n_concepts: int, d_vision: int,
             arows = [base + rng.normal((d_audio,),
                                        std=NOISE_SCALE * float(np.linalg.norm(base)))
                      for _ in range(t_a)]
-            audio_rel = f"features/{vid}_audio.vttf"
+            audio_rel = f"features/{vid}_audio.npy"
             write_feature_file(out_dir / audio_rel, np.stack(arows))
 
         entries.append(ManifestEntry(vid, frame_rel, audio_rel, captions_for(concepts)))

@@ -3,8 +3,8 @@
 Every text file is read and written here: UTF-8 reads, JSON parsing whose
 invalid or too deeply nested input, or a string holding a lone surrogate
 (which UTF-8 cannot write back), raises ``FormatError`` naming ``path`` or
-``path:line``, JSON-lines iteration and atomic writes.  The binary VTTF and
-mapped VTTC formats keep their own parsers and share ``atomic_path``.  It
+``path:line``, JSON-lines iteration and atomic writes.  The binary formats,
+``.npy`` features and mapped VTTC checkpoints, share ``atomic_path``.  It
 imports only ``errors`` from the package, so every other module can use it.
 """
 

@@ -277,13 +277,14 @@ def test_a_missing_manifest_is_reported_before_the_checkpoint_is_read(
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("out", ["made", "gone/x.jsonl", "file/x.jsonl"])
+@pytest.mark.parametrize("out", ["made", "gone/x.jsonl", "file/x.jsonl", ""])
 @pytest.mark.parametrize("command", ["evaluate", "caption", "score", "build-vocab",
                                      "finetune-scst"])
 def test_an_unwritable_out_is_reported_before_any_input_is_read(
         workdir, tmp_path, capsys, monkeypatch, command, out):
     """Each file a command writes, ``--out`` or ``finetune-scst``'s
-    ``--trace``, is checked before any input is read."""
+    ``--trace``, is checked before any input is read; an empty path names
+    no file, not "no output"."""
     def read(*args, **kwargs):
         raise AssertionError("a checkpoint was read before the output was checked")
 
@@ -298,9 +299,10 @@ def test_an_unwritable_out_is_reported_before_any_input_is_read(
         "finetune-scst": ["--config", missing, "--train", missing, "--val", missing,
                           "--vocab", missing, "--init", missing, "--out", str(tmp_path / "run")],
     }.get(command, ["--checkpoint", missing, "--manifest", missing, "--vocab", missing])
-    assert dispatch([command, *inputs, flag, str(tmp_path / out)]) == 2
+    target = out and str(tmp_path / out)
+    assert dispatch([command, *inputs, flag, target]) == 2
     err = capsys.readouterr().err
-    assert err == f"error: {flag} {tmp_path / out}: not a file in an existing directory\n"
+    assert err == f"error: {flag} {target}: not a file in an existing directory\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["file", "made"]
 
 
@@ -421,9 +423,9 @@ def test_a_video_that_does_not_fit_the_model_is_named(workdir, tmp_path, capsys,
             if e[key]:
                 e[key] = str(workdir / "data" / e[key])
     bad = entries[1]
-    bad["frame_file"] = "bad_frames.vttf"
+    bad["frame_file"] = "bad_frames.npy"
     write_feature_file(tmp_path / bad["frame_file"], np.ones(frames_shape, np.float32))
-    bad["audio_file"] = audio_shape and "bad_audio.vttf"
+    bad["audio_file"] = audio_shape and "bad_audio.npy"
     if audio_shape:
         write_feature_file(tmp_path / bad["audio_file"], np.ones(audio_shape, np.float32))
     manifest = tmp_path / "m.jsonl"
@@ -439,20 +441,20 @@ def test_a_video_that_does_not_fit_the_model_is_named(workdir, tmp_path, capsys,
             argv += ["--init", str(workdir / "init.vttc")]
     assert dispatch(argv) == 2
     err = capsys.readouterr().err
-    assert f"video {bad['id']!r} ({tmp_path / 'bad_frames.vttf'}): {problem}" in err
+    assert f"video {bad['id']!r} ({tmp_path / 'bad_frames.npy'}): {problem}" in err
     assert not out.exists()
 
 
 @pytest.mark.parametrize("line", [
     "[1, 2]",
     '"str"',
-    '{"id": [1], "frame_file": "f.vttf", "audio_file": null, "captions": ["a cat"]}',
+    '{"id": [1], "frame_file": "f.npy", "audio_file": null, "captions": ["a cat"]}',
     '{"id": "v1", "frame_file": 5, "audio_file": null, "captions": ["a cat"]}',
     # a lone surrogate is valid JSON, but UTF-8 cannot write it to the vocabulary
-    '{"id": "v1", "frame_file": "f.vttf", "audio_file": null, "captions": ["a \\ud800 cat"]}',
+    '{"id": "v1", "frame_file": "f.npy", "audio_file": null, "captions": ["a \\ud800 cat"]}',
 ])
 def test_malformed_manifest_exits_2(tmp_path, capsys, line):
-    (tmp_path / "f.vttf").write_bytes(b"")
+    (tmp_path / "f.npy").write_bytes(b"")
     manifest = tmp_path / "m.jsonl"
     manifest.write_text(line + "\n")
     code = dispatch(["build-vocab", "--manifest", str(manifest), "--size", "40",

@@ -2,7 +2,6 @@
 
 import hashlib
 import json
-import struct
 from pathlib import Path
 
 import numpy as np
@@ -23,98 +22,81 @@ class TestVideoSample:
 class TestFeatureFile:
     def test_roundtrip_bit_exact(self, tmp_path, np_rng):
         m = np_rng.normal(size=(5, 7)).astype(np.float32)
-        path = tmp_path / "m.vttf"
+        path = tmp_path / "m.npy"
         write_feature_file(path, m)
         again = read_feature_file(path)
         assert again.dtype == np.float32 and again.flags.writeable
         assert np.array_equal(m, again)
-        write_feature_file(tmp_path / "m2.vttf", m)
-        assert path.read_bytes() == (tmp_path / "m2.vttf").read_bytes()
+        write_feature_file(tmp_path / "m2.npy", m)
+        assert path.read_bytes() == (tmp_path / "m2.npy").read_bytes()
 
-    def test_single_value_file_is_twenty_bytes(self, tmp_path):
-        path = tmp_path / "one.vttf"
-        write_feature_file(path, np.array([[0.5]], dtype=np.float32))
-        blob = path.read_bytes()
-        assert len(blob) == 16 + 4
-        assert blob[:4] == b"VTTF"
-        assert struct.unpack("<III", blob[4:16]) == (1, 1, 1)
-        assert struct.unpack("<f", blob[16:])[0] == 0.5
-
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "bad.vttf"
-        path.write_bytes(b"XXXX" + struct.pack("<III", 1, 1, 1) + b"\x00" * 4)
-        with pytest.raises(FormatError, match=r"bad\.vttf: bad magic"):
-            read_feature_file(path)
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_a_file_numpy_wrote_reads_back_bit_exact(self, tmp_path, np_rng, order):
+        m = np.asarray(np_rng.normal(size=(3, 5)), dtype="<f4", order=order)
+        np.save(tmp_path / "np.npy", m)
+        again = read_feature_file(tmp_path / "np.npy")
+        assert again.dtype.str == "<f4" and again.shape == (3, 5)
+        assert again.tobytes() == m.tobytes(order="C")
 
     def test_truncated_payload(self, tmp_path):
-        path = tmp_path / "short.vttf"
-        path.write_bytes(b"VTTF" + struct.pack("<III", 1, 2, 3) + b"\x00" * 8)
-        with pytest.raises(FormatError, match="length"):
+        path = tmp_path / "short.npy"
+        np.save(path, np.zeros((2, 3), dtype=np.float32))
+        path.write_bytes(path.read_bytes()[:-4])
+        with pytest.raises(FormatError, match=r"short\.npy: cannot read as \.npy \(ValueError"):
             read_feature_file(path)
 
     def test_non_finite_payload(self, tmp_path):
-        path = tmp_path / "nan.vttf"
-        path.write_bytes(b"VTTF" + struct.pack("<III", 1, 1, 1) +
-                         struct.pack("<f", float("nan")))
+        path = tmp_path / "nan.npy"
+        np.save(path, np.array([[float("nan")]], dtype=np.float32))
         with pytest.raises(DataError):
             read_feature_file(path)
 
     @pytest.mark.parametrize("t, d", [(0, 4), (3, 0), (0, 0)])
     def test_empty_matrix_rejected(self, tmp_path, t, d):
-        path = tmp_path / "empty.vttf"
-        path.write_bytes(b"VTTF" + struct.pack("<III", 1, t, d))
-        with pytest.raises(FormatError, match=f"empty.vttf: empty {t}x{d}"):
+        path = tmp_path / "empty.npy"
+        np.save(path, np.zeros((t, d), dtype=np.float32))
+        with pytest.raises(FormatError, match=rf"empty\.npy: <f4 array of shape \({t}, {d}\)"):
             read_feature_file(path)
 
     def test_failed_write_keeps_previous_file(self, tmp_path):
-        path = tmp_path / "m.vttf"
+        path = tmp_path / "m.npy"
         write_feature_file(path, np.ones((2, 3), dtype=np.float32))
         before = path.read_bytes()
 
-        class Exploding:  # the header is written, then the payload fails
-            shape = (2, 3)
-
+        class Exploding:  # the temporary file is made, then the values fail
             def __array__(self, *args, **kwargs):
                 raise RuntimeError("disk gone")
 
         with pytest.raises(RuntimeError):
             write_feature_file(path, Exploding())
         assert path.read_bytes() == before
-        assert [p.name for p in tmp_path.iterdir()] == ["m.vttf"]
-
-    def test_paper_scale_header(self, tmp_path):
-        m = np.zeros((300, 2048), dtype=np.float32)
-        path = tmp_path / "big.vttf"
-        write_feature_file(path, m)
-        with open(path, "rb") as fh:
-            head = fh.read(16)
-        assert struct.unpack("<III", head[4:]) == (1, 300, 2048)
+        assert [p.name for p in tmp_path.iterdir()] == ["m.npy"]
 
 
 # md5 of each file of synth_dataset(seed=7, n_videos=10, n_concepts=8,
 # d_vision=32, d_audio=8); vid_0005 has no audio.
 PINNED_CORPUS = {
-    "features/vid_0000_audio.vttf": "04f431ee2f6147815c902095aaec0bc6",
-    "features/vid_0000_frames.vttf": "5888ed3bc1757d1a1767ac50a6a55b94",
-    "features/vid_0001_audio.vttf": "fe1e8eccfb129bc1f242155c535416dd",
-    "features/vid_0001_frames.vttf": "f00f74102a18ed4ab0a812c28c9403eb",
-    "features/vid_0002_audio.vttf": "a849cc37b8752d580600990b17c4a8f6",
-    "features/vid_0002_frames.vttf": "a7ee019888cfe871978c22164cdc6bf3",
-    "features/vid_0003_audio.vttf": "2e380f720864cd480b0165842fed8ae2",
-    "features/vid_0003_frames.vttf": "ac15506026644395213949c18b100644",
-    "features/vid_0004_audio.vttf": "88eec779158478449cfd20d42825858f",
-    "features/vid_0004_frames.vttf": "c55b2d9b9425eebaefc79390d003535b",
-    "features/vid_0005_frames.vttf": "00f234de85ba6778677f13cd113c3e9f",
-    "features/vid_0006_audio.vttf": "5efe2d82f223bc3f7a3df2af57c163db",
-    "features/vid_0006_frames.vttf": "1cf95ddf16692e736fb67925dd7ce7ea",
-    "features/vid_0007_audio.vttf": "ed6070985b292ce5316ad73b54e2f207",
-    "features/vid_0007_frames.vttf": "9c079178fa4a9db5c7f84f99321f3287",
-    "features/vid_0008_audio.vttf": "42e1067613f0105e0e177b85a889363b",
-    "features/vid_0008_frames.vttf": "420774a5cf568f476332d4f544746128",
-    "features/vid_0009_audio.vttf": "3beb1ae37ad2ad794b8d287d722f9d23",
-    "features/vid_0009_frames.vttf": "3152c1df8e3cf6c36161225a25e4f758",
-    "train.jsonl": "1a4bb967c6230f33f8b7ddd201a7f3e5",
-    "val.jsonl": "f15e6bed73f9c2e6f5fe24a4819ade8a",
+    "features/vid_0000_audio.npy": "e5c2074a09ede7844147ec06e45092df",
+    "features/vid_0000_frames.npy": "261148cb0dd5e3976469096c40bc77da",
+    "features/vid_0001_audio.npy": "c405db7a6638af69d01e21a38512caba",
+    "features/vid_0001_frames.npy": "26a0c13f3a93c39b44c0ce21adbe2b71",
+    "features/vid_0002_audio.npy": "67348a1a3922683ce3b782cf55034361",
+    "features/vid_0002_frames.npy": "2e9d41bc1b31bfd0206e7cf571004ce2",
+    "features/vid_0003_audio.npy": "72e6a8c55fe20d50e6688a279ad0bc0d",
+    "features/vid_0003_frames.npy": "cd1826a9cf6772e6aee4f1d01cf03dff",
+    "features/vid_0004_audio.npy": "9ad397c3fc9ae6a56b0d572b6247dc9d",
+    "features/vid_0004_frames.npy": "5c35b3fe05902234345743beb182d22e",
+    "features/vid_0005_frames.npy": "c51a7ed18417569da0af73c542ebd555",
+    "features/vid_0006_audio.npy": "1808080a62dca7fdf7f282c25f94ee7b",
+    "features/vid_0006_frames.npy": "09829c49857358ff498d452f2de86482",
+    "features/vid_0007_audio.npy": "3bcae7f63cbea237c7bfcb9f18ac2816",
+    "features/vid_0007_frames.npy": "da1169db9e7e67eb8b953c33b282a5b3",
+    "features/vid_0008_audio.npy": "26570873c1319462e2211f488630e688",
+    "features/vid_0008_frames.npy": "fa4d2f9b075d36850a267a569996739e",
+    "features/vid_0009_audio.npy": "1d07c463ca7253d64d70558c9fac3518",
+    "features/vid_0009_frames.npy": "132004871d57f2d0eb1cddc0d0f3551e",
+    "train.jsonl": "6743b45ae0451a242fea2b537940aa5c",
+    "val.jsonl": "621689967c11619005e1223eec959e8d",
 }
 
 
@@ -182,14 +164,14 @@ class TestSynthDataset:
 class TestManifest:
     def test_load_checks_referenced_files(self, tmp_path):
         path = tmp_path / "m.jsonl"
-        path.write_text(json.dumps({"id": "v1", "frame_file": "missing.vttf",
+        path.write_text(json.dumps({"id": "v1", "frame_file": "missing.npy",
                                     "audio_file": None, "captions": ["a cat"]}) + "\n")
-        with pytest.raises(FormatError, match="missing.vttf"):
+        with pytest.raises(FormatError, match="missing.npy"):
             load_manifest(path)
 
     def test_duplicate_ids_rejected(self, tmp_path):
-        write_feature_file(tmp_path / "f.vttf", np.zeros((1, 2), dtype=np.float32))
-        row = json.dumps({"id": "v1", "frame_file": "f.vttf",
+        write_feature_file(tmp_path / "f.npy", np.zeros((1, 2), dtype=np.float32))
+        row = json.dumps({"id": "v1", "frame_file": "f.npy",
                           "audio_file": None, "captions": ["a cat"]})
         (tmp_path / "m.jsonl").write_text(row + "\n" + row + "\n")
         with pytest.raises(FormatError, match=r"m\.jsonl:2: duplicate id 'v1'"):
@@ -206,24 +188,24 @@ class TestManifest:
     @pytest.mark.parametrize("line,match", [
         ("[1, 2]", "JSON object"),
         ('"str"', "JSON object"),
-        ('{"id": [1], "frame_file": "f.vttf", "audio_file": null, "captions": ["a"]}',
+        ('{"id": [1], "frame_file": "f.npy", "audio_file": null, "captions": ["a"]}',
          "strings"),
         ('{"id": "v", "frame_file": 5, "audio_file": null, "captions": ["a"]}', "strings"),
-        ('{"id": "v", "frame_file": "f.vttf", "audio_file": 7, "captions": ["a"]}',
+        ('{"id": "v", "frame_file": "f.npy", "audio_file": 7, "captions": ["a"]}',
          "audio_file"),
         ('{"id": "v", "frame_file": "", "audio_file": null, "captions": ["a"]}',
          "m.jsonl:1: frame_file is an empty path"),
-        ('{"id": "v", "frame_file": "f.vttf", "audio_file": "", "captions": ["a"]}',
+        ('{"id": "v", "frame_file": "f.npy", "audio_file": "", "captions": ["a"]}',
          "m.jsonl:1: audio_file is an empty path"),
         ('{"id": "v", "frame_file": ".", "audio_file": null, "captions": ["a"]}',
          "m.jsonl:1: referenced file '.' is missing or not a file"),
         ('{"id": "v", "frame_file": "m.jsonl", "audio_file": ".", "captions": ["a"]}',
          "m.jsonl:1: referenced file '.' is missing or not a file"),
-        ('{"id": "v", "frame_file": "f.vttf", "audio_file": null, "captions": []}',
+        ('{"id": "v", "frame_file": "f.npy", "audio_file": null, "captions": []}',
          "captions"),
-        ('{"id": "v", "frame_file": "f.vttf", "audio_file": null, "captions": "a"}',
+        ('{"id": "v", "frame_file": "f.npy", "audio_file": null, "captions": "a"}',
          "captions"),
-        ('{"id": "v", "frame_file": "f.vttf", "audio_file": null, "captions": ["a", 3]}',
+        ('{"id": "v", "frame_file": "f.npy", "audio_file": null, "captions": ["a", 3]}',
          "captions"),
     ])
     def test_malformed_entries_rejected(self, tmp_path, line, match):
@@ -233,10 +215,10 @@ class TestManifest:
 
     def test_failed_save_keeps_previous_manifest(self, tmp_path):
         path = tmp_path / "m.jsonl"
-        good = ManifestEntry("v1", "f.vttf", None, ["a cat"])
+        good = ManifestEntry("v1", "f.npy", None, ["a cat"])
         save_manifest(DatasetManifest([good], tmp_path), path)
         before = path.read_bytes()
-        bad = ManifestEntry("v2", "g.vttf", None, [object()])  # not JSON-serialisable
+        bad = ManifestEntry("v2", "g.npy", None, [object()])  # not JSON-serialisable
         with pytest.raises(TypeError):
             save_manifest(DatasetManifest([good, bad], tmp_path), path)
         assert path.read_bytes() == before

@@ -1,14 +1,16 @@
 """Every file reader gives a valid object or a ``VttError``, whatever the bytes.
 
 Bounded Hypothesis searches over the files a command reads: a dataset (a
-manifest and the feature files, VTTF, it names), a vocabulary, a
+manifest and the ``.npy`` feature files it names), a vocabulary, a
 checkpoint (VTTC) with its JSON sidecar, a JSON config (``--config``) and
 a JSON-lines caption file (``--hyp``).  Each input replaces one file of
 the set, by the valid file with a few bytes set, inserted or deleted and
 maybe cut short, or by arbitrary bytes.  The explicit examples are the
 valid set itself, which must read, and inputs that once escaped as
 ``UnicodeDecodeError``, ``JSONDecodeError`` or ``RecursionError`` or once
-read as a wrong object.  The searches are derandomized and keep no example
+read as a wrong object, and a feature file for each way NumPy fails or
+warns on a corrupt ``.npy`` header, or reads one that is not a feature
+matrix.  The searches are derandomized and keep no example
 database (the profile ``conftest.py`` loads), so one tree always gets the
 same verdict.
 """
@@ -25,7 +27,7 @@ from hypothesis import strategies as st
 from conftest import tiny_config
 from vttcap.cli import SECTIONS, cmd_score, resolve_config
 from vttcap.errors import FormatError, VttError
-from vttcap.features import load_manifest, write_feature_file
+from vttcap.features import load_manifest, read_feature_file, write_feature_file
 from vttcap.fileio import read_json
 from vttcap.model import TransformerModel, load_checkpoint, save_checkpoint
 from vttcap.tokenizer import PAD_TOKEN, load_vocab
@@ -36,11 +38,39 @@ DEEP_JSON = b"[" * 100_000
 # manifest lines that name an empty feature path, which is no file
 EMPTY_FRAME_FILE = json.dumps({"id": "v0", "frame_file": "", "audio_file": None,
                                "captions": ["a cat"]}).encode()
-EMPTY_AUDIO_FILE = json.dumps({"id": "v0", "frame_file": "f.vttf", "audio_file": "",
+EMPTY_AUDIO_FILE = json.dumps({"id": "v0", "frame_file": "f.npy", "audio_file": "",
                                "captions": ["a cat"]}).encode()
 # a manifest line whose frame_file names the manifest's own directory
 DIRECTORY_FRAME_FILE = json.dumps({"id": "v0", "frame_file": ".", "audio_file": None,
                                    "captions": ["a cat"]}).encode()
+# the header of the ``files`` feature file, a (2, 3) <f4 array
+NPY_HEADER = "{'descr': '<f4', 'fortran_order': False, 'shape': (2, 3), }"
+
+
+def npy(header: str = NPY_HEADER, values: bytes = bytes(24)) -> bytes:
+    """A version 1.0 ``.npy`` file: ``header``, padded as NumPy pads it, then ``values``."""
+    text = header.encode("latin1")
+    text += b" " * (-(len(text) + 11) % 64) + b"\n"
+    return b"\x93NUMPY\x01\x00" + struct.pack("<H", len(text)) + text + values
+
+
+# a feature file for each failure: (file bytes, part of the error message)
+BAD_NPY = {
+    "unclosed header": (npy(NPY_HEADER[:-1]), "TokenError"),
+    "python-2 header": (npy(NPY_HEADER.replace("(2, 3)", "(2L, 3L)")), "UserWarning"),
+    "deprecated dtype": (npy(NPY_HEADER.replace("<f4", "<a4")), "DeprecationWarning"),
+    "bytes key": (npy(NPY_HEADER.replace("'shape'", "b'shape'")), "TypeError"),
+    "comma dtype": (npy(NPY_HEADER.replace("<f4", "<,f4")), "SyntaxError"),
+    # a MemoryError, or a short read where the host lends 3.64 TiB unbacked
+    "3.64 TiB": (npy(NPY_HEADER.replace("(2, 3)", "(1000000, 1000000)")), r"as \.npy \("),
+    "pickle": (npy(NPY_HEADER.replace("<f4", "|O")), "ValueError"),
+    "trailing byte": (npy() + b"\0", "bytes after the array"),
+    "<f8": (npy(NPY_HEADER.replace("<f4", "<f8"), bytes(48)), "<f8 array"),
+    ">f4": (npy(NPY_HEADER.replace("<f4", ">f4")), ">f4 array"),
+    "1-D": (npy(NPY_HEADER.replace("(2, 3)", "(6,)")), r"shape \(6,\)"),
+    "3-D": (npy(NPY_HEADER.replace("(2, 3)", "(1, 2, 3)")), r"shape \(1, 2, 3\)"),
+    "no rows": (npy(NPY_HEADER.replace("(2, 3)", "(0, 3)"), b""), r"shape \(0, 3\)"),
+}
 # the sidecar of the ``files`` checkpoint without a key that leaves its
 # parameter layout unchanged
 PARTIAL_SIDECAR = json.dumps({k: v for k, v in tiny_config().to_dict().items()
@@ -51,9 +81,9 @@ PARTIAL_SIDECAR = json.dumps({k: v for k, v in tiny_config().to_dict().items()
 def files(tmp_path_factory):
     """A valid file of each kind: {kind: (path, bytes)}."""
     d = tmp_path_factory.mktemp("readers")
-    write_feature_file(d / "f.vttf", np.arange(6, dtype=np.float32).reshape(2, 3))
+    write_feature_file(d / "f.npy", np.arange(6, dtype=np.float32).reshape(2, 3))
     (d / "m.jsonl").write_text("".join(json.dumps(
-        {"id": f"v{i}", "frame_file": "f.vttf", "audio_file": None if i else "f.vttf",
+        {"id": f"v{i}", "frame_file": "f.npy", "audio_file": None if i else "f.npy",
          "captions": ["a cat", "the dog runs"]}) + "\n" for i in range(2)), encoding="utf-8")
     (d / "vocab.txt").write_text(f"{PAD_TOKEN}\na\ncat\n##s\nthe\n", encoding="utf-8")
     save_checkpoint(TransformerModel(tiny_config(), seed=0), d / "ckpt.vttc")
@@ -62,7 +92,7 @@ def files(tmp_path_factory):
          "run": {"epochs": 2, "seed": 3}}), encoding="utf-8")
     (d / "hyp.jsonl").write_text("".join(json.dumps({"id": f"v{i}", "caption": "a cat"}) + "\n"
                                          for i in range(2)), encoding="utf-8")
-    names = {"vttf": "f.vttf", "manifest": "m.jsonl", "vocab": "vocab.txt",
+    names = {"npy": "f.npy", "manifest": "m.jsonl", "vocab": "vocab.txt",
              "vttc": "ckpt.vttc", "sidecar": "ckpt.vttc.json", "config": "config.json",
              "hyp": "hyp.jsonl"}
     return {kind: (d / name, (d / name).read_bytes()) for kind, name in names.items()}
@@ -118,10 +148,21 @@ def read_or_vtt_error(files, kinds, data, kind, blob, read):
 @example(data=None, kind="manifest", blob=EMPTY_FRAME_FILE)
 @example(data=None, kind="manifest", blob=EMPTY_AUDIO_FILE)
 @example(data=None, kind="manifest", blob=DIRECTORY_FRAME_FILE)
-@example(data=None, kind="vttf", blob=b"VTTF" + bytes(12))
-@example(data=None, kind="vttf", blob=b"VTTF" + struct.pack("<III", 1, 0, 4))
+@example(data=None, kind="npy", blob=BAD_NPY["unclosed header"][0])
+@example(data=None, kind="npy", blob=BAD_NPY["python-2 header"][0])
+@example(data=None, kind="npy", blob=BAD_NPY["deprecated dtype"][0])
+@example(data=None, kind="npy", blob=BAD_NPY["bytes key"][0])
+@example(data=None, kind="npy", blob=BAD_NPY["comma dtype"][0])
+@example(data=None, kind="npy", blob=BAD_NPY["3.64 TiB"][0])
+@example(data=None, kind="npy", blob=BAD_NPY["pickle"][0])
+@example(data=None, kind="npy", blob=BAD_NPY["trailing byte"][0])
+@example(data=None, kind="npy", blob=BAD_NPY["<f8"][0])
+@example(data=None, kind="npy", blob=BAD_NPY[">f4"][0])
+@example(data=None, kind="npy", blob=BAD_NPY["1-D"][0])
+@example(data=None, kind="npy", blob=BAD_NPY["3-D"][0])
+@example(data=None, kind="npy", blob=BAD_NPY["no rows"][0])
 def test_dataset(files, data, kind, blob):
-    samples = read_or_vtt_error(files, ["manifest", "vttf"], data, kind, blob,
+    samples = read_or_vtt_error(files, ["manifest", "npy"], data, kind, blob,
                                 lambda f: load_manifest(f["manifest"][0]).load_samples())
     assert samples is None or len(samples) >= 1
     for s in samples or []:
@@ -129,6 +170,18 @@ def test_dataset(files, data, kind, blob):
             if m is not None:
                 assert m.dtype == np.float32 and m.ndim == 2 and min(m.shape) >= 1
                 assert np.isfinite(m).all()
+
+
+@pytest.mark.parametrize("blob, message", BAD_NPY.values(), ids=BAD_NPY)
+def test_each_bad_feature_file_is_a_format_error_naming_it(tmp_path, blob, message):
+    path = tmp_path / "f.npy"
+    path.write_bytes(blob)
+    with pytest.raises(FormatError, match=rf"f\.npy: .*{message}"):
+        read_feature_file(path)
+
+
+def test_the_npy_helper_writes_what_numpy_writes(files):
+    assert npy(values=np.arange(6, dtype="<f4").tobytes()) == files["npy"][1]
 
 
 @FUZZ

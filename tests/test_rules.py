@@ -10,6 +10,9 @@
   ``.json`` suffix of a checkpoint's config, and ``training`` alone the run
   directory's ``history.jsonl``; the others call the owner or read the path
   it returns.
+- ``features`` alone reads and writes ``.npy`` files (``np.load(``,
+  ``np.save(``, ``read_array(``), so no reader of a feature file bypasses
+  its checks of dtype, shape, trailing bytes and finite values.
 - ``tensor`` alone maps anonymous memory and advises the kernel on pages
   (``mmap.mmap(-1, ...)``, ``madvise(``): ``ParamArena`` owns gradient
   memory, whose released pages must read back as zeros, so no other module
@@ -42,6 +45,7 @@ RUN_INPUT_READERS = r"load_manifest|load_samples|load_checkpoint|load_vocab|read
 PROFILE_KEYS = {"derandomize", "database"}
 LAYOUT_OWNERS = [(r'\.json"', "model.py"), (r"history\.jsonl", "training.py")]
 PAGE_CALLS = [r"madvise\(", r"mmap\.mmap\(\s*-1\b"]
+NPY_CALLS = r"\bnp\.(load|save)\(|\bread_array\("
 
 
 def matching_lines(paths, pattern) -> list:
@@ -104,6 +108,12 @@ def spelled_elsewhere(pattern, owner) -> list:
 def test_each_file_layout_is_spelled_only_by_its_owner(pattern, owner):
     found = spelled_elsewhere(pattern, owner)
     assert not found, f"only {owner} spells {pattern}:\n" + "\n".join(found)
+
+
+def test_only_features_reads_and_writes_npy_files():
+    found = spelled_elsewhere(NPY_CALLS, "features.py")
+    assert not found, ("read feature files through vttcap.features.read_feature_file, "
+                       "which checks them:\n" + "\n".join(found))
 
 
 @pytest.mark.parametrize("pattern", PAGE_CALLS, ids=["madvise", "anonymous-mmap"])
