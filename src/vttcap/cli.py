@@ -14,12 +14,12 @@ read, and their videos, checked against the model, are read last.
 config dataclass (``model``, ``schedule``, ``reward``, ``run``); the
 dataclass fields are its keys, their annotations its types and their
 defaults the ``paper`` profile.  The file may name a base profile
-(``desk`` if it names none; ``--profile`` overrides it) and overrides single
-keys of it; the ``--seed`` and ``--epochs`` flags override the file.  It
-holds run settings only: every path comes from a flag, and the model's
-vocabulary size from the vocabulary file.  Exit codes: 0 success, 1 usage
-error, 2 data/format error (a file that is not UTF-8 text among them) or a
-model too large to allocate, 3 numeric failure.
+(``desk`` if it names none) and overrides single keys of it; the ``--seed``
+and ``--epochs`` flags override the file.  It holds run settings only: every
+path comes from a flag, and the model's vocabulary size from the vocabulary
+file.  Exit codes: 0 success, 1 usage error, 2 data/format error (a file that
+is not UTF-8 text among them) or a model too large to allocate, 3 numeric
+failure.
 """
 
 from __future__ import annotations
@@ -133,11 +133,11 @@ def cmd_build_vocab(args) -> int:
 def cmd_fit(args) -> int:
     """``train``: XE from a freshly initialised model; ``finetune-scst``: SCST
     from the ``--init`` checkpoint."""
+    _check_out_dir(args.out)
     out = Path(args.out)
-    _check_out_dir(out)
     if args.command == "finetune-scst":
         _check_out_file(args.trace, "--trace", run_dir=out)
-    cfg = resolve_config(args.config, args.profile)
+    cfg = resolve_config(args.config, None)
     flags = {"seed": args.seed, "epochs": args.epochs}  # laid over the ``run`` section
     run = TrainRunConfig(**{**cfg["run"], **{k: v for k, v in flags.items() if v is not None}})
     vocab = load_vocab(args.vocab)
@@ -197,9 +197,11 @@ def cmd_score(args) -> int:
 
 
 def _check_out_dir(out, flag: str = "--out", given=None) -> None:
-    """Fail unless the first of directory ``out`` and its parents to exist is
-    a directory: the command makes the rest.  The error names ``flag`` with
-    its value, ``given`` or else ``out``."""
+    """Fail unless ``out`` is not empty and the first of it and its parents to
+    exist is a directory: the command makes the rest.  The error names
+    ``flag`` with its value, ``given`` or else ``out``."""
+    if not out:
+        raise NotADirectoryError(f"{flag} '': not a directory name")
     out = Path(out)
     base = next((p for p in (out, *out.parents) if p.exists()), out)
     if not base.is_dir():
@@ -260,7 +262,6 @@ def build_parser() -> _Parser:
     for name in ("train", "finetune-scst"):
         p = sub.add_parser(name, help=f"{name} on a dataset")
         p.add_argument("--config")
-        p.add_argument("--profile", choices=sorted(PROFILES))
         p.add_argument("--train", required=True)
         p.add_argument("--val", required=True)
         p.add_argument("--vocab", required=True)

@@ -17,13 +17,5 @@ class FormatError(VttError):
     """A file or byte stream does not match its declared format."""
 
 
-class DataError(VttError):
-    """Payload content is invalid (e.g. non-finite feature values)."""
-
-
-class CapacityError(VttError):
-    """A size budget is too small to satisfy the request."""
-
-
 class TrainingError(VttError):
     """Numeric failure during optimization (non-finite gradients etc.)."""

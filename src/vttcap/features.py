@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ContractError, DataError, FormatError, VttError
+from .errors import ContractError, FormatError, VttError
 from .fileio import atomic_path, read_json_lines, write_text
 from .tensor import RngState
 
@@ -124,7 +124,7 @@ def read_feature_file(path) -> np.ndarray:
         raise FormatError(f"{path}: {values.dtype.str} array of shape {values.shape}, "
                           "expected a <f4 (T, D) matrix, T and D at least 1")
     if not np.isfinite(values).all():
-        raise DataError(f"{path}: non-finite feature values")
+        raise FormatError(f"{path}: non-finite feature values")
     return values
 
 

@@ -1,18 +1,20 @@
 """WordPiece subword tokenizer: vocab loading/building, encode, decode.
 
-Captions are normalized (lowercase, whitespace split, punctuation split off
-as single characters), then each word is segmented by greedy longest-match
-against the vocabulary, continuation pieces carrying the ``##`` prefix.
+Captions are normalized (lowercase; a run of letters and digits is a word,
+any other non-space character a word of its own), then each word is
+segmented by greedy longest-match against the vocabulary, continuation
+pieces carrying the ``##`` prefix.
 A small frequency-merge builder produces desk-scale vocabularies so no
 pretrained vocabulary file is required.
 """
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .errors import CapacityError, ContractError, FormatError
+from .errors import ContractError, FormatError
 from .fileio import read_text, write_text
 
 PAD_TOKEN = "[PAD]"
@@ -20,9 +22,6 @@ UNK_TOKEN = "[UNK]"
 BOS_TOKEN = "[BOS]"
 EOS_TOKEN = "[EOS]"
 SPECIAL_TOKENS = (PAD_TOKEN, UNK_TOKEN, BOS_TOKEN, EOS_TOKEN)
-
-# Token ids are plain lists of ints throughout the package.
-TokenIds = list
 
 
 @dataclass
@@ -83,24 +82,12 @@ def save_vocab(vocab: Vocabulary, path) -> None:
 
 
 def normalize_words(text: str) -> list:
-    """Lowercase, split on whitespace, split punctuation off as single chars.
+    """Lowercase, then split into words: each run of letters and digits is a
+    word, and every other non-space character is a word on its own.
 
     The same normalizer feeds both the tokenizer and the word-level metrics.
     """
-    words = []
-    for chunk in text.lower().split():
-        buf = ""
-        for ch in chunk:
-            if ch.isalnum():
-                buf += ch
-            else:
-                if buf:
-                    words.append(buf)
-                    buf = ""
-                words.append(ch)
-        if buf:
-            words.append(buf)
-    return words
+    return re.findall(r"[^\W_]+|\S", text.lower())
 
 
 def _word_to_char_pieces(word: str) -> list:
@@ -129,7 +116,7 @@ def build_vocab(corpus, target_size: int) -> Vocabulary:
 
     base = list(SPECIAL_TOKENS) + char_forms
     if target_size < len(base):
-        raise CapacityError(
+        raise ContractError(
             f"target_size {target_size} cannot hold {len(SPECIAL_TOKENS)} specials "
             f"plus {len(char_forms)} single-character pieces")
 
@@ -191,7 +178,7 @@ def _wordpiece(word: str, vocab: Vocabulary):
     return pieces
 
 
-def encode(text: str, vocab: Vocabulary) -> TokenIds:
+def encode(text: str, vocab: Vocabulary) -> list:
     """Token ids for ``text``, wrapped in BOS/EOS; unsegmentable words map to UNK."""
     ids = [vocab.bos_id]
     for word in normalize_words(text):
@@ -204,7 +191,7 @@ def encode(text: str, vocab: Vocabulary) -> TokenIds:
     return ids
 
 
-def decode(ids: TokenIds, vocab: Vocabulary) -> str:
+def decode(ids: list, vocab: Vocabulary) -> str:
     """Text for a token id sequence: specials stripped, ``##`` pieces glued."""
     words = []
     specials = set(vocab.special_ids)
@@ -221,7 +208,7 @@ def decode(ids: TokenIds, vocab: Vocabulary) -> str:
     return " ".join(words)
 
 
-def truncate(ids: TokenIds, l_max: int, vocab: Vocabulary) -> TokenIds:
+def truncate(ids: list, l_max: int, vocab: Vocabulary) -> list:
     """Clip a BOS..EOS sequence to at most ``l_max`` content tokens."""
     content = [i for i in ids if i not in (vocab.bos_id, vocab.eos_id, vocab.pad_id)]
     return [vocab.bos_id] + content[:l_max] + [vocab.eos_id]

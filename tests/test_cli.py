@@ -158,6 +158,7 @@ def test_profiles_resolve_to_their_values(profile):
     ({"schedule": {"eta_max": "x"}}, 1),
     ({"schedule": {"t0": [1]}}, 1),
     ({"profile": [1]}, 1),
+    ({"profile": "huge"}, 1),
     ({"model": {"vocab_size": 64}}, 1),
     ({"data": {"vocab": "vocab.txt"}}, 1),
     ({"model": {"n_enc": True}}, 1),
@@ -231,7 +232,8 @@ def test_corrupt_checkpoint_config_exits_2(workdir, tmp_path, capsys, monkeypatc
     (["bogus"], 1),
     (["train", "--val", "{d}/data/val.jsonl", "--vocab", "{d}/vocab.txt",
       "--out", "{t}/run"], 1),
-    (["train", "--profile", "huge"], 1),
+    (["train", "--train", "{d}/data/train.jsonl", "--val", "{d}/data/val.jsonl",
+      "--vocab", "{d}/vocab.txt", "--out", "{t}/run", "--profile", "desk"], 1),  # no such flag
     (["synth-data", "--videos", "5", "--out", "{t}/data"], 2),
     (["synth-data", "--concepts", "1", "--out", "{t}/data"], 2),
     (["synth-data", "--d-vision", "0", "--out", "{t}/data"], 2),
@@ -322,37 +324,46 @@ def test_a_run_needs_out_and_makes_nothing_without_it(workdir, tmp_path, capsys,
 
 
 @pytest.mark.parametrize("out, blocker", [("file", "file"), ("file/run", "file"),
-                                          ("gone/run", None)])
+                                          ("gone/run", None), ("", None)])
 @pytest.mark.parametrize("command", ["train", "finetune-scst"])
 def test_an_unusable_run_directory_is_reported_before_any_input_is_read(
         workdir, tmp_path, capsys, monkeypatch, command, out, blocker):
     """The run directory comes only from ``--out``, so it is checked before
     any input, the config file included; a missing parent is no error, since
-    the run makes it."""
+    the run makes it, and an empty ``--out`` names no directory, not the
+    current one."""
     def read(*args, **kwargs):
         raise AssertionError("a checkpoint was read before --out was checked")
 
     monkeypatch.setattr("vttcap.model.load_checkpoint", read)
+    monkeypatch.chdir(tmp_path)
     (tmp_path / "file").write_text("")
     extra = [] if command == "train" else ["--init", str(workdir / "init.vttc")]
-    argv = [command, *run_args(workdir, tmp_path / out), *extra]
+    argv = [command, *run_args(workdir, out and tmp_path / out), *extra]
     for flag in ("--config", "--train", "--val", "--vocab"):  # an input read first would fail
         argv[argv.index(flag) + 1] = str(tmp_path / "missing")
     assert dispatch(argv) == 2
     err = capsys.readouterr().err
     if blocker:
         assert err == f"error: --out {tmp_path / out}: {tmp_path / blocker} is not a directory\n"
+    elif not out:
+        assert err == "error: --out '': not a directory name\n"
     else:
         assert err.startswith("error: ") and "missing" in err, err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
 
 
-@pytest.mark.parametrize("out", ["file", "file/sub"])
-def test_synth_data_reports_an_unusable_out_before_writing(tmp_path, capsys, out):
+@pytest.mark.parametrize("out, err", [
+    ("file", "--out {t}/file: {t}/file is not a directory"),
+    ("file/sub", "--out {t}/file/sub: {t}/file is not a directory"),
+    ("", "--out '': not a directory name"),  # not the current directory
+])
+def test_synth_data_reports_an_unusable_out_before_writing(tmp_path, capsys, monkeypatch,
+                                                           out, err):
+    monkeypatch.chdir(tmp_path)
     (tmp_path / "file").write_text("")
-    assert dispatch(["synth-data", "--videos", "10", "--out", str(tmp_path / out)]) == 2
-    err = capsys.readouterr().err
-    assert err == f"error: --out {tmp_path / out}: {tmp_path / 'file'} is not a directory\n"
+    assert dispatch(["synth-data", "--videos", "10", "--out", out and str(tmp_path / out)]) == 2
+    assert capsys.readouterr().err == f"error: {err.format(t=tmp_path)}\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
     assert (tmp_path / "file").read_text() == ""
 
@@ -502,7 +513,7 @@ def test_caption_then_score_reproduces_evaluate(trained, tmp_path):
 
 def test_failed_caption_rerun_keeps_previous_file(trained, tmp_path, monkeypatch):
     from vttcap import training
-    from vttcap.errors import DataError
+    from vttcap.errors import FormatError
 
     _, common = trained
     out = tmp_path / "caps.jsonl"
@@ -514,7 +525,7 @@ def test_failed_caption_rerun_keeps_previous_file(trained, tmp_path, monkeypatch
     def failing_third(*args, **kwargs):
         calls.append(1)
         if len(calls) == 3:
-            raise DataError("frames unreadable")
+            raise FormatError("frames unreadable")
         return decode(*args, **kwargs)
 
     monkeypatch.setattr(training, "greedy_decode", failing_third)

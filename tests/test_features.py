@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from vttcap.errors import ContractError, DataError, FormatError
+from vttcap.errors import ContractError, FormatError
 from vttcap.features import (DatasetManifest, ManifestEntry, VideoSample, captions_for,
                              load_manifest, read_feature_file, save_manifest, synth_dataset,
                              write_feature_file)
@@ -48,7 +48,7 @@ class TestFeatureFile:
     def test_non_finite_payload(self, tmp_path):
         path = tmp_path / "nan.npy"
         np.save(path, np.array([[float("nan")]], dtype=np.float32))
-        with pytest.raises(DataError):
+        with pytest.raises(FormatError, match=r"nan\.npy: non-finite feature values"):
             read_feature_file(path)
 
     @pytest.mark.parametrize("t, d", [(0, 4), (3, 0), (0, 0)])

@@ -95,7 +95,7 @@ def read_json(path: Path):
 
 def fit(d: Path, out: Path, vocab: Path, config: Path) -> None:
     """XE for 5 epochs, then SCST for 1 with a reward trace, into ``out``."""
-    common = ["--profile", "desk", "--seed", 3, "--epochs", 1, "--vocab", vocab,
+    common = ["--seed", 3, "--epochs", 1, "--vocab", vocab,
               "--train", d / "data" / "train.jsonl", "--val", d / "data" / "val.jsonl",
               "--config", config]
     run("train", *common, "--epochs", 5, "--out", out / "xe")

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vttcap.errors import CapacityError, ContractError, FormatError
+from vttcap.errors import ContractError, FormatError
 from vttcap.tokenizer import (BOS_TOKEN, EOS_TOKEN, PAD_TOKEN, SPECIAL_TOKENS,
                               UNK_TOKEN, Vocabulary, build_vocab, decode, encode,
                               load_vocab, normalize_words, save_vocab, truncate)
@@ -88,6 +88,19 @@ class TestNormalize:
     def test_empty(self):
         assert normalize_words("") == []
 
+    @pytest.mark.parametrize("text, words", [
+        ("snake_case", ["snake", "_", "case"]),  # "_" is no letter
+        ("don't", ["don", "'", "t"]),
+        ("İstanbul", ["i", "\u0307", "stanbul"]),  # lowercases to i + combining dot
+        ("x１２y", ["x１２y"]),  # fullwidth digits
+        ("x² 2²", ["x²", "2²"]),  # superscript digits
+        ("a\u00a0b\tc\nd", ["a", "b", "c", "d"]),  # NBSP, tab and newline
+        ("一只猫在跑", ["一只猫在跑"]),  # a CJK run has no spaces to split on
+        ("dog🐕🐕run", ["dog", "🐕", "🐕", "run"]),  # an emoji is no letter
+    ])
+    def test_character_classes(self, text, words):
+        assert normalize_words(text) == words
+
 
 class TestBuildVocab:
     def test_char_coverage(self):
@@ -107,7 +120,8 @@ class TestBuildVocab:
         assert "##ab" in v.id_of  # first, highest-frequency merge
 
     def test_capacity_error(self):
-        with pytest.raises(CapacityError):
+        with pytest.raises(ContractError, match=r"^target_size 7 cannot hold 4 specials plus "
+                                                r"6 single-character pieces$"):
             build_vocab(["abc def"], 7)
 
     def test_pad_is_id_zero(self):
