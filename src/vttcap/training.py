@@ -32,15 +32,14 @@ at the end of each epoch against reference tables built once, keeps the
 last and the best-CIDEr-D checkpoints, and stops after ``patience``
 validations without improvement.
 
-An XE step is one graph: the step's distinct videos are encoded once, in
-the order they first appear, and its (video, caption) pairs, in batch order,
-go through ``teacher_forced_loss`` over that encoding: ``forward_teacher_forced``
-and ``cross_entropy`` run on groups of at most ``TEACHER_ROWS`` consecutive
-pairs, each padded to its own longest caption (``teacher_forcing``), and the
-group losses are added into one scalar, so a step still runs one backward.
-The loss weights every real target token 1 and every padded one 0.
-``validation_loss`` runs the validation pairs the same way, ``batch_size``
-pairs at a time.
+An XE step is one graph per chunk of ``TEACHER_ROWS`` pairs, in batch
+order (``batch_xe_loss``): a chunk encodes its distinct videos, in the order
+they first appear, teacher-forces its pairs over that encoding, padded to its
+own longest caption (``teacher_forced_loss``), and runs backward, which frees
+its graph before the next chunk is built; the gradients add up in the arena.
+Every real target token weighs 1 / the step's real target tokens and every
+padded one 0.  A video whose pairs fall in two chunks is encoded in both.
+``validation_loss`` runs the validation pairs the same way, without a graph.
 """
 
 from __future__ import annotations
@@ -277,8 +276,8 @@ def teacher_forced_loss(model: TransformerModel, enc, rows, captions, weights) -
     ``TEACHER_ROWS``, one ``forward_teacher_forced`` and one ``cross_entropy``
     per group padded to its own longest caption, so a caller that orders its
     captions by length pads less.  The group losses are added into one
-    scalar, so backward runs once and sums each video's rows' gradients
-    through its encoding.
+    scalar, on which the caller runs backward: once, summing each video's
+    rows' gradients through its encoding.
     """
     total = None
     for lo in range(0, len(captions), TEACHER_ROWS):
@@ -290,35 +289,39 @@ def teacher_forced_loss(model: TransformerModel, enc, rows, captions, weights) -
     return total
 
 
-def _xe_sum(model: TransformerModel, samples, pairs) -> tuple:
-    """Summed cross entropy over the real target tokens of ``pairs``, in
-    ``teacher_forced_loss``'s groups, plus their count."""
-    captions = [ids for _, ids in pairs]
+def xe_loss(model: TransformerModel, samples, pairs, weight: float) -> T.Tensor:
+    """Summed cross entropy of one chunk of (sample index, token ids) ``pairs``,
+    each real target token weighing ``weight``, over one encoding of their
+    distinct videos in the order they first appear."""
     place = {}  # sample index -> its video's place in the encoder batch
     rows = [place.setdefault(i, len(place)) for i, _ in pairs]
     enc = model.encode([(samples[i].frames, samples[i].audio) for i in place])
-    loss = teacher_forced_loss(model, enc, rows, captions, np.ones(len(captions)))
-    return loss, float(sum(len(ids) - 1 for ids in captions))
+    return teacher_forced_loss(model, enc, rows, [ids for _, ids in pairs],
+                               np.full(len(pairs), weight))
 
 
-def batch_xe_loss(model: TransformerModel, samples, batch_pairs):
-    """Mean cross entropy per real target token over a batch of caption pairs."""
+def batch_xe_loss(model: TransformerModel, samples, batch_pairs) -> float:
+    """One XE step's forward and backward, in batch order, one graph per
+    ``TEACHER_ROWS`` pairs (``xe_loss``), each freed by its backward before the
+    next is built; returns the mean cross entropy per real target token."""
     if not batch_pairs:
         raise ContractError("batch contains no scorable tokens")
-    total, denom = _xe_sum(model, samples, batch_pairs)
-    return T.scale(total, 1.0 / denom)
+    weight = 1.0 / sum(len(ids) - 1 for _, ids in batch_pairs)
+    total = 0.0
+    for lo in range(0, len(batch_pairs), TEACHER_ROWS):
+        loss = xe_loss(model, samples, batch_pairs[lo:lo + TEACHER_ROWS], weight)
+        loss.backward()
+        total += loss.item()
+    return total
 
 
-def validation_loss(model: TransformerModel, samples, pairs, batch_size: int) -> float:
+def validation_loss(model: TransformerModel, samples, pairs) -> float:
     """Teacher-forced mean CE per real target token over all (video, caption)
-    pairs, ``batch_size`` pairs per forward pass."""
-    total = denom = 0.0
+    pairs, ``TEACHER_ROWS`` pairs per forward pass."""
     with T.no_grad():
-        for lo in range(0, len(pairs), batch_size):
-            ce, n_tok = _xe_sum(model, samples, pairs[lo:lo + batch_size])
-            total += ce.item()
-            denom += n_tok
-    return total / denom if denom else 0.0
+        total = sum(xe_loss(model, samples, pairs[lo:lo + TEACHER_ROWS], 1.0).item()
+                    for lo in range(0, len(pairs), TEACHER_ROWS))
+    return total / max(sum(len(ids) - 1 for _, ids in pairs), 1)  # no pairs: 0.0
 
 
 def greedy_texts(model: TransformerModel, samples, vocab: Vocabulary) -> list:
@@ -377,8 +380,7 @@ def _fit(model: TransformerModel, n_items: int, step_fn, lr_fn, validate_fn,
     write_history()
     best = (-1.0, 0)  # (cider_d, epoch)
     step = 0
-    losses = []  # training losses and pre-clip gradient norms since the previous row
-    norms = []
+    losses, norms = [], []  # training losses and pre-clip gradient norms since the last row
 
     def validate(epoch: int) -> bool:
         """Record one validation; True when its CIDEr-D is a new best."""
@@ -431,13 +433,11 @@ def train_xe(model: TransformerModel, vocab: Vocabulary, train_samples, val_samp
     rng = RngState(run.seed).derive("train_xe")
 
     def step_fn(indices, step: int) -> float:
-        loss = batch_xe_loss(model, train_samples, [train_pairs[i] for i in indices])
-        loss.backward()
-        return loss.item()
+        return batch_xe_loss(model, train_samples, [train_pairs[i] for i in indices])
 
     def validate_fn() -> dict:
         return {**evaluate(model, val_samples, vocab, val_tables).as_dict(),
-                "val_loss": validation_loss(model, val_samples, val_pairs, run.batch_size)}
+                "val_loss": validation_loss(model, val_samples, val_pairs)}
 
     return _fit(model, len(train_pairs), step_fn,
                 lambda step: lr_at(step, sched, model.cfg.d_model) if step else 0.0,

@@ -111,6 +111,19 @@ def tiny_config(attention_kind: str = "memory_scaled_dot", **overrides) -> Model
     return ModelConfig(**base)
 
 
+def value_and_grads(model, step) -> tuple:
+    """From zero gradients, the loss value of ``step()`` and a copy of every
+    parameter gradient: ``step`` returns a loss tensor, whose backward runs
+    here, or runs its own backward and returns the value (``batch_xe_loss``)."""
+    model.arena.grad.fill(0)
+    loss = step()
+    if isinstance(loss, T.Tensor):
+        loss.backward()
+        loss = loss.item()
+    return loss, {n: p.grad.copy() for n, p in model.params.items()
+                  if p.grad is not None}
+
+
 def version1_checkpoint(model) -> bytes:
     """The VTTC bytes of ``model`` in the retired version 1: "VTTC", version
     and count, then per parameter its record header and its float32 LE values."""

@@ -8,8 +8,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import assert_grads_match, encoded, only, teacher_forced, tiny_config
+from conftest import (assert_grads_match, encoded, only, teacher_forced, tiny_config,
+                      value_and_grads)
 from vttcap import tensor as T
+from vttcap import training
 from vttcap.errors import ContractError, FormatError
 from vttcap.features import VideoSample
 from vttcap.model import (P_AUDIO, XL_WEIGHTS, Encoding, ModelConfig, TransformerModel,
@@ -20,7 +22,7 @@ from vttcap.scst import scst_surrogate_loss
 from vttcap.tensor import RngState
 from vttcap.tokenizer import Vocabulary
 from vttcap.training import (OptimizerState, adam_update, batch_xe_loss, clip_gradients,
-                             validation_loss)
+                             validation_loss, xe_loss)
 
 
 def rand_frames(rng, t=4, d=5):
@@ -819,14 +821,6 @@ BATCH_CASES = [(kind, with_audio) for kind in ("memory_scaled_dot", "x_linear")
                for with_audio in (False, True)]
 
 
-def loss_and_grads(model, loss_fn):
-    model.arena.grad.fill(0)  # the gradients of this loss alone
-    loss = loss_fn()
-    loss.backward()
-    return loss.item(), {n: p.grad.copy() for n, p in model.params.items()
-                         if p.grad is not None}
-
-
 def assert_close(got, expected, tol, what):
     scale = max(np.max(np.abs(expected)), 1e-30)
     assert np.max(np.abs(np.asarray(got) - expected)) <= tol * scale, what
@@ -841,9 +835,9 @@ class TestBatchedTeacherForcing:
                                                   np_rng):
         model = TransformerModel(tiny_config(kind), seed=7, dtype=dtype)
         samples = batch_samples(np_rng, with_audio)
-        loss, grads = loss_and_grads(
+        loss, grads = value_and_grads(
             model, lambda: batch_xe_loss(model, samples, BATCH_PAIRS))
-        ref_loss, ref = loss_and_grads(
+        ref_loss, ref = value_and_grads(
             model, lambda: per_pair_xe_loss(model, samples, BATCH_PAIRS, BATCH_VOCAB))
         assert loss == pytest.approx(ref_loss, rel=tol)
         assert grads.keys() == ref.keys() == model.params.keys()
@@ -852,14 +846,16 @@ class TestBatchedTeacherForcing:
 
     @pytest.mark.parametrize("kind,with_audio", BATCH_CASES)
     @pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-9), (np.float32, 1e-5)])
-    def test_validation_loss_matches_per_pair(self, kind, with_audio, dtype, tol, np_rng):
+    def test_validation_loss_matches_per_pair(self, kind, with_audio, dtype, tol, np_rng,
+                                              monkeypatch):
         model = TransformerModel(tiny_config(kind), seed=7, dtype=dtype)
         samples = batch_samples(np_rng, with_audio)
         with T.no_grad():
             expected = per_pair_xe_loss(model, samples, BATCH_PAIRS, BATCH_VOCAB).item()
-        for batch_size in (1, 2, len(BATCH_PAIRS)):
-            got = validation_loss(model, samples, BATCH_PAIRS, batch_size)
-            assert got == pytest.approx(expected, rel=tol), batch_size
+        for rows in (1, 2, len(BATCH_PAIRS)):
+            monkeypatch.setattr(training, "TEACHER_ROWS", rows)
+            got = validation_loss(model, samples, BATCH_PAIRS)
+            assert got == pytest.approx(expected, rel=tol), rows
 
     @pytest.mark.parametrize("kind,with_audio", BATCH_CASES)
     @pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-9), (np.float32, 1e-5)])
@@ -868,9 +864,9 @@ class TestBatchedTeacherForcing:
         samples = batch_samples(np_rng, with_audio)
         items = [(i, ids, adv) for (i, ids), adv in zip(BATCH_PAIRS, (0.5, -1.25, 2.0, 0.0, 0.75))]
         videos = [(s.frames, s.audio) for s in samples]
-        loss, grads = loss_and_grads(
+        loss, grads = value_and_grads(
             model, lambda: scst_surrogate_loss(model, model.encode(videos), items))
-        ref_loss, ref = loss_and_grads(
+        ref_loss, ref = value_and_grads(
             model, lambda: per_rollout_surrogate(model, samples, items, BATCH_VOCAB))
         assert loss == pytest.approx(ref_loss, rel=tol)
         assert grads.keys() == ref.keys()
@@ -942,11 +938,11 @@ class TestGraphSize:
     """Graph nodes (``tensor._toposort``, leaves included) of the tiny config:
     an op split back into pieces shows here."""
 
-    @pytest.mark.parametrize("kind,xe_nodes", [("memory_scaled_dot", 98), ("x_linear", 126)])
+    @pytest.mark.parametrize("kind,xe_nodes", [("memory_scaled_dot", 97), ("x_linear", 125)])
     def test_nodes_of_an_xe_step_and_of_a_decode_step(self, kind, xe_nodes):
         model = TransformerModel(tiny_config(kind), seed=7)
         samples = batch_samples(np.random.default_rng(1), True)
-        loss = batch_xe_loss(model, samples, BATCH_PAIRS)
+        loss = xe_loss(model, samples, BATCH_PAIRS, 1.0)  # the step's one chunk
         assert len(T._toposort(loss)) == xe_nodes
         with T.no_grad():  # the encoder and the first token, as decoding runs them
             cache = model.decode_cache(model.encode([(samples[0].frames, samples[0].audio)]), [0])
@@ -1029,7 +1025,7 @@ class TestParamArena:
         self.assert_views_of_the_arena(model)
         samples = batch_samples(np_rng, True)
         assert not np.any(model.arena.grad)  # a fresh arena's gradients are zero
-        batch_xe_loss(model, samples, BATCH_PAIRS).backward()
+        batch_xe_loss(model, samples, BATCH_PAIRS)  # forward and backward
         self.assert_views_of_the_arena(model)
         assert np.any(model.params["token_embed"].grad)
         assert np.any(model.params["enc.0.ln1.gamma"].grad)

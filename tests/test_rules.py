@@ -20,15 +20,19 @@
 - ``training.teacher_forced_loss`` alone calls ``forward_teacher_forced``,
   so every teacher-forced loss runs in its groups of at most
   ``TEACHER_ROWS`` rows and no ungrouped copy of it returns.
+- ``.backward()`` runs only in the two training steps,
+  ``training.batch_xe_loss`` (once per chunk of ``TEACHER_ROWS`` pairs) and
+  ``scst.scst_batch_step``, so no other code builds a graph to run backward
+  on, and no XE step goes back to holding one graph over its whole batch.
 - The property tests are derandomized and keep no example database, so a
   verdict never depends on an earlier run's failures.  ``conftest.py``
   loads the one profile that says so, and no other test file restates or
   overrides it.
 
 The other source rules match lines by regular expression, as ``grep``
-would; the teacher-forcing rule reads the calls of each source file and the
-settings rule those of each test file, so a call written inside a string
-(``test_settings.py`` has a test suite in one) is not a call.
+would; the teacher-forcing and backward rules read the calls of each source
+file and the settings rule those of each test file, so a call written inside
+a string (``test_settings.py`` has a test suite in one) is not a call.
 """
 
 import ast
@@ -132,12 +136,25 @@ def test_callers_are_read_from_calls(source, found):
     assert callers(source, "g") == found
 
 
+def source_callers(name: str) -> list:
+    """``module.function`` around each call of ``name`` in ``src/vttcap``."""
+    return [f"{p.stem}.{where}" for p in sorted(SRC.glob("*.py"))
+            for where in callers(p.read_text(encoding="utf-8"), name)]
+
+
 def test_only_teacher_forced_loss_runs_the_teacher_forced_decoder():
-    found = [f"{p.stem}.{where}" for p in sorted(SRC.glob("*.py"))
-             for where in callers(p.read_text(encoding="utf-8"), "forward_teacher_forced")]
+    found = source_callers("forward_teacher_forced")
     assert found == ["training.teacher_forced_loss"], (
         "teacher-force through training.teacher_forced_loss, which runs groups of at "
         "most TEACHER_ROWS rows:\n" + "\n".join(found))
+
+
+def test_only_the_training_steps_run_backward():
+    found = source_callers("backward")
+    assert found == ["scst.scst_batch_step", "training.batch_xe_loss"], (
+        "run backward in a training step; an XE step runs one per chunk of "
+        "TEACHER_ROWS pairs, so its memory does not grow with the batch:\n"
+        + "\n".join(found))
 
 
 def test_the_loaded_hypothesis_profile_keeps_no_example_database():

@@ -5,24 +5,26 @@ import json
 import math
 import mmap
 import os
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import only, teacher_forced, tiny_config
+from conftest import only, teacher_forced, tiny_config, value_and_grads
 from vttcap import metrics, scst, training
 from vttcap import tensor as T
+from vttcap.cli import PROFILES
 from vttcap.errors import ContractError, TrainingError
 from vttcap.features import synth_dataset
-from vttcap.model import TransformerModel, greedy_decode, load_checkpoint
+from vttcap.model import ModelConfig, TransformerModel, greedy_decode, load_checkpoint
 from vttcap.scst import RewardConfig, finetune_scst, scst_batch_step, scst_surrogate_loss
 from vttcap.tensor import RngState
 from vttcap.tokenizer import build_vocab, decode, encode, normalize_words, truncate
 from vttcap.training import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, GRAD_CLIP_NORM, TEACHER_ROWS,
                              OptimizerState, ScheduleConfig, TrainRunConfig, _fit, adam_update,
                              batch_xe_loss, caption_pairs, clip_gradients, lr_at,
-                             teacher_forcing, train_xe)
+                             teacher_forcing, train_xe, xe_loss)
 
 
 @pytest.fixture(scope="module")
@@ -323,7 +325,7 @@ def test_every_parameter_gets_a_gradient_on_every_step(corpus, kind, with_audio)
     pairs = caption_pairs(samples, vocab, model.cfg.l_max)
     items = [(i, ids, (-1.0) ** k) for k, (i, ids) in enumerate(pairs)]
     videos = [(s.frames, s.audio) for s in samples]
-    for loss_fn in (lambda: batch_xe_loss(model, samples, pairs),
+    for loss_fn in (lambda: xe_loss(model, samples, pairs, 1.0),
                     lambda: scst_surrogate_loss(model, model.encode(videos), items)):
         model.arena.grad.fill(0)
         loss = loss_fn()
@@ -368,14 +370,15 @@ def test_greedy_texts_by_chunk_equal_per_video_captions(corpus, kind, with_audio
 
 
 def one_batch_xe(model, samples, pairs):
-    """The XE loss of ``pairs`` run as one padded batch: the oracle of
-    ``batch_xe_loss``, which runs them in groups."""
+    """The XE loss of ``pairs`` run as one padded batch over one encoding,
+    each real target token weighing 1 / their count: the oracle of
+    ``batch_xe_loss``, which runs them in chunks."""
     inputs, targets, real = teacher_forcing([ids for _, ids in pairs])
     place = {}
     rows = [place.setdefault(i, len(place)) for i, _ in pairs]
     enc = model.encode([(samples[i].frames, samples[i].audio) for i in place])
     logits = model.forward_teacher_forced(enc, rows, inputs)
-    return T.scale(T.cross_entropy(logits, targets, real), 1.0 / real.sum())
+    return T.cross_entropy(logits, targets, real / real.sum())
 
 
 def one_batch_surrogate(model, enc, items):
@@ -393,14 +396,6 @@ def mixed_captions(vocab, n: int, rng) -> list:
     longest = tiny_config().l_max + 1
     return [[vocab.bos_id, *rng.integers(1, len(vocab), rng.integers(1, longest + 1)).tolist()]
             for _ in range(n)]
-
-
-def value_and_grads(model, loss) -> tuple:
-    """The loss value and a copy of every parameter gradient of one backward."""
-    model.arena.grad.fill(0)
-    loss.backward()
-    return loss.item(), {n: p.grad.copy() for n, p in model.params.items()
-                         if p.grad is not None}
 
 
 def record_forced(monkeypatch) -> list:
@@ -436,23 +431,59 @@ def assert_same_loss(got, ref, exact: bool):
 
 
 @pytest.mark.parametrize("n_pairs", [7, TEACHER_ROWS, 40])
-def test_xe_loss_in_groups_equals_one_batch(corpus, monkeypatch, n_pairs):
-    """Up to ``TEACHER_ROWS`` pairs the groups are one batch, bit for bit;
-    40 pairs are two full groups and a partial one, in batch order, under
-    one backward, and match the one batch to float64 rounding."""
+def test_xe_step_in_chunks_equals_one_batch(corpus, monkeypatch, n_pairs):
+    """Up to ``TEACHER_ROWS`` pairs the step is the one batch, bit for bit,
+    under one backward; 40 pairs are two full chunks and a partial one, in
+    batch order, each encoding its own videos and running its own backward,
+    and match the one batch to float64 rounding, a video whose captions fall
+    in two chunks included."""
     train, _, vocab = corpus
     model = TransformerModel(tiny_config(vocab_size=len(vocab)), seed=3, dtype=np.float64)
     rng = np.random.default_rng(5)
     pairs = [(int(rng.integers(len(train))), ids)
              for ids in mixed_captions(vocab, n_pairs, rng)]
     assert len({len(ids) for _, ids in pairs}) > 3
-    ref = value_and_grads(model, one_batch_xe(model, train, pairs))
+    chunks = [pairs[lo:lo + TEACHER_ROWS] for lo in range(0, n_pairs, TEACHER_ROWS)]
+    if len(chunks) > 1:  # a video whose captions fall in two chunks
+        assert {i for i, _ in chunks[0]} & {i for i, _ in chunks[1]}
+    ref = value_and_grads(model, lambda: one_batch_xe(model, train, pairs))
     forced = record_forced(monkeypatch)
     backwards = record_calls(monkeypatch, T.Tensor, "backward")
-    got = value_and_grads(model, batch_xe_loss(model, train, pairs))
-    assert len(backwards) == 1
+    encodings = record_calls(monkeypatch, TransformerModel, "encode")
+    got = value_and_grads(model, lambda: batch_xe_loss(model, train, pairs))
+    assert len(backwards) == len(chunks)
+    assert [e.out.shape[0] for e in encodings] == [len({i for i, _ in c}) for c in chunks]
     assert_run_in_groups(forced, [ids for _, ids in pairs])
-    assert_same_loss(got, ref, exact=n_pairs <= TEACHER_ROWS)
+    assert_same_loss(got, ref, exact=len(chunks) == 1)
+
+
+def traced_peak(fn) -> int:
+    """The peak of the memory ``tracemalloc`` traces while ``fn()`` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("kind", ["memory_scaled_dot", "x_linear"])
+def test_xe_step_memory_does_not_grow_with_the_batch(tmp_path, kind):
+    """A 64-pair step of the desk model peaks within 1.25x of a 16-pair one:
+    each chunk's graph is freed by its backward before the next one is
+    built (one graph over the whole batch peaks near 4x)."""
+    desk = PROFILES["desk"]["model"]
+    train, _ = (m.load_samples() for m in synth_dataset(
+        seed=1, n_videos=40, n_concepts=4, d_vision=desk["d_vision"],
+        d_audio=desk["d_audio"], out_dir=tmp_path))
+    vocab = build_vocab([c for s in train for c in s.captions], 200)
+    model = TransformerModel(ModelConfig(**desk, vocab_size=len(vocab), attention_kind=kind))
+    pairs = caption_pairs(train, vocab, model.cfg.l_max)
+    assert len(pairs) >= 4 * TEACHER_ROWS
+    batch_xe_loss(model, train, pairs[:TEACHER_ROWS])  # whatever a first step allocates
+    one, four = (traced_peak(lambda: batch_xe_loss(model, train, pairs[:n]))
+                 for n in (TEACHER_ROWS, 4 * TEACHER_ROWS))
+    assert four <= 1.25 * one, (one, four)
 
 
 def test_surrogate_in_groups_by_length_equals_one_batch(corpus, monkeypatch):
@@ -468,10 +499,10 @@ def test_surrogate_in_groups_by_length_equals_one_batch(corpus, monkeypatch):
              for ids in mixed_captions(vocab, 40, rng)]
     assert len({(v, tuple(ids)) for v, ids, _ in items}) == len(items)
     assert all(a != 0.0 for _, _, a in items)
-    ref = value_and_grads(model, one_batch_surrogate(model, model.encode(videos), items))
+    ref = value_and_grads(model, lambda: one_batch_surrogate(model, model.encode(videos), items))
     forced = record_forced(monkeypatch)
     backwards = record_calls(monkeypatch, T.Tensor, "backward")
-    got = value_and_grads(model, scst_surrogate_loss(model, model.encode(videos), items))
+    got = value_and_grads(model, lambda: scst_surrogate_loss(model, model.encode(videos), items))
     assert len(backwards) == 1
     by_length = sorted(items, key=lambda item: len(item[1]))
     assert_run_in_groups(forced, [ids for _, ids, _ in by_length])
@@ -621,8 +652,8 @@ class TestScst:
         assert got_rows == [video for video, _ in rows]
         assert np.array_equal(got_inputs, teacher_forcing([ids for _, ids in rows])[0])
 
-        (loss, got), (ref_loss, ref) = value_and_grads(model, surrogate), \
-            value_and_grads(model, per_rollout_encode())
+        (loss, got), (ref_loss, ref) = value_and_grads(model, lambda: surrogate), \
+            value_and_grads(model, per_rollout_encode)
         assert loss == pytest.approx(ref_loss, rel=1e-10, abs=1e-10)
         assert got.keys() == ref.keys() and any(n.startswith("enc.") for n in got)
         for name in ref:
