@@ -19,8 +19,8 @@ attention reads a mask as wide as its keys.  Captions are
 one (B, L) array padded with PAD after their last token; the one causal
 mask keeps every real position from seeing the padding, and the loss gives
 padded targets weight 0.  Callers encode, a batch of videos in one pass:
-an XE step its distinct videos, an SCST step its batch, and greedy
-captioning (``training.greedy_texts``) its videos a fixed-size chunk at a
+a training step each chunk's distinct videos, and SCST rollouts and greedy
+captioning (``training.encodings``) their videos a fixed-size chunk at a
 time.  Through ``decode_cache(enc, rows)``, decoder row b reads video
 ``rows[b]`` of the encoding ``enc``; the key mask keeps a video's
 encoding, beyond float rounding, from depending on the rest of its batch.

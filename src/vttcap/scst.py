@@ -1,9 +1,10 @@
 """Self-critical sequence training: sampled rollouts against a greedy baseline.
 
-Each step encodes its batch of videos once, with grad; from that encoding
-it greedy-decodes a baseline caption per video, draws ``n_samples``
-rollouts from the model's own distribution (temperature 1), scores both
-with one fixed reward, sentence CIDEr-D plus smoothed sentence BLEU-4
+Each step encodes its batch of videos without a graph, ``GREEDY_CHUNK``
+videos per encoder pass (``training.encodings``); from that encoding it
+greedy-decodes a baseline caption per video, draws ``n_samples`` rollouts
+from the model's own distribution (temperature 1), scores both with one
+fixed reward, sentence CIDEr-D plus smoothed sentence BLEU-4
 (``mixed_reward``) against the video's own reference table, and minimizes
 
     -(1/(B*N)) * sum_videos sum_samples (r(sample) - r(baseline)) * sum_t log p(token_t)
@@ -11,15 +12,16 @@ with one fixed reward, sentence CIDEr-D plus smoothed sentence BLEU-4
 so samples beating the baseline are reinforced and the rest suppressed.
 Rewards are constants in the surrogate; gradient flows only through the
 token log-probabilities of the sampled captions, which the surrogate
-recomputes teacher-forced over the same encoding
-(``training.teacher_forced_loss``).  Identical rollouts of one video share
-their log-probabilities, so it holds one row per distinct (video, token ids)
-pair, whose real tokens weigh its rollouts' summed advantage / (B*N) and its
-padding 0.  The rows run shortest first, in groups of at most
-``TEACHER_ROWS`` padded to each group's longest, so rollouts of similar
-length share a group.  A row whose sum is 0.0, such as a rollout that ties
-its baseline, adds nothing and is dropped; a step where every rollout ties
-runs no teacher-forced pass.  Since no dropped row can carry a NaN
+recomputes teacher-forced.  Identical rollouts of one video share their
+log-probabilities, so it holds one row per distinct (video, token ids)
+pair, whose real tokens weigh its rollouts' summed advantage / (B*N) and
+its padding 0.  The rows run shortest first, so rollouts of similar length
+share a chunk, through ``training.backward_in_chunks``: ``TEACHER_ROWS``
+rows per chunk, each chunk encoding its distinct videos with grad and
+running its own backward, so a step's memory does not grow with its batch.
+A row whose sum is 0.0, such as a rollout that ties its baseline, adds
+nothing and is dropped; a step where every rollout ties runs no
+teacher-forced pass and no backward.  Since no dropped row can carry a NaN
 model's NaN into the loss, the step checks the sampled log-probabilities
 of the rollouts instead and raises ``TrainingError`` on a non-finite one.
 
@@ -42,14 +44,13 @@ from pathlib import Path
 
 import numpy as np
 
-from . import tensor as T
 from .errors import ContractError, TrainingError
 from .metrics import References, bleu4, cider_sentence, reference_tables
 from .model import TransformerModel, greedy_decode, sample_decode
 from .tensor import RngState
 from .tokenizer import Vocabulary, decode, normalize_words
-from .training import (TrainResult, TrainRunConfig, _fit, evaluate, greedy_texts,
-                       teacher_forced_loss)
+from .training import (TrainResult, TrainRunConfig, _fit, backward_in_chunks, encodings,
+                       evaluate, greedy_texts)
 
 
 @dataclass
@@ -70,21 +71,20 @@ def mixed_reward(candidate, refs: References) -> float:
     return cider_sentence(candidate, refs)[1] + bleu4(candidate, refs)
 
 
-def scst_surrogate_loss(model: TransformerModel, enc, items) -> T.Tensor:
-    """Differentiable surrogate with frozen advantages.
+def scst_surrogate_loss(model: TransformerModel, samples, items) -> float:
+    """Forward and backward of the differentiable surrogate with frozen advantages.
 
     ``items`` holds (video, token ids, advantage) triples, ``video`` an index
-    into the encoding ``enc``; the loss is the mean over items of advantage *
+    into ``samples``; the loss is the mean over items of advantage *
     (-sum_t log p(token_t)), in value and gradient.  Each distinct (video,
     token ids) pair is one row, weighted by its items' summed advantage (in
     float64) over the item count; a row whose sum is exactly 0.0 is dropped
     (a NaN sum stays, so a non-finite reward still reaches the loss).  The
     rows are ordered by caption length, rows of one length in order of first
-    appearance, and run through ``teacher_forced_loss``: in groups of at
-    most ``TEACHER_ROWS``, each padded with PAD (id 0 in every vocabulary)
-    to its own longest row, under one backward that sums each video's rows'
-    gradients through its encoding.  With no row left the loss is a zero
-    constant, and no decoder pass runs.
+    appearance, and run through ``backward_in_chunks``: ``TEACHER_ROWS`` rows
+    per graph, each padded with PAD (id 0 in every vocabulary) to its own
+    longest row and freed by its backward before the next is built.  Returns
+    the summed value; with no row left it is 0.0, and no pass runs.
     """
     if not items:
         raise ContractError("surrogate loss needs at least one rollout")
@@ -94,16 +94,13 @@ def scst_surrogate_loss(model: TransformerModel, enc, items) -> T.Tensor:
         summed[key] = summed.get(key, 0.0) + advantage
     rows = sorted(((video, ids, total) for (video, ids), total in summed.items()
                    if total != 0.0), key=lambda row: len(row[1]))  # stable: ties keep their order
-    if not rows:
-        return T.constant(np.zeros((), dtype=model.dtype))
     weights = np.array([total for _, _, total in rows], dtype=np.float64) / len(items)
-    return teacher_forced_loss(model, enc, [video for video, _, _ in rows],
-                               [ids for _, ids, _ in rows], weights)
+    return backward_in_chunks(model, samples, [(video, ids) for video, ids, _ in rows], weights)
 
 
 def scst_batch_step(model: TransformerModel, batch, tables, vocab: Vocabulary,
                     rc: RewardConfig, rng: RngState) -> tuple:
-    """Rollouts, rewards, surrogate backward for one batch of videos, over one encoding.
+    """Rollouts, rewards, surrogate forward and backward for one batch of videos.
 
     Video ``i``'s captions are scored by ``mixed_reward`` against
     ``tables[i]``.  Returns (loss value, records), one record per video in
@@ -112,17 +109,16 @@ def scst_batch_step(model: TransformerModel, batch, tables, vocab: Vocabulary,
     drops rows whose summed advantage is 0.0, so a NaN model, whose rollouts
     all tie their baseline, leaves it no row; a non-finite sampled
     log-probability raises ``TrainingError`` naming the video instead.
-    ``loss.backward()`` runs once per step, with or without rows.
-    Gradients accumulate in the model's parameter buffers, which the
-    previous Adam step left zero.
+    ``scst_surrogate_loss`` runs one backward per chunk of rows, none
+    without rows.  Gradients accumulate in the model's parameter buffers,
+    which the previous Adam step left zero.
     """
     records = []
     items = []
-    enc = model.encode([(sample.frames, sample.audio) for sample in batch])
-    for video, (sample, refs) in enumerate(zip(batch, tables)):
-        base_ids = greedy_decode(model, enc, video, vocab.bos_id, vocab.eos_id)
+    for video, ((enc, row), sample, refs) in enumerate(zip(encodings(model, batch), batch, tables)):
+        base_ids = greedy_decode(model, enc, row, vocab.bos_id, vocab.eos_id)
         r_base = mixed_reward(normalize_words(decode(base_ids, vocab)), refs)
-        sampled = sample_decode(model, enc, video, vocab.bos_id, vocab.eos_id, rc.n_samples, rng)
+        sampled = sample_decode(model, enc, row, vocab.bos_id, vocab.eos_id, rc.n_samples, rng)
         if not all(math.isfinite(lp) for _, logps in sampled for lp in logps):
             raise TrainingError(f"non-finite rollout log-probability for video {sample.id}")
         rollouts = [ids for ids, _ in sampled]
@@ -134,10 +130,7 @@ def scst_batch_step(model: TransformerModel, batch, tables, vocab: Vocabulary,
                         "baseline_length": len(base_ids) - 1,
                         "sample_lengths": [len(ids) - 1 for ids in rollouts],
                         "truncated": sum(ids[-1] != vocab.eos_id for ids in rollouts)})
-
-    loss = scst_surrogate_loss(model, enc, items)
-    loss.backward()
-    return loss.item(), records
+    return scst_surrogate_loss(model, batch, items), records
 
 
 def validation_mixed_reward(model: TransformerModel, samples, vocab: Vocabulary,

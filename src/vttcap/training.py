@@ -32,14 +32,18 @@ at the end of each epoch against reference tables built once, keeps the
 last and the best-CIDEr-D checkpoints, and stops after ``patience``
 validations without improvement.
 
-An XE step is one graph per chunk of ``TEACHER_ROWS`` pairs, in batch
-order (``batch_xe_loss``): a chunk encodes its distinct videos, in the order
-they first appear, teacher-forces its pairs over that encoding, padded to its
-own longest caption (``teacher_forced_loss``), and runs backward, which frees
-its graph before the next chunk is built; the gradients add up in the arena.
-Every real target token weighs 1 / the step's real target tokens and every
-padded one 0.  A video whose pairs fall in two chunks is encoded in both.
-``validation_loss`` runs the validation pairs the same way, without a graph.
+A training step's forward and backward run in chunks of ``TEACHER_ROWS``
+(sample, token ids) pairs, each pair with its own weight per real target
+token (``backward_in_chunks``): a chunk encodes its distinct videos, in the
+order they first appear, teacher-forces its pairs over that encoding, padded
+to its own longest caption (``teacher_forced_loss``), and runs backward,
+which frees its graph before the next chunk is built; the gradients add up
+in the arena, so a step's memory does not grow with its batch.  An XE step
+(``batch_xe_loss``) runs its pairs in batch order, every real target token
+weighing 1 / the step's real target tokens; an SCST step runs its surrogate
+rows (``scst.scst_surrogate_loss``).  A video whose pairs fall in two chunks
+is encoded in both.  ``validation_loss`` runs the validation pairs the same
+way, without a graph.
 """
 
 from __future__ import annotations
@@ -70,15 +74,16 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.98, 1e-9
 # the memory bus once per pass, not once per operation.
 CHUNK = 65536
 
-# Videos per encoder pass of ``greedy_texts``.  It bounds the encoder's
-# memory: at the paper's sizes, X-linear attention's (videos, heads, queries,
-# keys, d_head) bilinear tensor for 16 videos of 40 rows, each row attending
-# over 104 keys (its 40 and the 64 memory slots), is 136 MB per layer.
+# Videos per encoder pass of ``encodings`` (greedy captions, SCST rollouts).
+# It bounds the encoder's memory: at the paper's sizes, X-linear attention's
+# (videos, heads, queries, keys, d_head) bilinear tensor for 16 videos of 40
+# rows, each row attending over 104 keys (its 40 and the 64 memory slots),
+# is 136 MB per layer.
 GREEDY_CHUNK = 16
 
 # Rows per teacher-forced pass of ``teacher_forced_loss``.  Each pass's
 # logits, cross entropy's temporaries and, in backward, the logits' gradient
-# are (rows, positions, vocab) arrays, so the group size bounds the largest
+# are (rows, positions, vocab) arrays, so the chunk size bounds the largest
 # of them: at the paper's sizes (30522 tokens, l_max 24), 16 rows of 25
 # positions are 49 MB in float32.
 TEACHER_ROWS = 16
@@ -271,75 +276,76 @@ def teacher_forced_loss(model: TransformerModel, enc, rows, captions, weights) -
     """Weighted summed cross entropy of teacher-forced ``captions`` over ``enc``.
 
     Caption b, token ids from BOS, is one of video ``rows[b]`` of the encoding
-    ``enc``, and each of its real target tokens weighs ``weights[b]``.  The
-    captions run in their given order in consecutive groups of at most
-    ``TEACHER_ROWS``, one ``forward_teacher_forced`` and one ``cross_entropy``
-    per group padded to its own longest caption, so a caller that orders its
-    captions by length pads less.  The group losses are added into one
-    scalar, on which the caller runs backward: once, summing each video's
-    rows' gradients through its encoding.
+    ``enc``, and each of its real target tokens weighs ``weights[b]``.  At
+    most ``TEACHER_ROWS`` captions, padded to their longest, run as one
+    ``forward_teacher_forced`` and one ``cross_entropy``.
     """
-    total = None
-    for lo in range(0, len(captions), TEACHER_ROWS):
-        hi = lo + TEACHER_ROWS
-        inputs, targets, real = teacher_forcing(captions[lo:hi])
-        logits = model.forward_teacher_forced(enc, rows[lo:hi], inputs)
-        loss = T.cross_entropy(logits, targets, real * weights[lo:hi, None])
-        total = loss if total is None else T.add(total, loss)
-    return total
+    if len(captions) > TEACHER_ROWS:
+        raise ContractError(f"{len(captions)} captions exceed TEACHER_ROWS={TEACHER_ROWS}")
+    inputs, targets, real = teacher_forcing(captions)
+    logits = model.forward_teacher_forced(enc, rows, inputs)
+    return T.cross_entropy(logits, targets, real * weights[:, None])
 
 
-def xe_loss(model: TransformerModel, samples, pairs, weight: float) -> T.Tensor:
+def xe_loss(model: TransformerModel, samples, pairs, weights) -> T.Tensor:
     """Summed cross entropy of one chunk of (sample index, token ids) ``pairs``,
-    each real target token weighing ``weight``, over one encoding of their
-    distinct videos in the order they first appear."""
+    each real target token of pair b weighing ``weights[b]``, over one encoding
+    of their distinct videos in the order they first appear."""
     place = {}  # sample index -> its video's place in the encoder batch
     rows = [place.setdefault(i, len(place)) for i, _ in pairs]
     enc = model.encode([(samples[i].frames, samples[i].audio) for i in place])
-    return teacher_forced_loss(model, enc, rows, [ids for _, ids in pairs],
-                               np.full(len(pairs), weight))
+    return teacher_forced_loss(model, enc, rows, [ids for _, ids in pairs], weights)
 
 
-def batch_xe_loss(model: TransformerModel, samples, batch_pairs) -> float:
-    """One XE step's forward and backward, in batch order, one graph per
-    ``TEACHER_ROWS`` pairs (``xe_loss``), each freed by its backward before the
-    next is built; returns the mean cross entropy per real target token."""
-    if not batch_pairs:
-        raise ContractError("batch contains no scorable tokens")
-    weight = 1.0 / sum(len(ids) - 1 for _, ids in batch_pairs)
+def backward_in_chunks(model: TransformerModel, samples, pairs, weights) -> float:
+    """Forward and backward of the weighted cross entropy of (sample index,
+    token ids) ``pairs``, in their order, one graph per ``TEACHER_ROWS`` pairs
+    (``xe_loss``), each freed by its backward before the next is built; the
+    gradients add up in the model's arena.  Returns the summed loss."""
     total = 0.0
-    for lo in range(0, len(batch_pairs), TEACHER_ROWS):
-        loss = xe_loss(model, samples, batch_pairs[lo:lo + TEACHER_ROWS], weight)
+    for lo in range(0, len(pairs), TEACHER_ROWS):
+        loss = xe_loss(model, samples, pairs[lo:lo + TEACHER_ROWS], weights[lo:lo + TEACHER_ROWS])
         loss.backward()
         total += loss.item()
     return total
 
 
+def batch_xe_loss(model: TransformerModel, samples, batch_pairs) -> float:
+    """One XE step's forward and backward (``backward_in_chunks``), in batch
+    order; returns the mean cross entropy per real target token."""
+    if not batch_pairs:
+        raise ContractError("batch contains no scorable tokens")
+    weight = 1.0 / sum(len(ids) - 1 for _, ids in batch_pairs)
+    return backward_in_chunks(model, samples, batch_pairs, np.full(len(batch_pairs), weight))
+
+
 def validation_loss(model: TransformerModel, samples, pairs) -> float:
     """Teacher-forced mean CE per real target token over all (video, caption)
     pairs, ``TEACHER_ROWS`` pairs per forward pass."""
+    weights = np.ones(len(pairs))
     with T.no_grad():
-        total = sum(xe_loss(model, samples, pairs[lo:lo + TEACHER_ROWS], 1.0).item()
+        total = sum(xe_loss(model, samples, pairs[lo:lo + TEACHER_ROWS],
+                            weights[lo:lo + TEACHER_ROWS]).item()
                     for lo in range(0, len(pairs), TEACHER_ROWS))
     return total / max(sum(len(ids) - 1 for _, ids in pairs), 1)  # no pairs: 0.0
 
 
-def greedy_texts(model: TransformerModel, samples, vocab: Vocabulary) -> list:
-    """The greedy caption of every sample, as text.
+def encodings(model: TransformerModel, samples):
+    """Yield (encoding, row) of each sample in turn, ``GREEDY_CHUNK`` samples
+    per encoder pass, without a graph.  The key mask keeps a video's
+    encoding, beyond float rounding, from depending on which videos share
+    its chunk."""
+    for lo in range(0, len(samples), GREEDY_CHUNK):
+        with T.no_grad():
+            enc = model.encode([(s.frames, s.audio) for s in samples[lo:lo + GREEDY_CHUNK]])
+        yield from ((enc, row) for row in range(len(enc.mask)))
 
-    The samples are encoded ``GREEDY_CHUNK`` at a time, one encoder pass per
-    chunk, and each video is then decoded alone (``greedy_decode``) from its
-    chunk's encoding.  The key mask keeps a video's encoding, beyond float
-    rounding, from depending on which videos share its chunk.
-    """
-    texts = []
-    with T.no_grad():
-        for lo in range(0, len(samples), GREEDY_CHUNK):
-            chunk = samples[lo:lo + GREEDY_CHUNK]
-            enc = model.encode([(s.frames, s.audio) for s in chunk])
-            texts += [decode(greedy_decode(model, enc, i, vocab.bos_id, vocab.eos_id), vocab)
-                      for i in range(len(chunk))]
-    return texts
+
+def greedy_texts(model: TransformerModel, samples, vocab: Vocabulary) -> list:
+    """The greedy caption of every sample, as text: each video decoded alone
+    (``greedy_decode``) from its chunk's encoding (``encodings``)."""
+    return [decode(greedy_decode(model, enc, row, vocab.bos_id, vocab.eos_id), vocab)
+            for enc, row in encodings(model, samples)]
 
 
 def evaluate(model: TransformerModel, samples, vocab: Vocabulary, tables) -> MetricReport:

@@ -863,9 +863,7 @@ class TestBatchedTeacherForcing:
         model = TransformerModel(tiny_config(kind), seed=7, dtype=dtype)
         samples = batch_samples(np_rng, with_audio)
         items = [(i, ids, adv) for (i, ids), adv in zip(BATCH_PAIRS, (0.5, -1.25, 2.0, 0.0, 0.75))]
-        videos = [(s.frames, s.audio) for s in samples]
-        loss, grads = value_and_grads(
-            model, lambda: scst_surrogate_loss(model, model.encode(videos), items))
+        loss, grads = value_and_grads(model, lambda: scst_surrogate_loss(model, samples, items))
         ref_loss, ref = value_and_grads(
             model, lambda: per_rollout_surrogate(model, samples, items, BATCH_VOCAB))
         assert loss == pytest.approx(ref_loss, rel=tol)
@@ -942,7 +940,7 @@ class TestGraphSize:
     def test_nodes_of_an_xe_step_and_of_a_decode_step(self, kind, xe_nodes):
         model = TransformerModel(tiny_config(kind), seed=7)
         samples = batch_samples(np.random.default_rng(1), True)
-        loss = xe_loss(model, samples, BATCH_PAIRS, 1.0)  # the step's one chunk
+        loss = xe_loss(model, samples, BATCH_PAIRS, np.ones(len(BATCH_PAIRS)))  # one chunk
         assert len(T._toposort(loss)) == xe_nodes
         with T.no_grad():  # the encoder and the first token, as decoding runs them
             cache = model.decode_cache(model.encode([(samples[0].frames, samples[0].audio)]), [0])

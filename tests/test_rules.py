@@ -18,12 +18,12 @@
   memory, whose released pages must read back as zeros, so no other module
   maps or releases pages behind it.
 - ``training.teacher_forced_loss`` alone calls ``forward_teacher_forced``,
-  so every teacher-forced loss runs in its groups of at most
-  ``TEACHER_ROWS`` rows and no ungrouped copy of it returns.
-- ``.backward()`` runs only in the two training steps,
-  ``training.batch_xe_loss`` (once per chunk of ``TEACHER_ROWS`` pairs) and
-  ``scst.scst_batch_step``, so no other code builds a graph to run backward
-  on, and no XE step goes back to holding one graph over its whole batch.
+  so every teacher-forced pass holds at most ``TEACHER_ROWS`` rows and no
+  unbounded copy of it returns.
+- ``.backward()`` runs only in ``training.backward_in_chunks``, once per
+  chunk of ``TEACHER_ROWS`` pairs, which runs both training steps (XE and
+  the SCST surrogate), so no other code builds a graph to run backward on,
+  and no step goes back to holding one graph over its whole batch.
 - The property tests are derandomized and keep no example database, so a
   verdict never depends on an earlier run's failures.  ``conftest.py``
   loads the one profile that says so, and no other test file restates or
@@ -145,15 +145,15 @@ def source_callers(name: str) -> list:
 def test_only_teacher_forced_loss_runs_the_teacher_forced_decoder():
     found = source_callers("forward_teacher_forced")
     assert found == ["training.teacher_forced_loss"], (
-        "teacher-force through training.teacher_forced_loss, which runs groups of at "
+        "teacher-force through training.teacher_forced_loss, which takes at "
         "most TEACHER_ROWS rows:\n" + "\n".join(found))
 
 
 def test_only_the_training_steps_run_backward():
     found = source_callers("backward")
-    assert found == ["scst.scst_batch_step", "training.batch_xe_loss"], (
-        "run backward in a training step; an XE step runs one per chunk of "
-        "TEACHER_ROWS pairs, so its memory does not grow with the batch:\n"
+    assert found == ["training.backward_in_chunks"], (
+        "run backward through training.backward_in_chunks, one per chunk of "
+        "TEACHER_ROWS pairs, so a step's memory does not grow with the batch:\n"
         + "\n".join(found))
 
 

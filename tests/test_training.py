@@ -24,7 +24,7 @@ from vttcap.tokenizer import build_vocab, decode, encode, normalize_words, trunc
 from vttcap.training import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, GRAD_CLIP_NORM, TEACHER_ROWS,
                              OptimizerState, ScheduleConfig, TrainRunConfig, _fit, adam_update,
                              batch_xe_loss, caption_pairs, clip_gradients, lr_at,
-                             teacher_forcing, train_xe, xe_loss)
+                             teacher_forced_loss, teacher_forcing, train_xe)
 
 
 @pytest.fixture(scope="module")
@@ -314,7 +314,7 @@ class TestAdamAndClipping:
 
 @pytest.mark.parametrize("kind", ["memory_scaled_dot", "x_linear"])
 @pytest.mark.parametrize("with_audio", [False, True])
-def test_every_parameter_gets_a_gradient_on_every_step(corpus, kind, with_audio):
+def test_every_parameter_gets_a_gradient_on_every_step(corpus, kind, with_audio, monkeypatch):
     """Backward of an XE step and of an SCST surrogate step reaches every
     parameter, so an optimizer that updates every parameter skips none."""
     train, _, vocab = corpus
@@ -324,13 +324,15 @@ def test_every_parameter_gets_a_gradient_on_every_step(corpus, kind, with_audio)
     assert with_audio == any(s.audio is not None for s in samples)
     pairs = caption_pairs(samples, vocab, model.cfg.l_max)
     items = [(i, ids, (-1.0) ** k) for k, (i, ids) in enumerate(pairs)]
-    videos = [(s.frames, s.audio) for s in samples]
-    for loss_fn in (lambda: xe_loss(model, samples, pairs, 1.0),
-                    lambda: scst_surrogate_loss(model, model.encode(videos), items)):
+    reached = set()  # every node a backward of the step reached
+    backward = T.Tensor.backward
+    monkeypatch.setattr(T.Tensor, "backward", lambda loss: reached.update(
+        map(id, T._toposort(loss))) or backward(loss))
+    for step in (lambda: batch_xe_loss(model, samples, pairs),
+                 lambda: scst_surrogate_loss(model, samples, items)):
         model.arena.grad.fill(0)
-        loss = loss_fn()
-        reached = {id(t) for t in T._toposort(loss)}
-        loss.backward()
+        reached.clear()
+        step()
         for name, p in model.params.items():
             assert id(p) in reached and p.grad is not None, name
 
@@ -366,7 +368,7 @@ def test_greedy_texts_by_chunk_equal_per_video_captions(corpus, kind, with_audio
 
 
 # ---------------------------------------------------------------------------
-# teacher-forced groups
+# teacher-forced chunks
 
 
 def one_batch_xe(model, samples, pairs):
@@ -383,12 +385,20 @@ def one_batch_xe(model, samples, pairs):
 
 def one_batch_surrogate(model, enc, items):
     """The surrogate of distinct rollouts ``items`` with non-zero advantages,
-    each one row, as one padded batch in their given order: the oracle of
-    ``scst_surrogate_loss``, which runs them by length in groups."""
+    each one row, as one padded batch in their given order over one
+    encoding, under one graph: the oracle of ``scst_surrogate_loss``, which
+    runs them by length in chunks."""
     inputs, targets, real = teacher_forcing([ids for _, ids, _ in items])
     weight = np.array([a for _, _, a in items], dtype=np.float64) / len(items)
     logits = model.forward_teacher_forced(enc, [video for video, _, _ in items], inputs)
     return T.cross_entropy(logits, targets, real * weight[:, None])
+
+
+def encoder_rows(videos) -> list:
+    """Each of ``videos``' place in an encoder batch of the distinct ones, in
+    order of first appearance."""
+    place = {}
+    return [place.setdefault(v, len(place)) for v in videos]
 
 
 def mixed_captions(vocab, n: int, rng) -> list:
@@ -408,14 +418,14 @@ def record_forced(monkeypatch) -> list:
     return calls
 
 
-def assert_run_in_groups(forced, captions):
+def assert_run_in_chunks(forced, captions):
     """``forced`` holds one call per ``TEACHER_ROWS`` consecutive captions,
     each padded to its own longest."""
     assert len(forced) == math.ceil(len(captions) / TEACHER_ROWS)
     for k, (rows, inputs) in enumerate(forced):
-        group = captions[k * TEACHER_ROWS:(k + 1) * TEACHER_ROWS]
-        assert len(rows) == len(group) <= TEACHER_ROWS
-        assert np.array_equal(inputs, teacher_forcing(group)[0])
+        chunk = captions[k * TEACHER_ROWS:(k + 1) * TEACHER_ROWS]
+        assert len(rows) == len(chunk) <= TEACHER_ROWS
+        assert np.array_equal(inputs, teacher_forcing(chunk)[0])
 
 
 def assert_same_loss(got, ref, exact: bool):
@@ -453,7 +463,7 @@ def test_xe_step_in_chunks_equals_one_batch(corpus, monkeypatch, n_pairs):
     got = value_and_grads(model, lambda: batch_xe_loss(model, train, pairs))
     assert len(backwards) == len(chunks)
     assert [e.out.shape[0] for e in encodings] == [len({i for i, _ in c}) for c in chunks]
-    assert_run_in_groups(forced, [ids for _, ids in pairs])
+    assert_run_in_chunks(forced, [ids for _, ids in pairs])
     assert_same_loss(got, ref, exact=len(chunks) == 1)
 
 
@@ -486,30 +496,80 @@ def test_xe_step_memory_does_not_grow_with_the_batch(tmp_path, kind):
     assert four <= 1.25 * one, (one, four)
 
 
-def test_surrogate_in_groups_by_length_equals_one_batch(corpus, monkeypatch):
-    """40 distinct rollouts of mixed lengths run shortest first, rollouts of
-    one length in order of first appearance, as two full groups and a
-    partial one under one backward, and match the one batch of them in
-    first-appearance order to float64 rounding."""
+def test_teacher_forced_loss_takes_at_most_teacher_rows(corpus):
     train, _, vocab = corpus
-    model = TransformerModel(tiny_config(vocab_size=len(vocab)), seed=3, dtype=np.float64)
+    model = tiny_model(vocab)
+    enc = model.encode([(train[0].frames, train[0].audio)])
+    captions = mixed_captions(vocab, TEACHER_ROWS + 1, np.random.default_rng(5))
+    weights = np.ones(len(captions))
+    assert teacher_forced_loss(model, enc, [0] * TEACHER_ROWS, captions[:TEACHER_ROWS],
+                               weights[:TEACHER_ROWS]).data.shape == ()
+    with pytest.raises(ContractError, match="TEACHER_ROWS"):
+        teacher_forced_loss(model, enc, [0] * len(captions), captions, weights)
+
+
+@pytest.mark.parametrize("kind", ["memory_scaled_dot", "x_linear"])
+@pytest.mark.parametrize("with_audio", [False, True])
+@pytest.mark.parametrize("n_rows", [1, TEACHER_ROWS, 40])
+def test_surrogate_in_chunks_by_length_equals_one_graph(corpus, monkeypatch, kind,
+                                                         with_audio, n_rows):
+    """Distinct rollouts of mixed lengths run shortest first, rollouts of one
+    length in order of first appearance, in chunks of ``TEACHER_ROWS``, each
+    encoding its own videos and running its own backward, and match the one
+    graph over them in first-appearance order to float64 rounding.  Up to
+    ``TEACHER_ROWS`` rows are one chunk; 40 rows are two full chunks and a
+    partial one, a video whose rows fall in two chunks included."""
+    train, _, vocab = corpus
+    model = TransformerModel(tiny_config(kind, vocab_size=len(vocab)), seed=3, dtype=np.float64)
     rng = np.random.default_rng(6)
-    videos = [(s.frames, s.audio) for s in train[:3]]
-    items = [(int(rng.integers(len(videos))), ids, float(rng.normal()))
-             for ids in mixed_captions(vocab, 40, rng)]
+    samples = [s if with_audio else dataclasses.replace(s, audio=None) for s in train[:3]]
+    assert with_audio == any(s.audio is not None for s in samples)
+    items = [(int(rng.integers(len(samples))), ids, float(rng.normal()))
+             for ids in mixed_captions(vocab, n_rows, rng)]
     assert len({(v, tuple(ids)) for v, ids, _ in items}) == len(items)
     assert all(a != 0.0 for _, _, a in items)
+    by_length = sorted(items, key=lambda item: len(item[1]))
+    chunks = [by_length[lo:lo + TEACHER_ROWS] for lo in range(0, n_rows, TEACHER_ROWS)]
+    if len(chunks) > 1:  # a video whose rows fall in two chunks
+        assert {v for v, _, _ in chunks[0]} & {v for v, _, _ in chunks[1]}
+    videos = [(s.frames, s.audio) for s in samples]
     ref = value_and_grads(model, lambda: one_batch_surrogate(model, model.encode(videos), items))
     forced = record_forced(monkeypatch)
     backwards = record_calls(monkeypatch, T.Tensor, "backward")
-    got = value_and_grads(model, lambda: scst_surrogate_loss(model, model.encode(videos), items))
-    assert len(backwards) == 1
-    by_length = sorted(items, key=lambda item: len(item[1]))
-    assert_run_in_groups(forced, [ids for _, ids, _ in by_length])
-    assert [v for rows, _ in forced for v in rows] == [v for v, _, _ in by_length]
+    encodings = record_calls(monkeypatch, TransformerModel, "encode")
+    got = value_and_grads(model, lambda: scst_surrogate_loss(model, samples, items))
+    assert len(backwards) == len(chunks) == math.ceil(n_rows / TEACHER_ROWS)
+    assert [e.out.shape[0] for e in encodings] == [len({v for v, _, _ in c}) for c in chunks]
+    assert_run_in_chunks(forced, [ids for _, ids, _ in by_length])
+    assert [rows for rows, _ in forced] == [encoder_rows([v for v, _, _ in c]) for c in chunks]
     lengths = [int(n) for _, inputs in forced for n in (inputs != 0).sum(axis=1)]  # no PAD id
-    assert lengths == sorted(lengths) and len(set(lengths)) > 3
+    assert lengths == sorted(lengths) and len(set(lengths)) > min(3, n_rows - 1)
     assert_same_loss(got, ref, exact=False)
+
+
+@pytest.mark.parametrize("kind", ["memory_scaled_dot", "x_linear"])
+def test_scst_step_memory_does_not_grow_with_the_batch(tmp_path, kind):
+    """A 64-video SCST step of the desk model peaks within 1.5x of a 16-video
+    one: the rollouts read encodings without a graph, and each chunk of
+    surrogate rows is freed by its backward before the next one is built
+    (one graph over the whole batch peaks near 4x)."""
+    desk = PROFILES["desk"]["model"]
+    train, _ = (m.load_samples() for m in synth_dataset(
+        seed=1, n_videos=72, n_concepts=4, d_vision=desk["d_vision"],
+        d_audio=desk["d_audio"], out_dir=tmp_path))
+    vocab = build_vocab([c for s in train for c in s.captions], 200)
+    tables = metrics.reference_tables(s.captions for s in train)
+    model = TransformerModel(ModelConfig(**desk, vocab_size=len(vocab), attention_kind=kind))
+    assert len(train) >= 4 * TEACHER_ROWS
+
+    def step(n: int) -> None:
+        scst_batch_step(model, train[:n], tables[:n], vocab, RewardConfig(n_samples=5),
+                        RngState(4))
+        model.arena.grad.fill(0)
+
+    step(TEACHER_ROWS)  # whatever a first step allocates
+    one, four = (traced_peak(lambda: step(n)) for n in (TEACHER_ROWS, 4 * TEACHER_ROWS))
+    assert four <= 1.5 * one, (one, four)
 
 
 # ---------------------------------------------------------------------------
@@ -597,8 +657,8 @@ class TestScst:
 
     def test_constant_reward_gives_zero_advantage_and_zero_gradient(self, corpus, monkeypatch):
         """Every rollout ties its baseline, so the surrogate has no row: no
-        teacher-forced pass runs, and the one backward of the step leaves
-        every gradient zero."""
+        teacher-forced pass and no backward runs, and every gradient stays
+        zero."""
         model, batch, tables, vocab = self.setup_batch(corpus)
         rc = RewardConfig(n_samples=3)
         monkeypatch.setattr(scst, "mixed_reward", lambda cand, refs: 0.7)
@@ -607,15 +667,24 @@ class TestScst:
         loss, records = scst_batch_step(model, batch, tables, vocab, rc, RngState(4))
         assert loss == 0.0
         assert all(a == 0.0 for r in records for a in r["advantages"])
-        assert forced == [] and len(backwards) == 1
+        assert forced == [] and backwards == []
         assert not np.any(model.arena.grad)
 
-    def test_a_step_encodes_its_batch_once(self, corpus, monkeypatch):
+    def test_a_step_decodes_from_encodings_without_a_graph(self, corpus, monkeypatch):
+        """The rollouts read ``GREEDY_CHUNK`` videos per encoder pass, without
+        a graph; then each chunk of surrogate rows encodes its videos with
+        grad and runs its own backward."""
         model, batch, tables, vocab = self.setup_batch(corpus)
+        monkeypatch.setattr(training, "GREEDY_CHUNK", 2)
         encodings = record_calls(monkeypatch, TransformerModel, "encode")
+        backwards = record_calls(monkeypatch, T.Tensor, "backward")
         decoded = record_decodes(monkeypatch)
         scst_batch_step(model, batch, tables, vocab, RewardConfig(n_samples=3), RngState(4))
-        assert len(encodings) == 1 and encodings[0].out.shape[0] == len(batch)
+        rollouts, surrogate = encodings[:2], encodings[2:]
+        assert [e.out.shape[0] for e in rollouts] == [2, 1]
+        assert not any(e.out.requires_grad for e in rollouts)
+        assert len(surrogate) == len(backwards) >= 1
+        assert all(e.out.requires_grad for e in surrogate)
         assert len(decoded["greedy_decode"]) == len(decoded["sample_decode"]) == len(batch)
 
     def test_surrogate_encoding_once_equals_encoding_per_rollout(self, corpus, monkeypatch):
@@ -647,13 +716,12 @@ class TestScst:
 
         with monkeypatch.context() as m:
             forced = record_forced(m)
-            surrogate = scst_surrogate_loss(model, model.encode(videos), items)
+            loss, got = value_and_grads(model, lambda: scst_surrogate_loss(model, samples, items))
         ((got_rows, got_inputs),) = forced
-        assert got_rows == [video for video, _ in rows]
+        assert got_rows == [video for video, _ in rows]  # video 0 first: places equal indices
         assert np.array_equal(got_inputs, teacher_forcing([ids for _, ids in rows])[0])
 
-        (loss, got), (ref_loss, ref) = value_and_grads(model, lambda: surrogate), \
-            value_and_grads(model, per_rollout_encode)
+        ref_loss, ref = value_and_grads(model, per_rollout_encode)
         assert loss == pytest.approx(ref_loss, rel=1e-10, abs=1e-10)
         assert got.keys() == ref.keys() and any(n.startswith("enc.") for n in got)
         for name in ref:
